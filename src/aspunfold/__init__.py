@@ -44,8 +44,8 @@ from .partiality import (
     unfold_partiality,
 )
 from .gentest import gen_basic, gen_naive, gen_program, support_program, test_program
-from .solver import Solver, SolverConfig, SolverStats
-from .gnt import GntConfig, GntStats, SolveResult, gnt_search, minimal_test, solve_disjunctive
+from .solver import Solver, SolverStats
+from .gnt import GntConfig, GntStats, SolveResult, minimal_test, solve_disjunctive
 from .qbf import (
     Qbf2E,
     negate_dnf,

@@ -40,7 +40,7 @@ from .semantics import (
     maximal_models,
     TruthValue,
 )
-from .solver import Solver, SolverConfig, SolverStats
+from .solver import Solver, SolverStats
 from .syntax import Atom, F_ATOM, Program, render_program
 
 EXIT_MODELS = 0
@@ -130,10 +130,7 @@ def _partial_line(m: PartialInterpretation) -> str:
 
 
 def _gnt_config(args) -> GntConfig:
-    return GntConfig(
-        early_test=getattr(args, "early_test", "once"),
-        lookahead=getattr(args, "lookahead", False),
-    )
+    return GntConfig(early_test=getattr(args, "early_test", "once"))
 
 
 def _stats_dict(gnt=None, solver: Optional[SolverStats] = None) -> dict[str, int]:
@@ -162,7 +159,7 @@ def _solve_program(p: Program, args, enumerate_all: bool) -> tuple[list[frozense
             models = models[:1]
         return models, _stats_dict(gnt=None, solver=SolverStats())
     if p.is_normal:
-        solver = Solver(p, SolverConfig(lookahead=getattr(args, "lookahead", False)))
+        solver = Solver(p)
         models = solver.all_models() if enumerate_all else [
             m for m in [solver.next_stable_model()] if m is not None
         ]
@@ -394,7 +391,6 @@ def _add_common(sp, stats: bool = True) -> None:
 def _add_solving(sp) -> None:
     sp.add_argument("--mode", choices=MODES, default="gnt2")
     sp.add_argument("--early-test", choices=("once", "repeat", "off"), default="once")
-    sp.add_argument("--lookahead", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,12 +3,20 @@ certify each covered candidate by showing its tester has no stable model.
 
 The search mirrors the two-engine layout: one solver instance enumerates
 generator models, a fresh solver instance runs every minimality test.  Early
-tests on backtrack paths (sound by the no-stable-superset property) are
-gated by a per-search WasCovered flag: set when a candidate is covered,
-consumed by the next early test.  With ``early_test="repeat"`` a failed test
-leaves the flag set, so the test repeats at each backtracking level until it
-succeeds; ``"off"`` disables early testing entirely and never changes the
-result, only the statistics.
+tests on backtrack paths are gated by a per-search WasCovered flag: set when
+a candidate is covered, consumed by the next early test.  With
+``early_test="repeat"`` a failed test leaves the flag set, so the test
+repeats at each backtracking level until it succeeds; ``"off"`` disables
+early testing entirely and never changes the result, only the statistics.
+
+An early test reads the current true atoms T as a candidate; a failed test
+means the reduct has a model N properly inside T.  It runs only when every
+input rule with a head atom in T either has its whole positive body in T or
+has a body that is already false (a positive atom false or a negative atom
+true).  Then, for every stable model M extending the assignment,
+N | (M - T) is a model of the reduct P^M properly inside M, so pruning
+loses no stable model.  When the condition fails the test is skipped, which
+clears WasCovered as a passing test does.
 """
 
 from __future__ import annotations
@@ -18,8 +26,8 @@ from typing import Iterable, Iterator, Optional
 
 from .gentest import gen_basic, gen_naive, gen_program, test_program
 from .semantics import enumerate_stable_models
-from .solver import Solver, SolverConfig, SolverStats
-from .syntax import Atom, Literal, Program
+from .solver import FALSE, TRUE, Solver, SolverStats
+from .syntax import Atom, Program
 
 MODES = ("gnt1", "gnt2", "naive", "brute")
 
@@ -36,7 +44,6 @@ class GntStats:
 @dataclass
 class GntConfig:
     early_test: str = "once"  # once | repeat | off
-    lookahead: bool = False
     trace: bool = False
 
     def __post_init__(self) -> None:
@@ -54,15 +61,13 @@ class SolveResult:
 def minimal_test(
     p: Program,
     assignment_true: Iterable[Atom],
-    config: Optional[GntConfig] = None,
     stats: Optional[GntStats] = None,
     solver_stats: Optional[SolverStats] = None,
 ) -> bool:
     """Read the true atoms as a total candidate (undefined taken false) and
     check that its tester has no stable model."""
-    config = config or GntConfig()
     candidate = frozenset(assignment_true) & p.base
-    tester = Solver(test_program(p, candidate), SolverConfig(lookahead=config.lookahead))
+    tester = Solver(test_program(p, candidate))
     found = tester.next_stable_model()
     if stats is not None:
         stats.minimal_tests += 1
@@ -73,8 +78,18 @@ def minimal_test(
 
 class _GntSearch:
     def __init__(self, g: Program, p: Program, config: GntConfig):
-        self.generator = Solver(g, SolverConfig(lookahead=config.lookahead))
+        self.generator = Solver(g)
         self.p = p
+        index = self.generator.index
+        # input rules over generator indices, read by the early-test condition
+        self.rules = [
+            (
+                tuple(index[a] for a in r.head),
+                tuple(index[a] for a in r.pos),
+                tuple(index[a] for a in r.neg),
+            )
+            for r in p.rules
+        ]
         self.config = config
         self.stats = GntStats()
         self.test_solver_stats = SolverStats()
@@ -85,7 +100,6 @@ class _GntSearch:
         ok = minimal_test(
             self.p,
             self.generator.true_atoms(),
-            self.config,
             self.stats,
             self.test_solver_stats,
         )
@@ -93,14 +107,27 @@ class _GntSearch:
             self.trace.append(("early_test" if early else "cover_test", ok))
         return ok
 
-    def run(self, assumptions: Iterable[Literal] = ()) -> Iterator[frozenset[Atom]]:
-        pairs = [(l.atom, l.positive) for l in assumptions]
-        return self._gnt(pairs)
+    def _early_test_sound(self) -> bool:
+        """The condition of the module docstring under which an early test
+        cannot prune a stable model."""
+        val = self.generator.val
+        for head, pos, neg in self.rules:
+            if (
+                any(val[h] == TRUE for h in head)
+                and not all(val[b] == TRUE for b in pos)
+                and not any(val[b] == FALSE for b in pos)
+                and not any(val[c] == TRUE for c in neg)
+            ):
+                return False
+        return True
+
+    def run(self) -> Iterator[frozenset[Atom]]:
+        return self._gnt([])
 
     def _gnt(self, to_assign: list[tuple[Atom, bool]]) -> Iterator[frozenset[Atom]]:
         s = self.generator
         mark = s.mark()
-        if not s.assign_and_extend(to_assign):
+        if not s.assign_and_expand(to_assign):
             s.stats.conflicts += 1
             s.undo_to(mark)
             return
@@ -119,7 +146,11 @@ class _GntSearch:
             s.stats.conflicts += 1
             s.undo_to(mark)
             return
-        if self.was_covered and self.config.early_test != "off":
+        if (
+            self.was_covered
+            and self.config.early_test != "off"
+            and self._early_test_sound()
+        ):
             if not self._minimal(early=True):
                 self.stats.early_prunes += 1
                 if self.config.early_test == "once":
@@ -129,18 +160,6 @@ class _GntSearch:
         self.was_covered = False
         yield from self._gnt([])
         s.undo_to(mark)
-
-
-def gnt_search(
-    g: Program,
-    p: Program,
-    assumptions: Iterable[Literal] = (),
-    config: Optional[GntConfig] = None,
-) -> Optional[frozenset[Atom]]:
-    """First certified candidate of the generator, restricted to the input base."""
-    search = _GntSearch(g, p, config or GntConfig())
-    n = next(search.run(assumptions), None)
-    return None if n is None else n & p.base
 
 
 def solve_disjunctive(

@@ -36,11 +36,6 @@ class SolverStats:
         self.expansions += other.expansions
 
 
-@dataclass
-class SolverConfig:
-    lookahead: bool = False
-
-
 @dataclass(frozen=True)
 class ExpandResult:
     literals: frozenset[Literal]
@@ -51,16 +46,10 @@ class Solver:
     """Resumable enumeration of the stable models of one normal program
     consistent with an initial assignment.  Single-threaded while searching."""
 
-    def __init__(
-        self,
-        program: Program,
-        config: Optional[SolverConfig] = None,
-        assumptions: Iterable[Literal] = (),
-    ):
+    def __init__(self, program: Program, assumptions: Iterable[Literal] = ()):
         if not program.is_normal:
             raise ValueError("solver requires a normal program")
         self.program = program
-        self.config = config or SolverConfig()
         self.stats = SolverStats()
 
         self.atoms: list[Atom] = sorted(program.base)
@@ -284,7 +273,7 @@ class Solver:
             return False, True
         return True, changed
 
-    # -- expand / lookahead ---------------------------------------------------
+    # -- expand ---------------------------------------------------------------
 
     def _expand(self) -> bool:
         self.stats.expansions += 1
@@ -299,43 +288,9 @@ class Solver:
             if not changed:
                 return True
 
-    def _probe(self, a: int, v: int) -> bool:
-        """Whether assigning a:=v expands without conflict (state restored)."""
-        mark = len(self.trail)
-        self._push(a, v)
-        ok = self._expand()
-        self._undo_to(mark)
-        return ok
-
-    def _lookahead_fixpoint(self) -> bool:
-        while True:
-            progress = False
-            for a in range(len(self.atoms)):
-                if self.val[a] != UNDEF:
-                    continue
-                if not self._probe(a, TRUE):
-                    self._push(a, FALSE)
-                    if not self._expand():
-                        return False
-                    progress = True
-                elif not self._probe(a, FALSE):
-                    self._push(a, TRUE)
-                    if not self._expand():
-                        return False
-                    progress = True
-            if not progress:
-                return True
-
-    def _extend(self) -> bool:
-        if not self._expand():
-            return False
-        if self.config.lookahead:
-            return self._lookahead_fixpoint()
-        return True
-
     # -- backtracking -----------------------------------------------------------
 
-    def _undo_to(self, mark: int) -> None:
+    def undo_to(self, mark: int) -> None:
         while len(self.trail) > mark:
             a = self.trail.pop()
             v = self.val[a]
@@ -379,26 +334,26 @@ class Solver:
     def covered(self) -> bool:
         return self.n_assigned == len(self.atoms)
 
-    def _model(self) -> frozenset[Atom]:
+    def true_atoms(self) -> frozenset[Atom]:
         return frozenset(a for a, i in self.index.items() if self.val[i] == TRUE)
 
     def _search(self, to_assign: list[tuple[int, int]]) -> Iterator[frozenset[Atom]]:
         mark = len(self.trail)
         for a, v in to_assign:
             self._push(a, v)
-        if not self._extend():
+        if not self._expand():
             self.stats.conflicts += 1
-            self._undo_to(mark)
+            self.undo_to(mark)
             return
         if self.covered:
-            yield self._model()
-            self._undo_to(mark)
+            yield self.true_atoms()
+            self.undo_to(mark)
             return
         x = self._choose()
         self.stats.choices += 1
         yield from self._search([(x, FALSE)])
         yield from self._search([(x, TRUE)])
-        self._undo_to(mark)
+        self.undo_to(mark)
 
     def models(self) -> Iterator[frozenset[Atom]]:
         if self._gen is None:
@@ -421,74 +376,25 @@ class Solver:
             self._push(self.index[atom], TRUE if value else FALSE)
         return self._expand()
 
-    def assign_and_extend(self, pairs: Iterable[tuple[Atom, bool]]) -> bool:
-        for atom, value in pairs:
-            self._push(self.index[atom], TRUE if value else FALSE)
-        return self._extend()
-
-    def undo_to(self, mark: int) -> None:
-        self._undo_to(mark)
+    # The former name, kept for tracers that wrap the search hooks by name.
+    assign_and_extend = assign_and_expand
 
     def pick_atom(self) -> Atom:
         a = self._choose()
         self.stats.choices += 1
         return self.atoms[a]
 
-    def true_atoms(self) -> frozenset[Atom]:
-        return self._model()
 
-
-# ---------------------------------------------------------------------------
-# Functional surface over a throwaway solver instance.
-
-def _run(program: Program, literals: Iterable[Literal], config: SolverConfig) -> tuple[Solver, bool]:
-    s = Solver(program, config=config, assumptions=literals)
+def expand(program: Program, literals: Iterable[Literal] = ()) -> ExpandResult:
+    """Expand the assumed literals (with the program's facts) on a throwaway
+    solver: every literal derived, and whether expansion hit a conflict."""
+    s = Solver(program, assumptions=literals)
     for a, v in s._initial:
         s._push(a, v)
-    ok = s._extend()
-    return s, ok
-
-
-def _result(s: Solver, ok: bool) -> ExpandResult:
+    ok = s._expand()
     lits = frozenset(
         Literal(s.atoms[a], s.val[a] == TRUE)
         for a in range(len(s.atoms))
         if s.val[a] != UNDEF
     )
     return ExpandResult(lits, not ok)
-
-
-def expand(program: Program, literals: Iterable[Literal] = ()) -> ExpandResult:
-    s = Solver(program, assumptions=literals)
-    for a, v in s._initial:
-        s._push(a, v)
-    return _result(s, s._expand())
-
-
-def lookahead(program: Program, literals: Iterable[Literal] = ()) -> ExpandResult:
-    return extend(program, literals, SolverConfig(lookahead=True))
-
-
-def extend(
-    program: Program,
-    literals: Iterable[Literal] = (),
-    config: Optional[SolverConfig] = None,
-) -> ExpandResult:
-    s, ok = _run(program, literals, config or SolverConfig())
-    return _result(s, ok)
-
-
-def conflict(literals: Iterable[Literal]) -> bool:
-    """Whether the literal set contains a complementary pair."""
-    lits = set(literals)
-    return any(Literal(l.atom, not l.positive) in lits for l in lits)
-
-
-def heuristic(program: Program, literals: Iterable[Literal] = ()) -> Atom:
-    """The undefined atom occurring in the most not-yet-satisfied rules."""
-    s = Solver(program)
-    for lit in literals:
-        if not s._set(s.index[lit.atom], TRUE if lit.positive else FALSE) or s._conflict:
-            raise ValueError("conflicting literals")
-    s._queue.clear()
-    return s.atoms[s._choose()]

@@ -1,14 +1,17 @@
+import random
+
 import pytest
 
 from aspunfold.gentest import gen_program
-from aspunfold.gnt import GntConfig, GntStats, gnt_search, minimal_test, solve_disjunctive
+from aspunfold.gnt import GntConfig, GntStats, minimal_test, solve_disjunctive
 from aspunfold.gnt import _GntSearch
 from aspunfold.parser import parse_program
+from aspunfold.partiality import unfold_partiality
 from aspunfold.semantics import enumerate_stable_models, is_stable_model, PartialInterpretation
-from aspunfold.solver import SolverStats
-from aspunfold.syntax import Atom, Literal, complement, support
+from aspunfold.solver import FALSE, Solver, SolverStats
+from aspunfold.syntax import Atom, Program, Rule, complement, support
 
-from conftest import random_disjunctive_program, random_normal_program
+from conftest import random_disjunctive_program, random_normal_program, random_partial_interpretation
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
 DISJ = parse_program("a | b.")
@@ -37,21 +40,14 @@ def test_minimal_test_counts():
 
 
 def test_gnt_search_returns_restricted_candidate():
-    got = gnt_search(gen_program(DISJ_NEG), DISJ_NEG)
-    assert got in (frozenset([A]), frozenset([B]))
-    assert gnt_search(gen_program(EX6), EX6) is None
-
-
-def test_gnt_search_respects_assumptions():
-    got = gnt_search(gen_program(DISJ), DISJ, assumptions=[Literal(A)])
-    assert got == frozenset([A])
+    # the generator model also holds complement and support atoms
+    assert solve_disjunctive(DISJ_NEG, mode="gnt2").models in ([frozenset([A])], [frozenset([B])])
+    assert solve_disjunctive(EX6, mode="gnt2").models == []
 
 
 def test_gnt_on_normal_program_matches_engine():
     p = parse_program("a :- not b.\nb :- not a.")
-    from aspunfold.solver import Solver
-
-    assert gnt_search(gen_program(p), p) == Solver(p).next_stable_model()
+    assert solve_disjunctive(p, mode="gnt2").models == [Solver(p).next_stable_model()]
 
 
 def test_solve_disjunctive_modes_and_dedup():
@@ -81,18 +77,6 @@ def test_early_test_policies_do_not_change_models():
             if want is None:
                 want = got
             assert got == want
-
-
-def test_lookahead_does_not_change_models():
-    for seed in range(40):
-        p = random_disjunctive_program(seed)
-        plain = set(solve_disjunctive(p, mode="gnt2", enumerate_all=True).models)
-        looked = set(
-            solve_disjunctive(
-                p, mode="gnt2", enumerate_all=True, config=GntConfig(lookahead=True)
-            ).models
-        )
-        assert plain == looked
 
 
 def test_early_prunes_bounded_by_tests():
@@ -145,3 +129,102 @@ def test_brute_mode_equals_oracle():
     for seed in range(40):
         p = random_disjunctive_program(seed)
         assert solve_disjunctive(p, mode="brute", enumerate_all=True).models == enumerate_stable_models(p)
+
+
+# Early tests without the soundness condition pruned a stable model of each.
+EARLY_TEST_COUNTEREXAMPLES = {
+    "tr_normal": unfold_partiality(
+        parse_program("a1 :- a0, not a1, not a0.\na4 :- not a1.\na1 :- a4, a3, not a4.\na3.")
+    ),
+    "disjunctive": parse_program(
+        "a1 | a3 | a4 :- a0, not a2, not a7.\n"
+        "a7 :- a2, not a4, not a5.\n"
+        "a2 :- not a4.\n"
+        "a0 | a1 :- a0, a3.\n"
+        "a0 | a6 :- a7, not a5."
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EARLY_TEST_COUNTEREXAMPLES))
+def test_early_tests_keep_every_model(name):
+    p = EARLY_TEST_COUNTEREXAMPLES[name]
+    want = enumerate_stable_models(p)
+    assert len(want) == 2
+    for mode in ("gnt1", "gnt2", "naive"):
+        for policy in ("once", "repeat", "off"):
+            config = GntConfig(early_test=policy)
+            got = solve_disjunctive(p, mode=mode, enumerate_all=True, config=config).models
+            assert got == want, (mode, policy)
+
+
+def test_early_test_condition_is_sound():
+    # Whenever the condition holds and the test fails on the current true
+    # atoms, no stable model extends the generator's assignment.  Without the
+    # condition this is false: on the tr_normal counterexample the test fails
+    # for {p__a1, p__a4}, which lies inside the stable model
+    # {a3, p__a1, p__a3, p__a4}.
+    rng = random.Random("gated-early-test")
+    prunes = 0
+    for seed in range(200):
+        p = random_disjunctive_program(seed, max_atoms=5, max_rules=6)
+        stable = enumerate_stable_models(p)
+        for _ in range(8):
+            i = random_partial_interpretation(rng, p.base)
+            search = _GntSearch(gen_program(p), p, GntConfig())
+            g = search.generator
+            if not g.assign_and_expand([(a, True) for a in i.true_set] + [(a, False) for a in i.false_set]):
+                continue
+            if not search._early_test_sound() or minimal_test(p, g.true_atoms()):
+                continue
+            prunes += 1
+            true = g.true_atoms() & p.base
+            false = {a for a in p.base if g.val[g.index[a]] == FALSE}
+            assert not any(true <= m and not m & false for m in stable)
+    assert prunes >= 50
+
+
+def _random_program(rng, n_atoms, n_rules, max_head, min_neg):
+    atoms = [Atom(f"a{i}") for i in range(n_atoms)]
+    rules = []
+    for _ in range(n_rules):
+        head = frozenset(rng.sample(atoms, rng.randint(1, max_head)))
+        pos = frozenset(rng.sample(atoms, rng.randint(0, 2)))
+        neg = frozenset(rng.sample(atoms, rng.randint(min_neg, 2)))
+        rules.append(Rule(head, pos, neg))
+    return Program(tuple(rules), base=frozenset(atoms))
+
+
+def _sorted_models(models):
+    return sorted(sorted(a.text for a in m) for m in models)
+
+
+def test_modes_agree_above_oracle_cap():
+    # tr of normal programs with 20-50 atoms (40-100 atoms after tr), past the
+    # oracle's cap: gnt1 and gnt2 under both early-test policies must find
+    # exactly the models of the solver run on tr directly.
+    rng = random.Random("differential-tr")
+    for _ in range(60):
+        n = rng.randint(20, 50)
+        trp = unfold_partiality(_random_program(rng, n, 2 * n, max_head=1, min_neg=1))
+        want = _sorted_models(Solver(trp).models())
+        for mode in ("gnt1", "gnt2"):
+            for policy in ("once", "repeat"):
+                config = GntConfig(early_test=policy)
+                got = solve_disjunctive(trp, mode=mode, enumerate_all=True, config=config).models
+                assert _sorted_models(got) == want, (n, mode, policy)
+
+
+def test_early_tests_agree_on_disjunctive_programs():
+    # 12-atom disjunctive programs: early tests must not change gnt2's models
+    # without them.
+    rng = random.Random("differential-disjunctive")
+    off = GntConfig(early_test="off")
+    for _ in range(20):
+        p = _random_program(rng, 12, 24, max_head=2, min_neg=0)
+        want = solve_disjunctive(p, mode="gnt2", enumerate_all=True, config=off).models
+        for mode in ("gnt1", "gnt2"):
+            for policy in ("once", "repeat"):
+                config = GntConfig(early_test=policy)
+                got = solve_disjunctive(p, mode=mode, enumerate_all=True, config=config).models
+                assert got == want, (mode, policy)

@@ -4,15 +4,7 @@ import pytest
 
 from aspunfold.parser import parse_program
 from aspunfold.semantics import enumerate_stable_models
-from aspunfold.solver import (
-    Solver,
-    SolverConfig,
-    conflict,
-    expand,
-    extend,
-    heuristic,
-    lookahead,
-)
+from aspunfold.solver import Solver, expand
 from aspunfold.syntax import Atom, Literal
 
 from conftest import random_normal_program
@@ -55,36 +47,16 @@ def test_expand_idempotent_and_monotone():
     assert smaller.literals <= bigger.literals or bigger.conflict
 
 
-def test_conflict():
-    assert conflict([Literal(A), Literal(A, False)])
-    assert not conflict([])
-    assert not conflict([Literal(A), Literal(B, False)])
-
-
-def test_lookahead_detects_dead_end():
-    p = parse_program("a :- not a.")
-    assert lookahead(p).conflict
-    assert not expand(p).conflict  # plain expand cannot see it
-
-
-def test_lookahead_no_undefined_left():
-    p = parse_program("a.")
-    r = lookahead(p)
-    assert lits(r) == {"a"} and not r.conflict
-
-
-def test_lookahead_keeps_consistent_choices_open():
-    p = parse_program("a :- not b.\nb :- not a.")
-    r = lookahead(p)
-    assert r.literals == frozenset() and not r.conflict
-
-
 def test_heuristic():
-    p = parse_program("x :- y.\nx :- z.\nw.")
-    assert heuristic(p, [Literal(Atom("w"))]).text == "x"
-    assert heuristic(parse_program("a :- not b.\nb :- not a.")).text == "a"  # tie
+    # the undefined atom in the most not-yet-satisfied rules, ties lexicographic
+    s = Solver(parse_program("x :- y.\nx :- z.\nw."))
+    assert s.assign_and_expand([(Atom("w"), True)])
+    assert s.pick_atom().text == "x"
+    assert Solver(parse_program("a :- not b.\nb :- not a.")).pick_atom().text == "a"
+    s = Solver(parse_program("a."))
+    assert s.assign_and_expand([(A, True)])
     with pytest.raises(RuntimeError):
-        heuristic(parse_program("a."), [Literal(A)])
+        s.pick_atom()
 
 
 def test_enumeration_order_and_resumption():
@@ -125,12 +97,10 @@ def test_stats_counted():
     assert s.stats.choices >= 1 and s.stats.expansions >= 1
 
 
-def test_oracle_equivalence_with_and_without_lookahead():
+def test_oracle_equivalence():
     for seed in range(150):
         p = random_normal_program(seed)
-        want = set(enumerate_stable_models(p))
-        assert set(Solver(p).models()) == want
-        assert set(Solver(p, SolverConfig(lookahead=True)).models()) == want
+        assert set(Solver(p).models()) == set(enumerate_stable_models(p))
 
 
 def test_expand_soundness_property():
@@ -139,7 +109,7 @@ def test_expand_soundness_property():
         p = random_normal_program(seed, max_atoms=5, max_rules=8)
         atoms = sorted(p.base)
         assumed = [Literal(a, rng.random() < 0.5) for a in rng.sample(atoms, min(len(atoms), rng.randint(0, 2)))]
-        r = extend(p, assumed)
+        r = expand(p, assumed)
         if r.conflict:
             continue
         agreeing = []
