@@ -20,22 +20,6 @@ from .syntax import Atom, F_ATOM, Literal, Program, Rule
 
 
 @dataclass(frozen=True)
-class BenchParams:
-    """Knobs of one random instance family."""
-
-    count: int  # atoms (3-SAT) or variables (QBF)
-    ratio: Optional[float] = None  # clauses/atoms, e.g. 4.258
-    scheme: Optional[str] = None  # gw | sqrt
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.ratio is not None and self.ratio <= 0:
-            raise ValueError("ratio must be positive")
-        if self.scheme is not None and self.scheme not in ("gw", "sqrt"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-
-
-@dataclass(frozen=True)
 class D3SatInstance:
     program: Program
     clauses: tuple[Clause, ...]
@@ -59,6 +43,8 @@ def mm_encode(clauses: Iterable[Clause], specified: Iterable[Atom]) -> Program:
 def gen_random_3sat_clauses(n: int, ratio: float, rng: random.Random) -> list[Clause]:
     if n < 3:
         raise ValueError("need at least 3 atoms for 3-SAT clauses")
+    if ratio <= 0:
+        raise ValueError("ratio must be positive")
     atoms = [Atom(f"a{i}") for i in range(1, n + 1)]
     clauses = []
     for _ in range(math.floor(ratio * n)):

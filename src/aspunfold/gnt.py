@@ -1,13 +1,15 @@
 """Generate-and-test driver: search stable models of a generator program and
 certify each covered candidate by showing its tester has no stable model.
 
-The search mirrors the two-engine layout: one solver instance enumerates
-generator models, a fresh solver instance runs every minimality test.  Early
-tests on backtrack paths are gated by a per-search WasCovered flag: set when
-a candidate is covered, consumed by the next early test.  With
-``early_test="repeat"`` a failed test leaves the flag set, so the test
-repeats at each backtracking level until it succeeds; ``"off"`` disables
-early testing entirely and never changes the result, only the statistics.
+The search mirrors the two-engine layout.  The generator is a ``Solver`` that
+runs the solver's own search and overrides its two hooks: ``_accept`` runs the
+minimality test on each covered candidate, and ``_prune`` runs the early test
+on each positive branch.  A fresh solver instance runs every minimality test.
+Early tests are gated by a per-search WasCovered flag: set when a candidate
+is covered, consumed by the next early test.  With ``early_test="repeat"`` a
+failed test leaves the flag set, so the test repeats at each backtracking
+level until it succeeds; ``"off"`` disables early testing entirely and never
+changes the result, only the statistics.
 
 An early test reads the current true atoms T as a candidate; a failed test
 means the reduct has a model N properly inside T.  It runs only when every
@@ -22,7 +24,7 @@ clears WasCovered as a passing test does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .gentest import gen_basic, gen_naive, gen_program, test_program
 from .semantics import enumerate_stable_models
@@ -44,7 +46,6 @@ class GntStats:
 @dataclass
 class GntConfig:
     early_test: str = "once"  # once | repeat | off
-    trace: bool = False
 
     def __post_init__(self) -> None:
         if self.early_test not in ("once", "repeat", "off"):
@@ -76,41 +77,34 @@ def minimal_test(
     return found is None
 
 
-class _GntSearch:
+class _Generator(Solver):
+    """The generator's search, with the minimality test on covered candidates
+    and the gated early test on positive branches."""
+
     def __init__(self, g: Program, p: Program, config: GntConfig):
-        self.generator = Solver(g)
+        super().__init__(g)
         self.p = p
-        index = self.generator.index
         # input rules over generator indices, read by the early-test condition
         self.rules = [
             (
-                tuple(index[a] for a in r.head),
-                tuple(index[a] for a in r.pos),
-                tuple(index[a] for a in r.neg),
+                tuple(self.index[a] for a in r.head),
+                tuple(self.index[a] for a in r.pos),
+                tuple(self.index[a] for a in r.neg),
             )
             for r in p.rules
         ]
         self.config = config
-        self.stats = GntStats()
-        self.test_solver_stats = SolverStats()
+        self.gnt_stats = GntStats()
+        self.tester_stats = SolverStats()
         self.was_covered = False
-        self.trace: list[tuple] = []
 
-    def _minimal(self, early: bool) -> bool:
-        ok = minimal_test(
-            self.p,
-            self.generator.true_atoms(),
-            self.stats,
-            self.test_solver_stats,
-        )
-        if self.config.trace:
-            self.trace.append(("early_test" if early else "cover_test", ok))
-        return ok
+    def _minimal(self) -> bool:
+        return minimal_test(self.p, self.true_atoms(), self.gnt_stats, self.tester_stats)
 
     def _early_test_sound(self) -> bool:
         """The condition of the module docstring under which an early test
         cannot prune a stable model."""
-        val = self.generator.val
+        val = self.val
         for head, pos, neg in self.rules:
             if (
                 any(val[h] == TRUE for h in head)
@@ -121,45 +115,20 @@ class _GntSearch:
                 return False
         return True
 
-    def run(self) -> Iterator[frozenset[Atom]]:
-        return self._gnt([])
+    def _accept(self) -> bool:
+        self.was_covered = True
+        self.gnt_stats.candidates_covered += 1
+        return self._minimal()
 
-    def _gnt(self, to_assign: list[tuple[Atom, bool]]) -> Iterator[frozenset[Atom]]:
-        s = self.generator
-        mark = s.mark()
-        if not s.assign_and_expand(to_assign):
-            s.stats.conflicts += 1
-            s.undo_to(mark)
-            return
-        if s.covered:
-            self.was_covered = True
-            self.stats.candidates_covered += 1
-            if self.config.trace:
-                self.trace.append(("covered",))
-            if self._minimal(early=False):
-                yield s.true_atoms()
-            s.undo_to(mark)
-            return
-        x = s.pick_atom()
-        yield from self._gnt([(x, False)])
-        if not s.assign_and_expand([(x, True)]):
-            s.stats.conflicts += 1
-            s.undo_to(mark)
-            return
-        if (
-            self.was_covered
-            and self.config.early_test != "off"
-            and self._early_test_sound()
-        ):
-            if not self._minimal(early=True):
-                self.stats.early_prunes += 1
+    def _prune(self) -> bool:
+        if self.was_covered and self.config.early_test != "off" and self._early_test_sound():
+            if not self._minimal():
+                self.gnt_stats.early_prunes += 1
                 if self.config.early_test == "once":
                     self.was_covered = False
-                s.undo_to(mark)
-                return
+                return True
         self.was_covered = False
-        yield from self._gnt([])
-        s.undo_to(mark)
+        return False
 
 
 def solve_disjunctive(
@@ -180,18 +149,22 @@ def solve_disjunctive(
             models = models[:1]
         return SolveResult(models, GntStats(), SolverStats())
 
-    search = _GntSearch(_GENERATORS[mode](p), p, config)
+    generator = _Generator(_GENERATORS[mode](p), p, config)
     seen = set()
     models = []
-    for n in search.run():
+    search = generator.models()
+    for n in search:
         m = n & p.base
         if m not in seen:
             seen.add(m)
             models.append(m)
         if not enumerate_all:
             break
+    # A suspended search and its solver refer to each other; closing the
+    # search frees both on return, not at the next cycle collection.
+    search.close()
     models.sort(key=lambda s: sorted(a.text for a in s))
     solver_stats = SolverStats()
-    solver_stats.merge(search.generator.stats)
-    solver_stats.merge(search.test_solver_stats)
-    return SolveResult(models, search.stats, solver_stats)
+    solver_stats.merge(generator.stats)
+    solver_stats.merge(generator.tester_stats)
+    return SolveResult(models, generator.gnt_stats, solver_stats)

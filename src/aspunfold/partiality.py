@@ -11,9 +11,11 @@ with atom true is ruled out by the consistency rules.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
+from .gnt import solve_disjunctive
 from .semantics import PartialInterpretation, UnknownAtomError
+from .solver import Solver
 from .syntax import Atom, F_ATOM, Literal, Marker, Program, Rule, potential
 
 
@@ -110,27 +112,8 @@ def query_constraint_rules(q: QueryLiterals) -> tuple[Rule, ...]:
     return tuple(rules)
 
 
-SolveFn = Callable[[Program], Optional[frozenset[Atom]]]
-
-
-def _default_solve(mode: str) -> SolveFn:
-    from .gnt import solve_disjunctive
-    from .solver import Solver
-
-    def run(g: Program) -> Optional[frozenset[Atom]]:
-        if g.is_normal:
-            return Solver(g).next_stable_model()
-        result = solve_disjunctive(g, mode=mode)
-        return result.models[0] if result.models else None
-
-    return run
-
-
 def possibility_query(
-    p: Program,
-    q: QueryLiterals,
-    solve: Optional[SolveFn] = None,
-    mode: str = "gnt2",
+    p: Program, q: QueryLiterals, mode: str = "gnt2"
 ) -> tuple[bool, Optional[PartialInterpretation]]:
     """Whether some partial stable model of p satisfies every literal of q.
 
@@ -140,13 +123,16 @@ def possibility_query(
     unknown = sorted(q.atoms - p.base)
     if unknown:
         raise UnknownAtomError(f"query atom {unknown[0].text} not in program base")
-    solve = solve or _default_solve(mode)
     trp = unfold_partiality(p)
     augmented = Program(
         trp.rules + query_constraint_rules(translate_query(q)),
         base=trp.base | {F_ATOM},
     )
-    n = solve(augmented)
+    if augmented.is_normal:
+        n = Solver(augmented).next_stable_model()
+    else:
+        models = solve_disjunctive(augmented, mode=mode).models
+        n = models[0] if models else None
     if n is None:
         return False, None
     return True, project_sm(n, p.base)

@@ -10,6 +10,14 @@ Branching follows the negative-phase-first skeleton: pick the undefined atom
 occurring in the most not-yet-satisfied rules (ties lexicographic), try
 ``not x`` before ``x``, and on finding a model emit it and backtrack as if
 conflicted.  Chronological backtracking, no learning.
+
+``_search`` is the package's one stable-model search, a loop over an explicit
+stack of pending positive branches, so its depth is bounded by memory rather
+than by Python's recursion limit.  Two hooks let a subclass steer it:
+``_accept`` decides whether a covered assignment is reported, and ``_prune``
+may drop a positive branch once it has expanded.  The generator of the
+generate-and-test search (``gnt``) overrides both; here they accept
+everything and prune nothing.
 """
 
 from __future__ import annotations
@@ -337,27 +345,49 @@ class Solver:
     def true_atoms(self) -> frozenset[Atom]:
         return frozenset(a for a, i in self.index.items() if self.val[i] == TRUE)
 
-    def _search(self, to_assign: list[tuple[int, int]]) -> Iterator[frozenset[Atom]]:
-        mark = len(self.trail)
-        for a, v in to_assign:
+    def _accept(self) -> bool:
+        """Hook: whether to report the covered assignment just reached."""
+        return True
+
+    def _prune(self) -> bool:
+        """Hook: whether to drop the positive branch of a choice, called once
+        that branch has expanded without conflict."""
+        return False
+
+    def _search(self) -> Iterator[frozenset[Atom]]:
+        # One entry per choice whose positive branch is still to come: the
+        # trail length before its negative branch, and the chosen atom.
+        stack: list[tuple[int, int]] = []
+        root = len(self.trail)
+        for a, v in self._initial:
             self._push(a, v)
-        if not self._expand():
-            self.stats.conflicts += 1
+        positive = False
+        while True:
+            if not self._expand():
+                self.stats.conflicts += 1
+            elif positive and self._prune():
+                pass  # the hook dropped the branch
+            elif self.covered:
+                if self._accept():
+                    yield self.true_atoms()
+            else:
+                x = self._choose()
+                self.stats.choices += 1
+                stack.append((len(self.trail), x))
+                self._push(x, FALSE)
+                positive = False
+                continue
+            if not stack:
+                self.undo_to(root)
+                return
+            mark, x = stack.pop()
             self.undo_to(mark)
-            return
-        if self.covered:
-            yield self.true_atoms()
-            self.undo_to(mark)
-            return
-        x = self._choose()
-        self.stats.choices += 1
-        yield from self._search([(x, FALSE)])
-        yield from self._search([(x, TRUE)])
-        self.undo_to(mark)
+            self._push(x, TRUE)
+            positive = True
 
     def models(self) -> Iterator[frozenset[Atom]]:
         if self._gen is None:
-            self._gen = self._search(list(self._initial))
+            self._gen = self._search()
         return self._gen
 
     def next_stable_model(self) -> Optional[frozenset[Atom]]:
@@ -366,10 +396,7 @@ class Solver:
     def all_models(self) -> list[frozenset[Atom]]:
         return sorted(self.models(), key=lambda s: sorted(a.text for a in s))
 
-    # -- driver hooks (used by the generate-and-test search) ---------------------
-
-    def mark(self) -> int:
-        return len(self.trail)
+    # -- stepping by hand (tests; tracers wrap these by name) ---------------------
 
     def assign_and_expand(self, pairs: Iterable[tuple[Atom, bool]]) -> bool:
         for atom, value in pairs:

@@ -1,4 +1,6 @@
 import random
+import sys
+from contextlib import contextmanager
 
 import hypothesis
 from hypothesis import strategies as st
@@ -75,6 +77,44 @@ def random_total_interpretation(rng, base):
     return PartialInterpretation.total(
         frozenset(a for a in sorted(base) if rng.random() < 0.5), frozenset(base)
     )
+
+
+@contextmanager
+def recursion_headroom(frames):
+    """Lower the recursion limit to `frames` above the current stack depth."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def gated_early_prunes(rng, p, samples):
+    """Expand `samples` random partial interpretations of p on its gnt2
+    generator.  For each one where the early-test soundness condition holds
+    and the early test fails, yield whether a stable model of p still extends
+    the assignment (its true atoms true, its false atoms false).  A sound
+    condition yields only False."""
+    from aspunfold.gentest import gen_program
+    from aspunfold.gnt import GntConfig, _Generator, minimal_test
+    from aspunfold.semantics import enumerate_stable_models
+    from aspunfold.solver import FALSE
+
+    stable = enumerate_stable_models(p)
+    for _ in range(samples):
+        i = random_partial_interpretation(rng, p.base)
+        g = _Generator(gen_program(p), p, GntConfig())
+        if not g.assign_and_expand([(a, True) for a in i.true_set] + [(a, False) for a in i.false_set]):
+            continue
+        if not g._early_test_sound() or minimal_test(p, g.true_atoms()):
+            continue
+        true = g.true_atoms() & p.base
+        false = {a for a in p.base if g.val[g.index[a]] == FALSE}
+        yield any(true <= m and not m & false for m in stable)
 
 
 # hypothesis strategies over the same shapes

@@ -41,6 +41,7 @@ from aspunfold.solver import Solver
 from aspunfold.syntax import Atom, potential
 
 from conftest import (
+    gated_early_prunes,
     random_disjunctive_program,
     random_normal_program,
     random_partial_interpretation,
@@ -350,20 +351,15 @@ def _suite_prop3_minimality_test(n=200):
 
 
 def _suite_prop4_early_test_soundness(n=200):
+    # Gated as the search gates it: where the soundness condition holds, a
+    # failed early test leaves no stable model extending the assignment.
     rng = random.Random("prop4")
-    fails = 0
-    checks = 0
-    for seed in range(n):
-        p = random_disjunctive_program(seed, max_atoms=5, max_rules=6)
-        stable = enumerate_stable_models(p)
-        for _ in range(4):
-            m = random_total_interpretation(rng, p.base)
-            if Solver(build_test_program(p, m.true_set)).next_stable_model() is None:
-                continue
-            checks += 1
-            if any(m.true_set <= s for s in stable):
-                fails += 1
-    return checks, fails
+    extended = [
+        e
+        for seed in range(n)
+        for e in gated_early_prunes(rng, random_disjunctive_program(seed, max_atoms=5, max_rules=6), 32)
+    ]
+    return len(extended), sum(extended)
 
 
 def _suite_minimality_as_unsatisfiability(n=200):

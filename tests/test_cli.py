@@ -200,6 +200,14 @@ def test_bench_stdout_and_files(write, tmp_path):
     assert code == 1  # multiple instances need --out-dir
 
 
+def test_bench_rejects_nonpositive_ratio(capsys):
+    assert main(["bench", "d3sat", "--atoms", "10", "--ratio", "-1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "ratio must be positive" in err
+    code, _ = run(["bench", "d3sat", "--atoms", "10", "--ratio", "0"])
+    assert code == 1
+
+
 def test_json_reports_validate_and_match_text(write):
     f = write("p.lp", "a | b.\n")
     _, text_out = run(["solve", f, "--all"])

@@ -4,14 +4,19 @@ import pytest
 
 from aspunfold.gentest import gen_program
 from aspunfold.gnt import GntConfig, GntStats, minimal_test, solve_disjunctive
-from aspunfold.gnt import _GntSearch
+from aspunfold.gnt import _Generator
 from aspunfold.parser import parse_program
 from aspunfold.partiality import unfold_partiality
 from aspunfold.semantics import enumerate_stable_models, is_stable_model, PartialInterpretation
-from aspunfold.solver import FALSE, Solver, SolverStats
+from aspunfold.solver import Solver, SolverStats
 from aspunfold.syntax import Atom, Program, Rule, complement, support
 
-from conftest import random_disjunctive_program, random_normal_program, random_partial_interpretation
+from conftest import (
+    gated_early_prunes,
+    random_disjunctive_program,
+    random_normal_program,
+    recursion_headroom,
+)
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
 DISJ = parse_program("a | b.")
@@ -64,6 +69,29 @@ def test_solve_disjunctive_first_model_only():
     assert len(r.models) == 1
 
 
+def test_generator_starts_from_facts():
+    # facts are set before the first choice, so a rule whose body is all
+    # facts costs the generator no more than the bare disjunction
+    def generator_counts(text):
+        p = parse_program(text)
+        g = _Generator(gen_program(p), p, GntConfig())
+        list(g.models())
+        return g.stats
+
+    facts = generator_counts("a.\nb.\nc.\nd | e :- a, b, c.")
+    assert facts == generator_counts("d | e.") == SolverStats(4, 2, 9)
+
+
+def test_deep_disjunctive_search_is_not_recursive():
+    # 400 independent disjunctions; a generator search that recursed per
+    # choice would need far more than 100 frames
+    n = 400
+    p = parse_program("\n".join(f"a{i} | b{i}." for i in range(n)))
+    with recursion_headroom(100):
+        r = solve_disjunctive(p)
+    assert len(r.models) == 1 and len(r.models[0]) == n
+
+
 def test_early_test_policies_do_not_change_models():
     for seed in range(80):
         p = random_disjunctive_program(seed)
@@ -87,20 +115,40 @@ def test_early_prunes_bounded_by_tests():
         assert r.stats.minimal_tests >= r.stats.candidates_covered
 
 
+class _RecordingGenerator(_Generator):
+    """Logs "covered" for each covered candidate and "early_test" for each
+    positive branch on which an early test ran."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.events = []
+
+    def _accept(self):
+        self.events.append("covered")
+        return super()._accept()
+
+    def _prune(self):
+        tests = self.gnt_stats.minimal_tests
+        pruned = super()._prune()
+        if self.gnt_stats.minimal_tests > tests:
+            self.events.append("early_test")
+        return pruned
+
+
 def test_was_covered_discipline():
     # an early test only fires after at least one covered candidate
     for seed in range(60):
         p = random_disjunctive_program(seed)
-        search = _GntSearch(gen_program(p), p, GntConfig(trace=True))
-        for _ in search.run():
+        search = _RecordingGenerator(gen_program(p), p, GntConfig())
+        for _ in search.models():
             pass
         covered_seen = 0
-        for event in search.trace:
-            if event[0] == "covered":
+        for event in search.events:
+            if event == "covered":
                 covered_seen += 1
-            elif event[0] == "early_test":
+            elif event == "early_test":
                 assert covered_seen >= 1
-        assert covered_seen == search.stats.candidates_covered
+        assert covered_seen == search.gnt_stats.candidates_covered
 
 
 def test_accepted_candidates_are_stable():
@@ -165,23 +213,13 @@ def test_early_test_condition_is_sound():
     # for {p__a1, p__a4}, which lies inside the stable model
     # {a3, p__a1, p__a3, p__a4}.
     rng = random.Random("gated-early-test")
-    prunes = 0
-    for seed in range(200):
-        p = random_disjunctive_program(seed, max_atoms=5, max_rules=6)
-        stable = enumerate_stable_models(p)
-        for _ in range(8):
-            i = random_partial_interpretation(rng, p.base)
-            search = _GntSearch(gen_program(p), p, GntConfig())
-            g = search.generator
-            if not g.assign_and_expand([(a, True) for a in i.true_set] + [(a, False) for a in i.false_set]):
-                continue
-            if not search._early_test_sound() or minimal_test(p, g.true_atoms()):
-                continue
-            prunes += 1
-            true = g.true_atoms() & p.base
-            false = {a for a in p.base if g.val[g.index[a]] == FALSE}
-            assert not any(true <= m and not m & false for m in stable)
-    assert prunes >= 50
+    extended = [
+        e
+        for seed in range(200)
+        for e in gated_early_prunes(rng, random_disjunctive_program(seed, max_atoms=5, max_rules=6), 8)
+    ]
+    assert not any(extended)
+    assert len(extended) >= 50
 
 
 def _random_program(rng, n_atoms, n_rules, max_head, min_neg):

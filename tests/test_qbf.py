@@ -3,7 +3,6 @@ import random
 import pytest
 
 from aspunfold.bench import (
-    BenchParams,
     gen_d3sat_instance,
     gen_random_3sat_clauses,
     gen_random_d3sat,
@@ -235,14 +234,8 @@ def test_gen_random_qbf_schemes():
         gen_random_qbf(4, "gw", 0)
     with pytest.raises(ValueError):
         gen_random_qbf(2, "sqrt", 0)
-
-
-def test_bench_params_validation():
     with pytest.raises(ValueError):
-        BenchParams(10, ratio=-1.0)
-    with pytest.raises(ValueError):
-        BenchParams(10, scheme="xx")
-    BenchParams(10, ratio=4.258, scheme="gw", seed=1)
+        gen_random_qbf(10, "xx", 0)
 
 
 def test_d3sat_generator_counts():

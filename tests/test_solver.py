@@ -7,7 +7,7 @@ from aspunfold.semantics import enumerate_stable_models
 from aspunfold.solver import Solver, expand
 from aspunfold.syntax import Atom, Literal
 
-from conftest import random_normal_program
+from conftest import random_normal_program, recursion_headroom
 
 A, B = Atom("a"), Atom("b")
 
@@ -136,3 +136,13 @@ def test_expand_inside_wellfounded_bound():
                 assert all(lit.atom in m for m in models)
             else:
                 assert all(lit.atom not in m for m in models)
+
+
+def test_deep_search_is_not_recursive():
+    # 400 independent choices; a search that recursed per choice would need
+    # far more than 100 frames
+    n = 400
+    p = parse_program("\n".join(f"a{i} :- not b{i}.\nb{i} :- not a{i}." for i in range(n)))
+    with recursion_headroom(100):
+        m = Solver(p).next_stable_model()
+    assert len(m) == n
