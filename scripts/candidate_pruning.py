@@ -38,7 +38,7 @@ def main():
     ap.add_argument("--ratio", type=float, default=4.258)
     ap.add_argument("--count", type=int, default=100)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--early-test", choices=("once", "repeat", "off"), default="once")
+    ap.add_argument("--early-test", choices=("on", "off"), default="on")
     ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--json", action="store_true")
     args = ap.parse_args()

@@ -3,11 +3,12 @@
 as the variable count grows, solving through the disjunctive translation.
 
 With --verify, each instance small enough for the exhaustive oracle is
-cross-checked against it.
+cross-checked against it, and the script exits 1 if any answer disagrees.
 """
 
 import argparse
 import json
+import sys
 
 from aspunfold.bench import gen_random_qbf
 from aspunfold.gnt import solve_disjunctive
@@ -55,16 +56,17 @@ def main():
 
     if args.json:
         print(json.dumps(rows))
-        return
-    for row in rows:
-        line = (
-            f"{row['scheme']} v={row['v']}: valid {row['valid']}/{row['count']}, "
-            f"mean choices={row['mean_choices']:.1f}, mean tests={row['mean_tests']:.1f}"
-        )
-        if args.verify:
-            line += f", oracle mismatches={row['oracle_mismatches']}"
-        print(line)
+    else:
+        for row in rows:
+            line = (
+                f"{row['scheme']} v={row['v']}: valid {row['valid']}/{row['count']}, "
+                f"mean choices={row['mean_choices']:.1f}, mean tests={row['mean_tests']:.1f}"
+            )
+            if args.verify:
+                line += f", oracle mismatches={row['oracle_mismatches']}"
+            print(line)
+    return 1 if any(row.get("oracle_mismatches") for row in rows) else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

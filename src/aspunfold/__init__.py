@@ -55,6 +55,6 @@ from .qbf import (
     qbf_witness,
     render_qbf,
 )
-from .bench import gen_d3sat_instance, gen_random_d3sat, gen_random_qbf, mm_encode
+from .bench import gen_d3sat_instance, gen_random_qbf, mm_encode
 
 __version__ = "0.1.0"

@@ -69,12 +69,6 @@ def gen_d3sat_instance(
     return D3SatInstance(mm_encode(clauses, specified), tuple(clauses), specified)
 
 
-def gen_random_d3sat(
-    n: int, ratio: float, seed: int, specified_count: Optional[int] = None
-) -> Program:
-    return gen_d3sat_instance(n, ratio, seed, specified_count).program
-
-
 def gen_random_qbf(v: int, scheme: str, seed: int) -> Qbf2E:
     """Random 2,exists-QBF over v variables split evenly between X and Y.
 

@@ -130,7 +130,7 @@ def _partial_line(m: PartialInterpretation) -> str:
 
 
 def _gnt_config(args) -> GntConfig:
-    return GntConfig(early_test=getattr(args, "early_test", "once"))
+    return GntConfig(early_test=args.early_test)
 
 
 def _stats_dict(gnt=None, solver: Optional[SolverStats] = None) -> dict[str, int]:
@@ -290,7 +290,7 @@ def cmd_query(args) -> int:
         if args.filter:
             ok, witness = query_by_filter(p, q, args.cap)
         else:
-            ok, witness = possibility_query(p, q, mode=args.mode)
+            ok, witness = possibility_query(p, q, mode=args.mode, cap=args.cap)
         if ok and witness is not None:
             witness_lines = [_partial_line(witness)]
             report.partial_models = [
@@ -390,7 +390,7 @@ def _add_common(sp, stats: bool = True) -> None:
 
 def _add_solving(sp) -> None:
     sp.add_argument("--mode", choices=MODES, default="gnt2")
-    sp.add_argument("--early-test", choices=("once", "repeat", "off"), default="once")
+    sp.add_argument("--early-test", choices=("on", "off"), default="on")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,10 +6,10 @@ runs the solver's own search and overrides its two hooks: ``_accept`` runs the
 minimality test on each covered candidate, and ``_prune`` runs the early test
 on each positive branch.  A fresh solver instance runs every minimality test.
 Early tests are gated by a per-search WasCovered flag: set when a candidate
-is covered, consumed by the next early test.  With ``early_test="repeat"`` a
-failed test leaves the flag set, so the test repeats at each backtracking
-level until it succeeds; ``"off"`` disables early testing entirely and never
-changes the result, only the statistics.
+is covered, cleared by the next early test that passes or is skipped.  A
+failed test prunes the branch and leaves the flag set, so the test repeats at
+each backtracking level until one passes.  ``early_test="off"`` disables
+early testing entirely and never changes the result, only the statistics.
 
 An early test reads the current true atoms T as a candidate; a failed test
 means the reduct has a model N properly inside T.  It runs only when every
@@ -17,8 +17,7 @@ input rule with a head atom in T either has its whole positive body in T or
 has a body that is already false (a positive atom false or a negative atom
 true).  Then, for every stable model M extending the assignment,
 N | (M - T) is a model of the reduct P^M properly inside M, so pruning
-loses no stable model.  When the condition fails the test is skipped, which
-clears WasCovered as a passing test does.
+loses no stable model.  When the condition fails the test is skipped.
 """
 
 from __future__ import annotations
@@ -45,10 +44,10 @@ class GntStats:
 
 @dataclass
 class GntConfig:
-    early_test: str = "once"  # once | repeat | off
+    early_test: str = "on"  # on | off
 
     def __post_init__(self) -> None:
-        if self.early_test not in ("once", "repeat", "off"):
+        if self.early_test not in ("on", "off"):
             raise ValueError(f"unknown early-test policy {self.early_test!r}")
 
 
@@ -121,12 +120,14 @@ class _Generator(Solver):
         return self._minimal()
 
     def _prune(self) -> bool:
-        if self.was_covered and self.config.early_test != "off" and self._early_test_sound():
-            if not self._minimal():
-                self.gnt_stats.early_prunes += 1
-                if self.config.early_test == "once":
-                    self.was_covered = False
-                return True
+        if (
+            self.was_covered
+            and self.config.early_test == "on"
+            and self._early_test_sound()
+            and not self._minimal()
+        ):
+            self.gnt_stats.early_prunes += 1
+            return True
         self.was_covered = False
         return False
 

@@ -113,12 +113,14 @@ def query_constraint_rules(q: QueryLiterals) -> tuple[Rule, ...]:
 
 
 def possibility_query(
-    p: Program, q: QueryLiterals, mode: str = "gnt2"
+    p: Program, q: QueryLiterals, mode: str = "gnt2", cap: int = 12
 ) -> tuple[bool, Optional[PartialInterpretation]]:
     """Whether some partial stable model of p satisfies every literal of q.
 
     Returns the witnessing model alongside the verdict.  Atoms used only in
-    the query are rejected rather than silently added to the base.
+    the query are rejected rather than silently added to the base.  Mode
+    ``brute`` asks the enumeration oracle, capped at `cap` atoms of the
+    translation, whatever the program's shape.
     """
     unknown = sorted(q.atoms - p.base)
     if unknown:
@@ -128,10 +130,10 @@ def possibility_query(
         trp.rules + query_constraint_rules(translate_query(q)),
         base=trp.base | {F_ATOM},
     )
-    if augmented.is_normal:
+    if augmented.is_normal and mode != "brute":
         n = Solver(augmented).next_stable_model()
     else:
-        models = solve_disjunctive(augmented, mode=mode).models
+        models = solve_disjunctive(augmented, mode=mode, cap=cap).models
         n = models[0] if models else None
     if n is None:
         return False, None

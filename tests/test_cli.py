@@ -256,6 +256,18 @@ def test_cap_exceeded_is_a_clean_error(write, capsys):
     assert code == 0
 
 
+def test_partial_query_brute_uses_oracle_and_cap(write, capsys):
+    # tr of a 7-atom program has 15 atoms with the query's flag atom
+    disj = write("d7.lp", "a | b.\nc | d :- a.\ne :- not f.\nf :- g.\ng :- not e.\n")
+    code, out = run(["query", disj, "--query", "c, not e", "--mode", "brute", "--cap", "20"])
+    assert code == 0 and out == run(["query", disj, "--query", "c, not e"])[1]
+    code, _ = run(["query", disj, "--query", "c, not e", "--mode", "brute"])
+    assert code == 1 and "cap 12" in capsys.readouterr().err
+    # a normal program is answered by the oracle too, so its cap applies
+    code, _ = run(["query", write("n.lp", "a :- not b.\n"), "--query", "a", "--mode", "brute", "--cap", "1"])
+    assert code == 1 and "cap 1" in capsys.readouterr().err
+
+
 def test_query_empty_is_psm_existence(write):
     code, _ = run(["query", write("p.lp", EX5), "--query", " "])
     assert code == 0

@@ -96,7 +96,7 @@ def test_early_test_policies_do_not_change_models():
     for seed in range(80):
         p = random_disjunctive_program(seed)
         want = None
-        for policy in ("once", "repeat", "off"):
+        for policy in ("on", "off"):
             got = set(
                 solve_disjunctive(
                     p, mode="gnt2", enumerate_all=True, config=GntConfig(early_test=policy)
@@ -116,8 +116,9 @@ def test_early_prunes_bounded_by_tests():
 
 
 class _RecordingGenerator(_Generator):
-    """Logs "covered" for each covered candidate and "early_test" for each
-    positive branch on which an early test ran."""
+    """Logs "covered" for each covered candidate and, for each positive
+    branch, "pass" or "fail" if an early test ran on it, else "sound" or
+    "unsound" by the early-test condition."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -128,27 +129,43 @@ class _RecordingGenerator(_Generator):
         return super()._accept()
 
     def _prune(self):
+        sound = self._early_test_sound()
         tests = self.gnt_stats.minimal_tests
         pruned = super()._prune()
         if self.gnt_stats.minimal_tests > tests:
-            self.events.append("early_test")
+            self.events.append("fail" if pruned else "pass")
+        else:
+            self.events.append("sound" if sound else "unsound")
         return pruned
 
 
 def test_was_covered_discipline():
-    # an early test only fires after at least one covered candidate
+    # After a covered candidate, an early test runs on every positive branch
+    # where the condition holds, until one passes or the condition fails; it
+    # never runs otherwise.
+    tests = fails = 0
     for seed in range(60):
         p = random_disjunctive_program(seed)
         search = _RecordingGenerator(gen_program(p), p, GntConfig())
         for _ in search.models():
             pass
-        covered_seen = 0
+        armed = False
         for event in search.events:
             if event == "covered":
-                covered_seen += 1
-            elif event == "early_test":
-                assert covered_seen >= 1
-        assert covered_seen == search.gnt_stats.candidates_covered
+                armed = True
+            elif event in ("pass", "fail"):
+                assert armed
+                armed = event == "fail"
+            elif event == "sound":
+                assert not armed
+            else:
+                armed = False
+        assert search.events.count("covered") == search.gnt_stats.candidates_covered
+        tests += sum(e in ("pass", "fail") for e in search.events)
+        fails += search.events.count("fail")
+    assert fails > 0 and tests > fails
+    with pytest.raises(ValueError):
+        GntConfig(early_test="once")
 
 
 def test_accepted_candidates_are_stable():
@@ -181,9 +198,7 @@ def test_brute_mode_equals_oracle():
 
 # Early tests without the soundness condition pruned a stable model of each.
 EARLY_TEST_COUNTEREXAMPLES = {
-    "tr_normal": unfold_partiality(
-        parse_program("a1 :- a0, not a1, not a0.\na4 :- not a1.\na1 :- a4, a3, not a4.\na3.")
-    ),
+    "tr_normal": unfold_partiality(parse_program("c :- not d, not e.\ne :- c, not c.")),
     "disjunctive": parse_program(
         "a1 | a3 | a4 :- a0, not a2, not a7.\n"
         "a7 :- a2, not a4, not a5.\n"
@@ -200,7 +215,7 @@ def test_early_tests_keep_every_model(name):
     want = enumerate_stable_models(p)
     assert len(want) == 2
     for mode in ("gnt1", "gnt2", "naive"):
-        for policy in ("once", "repeat", "off"):
+        for policy in ("on", "off"):
             config = GntConfig(early_test=policy)
             got = solve_disjunctive(p, mode=mode, enumerate_all=True, config=config).models
             assert got == want, (mode, policy)
@@ -209,9 +224,9 @@ def test_early_tests_keep_every_model(name):
 def test_early_test_condition_is_sound():
     # Whenever the condition holds and the test fails on the current true
     # atoms, no stable model extends the generator's assignment.  Without the
-    # condition this is false: on the tr_normal counterexample the test fails
-    # for {p__a1, p__a4}, which lies inside the stable model
-    # {a3, p__a1, p__a3, p__a4}.
+    # condition this is false: on the tr_normal counterexample, with c false,
+    # the test fails for {p__e}, which lies inside the stable model
+    # {p__c, p__e}.
     rng = random.Random("gated-early-test")
     extended = [
         e
@@ -239,30 +254,27 @@ def _sorted_models(models):
 
 def test_modes_agree_above_oracle_cap():
     # tr of normal programs with 20-50 atoms (40-100 atoms after tr), past the
-    # oracle's cap: gnt1 and gnt2 under both early-test policies must find
-    # exactly the models of the solver run on tr directly.
+    # oracle's cap: gnt1 and gnt2 with early tests on must find exactly the
+    # models of the solver run on tr directly.
     rng = random.Random("differential-tr")
+    on = GntConfig(early_test="on")
     for _ in range(60):
         n = rng.randint(20, 50)
         trp = unfold_partiality(_random_program(rng, n, 2 * n, max_head=1, min_neg=1))
         want = _sorted_models(Solver(trp).models())
         for mode in ("gnt1", "gnt2"):
-            for policy in ("once", "repeat"):
-                config = GntConfig(early_test=policy)
-                got = solve_disjunctive(trp, mode=mode, enumerate_all=True, config=config).models
-                assert _sorted_models(got) == want, (n, mode, policy)
+            got = solve_disjunctive(trp, mode=mode, enumerate_all=True, config=on).models
+            assert _sorted_models(got) == want, (n, mode)
 
 
 def test_early_tests_agree_on_disjunctive_programs():
     # 12-atom disjunctive programs: early tests must not change gnt2's models
     # without them.
     rng = random.Random("differential-disjunctive")
-    off = GntConfig(early_test="off")
+    on, off = GntConfig(early_test="on"), GntConfig(early_test="off")
     for _ in range(20):
         p = _random_program(rng, 12, 24, max_head=2, min_neg=0)
         want = solve_disjunctive(p, mode="gnt2", enumerate_all=True, config=off).models
         for mode in ("gnt1", "gnt2"):
-            for policy in ("once", "repeat"):
-                config = GntConfig(early_test=policy)
-                got = solve_disjunctive(p, mode=mode, enumerate_all=True, config=config).models
-                assert got == want, (mode, policy)
+            got = solve_disjunctive(p, mode=mode, enumerate_all=True, config=on).models
+            assert got == want, mode

@@ -5,7 +5,6 @@ import pytest
 from aspunfold.bench import (
     gen_d3sat_instance,
     gen_random_3sat_clauses,
-    gen_random_d3sat,
     gen_random_qbf,
     mm_encode,
 )
@@ -244,7 +243,7 @@ def test_d3sat_generator_counts():
     assert len(inst.specified) == 2
     inst20 = gen_d3sat_instance(20, 4.258, 1)
     assert len(inst20.specified) == 0 and len(inst20.program.rules) == 85
-    assert gen_random_d3sat(20, 4.258, 5) == gen_random_d3sat(20, 4.258, 5)
+    assert gen_d3sat_instance(20, 4.258, 5) == gen_d3sat_instance(20, 4.258, 5)
 
 
 def test_d3sat_all_negative_clause_becomes_constraint():
