@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .bench import gen_d3sat_instance, gen_random_qbf
 from .gentest import gen_basic, gen_naive, gen_program, support_program, test_program
-from .gnt import MODES, GntConfig, solve_disjunctive
+from .gnt import MODES, GntConfig, GntStats, solve_disjunctive
 from .parser import ParseError, parse_atom_set, parse_literals, parse_program
 from .partiality import (
     QueryLiterals,
@@ -289,8 +289,12 @@ def cmd_query(args) -> int:
     if args.semantics == "partial":
         if args.filter:
             ok, witness = query_by_filter(p, q, args.cap)
+            report.stats = _stats_dict(GntStats(), SolverStats())
         else:
-            ok, witness = possibility_query(p, q, mode=args.mode, cap=args.cap)
+            ok, witness, result = possibility_query(
+                p, q, mode=args.mode, cap=args.cap, config=_gnt_config(args)
+            )
+            report.stats = _stats_dict(result.stats, result.solver_stats)
         if ok and witness is not None:
             witness_lines = [_partial_line(witness)]
             report.partial_models = [
@@ -310,11 +314,12 @@ def cmd_query(args) -> int:
                 if eval_conj(i, q.literals) is TruthValue.TRUE:
                     ok, model = True, m
                     break
+            report.stats = _stats_dict(solver=SolverStats())
         else:
             augmented = Program(
                 p.rules + query_constraint_rules(q), base=p.base | {F_ATOM}
             )
-            models, _ = _solve_program(augmented, args, enumerate_all=False)
+            models, report.stats = _solve_program(augmented, args, enumerate_all=False)
             ok = bool(models)
             model = models[0] & p.base if models else None
         if ok and model is not None:

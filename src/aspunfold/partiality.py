@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .gnt import solve_disjunctive
+from .gnt import GntConfig, GntStats, SolveResult, solve_disjunctive
 from .semantics import PartialInterpretation, UnknownAtomError
 from .solver import Solver
 from .syntax import Atom, F_ATOM, Literal, Marker, Program, Rule, potential
@@ -113,14 +113,19 @@ def query_constraint_rules(q: QueryLiterals) -> tuple[Rule, ...]:
 
 
 def possibility_query(
-    p: Program, q: QueryLiterals, mode: str = "gnt2", cap: int = 12
-) -> tuple[bool, Optional[PartialInterpretation]]:
+    p: Program,
+    q: QueryLiterals,
+    mode: str = "gnt2",
+    cap: int = 12,
+    config: Optional[GntConfig] = None,
+) -> tuple[bool, Optional[PartialInterpretation], SolveResult]:
     """Whether some partial stable model of p satisfies every literal of q.
 
-    Returns the witnessing model alongside the verdict.  Atoms used only in
-    the query are rejected rather than silently added to the base.  Mode
-    ``brute`` asks the enumeration oracle, capped at `cap` atoms of the
-    translation, whatever the program's shape.
+    Returns the verdict, the witnessing model, and the result of the search
+    that answered (zero gnt statistics when a plain ``Solver`` ran).  Atoms
+    used only in the query are rejected rather than silently added to the
+    base.  Mode ``brute`` asks the enumeration oracle, capped at `cap` atoms
+    of the translation, whatever the program's shape.
     """
     unknown = sorted(q.atoms - p.base)
     if unknown:
@@ -131,13 +136,14 @@ def possibility_query(
         base=trp.base | {F_ATOM},
     )
     if augmented.is_normal and mode != "brute":
-        n = Solver(augmented).next_stable_model()
+        solver = Solver(augmented)
+        n = solver.next_stable_model()
+        result = SolveResult([] if n is None else [n], GntStats(), solver.stats)
     else:
-        models = solve_disjunctive(augmented, mode=mode, cap=cap).models
-        n = models[0] if models else None
-    if n is None:
-        return False, None
-    return True, project_sm(n, p.base)
+        result = solve_disjunctive(augmented, mode=mode, cap=cap, config=config)
+    if not result.models:
+        return False, None, result
+    return True, project_sm(result.models[0], p.base), result
 
 
 def query_by_filter(

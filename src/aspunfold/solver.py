@@ -1,10 +1,25 @@
 """Backtracking stable-model search for normal programs.
 
 Propagation combines forward/backward unit rules over body counters with
-falsification of the greatest unfounded set, computed as the complement of a
-"can still be derived" least fixpoint.  Every literal added by expand holds
-in every stable model of the program agreeing with the current assignment,
-so a covered conflict-free fixpoint is exactly a stable model.
+falsification of unfounded atoms.  Every literal added by expand holds in
+every stable model of the program agreeing with the current assignment, so a
+covered conflict-free fixpoint is exactly a stable model.
+
+Unfounded atoms are found with source pointers, as in smodels.  At set-up
+the positive dependency graph (head to positive body atoms) is split into
+strongly connected components; only atoms of cyclic ones (more than one
+atom, or a self-loop) can be unfounded without unit propagation noticing.
+Each such atom that is not false keeps a source: an unblocked rule (no body
+literal false) whose positive body atoms in the same component have sources
+themselves, the pointers forming no cycle, so the atom can still be derived.
+When a rule that is a source becomes blocked, its head is recorded; the
+check inside expand drops the sources of the recorded atoms and of the atoms
+of their component whose sources depend on them, finds new sources by a
+local least fixpoint, and falsifies the atoms left without one, which form
+an unfounded set.  Backtracking only unblocks rules, so every source stays
+valid and undo_to keeps them all; it only records the atoms it unassigns
+that have no source, to be given one at the next check.  Expand reaches the
+same fixpoint as falsifying the greatest unfounded set of the whole program.
 
 Branching follows the negative-phase-first skeleton: pick the undefined atom
 occurring in the most not-yet-satisfied rules (ties lexicographic), try
@@ -30,6 +45,9 @@ from .syntax import Atom, Literal, Program
 TRUE = 1
 FALSE = 0
 UNDEF = -1
+
+NO_SOURCE = -1  # a cyclic atom without a source pointer
+ACYCLIC = -2  # an atom outside every cyclic SCC: unit propagation covers it
 
 
 @dataclass
@@ -99,7 +117,7 @@ class Solver:
         self.active = [len(self.occ_head[a]) for a in range(n)]
         self._queue: list[tuple[int, int]] = []
         self._conflict = False
-        self._cyclic = self._has_positive_cycle()
+        self._init_sources()
 
         self._initial: list[tuple[int, int]] = []
         for ridx, size in enumerate(self.r_size):
@@ -115,33 +133,62 @@ class Solver:
 
         self._gen: Optional[Iterator[frozenset[Atom]]] = None
 
-    def _has_positive_cycle(self) -> bool:
-        # DFS over head -> positive-body edges; cycles require the unfounded pass.
+    def _init_sources(self) -> None:
+        """Split the positive dependency graph (head to positive body atoms)
+        into SCCs with an iterative Tarjan, and set up source pointers for the
+        atoms of cyclic SCCs (more than one atom, or a self-loop)."""
         n = len(self.atoms)
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for ridx, h in enumerate(self.r_head):
-            adj[h].update(self.r_pos[ridx])
-        state = [0] * n  # 0 unseen, 1 on stack, 2 done
+        succ = [[b for r in self.occ_head[a] for b in self.r_pos[r]] for a in range(n)]
+        order = [-1] * n  # discovery index
+        low = [0] * n
+        comp = [-1] * n  # SCC id, once the atom's SCC is complete
+        cyclic = [False] * n
+        stack: list[int] = []
+        count = n_comps = 0
         for root in range(n):
-            if state[root]:
+            if order[root] >= 0:
                 continue
-            stack = [(root, iter(adj[root]))]
-            state[root] = 1
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    if state[nxt] == 1:
-                        return True
-                    if state[nxt] == 0:
-                        state[nxt] = 1
-                        stack.append((nxt, iter(adj[nxt])))
-                        advanced = True
+            order[root] = low[root] = count
+            count += 1
+            stack.append(root)
+            work = [(root, iter(succ[root]))]
+            while work:
+                v, it = work[-1]
+                for w in it:
+                    if order[w] < 0:
+                        order[w] = low[w] = count
+                        count += 1
+                        stack.append(w)
+                        work.append((w, iter(succ[w])))
                         break
-                if not advanced:
-                    state[node] = 2
-                    stack.pop()
-        return False
+                    if comp[w] < 0 and order[w] < low[v]:  # w is still on the stack
+                        low[v] = order[w]
+                else:
+                    work.pop()
+                    if work and low[v] < low[work[-1][0]]:
+                        low[work[-1][0]] = low[v]
+                    if low[v] == order[v]:
+                        members = [stack.pop()]
+                        while members[-1] != v:
+                            members.append(stack.pop())
+                        is_cyclic = len(members) > 1 or v in succ[v]
+                        for w in members:
+                            comp[w] = n_comps
+                            cyclic[w] = is_cyclic
+                        n_comps += 1
+
+        # r_int[r]: the positive body atoms of r in its head's (cyclic) SCC;
+        # occ_int[a]: the rules that have a among them.
+        self.r_int: list[tuple[int, ...]] = [()] * len(self.r_head)
+        self.occ_int: list[list[int]] = [[] for _ in range(n)]
+        for r, h in enumerate(self.r_head):
+            if cyclic[h]:
+                self.r_int[r] = tuple(b for b in self.r_pos[r] if comp[b] == comp[h])
+                for b in self.r_int[r]:
+                    self.occ_int[b].append(r)
+        self.source = [NO_SOURCE if c else ACYCLIC for c in cyclic]
+        # Cyclic atoms to re-examine at the next check; every one starts sourceless.
+        self._lost = [a for a in range(n) if cyclic[a]]
 
     # -- assignment and unit propagation -----------------------------------
 
@@ -189,6 +236,8 @@ class Solver:
 
     def _body_first_false(self, r: int) -> None:
         h = self.r_head[r]
+        if self.source[h] == r:
+            self._lost.append(h)
         self.active[h] -= 1
         if self.active[h] == 0:
             self._push(h, FALSE)
@@ -241,60 +290,75 @@ class Solver:
                 return False
         return True
 
-    # -- unfounded-set falsification ----------------------------------------
+    # -- unfounded-set check --------------------------------------------------
 
-    def _unfounded_pass(self) -> tuple[bool, bool]:
-        """Falsify atoms outside the can-still-be-derived closure.
-
-        Returns (ok, changed)."""
-        rem = []
-        blocked = []
+    def _unfounded_check(self) -> None:
+        """Re-source the atoms recorded in ``_lost``, with the atoms of their
+        SCCs whose sources depend on them, and push false those left without
+        a source: they form an unfounded set."""
+        source, n_false, val = self.source, self.n_false, self.val
+        occ_int, r_int, r_head = self.occ_int, self.r_int, self.r_head
         stack = []
-        for r in range(len(self.r_head)):
-            pos = self.r_pos[r]
-            bad = any(self.val[b] == FALSE for b in pos) or any(
-                self.val[c] == TRUE for c in self.r_neg[r]
-            )
-            blocked.append(bad)
-            rem.append(len(pos))
-            if not bad and not pos:
-                stack.append(r)
-        derivable = [False] * len(self.atoms)
+        for a in self._lost:
+            # Skip a source that backtracking has unblocked again, and a false
+            # atom without one: it needs none until undo_to unassigns it.
+            r = source[a]
+            if r == NO_SOURCE:
+                if val[a] != FALSE:
+                    stack.append(a)
+            elif n_false[r]:
+                stack.append(a)
+        self._lost.clear()
+        # Drop the sources of these atoms and, in the same SCC, of every atom
+        # whose source has one of them in its positive body.
+        unsourced: set[int] = set()
         while stack:
-            r = stack.pop()
-            h = self.r_head[r]
-            if derivable[h]:
+            a = stack.pop()
+            if a in unsourced:
                 continue
-            derivable[h] = True
-            for r2 in self.occ_pos[h]:
-                if blocked[r2]:
-                    continue
-                rem[r2] -= 1
-                if rem[r2] == 0 and not derivable[self.r_head[r2]]:
-                    stack.append(r2)
-        changed = False
-        for a, d in enumerate(derivable):
-            if not d and self.val[a] != FALSE:
-                changed = True
+            unsourced.add(a)
+            source[a] = NO_SOURCE
+            for r in occ_int[a]:
+                if source[r_head[r]] == r:
+                    stack.append(r_head[r])
+        # Local least fixpoint: a non-false atom gets as source an unblocked
+        # rule whose same-SCC positive body atoms all have sources.
+        for a in unsourced:
+            if val[a] == FALSE:
+                continue
+            for r in self.occ_head[a]:
+                if n_false[r] == 0 and all(source[b] != NO_SOURCE for b in r_int[r]):
+                    source[a] = r
+                    stack.append(a)
+                    break
+        while stack:
+            b = stack.pop()
+            for r in occ_int[b]:
+                h = r_head[r]
+                if (
+                    source[h] == NO_SOURCE
+                    and val[h] != FALSE
+                    and n_false[r] == 0
+                    and all(source[c] != NO_SOURCE for c in r_int[r])
+                ):
+                    source[h] = r
+                    stack.append(h)
+        for a in unsourced:
+            if source[a] == NO_SOURCE and val[a] != FALSE:
                 self._push(a, FALSE)
-        if changed and not self._unit_propagate():
-            return False, True
-        return True, changed
+                # Recorded again until set: a conflict may come first, and
+                # undo_to records only the sourceless atoms it unassigns.
+                self._lost.append(a)
 
     # -- expand ---------------------------------------------------------------
 
     def _expand(self) -> bool:
         self.stats.expansions += 1
-        if not self._unit_propagate():
-            return False
-        if not self._cyclic:
-            return True
-        while True:
-            ok, changed = self._unfounded_pass()
-            if not ok:
-                return False
-            if not changed:
+        while self._unit_propagate():
+            if not self._lost:
                 return True
+            self._unfounded_check()
+        return False
 
     # -- backtracking -----------------------------------------------------------
 
@@ -304,6 +368,8 @@ class Solver:
             v = self.val[a]
             self.val[a] = UNDEF
             self.n_assigned -= 1
+            if self.source[a] == NO_SOURCE:
+                self._lost.append(a)  # no longer false: it needs a source again
             if v == TRUE:
                 for r in self.occ_pos[a]:
                     self.n_true[r] -= 1

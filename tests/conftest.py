@@ -117,6 +117,47 @@ def gated_early_prunes(rng, p, samples):
         yield any(true <= m and not m & false for m in stable)
 
 
+def unfounded_atoms(s):
+    """The greatest unfounded set of a solver's current assignment, computed
+    over the whole program: the complement of the least fixpoint of "can
+    still be derived", where a rule with no false body literal derives its
+    head once its positive body atoms are derived."""
+    from aspunfold.solver import FALSE, TRUE
+
+    derived = [False] * len(s.atoms)
+    missing = [len(pos) for pos in s.r_pos]
+    blocked = [
+        any(s.val[b] == FALSE for b in s.r_pos[r]) or any(s.val[c] == TRUE for c in s.r_neg[r])
+        for r in range(len(s.r_head))
+    ]
+    stack = [r for r in range(len(s.r_head)) if not blocked[r] and not missing[r]]
+    while stack:
+        h = s.r_head[stack.pop()]
+        if derived[h]:
+            continue
+        derived[h] = True
+        for r in s.occ_pos[h]:
+            if not blocked[r]:
+                missing[r] -= 1
+                if missing[r] == 0:
+                    stack.append(r)
+    return {a for a in range(len(s.atoms)) if not derived[a]}
+
+
+def reference_expand(s):
+    """Expand by unit propagation and falsification of the whole greatest
+    unfounded set, until neither changes anything; False on a conflict."""
+    from aspunfold.solver import FALSE
+
+    while s._unit_propagate():
+        new = [a for a in sorted(unfounded_atoms(s)) if s.val[a] != FALSE]
+        if not new:
+            return True
+        for a in new:
+            s._push(a, FALSE)
+    return False
+
+
 # hypothesis strategies over the same shapes
 
 atom_st = st.sampled_from(ATOM_POOL)

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 from contextlib import redirect_stdout
 
 import jsonschema
@@ -281,3 +282,36 @@ def test_timing_flag_optional(write):
     assert "elapsed" not in out
     _, out = run(["solve", f, "--timing"])
     assert "elapsed=" in out
+
+
+def _stats_lines(out):
+    return dict(m.groups() for m in re.finditer(r"^(\w+)=(\d+)$", out, re.M))
+
+
+def test_query_partial_honours_early_test(write):
+    # gnt2 on the query's translation prunes twice under early tests
+    f = write("e.lp", "b | c :- a, b.\na | c.\na | b | c :- a.\n")
+    prunes = {}
+    for policy in ("on", "off"):
+        code, out = run(["query", f, "--query", "b", "--early-test", policy, "--stats"])
+        assert code == 20 and out.splitlines()[0] == "NO"
+        prunes[policy] = int(_stats_lines(out)["prunes"])
+    assert prunes == {"on": 2, "off": 0}
+
+
+def test_query_stats(write):
+    f = write("d7.lp", "a | b.\nc | d :- a.\ne :- not f.\nf :- g.\ng :- not e.\n")
+    n = write("n.lp", "a :- not b.\nb :- not a.\nc :- a.\n")
+    for path in (f, n):
+        for extra in ([], ["--semantics", "total"], ["--filter"], ["--semantics", "total", "--filter"]):
+            argv = ["query", path, "--query", "c", "--stats", *extra]
+            _, out = run(argv)
+            stats = _stats_lines(out)
+            assert {"choices", "conflicts", "expansions"} <= set(stats), argv
+            if "--filter" in extra:
+                assert set(stats.values()) == {"0"}, argv
+            doc = json.loads(run(argv + ["--json"])[1])
+            jsonschema.validate(doc, REPORT_SCHEMA)
+            assert doc["stats"] == {k: int(v) for k, v in stats.items()}, argv
+    _, out = run(["query", f, "--query", "c", "--stats"])
+    assert int(_stats_lines(out)["choices"]) > 0

@@ -130,11 +130,11 @@ def test_tr2_detects_undefinedness_example5():
 
 
 def test_possibility_queries():
-    ok, wit = possibility_query(EX3, QueryLiterals(frozenset([Literal(B)])))
+    ok, wit, _ = possibility_query(EX3, QueryLiterals(frozenset([Literal(B)])))
     assert ok and B in wit.true_set
-    ok, _ = possibility_query(EX5, QueryLiterals(frozenset([Literal(A)])))
+    ok, _, _ = possibility_query(EX5, QueryLiterals(frozenset([Literal(A)])))
     assert not ok
-    ok, wit = possibility_query(EX5, QueryLiterals(frozenset()))
+    ok, wit, _ = possibility_query(EX5, QueryLiterals(frozenset()))
     assert ok and wit == enumerate_partial_stable_models(EX5)[0]
     with pytest.raises(UnknownAtomError):
         possibility_query(EX3, QueryLiterals(frozenset([Literal(Atom("zz"))])))

@@ -1,0 +1,103 @@
+"""Exact search counts on seeded instances.
+
+Any change to propagation that is meant to keep the search the same (same
+choices, same conflicts, same expansions, same candidates and tests) must
+leave every count below unchanged.  The golden values were recorded from the
+whole-program unfounded-set pass that the source-pointer check replaced.
+"""
+
+import random
+
+import pytest
+
+from aspunfold.bench import gen_d3sat_instance, gen_random_qbf
+from aspunfold.gnt import solve_disjunctive
+from aspunfold.partiality import unfold_partiality
+from aspunfold.qbf import qbf_to_program
+from aspunfold.solver import Solver
+from aspunfold.syntax import Atom, Program, Rule
+
+KEYS = ("choices", "conflicts", "expansions", "candidates", "tests", "early_prunes", "models")
+
+
+def _gnt_counts(p):
+    r = solve_disjunctive(p, mode="gnt2")
+    return (
+        r.solver_stats.choices,
+        r.solver_stats.conflicts,
+        r.solver_stats.expansions,
+        r.stats.candidates_covered,
+        r.stats.minimal_tests,
+        r.stats.early_prunes,
+        len(r.models),
+    )
+
+
+def random_partial_program(seed, atoms=60, rules=120):
+    """Each rule: a random head, 0-2 positive and 1-2 negative body atoms, so
+    positive loops and odd negative cycles both occur."""
+    rng = random.Random(seed)
+    names = [Atom(f"a{i}") for i in range(atoms)]
+    out = []
+    for _ in range(rules):
+        head = rng.choice(names)
+        pos = frozenset(rng.sample(names, rng.randint(0, 2)))
+        neg = frozenset(rng.sample(names, rng.randint(1, 2)))
+        out.append(Rule(frozenset([head]), pos, neg))
+    return Program(tuple(out), base=frozenset(names))
+
+
+def _partial_counts(p):
+    s = Solver(unfold_partiality(p))
+    n = sum(1 for _ in s.models())
+    return (s.stats.choices, s.stats.conflicts, s.stats.expansions, 0, 0, 0, n)
+
+
+GOLDEN = {
+    ("d3sat", 1): (12, 5, 18, 1, 1, 0, 1),
+    ("d3sat", 2): (9, 2, 12, 1, 1, 0, 1),
+    ("d3sat", 3): (22, 21, 44, 1, 1, 0, 1),
+    ("d3sat", 4): (14, 9, 24, 1, 1, 0, 1),
+    ("d3sat", 5): (13, 14, 27, 0, 0, 0, 0),
+    ("d3sat", 6): (12, 4, 17, 1, 1, 0, 1),
+    ("d3sat", 7): (22, 18, 41, 1, 1, 0, 1),
+    ("d3sat", 8): (12, 13, 25, 0, 0, 0, 0),
+    ("d3sat", 9): (19, 20, 39, 0, 0, 0, 0),
+    ("d3sat", 10): (13, 11, 25, 1, 1, 0, 1),
+    ("qbf_gw", 1): (14, 6, 24, 1, 2, 1, 0),
+    ("qbf_gw", 2): (74, 46, 132, 1, 6, 5, 0),
+    ("qbf_gw", 3): (3, 4, 7, 0, 0, 0, 0),
+    ("qbf_gw", 4): (137, 103, 258, 3, 11, 6, 0),
+    ("qbf_gw", 5): (43, 25, 78, 1, 5, 4, 0),
+    ("qbf_gw", 6): (29, 17, 52, 1, 3, 2, 0),
+    ("qbf_gw", 7): (30, 18, 54, 1, 3, 2, 0),
+    ("qbf_gw", 8): (60, 43, 113, 1, 5, 4, 0),
+    ("qbf_gw", 9): (9, 6, 17, 1, 1, 0, 0),
+    ("qbf_gw", 10): (23, 11, 40, 1, 3, 2, 0),
+    ("partial", 1): (7, 7, 15, 0, 0, 0, 1),
+    ("partial", 2): (37, 36, 75, 0, 0, 0, 2),
+    ("partial", 3): (3, 2, 7, 0, 0, 0, 2),
+    ("partial", 4): (1, 1, 3, 0, 0, 0, 1),
+    ("partial", 5): (13, 11, 27, 0, 0, 0, 3),
+    ("partial", 6): (1, 0, 3, 0, 0, 0, 2),
+    ("partial", 7): (2, 2, 5, 0, 0, 0, 1),
+    ("partial", 8): (2, 1, 5, 0, 0, 0, 2),
+    ("partial", 9): (0, 0, 1, 0, 0, 0, 1),
+    ("partial", 10): (13, 11, 27, 0, 0, 0, 3),
+}
+
+
+CASES = sorted(GOLDEN)
+
+
+def _counts(family, seed):
+    if family == "d3sat":
+        return _gnt_counts(gen_d3sat_instance(30, 4.258, seed).program)
+    if family == "qbf_gw":
+        return _gnt_counts(qbf_to_program(gen_random_qbf(10, "gw", seed)))
+    return _partial_counts(random_partial_program(seed))
+
+
+@pytest.mark.parametrize("family,seed", CASES, ids=[f"{f}-{s}" for f, s in CASES])
+def test_search_counts_are_pinned(family, seed):
+    assert dict(zip(KEYS, _counts(family, seed))) == dict(zip(KEYS, GOLDEN[family, seed]))

@@ -3,11 +3,17 @@ import random
 import pytest
 
 from aspunfold.parser import parse_program
+from aspunfold.partiality import unfold_partiality
 from aspunfold.semantics import enumerate_stable_models
-from aspunfold.solver import Solver, expand
-from aspunfold.syntax import Atom, Literal
+from aspunfold.solver import FALSE, TRUE, UNDEF, Solver, expand
+from aspunfold.syntax import Atom, Literal, Program, Rule
 
-from conftest import random_normal_program, recursion_headroom
+from conftest import (
+    random_normal_program,
+    recursion_headroom,
+    reference_expand,
+    unfounded_atoms,
+)
 
 A, B = Atom("a"), Atom("b")
 
@@ -146,3 +152,70 @@ def test_deep_search_is_not_recursive():
     with recursion_headroom(100):
         m = Solver(p).next_stable_model()
     assert len(m) == n
+
+
+def random_looping_program(seed):
+    """A random normal program over 2-8 atoms with at least one positive loop
+    (of one atom, a self-loop, or more)."""
+    rng = random.Random(("loop", seed).__repr__())
+    atoms = [Atom(f"p{i}") for i in range(rng.randint(2, 8))]
+    loop = rng.sample(atoms, rng.randint(1, len(atoms)))
+    rules = [
+        Rule(frozenset([a]), frozenset([b]), frozenset(rng.sample(atoms, rng.randint(0, 1))))
+        for a, b in zip(loop, loop[1:] + loop[:1])
+    ]
+    for _ in range(rng.randint(1, 2 * len(atoms))):
+        rules.append(
+            Rule(
+                frozenset([rng.choice(atoms)]),
+                frozenset(rng.sample(atoms, rng.randint(0, 2))),
+                frozenset(rng.sample(atoms, rng.randint(0, 2))),
+            )
+        )
+    return Program(tuple(rules), base=frozenset(atoms))
+
+
+def test_unfounded_check_is_complete_after_backtracking():
+    # Random walks of assign, expand and undo_to (back to earlier fixpoints,
+    # as the search does).  Each expand must reach the fixpoint that the
+    # whole-program unfounded-set pass reaches from the same decisions, and
+    # leave no atom of the greatest unfounded set non-false.
+    rng = random.Random(5)
+    fixpoints = 0
+    for seed in range(2000):
+        p = random_looping_program(seed)
+        if seed % 2:
+            p = unfold_partiality(p)
+        s = Solver(p)
+        for a, v in s._initial:
+            s._push(a, v)
+        if not s._expand():
+            continue
+        marks = [(len(s.trail), 0)]  # (trail length, decisions) at each fixpoint
+        decisions: list[Literal] = []
+        for _ in range(20):
+            undefined = [a for a in range(len(s.atoms)) if s.val[a] == UNDEF]
+            if not undefined or (len(marks) > 1 and rng.random() < 0.3):
+                if len(marks) == 1:
+                    break  # the root fixpoint is already covered
+                del marks[rng.randrange(1, len(marks)) :]
+                s.undo_to(marks[-1][0])
+                del decisions[marks[-1][1] :]
+                continue
+            a, value = rng.choice(undefined), rng.random() < 0.5
+            decisions.append(Literal(s.atoms[a], value))
+            s._push(a, TRUE if value else FALSE)
+            ok = s._expand()
+            ref = Solver(p, assumptions=decisions)
+            for b, v in ref._initial:
+                ref._push(b, v)
+            assert ok == reference_expand(ref), (p, decisions)
+            if not ok:
+                decisions.pop()
+                s.undo_to(marks[-1][0])
+                continue
+            assert s.val == ref.val, (p, decisions)
+            assert all(s.val[b] == FALSE for b in unfounded_atoms(s)), (p, decisions)
+            marks.append((len(s.trail), len(decisions)))
+            fixpoints += 1
+    assert fixpoints > 4000
