@@ -5,7 +5,6 @@ from .syntax import (
     Atom,
     F_ATOM,
     Literal,
-    Marker,
     Program,
     Rule,
     U_ATOM,

@@ -28,7 +28,7 @@ from .partiality import (
     tr2_program,
     unfold_partiality,
 )
-from .qbf import QbfParseError, parse_qbf, qbf_to_program, qbf_witness, render_qbf
+from .qbf import DEFAULT_QBF_CAP, QbfParseError, parse_qbf, qbf_to_program, qbf_witness, render_qbf
 from .semantics import (
     CapExceededError,
     DEFAULT_CAP,
@@ -119,13 +119,21 @@ def _emit(report: RunReport, args, lines: list[str]) -> None:
         print(f"elapsed={report.elapsed:.3f}s")
 
 
+def _texts(atoms: frozenset[Atom]) -> list[str]:
+    return [a.text for a in sorted(atoms)]
+
+
 def _model_line(model: frozenset[Atom]) -> str:
-    return " ".join(a.text for a in sorted(model))
+    return " ".join(_texts(model))
+
+
+def _partial_record(m: PartialInterpretation) -> dict[str, list[str]]:
+    return {"true": _texts(m.true_set), "undef": _texts(m.undef_set)}
 
 
 def _partial_line(m: PartialInterpretation) -> str:
-    t = " ".join(a.text for a in sorted(m.true_set))
-    u = " ".join(a.text for a in sorted(m.undef_set))
+    t = " ".join(_texts(m.true_set))
+    u = " ".join(_texts(m.undef_set))
     return f"T={{{t}}} U={{{u}}}"
 
 
@@ -176,7 +184,7 @@ def cmd_solve(args) -> int:
     report.elapsed = time.perf_counter() - t0
     if models:
         report.outcome = "models_found"
-        report.models = [[a.text for a in sorted(m)] for m in models]
+        report.models = [_texts(m) for m in models]
         _emit(report, args, [_model_line(m) for m in models])
         return EXIT_MODELS
     _emit(report, args, ["NO STABLE MODELS"])
@@ -193,18 +201,12 @@ def cmd_partial(args) -> int:
     psms = [project_sm(n, p.base) for n in models]
     if args.maximal:
         psms = maximal_models(psms, args.ordering)
-    psms.sort(key=lambda m: (sorted(a.text for a in m.true_set), sorted(a.text for a in m.undef_set)))
+    psms.sort(key=lambda m: (sorted(m.true_set), sorted(m.undef_set)))
     report.elapsed = time.perf_counter() - t0
     if psms:
         report.outcome = "models_found"
-        report.models = [[a.text for a in sorted(m.true_set)] for m in psms]
-        report.partial_models = [
-            {
-                "true": [a.text for a in sorted(m.true_set)],
-                "undef": [a.text for a in sorted(m.undef_set)],
-            }
-            for m in psms
-        ]
+        report.models = [_texts(m.true_set) for m in psms]
+        report.partial_models = [_partial_record(m) for m in psms]
         _emit(report, args, [_partial_line(m) for m in psms])
         return EXIT_MODELS
     _emit(report, args, ["NO PARTIAL STABLE MODELS"])
@@ -246,7 +248,7 @@ def cmd_check(args) -> int:
         claimed = PartialInterpretation.total(atoms, p.base)
         reason = check_total_stable(p, claimed, args.cap)
         if reason is None:
-            report.models = [[a.text for a in sorted(claimed.true_set)]]
+            report.models = [_texts(claimed.true_set)]
     else:
         spec = args.partial
         if "/" not in spec:
@@ -260,12 +262,7 @@ def cmd_check(args) -> int:
         claimed = PartialInterpretation(t, f, p.base)
         reason = check_partial_stable(p, claimed, args.cap)
         if reason is None:
-            report.partial_models = [
-                {
-                    "true": [a.text for a in sorted(claimed.true_set)],
-                    "undef": [a.text for a in sorted(claimed.undef_set)],
-                }
-            ]
+            report.partial_models = [_partial_record(claimed)]
     report.elapsed = time.perf_counter() - t0
     if reason is None:
         report.outcome = "models_found"
@@ -297,12 +294,7 @@ def cmd_query(args) -> int:
             report.stats = _stats_dict(result.stats, result.solver_stats)
         if ok and witness is not None:
             witness_lines = [_partial_line(witness)]
-            report.partial_models = [
-                {
-                    "true": [a.text for a in sorted(witness.true_set)],
-                    "undef": [a.text for a in sorted(witness.undef_set)],
-                }
-            ]
+            report.partial_models = [_partial_record(witness)]
     else:
         unknown = sorted(q.atoms - p.base)
         if unknown:
@@ -324,7 +316,7 @@ def cmd_query(args) -> int:
             model = models[0] & p.base if models else None
         if ok and model is not None:
             witness_lines = [_model_line(model)]
-            report.models = [[a.text for a in sorted(model)]]
+            report.models = [_texts(model)]
     report.elapsed = time.perf_counter() - t0
     report.answer = "YES" if ok else "NO"
     report.outcome = "models_found" if ok else "no_models"
@@ -341,16 +333,16 @@ def cmd_qbf(args) -> int:
         return EXIT_MODELS
     report = RunReport("qbf")
     if args.action == "eval":
-        witness = qbf_witness(q, args.cap if args.cap != DEFAULT_CAP else 20)
+        witness = qbf_witness(q, args.cap)
         valid = witness is not None
         if valid:
             # the model row is the witnessing existential assignment
-            report.models = [[a.text for a in sorted(witness)]]
+            report.models = [_texts(witness)]
     else:
         result = solve_disjunctive(qbf_to_program(q), mode=args.mode, config=_gnt_config(args))
         valid = bool(result.models)
         if valid:
-            report.models = [[a.text for a in sorted(result.models[0])]]
+            report.models = [_texts(result.models[0])]
         report.stats = _stats_dict(result.stats, result.solver_stats)
     report.elapsed = time.perf_counter() - t0
     report.answer = "VALID" if valid else "INVALID"
@@ -447,7 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     _add_solving(sp)
     _add_common(sp)
-    sp.set_defaults(fn=cmd_qbf)
+    # eval's --cap counts QBF variables, not atoms
+    sp.set_defaults(fn=cmd_qbf, cap=DEFAULT_QBF_CAP)
 
     sp = sub.add_parser("bench", help="random benchmark instance generation")
     sp.add_argument("family", choices=("d3sat", "qbf"))

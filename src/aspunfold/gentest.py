@@ -15,21 +15,13 @@ from typing import Iterable
 from .syntax import (
     Atom,
     F_ATOM,
-    Marker,
     Program,
     Rule,
     complement,
+    reject_marked,
     split_program,
     support,
 )
-
-
-def _reject_marked(p: Program, what: str) -> None:
-    bad = sorted(
-        a for a in p.base if a.marker in (Marker.COMPLEMENT, Marker.SUPPORT)
-    )
-    if bad:
-        raise ValueError(f"{what}: complement/support atoms present ({bad[0].text}, ...)")
 
 
 def _constraint(pos: Iterable[Atom], neg: Iterable[Atom]) -> Rule:
@@ -52,7 +44,7 @@ def gen_naive(p: Program) -> Program:
     The reserved constraint atom gets no choice pair: giving it support would
     disarm every f-constraint, including desugared input constraints.
     """
-    _reject_marked(p, "gen_naive")
+    reject_marked(p.base, "complement/support", "gen_naive")
     rules = []
     for a in sorted(p.base):
         if a == F_ATOM:
@@ -66,7 +58,7 @@ def gen_naive(p: Program) -> Program:
 
 def gen_basic(p: Program) -> Program:
     """Choice restricted to disjunctive heads; normal rules pass through."""
-    _reject_marked(p, "gen_basic")
+    reject_marked(p.base, "complement/support", "gen_basic")
     normal, disjunctive, heads = split_program(p)
     rules = []
     for r in disjunctive.rules:
@@ -83,7 +75,7 @@ def gen_basic(p: Program) -> Program:
 def support_program(p: Program) -> Program:
     """Support rules: a rule supports exactly one of its head atoms, and every
     true disjunctive-head atom must have a supporting rule."""
-    _reject_marked(p, "support_program")
+    reject_marked(p.base, "complement/support", "support_program")
     _, _, heads = split_program(p)
     rules = []
     for r in p.rules:
@@ -104,7 +96,7 @@ def gen_program(p: Program) -> Program:
 
 def test_program(p: Program, m: Iterable[Atom]) -> Program:
     """Tester whose stable models are the models of the reduct properly inside m."""
-    _reject_marked(p, "test_program")
+    reject_marked(p.base, "complement/support", "test_program")
     m = frozenset(m)
     if not m <= p.base:
         raise ValueError("candidate model must be a subset of the program base")

@@ -164,7 +164,7 @@ def solve_disjunctive(
     # A suspended search and its solver refer to each other; closing the
     # search frees both on return, not at the next cycle collection.
     search.close()
-    models.sort(key=lambda s: sorted(a.text for a in s))
+    models.sort(key=sorted)
     solver_stats = SolverStats()
     solver_stats.merge(generator.stats)
     solver_stats.merge(generator.tester_stats)

@@ -17,7 +17,6 @@ from .syntax import (
     Literal,
     Program,
     Rule,
-    _PLAIN_RE,
     has_reserved_prefix,
     parse_atom_text,
 )
@@ -50,16 +49,12 @@ def _tokenize(text: str, lineno: int) -> Iterator[tuple[str, int]]:
 def _atom_from_token(tok: str, lineno: int, col: int, allow_reserved: bool) -> Atom:
     if tok == "not":
         raise ParseError("'not' is a keyword, not an atom", lineno, col)
-    if allow_reserved:
-        try:
-            return parse_atom_text(tok)
-        except ValueError:
-            raise ParseError(f"invalid atom {tok!r}", lineno, col)
-    if has_reserved_prefix(tok):
+    if not allow_reserved and has_reserved_prefix(tok):
         raise ParseError(f"reserved prefix in atom {tok!r}", lineno, col)
-    if not _PLAIN_RE.fullmatch(tok):
+    try:
+        return parse_atom_text(tok) if allow_reserved else Atom(tok)
+    except ValueError:
         raise ParseError(f"invalid atom {tok!r}", lineno, col)
-    return Atom(tok)
 
 
 def _parse_rule(line: str, lineno: int, allow_reserved: bool) -> Rule:

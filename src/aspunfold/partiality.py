@@ -16,17 +16,11 @@ from typing import Iterable, Optional
 from .gnt import GntConfig, GntStats, SolveResult, solve_disjunctive
 from .semantics import PartialInterpretation, UnknownAtomError
 from .solver import Solver
-from .syntax import Atom, F_ATOM, Literal, Marker, Program, Rule, potential
-
-
-def _reject_potential(p: Program, what: str) -> None:
-    marked = sorted(a for a in p.base if a.marker is Marker.POTENTIAL)
-    if marked:
-        raise ValueError(f"{what}: potential-marked atoms present ({marked[0].text}, ...)")
+from .syntax import Atom, F_ATOM, Literal, Program, Rule, potential, reject_marked
 
 
 def unfold_partiality(p: Program) -> Program:
-    _reject_potential(p, "unfold_partiality")
+    reject_marked(p.base, "potential-marked", "unfold_partiality")
     rules = []
     for r in p.rules:
         rules.append(Rule(r.head, r.pos, frozenset(potential(c) for c in r.neg)))

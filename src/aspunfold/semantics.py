@@ -350,7 +350,7 @@ def enumerate_stable_models(p: Program, cap: int = DEFAULT_CAP) -> list[frozense
     for t in range(ms.full + 1):
         if _is_stable_masks(ms, t):
             out.append(_atoms_of(ms, t))
-    return sorted(out, key=lambda s: sorted(a.text for a in s))
+    return sorted(out, key=sorted)
 
 
 def enumerate_partial_stable_models(p: Program, cap: int = DEFAULT_CAP) -> list[PartialInterpretation]:
@@ -364,10 +364,7 @@ def enumerate_partial_stable_models(p: Program, cap: int = DEFAULT_CAP) -> list[
                 out.append(
                     PartialInterpretation(_atoms_of(ms, t), _atoms_of(ms, f), p.base)
                 )
-    return sorted(
-        out,
-        key=lambda m: (sorted(a.text for a in m.true_set), sorted(a.text for a in m.false_set)),
-    )
+    return sorted(out, key=lambda m: (sorted(m.true_set), sorted(m.false_set)))
 
 
 def is_unfounded_set(p: Program, i: PartialInterpretation, u: Iterable[Atom]) -> bool:

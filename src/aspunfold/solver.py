@@ -460,7 +460,7 @@ class Solver:
         return next(self.models(), None)
 
     def all_models(self) -> list[frozenset[Atom]]:
-        return sorted(self.models(), key=lambda s: sorted(a.text for a in s))
+        return sorted(self.models(), key=sorted)
 
     # -- stepping by hand (tests; tracers wrap these by name) ---------------------
 

@@ -6,114 +6,118 @@ fixed prefix (``p__`` potential, ``c__`` complement, ``s__`` support) plus a
 handful of reserved names (``__f``, ``__u``, ``cl__<i>``, ``ncl__<i>``).  The
 parser rejects reserved spellings in user input, so marked atoms are fresh by
 construction and every atom has a unique rendering.
+
+An atom is therefore its rendering: ``Atom`` holds one string, ``text``, and
+equality, hashing and ordering are those of that string.  Sorting atoms by
+rendering fixes the solver's atom indices, and with them the ties of its
+branching choice.  Only this module knows how a mark is spelled.
 """
 
 from __future__ import annotations
 
-import enum
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-
-class Marker(enum.Enum):
-    PLAIN = "plain"
-    POTENTIAL = "potential"
-    COMPLEMENT = "complement"
-    SUPPORT = "support"
-    RESERVED = "reserved"
-
-
-_MARK_PREFIX = {
-    Marker.POTENTIAL: "p__",
-    Marker.COMPLEMENT: "c__",
-    Marker.SUPPORT: "s__",
-}
-
+# Mark prefixes; all three characters long, so ``text[3:]`` strips one.
+_POTENTIAL, _COMPLEMENT, _SUPPORT = "p__", "c__", "s__"
+_MARKS = (_POTENTIAL, _COMPLEMENT, _SUPPORT)
 _PLAIN_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 _RESERVED_RE = re.compile(r"(?:__f|__u|cl__[0-9]+|ncl__[0-9]+)\Z")
 # Prefixes a user-written atom may not start with.
-RESERVED_PREFIXES = ("p__", "c__", "s__", "cl__", "ncl__", "__")
+RESERVED_PREFIXES = (*_MARKS, "cl__", "ncl__", "__")
 
 
 def has_reserved_prefix(name: str) -> bool:
     return name.startswith(RESERVED_PREFIXES)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Atom:
-    """Interned ground atom: a marker plus the rendering of its base atom."""
+    """Ground atom, identified by its rendering.
 
-    name: str
-    marker: Marker = Marker.PLAIN
+    ``Atom(name)`` builds plain atoms only; marked and reserved atoms come
+    from the mark functions, the reserved constants and ``parse_atom_text``.
+    """
+
+    text: str
 
     def __post_init__(self) -> None:
-        if self.marker is Marker.PLAIN:
-            if not _PLAIN_RE.fullmatch(self.name) or has_reserved_prefix(self.name):
-                raise ValueError(f"invalid plain atom name: {self.name!r}")
-        elif self.marker is Marker.RESERVED:
-            if not _RESERVED_RE.fullmatch(self.name):
-                raise ValueError(f"invalid reserved atom name: {self.name!r}")
-        else:
-            # The base must itself be a valid rendering.
-            parse_atom_text(self.name)
-
-    @property
-    def text(self) -> str:
-        prefix = _MARK_PREFIX.get(self.marker, "")
-        return prefix + self.name
-
-    def __lt__(self, other: "Atom") -> bool:
-        return self.text < other.text
+        if not _PLAIN_RE.fullmatch(self.text) or has_reserved_prefix(self.text):
+            raise ValueError(f"invalid plain atom name: {self.text!r}")
 
     def __repr__(self) -> str:
         return f"Atom({self.text})"
 
 
+def _known(text: str) -> Atom:
+    """The atom rendering as ``text``, which the caller knows to be valid."""
+    a = object.__new__(Atom)
+    object.__setattr__(a, "text", text)
+    return a
+
+
 def parse_atom_text(text: str) -> Atom:
     """Inverse of Atom.text; raises ValueError on spellings no atom renders to."""
-    if _RESERVED_RE.fullmatch(text):
-        return Atom(text, Marker.RESERVED)
-    for marker, prefix in _MARK_PREFIX.items():
-        if text.startswith(prefix):
-            return Atom(text[len(prefix):], marker)
-    if _PLAIN_RE.fullmatch(text) and not has_reserved_prefix(text):
-        return Atom(text)
+    base = text
+    while base.startswith(_MARKS):
+        base = base[3:]
+    if _RESERVED_RE.fullmatch(base) or (
+        _PLAIN_RE.fullmatch(base) and not has_reserved_prefix(base)
+    ):
+        return _known(text)
     raise ValueError(f"not a valid atom rendering: {text!r}")
 
 
 def potential(a: Atom) -> Atom:
-    return Atom(a.text, Marker.POTENTIAL)
+    return _known(_POTENTIAL + a.text)
 
 
 def complement(a: Atom) -> Atom:
-    return Atom(a.text, Marker.COMPLEMENT)
+    return _known(_COMPLEMENT + a.text)
 
 
 def support(a: Atom) -> Atom:
-    return Atom(a.text, Marker.SUPPORT)
+    return _known(_SUPPORT + a.text)
 
 
 def base_atom(a: Atom) -> Atom:
     """The atom a mark was applied to; identity for plain/reserved atoms."""
-    if a.marker in _MARK_PREFIX:
-        return parse_atom_text(a.name)
+    if a.text.startswith(_MARKS):
+        return _known(a.text[3:])
     return a
 
 
-F_ATOM = Atom("__f", Marker.RESERVED)
-U_ATOM = Atom("__u", Marker.RESERVED)
+# The marked atoms a construction forbids in its input, by how its error
+# names them.
+_FORBIDDEN = {
+    "potential-marked": (_POTENTIAL,),
+    "complement/support": (_COMPLEMENT, _SUPPORT),
+}
+
+
+def reject_marked(atoms: Iterable[Atom], kind: str, what: str) -> None:
+    """Raise ValueError if ``atoms`` holds an atom of ``kind``, a key of
+    ``_FORBIDDEN``; the error names the least such atom."""
+    prefixes = _FORBIDDEN[kind]
+    bad = min((a for a in atoms if a.text.startswith(prefixes)), default=None)
+    if bad is not None:
+        raise ValueError(f"{what}: {kind} atoms present ({bad.text}, ...)")
+
+
+F_ATOM = _known("__f")
+U_ATOM = _known("__u")
 
 
 def clause_atom(i: int) -> Atom:
-    return Atom(f"cl__{i}", Marker.RESERVED)
+    return _known(f"cl__{i}")
 
 
 def clause_negation_atom(i: int) -> Atom:
-    return Atom(f"ncl__{i}", Marker.RESERVED)
+    return _known(f"ncl__{i}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Literal:
     atom: Atom
     positive: bool = True
@@ -124,9 +128,6 @@ class Literal:
 
     def negated(self) -> "Literal":
         return Literal(self.atom, not self.positive)
-
-    def __lt__(self, other: "Literal") -> bool:
-        return (self.atom.text, self.positive) < (other.atom.text, other.positive)
 
 
 @dataclass(frozen=True)

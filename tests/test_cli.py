@@ -1,12 +1,19 @@
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import aspunfold
+from aspunfold.bench import gen_random_qbf
 from aspunfold.cli import REPORT_SCHEMA, main
+from aspunfold.qbf import render_qbf
 
 EX1 = "a | b :- c, not a.\n"
 EX3 = "a | b :- not a.\n"
@@ -183,6 +190,13 @@ def test_qbf_commands(write):
     assert "__u :- not __u." in text.splitlines()
 
 
+def test_qbf_eval_cap_counts_variables(write, capsys):
+    q = write("q14.qbf", render_qbf(gen_random_qbf(14, "gw", 0)))
+    code, _ = run(["qbf", "eval", q, "--cap", "12"])
+    assert code == 1 and "14 QBF variables exceeds enumeration cap 12" in capsys.readouterr().err
+    assert run(["qbf", "eval", q]) == (20, "INVALID\n")
+
+
 def test_bench_stdout_and_files(write, tmp_path):
     code, out1 = run(["bench", "d3sat", "--atoms", "6", "--ratio", "2.0", "--seed", "4"])
     code2, out2 = run(["bench", "d3sat", "--atoms", "6", "--ratio", "2.0", "--seed", "4"])
@@ -237,6 +251,34 @@ def test_byte_identical_reruns(write):
         ["query", f, "--query", "b", "--stats"],
     ):
         assert run(argv) == run(argv)
+
+
+def test_output_independent_of_hash_seed(write):
+    # Reruns in one process share one string-hash seed, so only fresh
+    # interpreters show output that depends on set iteration order.
+    p = write(
+        "p.lp",
+        "a | b | c.\nd | e :- a, not b.\ne :- d.\nd :- e, not c.\nf :- not g.\ng :- not f.\n:- b, f.\n",
+    )
+    q = write("q.qbf", render_qbf(gen_random_qbf(8, "gw", 50)))
+    commands = (
+        ["solve", p, "--all", "--stats"],
+        ["partial", p, "--all", "--stats", "--json"],
+        ["transform", p, "--kind", "gen"],
+        ["qbf", "translate", q],
+    )
+    src = str(Path(aspunfold.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        outputs.append([
+            subprocess.run(
+                [sys.executable, "-m", "aspunfold", *argv], env=env, capture_output=True, text=True, check=True
+            ).stdout
+            for argv in commands
+        ])
+    assert outputs[0] == outputs[1]
+    assert all(outputs[0])
 
 
 def test_json_error_report(write, capsys):

@@ -2,11 +2,13 @@ import random
 
 import pytest
 
+from aspunfold.bench import gen_d3sat_instance, gen_random_qbf
 from aspunfold.gentest import gen_program
 from aspunfold.gnt import GntConfig, GntStats, minimal_test, solve_disjunctive
 from aspunfold.gnt import _Generator
 from aspunfold.parser import parse_program
 from aspunfold.partiality import unfold_partiality
+from aspunfold.qbf import qbf_to_program, qbf_valid_oracle
 from aspunfold.semantics import enumerate_stable_models, is_stable_model, PartialInterpretation
 from aspunfold.solver import Solver, SolverStats
 from aspunfold.syntax import Atom, Program, Rule, complement, support
@@ -278,3 +280,47 @@ def test_early_tests_agree_on_disjunctive_programs():
         for mode in ("gnt1", "gnt2"):
             got = solve_disjunctive(p, mode=mode, enumerate_all=True, config=on).models
             assert got == want, mode
+
+
+_CONFIGS = {policy: GntConfig(early_test=policy) for policy in ("on", "off")}
+
+
+def test_modes_agree_on_d3sat_above_oracle_cap():
+    # Seeded minimal-model 3-SAT at n=16-20, past the oracle's cap: every
+    # mode under both early-test settings must enumerate the same models,
+    # and each must satisfy every clause and contain every specified atom.
+    for seed in range(10):
+        inst = gen_d3sat_instance(16 + seed % 5, 4.258, seed, specified_count=seed % 2)
+        runs = {
+            (mode, policy): solve_disjunctive(
+                inst.program, mode=mode, enumerate_all=True, config=config
+            ).models
+            for mode in ("gnt1", "gnt2", "naive")
+            for policy, config in _CONFIGS.items()
+        }
+        want = runs["gnt2", "on"]
+        for key, got in runs.items():
+            assert got == want, (seed, key)
+        for m in want:
+            assert inst.specified <= m, seed
+            assert all(c.pos & m or not c.neg <= m for c in inst.clauses), seed
+
+
+# gw QBFs at v=10 were INVALID for every seed below 300, so two VALID gw
+# instances at v=8 join them.
+_QBF_INSTANCES = [(10, seed) for seed in range(10)] + [(8, 50), (8, 268)]
+
+
+def test_qbf_verdicts_agree_with_oracle_above_cap():
+    # First-model verdicts on translated gw QBFs (10 variables give programs
+    # far past the atom cap) must equal the QBF oracle.  naive with early
+    # tests off is left out: at gw v=8, seeds 0-2 each ran past 30 s.
+    for v, seed in _QBF_INSTANCES:
+        q = gen_random_qbf(v, "gw", seed)
+        p = qbf_to_program(q)
+        want = qbf_valid_oracle(q)
+        for mode, policy in (
+            ("gnt1", "on"), ("gnt1", "off"), ("gnt2", "on"), ("gnt2", "off"), ("naive", "on")
+        ):
+            got = solve_disjunctive(p, mode=mode, config=_CONFIGS[policy]).models
+            assert bool(got) == want, (v, seed, mode, policy)

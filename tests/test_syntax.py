@@ -5,7 +5,6 @@ from aspunfold.parser import ParseError, parse_literals, parse_program
 from aspunfold.syntax import (
     Atom,
     F_ATOM,
-    Marker,
     Program,
     Rule,
     U_ATOM,
@@ -15,6 +14,7 @@ from aspunfold.syntax import (
     complement,
     parse_atom_text,
     potential,
+    reject_marked,
     render_program,
     split_program,
     support,
@@ -65,12 +65,23 @@ def test_base_atom():
     assert base_atom(F_ATOM) == F_ATOM
 
 
+def test_reject_marked_names_least_outermost_mark():
+    a, b = Atom("a"), Atom("b")
+    atoms = [b, support(b), complement(a), potential(complement(a))]
+    with pytest.raises(ValueError, match=r"^gen: complement/support atoms present \(c__a, \.\.\.\)$"):
+        reject_marked(atoms, "complement/support", "gen")
+    with pytest.raises(ValueError, match=r"^tr: potential-marked atoms present \(p__c__a, \.\.\.\)$"):
+        reject_marked(atoms, "potential-marked", "tr")
+    reject_marked([a, complement(potential(a)), F_ATOM], "potential-marked", "tr")
+
+
 def test_invalid_atom_names():
     for bad in ("A", "1x", "", "p__x", "__z", "cl__", "not a"):
         with pytest.raises(ValueError):
             Atom(bad)
-    with pytest.raises(ValueError):
-        Atom("zzz", Marker.RESERVED)
+    for bad in ("", "p__", "p__A", "c__p__", "p__cl__", "cl__x", "__z", "s__not a"):
+        with pytest.raises(ValueError):
+            parse_atom_text(bad)
 
 
 def test_rule_requires_head():
