@@ -333,13 +333,18 @@ def cmd_qbf(args) -> int:
         return EXIT_MODELS
     report = RunReport("qbf")
     if args.action == "eval":
-        witness = qbf_witness(q, args.cap)
+        witness = qbf_witness(q, DEFAULT_QBF_CAP if args.cap is None else args.cap)
         valid = witness is not None
         if valid:
             # the model row is the witnessing existential assignment
             report.models = [_texts(witness)]
     else:
-        result = solve_disjunctive(qbf_to_program(q), mode=args.mode, config=_gnt_config(args))
+        result = solve_disjunctive(
+            qbf_to_program(q),
+            mode=args.mode,
+            config=_gnt_config(args),
+            cap=DEFAULT_CAP if args.cap is None else args.cap,
+        )
         valid = bool(result.models)
         if valid:
             report.models = [_texts(result.models[0])]
@@ -376,11 +381,13 @@ def cmd_bench(args) -> int:
     return EXIT_MODELS
 
 
-def _add_common(sp, stats: bool = True) -> None:
+def _add_common(
+    sp, stats: bool = True, cap_help: str = f"atom cap for enumerative oracles (default {DEFAULT_CAP})"
+) -> None:
     sp.add_argument("--json", action="store_true", help="emit a JSON report")
     sp.add_argument("--timing", action="store_true", help="include wall-clock time in output")
     sp.add_argument("--allow-reserved", action="store_true", help="accept reserved atom spellings in input")
-    sp.add_argument("--cap", type=int, default=DEFAULT_CAP, help="atom cap for enumerative oracles")
+    sp.add_argument("--cap", type=int, default=DEFAULT_CAP, help=cap_help)
     if stats:
         sp.add_argument("--stats", action="store_true", help="print key=value statistics")
 
@@ -438,9 +445,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("action", choices=("translate", "solve", "eval"))
     sp.add_argument("file")
     _add_solving(sp)
-    _add_common(sp)
-    # eval's --cap counts QBF variables, not atoms
-    sp.set_defaults(fn=cmd_qbf, cap=DEFAULT_QBF_CAP)
+    _add_common(
+        sp,
+        cap_help=f"enumeration cap: QBF variables for eval (default {DEFAULT_QBF_CAP}), "
+        f"atoms of the translated program for solve --mode brute (default {DEFAULT_CAP})",
+    )
+    # no --cap given: each action applies its own default
+    sp.set_defaults(fn=cmd_qbf, cap=None)
 
     sp = sub.add_parser("bench", help="random benchmark instance generation")
     sp.add_argument("family", choices=("d3sat", "qbf"))

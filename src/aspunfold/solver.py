@@ -21,10 +21,15 @@ valid and undo_to keeps them all; it only records the atoms it unassigns
 that have no source, to be given one at the next check.  Expand reaches the
 same fixpoint as falsifying the greatest unfounded set of the whole program.
 
-Branching follows the negative-phase-first skeleton: pick the undefined atom
-occurring in the most not-yet-satisfied rules (ties lexicographic), try
-``not x`` before ``x``, and on finding a model emit it and backtrack as if
-conflicted.  Chronological backtracking, no learning.
+Branching follows the negative-phase-first skeleton of smodels: pick the
+undefined atom occurring in the most not-yet-satisfied rules (head not true,
+no body literal false), try ``not x`` before ``x``, and on finding a model
+emit it and backtrack as if conflicted.  Ties go to the lowest index, which
+is the lexicographically smallest rendering, since atoms are indexed in
+sorted order.  An atom's count is at most the number of rules it occurs in,
+so the scan skips, without counting, every atom occurring in no more rules
+than the best count found so far: it could at best tie, and ties go to the
+atom seen first.  Chronological backtracking, no learning.
 
 ``_search`` is the package's one stable-model search, a loop over an explicit
 stack of pending positive branches, so its depth is bounded by memory rather
@@ -60,12 +65,6 @@ class SolverStats:
         self.choices += other.choices
         self.conflicts += other.conflicts
         self.expansions += other.expansions
-
-
-@dataclass(frozen=True)
-class ExpandResult:
-    literals: frozenset[Literal]
-    conflict: bool
 
 
 class Solver:
@@ -389,15 +388,20 @@ class Solver:
 
     # -- search -----------------------------------------------------------------
 
-    def _rule_satisfied(self, r: int) -> bool:
-        return self.val[self.r_head[r]] == TRUE or self.n_false[r] > 0
-
     def _choose(self) -> int:
+        """The undefined atom in the most unsatisfied rules (head not true, no
+        body literal false), the lowest index on ties.  An atom occurring in
+        no more rules than the best count so far cannot beat it, so its rules
+        are not counted."""
+        val, n_false, r_head = self.val, self.n_false, self.r_head
         best, best_count = -1, -1
-        for a in range(len(self.atoms)):
-            if self.val[a] != UNDEF:
+        for a, occ in enumerate(self.occ_all):
+            if val[a] != UNDEF or len(occ) <= best_count:
                 continue
-            count = sum(1 for r in self.occ_all[a] if not self._rule_satisfied(r))
+            count = 0
+            for r in occ:
+                if not n_false[r] and val[r_head[r]] != TRUE:
+                    count += 1
             if count > best_count:
                 best, best_count = a, count
         if best < 0:
@@ -477,17 +481,3 @@ class Solver:
         self.stats.choices += 1
         return self.atoms[a]
 
-
-def expand(program: Program, literals: Iterable[Literal] = ()) -> ExpandResult:
-    """Expand the assumed literals (with the program's facts) on a throwaway
-    solver: every literal derived, and whether expansion hit a conflict."""
-    s = Solver(program, assumptions=literals)
-    for a, v in s._initial:
-        s._push(a, v)
-    ok = s._expand()
-    lits = frozenset(
-        Literal(s.atoms[a], s.val[a] == TRUE)
-        for a in range(len(s.atoms))
-        if s.val[a] != UNDEF
-    )
-    return ExpandResult(lits, not ok)

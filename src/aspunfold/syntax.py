@@ -107,6 +107,7 @@ def reject_marked(atoms: Iterable[Atom], kind: str, what: str) -> None:
 
 F_ATOM = _known("__f")
 U_ATOM = _known("__u")
+_F_HEAD = frozenset([F_ATOM])  # the head of a desugared constraint
 
 
 def clause_atom(i: int) -> Atom:
@@ -164,12 +165,18 @@ class Rule:
             yield Literal(a, False)
 
     def render(self) -> str:
+        """The rule as the parser reads it.  A constraint ``__f :- not __f,
+        body`` with a nonempty body renders as ``:- body.``, the text the
+        parser desugars to it."""
         head = " | ".join(a.text for a in sorted(self.head))
+        neg = self.neg
+        if self.head == _F_HEAD and F_ATOM in neg and (self.pos or len(neg) > 1):
+            head, neg = "", neg - _F_HEAD
         body = [a.text for a in sorted(self.pos)]
-        body += [f"not {a.text}" for a in sorted(self.neg)]
-        if body:
-            return f"{head} :- {', '.join(body)}."
-        return f"{head}."
+        body += [f"not {a.text}" for a in sorted(neg)]
+        if not body:
+            return f"{head}."
+        return f"{head} :- {', '.join(body)}." if head else f":- {', '.join(body)}."
 
 
 def occurring_atoms(rules: Iterable[Rule]) -> frozenset[Atom]:

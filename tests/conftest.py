@@ -1,11 +1,12 @@
 import random
 import sys
 from contextlib import contextmanager
+from dataclasses import dataclass
 
 import hypothesis
 from hypothesis import strategies as st
 
-from aspunfold.syntax import Atom, F_ATOM, Program, Rule
+from aspunfold.syntax import Atom, F_ATOM, Literal, Program, Rule
 
 hypothesis.settings.register_profile("det", derandomize=True, max_examples=60)
 hypothesis.settings.load_profile("det")
@@ -117,6 +118,29 @@ def gated_early_prunes(rng, p, samples):
         yield any(true <= m and not m & false for m in stable)
 
 
+@dataclass(frozen=True)
+class ExpandResult:
+    literals: frozenset[Literal]
+    conflict: bool
+
+
+def expand(program, literals=()):
+    """Expand the assumed literals (with the program's facts) on a throwaway
+    solver: every literal derived, and whether expansion hit a conflict."""
+    from aspunfold.solver import TRUE, UNDEF, Solver
+
+    s = Solver(program, assumptions=literals)
+    for a, v in s._initial:
+        s._push(a, v)
+    ok = s._expand()
+    lits = frozenset(
+        Literal(s.atoms[a], s.val[a] == TRUE)
+        for a in range(len(s.atoms))
+        if s.val[a] != UNDEF
+    )
+    return ExpandResult(lits, not ok)
+
+
 def unfounded_atoms(s):
     """The greatest unfounded set of a solver's current assignment, computed
     over the whole program: the complement of the least fixpoint of "can
@@ -142,6 +166,23 @@ def unfounded_atoms(s):
                 if missing[r] == 0:
                     stack.append(r)
     return {a for a in range(len(s.atoms)) if not derived[a]}
+
+
+def reference_choose(s):
+    """The branching rule counted in full over every rule: the undefined atom
+    occurring (in head or body) in the most rules whose head is not true and
+    whose body has no false literal, the lowest index on ties."""
+    from aspunfold.solver import FALSE, TRUE, UNDEF
+
+    counts = [0] * len(s.atoms)
+    for r, h in enumerate(s.r_head):
+        blocked = any(s.val[b] == FALSE for b in s.r_pos[r]) or any(s.val[c] == TRUE for c in s.r_neg[r])
+        if s.val[h] == TRUE or blocked:
+            continue
+        for a in {h, *s.r_pos[r], *s.r_neg[r]}:
+            counts[a] += 1
+    undefined = [a for a in range(len(s.atoms)) if s.val[a] == UNDEF]
+    return min(undefined, key=lambda a: (-counts[a], a))
 
 
 def reference_expand(s):

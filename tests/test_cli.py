@@ -172,7 +172,7 @@ def test_transform_kinds(write):
         _, text = run(["transform", f, "--kind", kind])
         assert len(text.splitlines()) == lines, kind
     _, text = run(["transform", f, "--kind", "test", "--model", "a b"])
-    assert "__f :- a, b, not __f." in text.splitlines()
+    assert ":- a, b." in text.splitlines()
     code, _ = run(["transform", f, "--kind", "test"])
     assert code == 1  # --model required
 
@@ -197,10 +197,22 @@ def test_qbf_eval_cap_counts_variables(write, capsys):
     assert run(["qbf", "eval", q]) == (20, "INVALID\n")
 
 
+def test_qbf_solve_brute_honours_cap(write, capsys):
+    # translations of 13 and 14 atoms: above solve's default cap of 12 atoms
+    valid = write("v.qbf", "e x1 x2\na y1 y2 y3\nx1 -y1\nx2 y1\n-y2 y3\n")
+    invalid = write("i.qbf", "e x1 x2 x3\na y1 y2 y3\nx1 y1 -y2\n-x2 y2 y3\nx3 -y1 -y3\n")
+    for q, verdict in ((valid, (0, "VALID\n")), (invalid, (20, "INVALID\n"))):
+        assert run(["qbf", "eval", q]) == verdict
+        assert run(["qbf", "solve", q, "--mode", "brute", "--cap", "14"]) == verdict
+    code, _ = run(["qbf", "solve", invalid, "--mode", "brute"])
+    assert code == 1 and "14 atoms exceeds enumeration cap 12" in capsys.readouterr().err
+
+
 def test_bench_stdout_and_files(write, tmp_path):
     code, out1 = run(["bench", "d3sat", "--atoms", "6", "--ratio", "2.0", "--seed", "4"])
     code2, out2 = run(["bench", "d3sat", "--atoms", "6", "--ratio", "2.0", "--seed", "4"])
     assert code == code2 == 0 and out1 == out2
+    assert run(["solve", write("d.lp", out1)])[0] in (0, 20)  # readable without --allow-reserved
     out_dir = tmp_path / "insts"
     code, listing = run(
         ["bench", "qbf", "--vars", "6", "--scheme", "gw", "--seed", "1", "--count", "3", "--out-dir", str(out_dir)]

@@ -9,6 +9,7 @@ from aspunfold.bench import (
     mm_encode,
 )
 from aspunfold.gnt import solve_disjunctive
+from aspunfold.parser import parse_program
 from aspunfold.qbf import (
     NegClause,
     Qbf2E,
@@ -35,6 +36,7 @@ from aspunfold.syntax import (
     U_ATOM,
     clause_atom,
     clause_negation_atom,
+    render_program,
 )
 
 X, Y = Atom("x"), Atom("y")
@@ -253,6 +255,15 @@ def test_d3sat_all_negative_clause_becomes_constraint():
     assert r.head == frozenset([F_ATOM])
     assert r.pos == frozenset([a1, a2, a3])
     assert r.neg == frozenset([F_ATOM])
+
+
+def test_d3sat_rendering_reads_back_as_user_input():
+    # constraints render as ":- body.", so no reserved atom reaches the text
+    for seed in range(20):
+        p = gen_d3sat_instance(10 + seed, 4.258, seed, specified_count=seed % 3).program
+        text = render_program(p)
+        assert "__f" not in text
+        assert parse_program(text) == p
 
 
 def test_mm_encoding_matches_minimal_model_oracle():

@@ -5,12 +5,14 @@ import pytest
 from aspunfold.parser import parse_program
 from aspunfold.partiality import unfold_partiality
 from aspunfold.semantics import enumerate_stable_models
-from aspunfold.solver import FALSE, TRUE, UNDEF, Solver, expand
+from aspunfold.solver import FALSE, TRUE, UNDEF, Solver
 from aspunfold.syntax import Atom, Literal, Program, Rule
 
 from conftest import (
+    expand,
     random_normal_program,
     recursion_headroom,
+    reference_choose,
     reference_expand,
     unfounded_atoms,
 )
@@ -175,21 +177,22 @@ def random_looping_program(seed):
     return Program(tuple(rules), base=frozenset(atoms))
 
 
-def test_unfounded_check_is_complete_after_backtracking():
-    # Random walks of assign, expand and undo_to (back to earlier fixpoints,
-    # as the search does).  Each expand must reach the fixpoint that the
-    # whole-program unfounded-set pass reaches from the same decisions, and
-    # leave no atom of the greatest unfounded set non-false.
-    rng = random.Random(5)
-    fixpoints = 0
-    for seed in range(2000):
+def decision_walks(seeds, rng):
+    """Random walks of assign, expand and undo_to (back to earlier fixpoints,
+    as the search does), one per random looping program, every other program
+    through unfold_partiality.  Yields (p, s, decisions, ok) after each
+    expand, the first one from the facts alone; after a conflict the walk
+    goes back to the last fixpoint."""
+    for seed in seeds:
         p = random_looping_program(seed)
         if seed % 2:
             p = unfold_partiality(p)
         s = Solver(p)
         for a, v in s._initial:
             s._push(a, v)
-        if not s._expand():
+        ok = s._expand()
+        yield p, s, [], ok
+        if not ok:
             continue
         marks = [(len(s.trail), 0)]  # (trail length, decisions) at each fixpoint
         decisions: list[Literal] = []
@@ -206,16 +209,55 @@ def test_unfounded_check_is_complete_after_backtracking():
             decisions.append(Literal(s.atoms[a], value))
             s._push(a, TRUE if value else FALSE)
             ok = s._expand()
-            ref = Solver(p, assumptions=decisions)
-            for b, v in ref._initial:
-                ref._push(b, v)
-            assert ok == reference_expand(ref), (p, decisions)
+            yield p, s, decisions, ok
             if not ok:
                 decisions.pop()
                 s.undo_to(marks[-1][0])
                 continue
-            assert s.val == ref.val, (p, decisions)
-            assert all(s.val[b] == FALSE for b in unfounded_atoms(s)), (p, decisions)
             marks.append((len(s.trail), len(decisions)))
-            fixpoints += 1
+
+
+def test_unfounded_check_is_complete_after_backtracking():
+    # Each expand must reach the fixpoint that the whole-program
+    # unfounded-set pass reaches from the same decisions, and leave no atom
+    # of the greatest unfounded set non-false.
+    fixpoints = 0
+    for p, s, decisions, ok in decision_walks(range(2000), random.Random(5)):
+        ref = Solver(p, assumptions=decisions)
+        for b, v in ref._initial:
+            ref._push(b, v)
+        assert ok == reference_expand(ref), (p, decisions)
+        if not ok:
+            continue
+        assert s.val == ref.val, (p, decisions)
+        assert all(s.val[b] == FALSE for b in unfounded_atoms(s)), (p, decisions)
+        fixpoints += 1
     assert fixpoints > 4000
+
+
+class CheckedSolver(Solver):
+    """A solver whose every branching choice is checked against the full count."""
+
+    def _choose(self):
+        a = super()._choose()
+        assert a == reference_choose(self), self.program
+        return a
+
+
+def test_choose_matches_full_count():
+    # The bounded scan of _choose skips atoms by their occurrence counts; it
+    # must pick what counting every rule picks, ties included, at the
+    # fixpoints of random walks and at every choice of whole searches.
+    walked = searched = 0
+    for p, s, decisions, ok in decision_walks(range(2000), random.Random(6)):
+        if ok and not s.covered:
+            assert s._choose() == reference_choose(s), (p, decisions)
+            walked += 1
+    for seed in range(300):
+        p = random_looping_program(seed)
+        if seed % 2:
+            p = unfold_partiality(p)
+        s = CheckedSolver(p)
+        list(s.models())
+        searched += s.stats.choices
+    assert walked > 2500 and searched > 150
