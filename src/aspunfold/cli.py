@@ -229,7 +229,7 @@ def cmd_transform(args) -> int:
         if args.model is None:
             raise ParseError("transform --kind test requires --model")
         candidate = parse_atom_set(args.model, allow_reserved=args.allow_reserved)
-        out = test_program(p, candidate)
+        out = test_program(p).program(candidate)
     else:
         out = _TRANSFORMS[args.kind](p)
     sys.stdout.write(render_program(out))

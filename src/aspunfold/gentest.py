@@ -6,12 +6,20 @@ has no stable model exactly when M is minimal for its reduct.  Complement
 atoms ``c__a`` code exclusion, support atoms ``s__a`` code that some rule
 supports a, and f-rules of the shape ``__f :- not __f, ...`` act as
 integrity constraints.
+
+The testers of one program differ only in which rules of one fixed set they
+hold and in their final constraint, so ``test_program`` compiles that set
+once, deduplicated, into an integer rule table the solver reads, with the
+input rules that switch each rule on.  The tester of a candidate, as a
+program, is derived from the table.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from operator import attrgetter
+from typing import Iterable, Sequence
 
+from .solver import IntRule, RuleTable
 from .syntax import (
     Atom,
     F_ATOM,
@@ -94,30 +102,117 @@ def gen_program(p: Program) -> Program:
     )
 
 
-def test_program(p: Program, m: Iterable[Atom]) -> Program:
-    """Tester whose stable models are the models of the reduct properly inside m."""
+class TesterTable(RuleTable):
+    """Every rule a tester of p can hold, deduplicated, as a solver's
+    integer rule table, and for each one the input rules that switch it on.
+
+    The last rule is the slot of the final constraint ``:- M.``; it is
+    compiled with the whole base as its positive body, the union of every
+    candidate's, and a solver over the table gives it M before each test.
+    """
+
+    def __init__(
+        self,
+        atoms: Sequence[Atom],
+        rules: Sequence[IntRule],
+        inputs: tuple[tuple[frozenset[int], frozenset[int]], ...],
+        switches: tuple[tuple[int, int, int], ...],
+    ):
+        super().__init__(atoms, rules)
+        self.slot = len(self.rules) - 1
+        # The numbers of the base's atoms, which the slot holds as compiled.
+        self.index = {self.atoms[b]: b for b in self.rules[self.slot][1]}
+        # (positive body, negative body) of each input rule, as atom numbers
+        self.inputs = inputs
+        # (rule, input rule, head) in the order a tester lists its rules: the
+        # switch is on for a candidate that holds the input rule's positive
+        # body and misses its negative body, and holds the head; input -1 is
+        # on for every candidate, and head -1 holds for every candidate.
+        self.switches = switches
+
+    def numbers(self, m: Iterable[Atom]) -> frozenset[int]:
+        """The atom numbers of a candidate, which must lie in the base."""
+        try:
+            return frozenset(self.index[a] for a in m)
+        except KeyError:
+            raise ValueError("candidate model must be a subset of the program base") from None
+
+    def switched_on(self, m: frozenset[int]) -> list[int]:
+        """The rules of the tester for candidate m, each once, in the order of
+        its first switch that is on: the order ``program`` lists them in."""
+        live = [pos <= m and m.isdisjoint(neg) for pos, neg in self.inputs]
+        live.append(True)  # live[-1], for input -1
+        seen = [False] * len(self.rules)
+        out = []
+        for r, i, h in self.switches:
+            if live[i] and (h < 0 or h in m) and not seen[r]:
+                seen[r] = True
+                out.append(r)
+        return out
+
+    def program(self, m: Iterable[Atom]) -> Program:
+        """The tester for candidate m as a program: its stable models are the
+        models of the reduct P^m properly inside m."""
+        ms = self.numbers(m)
+        atoms, rules = self.atoms, []
+        for r in self.switched_on(ms):
+            h, pos, neg = self.rules[r]
+            if r == self.slot:
+                pos = ms
+            rules.append(
+                Rule(
+                    frozenset([atoms[h]]),
+                    frozenset(atoms[b] for b in pos),
+                    frozenset(atoms[c] for c in neg),
+                )
+            )
+        return Program(tuple(rules))
+
+
+def test_program(p: Program) -> TesterTable:
+    """Compile the rules of every tester of p.  The tester of a candidate M
+    holds, for each rule whose positive body lies in M and whose negative
+    body misses M, the reduct's rules for it: ``a :- pos, not c__a`` per
+    disjunctive head atom a in M, the constraint ``:- pos, not head`` for a
+    disjunctive rule, ``h :- pos`` for a normal rule with h in M.  It also
+    holds ``c__a :- not a`` for every disjunctive head atom a, and last the
+    final constraint ``:- M.``, so that its stable models are the models of
+    the reduct P^M properly inside M."""
     reject_marked(p.base, "complement/support", "test_program")
-    m = frozenset(m)
-    if not m <= p.base:
-        raise ValueError("candidate model must be a subset of the program base")
-    normal, disjunctive, heads = split_program(p)
-    rules = []
-    for r in disjunctive.rules:
-        if r.neg & m or not r.pos <= m:
-            continue
-        for a in sorted(r.head & m):
-            rules.append(Rule(frozenset([a]), r.pos, frozenset([complement(a)])))
-    for a in sorted(heads):
-        rules.append(Rule(frozenset([complement(a)]), frozenset(), frozenset([a])))
-    for r in disjunctive.rules:
-        if r.neg & m or not r.pos <= m:
-            continue
-        rules.append(_constraint(r.pos, r.head))
-    for r in normal.rules:
-        if r.neg & m or not r.pos <= m:
-            continue
-        (head,) = r.head
-        if head in m:
-            rules.append(Rule(r.head, r.pos, frozenset()))
-    rules.append(_constraint(m, []))
-    return Program(_dedup(rules))
+    heads = {a for r in p.rules if not r.is_normal for a in r.head}
+    atoms = sorted(p.base | {complement(a) for a in heads} | {F_ATOM}, key=attrgetter("text"))
+    # Keyed by rendering, the atom's identity: a str hashes faster than an Atom.
+    index = {a.text: i for i, a in enumerate(atoms)}
+    f = index[F_ATOM.text]
+    complement_of = {index[a.text]: index[complement(a).text] for a in heads}
+    # Atom numbers follow the atoms' order, so sorting numbers sorts atoms.
+    numbered = [
+        (
+            sorted(index[a.text] for a in r.head),
+            tuple(sorted(index[a.text] for a in r.pos)),
+            frozenset(index[a.text] for a in r.neg),
+        )
+        for r in p.rules
+    ]
+    inputs = tuple((frozenset(pos), neg) for _, pos, neg in numbered)
+    listed: list[tuple[IntRule, int, int]] = []  # (rule, input rule, head), in tester order
+    # A rule whose head is in its input rule's negative body is switched on
+    # by no candidate, so it is left out.
+    for i, (head, pos, neg) in enumerate(numbered):
+        if len(head) > 1:
+            listed += [((a, pos, (complement_of[a],)), i, a) for a in head if a not in neg]
+    for a in sorted(complement_of):
+        listed.append(((complement_of[a], (), (a,)), -1, -1))
+    for i, (head, pos, neg) in enumerate(numbered):
+        if len(head) > 1:
+            listed.append(((f, pos, tuple(sorted([*head, f]))), i, -1))
+    for i, (head, pos, neg) in enumerate(numbered):
+        if len(head) == 1 and head[0] not in neg:
+            listed.append(((head[0], pos, ()), i, head[0]))
+    listed.append(((f, tuple(sorted(index[a.text] for a in p.base)), (f,)), -1, -1))
+
+    number: dict[IntRule, int] = {}
+    switches = []
+    for rule, i, h in listed:
+        switches.append((number.setdefault(rule, len(number)), i, h))
+    return TesterTable(atoms, list(number), inputs, tuple(switches))

@@ -4,7 +4,16 @@ certify each covered candidate by showing its tester has no stable model.
 The search mirrors the two-engine layout.  The generator is a ``Solver`` that
 runs the solver's own search and overrides its two hooks: ``_accept`` runs the
 minimality test on each covered candidate, and ``_prune`` runs the early test
-on each positive branch.  A fresh solver instance runs every minimality test.
+on each positive branch.
+
+One tester solver runs every minimality test of a search.  At the first
+test, ``test_program`` compiles every rule a tester of the input can hold
+into one integer rule table, and a solver is built over it.  Each test
+restarts that solver from its root with the final constraint set to the
+candidate and the rules the candidate does not switch on held blocked, so it
+searches exactly the candidate's tester, and closes the search after it.
+Nothing outlives the search.
+
 Early tests are gated by a per-search WasCovered flag: set when a candidate
 is covered, cleared by the next early test that passes or is skipped.  A
 failed test prunes the branch and leaves the flag set, so the test repeats at
@@ -25,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .gentest import gen_basic, gen_naive, gen_program, test_program
+from .gentest import TesterTable, gen_basic, gen_naive, gen_program, test_program
 from .semantics import enumerate_stable_models
 from .solver import FALSE, TRUE, Solver, SolverStats
 from .syntax import Atom, Program
@@ -58,22 +67,48 @@ class SolveResult:
     solver_stats: SolverStats
 
 
+class _Tester:
+    """The minimality tester of one search over p: the solver over p's
+    compiled tester table, built at the first test and restarted for each."""
+
+    def __init__(self, p: Program):
+        self.p = p
+        self.table: Optional[TesterTable] = None
+        self.solver: Optional[Solver] = None
+
+    def minimal(self, candidate: frozenset[Atom]) -> bool:
+        if self.solver is None:
+            self.table = test_program(self.p)
+            self.solver = Solver(self.table)
+        table, solver = self.table, self.solver
+        m = table.numbers(candidate)
+        solver.set_pos(table.slot, tuple(sorted(m)))
+        solver.restart(set(range(len(table.rules))).difference(table.switched_on(m)))
+        search = solver.models()
+        found = next(search, None)
+        # Closed at once, so a suspended search outlives no test.
+        search.close()
+        return found is None
+
+
 def minimal_test(
     p: Program,
     assignment_true: Iterable[Atom],
     stats: Optional[GntStats] = None,
     solver_stats: Optional[SolverStats] = None,
+    tester: Optional[_Tester] = None,
 ) -> bool:
     """Read the true atoms as a total candidate (undefined taken false) and
-    check that its tester has no stable model."""
-    candidate = frozenset(assignment_true) & p.base
-    tester = Solver(test_program(p, candidate))
-    found = tester.next_stable_model()
+    check that its tester has no stable model.  ``tester`` is the tester of
+    p that a search keeps between its tests; without it, one is built for
+    this test alone."""
+    tester = tester or _Tester(p)
+    ok = tester.minimal(frozenset(assignment_true) & p.base)
     if stats is not None:
         stats.minimal_tests += 1
     if solver_stats is not None:
-        solver_stats.merge(tester.stats)
-    return found is None
+        solver_stats.merge(tester.solver.stats)
+    return ok
 
 
 class _Generator(Solver):
@@ -95,10 +130,11 @@ class _Generator(Solver):
         self.config = config
         self.gnt_stats = GntStats()
         self.tester_stats = SolverStats()
+        self.tester = _Tester(p)
         self.was_covered = False
 
     def _minimal(self) -> bool:
-        return minimal_test(self.p, self.true_atoms(), self.gnt_stats, self.tester_stats)
+        return minimal_test(self.p, self.true_atoms(), self.gnt_stats, self.tester_stats, self.tester)
 
     def _early_test_sound(self) -> bool:
         """The condition of the module docstring under which an early test

@@ -1,5 +1,9 @@
 """Backtracking stable-model search for normal programs.
 
+The solver reads a program as an integer rule table (``RuleTable``): atoms
+numbered in sorted order, rules as (head, positive body, negative body)
+triples of numbers.  Given a ``Program``, it builds that table first.
+
 Propagation combines forward/backward unit rules over body counters with
 falsification of unfounded atoms.  Every literal added by expand holds in
 every stable model of the program agreeing with the current assignment, so a
@@ -20,6 +24,16 @@ an unfounded set.  Backtracking only unblocks rules, so every source stays
 valid and undo_to keeps them all; it only records the atoms it unassigns
 that have no source, to be given one at the next check.  Expand reaches the
 same fixpoint as falsifying the greatest unfounded set of the whole program.
+
+One solver can search, one after another, programs made of rules of one
+table.  ``restart`` returns it to its root with chosen rules switched off:
+each starts with one false body literal that never goes away, so it is
+blocked throughout and counts nowhere, and the hot loops need no test for
+it.  ``set_pos`` shrinks a rule's positive body.  The components stay those
+of the table as built; a program of its rules has fewer edges, so each of
+its components lies inside one of them, and the check reaches the same
+fixpoint over components that are unions of the program's own.  The
+minimality tester of ``gnt`` runs this way.
 
 Branching follows the negative-phase-first skeleton of smodels: pick the
 undefined atom occurring in the most not-yet-satisfied rules (head not true,
@@ -43,7 +57,8 @@ everything and prune nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from operator import attrgetter
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .syntax import Atom, Literal, Program
 
@@ -53,6 +68,8 @@ UNDEF = -1
 
 NO_SOURCE = -1  # a cyclic atom without a source pointer
 ACYCLIC = -2  # an atom outside every cyclic SCC: unit propagation covers it
+
+IntRule = tuple[int, tuple[int, ...], tuple[int, ...]]  # (head, pos, neg)
 
 
 @dataclass
@@ -67,37 +84,57 @@ class SolverStats:
         self.expansions += other.expansions
 
 
-class Solver:
-    """Resumable enumeration of the stable models of one normal program
-    consistent with an initial assignment.  Single-threaded while searching."""
+class RuleTable:
+    """A normal program over integer atoms, as the solver reads it: atom i is
+    ``atoms[i]``, with the atoms sorted by rendering, and each rule is a
+    triple (head, positive body, negative body) of atom numbers, each body
+    sorted."""
 
-    def __init__(self, program: Program, assumptions: Iterable[Literal] = ()):
+    def __init__(self, atoms: Sequence[Atom], rules: Sequence[IntRule]):
+        self.atoms = tuple(atoms)
+        self.rules = tuple(rules)
+
+    @classmethod
+    def of(cls, program: Program) -> "RuleTable":
         if not program.is_normal:
             raise ValueError("solver requires a normal program")
-        self.program = program
-        self.stats = SolverStats()
+        atoms = sorted(program.base, key=attrgetter("text"))
+        # Keyed by rendering, the atom's identity: a str hashes faster than an Atom.
+        index = {a.text: i for i, a in enumerate(atoms)}
+        return cls(
+            atoms,
+            [
+                (
+                    index[next(iter(r.head)).text],
+                    tuple(sorted(index[a.text] for a in r.pos)),
+                    tuple(sorted(index[a.text] for a in r.neg)),
+                )
+                for r in program.rules
+            ],
+        )
 
-        self.atoms: list[Atom] = sorted(program.base)
+
+class Solver:
+    """Resumable enumeration of the stable models of one normal program, a
+    ``Program`` or a ``RuleTable``, consistent with an initial assignment.
+    Single-threaded while searching."""
+
+    def __init__(self, program: Program | RuleTable, assumptions: Iterable[Literal] = ()):
+        self.program = program
+        table = RuleTable.of(program) if isinstance(program, Program) else program
+
+        self.atoms: list[Atom] = list(table.atoms)
         self.index = {a: i for i, a in enumerate(self.atoms)}
         n = len(self.atoms)
 
-        self.r_head: list[int] = []
-        self.r_pos: list[tuple[int, ...]] = []
-        self.r_neg: list[tuple[int, ...]] = []
-        self.r_size: list[int] = []
+        self.r_head: list[int] = [h for h, _, _ in table.rules]
+        self.r_pos: list[tuple[int, ...]] = [pos for _, pos, _ in table.rules]
+        self.r_neg: list[tuple[int, ...]] = [neg for _, _, neg in table.rules]
+        self.r_size: list[int] = [len(pos) + len(neg) for _, pos, neg in table.rules]
         self.occ_pos: list[list[int]] = [[] for _ in range(n)]
         self.occ_neg: list[list[int]] = [[] for _ in range(n)]
         self.occ_head: list[list[int]] = [[] for _ in range(n)]
-        for r in program.rules:
-            ridx = len(self.r_head)
-            (head,) = r.head
-            h = self.index[head]
-            pos = tuple(sorted(self.index[a] for a in r.pos))
-            neg = tuple(sorted(self.index[a] for a in r.neg))
-            self.r_head.append(h)
-            self.r_pos.append(pos)
-            self.r_neg.append(neg)
-            self.r_size.append(len(pos) + len(neg))
+        for ridx, (h, pos, neg) in enumerate(table.rules):
             self.occ_head[h].append(ridx)
             for b in pos:
                 self.occ_pos[b].append(ridx)
@@ -107,35 +144,87 @@ class Solver:
             sorted(set(self.occ_head[a] + self.occ_pos[a] + self.occ_neg[a]))
             for a in range(n)
         ]
+        self._init_sccs()
 
-        self.val = [UNDEF] * n
-        self.n_assigned = 0
-        self.trail: list[int] = []
-        self.n_true = [0] * len(self.r_head)
-        self.n_false = [0] * len(self.r_head)
-        self.active = [len(self.occ_head[a]) for a in range(n)]
-        self._queue: list[tuple[int, int]] = []
-        self._conflict = False
-        self._init_sources()
-
-        self._initial: list[tuple[int, int]] = []
-        for ridx, size in enumerate(self.r_size):
-            if size == 0:
-                self._initial.append((self.r_head[ridx], TRUE))
-        for a in range(n):
-            if self.active[a] == 0:
-                self._initial.append((a, FALSE))
+        self._assumed: list[tuple[int, int]] = []
         for lit in assumptions:
             if lit.atom not in self.index:
                 raise ValueError(f"assumption atom {lit.atom.text} not in program base")
-            self._initial.append((self.index[lit.atom], TRUE if lit.positive else FALSE))
+            self._assumed.append((self.index[lit.atom], TRUE if lit.positive else FALSE))
 
         self._gen: Optional[Iterator[frozenset[Atom]]] = None
+        self.restart()
 
-    def _init_sources(self) -> None:
+    def restart(self, off: Iterable[int] = ()) -> None:
+        """Go back to the state just after set-up, with fresh statistics and
+        no suspended search, and switch off the rules ``off`` (no rule twice).
+        A rule switched off starts with one false body literal that no
+        assignment or backtrack removes, so it is blocked until the next
+        restart: it counts in no ``active`` count, no branching count and no
+        propagation, and it is never a source."""
+        if self._gen is not None:
+            self._gen.close()
+            self._gen = None
+        n, n_rules = len(self.atoms), len(self.r_head)
+        self.stats = SolverStats()
+        self.val = [UNDEF] * n
+        self.n_assigned = 0
+        self.trail: list[int] = []
+        self.n_true = [0] * n_rules
+        self.n_false = [0] * n_rules
+        self.active = [len(occ) for occ in self.occ_head]
+        for r in off:
+            self.n_false[r] = 1
+            self.active[self.r_head[r]] -= 1
+        self._queue: list[tuple[int, int]] = []
+        self._conflict = False
+        self.source = [NO_SOURCE if c else ACYCLIC for c in self._cyclic]
+        # Cyclic atoms to re-examine at the next check; every one starts sourceless.
+        self._lost = [a for a in range(n) if self._cyclic[a]]
+
+        self._initial: list[tuple[int, int]] = [
+            (self.r_head[r], TRUE)
+            for r, size in enumerate(self.r_size)
+            if size == 0 and not self.n_false[r]
+        ]
+        self._initial += [(a, FALSE) for a in range(n) if self.active[a] == 0]
+        self._initial += self._assumed
+
+    def set_pos(self, r: int, pos: tuple[int, ...]) -> None:
+        """Give rule r the sorted positive body ``pos``, a subset of the one
+        it had at set-up, so that the components found then stay unions of
+        the components of the program; ``restart`` before searching again."""
+        h, neg = self.r_head[r], self.r_neg[r]
+        for b in self.r_pos[r]:
+            self.occ_pos[b].remove(r)
+            if b != h and b not in neg:
+                self.occ_all[b].remove(r)
+        for b in self.r_int[r]:
+            self.occ_int[b].remove(r)
+        for b in pos:
+            self.occ_pos[b].append(r)
+            if b != h and b not in neg:
+                self.occ_all[b].append(r)
+        self.r_pos[r] = pos
+        self.r_size[r] = len(pos) + len(neg)
+        self._set_internal(r)
+
+    def _set_internal(self, r: int) -> None:
+        """r_int[r]: the positive body atoms of r in its head's (cyclic) SCC;
+        occ_int[a]: the rules that have a among them."""
+        h = self.r_head[r]
+        if self._cyclic[h]:
+            comp = self._comp
+            self.r_int[r] = tuple(b for b in self.r_pos[r] if comp[b] == comp[h])
+            for b in self.r_int[r]:
+                self.occ_int[b].append(r)
+        else:
+            self.r_int[r] = ()
+
+    def _init_sccs(self) -> None:
         """Split the positive dependency graph (head to positive body atoms)
-        into SCCs with an iterative Tarjan, and set up source pointers for the
-        atoms of cyclic SCCs (more than one atom, or a self-loop)."""
+        into SCCs with an iterative Tarjan, and mark the atoms of cyclic SCCs
+        (more than one atom, or a self-loop): only they keep source pointers."""
         n = len(self.atoms)
         succ = [[b for r in self.occ_head[a] for b in self.r_pos[r]] for a in range(n)]
         order = [-1] * n  # discovery index
@@ -175,19 +264,12 @@ class Solver:
                             comp[w] = n_comps
                             cyclic[w] = is_cyclic
                         n_comps += 1
-
-        # r_int[r]: the positive body atoms of r in its head's (cyclic) SCC;
-        # occ_int[a]: the rules that have a among them.
+        self._comp, self._cyclic = comp, cyclic
         self.r_int: list[tuple[int, ...]] = [()] * len(self.r_head)
         self.occ_int: list[list[int]] = [[] for _ in range(n)]
         for r, h in enumerate(self.r_head):
             if cyclic[h]:
-                self.r_int[r] = tuple(b for b in self.r_pos[r] if comp[b] == comp[h])
-                for b in self.r_int[r]:
-                    self.occ_int[b].append(r)
-        self.source = [NO_SOURCE if c else ACYCLIC for c in cyclic]
-        # Cyclic atoms to re-examine at the next check; every one starts sourceless.
-        self._lost = [a for a in range(n) if cyclic[a]]
+                self._set_internal(r)
 
     # -- assignment and unit propagation -----------------------------------
 

@@ -118,6 +118,32 @@ def gated_early_prunes(rng, p, samples):
         yield any(true <= m and not m & false for m in stable)
 
 
+def reference_test_program(p, m):
+    """The tester of candidate m built rule by rule from p, as it was before
+    testers were compiled: the reference for ``test_program(p).program(m)``,
+    rules and order."""
+    from aspunfold.syntax import complement, split_program
+
+    def constraint(pos, neg):
+        return Rule(frozenset([F_ATOM]), frozenset(pos), frozenset(neg) | {F_ATOM})
+
+    normal, disjunctive, heads = split_program(p)
+    live = [r for r in disjunctive.rules if not r.neg & m and r.pos <= m]
+    rules = []
+    for r in live:
+        for a in sorted(r.head & m):
+            rules.append(Rule(frozenset([a]), r.pos, frozenset([complement(a)])))
+    for a in sorted(heads):
+        rules.append(Rule(frozenset([complement(a)]), frozenset(), frozenset([a])))
+    for r in live:
+        rules.append(constraint(r.pos, r.head))
+    for r in normal.rules:
+        if not r.neg & m and r.pos <= m and r.head <= m:
+            rules.append(Rule(r.head, r.pos, frozenset()))
+    rules.append(constraint(m, []))
+    return Program(tuple(dict.fromkeys(rules)))
+
+
 @dataclass(frozen=True)
 class ExpandResult:
     literals: frozenset[Literal]

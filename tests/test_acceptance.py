@@ -140,7 +140,7 @@ def test_criterion_4_worked_examples():
     checks.append(solve_disjunctive(ex6, mode="gnt2", enumerate_all=True).models == [])
     disj = parse_program("a | b.")
     checks.append(len(list(Solver(gen_program(disj)).models())) == 2)
-    tester = build_test_program(parse_program("a | b :- not c."), frozenset([B]))
+    tester = build_test_program(parse_program("a | b :- not c.")).program(frozenset([B]))
     checks.append(Solver(tester).next_stable_model() is None)
     ex1 = parse_program("a | b :- c, not a.")
     checks.append(enumerate_stable_models(ex1) == [frozenset()])
@@ -344,7 +344,7 @@ def _suite_prop3_minimality_test(n=200):
                 models.append(cand)
         for cand in models[:10]:
             checks += 1
-            no_tester_model = Solver(build_test_program(p, cand.true_set)).next_stable_model() is None
+            no_tester_model = Solver(build_test_program(p).program(cand.true_set)).next_stable_model() is None
             if is_stable_model(p, cand) != no_tester_model:
                 fails += 1
     return checks, fails
@@ -376,7 +376,7 @@ def _suite_minimality_as_unsatisfiability(n=200):
             if not is_total_model(m, p):
                 continue
             checks += 1
-            no_tester_model = Solver(build_test_program(p, m.true_set)).next_stable_model() is None
+            no_tester_model = Solver(build_test_program(p).program(m.true_set)).next_stable_model() is None
             clauses = [rule_as_clause(r) for r in gl_reduct(p, m).rules]
             clauses += [Clause(frozenset(), frozenset([a])) for a in sorted(p.base - m.true_set)]
             clauses += [Clause(frozenset(), m.true_set)]

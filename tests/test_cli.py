@@ -177,6 +177,29 @@ def test_transform_kinds(write):
     assert code == 1  # --model required
 
 
+def test_transform_test_lists_rules_by_first_enabled_input(write):
+    # The first rule is off (d is in the model), so the head rule of a comes
+    # from the third rule: after those of the second, not at a's place in a
+    # table ordered by first occurrence.
+    f = write("p.lp", "a | b :- c, not d.\nb | x :- c, not f.\na | y :- c, not g.\nc.\n")
+    code, text = run(["transform", f, "--kind", "test", "--model", "a b c d x y"])
+    assert code == 0
+    assert text == (
+        "b :- c, not c__b.\n"
+        "x :- c, not c__x.\n"
+        "a :- c, not c__a.\n"
+        "y :- c, not c__y.\n"
+        "c__a :- not a.\n"
+        "c__b :- not b.\n"
+        "c__x :- not x.\n"
+        "c__y :- not y.\n"
+        ":- c, not b, not x.\n"
+        ":- c, not a, not y.\n"
+        "c.\n"
+        ":- a, b, c, d, x, y.\n"
+    )
+
+
 def test_qbf_commands(write):
     q = write("q.qbf", "e x\na y\nx y\nx -y\n")
     code, out = run(["qbf", "solve", q])

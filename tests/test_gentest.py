@@ -95,7 +95,7 @@ def test_gen_rejects_marked_input():
 
 
 def test_test_program_paper_example():
-    tp = build_test_program(DISJ_NEG, frozenset([B]))
+    tp = build_test_program(DISJ_NEG).program(frozenset([B]))
     assert set(tp.rules) == rules_of(
         "b :- not c__b.\nc__a :- not a.\nc__b :- not b.\n"
         ":- not a, not b.\n:- b.\n"
@@ -104,19 +104,21 @@ def test_test_program_paper_example():
 
 
 def test_test_program_empty_candidate():
-    tp = build_test_program(DISJ, frozenset())
+    tp = build_test_program(DISJ).program(frozenset())
     assert Rule(frozenset([F_ATOM]), frozenset(), frozenset([F_ATOM])) in set(tp.rules)
     assert Solver(tp).next_stable_model() is None
 
 
 def test_test_program_nonminimal_candidate():
-    tp = build_test_program(DISJ, frozenset([A, B]))
+    tp = build_test_program(DISJ).program(frozenset([A, B]))
     assert Solver(tp).next_stable_model() is not None
 
 
 def test_test_program_validates_candidate():
-    with pytest.raises(ValueError):
-        build_test_program(DISJ, frozenset([Atom("zz")]))
+    # c__a is an atom of every tester of DISJ, but not of its base.
+    for atom in (Atom("zz"), complement(A)):
+        with pytest.raises(ValueError):
+            build_test_program(DISJ).program(frozenset([atom]))
 
 
 def test_candidate_soundness():

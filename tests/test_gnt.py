@@ -3,21 +3,24 @@ import random
 import pytest
 
 from aspunfold.bench import gen_d3sat_instance, gen_random_qbf
+from aspunfold import gnt
 from aspunfold.gentest import gen_program
+from aspunfold.gentest import test_program as build_test_program
 from aspunfold.gnt import GntConfig, GntStats, minimal_test, solve_disjunctive
-from aspunfold.gnt import _Generator
+from aspunfold.gnt import _Generator, _Tester
 from aspunfold.parser import parse_program
 from aspunfold.partiality import unfold_partiality
 from aspunfold.qbf import qbf_to_program, qbf_valid_oracle
 from aspunfold.semantics import enumerate_stable_models, is_stable_model, PartialInterpretation
 from aspunfold.solver import Solver, SolverStats
-from aspunfold.syntax import Atom, Program, Rule, complement, support
+from aspunfold.syntax import Atom, F_ATOM, Program, Rule, complement, support
 
 from conftest import (
     gated_early_prunes,
     random_disjunctive_program,
     random_normal_program,
     recursion_headroom,
+    reference_test_program,
 )
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
@@ -324,3 +327,127 @@ def test_qbf_verdicts_agree_with_oracle_above_cap():
         ):
             got = solve_disjunctive(p, mode=mode, config=_CONFIGS[policy]).models
             assert bool(got) == want, (v, seed, mode, policy)
+
+
+def _tester_program(rng, kind):
+    """A seeded program over at most 7 plain atoms, plus ``__f`` when it has
+    constraints.  ``normal``: normal rules only, no constraints.
+    ``disjunctive``: disjunctive and normal rules and input constraints, some
+    with a twin that differs only in its negative body, so both switch on
+    the same tester rules.  ``loop``: as ``disjunctive``, plus a positive
+    loop through a disjunctive head."""
+    atoms = [Atom(x) for x in "abcdefg"[: rng.randint(3, 7)]]
+
+    def body(k):
+        return frozenset(rng.sample(atoms, rng.randint(0, k)))
+
+    rules = []
+    for _ in range(rng.randint(1, 7)):
+        roll = rng.random()
+        if kind == "normal" or roll < 0.35:
+            head, extra = frozenset([rng.choice(atoms)]), frozenset()
+        elif roll < 0.5:
+            head, extra = frozenset([F_ATOM]), frozenset([F_ATOM])
+        else:
+            head, extra = frozenset(rng.sample(atoms, rng.randint(2, 3))), frozenset()
+        pos = body(2)
+        rules.append(Rule(head, pos, body(2) | extra))
+        if rng.random() < 0.3:
+            rules.append(Rule(head, pos, body(2) | extra))
+    if kind == "loop":
+        x, y, z = rng.sample(atoms, 3)
+        rules += [Rule(frozenset([x, y]), frozenset([z])), Rule(frozenset([z]), frozenset([x]))]
+    return Program(tuple(rules), base=frozenset(atoms))
+
+
+def _reduct_has_smaller_model(p, m):
+    """Whether some N properly inside m is a model of P^m without its normal
+    rules whose head is outside m (a tester holds none of those; a model m
+    of P has none whose body holds, so then this is P^m itself)."""
+    bit = {a: 1 << i for i, a in enumerate(sorted(p.base))}
+
+    def mask(atoms):
+        return sum(bit[a] for a in atoms)
+
+    rules = [
+        (mask(r.head), mask(r.pos))
+        for r in p.rules
+        if not r.neg & m and not (r.is_normal and not r.head & m)
+    ]
+    whole = mask(m)
+    n = whole
+    while n:
+        n = (n - 1) & whole  # every proper subset, down to the empty set
+        if all(pos & n != pos or head & n for head, pos in rules):
+            return True
+    return False
+
+
+def test_compiled_tester_matches_fresh_testers():
+    # One compiled tester runs over every candidate of each program, in
+    # shuffled order, and must leave nothing behind between tests: same
+    # verdict and same search counts as a fresh solver on that candidate's
+    # tester program, which equals the rule-by-rule reference construction.
+    rng = random.Random("compiled tester")
+    seen = {"normal": 0, "loop": 0, "constraints": 0, "shared": 0}
+    verdicts = set()
+    for k in range(60):
+        kind = ("normal", "disjunctive", "loop")[k % 3]
+        p = _tester_program(rng, kind)
+        table = build_test_program(p)
+        tester = _Tester(p)
+        base = sorted(p.base)
+        assert len(base) <= 8
+        candidates = [
+            frozenset(a for i, a in enumerate(base) if bits >> i & 1) for bits in range(1 << len(base))
+        ]
+        rng.shuffle(candidates)
+        for m in candidates:
+            program = table.program(m)
+            assert program.rules == reference_test_program(p, m).rules
+            fresh = Solver(program)
+            verdict = fresh.next_stable_model() is None
+            assert tester.minimal(m) == verdict, (p.rules, m)
+            assert tester.solver.stats == fresh.stats, (p.rules, m)
+            assert verdict == (not _reduct_has_smaller_model(p, m)), (p.rules, m)
+            verdicts.add(verdict)
+        seen["normal"] += kind == "normal" and F_ATOM not in gen_program(p).base
+        seen["loop"] += kind == "loop"
+        seen["constraints"] += any(r.head == {F_ATOM} for r in p.rules)
+        inputs = {}
+        for r, i, _ in table.switches:
+            inputs.setdefault(r, set()).add(i)
+        seen["shared"] += any(len(s) > 1 for s in inputs.values())
+    assert verdicts == {True, False}
+    assert min(seen.values()) >= 5, seen
+
+
+def test_tester_is_compiled_once_per_search(monkeypatch):
+    # A search builds two solvers, the generator and the tester, however many
+    # candidates it tests, and every test goes through minimal_test.
+    inits, tests, tester_searches = [], [], []
+    init, models, minimal = Solver.__init__, Solver.models, gnt.minimal_test
+
+    def counting_init(self, *args, **kwargs):
+        inits.append(type(self))
+        init(self, *args, **kwargs)
+
+    def counting_models(self):
+        if not isinstance(self, _Generator):
+            tester_searches.append(self)
+        return models(self)
+
+    def counting_minimal_test(*args, **kwargs):
+        tests.append(args)
+        return minimal(*args, **kwargs)
+
+    monkeypatch.setattr(Solver, "__init__", counting_init)
+    monkeypatch.setattr(Solver, "models", counting_models)
+    monkeypatch.setattr(gnt, "minimal_test", counting_minimal_test)
+    for v, seed in ((6, 1), (8, 4)):
+        inits.clear(), tests.clear(), tester_searches.clear()
+        r = solve_disjunctive(qbf_to_program(gen_random_qbf(v, "gw", seed)), mode="gnt2")
+        assert r.stats.minimal_tests >= 3
+        assert len(tests) == len(tester_searches) == r.stats.minimal_tests
+        assert len(set(map(id, tester_searches))) == 1
+        assert sorted(c.__name__ for c in inits) == ["Solver", "_Generator"]
