@@ -19,13 +19,15 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .solver import IntRule, RuleTable
 from .syntax import (
     Atom,
     F_ATOM,
+    IntRule,
     Program,
     Rule,
+    RuleTable,
     complement,
+    positions,
     reject_marked,
     split_program,
     support,
@@ -156,7 +158,7 @@ class TesterTable(RuleTable):
         ms = self.numbers(m)
         atoms, rules = self.atoms, []
         for r in self.switched_on(ms):
-            h, pos, neg = self.rules[r]
+            (h,), pos, neg = self.rules[r]
             if r == self.slot:
                 pos = ms
             rules.append(
@@ -178,21 +180,25 @@ def test_program(p: Program) -> TesterTable:
     holds ``c__a :- not a`` for every disjunctive head atom a, and last the
     final constraint ``:- M.``, so that its stable models are the models of
     the reduct P^M properly inside M."""
-    reject_marked(p.base, "complement/support", "test_program")
-    heads = {a for r in p.rules if not r.is_normal for a in r.head}
-    atoms = sorted(p.base | {complement(a) for a in heads} | {F_ATOM}, key=attrgetter("text"))
-    # Keyed by rendering, the atom's identity: a str hashes faster than an Atom.
-    index = {a.text: i for i, a in enumerate(atoms)}
-    f = index[F_ATOM.text]
-    complement_of = {index[a.text]: index[complement(a).text] for a in heads}
-    # Atom numbers follow the atoms' order, so sorting numbers sorts atoms.
+    table = p.table
+    reject_marked(table.atoms, "complement/support", "test_program")
+    heads = sorted({a for head, _, _ in table.rules if len(head) > 1 for a in head})
+    # The input's atoms, the complements of its disjunctive head atoms and
+    # __f, deduplicated by rendering, in sorted order.
+    comps = [complement(table.atoms[a]) for a in heads]
+    by_text = {a.text: a for a in (*table.atoms, *comps, F_ATOM)}
+    atoms = sorted(by_text.values(), key=attrgetter("text"))
+    lift = positions(table.atoms, atoms)
+    (f,) = positions([F_ATOM], atoms)
+    complement_of = dict(zip([lift[a] for a in heads], positions(comps, atoms)))
+    # Atom numbers follow the atoms' order, so lifted parts stay sorted.
     numbered = [
         (
-            sorted(index[a.text] for a in r.head),
-            tuple(sorted(index[a.text] for a in r.pos)),
-            frozenset(index[a.text] for a in r.neg),
+            [lift[a] for a in head],
+            tuple([lift[b] for b in pos]),
+            frozenset([lift[c] for c in neg]),
         )
-        for r in p.rules
+        for head, pos, neg in table.rules
     ]
     inputs = tuple((frozenset(pos), neg) for _, pos, neg in numbered)
     listed: list[tuple[IntRule, int, int]] = []  # (rule, input rule, head), in tester order
@@ -200,16 +206,16 @@ def test_program(p: Program) -> TesterTable:
     # by no candidate, so it is left out.
     for i, (head, pos, neg) in enumerate(numbered):
         if len(head) > 1:
-            listed += [((a, pos, (complement_of[a],)), i, a) for a in head if a not in neg]
+            listed += [(((a,), pos, (complement_of[a],)), i, a) for a in head if a not in neg]
     for a in sorted(complement_of):
-        listed.append(((complement_of[a], (), (a,)), -1, -1))
+        listed.append((((complement_of[a],), (), (a,)), -1, -1))
     for i, (head, pos, neg) in enumerate(numbered):
         if len(head) > 1:
-            listed.append(((f, pos, tuple(sorted([*head, f]))), i, -1))
+            listed.append((((f,), pos, tuple(sorted([*head, f]))), i, -1))
     for i, (head, pos, neg) in enumerate(numbered):
         if len(head) == 1 and head[0] not in neg:
-            listed.append(((head[0], pos, ()), i, head[0]))
-    listed.append(((f, tuple(sorted(index[a.text] for a in p.base)), (f,)), -1, -1))
+            listed.append(((tuple(head), pos, ()), i, head[0]))
+    listed.append((((f,), tuple(lift), (f,)), -1, -1))
 
     number: dict[IntRule, int] = {}
     switches = []

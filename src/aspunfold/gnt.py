@@ -37,7 +37,7 @@ from typing import Iterable, Optional
 from .gentest import TesterTable, gen_basic, gen_naive, gen_program, test_program
 from .semantics import enumerate_stable_models
 from .solver import FALSE, TRUE, Solver, SolverStats
-from .syntax import Atom, Program
+from .syntax import Atom, Program, positions
 
 MODES = ("gnt1", "gnt2", "naive", "brute")
 
@@ -118,14 +118,12 @@ class _Generator(Solver):
     def __init__(self, g: Program, p: Program, config: GntConfig):
         super().__init__(g)
         self.p = p
-        # input rules over generator indices, read by the early-test condition
+        # input rules over generator numbers, read by the early-test condition;
+        # g's atoms hold p's, so p's table renumbers into them by one merge
+        lift = positions(p.table.atoms, self.atoms).__getitem__
         self.rules = [
-            (
-                tuple(self.index[a] for a in r.head),
-                tuple(self.index[a] for a in r.pos),
-                tuple(self.index[a] for a in r.neg),
-            )
-            for r in p.rules
+            (tuple(map(lift, head)), tuple(map(lift, pos)), tuple(map(lift, neg)))
+            for head, pos, neg in p.table.rules
         ]
         self.config = config
         self.gnt_stats = GntStats()

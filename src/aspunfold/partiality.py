@@ -6,6 +6,10 @@ original negative literals, plus a consistency rule ``p__a :- a`` per base
 atom.  Truth of the pair (a, p__a) codes three-valued truth of a: both true
 is true, both false is false, only the mark true is undefined; mark false
 with atom true is ruled out by the consistency rules.
+
+``unfold_partiality`` maps the input's rule table to the translation's
+without building a ``Rule``: the marked atoms sort as one block, so an
+atom's number and its mark's are shifts of its number in the input.
 """
 
 from __future__ import annotations
@@ -16,24 +20,45 @@ from typing import Iterable, Optional
 from .gnt import GntConfig, GntStats, SolveResult, solve_disjunctive
 from .semantics import PartialInterpretation, UnknownAtomError
 from .solver import Solver
-from .syntax import Atom, F_ATOM, Literal, Program, Rule, potential, reject_marked
+from .syntax import (
+    Atom,
+    F_ATOM,
+    IntRule,
+    Literal,
+    Program,
+    Rule,
+    RuleTable,
+    potential,
+    potential_block,
+    reject_marked,
+)
 
 
 def unfold_partiality(p: Program) -> Program:
-    reject_marked(p.base, "potential-marked", "unfold_partiality")
-    rules = []
-    for r in p.rules:
-        rules.append(Rule(r.head, r.pos, frozenset(potential(c) for c in r.neg)))
-        rules.append(
-            Rule(
-                frozenset(potential(a) for a in r.head),
-                frozenset(potential(b) for b in r.pos),
-                r.neg,
-            )
-        )
-    for a in sorted(p.base):
-        rules.append(Rule(frozenset([potential(a)]), frozenset([a]), frozenset()))
-    return Program(tuple(rules), base=p.base | {potential(a) for a in p.base})
+    """The translation, as a transform of p's rule table: for each rule the
+    original and then the marked copy, followed by ``p__a :- a`` for each
+    base atom in sorted order."""
+    table = p.table
+    atoms = table.atoms
+    reject_marked(atoms, "potential-marked", "unfold_partiality")
+    n = len(atoms)
+    k = potential_block(atoms)
+    if k == n:
+        lift = tuple  # every atom sorts before p__ and keeps its number
+    else:
+        def lift(xs: tuple[int, ...]) -> tuple[int, ...]:
+            return tuple([x if x < k else x + n for x in xs])
+
+    def mark(xs: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple([x + k for x in xs])
+
+    rules: list[IntRule] = []
+    for head, pos, neg in table.rules:
+        rules.append((lift(head), lift(pos), mark(neg)))
+        rules.append((mark(head), mark(pos), lift(neg)))
+    rules += [((k + i,), lift((i,)), ()) for i in range(n)]
+    marked = [potential(a) for a in atoms]
+    return Program.of_table(RuleTable((*atoms[:k], *marked, *atoms[k:]), rules))
 
 
 def expand_psm(m: PartialInterpretation) -> frozenset[Atom]:
@@ -43,18 +68,18 @@ def expand_psm(m: PartialInterpretation) -> frozenset[Atom]:
 
 def project_sm(true_atoms: Iterable[Atom], plain_base: Iterable[Atom]) -> PartialInterpretation:
     """Read a total model of the translation back as a partial interpretation."""
-    n = frozenset(true_atoms)
+    n = {a.text for a in true_atoms}
     base = frozenset(plain_base)
-    t, f = set(), set()
+    t, f = [], []
     for a in base:
-        in_n = a in n
-        mark_in_n = potential(a) in n
+        in_n = a.text in n
+        mark_in_n = potential(a).text in n
         if in_n and not mark_in_n:
             raise ValueError(f"atom {a.text} true without its potential mark")
         if in_n:
-            t.add(a)
+            t.append(a)
         elif not mark_in_n:
-            f.add(a)
+            f.append(a)
     return PartialInterpretation(frozenset(t), frozenset(f), base)
 
 

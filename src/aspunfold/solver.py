@@ -2,7 +2,8 @@
 
 The solver reads a program as an integer rule table (``RuleTable``): atoms
 numbered in sorted order, rules as (head, positive body, negative body)
-triples of numbers.  Given a ``Program``, it builds that table first.
+triples of numbers, every head one atom.  Given a ``Program``, it reads the
+table the program is stored as, and builds no ``Rule``.
 
 Propagation combines forward/backward unit rules over body counters with
 falsification of unfounded atoms.  Every literal added by expand holds in
@@ -57,10 +58,10 @@ everything and prune nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Optional
 
-from .syntax import Atom, Literal, Program
+from .syntax import Atom, Literal, Program, RuleTable
 
 TRUE = 1
 FALSE = 0
@@ -68,8 +69,6 @@ UNDEF = -1
 
 NO_SOURCE = -1  # a cyclic atom without a source pointer
 ACYCLIC = -2  # an atom outside every cyclic SCC: unit propagation covers it
-
-IntRule = tuple[int, tuple[int, ...], tuple[int, ...]]  # (head, pos, neg)
 
 
 @dataclass
@@ -84,36 +83,6 @@ class SolverStats:
         self.expansions += other.expansions
 
 
-class RuleTable:
-    """A normal program over integer atoms, as the solver reads it: atom i is
-    ``atoms[i]``, with the atoms sorted by rendering, and each rule is a
-    triple (head, positive body, negative body) of atom numbers, each body
-    sorted."""
-
-    def __init__(self, atoms: Sequence[Atom], rules: Sequence[IntRule]):
-        self.atoms = tuple(atoms)
-        self.rules = tuple(rules)
-
-    @classmethod
-    def of(cls, program: Program) -> "RuleTable":
-        if not program.is_normal:
-            raise ValueError("solver requires a normal program")
-        atoms = sorted(program.base, key=attrgetter("text"))
-        # Keyed by rendering, the atom's identity: a str hashes faster than an Atom.
-        index = {a.text: i for i, a in enumerate(atoms)}
-        return cls(
-            atoms,
-            [
-                (
-                    index[next(iter(r.head)).text],
-                    tuple(sorted(index[a.text] for a in r.pos)),
-                    tuple(sorted(index[a.text] for a in r.neg)),
-                )
-                for r in program.rules
-            ],
-        )
-
-
 class Solver:
     """Resumable enumeration of the stable models of one normal program, a
     ``Program`` or a ``RuleTable``, consistent with an initial assignment.
@@ -121,20 +90,22 @@ class Solver:
 
     def __init__(self, program: Program | RuleTable, assumptions: Iterable[Literal] = ()):
         self.program = program
-        table = RuleTable.of(program) if isinstance(program, Program) else program
+        table = program.table if isinstance(program, Program) else program
 
         self.atoms: list[Atom] = list(table.atoms)
-        self.index = {a: i for i, a in enumerate(self.atoms)}
         n = len(self.atoms)
 
-        self.r_head: list[int] = [h for h, _, _ in table.rules]
+        try:
+            self.r_head: list[int] = [h for (h,), _, _ in table.rules]
+        except ValueError:  # a head of more than one atom
+            raise ValueError("solver requires a normal program") from None
         self.r_pos: list[tuple[int, ...]] = [pos for _, pos, _ in table.rules]
         self.r_neg: list[tuple[int, ...]] = [neg for _, _, neg in table.rules]
         self.r_size: list[int] = [len(pos) + len(neg) for _, pos, neg in table.rules]
         self.occ_pos: list[list[int]] = [[] for _ in range(n)]
         self.occ_neg: list[list[int]] = [[] for _ in range(n)]
         self.occ_head: list[list[int]] = [[] for _ in range(n)]
-        for ridx, (h, pos, neg) in enumerate(table.rules):
+        for ridx, (h, pos, neg) in enumerate(zip(self.r_head, self.r_pos, self.r_neg)):
             self.occ_head[h].append(ridx)
             for b in pos:
                 self.occ_pos[b].append(ridx)
@@ -154,6 +125,11 @@ class Solver:
 
         self._gen: Optional[Iterator[frozenset[Atom]]] = None
         self.restart()
+
+    @cached_property
+    def index(self) -> dict[Atom, int]:
+        """Atom to number, for callers that name atoms."""
+        return {a: i for i, a in enumerate(self.atoms)}
 
     def restart(self, off: Iterable[int] = ()) -> None:
         """Go back to the state just after set-up, with fresh statistics and
@@ -495,7 +471,7 @@ class Solver:
         return self.n_assigned == len(self.atoms)
 
     def true_atoms(self) -> frozenset[Atom]:
-        return frozenset(a for a, i in self.index.items() if self.val[i] == TRUE)
+        return frozenset([a for a, v in zip(self.atoms, self.val) if v == TRUE])
 
     def _accept(self) -> bool:
         """Hook: whether to report the covered assignment just reached."""

@@ -11,13 +11,23 @@ An atom is therefore its rendering: ``Atom`` holds one string, ``text``, and
 equality, hashing and ordering are those of that string.  Sorting atoms by
 rendering fixes the solver's atom indices, and with them the ties of its
 branching choice.  Only this module knows how a mark is spelled.
+
+A ``Program`` is stored as a ``RuleTable``: its atoms sorted by rendering,
+and per rule a (head, positive body, negative body) triple of sorted atom
+numbers, the head possibly disjunctive.  The solver reads that table.  The
+``Rule`` objects of ``Program.rules`` are a view of it, built on first read
+and cached, for the oracles, the Rule-based constructions and rendering.
+``Program(rules, base=...)`` keeps its rules and derives the table on first
+use.  The two conversions, ``_table_of`` and ``_rules_of``, live here.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from operator import attrgetter
+from typing import Iterable, Iterator, Optional, Sequence
 
 # Mark prefixes; all three characters long, so ``text[3:]`` strips one.
 _POTENTIAL, _COMPLEMENT, _SUPPORT = "p__", "c__", "s__"
@@ -71,6 +81,14 @@ def parse_atom_text(text: str) -> Atom:
 
 def potential(a: Atom) -> Atom:
     return _known(_POTENTIAL + a.text)
+
+
+def potential_block(atoms: Sequence[Atom]) -> int:
+    """Where the potential marks of ``atoms``, sorted by rendering and none
+    of them potential-marked, sort among them: the marks all start with one
+    prefix, so they form one block, in the order of the atoms they mark,
+    after the first k atoms and before the rest."""
+    return bisect_left([a.text for a in atoms], _POTENTIAL)
 
 
 def complement(a: Atom) -> Atom:
@@ -186,29 +204,167 @@ def occurring_atoms(rules: Iterable[Rule]) -> frozenset[Atom]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
+# A rule over atom numbers: (head, positive body, negative body), each part a
+# sorted tuple without duplicates.
+IntRule = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+
+
+class RuleTable:
+    """Rules over integer atoms: atom i is ``atoms[i]``, with the atoms
+    sorted by rendering, and each rule is an ``IntRule``.  Numbers follow the
+    atoms' order, so sorting numbers sorts atoms."""
+
+    __slots__ = ("atoms", "rules")
+
+    def __init__(self, atoms: Sequence[Atom], rules: Sequence[IntRule]):
+        self.atoms = tuple(atoms)
+        self.rules = tuple(rules)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RuleTable):
+            return NotImplemented
+        return self.atoms == other.atoms and self.rules == other.rules
+
+    def __hash__(self) -> int:
+        return hash((self.atoms, self.rules))
+
+    @classmethod
+    def numbered(
+        cls,
+        texts: Sequence[str],
+        rules: Iterable[tuple[Iterable[int], Iterable[int], Iterable[int]]],
+    ) -> "RuleTable":
+        """The table of ``rules`` whose atoms are numbered by position in
+        ``texts``, distinct valid renderings: renumbered so that the atoms
+        sort by rendering, each part sorted, duplicates dropped."""
+        order = sorted(range(len(texts)), key=texts.__getitem__)
+        rank = [0] * len(texts)
+        for new, old in enumerate(order):
+            rank[old] = new
+        get = rank.__getitem__
+        return cls(
+            [_known(texts[old]) for old in order],
+            [
+                (
+                    tuple(sorted(set(map(get, head)))),
+                    tuple(sorted(set(map(get, pos)))),
+                    tuple(sorted(set(map(get, neg)))),
+                )
+                for head, pos, neg in rules
+            ],
+        )
+
+
+def positions(sub: Sequence[Atom], atoms: Sequence[Atom]) -> list[int]:
+    """The numbers in ``atoms`` of the atoms of ``sub``, both sorted by
+    rendering and sub a subset of atoms: one merge, no hashing."""
+    out, j = [], 0
+    for a in sub:
+        while atoms[j].text != a.text:
+            j += 1
+        out.append(j)
+    return out
+
+
+def _table_of(rules: tuple[Rule, ...], base: frozenset[Atom]) -> RuleTable:
+    """Rules to their table over ``base``, which holds every occurring atom."""
+    atoms = sorted(base, key=attrgetter("text"))
+    # Keyed by rendering, the atom's identity: a str hashes faster than an Atom.
+    index = {a.text: i for i, a in enumerate(atoms)}
+    return RuleTable(
+        atoms,
+        [
+            (
+                tuple(sorted([index[a.text] for a in r.head])),
+                tuple(sorted([index[a.text] for a in r.pos])),
+                tuple(sorted([index[a.text] for a in r.neg])),
+            )
+            for r in rules
+        ],
+    )
+
+
+def _rules_of(table: RuleTable) -> tuple[Rule, ...]:
+    """A table's rules as ``Rule`` objects, in the table's order."""
+    atoms = table.atoms
+    return tuple(
+        Rule(
+            frozenset([atoms[a] for a in head]),
+            frozenset([atoms[b] for b in pos]),
+            frozenset([atoms[c] for c in neg]),
+        )
+        for head, pos, neg in table.rules
+    )
+
+
 class Program:
     """Ordered rule list over a Herbrand base.
 
     The base always contains every occurring atom; a larger base may be
     declared for programs whose interpretations range over extra atoms.
+
+    A program is stored as its ``RuleTable``: the base is the table's atoms,
+    and the rules are its rules, in order.  ``rules`` and ``base`` are views
+    of the table, built on first read and cached; ``Program(rules, base=...)``
+    keeps the view it is given and derives the table on first use.  The
+    parser and ``unfold_partiality`` build tables directly, so the path from
+    text through the solver builds no ``Rule``.  Equality and hashing are
+    those of the table, which determines the rules and the base and is
+    determined by them.
     """
 
-    rules: tuple[Rule, ...]
-    base: frozenset[Atom] = None  # type: ignore[assignment]
+    __slots__ = ("_rules", "_base", "_table")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rules", tuple(self.rules))
-        declared = frozenset(self.base) if self.base is not None else frozenset()
-        object.__setattr__(self, "base", occurring_atoms(self.rules) | declared)
+    def __init__(self, rules: Iterable[Rule], base: Optional[Iterable[Atom]] = None):
+        self._rules: Optional[tuple[Rule, ...]] = tuple(rules)
+        declared = frozenset(base) if base is not None else frozenset()
+        self._base: Optional[frozenset[Atom]] = occurring_atoms(self._rules) | declared
+        self._table: Optional[RuleTable] = None
+
+    @classmethod
+    def of_table(cls, table: RuleTable) -> "Program":
+        """The program stored as ``table``; its views are built when read."""
+        p = cls.__new__(cls)
+        p._rules = p._base = None
+        p._table = table
+        return p
+
+    @property
+    def table(self) -> RuleTable:
+        if self._table is None:
+            self._table = _table_of(self._rules, self._base)
+        return self._table
+
+    @property
+    def rules(self) -> tuple[Rule, ...]:
+        if self._rules is None:
+            self._rules = _rules_of(self._table)
+        return self._rules
+
+    @property
+    def base(self) -> frozenset[Atom]:
+        if self._base is None:
+            self._base = frozenset(self._table.atoms)
+        return self._base
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Program):
+            return NotImplemented
+        return self.table == other.table
+
+    def __hash__(self) -> int:
+        return hash(self.table)
+
+    def __repr__(self) -> str:
+        return f"Program(rules={self.rules!r}, base={self.base!r})"
 
     @property
     def is_normal(self) -> bool:
-        return all(r.is_normal for r in self.rules)
+        return all(len(head) == 1 for head, _, _ in self.table.rules)
 
     @property
     def is_positive(self) -> bool:
-        return all(not r.neg for r in self.rules)
+        return all(not neg for _, _, neg in self.table.rules)
 
     def render(self) -> str:
         if not self.rules:

@@ -144,6 +144,96 @@ def reference_test_program(p, m):
     return Program(tuple(dict.fromkeys(rules)))
 
 
+def reference_parse_program(text, allow_reserved=False):
+    """The parser as it was before programs were stored as rule tables: it
+    builds a ``Rule`` per line, checking every token where it occurs.  The
+    reference for ``parse_program``: rules, order and base."""
+    from aspunfold.parser import ParseError, _tokenize
+    from aspunfold.syntax import has_reserved_prefix, parse_atom_text
+
+    def atom(tok, lineno, col):
+        if tok == "not":
+            raise ParseError("'not' is a keyword, not an atom", lineno, col)
+        if not allow_reserved and has_reserved_prefix(tok):
+            raise ParseError(f"reserved prefix in atom {tok!r}", lineno, col)
+        try:
+            return parse_atom_text(tok) if allow_reserved else Atom(tok)
+        except ValueError:
+            raise ParseError(f"invalid atom {tok!r}", lineno, col)
+
+    def rule(line, lineno):
+        toks = list(_tokenize(line, lineno))
+        end = ("", len(line.rstrip()) + 1)
+        i = 0
+
+        def peek():
+            return toks[i][0] if i < len(toks) else ""
+
+        head = []
+        if peek() != ":-":
+            while True:
+                tok, col = toks[i] if i < len(toks) else end
+                if tok in {"", ".", ":-", "|", ","}:
+                    raise ParseError("expected atom", lineno, col)
+                head.append(atom(tok, lineno, col))
+                i += 1
+                if peek() != "|":
+                    break
+                i += 1
+        pos, neg = [], []
+        if peek() == ":-":
+            i += 1
+            while True:
+                negated = peek() == "not"
+                i += negated
+                tok, col = toks[i] if i < len(toks) else end
+                if tok in {"", ".", ":-", "|", ",", "not"}:
+                    raise ParseError("expected body literal", lineno, col)
+                (neg if negated else pos).append(atom(tok, lineno, col))
+                i += 1
+                if peek() != ",":
+                    break
+                i += 1
+        tok, col = toks[i] if i < len(toks) else end
+        if tok != ".":
+            raise ParseError("expected '.'", lineno, col)
+        i += 1
+        if i != len(toks):
+            raise ParseError("trailing input after '.'", lineno, toks[i][1])
+        if not head:
+            head = [F_ATOM]
+            neg.append(F_ATOM)
+        return Rule(frozenset(head), frozenset(pos), frozenset(neg))
+
+    rules = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("%", 1)[0]
+        if line.strip():
+            rules.append(rule(line, lineno))
+    return Program(tuple(rules))
+
+
+def reference_unfold_partiality(p):
+    """``tr`` built rule by rule, as it was before it became a transform of
+    rule tables: the reference for ``unfold_partiality``."""
+    from aspunfold.syntax import potential, reject_marked
+
+    reject_marked(p.base, "potential-marked", "unfold_partiality")
+    rules = []
+    for r in p.rules:
+        rules.append(Rule(r.head, r.pos, frozenset(potential(c) for c in r.neg)))
+        rules.append(
+            Rule(
+                frozenset(potential(a) for a in r.head),
+                frozenset(potential(b) for b in r.pos),
+                r.neg,
+            )
+        )
+    for a in sorted(p.base):
+        rules.append(Rule(frozenset([potential(a)]), frozenset([a]), frozenset()))
+    return Program(tuple(rules), base=p.base | {potential(a) for a in p.base})
+
+
 @dataclass(frozen=True)
 class ExpandResult:
     literals: frozenset[Literal]

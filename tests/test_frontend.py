@@ -1,0 +1,183 @@
+"""The integer front end: ``parse_program`` and ``unfold_partiality`` build
+rule tables directly and must give the programs of their former Rule-based
+versions (the references in conftest), rule order included; the path from
+text to partial stable models builds no ``Rule`` at all."""
+
+import io
+import random
+import re
+from contextlib import redirect_stdout
+
+import pytest
+from hypothesis import given
+
+from aspunfold.cli import main
+from aspunfold.parser import ParseError, parse_program
+from aspunfold.partiality import project_sm, unfold_partiality
+from aspunfold.solver import Solver
+from aspunfold.syntax import Atom, Program, Rule, render_program
+
+from conftest import (
+    program_st,
+    random_disjunctive_program,
+    random_normal_program,
+    reference_parse_program,
+    reference_unfold_partiality,
+)
+
+PLAIN = ["a", "b", "c", "d", "zz", "a1", "b_2", "note"]
+RESERVED = ["__f", "__u", "p__a", "c__b", "s__c", "cl__3", "ncl__1", "p__p__a", "c__p__d"]
+
+
+def random_text(seed, reserved=False):
+    """A program text with constraints, disjunctive heads, duplicate atoms
+    and literals, comments and blank lines; with ``reserved``, atoms of the
+    transformations' spellings too."""
+    rng = random.Random(f"text-{seed}-{reserved}")
+    names = PLAIN + RESERVED if reserved else PLAIN
+    lines = []
+    for _ in range(rng.randint(0, 12)):
+        head = [] if rng.random() < 0.2 else [rng.choice(names) for _ in range(rng.randint(1, 3))]
+        body = [
+            ("not " if rng.random() < 0.4 else "") + rng.choice(names)
+            for _ in range(rng.randint(0 if head else 1, 4))
+        ]
+        line = " | ".join(head)
+        if body:
+            line += (" :- " if head else ":- ") + ", ".join(body)
+        lines.append(line + "." + rng.choice(["", " % a comment", "   "]))
+        if rng.random() < 0.15:
+            lines.append(rng.choice(["", "  ", "% only a comment"]))
+    return "\n".join(lines) + rng.choice(["", "\n"])
+
+
+def assert_same_program(new, ref):
+    assert new.rules == ref.rules
+    assert new.base == ref.base
+    assert new == ref
+    # The table equals the one derived from the Rule view.
+    assert Program(new.rules, base=new.base).table == new.table
+
+
+def assert_same_parse(text, allow_reserved):
+    try:
+        ref = reference_parse_program(text, allow_reserved)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parse_program(text, allow_reserved)
+        assert (str(got.value), got.value.line, got.value.col) == (str(exc), exc.line, exc.col)
+        return None
+    new = parse_program(text, allow_reserved)
+    assert_same_program(new, ref)
+    return new
+
+
+def assert_same_tr(p):
+    try:
+        ref = reference_unfold_partiality(p)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            unfold_partiality(p)
+        return
+    new = unfold_partiality(p)
+    assert_same_program(new, ref)
+    # Read back as transformation output, the rendering gives the same program.
+    assert_same_program(parse_program(render_program(new), allow_reserved=True), new)
+
+
+@given(program_st())
+def test_front_end_matches_reference_on_strategy_programs(p):
+    text = render_program(p)
+    for allow_reserved in (False, True):
+        q = assert_same_parse(text, allow_reserved)
+        assert q == p
+        assert_same_tr(q)
+    assert_same_tr(p)
+    assert_same_tr(Program(p.rules, base=p.base | {Atom("zz"), Atom("b")}))
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_front_end_matches_reference_on_seeded_texts(seed):
+    for reserved in (False, True):
+        text = random_text(seed, reserved)
+        for allow_reserved in (False, True):
+            p = assert_same_parse(text, allow_reserved)
+            if p is not None:
+                assert_same_tr(p)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_front_end_matches_reference_on_malformed_texts(seed):
+    """Texts with one character deleted, doubled or replaced: the same
+    error (message, line and column) or the same program."""
+    rng = random.Random(f"malformed-{seed}")
+    text = random_text(seed, reserved=seed % 2 == 1)
+    if not text:
+        return
+    i = rng.randrange(len(text))
+    edit = rng.choice(["delete", "double", "replace"])
+    if edit == "delete":
+        text = text[:i] + text[i + 1 :]
+    elif edit == "double":
+        text = text[:i] + text[i] + text[i:]
+    else:
+        text = text[:i] + rng.choice(".,|:-; A1_p%") + text[i + 1 :]
+    for allow_reserved in (False, True):
+        assert_same_parse(text, allow_reserved)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_tr_matches_reference_over_declared_bases(seed):
+    for p in (random_normal_program(seed), random_disjunctive_program(seed)):
+        assert_same_tr(p)
+        assert_same_tr(parse_program(render_program(p), allow_reserved=True))
+
+
+def random_normal_text(seed, atoms=30, rules=60):
+    """A random normal program text of the benchmark's shape: 0-2 positive
+    and 1-2 negative body atoms per rule."""
+    rng = random.Random(seed)
+    names = [f"a{i}" for i in range(atoms)]
+    lines = []
+    for _ in range(rules):
+        body = sorted(rng.sample(names, rng.randint(0, 2)))
+        body += [f"not {c}" for c in sorted(rng.sample(names, rng.randint(1, 2)))]
+        lines.append(f"{rng.choice(names)} :- {', '.join(body)}.")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture
+def count_rules(monkeypatch):
+    """A list that grows by one for each ``Rule`` built from here on."""
+    built = []
+    init = Rule.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Rule, "__init__", counting)
+    Rule(frozenset([Atom("a")]))
+    assert built == [1]  # the patch counts
+    built.clear()
+    return built
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_partial_path_builds_no_rule(count_rules, seed):
+    text = random_normal_text(seed)
+    p = parse_program(text)
+    trp = unfold_partiality(p)
+    psms = [project_sm(n, p.base) for n in Solver(trp).models()]
+    assert psms
+    assert count_rules == []
+
+
+def test_cli_partial_builds_no_rule(count_rules, tmp_path):
+    path = tmp_path / "p.lp"
+    path.write_text(random_normal_text(1) + ":- a0, not a1.\n")
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(["partial", str(path), "--all"])
+    assert code in (0, 20) and buf.getvalue()
+    assert count_rules == []

@@ -12,10 +12,11 @@ import pytest
 
 from aspunfold.bench import gen_d3sat_instance, gen_random_qbf
 from aspunfold.gnt import solve_disjunctive
+from aspunfold.parser import parse_program
 from aspunfold.partiality import unfold_partiality
 from aspunfold.qbf import qbf_to_program
 from aspunfold.solver import Solver
-from aspunfold.syntax import Atom, Program, Rule
+from aspunfold.syntax import Atom, Program, Rule, render_program
 
 KEYS = ("choices", "conflicts", "expansions", "candidates", "tests", "early_prunes", "models")
 
@@ -101,3 +102,14 @@ def _counts(family, seed):
 @pytest.mark.parametrize("family,seed", CASES, ids=[f"{f}-{s}" for f, s in CASES])
 def test_search_counts_are_pinned(family, seed):
     assert dict(zip(KEYS, _counts(family, seed))) == dict(zip(KEYS, GOLDEN[family, seed]))
+
+
+PARTIAL_SEEDS = [seed for family, seed in CASES if family == "partial"]
+
+
+@pytest.mark.parametrize("seed", PARTIAL_SEEDS, ids=[f"partial-{s}" for s in PARTIAL_SEEDS])
+def test_partial_search_counts_are_pinned_on_the_text_path(seed):
+    """The partial cases read from their rendering, as the benchmark reads
+    them: the parser's table must give the same search."""
+    p = parse_program(render_program(random_partial_program(seed)))
+    assert dict(zip(KEYS, _partial_counts(p))) == dict(zip(KEYS, GOLDEN["partial", seed]))

@@ -123,6 +123,41 @@ def test_parse_errors_report_position():
             parse_program(bad)
 
 
+@pytest.mark.parametrize(
+    "text,message,col",
+    [
+        # An error at the end of a rule points just past its last character.
+        ("a :- b", "expected '.'", 7),
+        ("a :- b   % c", "expected '.'", 7),
+        ("a | ", "expected atom", 4),
+        ("a :- b, not", "expected body literal", 12),
+        (":- .", "expected body literal", 4),
+        ("a :- not .", "expected body literal", 10),
+        ("a. b.", "trailing input after '.'", 4),
+        ("a :- b,, c.", "expected body literal", 8),
+        ("a :- b; c.", "unexpected character ';'", 7),
+        ("a :--b.", "unexpected character '-'", 5),
+        ("not :- a.", "'not' is a keyword, not an atom", 1),
+        ("A :- b.", "invalid atom 'A'", 1),
+        ("a :- p__b.", "reserved prefix in atom 'p__b'", 6),
+        ("a :- not not b.", "expected body literal", 10),
+    ],
+)
+def test_parse_error_message_line_and_column(text, message, col):
+    with pytest.raises(ParseError) as exc:
+        parse_program("b.\n% comment\n" + text)
+    assert (exc.value.line, exc.value.col) == (3, col)
+    assert str(exc.value) == f"line 3, col {col}: {message}"
+
+
+def test_parse_checks_reserved_atom_after_constraint():
+    """A constraint's __f does not let the spelling __f through later."""
+    with pytest.raises(ParseError, match=r"^line 2, col 6: reserved prefix in atom '__f'$"):
+        parse_program(":- a.\nb :- __f.")
+    p = parse_program(":- a.\nb :- __f.", allow_reserved=True)
+    assert p.rules[1] == Rule(frozenset([Atom("b")]), frozenset([F_ATOM]))
+
+
 def test_parse_duplicates_collapse():
     p = parse_program("a | a :- b, b, not c, not c.")
     (r,) = p.rules
