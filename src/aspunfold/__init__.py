@@ -11,7 +11,6 @@ from .syntax import (
     complement,
     potential,
     render_program,
-    split_program,
     support,
 )
 from .parser import ParseError, parse_literals, parse_program

@@ -161,19 +161,17 @@ def _load_program(args) -> Program:
 
 def _solve_program(p: Program, args, enumerate_all: bool) -> tuple[list[frozenset[Atom]], dict[str, int]]:
     mode = getattr(args, "mode", "gnt2")
-    if mode == "brute":
-        models = enumerate_stable_models(p, args.cap)
-        if not enumerate_all:
-            models = models[:1]
-        return models, _stats_dict(gnt=None, solver=SolverStats())
-    if p.is_normal:
+    if p.is_normal and mode != "brute":
         solver = Solver(p)
         models = solver.all_models() if enumerate_all else [
             m for m in [solver.next_stable_model()] if m is not None
         ]
         return models, _stats_dict(solver=solver.stats)
-    result = solve_disjunctive(p, mode=mode, enumerate_all=enumerate_all, config=_gnt_config(args))
-    return result.models, _stats_dict(result.stats, result.solver_stats)
+    result = solve_disjunctive(
+        p, mode=mode, enumerate_all=enumerate_all, config=_gnt_config(args), cap=args.cap
+    )
+    # The oracle counts no gnt work: its statistics are the zero solver counts.
+    return result.models, _stats_dict(None if mode == "brute" else result.stats, result.solver_stats)
 
 
 def cmd_solve(args) -> int:
@@ -357,6 +355,10 @@ def cmd_qbf(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.count < 1:
+        raise ParseError(f"--count must be at least 1, got {args.count}")
+    if args.family == "d3sat" and args.specified is not None and not 0 <= args.specified <= args.atoms:
+        raise ParseError(f"--specified must lie between 0 and --atoms ({args.atoms}), got {args.specified}")
     texts = []
     for i in range(args.count):
         seed = args.seed + i

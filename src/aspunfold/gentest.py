@@ -7,15 +7,22 @@ atoms ``c__a`` code exclusion, support atoms ``s__a`` code that some rule
 supports a, and f-rules of the shape ``__f :- not __f, ...`` act as
 integrity constraints.
 
+Every construction is a transform of the input's rule table and builds no
+``Rule``.  Its atoms are the input's atoms, the complement and support marks
+it uses and ``__f``, sorted by rendering; the input's rules are renumbered
+into them by one merge (``_Extension``), and the construction's rules are
+built over the new numbers.
+
 The testers of one program differ only in which rules of one fixed set they
 hold and in their final constraint, so ``test_program`` compiles that set
-once, deduplicated, into an integer rule table the solver reads, with the
-input rules that switch each rule on.  The tester of a candidate, as a
-program, is derived from the table.
+once, deduplicated, with the input rules that switch each rule on.  The
+tester of a candidate is a table derived from it: the switched-on rules,
+then the final constraint.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -24,28 +31,55 @@ from .syntax import (
     F_ATOM,
     IntRule,
     Program,
-    Rule,
     RuleTable,
     complement,
     positions,
     reject_marked,
-    split_program,
     support,
 )
 
 
-def _constraint(pos: Iterable[Atom], neg: Iterable[Atom]) -> Rule:
-    return Rule(frozenset([F_ATOM]), frozenset(pos), frozenset(neg) | {F_ATOM})
+def _input(p: Program, what: str) -> tuple[RuleTable, list[int]]:
+    """p's table, checked to hold no complement or support atom, and the
+    atoms of its disjunctive heads, ascending."""
+    table = p.table
+    reject_marked(table.atoms, "complement/support", what)
+    return table, sorted({a for head, _, _ in table.rules if len(head) > 1 for a in head})
 
 
-def _dedup(rules: Iterable[Rule]) -> tuple[Rule, ...]:
-    seen = set()
-    out = []
-    for r in rules:
-        if r not in seen:
-            seen.add(r)
-            out.append(r)
-    return tuple(out)
+class _Extension:
+    """The atoms of a construction over ``table``: its atoms, the complement
+    marks of the atoms ``comps`` and the support marks of ``sups`` (input
+    numbers, ascending), and ``__f`` if ``f``, deduplicated by rendering and
+    numbered in sorted order; and the input's rules over those numbers."""
+
+    def __init__(self, table: RuleTable, comps: Sequence[int] = (), sups: Sequence[int] = (), f: bool = True):
+        marks = (
+            [complement(table.atoms[a]) for a in comps],
+            [support(table.atoms[a]) for a in sups],
+            [F_ATOM] if f else [],
+        )
+        by_text = {a.text: a for a in chain(table.atoms, *marks)}
+        self.atoms = tuple(sorted(by_text.values(), key=attrgetter("text")))
+        self.lift = lift = positions(table.atoms, self.atoms)
+        c, s, fs = [positions(m, self.atoms) for m in marks]
+        # The mark of a lifted atom, by that atom's number.
+        self.complement = dict(zip([lift[a] for a in comps], c))
+        self.support = dict(zip([lift[a] for a in sups], s))
+        self.f = fs[0] if fs else -1
+        # Atom numbers follow the atoms' order, so lifted parts stay sorted.
+        self.rules = [
+            (tuple([lift[a] for a in head]), tuple([lift[b] for b in pos]), tuple([lift[c] for c in neg]))
+            for head, pos, neg in table.rules
+        ]
+
+    def f_rule(self, pos: tuple[int, ...], neg: Iterable[int]) -> IntRule:
+        """The constraint ``__f :- pos, not neg, not __f``."""
+        return (self.f,), pos, tuple(sorted({*neg, self.f}))
+
+    def program(self, rules: Iterable[IntRule]) -> Program:
+        """The program of ``rules`` over these atoms, each rule once."""
+        return Program.of_table(RuleTable(self.atoms, dict.fromkeys(rules)))
 
 
 def gen_naive(p: Program) -> Program:
@@ -54,64 +88,70 @@ def gen_naive(p: Program) -> Program:
     The reserved constraint atom gets no choice pair: giving it support would
     disarm every f-constraint, including desugared input constraints.
     """
-    reject_marked(p.base, "complement/support", "gen_naive")
+    table, _ = _input(p, "gen_naive")
+    free = [a for a, atom in enumerate(table.atoms) if atom != F_ATOM]
+    x = _Extension(table, comps=free, f=bool(table.rules))
     rules = []
-    for a in sorted(p.base):
-        if a == F_ATOM:
-            continue
-        rules.append(Rule(frozenset([a]), frozenset(), frozenset([complement(a)])))
-        rules.append(Rule(frozenset([complement(a)]), frozenset(), frozenset([a])))
-    for r in p.rules:
-        rules.append(_constraint(r.pos, r.head | r.neg))
-    return Program(_dedup(rules), base=p.base)
+    for a, c in x.complement.items():
+        rules += [((a,), (), (c,)), ((c,), (), (a,))]
+    rules += [x.f_rule(pos, head + neg) for head, pos, neg in x.rules]
+    return x.program(rules)
+
+
+def _basic_rules(x: _Extension) -> list[IntRule]:
+    """gen_basic's rules: a choice per disjunctive head atom, a constraint
+    per disjunctive rule, and the normal rules as they are."""
+    disjunctive = [r for r in x.rules if len(r[0]) > 1]
+    rules = [
+        ((a,), pos, tuple(sorted((*neg, x.complement[a]))))
+        for head, pos, neg in disjunctive
+        for a in head
+    ]
+    rules += [((c,), (), (a,)) for a, c in x.complement.items()]
+    rules += [x.f_rule(pos, head + neg) for head, pos, neg in disjunctive]
+    rules += [r for r in x.rules if len(r[0]) == 1]
+    return rules
+
+
+def _support_rules(x: _Extension) -> list[IntRule]:
+    """support_program's rules: per rule, one for each of its head atoms
+    that is a disjunctive head atom, and a constraint per such atom."""
+    rules = [
+        ((x.support[a],), pos, tuple(sorted({b for b in head if b != a}.union(neg))))
+        for head, pos, neg in x.rules
+        for a in head
+        if a in x.support
+    ]
+    rules += [x.f_rule((a,), (s,)) for a, s in x.support.items()]
+    return rules
 
 
 def gen_basic(p: Program) -> Program:
     """Choice restricted to disjunctive heads; normal rules pass through."""
-    reject_marked(p.base, "complement/support", "gen_basic")
-    normal, disjunctive, heads = split_program(p)
-    rules = []
-    for r in disjunctive.rules:
-        for a in sorted(r.head):
-            rules.append(Rule(frozenset([a]), r.pos, r.neg | {complement(a)}))
-    for a in sorted(heads):
-        rules.append(Rule(frozenset([complement(a)]), frozenset(), frozenset([a])))
-    for r in disjunctive.rules:
-        rules.append(_constraint(r.pos, r.head | r.neg))
-    rules.extend(normal.rules)
-    return Program(_dedup(rules), base=p.base)
+    table, heads = _input(p, "gen_basic")
+    x = _Extension(table, comps=heads, f=bool(heads))
+    return x.program(_basic_rules(x))
 
 
 def support_program(p: Program) -> Program:
     """Support rules: a rule supports exactly one of its head atoms, and every
     true disjunctive-head atom must have a supporting rule."""
-    reject_marked(p.base, "complement/support", "support_program")
-    _, _, heads = split_program(p)
-    rules = []
-    for r in p.rules:
-        for a in sorted(r.head & heads):
-            rules.append(Rule(frozenset([support(a)]), r.pos, (r.head - {a}) | r.neg))
-    for a in sorted(heads):
-        rules.append(_constraint([a], [support(a)]))
-    return Program(_dedup(rules), base=p.base)
+    table, heads = _input(p, "support_program")
+    x = _Extension(table, sups=heads, f=bool(heads))
+    return x.program(_support_rules(x))
 
 
 def gen_program(p: Program) -> Program:
     """The production generator: basic choice plus supportedness pruning."""
-    return Program(
-        _dedup(gen_basic(p).rules + support_program(p).rules),
-        base=p.base,
-    )
+    table, heads = _input(p, "gen_program")
+    x = _Extension(table, comps=heads, sups=heads, f=bool(heads))
+    return x.program(_basic_rules(x) + _support_rules(x))
 
 
 class TesterTable(RuleTable):
-    """Every rule a tester of p can hold, deduplicated, as a solver's
-    integer rule table, and for each one the input rules that switch it on.
-
-    The last rule is the slot of the final constraint ``:- M.``; it is
-    compiled with the whole base as its positive body, the union of every
-    candidate's, and a solver over the table gives it M before each test.
-    """
+    """Every rule a tester of p can hold but its final constraint,
+    deduplicated, over the atoms of every tester, and for each rule the input
+    rules that switch it on."""
 
     def __init__(
         self,
@@ -119,11 +159,13 @@ class TesterTable(RuleTable):
         rules: Sequence[IntRule],
         inputs: tuple[tuple[frozenset[int], frozenset[int]], ...],
         switches: tuple[tuple[int, int, int], ...],
+        base: Sequence[int],
+        f: int,
     ):
         super().__init__(atoms, rules)
-        self.slot = len(self.rules) - 1
-        # The numbers of the base's atoms, which the slot holds as compiled.
-        self.index = {self.atoms[b]: b for b in self.rules[self.slot][1]}
+        # The numbers of the base's atoms, and of __f.
+        self.index = {self.atoms[b]: b for b in base}
+        self.f = f
         # (positive body, negative body) of each input rule, as atom numbers
         self.inputs = inputs
         # (rule, input rule, head) in the order a tester lists its rules: the
@@ -141,7 +183,7 @@ class TesterTable(RuleTable):
 
     def switched_on(self, m: frozenset[int]) -> list[int]:
         """The rules of the tester for candidate m, each once, in the order of
-        its first switch that is on: the order ``program`` lists them in."""
+        its first switch that is on."""
         live = [pos <= m and m.isdisjoint(neg) for pos, neg in self.inputs]
         live.append(True)  # live[-1], for input -1
         seen = [False] * len(self.rules)
@@ -152,23 +194,17 @@ class TesterTable(RuleTable):
                 out.append(r)
         return out
 
+    def tester(self, m: frozenset[int]) -> RuleTable:
+        """The tester for candidate m, given by atom numbers: its switched-on
+        rules, then the final constraint ``:- M.``, over these atoms."""
+        rules = [self.rules[r] for r in self.switched_on(m)]
+        rules.append(((self.f,), tuple(sorted(m)), (self.f,)))
+        return RuleTable(self.atoms, rules)
+
     def program(self, m: Iterable[Atom]) -> Program:
-        """The tester for candidate m as a program: its stable models are the
-        models of the reduct P^m properly inside m."""
-        ms = self.numbers(m)
-        atoms, rules = self.atoms, []
-        for r in self.switched_on(ms):
-            (h,), pos, neg = self.rules[r]
-            if r == self.slot:
-                pos = ms
-            rules.append(
-                Rule(
-                    frozenset([atoms[h]]),
-                    frozenset(atoms[b] for b in pos),
-                    frozenset(atoms[c] for c in neg),
-                )
-            )
-        return Program(tuple(rules))
+        """The tester for candidate m as a program, a view of its table: its
+        stable models are the models of the reduct P^m properly inside m."""
+        return Program.of_table(self.tester(self.numbers(m)))
 
 
 def test_program(p: Program) -> TesterTable:
@@ -180,45 +216,23 @@ def test_program(p: Program) -> TesterTable:
     holds ``c__a :- not a`` for every disjunctive head atom a, and last the
     final constraint ``:- M.``, so that its stable models are the models of
     the reduct P^M properly inside M."""
-    table = p.table
-    reject_marked(table.atoms, "complement/support", "test_program")
-    heads = sorted({a for head, _, _ in table.rules if len(head) > 1 for a in head})
-    # The input's atoms, the complements of its disjunctive head atoms and
-    # __f, deduplicated by rendering, in sorted order.
-    comps = [complement(table.atoms[a]) for a in heads]
-    by_text = {a.text: a for a in (*table.atoms, *comps, F_ATOM)}
-    atoms = sorted(by_text.values(), key=attrgetter("text"))
-    lift = positions(table.atoms, atoms)
-    (f,) = positions([F_ATOM], atoms)
-    complement_of = dict(zip([lift[a] for a in heads], positions(comps, atoms)))
-    # Atom numbers follow the atoms' order, so lifted parts stay sorted.
-    numbered = [
-        (
-            [lift[a] for a in head],
-            tuple([lift[b] for b in pos]),
-            frozenset([lift[c] for c in neg]),
-        )
-        for head, pos, neg in table.rules
-    ]
-    inputs = tuple((frozenset(pos), neg) for _, pos, neg in numbered)
+    table, heads = _input(p, "test_program")
+    x = _Extension(table, comps=heads)
     listed: list[tuple[IntRule, int, int]] = []  # (rule, input rule, head), in tester order
     # A rule whose head is in its input rule's negative body is switched on
     # by no candidate, so it is left out.
-    for i, (head, pos, neg) in enumerate(numbered):
+    for i, (head, pos, neg) in enumerate(x.rules):
         if len(head) > 1:
-            listed += [(((a,), pos, (complement_of[a],)), i, a) for a in head if a not in neg]
-    for a in sorted(complement_of):
-        listed.append((((complement_of[a],), (), (a,)), -1, -1))
-    for i, (head, pos, neg) in enumerate(numbered):
+            listed += [(((a,), pos, (x.complement[a],)), i, a) for a in head if a not in neg]
+    listed += [(((c,), (), (a,)), -1, -1) for a, c in x.complement.items()]
+    for i, (head, pos, _) in enumerate(x.rules):
         if len(head) > 1:
-            listed.append((((f,), pos, tuple(sorted([*head, f]))), i, -1))
-    for i, (head, pos, neg) in enumerate(numbered):
+            listed.append((x.f_rule(pos, head), i, -1))
+    for i, (head, pos, neg) in enumerate(x.rules):
         if len(head) == 1 and head[0] not in neg:
-            listed.append(((tuple(head), pos, ()), i, head[0]))
-    listed.append((((f,), tuple(lift), (f,)), -1, -1))
+            listed.append(((head, pos, ()), i, head[0]))
 
     number: dict[IntRule, int] = {}
-    switches = []
-    for rule, i, h in listed:
-        switches.append((number.setdefault(rule, len(number)), i, h))
-    return TesterTable(atoms, list(number), inputs, tuple(switches))
+    switches = tuple((number.setdefault(rule, len(number)), i, h) for rule, i, h in listed)
+    inputs = tuple((frozenset(pos), frozenset(neg)) for _, pos, neg in x.rules)
+    return TesterTable(x.atoms, list(number), inputs, switches, x.lift, x.f)

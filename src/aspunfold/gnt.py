@@ -6,13 +6,11 @@ runs the solver's own search and overrides its two hooks: ``_accept`` runs the
 minimality test on each covered candidate, and ``_prune`` runs the early test
 on each positive branch.
 
-One tester solver runs every minimality test of a search.  At the first
-test, ``test_program`` compiles every rule a tester of the input can hold
-into one integer rule table, and a solver is built over it.  Each test
-restarts that solver from its root with the final constraint set to the
-candidate and the rules the candidate does not switch on held blocked, so it
-searches exactly the candidate's tester, and closes the search after it.
-Nothing outlives the search.
+At the first minimality test of a search, ``test_program`` compiles every
+rule a tester of the input can hold, once.  Each test derives the
+candidate's tester from it, as a rule table, and searches it with an
+ordinary ``Solver``, closing the search after the first answer.  Nothing
+outlives the search.
 
 Early tests are gated by a per-search WasCovered flag: set when a candidate
 is covered, cleared by the next early test that passes or is skipped.  A
@@ -68,8 +66,8 @@ class SolveResult:
 
 
 class _Tester:
-    """The minimality tester of one search over p: the solver over p's
-    compiled tester table, built at the first test and restarted for each."""
+    """The minimality tester of one search over p: p's tester table,
+    compiled at the first test, and the solver of the latest test."""
 
     def __init__(self, p: Program):
         self.p = p
@@ -77,14 +75,10 @@ class _Tester:
         self.solver: Optional[Solver] = None
 
     def minimal(self, candidate: frozenset[Atom]) -> bool:
-        if self.solver is None:
+        if self.table is None:
             self.table = test_program(self.p)
-            self.solver = Solver(self.table)
-        table, solver = self.table, self.solver
-        m = table.numbers(candidate)
-        solver.set_pos(table.slot, tuple(sorted(m)))
-        solver.restart(set(range(len(table.rules))).difference(table.switched_on(m)))
-        search = solver.models()
+        self.solver = Solver(self.table.tester(self.table.numbers(candidate)))
+        search = self.solver.models()
         found = next(search, None)
         # Closed at once, so a suspended search outlives no test.
         search.close()

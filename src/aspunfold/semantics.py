@@ -222,13 +222,6 @@ def _disj_value(head: int, t: int, f: int) -> int:
     return 1
 
 
-def _is_partial_model_masks(ms: _Masks, t: int, f: int) -> bool:
-    for h, b, n in ms.rules:
-        if _disj_value(h, t, f) < _conj_value(b, n, t, f):
-            return False
-    return True
-
-
 def _submasks(m: int) -> Iterator[int]:
     """All submasks of m, descending, m itself first and 0 last."""
     sub = m

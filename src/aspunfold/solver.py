@@ -3,7 +3,9 @@
 The solver reads a program as an integer rule table (``RuleTable``): atoms
 numbered in sorted order, rules as (head, positive body, negative body)
 triples of numbers, every head one atom.  Given a ``Program``, it reads the
-table the program is stored as, and builds no ``Rule``.
+table the program is stored as, and builds no ``Rule``.  A solver searches
+the one program it is built over; ``gnt`` builds one for its generator and
+one for each minimality test.
 
 Propagation combines forward/backward unit rules over body counters with
 falsification of unfounded atoms.  Every literal added by expand holds in
@@ -25,16 +27,6 @@ an unfounded set.  Backtracking only unblocks rules, so every source stays
 valid and undo_to keeps them all; it only records the atoms it unassigns
 that have no source, to be given one at the next check.  Expand reaches the
 same fixpoint as falsifying the greatest unfounded set of the whole program.
-
-One solver can search, one after another, programs made of rules of one
-table.  ``restart`` returns it to its root with chosen rules switched off:
-each starts with one false body literal that never goes away, so it is
-blocked throughout and counts nowhere, and the hot loops need no test for
-it.  ``set_pos`` shrinks a rule's positive body.  The components stay those
-of the table as built; a program of its rules has fewer edges, so each of
-its components lies inside one of them, and the check reaches the same
-fixpoint over components that are unions of the program's own.  The
-minimality tester of ``gnt`` runs this way.
 
 Branching follows the negative-phase-first skeleton of smodels: pick the
 undefined atom occurring in the most not-yet-satisfied rules (head not true,
@@ -117,41 +109,13 @@ class Solver:
         ]
         self._init_sccs()
 
-        self._assumed: list[tuple[int, int]] = []
-        for lit in assumptions:
-            if lit.atom not in self.index:
-                raise ValueError(f"assumption atom {lit.atom.text} not in program base")
-            self._assumed.append((self.index[lit.atom], TRUE if lit.positive else FALSE))
-
-        self._gen: Optional[Iterator[frozenset[Atom]]] = None
-        self.restart()
-
-    @cached_property
-    def index(self) -> dict[Atom, int]:
-        """Atom to number, for callers that name atoms."""
-        return {a: i for i, a in enumerate(self.atoms)}
-
-    def restart(self, off: Iterable[int] = ()) -> None:
-        """Go back to the state just after set-up, with fresh statistics and
-        no suspended search, and switch off the rules ``off`` (no rule twice).
-        A rule switched off starts with one false body literal that no
-        assignment or backtrack removes, so it is blocked until the next
-        restart: it counts in no ``active`` count, no branching count and no
-        propagation, and it is never a source."""
-        if self._gen is not None:
-            self._gen.close()
-            self._gen = None
-        n, n_rules = len(self.atoms), len(self.r_head)
         self.stats = SolverStats()
         self.val = [UNDEF] * n
         self.n_assigned = 0
         self.trail: list[int] = []
-        self.n_true = [0] * n_rules
-        self.n_false = [0] * n_rules
+        self.n_true = [0] * len(self.r_head)
+        self.n_false = [0] * len(self.r_head)
         self.active = [len(occ) for occ in self.occ_head]
-        for r in off:
-            self.n_false[r] = 1
-            self.active[self.r_head[r]] -= 1
         self._queue: list[tuple[int, int]] = []
         self._conflict = False
         self.source = [NO_SOURCE if c else ACYCLIC for c in self._cyclic]
@@ -159,43 +123,19 @@ class Solver:
         self._lost = [a for a in range(n) if self._cyclic[a]]
 
         self._initial: list[tuple[int, int]] = [
-            (self.r_head[r], TRUE)
-            for r, size in enumerate(self.r_size)
-            if size == 0 and not self.n_false[r]
+            (self.r_head[r], TRUE) for r, size in enumerate(self.r_size) if size == 0
         ]
         self._initial += [(a, FALSE) for a in range(n) if self.active[a] == 0]
-        self._initial += self._assumed
+        for lit in assumptions:
+            if lit.atom not in self.index:
+                raise ValueError(f"assumption atom {lit.atom.text} not in program base")
+            self._initial.append((self.index[lit.atom], TRUE if lit.positive else FALSE))
+        self._gen: Optional[Iterator[frozenset[Atom]]] = None
 
-    def set_pos(self, r: int, pos: tuple[int, ...]) -> None:
-        """Give rule r the sorted positive body ``pos``, a subset of the one
-        it had at set-up, so that the components found then stay unions of
-        the components of the program; ``restart`` before searching again."""
-        h, neg = self.r_head[r], self.r_neg[r]
-        for b in self.r_pos[r]:
-            self.occ_pos[b].remove(r)
-            if b != h and b not in neg:
-                self.occ_all[b].remove(r)
-        for b in self.r_int[r]:
-            self.occ_int[b].remove(r)
-        for b in pos:
-            self.occ_pos[b].append(r)
-            if b != h and b not in neg:
-                self.occ_all[b].append(r)
-        self.r_pos[r] = pos
-        self.r_size[r] = len(pos) + len(neg)
-        self._set_internal(r)
-
-    def _set_internal(self, r: int) -> None:
-        """r_int[r]: the positive body atoms of r in its head's (cyclic) SCC;
-        occ_int[a]: the rules that have a among them."""
-        h = self.r_head[r]
-        if self._cyclic[h]:
-            comp = self._comp
-            self.r_int[r] = tuple(b for b in self.r_pos[r] if comp[b] == comp[h])
-            for b in self.r_int[r]:
-                self.occ_int[b].append(r)
-        else:
-            self.r_int[r] = ()
+    @cached_property
+    def index(self) -> dict[Atom, int]:
+        """Atom to number, for callers that name atoms."""
+        return {a: i for i, a in enumerate(self.atoms)}
 
     def _init_sccs(self) -> None:
         """Split the positive dependency graph (head to positive body atoms)
@@ -240,12 +180,16 @@ class Solver:
                             comp[w] = n_comps
                             cyclic[w] = is_cyclic
                         n_comps += 1
-        self._comp, self._cyclic = comp, cyclic
+        self._cyclic = cyclic
+        # r_int[r]: the positive body atoms of r in its head's cyclic SCC;
+        # occ_int[a]: the rules that have a among them.
         self.r_int: list[tuple[int, ...]] = [()] * len(self.r_head)
         self.occ_int: list[list[int]] = [[] for _ in range(n)]
         for r, h in enumerate(self.r_head):
             if cyclic[h]:
-                self._set_internal(r)
+                self.r_int[r] = tuple([b for b in self.r_pos[r] if comp[b] == comp[h]])
+                for b in self.r_int[r]:
+                    self.occ_int[b].append(r)
 
     # -- assignment and unit propagation -----------------------------------
 

@@ -16,9 +16,10 @@ A ``Program`` is stored as a ``RuleTable``: its atoms sorted by rendering,
 and per rule a (head, positive body, negative body) triple of sorted atom
 numbers, the head possibly disjunctive.  The solver reads that table.  The
 ``Rule`` objects of ``Program.rules`` are a view of it, built on first read
-and cached, for the oracles, the Rule-based constructions and rendering.
-``Program(rules, base=...)`` keeps its rules and derives the table on first
-use.  The two conversions, ``_table_of`` and ``_rules_of``, live here.
+and cached, for the oracles, the constructions still written over rules
+(QBF, ``tr2``, queries) and rendering.  ``Program(rules, base=...)`` keeps
+its rules and derives the table on first use.  The two conversions,
+``_table_of`` and ``_rules_of``, live here.
 """
 
 from __future__ import annotations
@@ -169,10 +170,6 @@ class Rule:
         return len(self.head) == 1
 
     @property
-    def is_fact(self) -> bool:
-        return not self.pos and not self.neg
-
-    @property
     def atoms(self) -> frozenset[Atom]:
         return self.head | self.pos | self.neg
 
@@ -307,8 +304,9 @@ class Program:
     and the rules are its rules, in order.  ``rules`` and ``base`` are views
     of the table, built on first read and cached; ``Program(rules, base=...)``
     keeps the view it is given and derives the table on first use.  The
-    parser and ``unfold_partiality`` build tables directly, so the path from
-    text through the solver builds no ``Rule``.  Equality and hashing are
+    parser, ``unfold_partiality`` and the constructions of ``gentest`` build
+    tables directly, so the paths from text through the solvers build no
+    ``Rule``.  Equality and hashing are
     those of the table, which determines the rules and the base and is
     determined by them.
     """
@@ -374,17 +372,3 @@ class Program:
 
 def render_program(p: Program) -> str:
     return p.render()
-
-
-def split_program(p: Program) -> tuple[Program, Program, frozenset[Atom]]:
-    """Partition into normal and proper-disjunctive parts plus the latter's head atoms."""
-    normal = tuple(r for r in p.rules if r.is_normal)
-    disjunctive = tuple(r for r in p.rules if not r.is_normal)
-    heads: set[Atom] = set()
-    for r in disjunctive:
-        heads |= r.head
-    return (
-        Program(normal, base=p.base),
-        Program(disjunctive, base=p.base),
-        frozenset(heads),
-    )

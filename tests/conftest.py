@@ -118,30 +118,89 @@ def gated_early_prunes(rng, p, samples):
         yield any(true <= m and not m & false for m in stable)
 
 
+def _constraint(pos, neg):
+    return Rule(frozenset([F_ATOM]), frozenset(pos), frozenset(neg) | {F_ATOM})
+
+
+def _heads(rules):
+    """The head atoms of the disjunctive rules among ``rules``, sorted."""
+    return sorted({a for r in rules if not r.is_normal for a in r.head})
+
+
 def reference_test_program(p, m):
     """The tester of candidate m built rule by rule from p, as it was before
     testers were compiled: the reference for ``test_program(p).program(m)``,
     rules and order."""
-    from aspunfold.syntax import complement, split_program
+    from aspunfold.syntax import complement
 
-    def constraint(pos, neg):
-        return Rule(frozenset([F_ATOM]), frozenset(pos), frozenset(neg) | {F_ATOM})
-
-    normal, disjunctive, heads = split_program(p)
-    live = [r for r in disjunctive.rules if not r.neg & m and r.pos <= m]
+    live = [r for r in p.rules if not r.is_normal and not r.neg & m and r.pos <= m]
     rules = []
     for r in live:
         for a in sorted(r.head & m):
             rules.append(Rule(frozenset([a]), r.pos, frozenset([complement(a)])))
-    for a in sorted(heads):
+    for a in _heads(p.rules):
         rules.append(Rule(frozenset([complement(a)]), frozenset(), frozenset([a])))
     for r in live:
-        rules.append(constraint(r.pos, r.head))
-    for r in normal.rules:
-        if not r.neg & m and r.pos <= m and r.head <= m:
+        rules.append(_constraint(r.pos, r.head))
+    for r in p.rules:
+        if r.is_normal and not r.neg & m and r.pos <= m and r.head <= m:
             rules.append(Rule(r.head, r.pos, frozenset()))
-    rules.append(constraint(m, []))
+    rules.append(_constraint(m, []))
     return Program(tuple(dict.fromkeys(rules)))
+
+
+# The generators built rule by rule, as they were before they became
+# transforms of rule tables: the references for gen_naive, gen_basic,
+# support_program and gen_program, rules, order and base.
+
+
+def reference_gen_naive(p):
+    from aspunfold.syntax import complement, reject_marked
+
+    reject_marked(p.base, "complement/support", "gen_naive")
+    rules = []
+    for a in sorted(p.base - {F_ATOM}):
+        rules.append(Rule(frozenset([a]), frozenset(), frozenset([complement(a)])))
+        rules.append(Rule(frozenset([complement(a)]), frozenset(), frozenset([a])))
+    for r in p.rules:
+        rules.append(_constraint(r.pos, r.head | r.neg))
+    return Program(tuple(dict.fromkeys(rules)), base=p.base)
+
+
+def reference_gen_basic(p):
+    from aspunfold.syntax import complement, reject_marked
+
+    reject_marked(p.base, "complement/support", "gen_basic")
+    disjunctive = [r for r in p.rules if not r.is_normal]
+    rules = []
+    for r in disjunctive:
+        for a in sorted(r.head):
+            rules.append(Rule(frozenset([a]), r.pos, r.neg | {complement(a)}))
+    for a in _heads(p.rules):
+        rules.append(Rule(frozenset([complement(a)]), frozenset(), frozenset([a])))
+    for r in disjunctive:
+        rules.append(_constraint(r.pos, r.head | r.neg))
+    rules += [r for r in p.rules if r.is_normal]
+    return Program(tuple(dict.fromkeys(rules)), base=p.base)
+
+
+def reference_support_program(p):
+    from aspunfold.syntax import reject_marked, support
+
+    reject_marked(p.base, "complement/support", "support_program")
+    heads = _heads(p.rules)
+    rules = []
+    for r in p.rules:
+        for a in sorted(r.head & set(heads)):
+            rules.append(Rule(frozenset([support(a)]), r.pos, (r.head - {a}) | r.neg))
+    for a in heads:
+        rules.append(_constraint([a], [support(a)]))
+    return Program(tuple(dict.fromkeys(rules)), base=p.base)
+
+
+def reference_gen_program(p):
+    rules = reference_gen_basic(p).rules + reference_support_program(p).rules
+    return Program(tuple(dict.fromkeys(rules)), base=p.base)
 
 
 def reference_parse_program(text, allow_reserved=False):

@@ -66,6 +66,15 @@ def test_solve_stats_keys(write):
         assert key in out
 
 
+def test_solve_brute_stats_are_zero_solver_counts(write):
+    for text in ("a | b.\n", "a :- not b.\nb :- not a.\n"):
+        f = write("p.lp", text)
+        for extra in ([], ["--all"]):
+            code, out = run(["solve", f, "--mode", "brute", "--stats", *extra])
+            assert code == 0
+            assert _stats_lines(out) == {"choices": "0", "conflicts": "0", "expansions": "0"}
+
+
 def test_solve_parse_error_exit_1(write, capsys):
     code, _ = run(["solve", write("p.lp", "p__x :- a.\n")])
     assert code == 1
@@ -248,6 +257,28 @@ def test_bench_stdout_and_files(write, tmp_path):
     ]
     code, _ = run(["bench", "d3sat", "--count", "2"])
     assert code == 1  # multiple instances need --out-dir
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+@pytest.mark.parametrize("out_dir", [False, True])
+def test_bench_rejects_count_below_one(capsys, tmp_path, count, out_dir):
+    argv = ["bench", "d3sat", "--count", count]
+    if out_dir:
+        argv += ["--out-dir", str(tmp_path / "insts")]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: --count must be at least 1, got {count}\n"
+    assert not (tmp_path / "insts").exists()
+
+
+def test_bench_rejects_specified_outside_atoms(capsys):
+    for k in ("-1", "11"):
+        assert main(["bench", "d3sat", "--atoms", "10", "--specified", k]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: --specified must lie between 0 and --atoms (10), got {k}\n"
+    for k in ("0", "10"):
+        code, out = run(["bench", "d3sat", "--atoms", "10", "--specified", k])
+        assert code == 0 and out
 
 
 def test_bench_rejects_nonpositive_ratio(capsys):

@@ -1,7 +1,8 @@
 """The integer front end: ``parse_program`` and ``unfold_partiality`` build
 rule tables directly and must give the programs of their former Rule-based
-versions (the references in conftest), rule order included; the path from
-text to partial stable models builds no ``Rule`` at all."""
+versions (the references in conftest), rule order included; the paths from
+text to partial stable models and to disjunctive stable models build no
+``Rule`` at all."""
 
 import io
 import random
@@ -11,7 +12,9 @@ from contextlib import redirect_stdout
 import pytest
 from hypothesis import given
 
+from aspunfold.bench import gen_d3sat_instance
 from aspunfold.cli import main
+from aspunfold.gnt import solve_disjunctive
 from aspunfold.parser import ParseError, parse_program
 from aspunfold.partiality import project_sm, unfold_partiality
 from aspunfold.solver import Solver
@@ -170,6 +173,23 @@ def test_partial_path_builds_no_rule(count_rules, seed):
     trp = unfold_partiality(p)
     psms = [project_sm(n, p.base) for n in Solver(trp).models()]
     assert psms
+    assert count_rules == []
+
+
+@pytest.mark.parametrize("mode", ["gnt1", "gnt2", "naive"])
+def test_disjunctive_path_builds_no_rule(count_rules, mode):
+    # The generators and every tester are transforms of rule tables, so the
+    # path from text to the stable models of a disjunctive program builds no
+    # Rule, whatever the search tests.
+    texts = [render_program(gen_d3sat_instance(12, 4.258, seed, 2).program) for seed in range(3)]
+    count_rules.clear()
+    tests = 0
+    for text in texts:
+        p = parse_program(text)
+        assert not p.is_normal
+        result = solve_disjunctive(p, mode=mode, enumerate_all=True)
+        tests += result.stats.minimal_tests
+    assert tests > 0
     assert count_rules == []
 
 

@@ -1,13 +1,25 @@
+import random
+
 import pytest
 
+from aspunfold.bench import gen_d3sat_instance, gen_random_qbf
 from aspunfold.gentest import gen_basic, gen_naive, gen_program, support_program
 from aspunfold.gentest import test_program as build_test_program
 from aspunfold.parser import parse_program
+from aspunfold.qbf import qbf_to_program
 from aspunfold.semantics import enumerate_stable_models, is_total_model, PartialInterpretation
 from aspunfold.solver import Solver
-from aspunfold.syntax import Atom, F_ATOM, Program, Rule, complement, support
+from aspunfold.syntax import Atom, F_ATOM, U_ATOM, Program, Rule, complement, potential, support
 
-from conftest import random_disjunctive_program
+from conftest import (
+    random_disjunctive_program,
+    random_normal_program,
+    random_positive_program,
+    reference_gen_basic,
+    reference_gen_naive,
+    reference_gen_program,
+    reference_support_program,
+)
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
 DISJ = parse_program("a | b.")
@@ -137,3 +149,60 @@ def test_gen_completeness_against_oracle():
         covered = {frozenset(n & p.base) for n in Solver(gen_program(p)).models()}
         for m in enumerate_stable_models(p):
             assert m in covered
+
+
+GENERATORS = (
+    (gen_naive, reference_gen_naive),
+    (gen_basic, reference_gen_basic),
+    (support_program, reference_support_program),
+    (gen_program, reference_gen_program),
+)
+
+
+def assert_generators_match_reference(p):
+    for gen, reference in GENERATORS:
+        got, ref = gen(p), reference(p)
+        assert got.rules == ref.rules, (gen.__name__, p.rules)
+        assert got.base == ref.base, (gen.__name__, p.rules)
+        # The table built directly equals the one derived from the rules.
+        assert got.table == ref.table, (gen.__name__, p.rules)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_generators_match_reference_on_seeded_programs(seed):
+    # Declared bases wider than the rules, desugared input constraints,
+    # normal and positive programs, and each program read back from its
+    # rendering, which may hold reserved atoms.
+    rng = random.Random(f"extra-{seed}")
+    extra = frozenset([Atom("zz"), potential(Atom("a")), U_ATOM, F_ATOM][: rng.randint(0, 4)])
+    disjunctive = random_disjunctive_program(seed)
+    for p in (
+        random_normal_program(seed),
+        random_normal_program(seed, constraints=False),
+        disjunctive,
+        random_disjunctive_program(seed, constraints=False),
+        random_positive_program(seed),
+        Program(disjunctive.rules, base=disjunctive.base | extra),
+        Program((), base=extra),
+    ):
+        assert_generators_match_reference(p)
+        assert_generators_match_reference(parse_program(p.render(), allow_reserved=True))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_generators_match_reference_on_benchmark_families(seed):
+    assert_generators_match_reference(gen_d3sat_instance(12, 4.258, seed, 2).program)
+    assert_generators_match_reference(qbf_to_program(gen_random_qbf(8, "gw", seed)))
+
+
+def test_generators_reject_marked_input_as_reference():
+    for text in ("a | c__b.", "s__a :- b.", "a :- not c__b, s__c."):
+        p = parse_program(text, allow_reserved=True)
+        for gen, reference in GENERATORS:
+            with pytest.raises(ValueError) as got:
+                gen(p)
+            with pytest.raises(ValueError) as ref:
+                reference(p)
+            # gen_program names itself; its reference failed inside gen_basic.
+            assert str(got.value) == str(ref.value).replace("gen_basic", gen.__name__)
+            assert str(got.value).startswith(f"{gen.__name__}: complement/support atoms present")

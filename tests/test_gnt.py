@@ -384,10 +384,10 @@ def _reduct_has_smaller_model(p, m):
 
 
 def test_compiled_tester_matches_fresh_testers():
-    # One compiled tester runs over every candidate of each program, in
-    # shuffled order, and must leave nothing behind between tests: same
-    # verdict and same search counts as a fresh solver on that candidate's
-    # tester program, which equals the rule-by-rule reference construction.
+    # One compiled tester table serves every candidate of each program, in
+    # shuffled order.  The tester program of a candidate is a view of the
+    # table its test searches and equals the rule-by-rule reference
+    # construction; a search over it gives the test's verdict and counts.
     rng = random.Random("compiled tester")
     seen = {"normal": 0, "loop": 0, "constraints": 0, "shared": 0}
     verdicts = set()
@@ -404,6 +404,7 @@ def test_compiled_tester_matches_fresh_testers():
         rng.shuffle(candidates)
         for m in candidates:
             program = table.program(m)
+            assert program.table == table.tester(table.numbers(m))
             assert program.rules == reference_test_program(p, m).rules
             fresh = Solver(program)
             verdict = fresh.next_stable_model() is None
@@ -423,31 +424,40 @@ def test_compiled_tester_matches_fresh_testers():
 
 
 def test_tester_is_compiled_once_per_search(monkeypatch):
-    # A search builds two solvers, the generator and the tester, however many
-    # candidates it tests, and every test goes through minimal_test.
-    inits, tests, tester_searches = [], [], []
-    init, models, minimal = Solver.__init__, Solver.models, gnt.minimal_test
+    # A search compiles p's tester table once, however many candidates it
+    # tests, and builds one ordinary tester solver per test, inside that
+    # test's call of minimal_test.
+    compiled, tests, testers = [], [], []
+    init, minimal, compile_ = Solver.__init__, gnt.minimal_test, gnt.test_program
 
     def counting_init(self, *args, **kwargs):
-        inits.append(type(self))
+        if not isinstance(self, _Generator):
+            testers.append((type(self), len(tests), depth))
         init(self, *args, **kwargs)
 
-    def counting_models(self):
-        if not isinstance(self, _Generator):
-            tester_searches.append(self)
-        return models(self)
-
     def counting_minimal_test(*args, **kwargs):
+        nonlocal depth
         tests.append(args)
-        return minimal(*args, **kwargs)
+        depth += 1
+        try:
+            return minimal(*args, **kwargs)
+        finally:
+            depth -= 1
+
+    def counting_test_program(p):
+        compiled.append(p)
+        return compile_(p)
 
     monkeypatch.setattr(Solver, "__init__", counting_init)
-    monkeypatch.setattr(Solver, "models", counting_models)
     monkeypatch.setattr(gnt, "minimal_test", counting_minimal_test)
+    monkeypatch.setattr(gnt, "test_program", counting_test_program)
     for v, seed in ((6, 1), (8, 4)):
-        inits.clear(), tests.clear(), tester_searches.clear()
-        r = solve_disjunctive(qbf_to_program(gen_random_qbf(v, "gw", seed)), mode="gnt2")
+        compiled.clear(), tests.clear(), testers.clear()
+        depth = 0
+        p = qbf_to_program(gen_random_qbf(v, "gw", seed))
+        r = solve_disjunctive(p, mode="gnt2")
         assert r.stats.minimal_tests >= 3
-        assert len(tests) == len(tester_searches) == r.stats.minimal_tests
-        assert len(set(map(id, tester_searches))) == 1
-        assert sorted(c.__name__ for c in inits) == ["Solver", "_Generator"]
+        assert compiled == [p]
+        assert len(tests) == r.stats.minimal_tests
+        # the k-th tester solver is built within the k-th test
+        assert testers == [(Solver, k, 1) for k in range(1, len(tests) + 1)]

@@ -16,7 +16,6 @@ from aspunfold.syntax import (
     potential,
     reject_marked,
     render_program,
-    split_program,
     support,
 )
 
@@ -183,19 +182,6 @@ def test_parse_literals():
         parse_literals("a,, b")
     with pytest.raises(ParseError):
         parse_literals("not")
-
-
-def test_split_program():
-    p = parse_program("a | b.\nc :- a.")
-    normal, disj, heads = split_program(p)
-    assert [r.render() for r in normal.rules] == ["c :- a."]
-    assert [r.render() for r in disj.rules] == ["a | b."]
-    assert heads == frozenset([Atom("a"), Atom("b")])
-    assert set(normal.rules) | set(disj.rules) == set(p.rules)
-
-    pn = parse_program("a :- not b.")
-    _, disj, heads = split_program(pn)
-    assert not disj.rules and not heads
 
 
 def test_declared_base_extends_occurring():
