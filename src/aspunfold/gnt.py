@@ -112,12 +112,14 @@ class _Generator(Solver):
     def __init__(self, g: Program, p: Program, config: GntConfig):
         super().__init__(g)
         self.p = p
-        # input rules over generator numbers, read by the early-test condition;
-        # g's atoms hold p's, so p's table renumbers into them by one merge
+        # the input rules with a positive body, over generator numbers: the
+        # early-test condition cannot fail on the others.  g's atoms hold p's,
+        # so p's table renumbers into them by one merge
         lift = positions(p.table.atoms, self.atoms).__getitem__
         self.rules = [
             (tuple(map(lift, head)), tuple(map(lift, pos)), tuple(map(lift, neg)))
             for head, pos, neg in p.table.rules
+            if pos
         ]
         self.config = config
         self.gnt_stats = GntStats()

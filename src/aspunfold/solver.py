@@ -10,7 +10,10 @@ one for each minimality test.
 Propagation combines forward/backward unit rules over body counters with
 falsification of unfounded atoms.  Every literal added by expand holds in
 every stable model of the program agreeing with the current assignment, so a
-covered conflict-free fixpoint is exactly a stable model.
+covered conflict-free fixpoint is exactly a stable model.  Unit propagation
+is one loop, ``_unit_propagate``, over a stack of assignments: the value of
+each picks whether it advances or blocks the bodies in ``occ_pos`` and in
+``occ_neg``, and ``undo_to`` walks the same lists back.
 
 Unfounded atoms are found with source pointers, as in smodels.  At set-up
 the positive dependency graph (head to positive body atoms) is split into
@@ -34,9 +37,10 @@ no body literal false), try ``not x`` before ``x``, and on finding a model
 emit it and backtrack as if conflicted.  Ties go to the lowest index, which
 is the lexicographically smallest rendering, since atoms are indexed in
 sorted order.  An atom's count is at most the number of rules it occurs in,
-so the scan skips, without counting, every atom occurring in no more rules
-than the best count found so far: it could at best tie, and ties go to the
-atom seen first.  Chronological backtracking, no learning.
+so the scan visits atoms by decreasing occurrence count, then by index (an
+order built at the first choice, never updated), and stops at the first
+undefined atom that could at best tie with a best of lower index.
+Chronological backtracking, no learning.
 
 ``_search`` is the package's one stable-model search, a loop over an explicit
 stack of pending positive branches, so its depth is bounded by memory rather
@@ -111,13 +115,11 @@ class Solver:
 
         self.stats = SolverStats()
         self.val = [UNDEF] * n
-        self.n_assigned = 0
         self.trail: list[int] = []
         self.n_true = [0] * len(self.r_head)
         self.n_false = [0] * len(self.r_head)
         self.active = [len(occ) for occ in self.occ_head]
         self._queue: list[tuple[int, int]] = []
-        self._conflict = False
         self.source = [NO_SOURCE if c else ACYCLIC for c in self._cyclic]
         # Cyclic atoms to re-examine at the next check; every one starts sourceless.
         self._lost = [a for a in range(n) if self._cyclic[a]]
@@ -196,99 +198,84 @@ class Solver:
     def _push(self, a: int, v: int) -> None:
         self._queue.append((a, v))
 
-    def _set(self, a: int, v: int) -> bool:
-        cur = self.val[a]
-        if cur != UNDEF:
-            if cur == v:
-                return True
-            self._conflict = True
-            return False
-        self.val[a] = v
-        self.trail.append(a)
-        self.n_assigned += 1
-        if v == TRUE:
-            for r in self.occ_pos[a]:
-                self.n_true[r] += 1
-                self._body_progress(r)
-            for r in self.occ_neg[a]:
-                self.n_false[r] += 1
-                if self.n_false[r] == 1:
-                    self._body_first_false(r)
-            self._head_true(a)
-        else:
-            for r in self.occ_pos[a]:
-                self.n_false[r] += 1
-                if self.n_false[r] == 1:
-                    self._body_first_false(r)
-            for r in self.occ_neg[a]:
-                self.n_true[r] += 1
-                self._body_progress(r)
-            for r in self.occ_head[a]:
-                self._head_false_rule(r)
-        return True
-
-    def _body_progress(self, r: int) -> None:
-        if self.n_false[r]:
-            return
-        if self.n_true[r] == self.r_size[r]:
-            self._push(self.r_head[r], TRUE)
-        elif self.val[self.r_head[r]] == FALSE and self.r_size[r] - self.n_true[r] == 1:
-            self._falsify_last_literal(r)
-
-    def _body_first_false(self, r: int) -> None:
-        h = self.r_head[r]
-        if self.source[h] == r:
-            self._lost.append(h)
-        self.active[h] -= 1
-        if self.active[h] == 0:
-            self._push(h, FALSE)
-        elif self.active[h] == 1 and self.val[h] == TRUE:
-            self._force_single_support(h)
-
-    def _head_true(self, a: int) -> None:
-        if self.active[a] == 0:
-            self._conflict = True
-        elif self.active[a] == 1:
-            self._force_single_support(a)
-
-    def _head_false_rule(self, r: int) -> None:
-        if self.n_false[r]:
-            return
-        if self.n_true[r] == self.r_size[r]:
-            self._conflict = True
-        elif self.r_size[r] - self.n_true[r] == 1:
-            self._falsify_last_literal(r)
-
     def _force_single_support(self, a: int) -> None:
         for r in self.occ_head[a]:
             if self.n_false[r] == 0:
                 for b in self.r_pos[r]:
                     if self.val[b] == UNDEF:
-                        self._push(b, TRUE)
+                        self._queue.append((b, TRUE))
                 for c in self.r_neg[r]:
                     if self.val[c] == UNDEF:
-                        self._push(c, FALSE)
+                        self._queue.append((c, FALSE))
                 return
 
     def _falsify_last_literal(self, r: int) -> None:
         for b in self.r_pos[r]:
             if self.val[b] == UNDEF:
-                self._push(b, FALSE)
+                self._queue.append((b, FALSE))
                 return
         for c in self.r_neg[r]:
             if self.val[c] == UNDEF:
-                self._push(c, TRUE)
+                self._queue.append((c, TRUE))
                 return
 
     def _unit_propagate(self) -> bool:
-        while self._queue:
-            a, v = self._queue.pop()
-            if not self._set(a, v):
-                self._queue.clear()
+        """Apply the queued assignments and everything unit propagation
+        derives from them; False on a conflict, with the queue emptied."""
+        queue, val, trail = self._queue, self.val, self.trail
+        occ_pos, occ_neg, occ_head = self.occ_pos, self.occ_neg, self.occ_head
+        n_true, n_false, r_size, r_head = self.n_true, self.n_false, self.r_size, self.r_head
+        active, source, lost = self.active, self.source, self._lost
+        while queue:
+            a, v = queue.pop()
+            cur = val[a]
+            if cur != UNDEF:
+                if cur == v:
+                    continue
+                queue.clear()
                 return False
-            if self._conflict:
-                self._queue.clear()
-                return False
+            val[a] = v
+            trail.append(a)
+            # A true atom advances the bodies it occurs in positively and
+            # blocks those it occurs in negatively, a false one the reverse;
+            # occ_pos goes first for either value, and so do its pushes.
+            for rules, advances in ((occ_pos[a], v == TRUE), (occ_neg[a], v == FALSE)):
+                if advances:
+                    for r in rules:
+                        n_true[r] += 1
+                        if not n_false[r]:
+                            left = r_size[r] - n_true[r]
+                            if not left:
+                                queue.append((r_head[r], TRUE))
+                            elif left == 1 and val[r_head[r]] == FALSE:
+                                self._falsify_last_literal(r)
+                else:
+                    for r in rules:
+                        n_false[r] += 1
+                        if n_false[r] == 1:
+                            h = r_head[r]
+                            if source[h] == r:
+                                lost.append(h)
+                            active[h] -= 1
+                            if not active[h]:
+                                queue.append((h, FALSE))
+                            elif active[h] == 1 and val[h] == TRUE:
+                                self._force_single_support(h)
+            if v == TRUE:
+                if not active[a]:
+                    queue.clear()
+                    return False
+                if active[a] == 1:
+                    self._force_single_support(a)
+            else:
+                for r in occ_head[a]:
+                    if not n_false[r]:
+                        left = r_size[r] - n_true[r]
+                        if not left:
+                            queue.clear()
+                            return False
+                        if left == 1:
+                            self._falsify_last_literal(r)
         return True
 
     # -- unfounded-set check --------------------------------------------------
@@ -364,47 +351,51 @@ class Solver:
     # -- backtracking -----------------------------------------------------------
 
     def undo_to(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            a = self.trail.pop()
-            v = self.val[a]
-            self.val[a] = UNDEF
-            self.n_assigned -= 1
-            if self.source[a] == NO_SOURCE:
-                self._lost.append(a)  # no longer false: it needs a source again
-            if v == TRUE:
-                for r in self.occ_pos[a]:
-                    self.n_true[r] -= 1
-                for r in self.occ_neg[a]:
-                    self.n_false[r] -= 1
-                    if self.n_false[r] == 0:
-                        self.active[self.r_head[r]] += 1
+        trail, val, source, lost = self.trail, self.val, self.source, self._lost
+        occ_pos, occ_neg, n_true, n_false = self.occ_pos, self.occ_neg, self.n_true, self.n_false
+        active, r_head = self.active, self.r_head
+        for _ in range(len(trail) - mark):
+            a = trail.pop()
+            if val[a] == TRUE:
+                advanced, blocked = occ_pos[a], occ_neg[a]
             else:
-                for r in self.occ_pos[a]:
-                    self.n_false[r] -= 1
-                    if self.n_false[r] == 0:
-                        self.active[self.r_head[r]] += 1
-                for r in self.occ_neg[a]:
-                    self.n_true[r] -= 1
+                advanced, blocked = occ_neg[a], occ_pos[a]
+            val[a] = UNDEF
+            if source[a] == NO_SOURCE:
+                lost.append(a)  # no longer false: it needs a source again
+            for r in advanced:
+                n_true[r] -= 1
+            for r in blocked:
+                n_false[r] -= 1
+                if not n_false[r]:
+                    active[r_head[r]] += 1
         self._queue.clear()
-        self._conflict = False
 
     # -- search -----------------------------------------------------------------
 
+    @cached_property
+    def _by_occurrence(self) -> list[int]:
+        """Atoms by decreasing number of rules they occur in, then by index
+        (the sort is stable)."""
+        occ_all = self.occ_all
+        return sorted(range(len(occ_all)), key=lambda a: -len(occ_all[a]))
+
     def _choose(self) -> int:
         """The undefined atom in the most unsatisfied rules (head not true, no
-        body literal false), the lowest index on ties.  An atom occurring in
-        no more rules than the best count so far cannot beat it, so its rules
-        are not counted."""
-        val, n_false, r_head = self.val, self.n_false, self.r_head
+        body literal false), the lowest index on ties."""
+        val, n_false, r_head, occ_all = self.val, self.n_false, self.r_head, self.occ_all
         best, best_count = -1, -1
-        for a, occ in enumerate(self.occ_all):
-            if val[a] != UNDEF or len(occ) <= best_count:
+        for a in self._by_occurrence:
+            if val[a] != UNDEF:
                 continue
+            occ = occ_all[a]
+            if len(occ) < best_count or (len(occ) == best_count and a > best):
+                break
             count = 0
             for r in occ:
                 if not n_false[r] and val[r_head[r]] != TRUE:
                     count += 1
-            if count > best_count:
+            if count > best_count or (count == best_count and a < best):
                 best, best_count = a, count
         if best < 0:
             raise RuntimeError("no undefined atom to branch on")
@@ -412,7 +403,7 @@ class Solver:
 
     @property
     def covered(self) -> bool:
-        return self.n_assigned == len(self.atoms)
+        return len(self.trail) == len(self.atoms)
 
     def true_atoms(self) -> frozenset[Atom]:
         return frozenset([a for a, v in zip(self.atoms, self.val) if v == TRUE])

@@ -3,7 +3,9 @@
 Any change to propagation that is meant to keep the search the same (same
 choices, same conflicts, same expansions, same candidates and tests) must
 leave every count below unchanged.  The golden values were recorded from the
-whole-program unfounded-set pass that the source-pointer check replaced.
+whole-program unfounded-set pass that the source-pointer check replaced; the
+``*_bench`` cases, at the sizes ``perfbench`` times, from the solver before
+its propagation became one loop.
 """
 
 import random
@@ -85,6 +87,15 @@ GOLDEN = {
     ("partial", 8): (2, 1, 5, 0, 0, 0, 2),
     ("partial", 9): (0, 0, 1, 0, 0, 0, 1),
     ("partial", 10): (13, 11, 27, 0, 0, 0, 3),
+    ("d3sat_bench", 1): (38, 39, 77, 0, 0, 0, 0),
+    ("d3sat_bench", 2): (20, 13, 34, 1, 1, 0, 1),
+    ("d3sat_bench", 3): (42, 37, 80, 1, 1, 0, 1),
+    ("qbf_gw_bench", 1): (82, 61, 155, 1, 6, 5, 0),
+    ("qbf_gw_bench", 2): (130, 84, 234, 2, 11, 8, 0),
+    ("qbf_gw_bench", 3): (79, 48, 139, 1, 6, 5, 0),
+    ("partial_bench", 1): (16, 14, 33, 0, 0, 0, 3),
+    ("partial_bench", 2): (1, 1, 3, 0, 0, 0, 1),
+    ("partial_bench", 3): (83, 83, 167, 0, 0, 0, 1),
 }
 
 
@@ -96,6 +107,12 @@ def _counts(family, seed):
         return _gnt_counts(gen_d3sat_instance(30, 4.258, seed).program)
     if family == "qbf_gw":
         return _gnt_counts(qbf_to_program(gen_random_qbf(10, "gw", seed)))
+    if family == "d3sat_bench":
+        return _gnt_counts(gen_d3sat_instance(50, 4.258, seed).program)
+    if family == "qbf_gw_bench":
+        return _gnt_counts(qbf_to_program(gen_random_qbf(14, "gw", seed)))
+    if family == "partial_bench":
+        return _partial_counts(random_partial_program(seed, atoms=200, rules=400))
     return _partial_counts(random_partial_program(seed))
 
 

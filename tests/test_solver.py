@@ -177,17 +177,17 @@ def random_looping_program(seed):
     return Program(tuple(rules), base=frozenset(atoms))
 
 
-def decision_walks(seeds, rng):
+def decision_walks(seeds, rng, solver=Solver):
     """Random walks of assign, expand and undo_to (back to earlier fixpoints,
     as the search does), one per random looping program, every other program
-    through unfold_partiality.  Yields (p, s, decisions, ok) after each
-    expand, the first one from the facts alone; after a conflict the walk
-    goes back to the last fixpoint."""
+    through unfold_partiality, each walked by a new ``solver``.  Yields
+    (p, s, decisions, ok) after each expand, the first one from the facts
+    alone; after a conflict the walk goes back to the last fixpoint."""
     for seed in seeds:
         p = random_looping_program(seed)
         if seed % 2:
             p = unfold_partiality(p)
-        s = Solver(p)
+        s = solver(p)
         for a, v in s._initial:
             s._push(a, v)
         ok = s._expand()
@@ -261,3 +261,45 @@ def test_choose_matches_full_count():
         list(s.models())
         searched += s.stats.choices
     assert walked > 2500 and searched > 150
+
+
+def assert_counters_match(s):
+    """The body counters, head counts and trail that propagation keeps, each
+    recomputed from the assignment alone."""
+    val = s.val
+    n_true = [
+        sum(val[b] == TRUE for b in pos) + sum(val[c] == FALSE for c in neg)
+        for pos, neg in zip(s.r_pos, s.r_neg)
+    ]
+    n_false = [
+        sum(val[b] == FALSE for b in pos) + sum(val[c] == TRUE for c in neg)
+        for pos, neg in zip(s.r_pos, s.r_neg)
+    ]
+    active = [sum(1 for r in occ if not n_false[r]) for occ in s.occ_head]
+    assert (s.n_true, s.n_false, s.active) == (n_true, n_false, active), s.program
+    assert len(s.trail) == sum(v != UNDEF for v in val), s.program
+    assert set(s.trail) == {a for a, v in enumerate(val) if v != UNDEF}
+
+
+class CountedSolver(Solver):
+    """A solver that checks its counters against its assignment after every
+    expand and every undo_to."""
+
+    def _expand(self):
+        ok = super()._expand()
+        assert_counters_match(self)
+        return ok
+
+    def undo_to(self, mark):
+        super().undo_to(mark)
+        assert_counters_match(self)
+
+
+def test_counters_match_assignment():
+    # n_true, n_false and active follow val through propagation, conflicts
+    # and backtracking, and the trail holds exactly the assigned atoms.
+    expansions = conflicts = 0
+    for p, s, decisions, ok in decision_walks(range(600), random.Random(7), CountedSolver):
+        expansions += 1
+        conflicts += not ok
+    assert expansions > 4000 and conflicts > 2000
