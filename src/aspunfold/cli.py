@@ -24,7 +24,7 @@ from .partiality import (
     possibility_query,
     project_sm,
     query_by_filter,
-    query_constraint_rules,
+    query_constrained,
     tr2_program,
     unfold_partiality,
 )
@@ -41,7 +41,7 @@ from .semantics import (
     TruthValue,
 )
 from .solver import Solver, SolverStats
-from .syntax import Atom, F_ATOM, Program, render_program
+from .syntax import Atom, Program, render_program
 
 EXIT_MODELS = 0
 EXIT_NO_MODELS = 20
@@ -306,10 +306,7 @@ def cmd_query(args) -> int:
                     break
             report.stats = _stats_dict(solver=SolverStats())
         else:
-            augmented = Program(
-                p.rules + query_constraint_rules(q), base=p.base | {F_ATOM}
-            )
-            models, report.stats = _solve_program(augmented, args, enumerate_all=False)
+            models, report.stats = _solve_program(query_constrained(p, q), args, enumerate_all=False)
             ok = bool(models)
             model = models[0] & p.base if models else None
         if ok and model is not None:

@@ -10,6 +10,8 @@ with atom true is ruled out by the consistency rules.
 ``unfold_partiality`` maps the input's rule table to the translation's
 without building a ``Rule``: the marked atoms sort as one block, so an
 atom's number and its mark's are shifts of its number in the input.
+``tr2_program`` and ``query_constrained`` extend a table by ``__f`` and
+append rules over it, so possibility queries build no ``Rule`` either.
 """
 
 from __future__ import annotations
@@ -18,7 +20,14 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .gnt import GntConfig, GntStats, SolveResult, solve_disjunctive
-from .semantics import PartialInterpretation, UnknownAtomError
+from .gentest import _Extension
+from .semantics import (
+    PartialInterpretation,
+    TruthValue,
+    UnknownAtomError,
+    enumerate_partial_stable_models,
+    eval_conj,
+)
 from .solver import Solver
 from .syntax import (
     Atom,
@@ -26,8 +35,8 @@ from .syntax import (
     IntRule,
     Literal,
     Program,
-    Rule,
     RuleTable,
+    positions,
     potential,
     potential_block,
     reject_marked,
@@ -105,30 +114,34 @@ def translate_query(q: QueryLiterals) -> QueryLiterals:
 
 
 def tr2_program(p: Program) -> Program:
-    """Translation variant whose flag atom detects leftover undefined atoms."""
+    """Translation variant whose flag atom detects leftover undefined atoms:
+    tr(p), then ``__f :- p__a, not a`` per base atom a in sorted order."""
     if F_ATOM in p.base:
         raise ValueError("tr2 requires the reserved atom __f to be fresh")
-    trp = unfold_partiality(p)
-    extra = tuple(
-        Rule(frozenset([F_ATOM]), frozenset([potential(a)]), frozenset([a]))
-        for a in sorted(p.base)
-    )
-    return Program(trp.rules + extra, base=trp.base | {F_ATOM})
+    atoms = p.table.atoms
+    x = _Extension(unfold_partiality(p).table)
+    plain = positions(atoms, x.atoms)
+    marked = positions([potential(a) for a in atoms], x.atoms)
+    rules = x.rules + [((x.f,), (m,), (a,)) for a, m in zip(plain, marked)]
+    return Program.of_table(RuleTable(x.atoms, rules))
 
 
 def tr2_query(q: QueryLiterals) -> QueryLiterals:
     return QueryLiterals(q.literals | {Literal(F_ATOM, False)})
 
 
-def query_constraint_rules(q: QueryLiterals) -> tuple[Rule, ...]:
-    """Constraint rules forcing every literal of q true in a stable model."""
-    rules = []
-    for lit in sorted(q.literals):
-        if lit.positive:
-            rules.append(Rule(frozenset([F_ATOM]), frozenset(), frozenset([F_ATOM, lit.atom])))
-        else:
-            rules.append(Rule(frozenset([F_ATOM]), frozenset([lit.atom]), frozenset([F_ATOM])))
-    return tuple(rules)
+def query_constrained(p: Program, q: QueryLiterals) -> Program:
+    """p's rules, then a constraint per literal of q in sorted order that
+    forces it true in every stable model: ``:- not a.`` for a, ``:- a.`` for
+    not a.  The base is p's plus ``__f``; q's atoms must lie in p's base."""
+    x = _Extension(p.table)
+    literals = sorted(q.literals)
+    numbers = positions([l.atom for l in literals], x.atoms)
+    rules = x.rules + [
+        x.f_rule((), (a,)) if l.positive else x.f_rule((a,), ())
+        for l, a in zip(literals, numbers)
+    ]
+    return Program.of_table(RuleTable(x.atoms, rules))
 
 
 def possibility_query(
@@ -149,11 +162,7 @@ def possibility_query(
     unknown = sorted(q.atoms - p.base)
     if unknown:
         raise UnknownAtomError(f"query atom {unknown[0].text} not in program base")
-    trp = unfold_partiality(p)
-    augmented = Program(
-        trp.rules + query_constraint_rules(translate_query(q)),
-        base=trp.base | {F_ATOM},
-    )
+    augmented = query_constrained(unfold_partiality(p), translate_query(q))
     if augmented.is_normal and mode != "brute":
         solver = Solver(augmented)
         n = solver.next_stable_model()
@@ -169,8 +178,6 @@ def query_by_filter(
     p: Program, q: QueryLiterals, cap: int = 12
 ) -> tuple[bool, Optional[PartialInterpretation]]:
     """Oracle fallback: enumerate partial stable models and test the query directly."""
-    from .semantics import enumerate_partial_stable_models, eval_conj, TruthValue
-
     unknown = sorted(q.atoms - p.base)
     if unknown:
         raise UnknownAtomError(f"query atom {unknown[0].text} not in program base")

@@ -6,6 +6,8 @@ leaves the clause set of not-phi unsatisfiable over Y.  The translation
 chooses per clause whether it stays active (``cl__i``/``ncl__i``), explains
 the choice against the X-literals through f-constraints, and runs the
 unsatisfiability check over Y with the saturation atom ``__u``.
+``qbf_to_program`` builds the program's rule table directly, without a
+``Rule``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .syntax import (
     F_ATOM,
     Literal,
     Program,
-    Rule,
+    RuleTable,
     U_ATOM,
     clause_atom,
     clause_negation_atom,
@@ -136,39 +138,38 @@ def negate_dnf(q: Qbf2E) -> list[NegClause]:
     return out
 
 
-def clause_translation(c: NegClause, i: int) -> tuple[tuple[Rule, ...], tuple[Rule, ...], tuple[Rule, ...]]:
-    """Per-clause rule groups: activity choice, explanation, unsatisfiability."""
-    ci, nci = clause_atom(i), clause_negation_atom(i)
-    tr_v = (
-        Rule(frozenset([ci]), frozenset(), frozenset([nci])),
-        Rule(frozenset([nci]), frozenset(), frozenset([ci])),
-    )
-    tr_e = tuple(
-        Rule(frozenset([F_ATOM]), frozenset([x]), frozenset([nci, F_ATOM]))
-        for x in sorted(c.x_pos)
-    ) + tuple(
-        Rule(frozenset([x]), frozenset(), frozenset([nci])) for x in sorted(c.x_neg)
-    ) + (Rule(frozenset([F_ATOM]), c.x_neg, c.x_pos | {ci, F_ATOM}),)
-    tr_u = tuple(
-        Rule(frozenset([y]), frozenset([U_ATOM]), frozenset())
-        for y in sorted(c.y_pos | c.y_neg)
-    ) + (Rule(c.y_pos | {U_ATOM}, c.y_neg, frozenset([nci])),)
-    return tr_v, tr_e, tr_u
-
-
 def qbf_to_program(q: Qbf2E) -> Program:
-    rules: list[Rule] = []
-    for i, c in enumerate(negate_dnf(q), 1):
-        for group in clause_translation(c, i):
-            rules.extend(group)
-    rules.append(Rule(frozenset([U_ATOM]), frozenset(), frozenset([U_ATOM])))
-    seen = set()
-    deduped = []
-    for r in rules:
-        if r not in seen:
-            seen.add(r)
-            deduped.append(r)
-    return Program(tuple(deduped))
+    """The translation as a rule table.  Per clause i of not-phi: the
+    activity choice ``cl__i :- not ncl__i.`` and ``ncl__i :- not cl__i.``;
+    the explanation, an f-constraint per X1-atom, ``x :- not ncl__i.`` per
+    X2-atom and ``:- X2, not X1, not cl__i.``; the unsatisfiability check,
+    ``y :- __u.`` per Y-atom and ``Y1 | __u :- Y2, not ncl__i.``.  Then
+    ``__u :- not __u.``  Duplicates are dropped, the first kept, and the base
+    is the atoms the rules use."""
+    clauses = negate_dnf(q)
+    # The variables are numbered in sorted order, so sorting their numbers
+    # sorts them by rendering, the order in which the rules list them.
+    texts = [U_ATOM.text, *sorted({l.atom.text for term in q.terms for l in term})]
+    var = {t: i for i, t in enumerate(texts)}
+    u, f = 0, len(texts)
+    if clauses:
+        texts.append(F_ATOM.text)  # every clause's explanation uses __f
+    rules = []
+    for i, c in enumerate(clauses, 1):
+        ci, nci = len(texts), len(texts) + 1
+        texts += [clause_atom(i).text, clause_negation_atom(i).text]
+        xp, xn, yp, yn = (
+            sorted([var[a.text] for a in atoms]) for atoms in (c.x_pos, c.x_neg, c.y_pos, c.y_neg)
+        )
+        rules += [((ci,), (), (nci,)), ((nci,), (), (ci,))]
+        rules += [((f,), (x,), (nci, f)) for x in xp]
+        rules += [((x,), (), (nci,)) for x in xn]
+        rules.append(((f,), xn, (*xp, ci, f)))
+        rules += [((y,), (u,), ()) for y in sorted(yp + yn)]
+        rules.append(((*yp, u), yn, (nci,)))
+    rules.append(((u,), (), (u,)))
+    table = RuleTable.numbered(texts, rules)
+    return Program.of_table(RuleTable(table.atoms, dict.fromkeys(table.rules)))
 
 
 def qbf_witness(q: Qbf2E, cap: int = DEFAULT_QBF_CAP) -> Optional[frozenset[Atom]]:

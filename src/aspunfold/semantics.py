@@ -159,15 +159,6 @@ def tv_reduct(p: Program, m: PartialInterpretation) -> list[ReducedRule]:
     return out
 
 
-def reduced_satisfies(i: PartialInterpretation, rr: ReducedRule) -> bool:
-    body = min(eval_conj(i, (Literal(b, True) for b in rr.pos_body)), rr.const_body)
-    return eval_disj(i, rr.head) >= body
-
-
-def is_partial_model_of_reduct(i: PartialInterpretation, rrs: Sequence[ReducedRule]) -> bool:
-    return all(reduced_satisfies(i, rr) for rr in rrs)
-
-
 # ---------------------------------------------------------------------------
 # Bitmask internals.  Atom order is the sorted rendering order, so every
 # enumeration below is deterministic.
@@ -181,15 +172,14 @@ class _Masks:
 
 
 def _compile(p: Program) -> _Masks:
-    atoms = sorted(p.base)
-    index = {a: i for i, a in enumerate(atoms)}
-    rules = []
-    for r in p.rules:
-        h = sum(1 << index[a] for a in r.head)
-        b = sum(1 << index[a] for a in r.pos)
-        n = sum(1 << index[a] for a in r.neg)
-        rules.append((h, b, n))
-    return _Masks(atoms, index, rules, (1 << len(atoms)) - 1)
+    """p's table as masks: bit i is the table's atom i."""
+    table = p.table
+    atoms = list(table.atoms)
+    rules = [
+        (sum(1 << a for a in head), sum(1 << b for b in pos), sum(1 << c for c in neg))
+        for head, pos, neg in table.rules
+    ]
+    return _Masks(atoms, {a: i for i, a in enumerate(atoms)}, rules, (1 << len(atoms)) - 1)
 
 
 def _mask(ms: _Masks, atoms: Iterable[Atom]) -> int:
@@ -239,14 +229,15 @@ def _total_model_of(rules: list[tuple[int, int]], t: int) -> bool:
     return True
 
 
-def _is_stable_masks(ms: _Masks, t: int) -> bool:
-    reduct = [(h, b) for h, b, n in ms.rules if not n & t]
-    if not _total_model_of(reduct, t):
+def _minimal_model(rules: list[tuple[int, int]], t: int) -> bool:
+    """Whether t is a subset-minimal model of the positive rules (head, body)."""
+    if not _total_model_of(rules, t):
         return False
-    for sub in _submasks(t):
-        if sub != t and _total_model_of(reduct, sub):
-            return False
-    return True
+    return all(sub == t or not _total_model_of(rules, sub) for sub in _submasks(t))
+
+
+def _is_stable_masks(ms: _Masks, t: int) -> bool:
+    return _minimal_model([(h, b) for h, b, n in ms.rules if not n & t], t)
 
 
 def _reduced_rules_masks(ms: _Masks, t: int, f: int) -> list[tuple[int, int, int]]:
@@ -432,36 +423,33 @@ def check_total_stable(p: Program, n: PartialInterpretation, cap: int = DEFAULT_
     """None if n is a stable model, otherwise the failed condition."""
     if not n.is_total:
         raise ValueError("expected a total interpretation")
-    if not is_total_model(n, p):
+    ms = _compile(p)
+    t = _mask(ms, n.true_set)
+    reduct = [(h, b) for h, b, c in ms.rules if not c & t]
+    if not _total_model_of(reduct, t):
         return "rule unsatisfied"
-    if not is_stable_model(p, n, cap):
+    _require_cap(len(n.true_set), cap, "stable-model minimality check")
+    if not _minimal_model(reduct, t):
         return "not minimal model of reduct"
     return None
 
 
 def check_partial_stable(p: Program, m: PartialInterpretation, cap: int = DEFAULT_CAP) -> Optional[str]:
-    """None if m is a partial stable model, otherwise the failed condition."""
+    """None if m is a partial stable model, otherwise the failed condition:
+    m is no partial model of the three-valued reduct, or T is no minimal
+    model of the GL reduct (the rules with every negative body atom in F,
+    negation dropped), or else some weaker interpretation models the
+    three-valued reduct."""
     _require_cap(len(p.base), cap, "partial-stable-model check")
-    rrs = tv_reduct(p, m)
-    if not is_partial_model_of_reduct(m, rrs):
+    ms = _compile(p)
+    t, f = _mask(ms, m.true_set), _mask(ms, m.false_set)
+    if not _partial_model_of_reduct(_reduced_rules_masks(ms, t, f), t, f):
         return "rule unsatisfied"
-    if is_partial_stable_model(p, m, cap):
+    if _is_psm_masks(ms, t, f):
         return None
-    glred = gl_reduct(p, m)
-    tm = PartialInterpretation.total(m.true_set, p.base)
-    if not is_total_model(tm, glred) or not _minimal_total_model(glred, m.true_set, cap):
+    if not _minimal_model([(h, b) for h, b, c in ms.rules if c & f == c], t):
         return "not minimal model of reduct"
     return "unfounded-set condition violated"
-
-
-def _minimal_total_model(positive: Program, true_atoms: frozenset[Atom], cap: int) -> bool:
-    _require_cap(len(true_atoms), cap, "minimal-model check")
-    ms = _compile(positive)
-    t = _mask(ms, true_atoms)
-    rules = [(h, b) for h, b, _ in ms.rules]
-    if not _total_model_of(rules, t):
-        return False
-    return all(sub == t or not _total_model_of(rules, sub) for sub in _submasks(t))
 
 
 def maximal_models(

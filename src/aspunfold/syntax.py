@@ -14,12 +14,12 @@ branching choice.  Only this module knows how a mark is spelled.
 
 A ``Program`` is stored as a ``RuleTable``: its atoms sorted by rendering,
 and per rule a (head, positive body, negative body) triple of sorted atom
-numbers, the head possibly disjunctive.  The solver reads that table.  The
-``Rule`` objects of ``Program.rules`` are a view of it, built on first read
-and cached, for the oracles, the constructions still written over rules
-(QBF, ``tr2``, queries) and rendering.  ``Program(rules, base=...)`` keeps
-its rules and derives the table on first use.  The two conversions,
-``_table_of`` and ``_rules_of``, live here.
+numbers, the head possibly disjunctive.  Every translation builds such a
+table and the solver and the oracles read it.  The ``Rule`` objects of
+``Program.rules`` are a view of it, built on first read and cached, for the
+edges: rendering, instance generation and the object-level semantics.
+``Program(rules, base=...)`` keeps its rules and derives the table on first
+use.  The two conversions, ``_table_of`` and ``_rules_of``, live here.
 """
 
 from __future__ import annotations
@@ -304,11 +304,10 @@ class Program:
     and the rules are its rules, in order.  ``rules`` and ``base`` are views
     of the table, built on first read and cached; ``Program(rules, base=...)``
     keeps the view it is given and derives the table on first use.  The
-    parser, ``unfold_partiality`` and the constructions of ``gentest`` build
-    tables directly, so the paths from text through the solvers build no
-    ``Rule``.  Equality and hashing are
-    those of the table, which determines the rules and the base and is
-    determined by them.
+    parser and every translation build tables directly, so the paths from
+    text through the solvers and the oracles build no ``Rule``.  Equality
+    and hashing are those of the table, which determines the rules and the
+    base and is determined by them.
     """
 
     __slots__ = ("_rules", "_base", "_table")

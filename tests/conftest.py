@@ -1,5 +1,6 @@
 import random
 import sys
+from itertools import combinations
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -291,6 +292,129 @@ def reference_unfold_partiality(p):
     for a in sorted(p.base):
         rules.append(Rule(frozenset([potential(a)]), frozenset([a]), frozenset()))
     return Program(tuple(rules), base=p.base | {potential(a) for a in p.base})
+
+
+def assert_same_program(got, want):
+    """A transform matches its reference: rules in order, base, table and
+    rendering."""
+    assert got.rules == want.rules
+    assert got.base == want.base
+    assert got.table == want.table
+    assert got.render() == want.render()
+
+
+def reference_clause_translation(c, i):
+    """The per-clause rule groups of the QBF translation (activity choice,
+    explanation, unsatisfiability), built rule by rule as the translation
+    was before it became a table transform."""
+    from aspunfold.syntax import U_ATOM, clause_atom, clause_negation_atom
+
+    ci, nci = clause_atom(i), clause_negation_atom(i)
+    tr_v = (
+        Rule(frozenset([ci]), frozenset(), frozenset([nci])),
+        Rule(frozenset([nci]), frozenset(), frozenset([ci])),
+    )
+    tr_e = tuple(
+        Rule(frozenset([F_ATOM]), frozenset([x]), frozenset([nci, F_ATOM]))
+        for x in sorted(c.x_pos)
+    ) + tuple(
+        Rule(frozenset([x]), frozenset(), frozenset([nci])) for x in sorted(c.x_neg)
+    ) + (Rule(frozenset([F_ATOM]), c.x_neg, c.x_pos | {ci, F_ATOM}),)
+    tr_u = tuple(
+        Rule(frozenset([y]), frozenset([U_ATOM]), frozenset())
+        for y in sorted(c.y_pos | c.y_neg)
+    ) + (Rule(c.y_pos | {U_ATOM}, c.y_neg, frozenset([nci])),)
+    return tr_v, tr_e, tr_u
+
+
+def reference_qbf_to_program(q):
+    """The reference for ``qbf_to_program``: rules, order and base."""
+    from aspunfold.qbf import negate_dnf
+    from aspunfold.syntax import U_ATOM
+
+    rules = []
+    for i, c in enumerate(negate_dnf(q), 1):
+        for group in reference_clause_translation(c, i):
+            rules.extend(group)
+    rules.append(Rule(frozenset([U_ATOM]), frozenset(), frozenset([U_ATOM])))
+    return Program(tuple(dict.fromkeys(rules)))
+
+
+def reference_tr2_program(p):
+    """``tr2`` built rule by rule: the reference for ``tr2_program``."""
+    from aspunfold.partiality import unfold_partiality
+    from aspunfold.syntax import potential
+
+    if F_ATOM in p.base:
+        raise ValueError("tr2 requires the reserved atom __f to be fresh")
+    trp = unfold_partiality(p)
+    extra = tuple(
+        Rule(frozenset([F_ATOM]), frozenset([potential(a)]), frozenset([a]))
+        for a in sorted(p.base)
+    )
+    return Program(trp.rules + extra, base=trp.base | {F_ATOM})
+
+
+def reference_query_constraint_rules(q):
+    """Constraint rules forcing every literal of q true in a stable model."""
+    rules = []
+    for lit in sorted(q.literals):
+        if lit.positive:
+            rules.append(Rule(frozenset([F_ATOM]), frozenset(), frozenset([F_ATOM, lit.atom])))
+        else:
+            rules.append(Rule(frozenset([F_ATOM]), frozenset([lit.atom]), frozenset([F_ATOM])))
+    return tuple(rules)
+
+
+def reference_query_constrained(p, q):
+    """The reference for ``query_constrained``: rules, order and base."""
+    return Program(p.rules + reference_query_constraint_rules(q), base=p.base | {F_ATOM})
+
+
+def reference_check_total_stable(p, n, cap=12):
+    """``check_total_stable`` as it was, over the object-level model check."""
+    from aspunfold.semantics import is_stable_model, is_total_model
+
+    if not is_total_model(n, p):
+        return "rule unsatisfied"
+    if not is_stable_model(p, n, cap):
+        return "not minimal model of reduct"
+    return None
+
+
+def reference_check_partial_stable(p, m, cap=12):
+    """``check_partial_stable`` as it was, deciding with the masks and naming
+    the failed condition from the object-level reducts: the reference for
+    its verdict and reason."""
+    from aspunfold.semantics import (
+        PartialInterpretation,
+        eval_conj,
+        eval_disj,
+        gl_reduct,
+        is_partial_stable_model,
+        is_total_model,
+        tv_reduct,
+    )
+
+    def reduced_satisfies(i, rr):
+        body = min(eval_conj(i, (Literal(b, True) for b in rr.pos_body)), rr.const_body)
+        return eval_disj(i, rr.head) >= body
+
+    if not all(reduced_satisfies(m, rr) for rr in tv_reduct(p, m)):
+        return "rule unsatisfied"
+    if is_partial_stable_model(p, m, cap):
+        return None
+    glred = gl_reduct(p, m)
+    smaller = (
+        frozenset(sub)
+        for k in range(len(m.true_set))
+        for sub in combinations(sorted(m.true_set), k)
+    )
+    if not is_total_model(PartialInterpretation.total(m.true_set, p.base), glred) or any(
+        is_total_model(PartialInterpretation.total(sub, p.base), glred) for sub in smaller
+    ):
+        return "not minimal model of reduct"
+    return "unfounded-set condition violated"
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,14 @@ from contextlib import redirect_stdout
 import pytest
 from hypothesis import given
 
-from aspunfold.bench import gen_d3sat_instance
+from aspunfold.bench import gen_d3sat_instance, gen_random_qbf
 from aspunfold.cli import main
 from aspunfold.gnt import solve_disjunctive
 from aspunfold.parser import ParseError, parse_program
-from aspunfold.partiality import project_sm, unfold_partiality
+from aspunfold.partiality import QueryLiterals, possibility_query, project_sm, unfold_partiality
+from aspunfold.qbf import parse_qbf, qbf_to_program, render_qbf
 from aspunfold.solver import Solver
-from aspunfold.syntax import Atom, Program, Rule, render_program
+from aspunfold.syntax import Atom, Literal, Program, Rule, render_program
 
 from conftest import (
     program_st,
@@ -176,20 +177,53 @@ def test_partial_path_builds_no_rule(count_rules, seed):
     assert count_rules == []
 
 
-@pytest.mark.parametrize("mode", ["gnt1", "gnt2", "naive"])
+@pytest.mark.parametrize("mode", ["gnt1", "gnt2", "naive", "brute"])
 def test_disjunctive_path_builds_no_rule(count_rules, mode):
-    # The generators and every tester are transforms of rule tables, so the
-    # path from text to the stable models of a disjunctive program builds no
-    # Rule, whatever the search tests.
-    texts = [render_program(gen_d3sat_instance(12, 4.258, seed, 2).program) for seed in range(3)]
+    # The generators and every tester are transforms of rule tables, and the
+    # oracle reads the table too, so the path from text to the stable models
+    # of a disjunctive program builds no Rule, whatever the search tests.
+    n = 8 if mode == "brute" else 12  # the oracle enumerates 2^(n+1) sets
+    texts = [render_program(gen_d3sat_instance(n, 4.258, seed, 2).program) for seed in range(3)]
     count_rules.clear()
-    tests = 0
+    tests = models = 0
     for text in texts:
         p = parse_program(text)
         assert not p.is_normal
         result = solve_disjunctive(p, mode=mode, enumerate_all=True)
         tests += result.stats.minimal_tests
-    assert tests > 0
+        models += len(result.models)
+    assert models > 0 and (tests > 0 or mode == "brute")
+    assert count_rules == []
+
+
+@pytest.mark.parametrize("mode", ["gnt1", "gnt2", "naive"])
+def test_qbf_path_builds_no_rule(count_rules, mode):
+    # The QBF translation builds a rule table directly.
+    qbfs = [gen_random_qbf(8, "gw", seed) for seed in range(2)]
+    qbfs += [gen_random_qbf(8, "sqrt", seed) for seed in (4, 5)]  # valid, invalid
+    texts = [render_qbf(q) for q in qbfs]
+    count_rules.clear()
+    tests = valid = 0
+    for text in texts:
+        result = solve_disjunctive(qbf_to_program(parse_qbf(text)), mode=mode)
+        tests += result.stats.minimal_tests
+        valid += bool(result.models)
+    assert tests > 0 and 0 < valid < len(texts)
+    assert count_rules == []
+
+
+def test_possibility_query_builds_no_rule(count_rules):
+    # The query constraints extend the translation's rule table.
+    texts = [random_normal_text(seed, atoms=8, rules=12) for seed in range(3)]
+    texts += [render_program(gen_d3sat_instance(4, 4.258, seed, 1).program) for seed in range(2)]
+    count_rules.clear()
+    answers = set()
+    for i, text in enumerate(texts):
+        p = parse_program(text)
+        atoms = sorted(p.base)
+        q = QueryLiterals(frozenset([Literal(atoms[i % len(atoms)], i % 2 == 0)]))
+        answers.add(possibility_query(p, q)[0])
+    assert answers == {True, False}
     assert count_rules == []
 
 

@@ -9,7 +9,7 @@ from aspunfold.partiality import (
     possibility_query,
     project_sm,
     query_by_filter,
-    query_constraint_rules,
+    query_constrained,
     tr2_program,
     tr2_query,
     translate_query,
@@ -25,7 +25,14 @@ from aspunfold.semantics import (
 )
 from aspunfold.syntax import Atom, F_ATOM, Literal, Program, Rule, potential
 
-from conftest import random_disjunctive_program, random_partial_interpretation
+from conftest import (
+    assert_same_program,
+    random_disjunctive_program,
+    random_normal_program,
+    random_partial_interpretation,
+    reference_query_constrained,
+    reference_tr2_program,
+)
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
 EX3 = parse_program("a | b :- not a.")
@@ -141,11 +148,48 @@ def test_possibility_queries():
 
 
 def test_query_constraint_rules():
-    rules = query_constraint_rules(QueryLiterals(frozenset([Literal(A), Literal(B, False)])))
-    assert set(rules) == {
+    p = parse_program("c :- not a.")
+    q = QueryLiterals(frozenset([Literal(B, False), Literal(A)]))
+    assert query_constrained(Program(p.rules, base=[A, B, C]), q).rules == (
+        Rule(frozenset([C]), frozenset(), frozenset([A])),
         Rule(frozenset([F_ATOM]), frozenset(), frozenset([F_ATOM, A])),
         Rule(frozenset([F_ATOM]), frozenset([B]), frozenset([F_ATOM])),
-    }
+    )
+
+
+def seeded_programs(count):
+    for seed in range(count):
+        yield random_normal_program(seed)
+        yield random_disjunctive_program(seed)
+        yield random_normal_program(seed, constraints=False)
+        yield random_disjunctive_program(seed, constraints=False)
+
+
+def test_tr2_matches_reference():
+    for p in [*seeded_programs(40), Program((), base=[A]), Program(())]:
+        if F_ATOM in p.base:
+            with pytest.raises(ValueError, match="__f"):
+                tr2_program(p)
+            continue
+        assert_same_program(tr2_program(p), reference_tr2_program(p))
+
+
+def random_query(rng, base):
+    """Literals over a random subset of ``base``, ``__f`` included, each
+    positive or negative; sometimes empty."""
+    atoms = rng.sample(sorted(base), rng.randint(0, len(base)))
+    return QueryLiterals(frozenset(Literal(a, rng.random() < 0.5) for a in atoms))
+
+
+def test_query_constrained_matches_reference():
+    # Total: constraints on p itself; partial: on tr(p), with the
+    # translated query, as possibility_query builds it.
+    rng = random.Random(12)
+    for p in seeded_programs(40):
+        q = random_query(rng, p.base)
+        assert_same_program(query_constrained(p, q), reference_query_constrained(p, q))
+        trp, tq = unfold_partiality(p), translate_query(q)
+        assert_same_program(query_constrained(trp, tq), reference_query_constrained(trp, tq))
 
 
 def test_maximality_makes_no_difference_for_possibility():

@@ -39,6 +39,8 @@ from aspunfold.syntax import (
     render_program,
 )
 
+from conftest import assert_same_program, reference_clause_translation, reference_qbf_to_program
+
 X, Y = Atom("x"), Atom("y")
 
 
@@ -114,6 +116,18 @@ def test_translation_empty_clause_set():
     assert solve_disjunctive(p, mode="gnt2").models == []
 
 
+def test_translation_matches_reference():
+    # gw and sqrt QBFs of every size, a QBF with no terms, existential
+    # variables that occur in no term, and terms that give duplicate rules
+    # (y :- __u. once per term over y, and a repeated term).
+    qbfs = [gen_random_qbf(v, "sqrt", seed) for v in range(3, 15) for seed in range(5)]
+    qbfs += [gen_random_qbf(v, "gw", seed) for v in range(6, 15, 2) for seed in range(5)]
+    qbfs += [parse_qbf(text) for text in ("e\na\n", "e x z\na y\nx y\n", "e x\na y w\n-x y\n-x y\ny -w\n")]
+    qbfs += [Qbf2E((X,), (Y,), ()), Qbf2E((Atom("b"), X, Atom("a")), (Y,), (frozenset([lit(X), lit(Y, False)]),))]
+    for q in qbfs:
+        assert_same_program(qbf_to_program(q), reference_qbf_to_program(q))
+
+
 def test_translation_size_bound():
     for seed in range(30):
         q = gen_random_qbf(8, "gw", seed)
@@ -175,8 +189,6 @@ def test_reduct_structure_lemma():
     interpretations tying clause atoms to the X-part.  The stated conditions
     for the explanation-rule reducts are necessary; the exact membership
     conditions additionally route through the clause-activity atom."""
-    from aspunfold.qbf import clause_translation
-
     rng = random.Random(4)
     for seed in range(40):
         q = gen_random_qbf(6, "gw", seed)
@@ -186,7 +198,7 @@ def test_reduct_structure_lemma():
         total = PartialInterpretation.total(m & p.base, p.base)
         for i, c in enumerate(clauses, 1):
             ci, nci = clause_atom(i), clause_negation_atom(i)
-            tr_v, tr_e, tr_u = clause_translation(c, i)
+            tr_v, tr_e, tr_u = reference_clause_translation(c, i)
             red_v = set(gl_reduct(Program(tr_v, base=p.base), total).rules)
             red_e = set(gl_reduct(Program(tr_e, base=p.base), total).rules)
             red_u = set(gl_reduct(Program(tr_u, base=p.base), total).rules)

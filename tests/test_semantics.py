@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -34,7 +35,12 @@ from aspunfold.semantics import (
 )
 from aspunfold.syntax import Atom, Literal, Program, Rule
 
-from conftest import random_normal_program
+from conftest import (
+    random_disjunctive_program,
+    random_normal_program,
+    reference_check_partial_stable,
+    reference_check_total_stable,
+)
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
 
@@ -187,6 +193,42 @@ def test_check_reasons():
     # total-as-partial failure names the theorem-2 condition that broke
     assert check_partial_stable(EX3, interp([A], [B], EX3.base)) == "not minimal model of reduct"
     assert check_partial_stable(p, interp([], [A], p.base)) == "rule unsatisfied"
+
+
+def test_checks_match_reference():
+    # Every (T, F) over the base of seeded programs with at most 5 atoms,
+    # __f included: the mask-only checks give the former verdicts and
+    # reasons, and between them every reason occurs.
+    reasons = set()
+    for seed in range(30):
+        for p in (
+            random_normal_program(seed, max_atoms=4),
+            random_disjunctive_program(seed, max_atoms=4),
+            random_normal_program(seed, max_atoms=5, constraints=False),
+            random_disjunctive_program(seed, max_atoms=5, constraints=False),
+        ):
+            atoms = sorted(p.base)
+            assert len(atoms) <= 5
+            for values in itertools.product("tfu", repeat=len(atoms)):
+                t = [a for a, v in zip(atoms, values) if v == "t"]
+                f = [a for a, v in zip(atoms, values) if v == "f"]
+                m = interp(t, f, atoms)
+                got = check_partial_stable(p, m)
+                assert got == reference_check_partial_stable(p, m)
+                reasons.add(("partial", got))
+                if m.is_total:
+                    got = check_total_stable(p, m)
+                    assert got == reference_check_total_stable(p, m)
+                    reasons.add(("total", got))
+    assert reasons == {
+        ("partial", None),
+        ("partial", "rule unsatisfied"),
+        ("partial", "not minimal model of reduct"),
+        ("partial", "unfounded-set condition violated"),
+        ("total", None),
+        ("total", "rule unsatisfied"),
+        ("total", "not minimal model of reduct"),
+    }
 
 
 def test_maximal_models_orderings():
