@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Compare the basic and supportedness-pruned generators on random
-minimal-model 3-SAT programs: candidates covered, minimality tests, prunes,
-and decision outcomes per instance family.
+minimal-model 3-SAT programs: candidates covered, minimality tests, early
+prunes, learned sets and their prunes, and decision outcomes per instance
+family.
 
 Instances run independently; --jobs parallelizes across them while keeping
 output deterministic (results are ordered by seed before printing).
@@ -28,6 +29,8 @@ def run_instance(task):
         "candidates": result.stats.candidates_covered,
         "tests": result.stats.minimal_tests,
         "prunes": result.stats.early_prunes,
+        "learned": result.stats.learned_sets,
+        "learned_prunes": result.stats.learned_prunes,
         "choices": result.solver_stats.choices,
     }
 
@@ -62,7 +65,7 @@ def main():
     for mode in ("gnt1", "gnt2"):
         sub = [r for r in rows if r["mode"] == mode]
         sat = sum(r["sat"] for r in sub)
-        for key in ("candidates", "tests", "prunes", "choices"):
+        for key in ("candidates", "tests", "prunes", "learned", "learned_prunes", "choices"):
             values = [r[key] for r in sub]
             print(
                 f"{mode} {key}: mean={sum(values)/len(values):.2f} "

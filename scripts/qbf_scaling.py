@@ -31,6 +31,8 @@ def main():
         valid = 0
         choices = 0
         tests = 0
+        learned = 0
+        learned_prunes = 0
         mismatches = 0
         for i in range(args.count):
             q = gen_random_qbf(v, args.scheme, args.seed + i)
@@ -39,6 +41,8 @@ def main():
             valid += is_valid
             choices += result.solver_stats.choices
             tests += result.stats.minimal_tests
+            learned += result.stats.learned_sets
+            learned_prunes += result.stats.learned_prunes
             if args.verify and len(q.variables) <= 20:
                 if qbf_valid_oracle(q) != is_valid:
                     mismatches += 1
@@ -49,6 +53,8 @@ def main():
             "valid": valid,
             "mean_choices": choices / args.count,
             "mean_tests": tests / args.count,
+            "mean_learned": learned / args.count,
+            "mean_learned_prunes": learned_prunes / args.count,
         }
         if args.verify:
             row["oracle_mismatches"] = mismatches
@@ -60,7 +66,8 @@ def main():
         for row in rows:
             line = (
                 f"{row['scheme']} v={row['v']}: valid {row['valid']}/{row['count']}, "
-                f"mean choices={row['mean_choices']:.1f}, mean tests={row['mean_tests']:.1f}"
+                f"mean choices={row['mean_choices']:.1f}, mean tests={row['mean_tests']:.1f}, "
+                f"mean learned={row['mean_learned']:.1f}, mean learned prunes={row['mean_learned_prunes']:.1f}"
             )
             if args.verify:
                 line += f", oracle mismatches={row['oracle_mismatches']}"

@@ -147,6 +147,8 @@ def _stats_dict(gnt=None, solver: Optional[SolverStats] = None) -> dict[str, int
         out["candidates"] = gnt.candidates_covered
         out["tests"] = gnt.minimal_tests
         out["prunes"] = gnt.early_prunes
+        out["learned"] = gnt.learned_sets
+        out["learned_prunes"] = gnt.learned_prunes
     if solver is not None:
         out["choices"] = solver.choices
         out["conflicts"] = solver.conflicts

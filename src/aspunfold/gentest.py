@@ -11,7 +11,9 @@ Every construction is a transform of the input's rule table and builds no
 ``Rule``.  Its atoms are the input's atoms, the complement and support marks
 it uses and ``__f``, sorted by rendering; the input's rules are renumbered
 into them by one merge (``_Extension``), and the construction's rules are
-built over the new numbers.
+built over the new numbers.  A construction's table keeps the lifted input
+rules (``GeneratorTable.inputs``), so the search over it needs no second
+lift.
 
 The testers of one program differ only in which rules of one fixed set they
 hold and in their final constraint, so ``test_program`` compiles that set
@@ -78,8 +80,20 @@ class _Extension:
         return (self.f,), pos, tuple(sorted({*neg, self.f}))
 
     def program(self, rules: Iterable[IntRule]) -> Program:
-        """The program of ``rules`` over these atoms, each rule once."""
-        return Program.of_table(RuleTable(self.atoms, dict.fromkeys(rules)))
+        """The program of ``rules`` over these atoms, each rule once, stored
+        as a ``GeneratorTable`` that keeps the lifted input."""
+        return Program.of_table(GeneratorTable(self.atoms, dict.fromkeys(rules), self.rules))
+
+
+class GeneratorTable(RuleTable):
+    """A construction's rules, and the input's rules over the same numbers,
+    which the generate-and-test search reads."""
+
+    __slots__ = ("inputs",)
+
+    def __init__(self, atoms: Sequence[Atom], rules: Sequence[IntRule], inputs: Sequence[IntRule]):
+        super().__init__(atoms, rules)
+        self.inputs = inputs
 
 
 def gen_naive(p: Program) -> Program:

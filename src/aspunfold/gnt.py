@@ -4,7 +4,9 @@ certify each covered candidate by showing its tester has no stable model.
 The search mirrors the two-engine layout.  The generator is a ``Solver`` that
 runs the solver's own search and overrides its two hooks: ``_accept`` runs the
 minimality test on each covered candidate, and ``_prune`` runs the early test
-on each positive branch.
+on each positive branch.  The generator reads the input's rules over its own
+atom numbers from its table (``GeneratorTable.inputs``), lifted once by the
+construction that built it.
 
 At the first minimality test of a search, ``test_program`` compiles every
 rule a tester of the input can hold, once.  Each test derives the
@@ -25,6 +27,29 @@ has a body that is already false (a positive atom false or a negative atom
 true).  Then, for every stable model M extending the assignment,
 N | (M - T) is a model of the reduct P^M properly inside M, so pruning
 loses no stable model.  When the condition fails the test is skipped.
+
+Every failed test, final or early, on true atoms T with tester model N
+teaches the search the set U = T - N.  U is an unfounded set of the input
+with respect to T (Leone, Rullo and Scarcello 1997): every input rule with
+a head atom in U has a positive body atom in U, a body false in T, or a
+head atom outside U true in T.  The search keeps U with its external
+support: the input rules with a head atom in U and no positive body atom
+in U, each as its head atoms outside U and its body.  Such a rule is
+blocked when a positive body atom is false, a negative body atom is true,
+or a head atom outside U is true.  U fires on an assignment that makes an
+atom of U true and blocks every rule of its external support.  A fired U
+prunes the branch in ``_prune``, before the early test, and rejects a
+covered candidate in ``_accept``, without a test.
+
+This loses no stable model, whatever U is and at whatever node it fires.
+Let a stable model S extend the assignment.  Blocking only grows as an
+assignment is extended, so every rule of U's external support is blocked
+in S, and every other rule with a head atom in U has a positive body atom
+in U.  So U is unfounded with respect to S, and it meets S in the atom of
+U that the assignment makes true.  A stable model is unfounded-free, so no
+such S exists.  The argument needs neither the early-test condition nor
+the WasCovered flag, and a learned prune leaves the flag as it is, as a
+failed early test does.
 """
 
 from __future__ import annotations
@@ -35,7 +60,7 @@ from typing import Iterable, Optional
 from .gentest import TesterTable, gen_basic, gen_naive, gen_program, test_program
 from .semantics import enumerate_stable_models
 from .solver import FALSE, TRUE, Solver, SolverStats
-from .syntax import Atom, Program, positions
+from .syntax import Atom, IntRule, Program
 
 MODES = ("gnt1", "gnt2", "naive", "brute")
 
@@ -47,6 +72,8 @@ class GntStats:
     candidates_covered: int = 0
     minimal_tests: int = 0
     early_prunes: int = 0
+    learned_sets: int = 0
+    learned_prunes: int = 0  # branches pruned and candidates rejected by a learned set
 
 
 @dataclass
@@ -67,22 +94,24 @@ class SolveResult:
 
 class _Tester:
     """The minimality tester of one search over p: p's tester table,
-    compiled at the first test, and the solver of the latest test."""
+    compiled at the first test, and the solver and the tester model (None
+    if the test passed) of the latest test."""
 
     def __init__(self, p: Program):
         self.p = p
         self.table: Optional[TesterTable] = None
         self.solver: Optional[Solver] = None
+        self.model: Optional[frozenset[Atom]] = None
 
     def minimal(self, candidate: frozenset[Atom]) -> bool:
         if self.table is None:
             self.table = test_program(self.p)
         self.solver = Solver(self.table.tester(self.table.numbers(candidate)))
         search = self.solver.models()
-        found = next(search, None)
+        self.model = next(search, None)
         # Closed at once, so a suspended search outlives no test.
         search.close()
-        return found is None
+        return self.model is None
 
 
 def minimal_test(
@@ -106,29 +135,62 @@ def minimal_test(
 
 
 class _Generator(Solver):
-    """The generator's search, with the minimality test on covered candidates
-    and the gated early test on positive branches."""
+    """The generator's search, with the minimality test on covered candidates,
+    the gated early test on positive branches, and the sets learned from
+    failed tests pruning both."""
 
     def __init__(self, g: Program, p: Program, config: GntConfig):
         super().__init__(g)
         self.p = p
-        # the input rules with a positive body, over generator numbers: the
-        # early-test condition cannot fail on the others.  g's atoms hold p's,
-        # so p's table renumbers into them by one merge
-        lift = positions(p.table.atoms, self.atoms).__getitem__
-        self.rules = [
-            (tuple(map(lift, head)), tuple(map(lift, pos)), tuple(map(lift, neg)))
-            for head, pos, neg in p.table.rules
-            if pos
-        ]
+        # p's rules over g's numbers, lifted by the construction of g
+        self.rules = g.table.inputs
         self.config = config
         self.gnt_stats = GntStats()
         self.tester_stats = SolverStats()
         self.tester = _Tester(p)
         self.was_covered = False
+        # per learned set: its atoms, and its external support as
+        # (head atoms outside the set, positive body, negative body)
+        self.learned: list[tuple[tuple[int, ...], list[IntRule]]] = []
+        self._heads: Optional[list[list[IntRule]]] = None  # rules by head atom, at the first failed test
 
     def _minimal(self) -> bool:
-        return minimal_test(self.p, self.true_atoms(), self.gnt_stats, self.tester_stats, self.tester)
+        candidate = self.true_atoms() & self.p.base
+        if minimal_test(self.p, candidate, self.gnt_stats, self.tester_stats, self.tester):
+            return True
+        self._learn(candidate - self.tester.model)
+        return False
+
+    def _learn(self, u: frozenset[Atom]) -> None:
+        """Keep the unfounded set u of a failed test with its external support."""
+        if self._heads is None:
+            self._heads = [[] for _ in self.atoms]
+            for rule in self.rules:
+                for h in rule[0]:
+                    self._heads[h].append(rule)
+        atoms = sorted(self.index[a] for a in u)
+        inside = set(atoms)
+        support = dict.fromkeys(
+            rule for a in atoms for rule in self._heads[a] if inside.isdisjoint(rule[1])
+        )
+        outside = [(tuple([h for h in head if h not in inside]), pos, neg) for head, pos, neg in support]
+        self.learned.append((tuple(atoms), outside))
+        self.gnt_stats.learned_sets += 1
+
+    def _refuted(self) -> bool:
+        """Whether a learned set fires: an atom of it is true and every rule
+        of its external support is blocked."""
+        val = self.val
+        for atoms, support in self.learned:
+            if any(val[a] == TRUE for a in atoms) and all(
+                any(val[h] == TRUE for h in head)
+                or any(val[b] == FALSE for b in pos)
+                or any(val[c] == TRUE for c in neg)
+                for head, pos, neg in support
+            ):
+                self.gnt_stats.learned_prunes += 1
+                return True
+        return False
 
     def _early_test_sound(self) -> bool:
         """The condition of the module docstring under which an early test
@@ -136,7 +198,8 @@ class _Generator(Solver):
         val = self.val
         for head, pos, neg in self.rules:
             if (
-                any(val[h] == TRUE for h in head)
+                pos
+                and any(val[h] == TRUE for h in head)
                 and not all(val[b] == TRUE for b in pos)
                 and not any(val[b] == FALSE for b in pos)
                 and not any(val[c] == TRUE for c in neg)
@@ -147,9 +210,13 @@ class _Generator(Solver):
     def _accept(self) -> bool:
         self.was_covered = True
         self.gnt_stats.candidates_covered += 1
+        if self.learned and self._refuted():
+            return False
         return self._minimal()
 
     def _prune(self) -> bool:
+        if self.learned and self._refuted():
+            return True
         if (
             self.was_covered
             and self.config.early_test == "on"

@@ -39,7 +39,9 @@ is the lexicographically smallest rendering, since atoms are indexed in
 sorted order.  An atom's count is at most the number of rules it occurs in,
 so the scan visits atoms by decreasing occurrence count, then by index (an
 order built at the first choice, never updated), and stops at the first
-undefined atom that could at best tie with a best of lower index.
+undefined atom that could at best tie with a best of lower index.  The
+search keeps, with each choice, the scan position before which every atom
+is assigned, so the scan starts past the atoms assigned above it.
 Chronological backtracking, no learning.
 
 ``_search`` is the package's one stable-model search, a loop over an explicit
@@ -380,12 +382,19 @@ class Solver:
         occ_all = self.occ_all
         return sorted(range(len(occ_all)), key=lambda a: -len(occ_all[a]))
 
-    def _choose(self) -> int:
+    def _choose(self, start: int = 0) -> tuple[int, int]:
         """The undefined atom in the most unsatisfied rules (head not true, no
-        body literal false), the lowest index on ties."""
+        body literal false), the lowest index on ties; and the position of
+        the first undefined atom in ``_by_occurrence``.  Every atom before
+        position ``start`` there must be assigned."""
         val, n_false, r_head, occ_all = self.val, self.n_false, self.r_head, self.occ_all
+        order = self._by_occurrence
+        end = len(order)
+        while start < end and val[order[start]] != UNDEF:
+            start += 1
         best, best_count = -1, -1
-        for a in self._by_occurrence:
+        for i in range(start, end):
+            a = order[i]
             if val[a] != UNDEF:
                 continue
             occ = occ_all[a]
@@ -399,7 +408,7 @@ class Solver:
                 best, best_count = a, count
         if best < 0:
             raise RuntimeError("no undefined atom to branch on")
-        return best
+        return best, start
 
     @property
     def covered(self) -> bool:
@@ -419,12 +428,15 @@ class Solver:
 
     def _search(self) -> Iterator[frozenset[Atom]]:
         # One entry per choice whose positive branch is still to come: the
-        # trail length before its negative branch, and the chosen atom.
-        stack: list[tuple[int, int]] = []
+        # trail length before its negative branch, the chosen atom, and the
+        # scan position of _choose, before which every atom was assigned
+        # below that trail length.
+        stack: list[tuple[int, int, int]] = []
         root = len(self.trail)
         for a, v in self._initial:
             self._push(a, v)
         positive = False
+        start = 0
         while True:
             if not self._expand():
                 self.stats.conflicts += 1
@@ -434,16 +446,16 @@ class Solver:
                 if self._accept():
                     yield self.true_atoms()
             else:
-                x = self._choose()
+                x, start = self._choose(start)
                 self.stats.choices += 1
-                stack.append((len(self.trail), x))
+                stack.append((len(self.trail), x, start))
                 self._push(x, FALSE)
                 positive = False
                 continue
             if not stack:
                 self.undo_to(root)
                 return
-            mark, x = stack.pop()
+            mark, x, start = stack.pop()
             self.undo_to(mark)
             self._push(x, TRUE)
             positive = True
@@ -470,7 +482,7 @@ class Solver:
     assign_and_extend = assign_and_expand
 
     def pick_atom(self) -> Atom:
-        a = self._choose()
+        a, _ = self._choose()
         self.stats.choices += 1
         return self.atoms[a]
 

@@ -7,7 +7,9 @@ from dataclasses import dataclass
 import hypothesis
 from hypothesis import strategies as st
 
-from aspunfold.syntax import Atom, F_ATOM, Literal, Program, Rule
+from aspunfold import gnt
+from aspunfold.solver import FALSE, TRUE, Solver, SolverStats
+from aspunfold.syntax import Atom, F_ATOM, Literal, Program, Rule, positions
 
 hypothesis.settings.register_profile("det", derandomize=True, max_examples=60)
 hypothesis.settings.load_profile("det")
@@ -117,6 +119,80 @@ def gated_early_prunes(rng, p, samples):
         true = g.true_atoms() & p.base
         false = {a for a in p.base if g.val[g.index[a]] == FALSE}
         yield any(true <= m and not m & false for m in stable)
+
+
+class ReferenceGenerator(Solver):
+    """The generator of ``solve_disjunctive`` as it was before failed tests
+    taught it unfounded sets: the minimality test on covered candidates and
+    the gated early test on positive branches, nothing learned."""
+
+    def __init__(self, g, p, config):
+        super().__init__(g)
+        self.p = p
+        lift = positions(p.table.atoms, self.atoms).__getitem__
+        self.rules = [
+            (tuple(map(lift, head)), tuple(map(lift, pos)), tuple(map(lift, neg)))
+            for head, pos, neg in p.table.rules
+            if pos
+        ]
+        self.config = config
+        self.gnt_stats = gnt.GntStats()
+        self.tester_stats = SolverStats()
+        self.tester = gnt._Tester(p)
+        self.was_covered = False
+
+    def _minimal(self):
+        return gnt.minimal_test(self.p, self.true_atoms(), self.gnt_stats, self.tester_stats, self.tester)
+
+    def _early_test_sound(self):
+        val = self.val
+        for head, pos, neg in self.rules:
+            if (
+                any(val[h] == TRUE for h in head)
+                and not all(val[b] == TRUE for b in pos)
+                and not any(val[b] == FALSE for b in pos)
+                and not any(val[c] == TRUE for c in neg)
+            ):
+                return False
+        return True
+
+    def _accept(self):
+        self.was_covered = True
+        self.gnt_stats.candidates_covered += 1
+        return self._minimal()
+
+    def _prune(self):
+        if (
+            self.was_covered
+            and self.config.early_test == "on"
+            and self._early_test_sound()
+            and not self._minimal()
+        ):
+            self.gnt_stats.early_prunes += 1
+            return True
+        self.was_covered = False
+        return False
+
+
+def reference_solve_disjunctive(p, mode="gnt2", enumerate_all=False, config=None):
+    """``solve_disjunctive`` over ``ReferenceGenerator``: the reference for
+    its models in every generator mode, and for the counts it had before
+    learning."""
+    generator = ReferenceGenerator(gnt._GENERATORS[mode](p), p, config or gnt.GntConfig())
+    seen, models = set(), []
+    search = generator.models()
+    for n in search:
+        if n & p.base not in seen:
+            seen.add(n & p.base)
+            models.append(n & p.base)
+        if not enumerate_all:
+            break
+    search.close()
+    models.sort(key=sorted)
+    solver_stats = SolverStats()
+    solver_stats.merge(generator.stats)
+    solver_stats.merge(generator.tester_stats)
+    return gnt.SolveResult(models, generator.gnt_stats, solver_stats)
 
 
 def _constraint(pos, neg):

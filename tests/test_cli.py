@@ -13,7 +13,13 @@ import pytest
 import aspunfold
 from aspunfold.bench import gen_random_qbf
 from aspunfold.cli import REPORT_SCHEMA, main
+from aspunfold.gnt import GntConfig
+from aspunfold.parser import parse_program
+from aspunfold.partiality import QueryLiterals, query_constrained, translate_query, unfold_partiality
 from aspunfold.qbf import render_qbf
+from aspunfold.syntax import Atom, Literal
+
+from conftest import reference_solve_disjunctive
 
 EX1 = "a | b :- c, not a.\n"
 EX3 = "a | b :- not a.\n"
@@ -62,7 +68,7 @@ def test_solve_modes_agree(write):
 
 def test_solve_stats_keys(write):
     _, out = run(["solve", write("p.lp", "a | b.\n"), "--all", "--stats"])
-    for key in ("candidates=", "tests=", "choices=", "conflicts="):
+    for key in ("candidates=", "tests=", "learned=", "learned_prunes=", "choices=", "conflicts="):
         assert key in out
 
 
@@ -397,14 +403,30 @@ def _stats_lines(out):
 
 
 def test_query_partial_honours_early_test(write):
-    # gnt2 on the query's translation prunes twice under early tests
-    f = write("e.lp", "b | c :- a, b.\na | c.\na | b | c :- a.\n")
-    prunes = {}
+    # Without learning, gnt2 on the first program's query translation pruned
+    # twice under early tests.  With it, the set learned from the first
+    # failed test prunes those two branches before an early test runs, under
+    # either setting.  On the second program an early test still prunes once.
+    text = "b | c :- a, b.\na | c.\na | b | c :- a.\n"
+    f = write("e.lp", text)
+    g = write("g.lp", "c | d :- d.\nb | d.\nd :- b, c.\na | b | d :- not d.\nb | c.\n")
+    augmented = query_constrained(
+        unfold_partiality(parse_program(text)), translate_query(QueryLiterals(frozenset([Literal(Atom("b"), True)])))
+    )
+    before, learned, prunes = {}, {}, {}
     for policy in ("on", "off"):
+        r = reference_solve_disjunctive(augmented, config=GntConfig(early_test=policy))
+        before[policy] = r.stats.early_prunes
         code, out = run(["query", f, "--query", "b", "--early-test", policy, "--stats"])
         assert code == 20 and out.splitlines()[0] == "NO"
+        stats = _stats_lines(out)
+        learned[policy] = tuple(int(stats[k]) for k in ("prunes", "learned", "learned_prunes"))
+        code, out = run(["query", g, "--query", "d", "--early-test", policy, "--stats"])
+        assert code == 0 and out.splitlines()[0] == "YES"
         prunes[policy] = int(_stats_lines(out)["prunes"])
-    assert prunes == {"on": 2, "off": 0}
+    assert before == {"on": 2, "off": 0}
+    assert learned == {"on": (0, 1, 2), "off": (0, 1, 2)}
+    assert prunes == {"on": 1, "off": 0}
 
 
 def test_query_stats(write):

@@ -7,19 +7,20 @@ from aspunfold import gnt
 from aspunfold.gentest import gen_program
 from aspunfold.gentest import test_program as build_test_program
 from aspunfold.gnt import GntConfig, GntStats, minimal_test, solve_disjunctive
-from aspunfold.gnt import _Generator, _Tester
+from aspunfold.gnt import _GENERATORS, _Generator, _Tester
 from aspunfold.parser import parse_program
 from aspunfold.partiality import unfold_partiality
 from aspunfold.qbf import qbf_to_program, qbf_valid_oracle
-from aspunfold.semantics import enumerate_stable_models, is_stable_model, PartialInterpretation
+from aspunfold.semantics import enumerate_stable_models, is_stable_model, unfounded_sets, PartialInterpretation
 from aspunfold.solver import Solver, SolverStats
-from aspunfold.syntax import Atom, F_ATOM, Program, Rule, complement, support
+from aspunfold.syntax import Atom, F_ATOM, Program, Rule, complement, positions, support
 
 from conftest import (
     gated_early_prunes,
     random_disjunctive_program,
     random_normal_program,
     recursion_headroom,
+    reference_solve_disjunctive,
     reference_test_program,
 )
 
@@ -74,6 +75,21 @@ def test_solve_disjunctive_first_model_only():
     assert len(r.models) == 1
 
 
+def test_generator_reads_the_input_lifted_by_its_construction():
+    # The generator's input rules are the list its construction lifted, not
+    # a second lift; they are p's rules renumbered into g's atoms.
+    for seed in range(40):
+        p = random_disjunctive_program(seed)
+        for mode, build in _GENERATORS.items():
+            g = build(p)
+            search = _Generator(g, p, GntConfig())
+            assert search.rules is g.table.inputs
+            lift = positions(p.table.atoms, g.table.atoms)
+            assert search.rules == [
+                tuple(tuple(lift[a] for a in part) for part in rule) for rule in p.table.rules
+            ], mode
+
+
 def test_generator_starts_from_facts():
     # facts are set before the first choice, so a rule whose body is all
     # facts costs the generator no more than the bare disjunction
@@ -113,17 +129,19 @@ def test_early_test_policies_do_not_change_models():
 
 
 def test_early_prunes_bounded_by_tests():
+    # Every covered candidate is tested or refuted by a learned set.
     for seed in range(40):
         p = random_disjunctive_program(seed)
         r = solve_disjunctive(p, mode="gnt1", enumerate_all=True)
         assert r.stats.early_prunes <= r.stats.minimal_tests
-        assert r.stats.minimal_tests >= r.stats.candidates_covered
+        assert r.stats.minimal_tests + r.stats.learned_prunes >= r.stats.candidates_covered
 
 
 class _RecordingGenerator(_Generator):
     """Logs "covered" for each covered candidate and, for each positive
-    branch, "pass" or "fail" if an early test ran on it, else "sound" or
-    "unsound" by the early-test condition."""
+    branch, "learned" if a learned set pruned it, "pass" or "fail" if an
+    early test ran on it, else "sound" or "unsound" by the early-test
+    condition."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -135,9 +153,12 @@ class _RecordingGenerator(_Generator):
 
     def _prune(self):
         sound = self._early_test_sound()
-        tests = self.gnt_stats.minimal_tests
+        tests, learned = self.gnt_stats.minimal_tests, self.gnt_stats.learned_prunes
         pruned = super()._prune()
-        if self.gnt_stats.minimal_tests > tests:
+        if self.gnt_stats.learned_prunes > learned:
+            assert pruned and self.gnt_stats.minimal_tests == tests
+            self.events.append("learned")
+        elif self.gnt_stats.minimal_tests > tests:
             self.events.append("fail" if pruned else "pass")
         else:
             self.events.append("sound" if sound else "unsound")
@@ -147,8 +168,9 @@ class _RecordingGenerator(_Generator):
 def test_was_covered_discipline():
     # After a covered candidate, an early test runs on every positive branch
     # where the condition holds, until one passes or the condition fails; it
-    # never runs otherwise.
-    tests = fails = 0
+    # never runs otherwise.  A branch that a learned set prunes runs no test
+    # and leaves the flag as it is.
+    tests = fails = learned = 0
     for seed in range(60):
         p = random_disjunctive_program(seed)
         search = _RecordingGenerator(gen_program(p), p, GntConfig())
@@ -163,12 +185,13 @@ def test_was_covered_discipline():
                 armed = event == "fail"
             elif event == "sound":
                 assert not armed
-            else:
+            elif event == "unsound":
                 armed = False
         assert search.events.count("covered") == search.gnt_stats.candidates_covered
         tests += sum(e in ("pass", "fail") for e in search.events)
         fails += search.events.count("fail")
-    assert fails > 0 and tests > fails
+        learned += search.events.count("learned")
+    assert fails > 0 and tests > fails and learned > 0
     with pytest.raises(ValueError):
         GntConfig(early_test="once")
 
@@ -181,18 +204,26 @@ def test_accepted_candidates_are_stable():
 
 
 def test_supportedness_prunes_subset_candidates():
-    # enumerating a | b | c with early tests off: the basic generator covers
-    # every nonempty head subset, supportedness keeps only the singletons;
-    # early tests then cut the basic generator down further
+    # enumerating a | b | c with early tests off: without learning, the basic
+    # generator covers every nonempty head subset, supportedness keeps only
+    # the singletons; early tests then cut the basic generator down further.
+    # Learning cuts the basic generator by two candidates: the failed test
+    # on {a, c} teaches {a}, whose one rule is blocked once b is true too, so
+    # it prunes the branch that would cover {a, b} and {a, b, c}.
     p = parse_program("a | b | c.")
     off = GntConfig(early_test="off")
-    r1 = solve_disjunctive(p, mode="gnt1", enumerate_all=True, config=off)
-    r2 = solve_disjunctive(p, mode="gnt2", enumerate_all=True, config=off)
-    assert r1.models == r2.models
-    assert r1.stats.candidates_covered == 7
-    assert r2.stats.candidates_covered == 3
-    early = solve_disjunctive(p, mode="gnt1", enumerate_all=True)
-    assert early.stats.candidates_covered < 7 and early.stats.early_prunes > 0
+    counts = {}
+    for solve in (reference_solve_disjunctive, solve_disjunctive):
+        r1 = solve(p, mode="gnt1", enumerate_all=True, config=off)
+        r2 = solve(p, mode="gnt2", enumerate_all=True, config=off)
+        early = solve(p, mode="gnt1", enumerate_all=True)
+        assert r1.models == r2.models == early.models
+        counts[solve] = [
+            (r.stats.candidates_covered, r.stats.minimal_tests, r.stats.early_prunes, r.stats.learned_prunes)
+            for r in (r1, r2, early)
+        ]
+    assert counts[reference_solve_disjunctive] == [(7, 7, 0, 0), (3, 3, 0, 0), (3, 8, 3, 0)]
+    assert counts[solve_disjunctive] == [(5, 5, 0, 1), (3, 3, 0, 0), (3, 7, 2, 1)]
 
 
 def test_brute_mode_equals_oracle():
@@ -451,7 +482,7 @@ def test_tester_is_compiled_once_per_search(monkeypatch):
     monkeypatch.setattr(Solver, "__init__", counting_init)
     monkeypatch.setattr(gnt, "minimal_test", counting_minimal_test)
     monkeypatch.setattr(gnt, "test_program", counting_test_program)
-    for v, seed in ((6, 1), (8, 4)):
+    for v, seed in ((10, 0), (10, 4)):
         compiled.clear(), tests.clear(), testers.clear()
         depth = 0
         p = qbf_to_program(gen_random_qbf(v, "gw", seed))
@@ -461,3 +492,95 @@ def test_tester_is_compiled_once_per_search(monkeypatch):
         assert len(tests) == r.stats.minimal_tests
         # the k-th tester solver is built within the k-th test
         assert testers == [(Solver, k, 1) for k in range(1, len(tests) + 1)]
+
+
+class _LearningGenerator(_Generator):
+    """Records each set it learns, with the true input atoms of the failed
+    test and whether that test was a final one."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.lessons = []
+
+    def _learn(self, u):
+        self.lessons.append((self.true_atoms() & self.p.base, u, self.covered))
+        super()._learn(u)
+
+
+def _learning_programs():
+    """The oracle suite of the learning tests: small seeded disjunctive and
+    normal programs, and 8- to 12-atom ones with disjunctive heads."""
+    rng = random.Random("learning")
+    programs = [random_disjunctive_program(seed) for seed in range(120)]
+    programs += [random_normal_program(seed) for seed in range(40)]
+    programs += [_random_program(rng, n, 2 * n, max_head=3, min_neg=0) for n in (8, 9, 10, 11, 12) * 4]
+    return programs
+
+
+def test_learned_sets_are_unfounded():
+    # Each set learned from a failed test, final or early, is a nonempty
+    # unfounded set of p with respect to the test's candidate: the true
+    # input atoms, the others read as false.
+    final = early = 0
+    for p in _learning_programs():
+        for mode in ("gnt1", "gnt2", "naive"):
+            g = _LearningGenerator(_GENERATORS[mode](p), p, GntConfig())
+            for _ in g.models():
+                pass
+            assert len(g.lessons) == g.gnt_stats.learned_sets
+            for t, u, covered in g.lessons:
+                assert u and u <= t, (p.rules, t, u)
+                assert u in set(unfounded_sets(p, PartialInterpretation.total(t, p.base))), (p.rules, t, u)
+                final += covered
+                early += not covered
+    assert final >= 50 and early >= 50, (final, early)
+
+
+def test_learning_keeps_every_model():
+    # On the oracle suite, every mode under both early-test settings finds
+    # exactly the oracle's models, as the search without learning does.
+    learned = 0
+    for p in _learning_programs():
+        want = enumerate_stable_models(p)
+        for mode in ("gnt1", "gnt2", "naive"):
+            for config in _CONFIGS.values():
+                got = solve_disjunctive(p, mode=mode, enumerate_all=True, config=config)
+                ref = reference_solve_disjunctive(p, mode=mode, enumerate_all=True, config=config)
+                assert got.models == ref.models == want, (p.rules, mode, config)
+                learned += got.stats.learned_prunes
+    assert learned >= 100, learned
+
+
+def test_learning_keeps_every_model_above_oracle_cap():
+    # Past the oracle's cap, the search with learning enumerates the models
+    # of the search without it, under both early-test settings: on 14- and
+    # 16-atom disjunctive programs, minimal-model 3-SAT at n=16-20 and gw
+    # QBFs at v=8 and v=10 in every mode, and on tr of 20- to 50-atom normal
+    # programs in gnt1 and gnt2.  naive is left out on tr, where its free
+    # choice over 40 atoms or more ran for over a minute, and without early
+    # tests on the QBFs, where the search without learning runs for more than
+    # 30 s (see test_qbf_verdicts_agree_with_oracle_above_cap).
+    rng = random.Random("learning-above-cap")
+    every = [(mode, policy) for mode in ("gnt1", "gnt2", "naive") for policy in _CONFIGS]
+    runs = [(_random_program(rng, n, 2 * n, max_head=3, min_neg=0), every) for n in (14, 16)]
+    runs += [
+        (gen_d3sat_instance(16 + seed % 5, 4.258, seed, specified_count=seed % 2).program, every)
+        for seed in range(6)
+    ]
+    runs += [
+        (qbf_to_program(gen_random_qbf(v, "gw", seed)), every[:-1])
+        for v, seed in ((8, 50), (8, 268), (8, 4), (10, 0), (10, 4))
+    ]
+    runs += [
+        (unfold_partiality(_random_program(rng, n, 2 * n, max_head=1, min_neg=1)), every[:4])
+        for n in (20, 30, 40, 50)
+    ]
+    learned = 0
+    for p, settings in runs:
+        for mode, policy in settings:
+            config = _CONFIGS[policy]
+            got = solve_disjunctive(p, mode=mode, enumerate_all=True, config=config)
+            ref = reference_solve_disjunctive(p, mode=mode, enumerate_all=True, config=config)
+            assert got.models == ref.models, (mode, policy)
+            learned += got.stats.learned_prunes
+    assert learned >= 100, learned

@@ -236,12 +236,16 @@ def test_unfounded_check_is_complete_after_backtracking():
 
 
 class CheckedSolver(Solver):
-    """A solver whose every branching choice is checked against the full count."""
+    """A solver whose every branching choice is checked against the full
+    count, and whose scan position is checked to skip only assigned atoms."""
 
-    def _choose(self):
-        a = super()._choose()
+    def _choose(self, start=0):
+        order = self._by_occurrence
+        assert all(self.val[a] != UNDEF for a in order[:start]), self.program
+        a, start = super()._choose(start)
         assert a == reference_choose(self), self.program
-        return a
+        assert self.val[order[start]] == UNDEF, self.program
+        return a, start
 
 
 def test_choose_matches_full_count():
@@ -251,12 +255,14 @@ def test_choose_matches_full_count():
     walked = searched = 0
     for p, s, decisions, ok in decision_walks(range(2000), random.Random(6)):
         if ok and not s.covered:
-            assert s._choose() == reference_choose(s), (p, decisions)
+            assert s._choose()[0] == reference_choose(s), (p, decisions)
             walked += 1
-    for seed in range(300):
-        p = random_looping_program(seed)
-        if seed % 2:
-            p = unfold_partiality(p)
+    programs = [random_looping_program(seed) for seed in range(300)]
+    programs = [unfold_partiality(p) if seed % 2 else p for seed, p in enumerate(programs)]
+    # Every model of independent pairs: deep branches whose scan positions
+    # must be restored when the search backtracks past them.
+    programs.append(parse_program("".join(f"a{i} :- not b{i}.\nb{i} :- not a{i}.\n" for i in range(5))))
+    for p in programs:
         s = CheckedSolver(p)
         list(s.models())
         searched += s.stats.choices
