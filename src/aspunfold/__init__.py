@@ -29,7 +29,6 @@ from .semantics import (
     is_total_model,
     is_unfounded_free,
     is_unfounded_set,
-    minimal_models_containing,
 )
 from .partiality import (
     QueryLiterals,

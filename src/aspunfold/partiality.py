@@ -98,10 +98,11 @@ class QueryLiterals:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "literals", frozenset(self.literals))
-        atoms = {l.atom for l in self.literals}
-        for a in atoms:
-            if Literal(a, True) in self.literals and Literal(a, False) in self.literals:
-                raise ValueError(f"query contains complementary pair on {a.text}")
+        # The least such atom, as the set's order would otherwise decide.
+        positive = {l.atom.text for l in self.literals if l.positive}
+        pairs = [l.atom.text for l in self.literals if not l.positive and l.atom.text in positive]
+        if pairs:
+            raise ValueError(f"query contains complementary pair on {min(pairs)}")
 
     @property
     def atoms(self) -> frozenset[Atom]:

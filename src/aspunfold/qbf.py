@@ -7,7 +7,13 @@ chooses per clause whether it stays active (``cl__i``/``ncl__i``), explains
 the choice against the X-literals through f-constraints, and runs the
 unsatisfiability check over Y with the saturation atom ``__u``.
 ``qbf_to_program`` builds the program's rule table directly, without a
-``Rule``.
+``Rule``: every atom of the translation is known from the formula, so it
+numbers them once in sorted order and builds each rule over those final
+numbers.
+
+``parse_qbf`` checks each distinct token once, and each term line as it
+reads it, so an error names the first bad token of its line; a ``Qbf2E``
+built directly names the least bad variable of its first bad term.
 """
 
 from __future__ import annotations
@@ -48,53 +54,80 @@ class Qbf2E:
         object.__setattr__(self, "x_vars", tuple(self.x_vars))
         object.__setattr__(self, "y_vars", tuple(self.y_vars))
         object.__setattr__(self, "terms", tuple(frozenset(t) for t in self.terms))
-        xs, ys = set(self.x_vars), set(self.y_vars)
-        if xs & ys:
+        xs, ys = {a.text for a in self.x_vars}, {a.text for a in self.y_vars}
+        if not xs.isdisjoint(ys):
             raise ValueError("a variable cannot be both existential and universal")
+        quantified = xs | ys
         for term in self.terms:
             if not term:
                 raise ValueError("empty term")
-            for lit in term:
-                if lit.atom not in xs and lit.atom not in ys:
-                    raise ValueError(f"term variable {lit.atom.text} not quantified")
-                if lit.negated() in term:
-                    raise ValueError(f"term contains complementary pair on {lit.atom.text}")
+            pairs = {(lit.atom.text, lit.positive) for lit in term}
+            names = {name for name, _ in pairs}
+            if len(names) < len(pairs) or not names <= quantified:
+                # The least bad variable, whatever order the set is walked in.
+                bad = min(n for n, positive in pairs if n not in quantified or (n, not positive) in pairs)
+                raise ValueError(_complementary(bad) if bad in quantified else _unquantified(bad))
 
     @property
     def variables(self) -> tuple[Atom, ...]:
         return self.x_vars + self.y_vars
 
 
+def _unquantified(name: str) -> str:
+    return f"term variable {name} not quantified"
+
+
+def _complementary(name: str) -> str:
+    return f"term contains complementary pair on {name}"
+
+
 def parse_qbf(text: str) -> Qbf2E:
+    """Read a QBF: the ``e`` and ``a`` lines, then one term per line,
+    ``-`` negating a variable.  Each distinct name and signed token is
+    checked once; a term line is checked as it is read, and an error in it
+    names its first bad token and the line."""
     lines = text.splitlines()
     if not lines or not (lines[0] == "e" or lines[0].startswith("e ")):
         raise QbfParseError("expected existential block 'e ...'", 1)
     if len(lines) < 2 or not (lines[1] == "a" or lines[1].startswith("a ")):
         raise QbfParseError("expected universal block 'a ...'", 2)
 
-    def var(tok: str, lineno: int) -> Atom:
-        try:
-            return Atom(tok)
-        except ValueError as exc:
-            raise QbfParseError(str(exc), lineno)
+    atoms: dict[str, Atom] = {}
 
-    x_vars = tuple(var(t, 1) for t in lines[0][1:].split())
-    y_vars = tuple(var(t, 2) for t in lines[1][1:].split())
+    def var(name: str, lineno: int) -> Atom:
+        a = atoms.get(name)
+        if a is None:
+            try:
+                a = atoms[name] = Atom(name)
+            except ValueError as exc:
+                raise QbfParseError(str(exc), lineno)
+        return a
+
+    x_toks, y_toks = lines[0][1:].split(), lines[1][1:].split()
+    x_vars = tuple([var(t, 1) for t in x_toks])
+    y_vars = tuple([var(t, 2) for t in y_toks])
+    if len(atoms) < len(set(x_toks)) + len(set(y_toks)):
+        raise QbfParseError("a variable cannot be both existential and universal")
+    literals: dict[str, Literal] = {}  # by signed token
     terms = []
     for lineno, raw in enumerate(lines[2:], 3):
         toks = raw.split()
         if not toks:
             raise QbfParseError("empty term line", lineno)
-        term = set()
+        term: dict[str, Literal] = {}
         for tok in toks:
-            positive = not tok.startswith("-")
-            name = tok if positive else tok[1:]
-            term.add(Literal(var(name, lineno), positive))
-        terms.append(frozenset(term))
-    try:
-        return Qbf2E(x_vars, y_vars, tuple(terms))
-    except ValueError as exc:
-        raise QbfParseError(str(exc))
+            lit = literals.get(tok)
+            if lit is None:
+                positive = not tok.startswith("-")
+                name = tok if positive else tok[1:]
+                if name not in atoms:
+                    var(name, lineno)  # raises if the name is misspelt
+                    raise QbfParseError(_unquantified(name), lineno)
+                lit = literals[tok] = Literal(atoms[name], positive)
+            if term.setdefault(lit.atom.text, lit) is not lit:
+                raise QbfParseError(_complementary(lit.atom.text), lineno)
+        terms.append(frozenset(term.values()))
+    return Qbf2E(x_vars, y_vars, tuple(terms))
 
 
 def render_qbf(q: Qbf2E) -> str:
@@ -146,30 +179,43 @@ def qbf_to_program(q: Qbf2E) -> Program:
     ``y :- __u.`` per Y-atom and ``Y1 | __u :- Y2, not ncl__i.``.  Then
     ``__u :- not __u.``  Duplicates are dropped, the first kept, and the base
     is the atoms the rules use."""
-    clauses = negate_dnf(q)
-    # The variables are numbered in sorted order, so sorting their numbers
-    # sorts them by rendering, the order in which the rules list them.
-    texts = [U_ATOM.text, *sorted({l.atom.text for term in q.terms for l in term})]
-    var = {t: i for i, t in enumerate(texts)}
-    u, f = 0, len(texts)
+    xs = {a.text for a in q.x_vars}
+    # Every atom is known up front, so the rules are built over the final
+    # numbers: the variables of the terms, __u, and per term (clause of
+    # not-phi) __f, cl__i and ncl__i.
+    atoms = {lit.atom.text: lit.atom for term in q.terms for lit in term}
+    atoms[U_ATOM.text] = U_ATOM
+    clauses = [(clause_atom(i), clause_negation_atom(i)) for i in range(1, len(q.terms) + 1)]
     if clauses:
-        texts.append(F_ATOM.text)  # every clause's explanation uses __f
+        atoms[F_ATOM.text] = F_ATOM
+    for c, nc in clauses:
+        atoms[c.text], atoms[nc.text] = c, nc
+    texts = sorted(atoms)
+    num = {t: i for i, t in enumerate(texts)}
+    # '_' sorts before every letter, so __f (when present) is atom 0 and __u
+    # the next: they lead every part they are in.
+    u, f = num[U_ATOM.text], 0
     rules = []
-    for i, c in enumerate(clauses, 1):
-        ci, nci = len(texts), len(texts) + 1
-        texts += [clause_atom(i).text, clause_negation_atom(i).text]
-        xp, xn, yp, yn = (
-            sorted([var[a.text] for a in atoms]) for atoms in (c.x_pos, c.x_neg, c.y_pos, c.y_neg)
-        )
+    for term, (c, nc) in zip(q.terms, clauses):
+        ci, nci = num[c.text], num[nc.text]
+        # The clause of not-phi flips every literal of the term.
+        xp, xn, yp, yn = [], [], [], []
+        for lit in term:
+            name = lit.atom.text
+            if name in xs:
+                (xn if lit.positive else xp).append(num[name])
+            else:
+                (yn if lit.positive else yp).append(num[name])
+        for part in (xp, xn, yp, yn):
+            part.sort()
         rules += [((ci,), (), (nci,)), ((nci,), (), (ci,))]
-        rules += [((f,), (x,), (nci, f)) for x in xp]
+        rules += [((f,), (x,), (f, nci)) for x in xp]
         rules += [((x,), (), (nci,)) for x in xn]
-        rules.append(((f,), xn, (*xp, ci, f)))
+        rules.append(((f,), tuple(xn), (f, *sorted([*xp, ci]))))
         rules += [((y,), (u,), ()) for y in sorted(yp + yn)]
-        rules.append(((*yp, u), yn, (nci,)))
+        rules.append(((u, *yp), tuple(yn), (nci,)))
     rules.append(((u,), (), (u,)))
-    table = RuleTable.numbered(texts, rules)
-    return Program.of_table(RuleTable(table.atoms, dict.fromkeys(table.rules)))
+    return Program.of_table(RuleTable([atoms[t] for t in texts], dict.fromkeys(rules)))
 
 
 def qbf_witness(q: Qbf2E, cap: int = DEFAULT_QBF_CAP) -> Optional[frozenset[Atom]]:

@@ -363,18 +363,6 @@ def is_consistent_unfounded(u: Iterable[Atom], i: PartialInterpretation) -> bool
     return not frozenset(u) & i.true_set
 
 
-def unfounded_sets(
-    p: Program, i: PartialInterpretation, cap: int = DEFAULT_CAP
-) -> Iterator[frozenset[Atom]]:
-    """All unfounded sets w.r.t. i, the empty set included."""
-    _require_cap(len(p.base), cap, "unfounded-set enumeration")
-    ms = _compile(p)
-    t, f = _mask(ms, i.true_set), _mask(ms, i.false_set)
-    for u in range(ms.full + 1):
-        if _unfounded_masks(ms, t, f, u):
-            yield _atoms_of(ms, u)
-
-
 def greatest_unfounded_set(
     p: Program, i: PartialInterpretation, cap: int = DEFAULT_CAP
 ) -> Optional[frozenset[Atom]]:
@@ -466,8 +454,7 @@ def maximal_models(
 
 
 # ---------------------------------------------------------------------------
-# Propositional clauses, for the minimal-model benchmark oracle and the
-# unsatisfiability reading of the minimality test.
+# Propositional clauses, the input of the minimal-model benchmark encoding.
 
 @dataclass(frozen=True)
 class Clause:
@@ -483,65 +470,3 @@ class Clause:
     @property
     def atoms(self) -> frozenset[Atom]:
         return self.pos | self.neg
-
-
-def rule_as_clause(rule: Rule) -> Clause:
-    """Positive disjunctive rule read as the clause head-or-not-body."""
-    if rule.neg:
-        raise ValueError("only positive rules can be read as clauses")
-    return Clause(rule.head, rule.pos)
-
-
-def _clause_masks(clauses: Sequence[Clause], atoms: Sequence[Atom]) -> list[tuple[int, int]]:
-    index = {a: i for i, a in enumerate(atoms)}
-    out = []
-    for c in clauses:
-        out.append(
-            (
-                sum(1 << index[a] for a in c.pos),
-                sum(1 << index[a] for a in c.neg),
-            )
-        )
-    return out
-
-
-def clause_atoms(clauses: Sequence[Clause]) -> frozenset[Atom]:
-    out: set[Atom] = set()
-    for c in clauses:
-        out |= c.atoms
-    return frozenset(out)
-
-
-def satisfiable(
-    clauses: Sequence[Clause], atoms: Iterable[Atom] = (), cap: int = DEFAULT_CAP
-) -> bool:
-    """Truth-table satisfiability over the occurring atoms plus any extras."""
-    universe = sorted(clause_atoms(clauses) | frozenset(atoms))
-    _require_cap(len(universe), cap, "satisfiability check")
-    cms = _clause_masks(clauses, universe)
-    for m in range(1 << len(universe)):
-        if all(p & m or n & ~m for p, n in cms):
-            return True
-    return False
-
-
-def minimal_models_containing(
-    clauses: Sequence[Clause], specified: Iterable[Atom], cap: int = DEFAULT_CAP
-) -> bool:
-    """Whether some subset-minimal model of the clauses contains all specified atoms."""
-    specified = frozenset(specified)
-    universe = sorted(clause_atoms(clauses) | specified)
-    _require_cap(len(universe), cap, "minimal-model search")
-    cms = _clause_masks(clauses, universe)
-    index = {a: i for i, a in enumerate(universe)}
-    spec = sum(1 << index[a] for a in specified)
-
-    models = [m for m in range(1 << len(universe)) if all(p & m or n & ~m for p, n in cms)]
-    models.sort(key=lambda m: (bin(m).count("1"), m))
-    minimal: list[int] = []
-    for m in models:
-        if not any(mm & m == mm for mm in minimal):
-            minimal.append(m)
-            if spec & m == spec:
-                return True
-    return False

@@ -19,6 +19,9 @@ Unfounded atoms are found with source pointers, as in smodels.  At set-up
 the positive dependency graph (head to positive body atoms) is split into
 strongly connected components; only atoms of cyclic ones (more than one
 atom, or a self-loop) can be unfounded without unit propagation noticing.
+An atom in no positive body, or with no head rule that has a positive body,
+lies on no cycle, so set-up makes it its own acyclic component at once and
+runs Tarjan's algorithm only over the remaining atoms.
 Each such atom that is not false keeps a source: an unblocked rule (no body
 literal false) whose positive body atoms in the same component have sources
 themselves, the pointers forming no cycle, so the atom can still be derived.
@@ -37,11 +40,13 @@ no body literal false), try ``not x`` before ``x``, and on finding a model
 emit it and backtrack as if conflicted.  Ties go to the lowest index, which
 is the lexicographically smallest rendering, since atoms are indexed in
 sorted order.  An atom's count is at most the number of rules it occurs in,
-so the scan visits atoms by decreasing occurrence count, then by index (an
-order built at the first choice, never updated), and stops at the first
-undefined atom that could at best tie with a best of lower index.  The
-search keeps, with each choice, the scan position before which every atom
-is assigned, so the scan starts past the atoms assigned above it.
+so the scan visits atoms by decreasing occurrence count, then by index, and
+stops at the first undefined atom that could at best tie with a best of
+lower index.  The per-atom rule sets it counts and that order are built at
+the first choice and never updated, so a solver that never branches never
+builds them.  The search keeps, with each choice, the scan position before
+which every atom is assigned, so the scan starts past the atoms assigned
+above it.
 Chronological backtracking, no learning.
 
 ``_search`` is the package's one stable-model search, a loop over an explicit
@@ -103,16 +108,14 @@ class Solver:
         self.occ_pos: list[list[int]] = [[] for _ in range(n)]
         self.occ_neg: list[list[int]] = [[] for _ in range(n)]
         self.occ_head: list[list[int]] = [[] for _ in range(n)]
-        for ridx, (h, pos, neg) in enumerate(zip(self.r_head, self.r_pos, self.r_neg)):
+        for ridx, h in enumerate(self.r_head):
             self.occ_head[h].append(ridx)
+        for ridx, pos in enumerate(self.r_pos):
             for b in pos:
                 self.occ_pos[b].append(ridx)
+        for ridx, neg in enumerate(self.r_neg):
             for c in neg:
                 self.occ_neg[c].append(ridx)
-        self.occ_all: list[list[int]] = [
-            sorted(set(self.occ_head[a] + self.occ_pos[a] + self.occ_neg[a]))
-            for a in range(n)
-        ]
         self._init_sccs()
 
         self.stats = SolverStats()
@@ -143,17 +146,32 @@ class Solver:
 
     def _init_sccs(self) -> None:
         """Split the positive dependency graph (head to positive body atoms)
-        into SCCs with an iterative Tarjan, and mark the atoms of cyclic SCCs
-        (more than one atom, or a self-loop): only they keep source pointers."""
+        into SCCs and mark the atoms of cyclic SCCs (more than one atom, or a
+        self-loop): only they keep source pointers.  An atom in no positive
+        body, or with no head rule that has a positive body, lies on no
+        cycle: it is its own acyclic SCC at once, and an iterative Tarjan
+        splits the rest."""
         n = len(self.atoms)
-        succ = [[b for r in self.occ_head[a] for b in self.r_pos[r]] for a in range(n)]
-        order = [-1] * n  # discovery index
+        r_head, r_pos, occ_head, occ_pos = self.r_head, self.r_pos, self.occ_head, self.occ_pos
+        # Discovery index and SCC id (set once the atom's SCC is complete),
+        # both -1 for the atoms left to Tarjan; the others are done, in SCC 0.
+        order = [0] * n
+        comp = [0] * n
+        succ: dict[int, list[int]] = {}
+        for h, pos in zip(r_head, r_pos):
+            if pos and occ_pos[h]:
+                out = succ.get(h)
+                if out is None:
+                    succ[h] = list(pos)
+                    order[h] = comp[h] = -1
+                else:
+                    out += pos
         low = [0] * n
-        comp = [-1] * n  # SCC id, once the atom's SCC is complete
         cyclic = [False] * n
+        cyclic_atoms: list[int] = []
         stack: list[int] = []
-        count = n_comps = 0
-        for root in range(n):
+        count = n_comps = 1
+        for root in succ:
             if order[root] >= 0:
                 continue
             order[root] = low[root] = count
@@ -183,17 +201,19 @@ class Solver:
                         for w in members:
                             comp[w] = n_comps
                             cyclic[w] = is_cyclic
+                        if is_cyclic:
+                            cyclic_atoms += members
                         n_comps += 1
         self._cyclic = cyclic
         # r_int[r]: the positive body atoms of r in its head's cyclic SCC;
-        # occ_int[a]: the rules that have a among them.
-        self.r_int: list[tuple[int, ...]] = [()] * len(self.r_head)
+        # occ_int[a]: the rules that have a among them, ascending.
+        self.r_int: list[tuple[int, ...]] = [()] * len(r_head)
         self.occ_int: list[list[int]] = [[] for _ in range(n)]
-        for r, h in enumerate(self.r_head):
-            if cyclic[h]:
-                self.r_int[r] = tuple([b for b in self.r_pos[r] if comp[b] == comp[h]])
-                for b in self.r_int[r]:
-                    self.occ_int[b].append(r)
+        for r in sorted([r for h in cyclic_atoms for r in occ_head[h]]):
+            c = comp[r_head[r]]
+            internal = self.r_int[r] = tuple([b for b in r_pos[r] if comp[b] == c])
+            for b in internal:
+                self.occ_int[b].append(r)
 
     # -- assignment and unit propagation -----------------------------------
 
@@ -376,11 +396,17 @@ class Solver:
     # -- search -----------------------------------------------------------------
 
     @cached_property
+    def occ_all(self) -> list[list[int]]:
+        """Per atom, the rules it occurs in (head or body), each once, in no
+        particular order: ``_choose`` only counts them."""
+        return [list(set(h + p + c)) for h, p, c in zip(self.occ_head, self.occ_pos, self.occ_neg)]
+
+    @cached_property
     def _by_occurrence(self) -> list[int]:
         """Atoms by decreasing number of rules they occur in, then by index
-        (the sort is stable)."""
-        occ_all = self.occ_all
-        return sorted(range(len(occ_all)), key=lambda a: -len(occ_all[a]))
+        (a reversed sort keeps equal keys in their order)."""
+        counts = list(map(len, self.occ_all))
+        return sorted(range(len(counts)), key=counts.__getitem__, reverse=True)
 
     def _choose(self, start: int = 0) -> tuple[int, int]:
         """The undefined atom in the most unsatisfied rules (head not true, no

@@ -416,6 +416,50 @@ def reference_qbf_to_program(q):
     return Program(tuple(dict.fromkeys(rules)))
 
 
+def reference_parse_qbf(text):
+    """``parse_qbf`` as it was before it checked term lines as it read them:
+    every token of every line is read first, then the terms are checked in
+    the order a frozenset walks them, and such an error has no line.  The
+    reference for the parser on texts whose terms have at most one fault."""
+    from aspunfold.qbf import Qbf2E, QbfParseError
+
+    lines = text.splitlines()
+    if not lines or not (lines[0] == "e" or lines[0].startswith("e ")):
+        raise QbfParseError("expected existential block 'e ...'", 1)
+    if len(lines) < 2 or not (lines[1] == "a" or lines[1].startswith("a ")):
+        raise QbfParseError("expected universal block 'a ...'", 2)
+
+    def var(tok, lineno):
+        try:
+            return Atom(tok)
+        except ValueError as exc:
+            raise QbfParseError(str(exc), lineno)
+
+    x_vars = tuple(var(t, 1) for t in lines[0][1:].split())
+    y_vars = tuple(var(t, 2) for t in lines[1][1:].split())
+    terms = []
+    for lineno, raw in enumerate(lines[2:], 3):
+        toks = raw.split()
+        if not toks:
+            raise QbfParseError("empty term line", lineno)
+        term = set()
+        for tok in toks:
+            positive = not tok.startswith("-")
+            name = tok if positive else tok[1:]
+            term.add(Literal(var(name, lineno), positive))
+        terms.append(frozenset(term))
+    xs, ys = set(x_vars), set(y_vars)
+    if xs & ys:
+        raise QbfParseError("a variable cannot be both existential and universal")
+    for term in terms:
+        for lit in term:
+            if lit.atom not in xs and lit.atom not in ys:
+                raise QbfParseError(f"term variable {lit.atom.text} not quantified")
+            if lit.negated() in term:
+                raise QbfParseError(f"term contains complementary pair on {lit.atom.text}")
+    return Qbf2E(x_vars, y_vars, tuple(terms))
+
+
 def reference_tr2_program(p):
     """``tr2`` built rule by rule: the reference for ``tr2_program``."""
     from aspunfold.partiality import unfold_partiality
@@ -493,6 +537,70 @@ def reference_check_partial_stable(p, m, cap=12):
     return "unfounded-set condition violated"
 
 
+def unfounded_sets(p, i, cap=12):
+    """All unfounded sets w.r.t. i, the empty set included."""
+    from aspunfold.semantics import _atoms_of, _compile, _mask, _require_cap, _unfounded_masks
+
+    _require_cap(len(p.base), cap, "unfounded-set enumeration")
+    ms = _compile(p)
+    t, f = _mask(ms, i.true_set), _mask(ms, i.false_set)
+    for u in range(ms.full + 1):
+        if _unfounded_masks(ms, t, f, u):
+            yield _atoms_of(ms, u)
+
+
+def rule_as_clause(rule):
+    """Positive disjunctive rule read as the clause head-or-not-body."""
+    from aspunfold.semantics import Clause
+
+    if rule.neg:
+        raise ValueError("only positive rules can be read as clauses")
+    return Clause(rule.head, rule.pos)
+
+
+def _clause_masks(clauses, atoms):
+    index = {a: i for i, a in enumerate(atoms)}
+    return [(sum(1 << index[a] for a in c.pos), sum(1 << index[a] for a in c.neg)) for c in clauses]
+
+
+def clause_atoms(clauses):
+    out = set()
+    for c in clauses:
+        out |= c.atoms
+    return frozenset(out)
+
+
+def satisfiable(clauses, atoms=(), cap=12):
+    """Truth-table satisfiability over the occurring atoms plus any extras."""
+    from aspunfold.semantics import _require_cap
+
+    universe = sorted(clause_atoms(clauses) | frozenset(atoms))
+    _require_cap(len(universe), cap, "satisfiability check")
+    cms = _clause_masks(clauses, universe)
+    return any(all(p & m or n & ~m for p, n in cms) for m in range(1 << len(universe)))
+
+
+def minimal_models_containing(clauses, specified, cap=12):
+    """Whether some subset-minimal model of the clauses contains all specified atoms."""
+    from aspunfold.semantics import _require_cap
+
+    specified = frozenset(specified)
+    universe = sorted(clause_atoms(clauses) | specified)
+    _require_cap(len(universe), cap, "minimal-model search")
+    cms = _clause_masks(clauses, universe)
+    index = {a: i for i, a in enumerate(universe)}
+    spec = sum(1 << index[a] for a in specified)
+    models = [m for m in range(1 << len(universe)) if all(p & m or n & ~m for p, n in cms)]
+    models.sort(key=lambda m: (bin(m).count("1"), m))
+    minimal = []
+    for m in models:
+        if not any(mm & m == mm for mm in minimal):
+            minimal.append(m)
+            if spec & m == spec:
+                return True
+    return False
+
+
 @dataclass(frozen=True)
 class ExpandResult:
     literals: frozenset[Literal]
@@ -541,6 +649,56 @@ def unfounded_atoms(s):
                 if missing[r] == 0:
                     stack.append(r)
     return {a for a in range(len(s.atoms)) if not derived[a]}
+
+
+def reference_sccs(s):
+    """A solver's cyclic atoms, ``r_int`` and ``occ_int`` as set-up computed
+    them before it left the atoms on no positive cycle out of Tarjan: one
+    iterative Tarjan over every atom of the positive dependency graph."""
+    n = len(s.atoms)
+    succ = [[b for r in s.occ_head[a] for b in s.r_pos[r]] for a in range(n)]
+    order, low, comp = [-1] * n, [0] * n, [-1] * n
+    cyclic = [False] * n
+    stack = []
+    count = n_comps = 0
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if order[w] < 0:
+                    order[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if comp[w] < 0 and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == order[v]:
+                    members = [stack.pop()]
+                    while members[-1] != v:
+                        members.append(stack.pop())
+                    for w in members:
+                        comp[w] = n_comps
+                        cyclic[w] = len(members) > 1 or v in succ[v]
+                    n_comps += 1
+    r_int = [()] * len(s.r_head)
+    occ_int = [[] for _ in range(n)]
+    for r, h in enumerate(s.r_head):
+        if cyclic[h]:
+            r_int[r] = tuple([b for b in s.r_pos[r] if comp[b] == comp[h]])
+            for b in r_int[r]:
+                occ_int[b].append(r)
+    return cyclic, r_int, occ_int
 
 
 def reference_choose(s):

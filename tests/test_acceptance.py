@@ -33,9 +33,6 @@ from aspunfold.semantics import (
     is_unfounded_free,
     is_unfounded_set,
     remove_unfounded,
-    rule_as_clause,
-    satisfiable,
-    unfounded_sets,
 )
 from aspunfold.solver import Solver
 from aspunfold.syntax import Atom, potential
@@ -47,6 +44,9 @@ from conftest import (
     random_partial_interpretation,
     random_positive_program,
     random_total_interpretation,
+    rule_as_clause,
+    satisfiable,
+    unfounded_sets,
 )
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
@@ -447,7 +447,7 @@ def test_criterion_7_minimal_model_encoding():
             specified = frozenset(rng.sample(atoms, rng.randint(1, 2)))
             program = mm_encode(clauses, specified)
         count += 1
-        from aspunfold.semantics import minimal_models_containing
+        from conftest import minimal_models_containing
 
         want = minimal_models_containing(clauses, specified)
         got = bool(solve_disjunctive(program, mode="gnt2").models)

@@ -353,6 +353,26 @@ def test_output_independent_of_hash_seed(write):
     assert all(outputs[0])
 
 
+def test_error_messages_independent_of_hash_seed(write):
+    # Inputs with two faults in one term or query: the error names the
+    # first bad token of the term line, and the least atom of a query,
+    # under every hash seed.
+    lp = write("p.lp", "a :- not b.\nb :- not a.\n")
+    query = "a, not a, b, not b"
+    cases = {
+        ("qbf", "solve", write("q1.qbf", "e x\na y\nz x -x\n")): "line 3: term variable z not quantified",
+        ("qbf", "solve", write("q2.qbf", "e x\na y\nz w y\n")): "line 3: term variable z not quantified",
+        ("query", lp, "--query", query, "--semantics", "partial"): "query contains complementary pair on a",
+        ("query", lp, "--query", query, "--semantics", "total"): "query contains complementary pair on a",
+    }
+    src = str(Path(aspunfold.__file__).resolve().parents[1])
+    for seed in ("0", "1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        for argv, message in cases.items():
+            done = subprocess.run([sys.executable, "-m", "aspunfold", *argv], env=env, capture_output=True, text=True)
+            assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error: {message}\n"), (seed, argv)
+
+
 def test_json_error_report(write, capsys):
     code, out = run(["solve", write("p.lp", "p__x.\n"), "--json"])
     assert code == 1

@@ -11,7 +11,7 @@ from aspunfold.gnt import _GENERATORS, _Generator, _Tester
 from aspunfold.parser import parse_program
 from aspunfold.partiality import unfold_partiality
 from aspunfold.qbf import qbf_to_program, qbf_valid_oracle
-from aspunfold.semantics import enumerate_stable_models, is_stable_model, unfounded_sets, PartialInterpretation
+from aspunfold.semantics import enumerate_stable_models, is_stable_model, PartialInterpretation
 from aspunfold.solver import Solver, SolverStats
 from aspunfold.syntax import Atom, F_ATOM, Program, Rule, complement, positions, support
 
@@ -22,6 +22,7 @@ from conftest import (
     recursion_headroom,
     reference_solve_disjunctive,
     reference_test_program,
+    unfounded_sets,
 )
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")

@@ -115,6 +115,10 @@ def test_translate_query():
 def test_query_literals_reject_complementary():
     with pytest.raises(ValueError, match="complementary"):
         QueryLiterals(frozenset([Literal(A), Literal(A, False)]))
+    # With two pairs, the least atom is named, not the first the set holds.
+    both = [Literal(x, positive) for x in (B, A) for positive in (True, False)]
+    with pytest.raises(ValueError, match="^query contains complementary pair on a$"):
+        QueryLiterals(frozenset(both))
 
 
 def test_tr2():

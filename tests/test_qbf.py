@@ -25,7 +25,6 @@ from aspunfold.semantics import (
     Clause,
     PartialInterpretation,
     gl_reduct,
-    minimal_models_containing,
 )
 from aspunfold.syntax import (
     Atom,
@@ -39,7 +38,13 @@ from aspunfold.syntax import (
     render_program,
 )
 
-from conftest import assert_same_program, reference_clause_translation, reference_qbf_to_program
+from conftest import (
+    assert_same_program,
+    minimal_models_containing,
+    reference_clause_translation,
+    reference_parse_qbf,
+    reference_qbf_to_program,
+)
 
 X, Y = Atom("x"), Atom("y")
 
@@ -58,18 +63,125 @@ def test_parse_qbf():
 
 
 def test_parse_qbf_errors():
-    with pytest.raises(QbfParseError):
-        parse_qbf("x y\n")  # missing e line
-    with pytest.raises(QbfParseError):
-        parse_qbf("e x\nx y\n")  # missing a line
-    with pytest.raises(QbfParseError):
-        parse_qbf("e x\na y\n\nx y\n")  # empty term line
-    with pytest.raises(QbfParseError):
-        parse_qbf("e x\na x\nx\n")  # shared variable
-    with pytest.raises(QbfParseError):
-        parse_qbf("e x\na y\nx -x\n")  # complementary pair in a term
-    with pytest.raises(QbfParseError):
-        parse_qbf("e x\na y\nz\n")  # unquantified variable
+    cases = {
+        "x y\n": "line 1: expected existential block 'e ...'",
+        "e x\nx y\n": "line 2: expected universal block 'a ...'",
+        "e x\na y\n\nx y\n": "line 3: empty term line",
+        "e x\na x\nx\n": "a variable cannot be both existential and universal",
+        "e x\na y\nx -x\n": "line 3: term contains complementary pair on x",
+        "e x\na y\nz\n": "line 3: term variable z not quantified",
+        "e x\na y\nx\n-y -W\n": "line 4: invalid plain atom name: 'W'",
+        # Two faults in one term line: the first bad token, in reading order,
+        # names the error, whatever order the term's set is walked in.
+        "e x\na y\nz x -x\n": "line 3: term variable z not quantified",
+        "e x\na y\nx -x z\n": "line 3: term contains complementary pair on x",
+        "e x\na y\nz w y\n": "line 3: term variable z not quantified",
+        "e x\na y\nx y\ny -y\nw\n": "line 4: term contains complementary pair on y",
+    }
+    for text, message in cases.items():
+        with pytest.raises(QbfParseError) as err:
+            parse_qbf(text)
+        assert str(err.value) == message
+
+
+def test_qbf_term_errors_name_the_least_bad_variable():
+    z, w = Atom("z"), Atom("w")
+    cases = [
+        (frozenset([lit(z), lit(X), lit(X, False)]), "term contains complementary pair on x"),
+        (frozenset([lit(z), lit(w), lit(Y)]), "term variable w not quantified"),
+        (frozenset([lit(z), lit(z, False)]), "term variable z not quantified"),
+    ]
+    for term, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Qbf2E((X,), (Y,), (frozenset([lit(X)]), term))
+
+
+# Replacement tokens for the parser's differential test: variables, fresh
+# and misspelt names, reserved names, and the block letters.
+QBF_TOKENS = ("x1", "-x1", "x2", "y1", "-y1", "-y2", "w", "-w", "X", "-", "--x1", "not", "__u", "cl__1", "e", "a")
+
+
+QBF_ERRORS = (
+    "expected existential block",
+    "expected universal block",
+    "invalid plain atom name",
+    "both existential and universal",
+    "empty term line",
+    "not quantified",
+    "complementary pair",
+)
+
+
+def qbf_mutants(text, rng, count):
+    """``count`` copies of a QBF text, each with one token deleted, doubled
+    or replaced."""
+    lines = [line.split() for line in text.splitlines()]
+    spots = [(i, j) for i, toks in enumerate(lines) for j in range(len(toks))]
+    for _ in range(count):
+        i, j = rng.choice(spots)
+        toks = [list(t) for t in lines]
+        kind = rng.randrange(3)
+        if kind == 0:
+            del toks[i][j]
+        elif kind == 1:
+            toks[i].insert(j, toks[i][j])
+        else:
+            toks[i][j] = rng.choice(QBF_TOKENS)
+        yield "\n".join(" ".join(t) for t in toks) + "\n"
+
+
+def multi_fault_term(text):
+    """Whether a term line of a QBF text has two or more bad variables
+    (unquantified, misspelt, or in a complementary pair)."""
+    lines = text.splitlines()
+    quantified = {t for line in lines[:2] for t in line.split()[1:]}
+    for line in lines[2:]:
+        signs = {}
+        for tok in line.split():
+            signs.setdefault(tok[1:] if tok.startswith("-") else tok, set()).add(tok.startswith("-"))
+        if sum(name not in quantified or len(s) > 1 for name, s in signs.items()) > 1:
+            return True
+    return False
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text), None
+    except QbfParseError as exc:
+        return None, exc
+
+
+def test_parse_qbf_matches_reference():
+    # Seeded gw and sqrt texts, and copies with one token deleted, doubled or
+    # replaced: the same Qbf2E as the former parser, or the same error.  An
+    # error the former parser raised without a line, from a term, now has
+    # the line of the first term with that fault.  Terms with two faults
+    # are left out: their message was up to the set order before.
+    rng = random.Random(14)
+    texts = [render_qbf(gen_random_qbf(v, "gw", seed)) for v in (6, 10, 14) for seed in range(10)]
+    texts += [render_qbf(gen_random_qbf(v, "sqrt", seed)) for v in (8, 18, 32) for seed in range(10)]
+    kinds = set()
+    for text in texts:
+        for mutant in [text, *qbf_mutants(text, rng, 20)]:
+            got, got_err = parse_outcome(parse_qbf, mutant)
+            want, want_err = parse_outcome(reference_parse_qbf, mutant)
+            assert (got_err is None) == (want_err is None), (mutant, got_err, want_err)
+            if want_err is None:
+                assert got == want
+                continue
+            if multi_fault_term(mutant):
+                continue
+            message = str(want_err).split(": ", 1)[1] if want_err.line else str(want_err)
+            kinds.add(next(kind for kind in QBF_ERRORS if kind in message))
+            if want_err.line or not got_err.line:
+                assert (got_err.line, str(got_err)) == (want_err.line, str(want_err)), mutant
+            else:
+                assert str(got_err) == f"line {got_err.line}: {message}", mutant
+                lines = mutant.splitlines()
+                _, err = parse_outcome(reference_parse_qbf, "\n".join(lines[: got_err.line]))
+                assert str(err) == message, mutant
+                assert parse_outcome(reference_parse_qbf, "\n".join(lines[: got_err.line - 1]))[1] is None
+    assert kinds == set(QBF_ERRORS) - {"empty term line"}, kinds
 
 
 def test_qbf_roundtrip():
@@ -124,6 +236,12 @@ def test_translation_matches_reference():
     qbfs += [gen_random_qbf(v, "gw", seed) for v in range(6, 15, 2) for seed in range(5)]
     qbfs += [parse_qbf(text) for text in ("e\na\n", "e x z\na y\nx y\n", "e x\na y w\n-x y\n-x y\ny -w\n")]
     qbfs += [Qbf2E((X,), (Y,), ()), Qbf2E((Atom("b"), X, Atom("a")), (Y,), (frozenset([lit(X), lit(Y, False)]),))]
+    # Variables that sort among cl__i and ncl__i, and twelve terms, so that
+    # cl__10 sorts before cl__2.
+    xs, ys = [Atom(t) for t in ("cl", "clZ", "cla", "ncl")], [Atom(t) for t in ("nclz", "b", "z")]
+    rng = random.Random(3)
+    terms = [frozenset(lit(a, rng.random() < 0.5) for a in rng.sample(xs + ys, 3)) for _ in range(12)]
+    qbfs.append(Qbf2E(xs, ys, terms))
     for q in qbfs:
         assert_same_program(qbf_to_program(q), reference_qbf_to_program(q))
 

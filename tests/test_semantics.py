@@ -26,20 +26,20 @@ from aspunfold.semantics import (
     is_unfounded_free,
     is_unfounded_set,
     maximal_models,
-    minimal_models_containing,
     remove_unfounded,
-    rule_as_clause,
-    satisfiable,
     satisfies,
     tv_reduct,
 )
 from aspunfold.syntax import Atom, Literal, Program, Rule
 
 from conftest import (
+    minimal_models_containing,
     random_disjunctive_program,
     random_normal_program,
     reference_check_partial_stable,
     reference_check_total_stable,
+    rule_as_clause,
+    satisfiable,
 )
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")

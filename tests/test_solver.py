@@ -14,6 +14,7 @@ from conftest import (
     recursion_headroom,
     reference_choose,
     reference_expand,
+    reference_sccs,
     unfounded_atoms,
 )
 
@@ -267,6 +268,43 @@ def test_choose_matches_full_count():
         list(s.models())
         searched += s.stats.choices
     assert walked > 2500 and searched > 150
+
+
+def test_sccs_match_reference(monkeypatch):
+    # Set-up leaves out of Tarjan the atoms that lie on no positive cycle;
+    # the cyclic atoms, r_int and occ_int must be those of one Tarjan over
+    # every atom.  Tables: random looping programs and their tr, self-loops
+    # by hand, and the generator and tester tables of d3sat and gw QBF
+    # instances.
+    from aspunfold import gnt
+    from aspunfold.bench import gen_d3sat_instance, gen_random_qbf
+    from aspunfold.qbf import qbf_to_program
+
+    programs = [random_looping_program(seed) for seed in range(300)]
+    programs += [unfold_partiality(p) for p in programs]
+    programs += [
+        parse_program(text)
+        for text in ("a :- a.", "a :- a, not b.\nb :- not a.", "a :- b.\nb :- a.\nb :- b, c.\nc.", "a :- b, a.\nb.")
+    ]
+    testers = []
+
+    class RecordingSolver(Solver):
+        def __init__(self, program, *args, **kwargs):
+            super().__init__(program, *args, **kwargs)
+            testers.append(self)
+
+    monkeypatch.setattr(gnt, "Solver", RecordingSolver)
+    for seed in range(8):
+        for p in (gen_d3sat_instance(30, 4.258, seed).program, qbf_to_program(gen_random_qbf(14, "gw", seed))):
+            programs += [make(p) for make in gnt._GENERATORS.values()]
+            gnt.solve_disjunctive(p, "gnt2", enumerate_all=True)
+    solvers = [Solver(p) for p in programs] + testers
+    self_loops = 0
+    for s in solvers:
+        assert (s._cyclic, s.r_int, s.occ_int) == reference_sccs(s), s.program
+        self_loops += any(h in pos for h, pos in zip(s.r_head, s.r_pos))
+    assert len(testers) > 50 and self_loops > 100
+    assert sum(any(s._cyclic) for s in testers) > 30
 
 
 def assert_counters_match(s):
