@@ -36,9 +36,7 @@ from .semantics import (
     check_partial_stable,
     check_total_stable,
     enumerate_stable_models,
-    eval_conj,
     maximal_models,
-    TruthValue,
 )
 from .solver import Solver, SolverStats
 from .syntax import Atom, Program, render_program
@@ -302,8 +300,7 @@ def cmd_query(args) -> int:
         if args.filter:
             ok, model = False, None
             for m in enumerate_stable_models(p, args.cap):
-                i = PartialInterpretation.total(m, p.base)
-                if eval_conj(i, q.literals) is TruthValue.TRUE:
+                if all((l.atom in m) == l.positive for l in q.literals):
                     ok, model = True, m
                     break
             report.stats = _stats_dict(solver=SolverStats())
@@ -382,12 +379,16 @@ def cmd_bench(args) -> int:
     return EXIT_MODELS
 
 
+def _add_input(sp) -> None:
+    sp.add_argument("--json", action="store_true", help="emit a JSON report")
+    sp.add_argument("--allow-reserved", action="store_true", help="accept reserved atom spellings in input")
+
+
 def _add_common(
     sp, stats: bool = True, cap_help: str = f"atom cap for enumerative oracles (default {DEFAULT_CAP})"
 ) -> None:
-    sp.add_argument("--json", action="store_true", help="emit a JSON report")
+    _add_input(sp)
     sp.add_argument("--timing", action="store_true", help="include wall-clock time in output")
-    sp.add_argument("--allow-reserved", action="store_true", help="accept reserved atom spellings in input")
     sp.add_argument("--cap", type=int, default=DEFAULT_CAP, help=cap_help)
     if stats:
         sp.add_argument("--stats", action="store_true", help="print key=value statistics")
@@ -422,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("--kind", choices=("tr", "tr2", "gen0", "gen1", "supp", "gen", "test"), required=True)
     sp.add_argument("--model", help="candidate model for --kind test, e.g. 'a b'")
-    _add_common(sp, stats=False)
+    _add_input(sp)
     sp.set_defaults(fn=cmd_transform)
 
     sp = sub.add_parser("check", help="oracle verification of a claimed model")

@@ -15,11 +15,9 @@ built over the new numbers.  A construction's table keeps the lifted input
 rules (``GeneratorTable.inputs``), so the search over it needs no second
 lift.
 
-The testers of one program differ only in which rules of one fixed set they
-hold and in their final constraint, so ``test_program`` compiles that set
-once, deduplicated, with the input rules that switch each rule on.  The
-tester of a candidate is a table derived from it: the switched-on rules,
-then the final constraint.
+The tester of a candidate M is read off the reduct P^M: ``test_program``
+lifts the input once, and each candidate's tester is derived from the
+lifted rules in one pass over them.
 """
 
 from __future__ import annotations
@@ -162,31 +160,16 @@ def gen_program(p: Program) -> Program:
     return x.program(_basic_rules(x) + _support_rules(x))
 
 
-class TesterTable(RuleTable):
-    """Every rule a tester of p can hold but its final constraint,
-    deduplicated, over the atoms of every tester, and for each rule the input
-    rules that switch it on."""
+class TesterTable:
+    """The testers of p, each derived from its candidate: p's atoms with the
+    complement marks of its disjunctive head atoms and ``__f``, and p's rules
+    over them (``rules``)."""
 
-    def __init__(
-        self,
-        atoms: Sequence[Atom],
-        rules: Sequence[IntRule],
-        inputs: tuple[tuple[frozenset[int], frozenset[int]], ...],
-        switches: tuple[tuple[int, int, int], ...],
-        base: Sequence[int],
-        f: int,
-    ):
-        super().__init__(atoms, rules)
-        # The numbers of the base's atoms, and of __f.
-        self.index = {self.atoms[b]: b for b in base}
-        self.f = f
-        # (positive body, negative body) of each input rule, as atom numbers
-        self.inputs = inputs
-        # (rule, input rule, head) in the order a tester lists its rules: the
-        # switch is on for a candidate that holds the input rule's positive
-        # body and misses its negative body, and holds the head; input -1 is
-        # on for every candidate, and head -1 holds for every candidate.
-        self.switches = switches
+    def __init__(self, x: _Extension):
+        self.x = x
+        self.rules = x.rules
+        # The numbers of the base's atoms.
+        self.index = {x.atoms[b]: b for b in x.lift}
 
     def numbers(self, m: Iterable[Atom]) -> frozenset[int]:
         """The atom numbers of a candidate, which must lie in the base."""
@@ -195,25 +178,27 @@ class TesterTable(RuleTable):
         except KeyError:
             raise ValueError("candidate model must be a subset of the program base") from None
 
-    def switched_on(self, m: frozenset[int]) -> list[int]:
-        """The rules of the tester for candidate m, each once, in the order of
-        its first switch that is on."""
-        live = [pos <= m and m.isdisjoint(neg) for pos, neg in self.inputs]
-        live.append(True)  # live[-1], for input -1
-        seen = [False] * len(self.rules)
-        out = []
-        for r, i, h in self.switches:
-            if live[i] and (h < 0 or h in m) and not seen[r]:
-                seen[r] = True
-                out.append(r)
-        return out
-
     def tester(self, m: frozenset[int]) -> RuleTable:
-        """The tester for candidate m, given by atom numbers: its switched-on
-        rules, then the final constraint ``:- M.``, over these atoms."""
-        rules = [self.rules[r] for r in self.switched_on(m)]
-        rules.append(((self.f,), tuple(sorted(m)), (self.f,)))
-        return RuleTable(self.atoms, rules)
+        """The tester for candidate m, given by atom numbers.  Each rule whose
+        positive body lies in m and whose negative body misses m gives the
+        reduct's rules for it: ``a :- pos, not c__a`` per disjunctive head
+        atom a in m, the constraint ``:- pos, not head`` for a disjunctive
+        rule, ``h :- pos`` for a normal rule with h in m.  The tester lists
+        the choices, then ``c__a :- not a`` for every disjunctive head atom
+        a, then the constraints, then the normal rules, each rule once, and
+        last the final constraint ``:- M.``"""
+        x = self.x
+        choices, constraints, normal = [], [], []
+        for head, pos, neg in self.rules:
+            if m.issuperset(pos) and m.isdisjoint(neg):
+                if len(head) > 1:
+                    choices += [((a,), pos, (x.complement[a],)) for a in head if a in m]
+                    constraints.append(x.f_rule(pos, head))
+                elif head[0] in m:
+                    normal.append((head, pos, ()))
+        marks = [((c,), (), (a,)) for a, c in x.complement.items()]
+        rules = dict.fromkeys(chain(choices, marks, constraints, normal))
+        return RuleTable(x.atoms, [*rules, ((x.f,), tuple(sorted(m)), (x.f,))])
 
     def program(self, m: Iterable[Atom]) -> Program:
         """The tester for candidate m as a program, a view of its table: its
@@ -222,31 +207,8 @@ class TesterTable(RuleTable):
 
 
 def test_program(p: Program) -> TesterTable:
-    """Compile the rules of every tester of p.  The tester of a candidate M
-    holds, for each rule whose positive body lies in M and whose negative
-    body misses M, the reduct's rules for it: ``a :- pos, not c__a`` per
-    disjunctive head atom a in M, the constraint ``:- pos, not head`` for a
-    disjunctive rule, ``h :- pos`` for a normal rule with h in M.  It also
-    holds ``c__a :- not a`` for every disjunctive head atom a, and last the
-    final constraint ``:- M.``, so that its stable models are the models of
-    the reduct P^M properly inside M."""
+    """The testers of p, each derived from its candidate M by
+    ``TesterTable.tester``: their stable models are the models of the
+    reduct P^M properly inside M."""
     table, heads = _input(p, "test_program")
-    x = _Extension(table, comps=heads)
-    listed: list[tuple[IntRule, int, int]] = []  # (rule, input rule, head), in tester order
-    # A rule whose head is in its input rule's negative body is switched on
-    # by no candidate, so it is left out.
-    for i, (head, pos, neg) in enumerate(x.rules):
-        if len(head) > 1:
-            listed += [(((a,), pos, (x.complement[a],)), i, a) for a in head if a not in neg]
-    listed += [(((c,), (), (a,)), -1, -1) for a, c in x.complement.items()]
-    for i, (head, pos, _) in enumerate(x.rules):
-        if len(head) > 1:
-            listed.append((x.f_rule(pos, head), i, -1))
-    for i, (head, pos, neg) in enumerate(x.rules):
-        if len(head) == 1 and head[0] not in neg:
-            listed.append(((head, pos, ()), i, head[0]))
-
-    number: dict[IntRule, int] = {}
-    switches = tuple((number.setdefault(rule, len(number)), i, h) for rule, i, h in listed)
-    inputs = tuple((frozenset(pos), frozenset(neg)) for _, pos, neg in x.rules)
-    return TesterTable(x.atoms, list(number), inputs, switches, x.lift, x.f)
+    return TesterTable(_Extension(table, comps=heads))

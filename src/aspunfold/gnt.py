@@ -8,9 +8,9 @@ on each positive branch.  The generator reads the input's rules over its own
 atom numbers from its table (``GeneratorTable.inputs``), lifted once by the
 construction that built it.
 
-At the first minimality test of a search, ``test_program`` compiles every
-rule a tester of the input can hold, once.  Each test derives the
-candidate's tester from it, as a rule table, and searches it with an
+At the first minimality test of a search, ``test_program`` lifts the
+input's rules over the testers' atoms, once.  Each test derives the
+candidate's tester from them, as a rule table, and searches it with an
 ordinary ``Solver``, closing the search after the first answer.  Nothing
 outlives the search.
 
@@ -93,9 +93,9 @@ class SolveResult:
 
 
 class _Tester:
-    """The minimality tester of one search over p: p's tester table,
-    compiled at the first test, and the solver and the tester model (None
-    if the test passed) of the latest test."""
+    """The minimality tester of one search over p: ``test_program(p)``,
+    built at the first test, and the solver and the tester model (None if
+    the test passed) of the latest test."""
 
     def __init__(self, p: Program):
         self.p = p

@@ -192,6 +192,35 @@ def test_transform_kinds(write):
     assert code == 1  # --model required
 
 
+def test_transform_takes_no_cap_or_timing(write, capsys):
+    # transform neither enumerates nor times anything, so it has no --cap
+    # or --timing; --json error reports and --allow-reserved still work.
+    f = write("p.lp", "a | b.\n")
+    for flags in (["--timing"], ["--cap", "3"], ["--json", "--timing", "--cap", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["transform", f, "--kind", "tr", *flags])
+        assert exc.value.code == 2, flags
+    assert "unrecognized arguments" in capsys.readouterr().err
+    r = write("r.lp", "p__x :- not b.\nb :- not p__x.\n")
+    for argv, error in (
+        (["transform", r, "--kind", "tr"], "line 1, col 1: reserved prefix in atom 'p__x'"),
+        (["transform", f, "--kind", "test"], "transform --kind test requires --model"),
+        (["transform", f, "--kind", "test", "--model", "c__a"], "invalid plain atom name: 'c__a'"),
+        (
+            ["transform", f, "--kind", "test", "--model", "c__a", "--allow-reserved"],
+            "candidate model must be a subset of the program base",
+        ),
+    ):
+        code, out = run(argv + ["--json"])
+        doc = json.loads(out)
+        jsonschema.validate(doc, REPORT_SCHEMA)
+        assert (code, doc) == (1, {"command": "transform", "error": error, "outcome": "error"})
+        assert capsys.readouterr().err == f"error: {error}\n"
+    for flags in ([], ["--json"]):
+        code, out = run(["transform", r, "--kind", "gen", "--allow-reserved", *flags])
+        assert (code, out) == (0, "p__x :- not b.\nb :- not p__x.\n")
+
+
 def test_transform_test_lists_rules_by_first_enabled_input(write):
     # The first rule is off (d is in the model), so the head rule of a comes
     # from the third rule: after those of the second, not at a's place in a

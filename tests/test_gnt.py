@@ -365,8 +365,8 @@ def _tester_program(rng, kind):
     """A seeded program over at most 7 plain atoms, plus ``__f`` when it has
     constraints.  ``normal``: normal rules only, no constraints.
     ``disjunctive``: disjunctive and normal rules and input constraints, some
-    with a twin that differs only in its negative body, so both switch on
-    the same tester rules.  ``loop``: as ``disjunctive``, plus a positive
+    with a twin that differs only in its negative body, so both give the
+    same tester rules.  ``loop``: as ``disjunctive``, plus a positive
     loop through a disjunctive head."""
     atoms = [Atom(x) for x in "abcdefg"[: rng.randint(3, 7)]]
 
@@ -415,11 +415,25 @@ def _reduct_has_smaller_model(p, m):
     return False
 
 
+def _shares_tester_rule(p, m):
+    """Whether two input rules whose bodies hold in candidate m give the
+    same tester rule, which the tester must then list once."""
+    given = []
+    for r in p.rules:
+        if r.pos <= m and not r.neg & m:
+            if not r.is_normal:
+                given += [("choice", a, r.pos) for a in r.head & m] + [("constraint", r.head, r.pos)]
+            elif r.head <= m:
+                given.append(("normal", r.head, r.pos))
+    return len(set(given)) < len(given)
+
+
 def test_compiled_tester_matches_fresh_testers():
-    # One compiled tester table serves every candidate of each program, in
+    # One test_program result serves every candidate of each program, in
     # shuffled order.  The tester program of a candidate is a view of the
     # table its test searches and equals the rule-by-rule reference
-    # construction; a search over it gives the test's verdict and counts.
+    # construction, duplicates dropped; a search over it gives the test's
+    # verdict and counts.
     rng = random.Random("compiled tester")
     seen = {"normal": 0, "loop": 0, "constraints": 0, "shared": 0}
     verdicts = set()
@@ -447,18 +461,16 @@ def test_compiled_tester_matches_fresh_testers():
         seen["normal"] += kind == "normal" and F_ATOM not in gen_program(p).base
         seen["loop"] += kind == "loop"
         seen["constraints"] += any(r.head == {F_ATOM} for r in p.rules)
-        inputs = {}
-        for r, i, _ in table.switches:
-            inputs.setdefault(r, set()).add(i)
-        seen["shared"] += any(len(s) > 1 for s in inputs.values())
+        seen["shared"] += any(_shares_tester_rule(p, m) for m in candidates)
     assert verdicts == {True, False}
     assert min(seen.values()) >= 5, seen
 
 
 def test_tester_is_compiled_once_per_search(monkeypatch):
-    # A search compiles p's tester table once, however many candidates it
-    # tests, and builds one ordinary tester solver per test, inside that
-    # test's call of minimal_test.
+    # A search calls test_program on p once, however many candidates it
+    # tests, and derives each candidate's tester from its result: one
+    # ordinary tester solver per test, built inside that test's call of
+    # minimal_test.
     compiled, tests, testers = [], [], []
     init, minimal, compile_ = Solver.__init__, gnt.minimal_test, gnt.test_program
 
