@@ -1,57 +1,36 @@
 """Stable and partial stable models of ground disjunctive programs, computed
-by unfolding partiality and disjunctions into normal-program search."""
+by unfolding partiality and disjunctions into normal-program search.
 
-from .syntax import (
-    Atom,
-    F_ATOM,
-    Literal,
-    Program,
-    Rule,
-    U_ATOM,
-    complement,
-    potential,
-    render_program,
-    support,
-)
-from .parser import ParseError, parse_literals, parse_program
+The package exports the entry points of the README's "Library entry points"
+block and the types and exceptions they take or raise; everything else is
+reached through its module."""
+
+from .syntax import Atom, Literal, Program, Rule, render_program
+from .parser import ParseError, parse_program
 from .semantics import (
     CapExceededError,
-    Clause,
     PartialInterpretation,
-    TruthValue,
     UnknownAtomError,
     enumerate_partial_stable_models,
     enumerate_stable_models,
-    greatest_unfounded_set,
-    is_partial_model,
-    is_partial_stable_model,
-    is_stable_model,
-    is_total_model,
-    is_unfounded_free,
-    is_unfounded_set,
 )
-from .partiality import (
-    QueryLiterals,
-    expand_psm,
-    possibility_query,
-    project_sm,
-    translate_query,
-    tr2_program,
-    tr2_query,
-    unfold_partiality,
-)
-from .gentest import gen_basic, gen_naive, gen_program, support_program, test_program
-from .solver import Solver, SolverStats
-from .gnt import GntConfig, GntStats, SolveResult, minimal_test, solve_disjunctive
-from .qbf import (
-    Qbf2E,
-    negate_dnf,
-    parse_qbf,
-    qbf_to_program,
-    qbf_valid_oracle,
-    qbf_witness,
-    render_qbf,
-)
-from .bench import gen_d3sat_instance, gen_random_qbf, mm_encode
+from .partiality import QueryLiterals, expand_psm, possibility_query, project_sm, unfold_partiality
+from .gentest import gen_program, test_program
+from .solver import Solver
+from .gnt import GntConfig, SolveResult, solve_disjunctive
+from .qbf import Qbf2E, QbfParseError, parse_qbf, qbf_to_program, qbf_valid_oracle, render_qbf
+from .bench import gen_d3sat_instance, gen_random_qbf
+
+__all__ = [
+    "parse_program", "render_program", "Solver", "solve_disjunctive",
+    "unfold_partiality", "project_sm", "expand_psm", "possibility_query",
+    "gen_program", "test_program",
+    "enumerate_stable_models", "enumerate_partial_stable_models",
+    "parse_qbf", "render_qbf", "qbf_to_program", "qbf_valid_oracle",
+    "gen_d3sat_instance", "gen_random_qbf",
+    "Atom", "Literal", "Rule", "Program", "PartialInterpretation", "QueryLiterals",
+    "GntConfig", "SolveResult", "Qbf2E",
+    "ParseError", "QbfParseError", "CapExceededError", "UnknownAtomError",
+]
 
 __version__ = "0.1.0"

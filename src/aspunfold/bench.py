@@ -15,8 +15,23 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .qbf import Qbf2E
-from .semantics import Clause
 from .syntax import Atom, F_ATOM, Literal, Program, Rule
+
+
+@dataclass(frozen=True)
+class Clause:
+    """Disjunction of positive atoms `pos` and negated atoms `neg`."""
+
+    pos: frozenset[Atom]
+    neg: frozenset[Atom] = frozenset()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "pos", frozenset(self.pos))
+        object.__setattr__(self, "neg", frozenset(self.neg))
+
+    @property
+    def atoms(self) -> frozenset[Atom]:
+        return self.pos | self.neg
 
 
 @dataclass(frozen=True)

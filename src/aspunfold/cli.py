@@ -379,8 +379,8 @@ def cmd_bench(args) -> int:
     return EXIT_MODELS
 
 
-def _add_input(sp) -> None:
-    sp.add_argument("--json", action="store_true", help="emit a JSON report")
+def _add_input(sp, json_help: str = "emit a JSON report") -> None:
+    sp.add_argument("--json", action="store_true", help=json_help)
     sp.add_argument("--allow-reserved", action="store_true", help="accept reserved atom spellings in input")
 
 
@@ -423,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("--kind", choices=("tr", "tr2", "gen0", "gen1", "supp", "gen", "test"), required=True)
     sp.add_argument("--model", help="candidate model for --kind test, e.g. 'a b'")
-    _add_input(sp)
+    _add_input(sp, json_help="report errors as JSON; the program is printed as text")
     sp.set_defaults(fn=cmd_transform)
 
     sp = sub.add_parser("check", help="oracle verification of a claimed model")

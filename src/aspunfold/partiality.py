@@ -127,10 +127,6 @@ def tr2_program(p: Program) -> Program:
     return Program.of_table(RuleTable(x.atoms, rules))
 
 
-def tr2_query(q: QueryLiterals) -> QueryLiterals:
-    return QueryLiterals(q.literals | {Literal(F_ATOM, False)})
-
-
 def query_constrained(p: Program, q: QueryLiterals) -> Program:
     """p's rules, then a constraint per literal of q in sorted order that
     forces it true in every stable model: ``:- not a.`` for a, ``:- a.`` for

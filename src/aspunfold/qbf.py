@@ -140,37 +140,6 @@ def render_qbf(q: Qbf2E) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class NegClause:
-    """Clause X1 or not-X2 or Y1 or not-Y2 of the negated DNF matrix."""
-
-    x_pos: frozenset[Atom]
-    x_neg: frozenset[Atom]
-    y_pos: frozenset[Atom]
-    y_neg: frozenset[Atom]
-
-    def __post_init__(self) -> None:
-        for name in ("x_pos", "x_neg", "y_pos", "y_neg"):
-            object.__setattr__(self, name, frozenset(getattr(self, name)))
-        if self.x_pos & self.x_neg or self.y_pos & self.y_neg:
-            raise ValueError("clause sets must be disjoint within a variable class")
-
-
-def negate_dnf(q: Qbf2E) -> list[NegClause]:
-    """De Morgan: each DNF term becomes one clause with every literal flipped."""
-    xs = set(q.x_vars)
-    out = []
-    for term in q.terms:
-        x_pos, x_neg, y_pos, y_neg = set(), set(), set(), set()
-        for lit in term:
-            if lit.atom in xs:
-                (x_neg if lit.positive else x_pos).add(lit.atom)
-            else:
-                (y_neg if lit.positive else y_pos).add(lit.atom)
-        out.append(NegClause(frozenset(x_pos), frozenset(x_neg), frozenset(y_pos), frozenset(y_neg)))
-    return out
-
-
 def qbf_to_program(q: Qbf2E) -> Program:
     """The translation as a rule table.  Per clause i of not-phi: the
     activity choice ``cl__i :- not ncl__i.`` and ``ncl__i :- not cl__i.``;

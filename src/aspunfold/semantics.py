@@ -1,9 +1,12 @@
-"""Brute-force reference semantics: three-valued evaluation, reducts,
-unfounded sets, stable and partial stable models.
+"""Enumerative semantics: the stable and partial stable model checks and
+enumerations behind ``--mode brute``, ``check`` and ``query --filter``, and
+the partial interpretations they read and return.
 
 Everything here is exact and enumerative, guarded by an atom cap (default 12);
 exceeding the cap raises instead of truncating.  Interpretations are compiled
-to bitmasks internally so the enumerations stay affordable at desk scale.
+to bitmasks internally so the enumerations stay affordable at desk scale.  The
+object-level definitions these masks decide (reducts, unfounded sets) are kept
+in ``tests/conftest.py`` as test references.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .syntax import Atom, Literal, Program, Rule
+from .syntax import Atom, Literal, Program
 
 DEFAULT_CAP = 12
 
@@ -105,58 +108,6 @@ def eval_conj(i: PartialInterpretation, literals: Iterable[Literal]) -> TruthVal
     for lit in literals:
         v = min(v, i.literal_value(lit))
     return v
-
-
-def eval_disj(i: PartialInterpretation, atoms: Iterable[Atom]) -> TruthValue:
-    v = TruthValue.FALSE
-    for a in atoms:
-        v = max(v, i.value(a))
-    return v
-
-
-def satisfies(i: PartialInterpretation, rule: Rule) -> bool:
-    return eval_disj(i, rule.head) >= eval_conj(i, rule.body_literals())
-
-
-def is_partial_model(i: PartialInterpretation, p: Program) -> bool:
-    return all(satisfies(i, r) for r in p.rules)
-
-
-def is_total_model(i: PartialInterpretation, p: Program) -> bool:
-    return i.is_total and is_partial_model(i, p)
-
-
-def gl_reduct(p: Program, i: PartialInterpretation) -> Program:
-    """Rules with false negative body, negative literals deleted (positive program)."""
-    kept = tuple(
-        Rule(r.head, r.pos, frozenset()) for r in p.rules if r.neg <= i.false_set
-    )
-    return Program(kept, base=p.base)
-
-
-@dataclass(frozen=True)
-class ReducedRule:
-    """Rule of the three-valued reduct: negative literals folded to a constant.
-
-    A rule whose negative part folds to false is inert: its body value is f,
-    so it never constrains models.
-    """
-
-    head: frozenset[Atom]
-    pos_body: frozenset[Atom]
-    const_body: TruthValue
-
-    @property
-    def is_inert(self) -> bool:
-        return self.const_body is TruthValue.FALSE
-
-
-def tv_reduct(p: Program, m: PartialInterpretation) -> list[ReducedRule]:
-    out = []
-    for r in p.rules:
-        const = eval_conj(m, (Literal(c, False) for c in r.neg))
-        out.append(ReducedRule(r.head, r.pos, const))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -295,21 +246,6 @@ def _is_psm_masks(ms: _Masks, t: int, f: int) -> bool:
     return True
 
 
-def _unfounded_masks(ms: _Masks, t: int, f: int, u: int) -> bool:
-    undef = ms.full & ~t & ~f
-    for h, b, n in ms.rules:
-        if not h & u:
-            continue
-        if b & f or n & t:  # UF1
-            continue
-        if b & u:  # UF2
-            continue
-        if h & ~u & (t | undef):  # UF3
-            continue
-        return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Public oracle operations.
 
@@ -319,12 +255,6 @@ def is_stable_model(p: Program, n: PartialInterpretation, cap: int = DEFAULT_CAP
     _require_cap(len(n.true_set), cap, "stable-model minimality check")
     ms = _compile(p)
     return _is_stable_masks(ms, _mask(ms, n.true_set))
-
-
-def is_partial_stable_model(p: Program, m: PartialInterpretation, cap: int = DEFAULT_CAP) -> bool:
-    _require_cap(len(p.base), cap, "partial-stable-model check")
-    ms = _compile(p)
-    return _is_psm_masks(ms, _mask(ms, m.true_set), _mask(ms, m.false_set))
 
 
 def enumerate_stable_models(p: Program, cap: int = DEFAULT_CAP) -> list[frozenset[Atom]]:
@@ -349,62 +279,6 @@ def enumerate_partial_stable_models(p: Program, cap: int = DEFAULT_CAP) -> list[
                     PartialInterpretation(_atoms_of(ms, t), _atoms_of(ms, f), p.base)
                 )
     return sorted(out, key=lambda m: (sorted(m.true_set), sorted(m.false_set)))
-
-
-def is_unfounded_set(p: Program, i: PartialInterpretation, u: Iterable[Atom]) -> bool:
-    u = frozenset(u)
-    if not u <= p.base:
-        raise UnknownAtomError("unfounded-set candidate contains atoms outside the base")
-    ms = _compile(p)
-    return _unfounded_masks(ms, _mask(ms, i.true_set), _mask(ms, i.false_set), _mask(ms, u))
-
-
-def is_consistent_unfounded(u: Iterable[Atom], i: PartialInterpretation) -> bool:
-    return not frozenset(u) & i.true_set
-
-
-def greatest_unfounded_set(
-    p: Program, i: PartialInterpretation, cap: int = DEFAULT_CAP
-) -> Optional[frozenset[Atom]]:
-    """Union of all unfounded sets if that union is itself unfounded, else None."""
-    _require_cap(len(p.base), cap, "greatest-unfounded-set search")
-    ms = _compile(p)
-    t, f = _mask(ms, i.true_set), _mask(ms, i.false_set)
-    union = 0
-    for u in range(ms.full + 1):
-        if u & ~union and _unfounded_masks(ms, t, f, u):
-            union |= u
-    if _unfounded_masks(ms, t, f, union):
-        return _atoms_of(ms, union)
-    return None
-
-
-def is_unfounded_free(p: Program, n: PartialInterpretation, cap: int = DEFAULT_CAP) -> bool:
-    if not n.is_total:
-        raise ValueError("unfounded-freeness is defined for total interpretations")
-    _require_cap(len(p.base), cap, "unfounded-freeness check")
-    ms = _compile(p)
-    t, f = _mask(ms, n.true_set), _mask(ms, n.false_set)
-    for u in range(1, ms.full + 1):
-        if u & t and _unfounded_masks(ms, t, f, u):
-            return False
-    return True
-
-
-def remove_unfounded(
-    p: Program, m: PartialInterpretation, u: Iterable[Atom]
-) -> PartialInterpretation:
-    """Falsify an unfounded set inside a partial model of a positive program."""
-    u = frozenset(u)
-    if not p.is_positive:
-        raise ValueError("remove_unfounded requires a positive program")
-    if not is_partial_model(m, p):
-        raise ValueError("interpretation is not a partial model of the program")
-    if not is_unfounded_set(p, m, u):
-        raise ValueError("set is not unfounded w.r.t. the interpretation")
-    if not m.is_total and not is_consistent_unfounded(u, m):
-        raise ValueError("unfounded set must be consistent when the model is partial")
-    return PartialInterpretation(m.true_set - u, m.false_set | u, m.base)
 
 
 def check_total_stable(p: Program, n: PartialInterpretation, cap: int = DEFAULT_CAP) -> Optional[str]:
@@ -452,21 +326,3 @@ def maximal_models(
         raise ValueError(f"unknown ordering {ordering!r}")
     return [m for m in models if not any(dominated(m, other) for other in models)]
 
-
-# ---------------------------------------------------------------------------
-# Propositional clauses, the input of the minimal-model benchmark encoding.
-
-@dataclass(frozen=True)
-class Clause:
-    """Disjunction of positive atoms `pos` and negated atoms `neg`."""
-
-    pos: frozenset[Atom]
-    neg: frozenset[Atom] = frozenset()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pos", frozenset(self.pos))
-        object.__setattr__(self, "neg", frozenset(self.neg))
-
-    @property
-    def atoms(self) -> frozenset[Atom]:
-        return self.pos | self.neg

@@ -100,13 +100,6 @@ def support(a: Atom) -> Atom:
     return _known(_SUPPORT + a.text)
 
 
-def base_atom(a: Atom) -> Atom:
-    """The atom a mark was applied to; identity for plain/reserved atoms."""
-    if a.text.startswith(_MARKS):
-        return _known(a.text[3:])
-    return a
-
-
 # The marked atoms a construction forbids in its input, by how its error
 # names them.
 _FORBIDDEN = {

@@ -3,16 +3,207 @@ import sys
 from itertools import combinations
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterable, Optional
 
 import hypothesis
 from hypothesis import strategies as st
 
 from aspunfold import gnt
+from aspunfold.partiality import QueryLiterals
+from aspunfold.qbf import Qbf2E
+from aspunfold.semantics import (
+    DEFAULT_CAP,
+    PartialInterpretation,
+    TruthValue,
+    UnknownAtomError,
+    _atoms_of,
+    _compile,
+    _is_psm_masks,
+    _mask,
+    _Masks,
+    _require_cap,
+    eval_conj,
+)
 from aspunfold.solver import FALSE, TRUE, Solver, SolverStats
-from aspunfold.syntax import Atom, F_ATOM, Literal, Program, Rule, positions
+from aspunfold.syntax import _MARKS, Atom, F_ATOM, Literal, Program, Rule, _known, positions
 
 hypothesis.settings.register_profile("det", derandomize=True, max_examples=60)
 hypothesis.settings.load_profile("det")
+
+
+# The paper's definitions (reducts, unfounded sets, the negated QBF matrix), kept as test references.
+
+
+def eval_disj(i: PartialInterpretation, atoms: Iterable[Atom]) -> TruthValue:
+    v = TruthValue.FALSE
+    for a in atoms:
+        v = max(v, i.value(a))
+    return v
+
+
+def satisfies(i: PartialInterpretation, rule: Rule) -> bool:
+    return eval_disj(i, rule.head) >= eval_conj(i, rule.body_literals())
+
+
+def is_partial_model(i: PartialInterpretation, p: Program) -> bool:
+    return all(satisfies(i, r) for r in p.rules)
+
+
+def is_total_model(i: PartialInterpretation, p: Program) -> bool:
+    return i.is_total and is_partial_model(i, p)
+
+
+def gl_reduct(p: Program, i: PartialInterpretation) -> Program:
+    """Rules with false negative body, negative literals deleted (positive program)."""
+    kept = tuple(
+        Rule(r.head, r.pos, frozenset()) for r in p.rules if r.neg <= i.false_set
+    )
+    return Program(kept, base=p.base)
+
+
+@dataclass(frozen=True)
+class ReducedRule:
+    """Rule of the three-valued reduct: negative literals folded to a constant.
+
+    A rule whose negative part folds to false is inert: its body value is f,
+    so it never constrains models.
+    """
+
+    head: frozenset[Atom]
+    pos_body: frozenset[Atom]
+    const_body: TruthValue
+
+    @property
+    def is_inert(self) -> bool:
+        return self.const_body is TruthValue.FALSE
+
+
+def tv_reduct(p: Program, m: PartialInterpretation) -> list[ReducedRule]:
+    out = []
+    for r in p.rules:
+        const = eval_conj(m, (Literal(c, False) for c in r.neg))
+        out.append(ReducedRule(r.head, r.pos, const))
+    return out
+
+
+def _unfounded_masks(ms: _Masks, t: int, f: int, u: int) -> bool:
+    undef = ms.full & ~t & ~f
+    for h, b, n in ms.rules:
+        if not h & u:
+            continue
+        if b & f or n & t:  # UF1
+            continue
+        if b & u:  # UF2
+            continue
+        if h & ~u & (t | undef):  # UF3
+            continue
+        return False
+    return True
+
+
+def is_partial_stable_model(p: Program, m: PartialInterpretation, cap: int = DEFAULT_CAP) -> bool:
+    _require_cap(len(p.base), cap, "partial-stable-model check")
+    ms = _compile(p)
+    return _is_psm_masks(ms, _mask(ms, m.true_set), _mask(ms, m.false_set))
+
+
+def is_unfounded_set(p: Program, i: PartialInterpretation, u: Iterable[Atom]) -> bool:
+    u = frozenset(u)
+    if not u <= p.base:
+        raise UnknownAtomError("unfounded-set candidate contains atoms outside the base")
+    ms = _compile(p)
+    return _unfounded_masks(ms, _mask(ms, i.true_set), _mask(ms, i.false_set), _mask(ms, u))
+
+
+def is_consistent_unfounded(u: Iterable[Atom], i: PartialInterpretation) -> bool:
+    return not frozenset(u) & i.true_set
+
+
+def greatest_unfounded_set(
+    p: Program, i: PartialInterpretation, cap: int = DEFAULT_CAP
+) -> Optional[frozenset[Atom]]:
+    """Union of all unfounded sets if that union is itself unfounded, else None."""
+    _require_cap(len(p.base), cap, "greatest-unfounded-set search")
+    ms = _compile(p)
+    t, f = _mask(ms, i.true_set), _mask(ms, i.false_set)
+    union = 0
+    for u in range(ms.full + 1):
+        if u & ~union and _unfounded_masks(ms, t, f, u):
+            union |= u
+    if _unfounded_masks(ms, t, f, union):
+        return _atoms_of(ms, union)
+    return None
+
+
+def is_unfounded_free(p: Program, n: PartialInterpretation, cap: int = DEFAULT_CAP) -> bool:
+    if not n.is_total:
+        raise ValueError("unfounded-freeness is defined for total interpretations")
+    _require_cap(len(p.base), cap, "unfounded-freeness check")
+    ms = _compile(p)
+    t, f = _mask(ms, n.true_set), _mask(ms, n.false_set)
+    for u in range(1, ms.full + 1):
+        if u & t and _unfounded_masks(ms, t, f, u):
+            return False
+    return True
+
+
+def remove_unfounded(
+    p: Program, m: PartialInterpretation, u: Iterable[Atom]
+) -> PartialInterpretation:
+    """Falsify an unfounded set inside a partial model of a positive program."""
+    u = frozenset(u)
+    if not p.is_positive:
+        raise ValueError("remove_unfounded requires a positive program")
+    if not is_partial_model(m, p):
+        raise ValueError("interpretation is not a partial model of the program")
+    if not is_unfounded_set(p, m, u):
+        raise ValueError("set is not unfounded w.r.t. the interpretation")
+    if not m.is_total and not is_consistent_unfounded(u, m):
+        raise ValueError("unfounded set must be consistent when the model is partial")
+    return PartialInterpretation(m.true_set - u, m.false_set | u, m.base)
+
+
+@dataclass(frozen=True)
+class NegClause:
+    """Clause X1 or not-X2 or Y1 or not-Y2 of the negated DNF matrix."""
+
+    x_pos: frozenset[Atom]
+    x_neg: frozenset[Atom]
+    y_pos: frozenset[Atom]
+    y_neg: frozenset[Atom]
+
+    def __post_init__(self) -> None:
+        for name in ("x_pos", "x_neg", "y_pos", "y_neg"):
+            object.__setattr__(self, name, frozenset(getattr(self, name)))
+        if self.x_pos & self.x_neg or self.y_pos & self.y_neg:
+            raise ValueError("clause sets must be disjoint within a variable class")
+
+
+def negate_dnf(q: Qbf2E) -> list[NegClause]:
+    """De Morgan: each DNF term becomes one clause with every literal flipped."""
+    xs = set(q.x_vars)
+    out = []
+    for term in q.terms:
+        x_pos, x_neg, y_pos, y_neg = set(), set(), set(), set()
+        for lit in term:
+            if lit.atom in xs:
+                (x_neg if lit.positive else x_pos).add(lit.atom)
+            else:
+                (y_neg if lit.positive else y_pos).add(lit.atom)
+        out.append(NegClause(frozenset(x_pos), frozenset(x_neg), frozenset(y_pos), frozenset(y_neg)))
+    return out
+
+
+def base_atom(a: Atom) -> Atom:
+    """The atom a mark was applied to; identity for plain/reserved atoms."""
+    if a.text.startswith(_MARKS):
+        return _known(a.text[3:])
+    return a
+
+
+def tr2_query(q: QueryLiterals) -> QueryLiterals:
+    return QueryLiterals(q.literals | {Literal(F_ATOM, False)})
+
 
 ATOM_POOL = tuple(Atom(ch) for ch in "abcdef")
 
@@ -63,8 +254,6 @@ def random_positive_program(seed, max_atoms=5, max_rules=6):
 
 
 def random_partial_interpretation(rng, base):
-    from aspunfold.semantics import PartialInterpretation
-
     t, f = set(), set()
     for a in sorted(base):  # sorted so the draw order is hash-independent
         r = rng.random()
@@ -76,8 +265,6 @@ def random_partial_interpretation(rng, base):
 
 
 def random_total_interpretation(rng, base):
-    from aspunfold.semantics import PartialInterpretation
-
     return PartialInterpretation.total(
         frozenset(a for a in sorted(base) if rng.random() < 0.5), frozenset(base)
     )
@@ -405,7 +592,6 @@ def reference_clause_translation(c, i):
 
 def reference_qbf_to_program(q):
     """The reference for ``qbf_to_program``: rules, order and base."""
-    from aspunfold.qbf import negate_dnf
     from aspunfold.syntax import U_ATOM
 
     rules = []
@@ -493,7 +679,7 @@ def reference_query_constrained(p, q):
 
 def reference_check_total_stable(p, n, cap=12):
     """``check_total_stable`` as it was, over the object-level model check."""
-    from aspunfold.semantics import is_stable_model, is_total_model
+    from aspunfold.semantics import is_stable_model
 
     if not is_total_model(n, p):
         return "rule unsatisfied"
@@ -506,16 +692,6 @@ def reference_check_partial_stable(p, m, cap=12):
     """``check_partial_stable`` as it was, deciding with the masks and naming
     the failed condition from the object-level reducts: the reference for
     its verdict and reason."""
-    from aspunfold.semantics import (
-        PartialInterpretation,
-        eval_conj,
-        eval_disj,
-        gl_reduct,
-        is_partial_stable_model,
-        is_total_model,
-        tv_reduct,
-    )
-
     def reduced_satisfies(i, rr):
         body = min(eval_conj(i, (Literal(b, True) for b in rr.pos_body)), rr.const_body)
         return eval_disj(i, rr.head) >= body
@@ -539,8 +715,6 @@ def reference_check_partial_stable(p, m, cap=12):
 
 def unfounded_sets(p, i, cap=12):
     """All unfounded sets w.r.t. i, the empty set included."""
-    from aspunfold.semantics import _atoms_of, _compile, _mask, _require_cap, _unfounded_masks
-
     _require_cap(len(p.base), cap, "unfounded-set enumeration")
     ms = _compile(p)
     t, f = _mask(ms, i.true_set), _mask(ms, i.false_set)
@@ -551,7 +725,7 @@ def unfounded_sets(p, i, cap=12):
 
 def rule_as_clause(rule):
     """Positive disjunctive rule read as the clause head-or-not-body."""
-    from aspunfold.semantics import Clause
+    from aspunfold.bench import Clause
 
     if rule.neg:
         raise ValueError("only positive rules can be read as clauses")
@@ -572,8 +746,6 @@ def clause_atoms(clauses):
 
 def satisfiable(clauses, atoms=(), cap=12):
     """Truth-table satisfiability over the occurring atoms plus any extras."""
-    from aspunfold.semantics import _require_cap
-
     universe = sorted(clause_atoms(clauses) | frozenset(atoms))
     _require_cap(len(universe), cap, "satisfiability check")
     cms = _clause_masks(clauses, universe)
@@ -582,8 +754,6 @@ def satisfiable(clauses, atoms=(), cap=12):
 
 def minimal_models_containing(clauses, specified, cap=12):
     """Whether some subset-minimal model of the clauses contains all specified atoms."""
-    from aspunfold.semantics import _require_cap
-
     specified = frozenset(specified)
     universe = sorted(clause_atoms(clauses) | specified)
     _require_cap(len(universe), cap, "minimal-model search")
@@ -752,8 +922,6 @@ def program_st(draw):
 
 @st.composite
 def interpretation_st(draw, base=ATOM_POOL):
-    from aspunfold.semantics import PartialInterpretation
-
     t, f = set(), set()
     for a in base:
         bucket = draw(st.integers(0, 2))

@@ -11,7 +11,7 @@ import random
 import time
 from contextlib import redirect_stdout
 
-from aspunfold.bench import gen_d3sat_instance, gen_random_3sat_clauses, gen_random_qbf, mm_encode
+from aspunfold.bench import Clause, gen_d3sat_instance, gen_random_3sat_clauses, gen_random_qbf, mm_encode
 from aspunfold.gentest import gen_program
 from aspunfold.gentest import test_program as build_test_program
 from aspunfold.gnt import solve_disjunctive
@@ -19,31 +19,30 @@ from aspunfold.parser import parse_program
 from aspunfold.partiality import expand_psm, project_sm, unfold_partiality
 from aspunfold.qbf import qbf_to_program, qbf_valid_oracle
 from aspunfold.semantics import (
-    Clause,
     PartialInterpretation,
     enumerate_partial_stable_models,
     enumerate_stable_models,
-    gl_reduct,
-    greatest_unfounded_set,
-    is_consistent_unfounded,
-    is_partial_model,
-    is_partial_stable_model,
     is_stable_model,
-    is_total_model,
-    is_unfounded_free,
-    is_unfounded_set,
-    remove_unfounded,
 )
 from aspunfold.solver import Solver
 from aspunfold.syntax import Atom, potential
 
 from conftest import (
     gated_early_prunes,
+    gl_reduct,
+    greatest_unfounded_set,
+    is_consistent_unfounded,
+    is_partial_model,
+    is_partial_stable_model,
+    is_total_model,
+    is_unfounded_free,
+    is_unfounded_set,
     random_disjunctive_program,
     random_normal_program,
     random_partial_interpretation,
     random_positive_program,
     random_total_interpretation,
+    remove_unfounded,
     rule_as_clause,
     satisfiable,
     unfounded_sets,

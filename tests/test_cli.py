@@ -12,7 +12,7 @@ import pytest
 
 import aspunfold
 from aspunfold.bench import gen_random_qbf
-from aspunfold.cli import REPORT_SCHEMA, main
+from aspunfold.cli import REPORT_SCHEMA, build_parser, main
 from aspunfold.gnt import GntConfig
 from aspunfold.parser import parse_program
 from aspunfold.partiality import QueryLiterals, query_constrained, translate_query, unfold_partiality
@@ -219,6 +219,9 @@ def test_transform_takes_no_cap_or_timing(write, capsys):
     for flags in ([], ["--json"]):
         code, out = run(["transform", r, "--kind", "gen", "--allow-reserved", *flags])
         assert (code, out) == (0, "p__x :- not b.\nb :- not p__x.\n")
+    # On success the program is printed as text, so the help promises JSON for errors only.
+    transform = build_parser()._subparsers._group_actions[0].choices["transform"]
+    assert "--json report errors as JSON; the program is printed as text" in " ".join(transform.format_help().split())
 
 
 def test_transform_test_lists_rules_by_first_enabled_input(write):

@@ -7,11 +7,12 @@ from aspunfold.gentest import gen_basic, gen_naive, gen_program, support_program
 from aspunfold.gentest import test_program as build_test_program
 from aspunfold.parser import parse_program
 from aspunfold.qbf import qbf_to_program
-from aspunfold.semantics import enumerate_stable_models, is_total_model, PartialInterpretation
+from aspunfold.semantics import enumerate_stable_models, PartialInterpretation
 from aspunfold.solver import Solver
 from aspunfold.syntax import Atom, F_ATOM, U_ATOM, Program, Rule, complement, potential, support
 
 from conftest import (
+    is_total_model,
     random_disjunctive_program,
     random_normal_program,
     random_positive_program,

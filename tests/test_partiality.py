@@ -11,7 +11,6 @@ from aspunfold.partiality import (
     query_by_filter,
     query_constrained,
     tr2_program,
-    tr2_query,
     translate_query,
     unfold_partiality,
 )
@@ -20,18 +19,19 @@ from aspunfold.semantics import (
     UnknownAtomError,
     enumerate_partial_stable_models,
     enumerate_stable_models,
-    is_partial_model,
-    is_total_model,
 )
 from aspunfold.syntax import Atom, F_ATOM, Literal, Program, Rule, potential
 
 from conftest import (
     assert_same_program,
+    is_partial_model,
+    is_total_model,
     random_disjunctive_program,
     random_normal_program,
     random_partial_interpretation,
     reference_query_constrained,
     reference_tr2_program,
+    tr2_query,
 )
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
@@ -238,7 +238,7 @@ def test_gl_reduct_of_translation_worked_example6():
     n = PartialInterpretation.total(
         frozenset([A, B, potential(A), potential(B), potential(C)]), tr6.base
     )
-    from aspunfold.semantics import gl_reduct
+    from conftest import gl_reduct
 
     got = {r.render() for r in gl_reduct(tr6, n).rules}
     assert got == {
@@ -261,7 +261,7 @@ def test_gl_reduct_of_translation_worked_example6():
 
 def test_lemma3_consistency_is_necessary():
     # an inconsistent unfounded set does not lift to the translation
-    from aspunfold.semantics import is_consistent_unfounded, is_unfounded_set
+    from conftest import is_consistent_unfounded, is_unfounded_set
 
     p = parse_program("a | b.\na :- not a.")
     m = PartialInterpretation(frozenset([B]), frozenset(), p.base)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from aspunfold.bench import (
+    Clause,
     gen_d3sat_instance,
     gen_random_3sat_clauses,
     gen_random_qbf,
@@ -11,21 +12,14 @@ from aspunfold.bench import (
 from aspunfold.gnt import solve_disjunctive
 from aspunfold.parser import parse_program
 from aspunfold.qbf import (
-    NegClause,
     Qbf2E,
     QbfParseError,
-    negate_dnf,
     parse_qbf,
     qbf_to_program,
     qbf_valid_oracle,
     render_qbf,
 )
-from aspunfold.semantics import (
-    CapExceededError,
-    Clause,
-    PartialInterpretation,
-    gl_reduct,
-)
+from aspunfold.semantics import CapExceededError, PartialInterpretation
 from aspunfold.syntax import (
     Atom,
     F_ATOM,
@@ -39,8 +33,11 @@ from aspunfold.syntax import (
 )
 
 from conftest import (
+    NegClause,
     assert_same_program,
+    gl_reduct,
     minimal_models_containing,
+    negate_dnf,
     reference_clause_translation,
     reference_parse_qbf,
     reference_qbf_to_program,

@@ -3,10 +3,10 @@ import random
 
 import pytest
 
+from aspunfold.bench import Clause
 from aspunfold.parser import parse_program
 from aspunfold.semantics import (
     CapExceededError,
-    Clause,
     PartialInterpretation,
     TruthValue,
     UnknownAtomError,
@@ -15,31 +15,31 @@ from aspunfold.semantics import (
     enumerate_partial_stable_models,
     enumerate_stable_models,
     eval_conj,
+    is_stable_model,
+    maximal_models,
+)
+from aspunfold.syntax import Atom, Literal, Program, Rule
+
+from conftest import (
     eval_disj,
     gl_reduct,
     greatest_unfounded_set,
     is_consistent_unfounded,
     is_partial_model,
     is_partial_stable_model,
-    is_stable_model,
     is_total_model,
     is_unfounded_free,
     is_unfounded_set,
-    maximal_models,
-    remove_unfounded,
-    satisfies,
-    tv_reduct,
-)
-from aspunfold.syntax import Atom, Literal, Program, Rule
-
-from conftest import (
     minimal_models_containing,
     random_disjunctive_program,
     random_normal_program,
     reference_check_partial_stable,
     reference_check_total_stable,
+    remove_unfounded,
     rule_as_clause,
     satisfiable,
+    satisfies,
+    tv_reduct,
 )
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")

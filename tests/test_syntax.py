@@ -8,7 +8,6 @@ from aspunfold.syntax import (
     Program,
     Rule,
     U_ATOM,
-    base_atom,
     clause_atom,
     clause_negation_atom,
     complement,
@@ -19,7 +18,7 @@ from aspunfold.syntax import (
     support,
 )
 
-from conftest import program_st
+from conftest import base_atom, program_st
 
 
 def test_atom_renderings():
