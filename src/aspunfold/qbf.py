@@ -12,8 +12,9 @@ numbers them once in sorted order and builds each rule over those final
 numbers.
 
 ``parse_qbf`` checks each distinct token once, and each term line as it
-reads it, so an error names the first bad token of its line; a ``Qbf2E``
-built directly names the least bad variable of its first bad term.
+reads it, so an error names the first bad token of its line; it then builds
+its ``Qbf2E`` without checking the terms again.  A ``Qbf2E`` built directly
+checks its own terms and names the least bad variable of its first bad term.
 """
 
 from __future__ import annotations
@@ -127,7 +128,12 @@ def parse_qbf(text: str) -> Qbf2E:
             if term.setdefault(lit.atom.text, lit) is not lit:
                 raise QbfParseError(_complementary(lit.atom.text), lineno)
         terms.append(frozenset(term.values()))
-    return Qbf2E(x_vars, y_vars, tuple(terms))
+    # Every check of Qbf2E.__post_init__ has been made above, so it is not
+    # run again.
+    q = object.__new__(Qbf2E)
+    for name, value in (("x_vars", x_vars), ("y_vars", y_vars), ("terms", tuple(terms))):
+        object.__setattr__(q, name, value)
+    return q
 
 
 def render_qbf(q: Qbf2E) -> str:

@@ -15,6 +15,16 @@ is one loop, ``_unit_propagate``, over a stack of assignments: the value of
 each picks whether it advances or blocks the bodies in ``occ_pos`` and in
 ``occ_neg``, and ``undo_to`` walks the same lists back.
 
+The search starts from the root assignment that set-up computes: facts
+true, and false every atom that heads no rule or has itself in the negative
+body of every rule it heads, such as the constraint atom ``__f`` of
+``:- body`` (``__f :- body, not __f``).  Such an atom is false in every
+stable model: were it true, every rule that could derive it would be
+blocked.  Set-up finds them in one pass over the rules each atom heads
+(``occ_head``), which for most atoms stops at the first rule.  So
+constraints propagate backward from the root, as smodels' lookahead lets
+them, instead of once a choice has set ``__f``.
+
 Unfounded atoms are found with source pointers, as in smodels.  At set-up
 the positive dependency graph (head to positive body atoms) is split into
 strongly connected components; only atoms of cyclic ones (more than one
@@ -43,8 +53,11 @@ sorted order.  An atom's count is at most the number of rules it occurs in,
 so the scan visits atoms by decreasing occurrence count, then by index, and
 stops at the first undefined atom that could at best tie with a best of
 lower index.  The per-atom rule sets it counts and that order are built at
-the first choice and never updated, so a solver that never branches never
-builds them.  The search keeps, with each choice, the scan position before
+the first choice, over the atoms undefined then, and never updated, so a
+solver that never branches never builds them.  The search never unassigns
+an atom assigned at its first choice, the root fixpoint, until it ends;
+``undo_to`` drops both once it does, so the next choice builds them again.
+The search keeps, with each choice, the scan position before
 which every atom is assigned, so the scan starts past the atoms assigned
 above it.
 Chronological backtracking, no learning.
@@ -132,12 +145,25 @@ class Solver:
         self._initial: list[tuple[int, int]] = [
             (self.r_head[r], TRUE) for r, size in enumerate(self.r_size) if size == 0
         ]
-        self._initial += [(a, FALSE) for a in range(n) if self.active[a] == 0]
+        # False at the root: each atom whose every rule, if it has any, has
+        # the atom in its negative body (see the module docstring).  Most
+        # atoms fail at their first rule.
+        r_neg = self.r_neg
+        self._initial += [
+            (a, FALSE)
+            for a, rules in enumerate(self.occ_head)
+            if not rules or (a in r_neg[rules[0]] and all(a in r_neg[r] for r in rules))
+        ]
         for lit in assumptions:
             if lit.atom not in self.index:
                 raise ValueError(f"assumption atom {lit.atom.text} not in program base")
             self._initial.append((self.index[lit.atom], TRUE if lit.positive else FALSE))
         self._gen: Optional[Iterator[frozenset[Atom]]] = None
+        # Built by _choose over the atoms it finds undefined, with the trail
+        # length then (0 while unbuilt); undo_to below that length drops them.
+        self.occ_all: list[list[int]] = []
+        self._by_occurrence: Optional[list[int]] = None
+        self._indexed_at = 0
 
     @cached_property
     def index(self) -> dict[Atom, int]:
@@ -392,27 +418,35 @@ class Solver:
                 if not n_false[r]:
                     active[r_head[r]] += 1
         self._queue.clear()
+        if mark < self._indexed_at:
+            self._by_occurrence = None
+            self._indexed_at = 0
 
     # -- search -----------------------------------------------------------------
 
-    @cached_property
-    def occ_all(self) -> list[list[int]]:
-        """Per atom, the rules it occurs in (head or body), each once, in no
-        particular order: ``_choose`` only counts them."""
-        return [list(set(h + p + c)) for h, p, c in zip(self.occ_head, self.occ_pos, self.occ_neg)]
-
-    @cached_property
-    def _by_occurrence(self) -> list[int]:
-        """Atoms by decreasing number of rules they occur in, then by index
-        (a reversed sort keeps equal keys in their order)."""
-        counts = list(map(len, self.occ_all))
-        return sorted(range(len(counts)), key=counts.__getitem__, reverse=True)
+    def _index_open_atoms(self) -> None:
+        """Per undefined atom, the rules it occurs in (head or body), each
+        once, in no particular order: ``_choose`` only counts them; and the
+        undefined atoms by decreasing number of those rules, then by index
+        (a reversed sort keeps equal keys in their order).  They hold while
+        every atom assigned now stays assigned: ``undo_to`` drops them when
+        it unassigns one."""
+        val, occ_head, occ_pos, occ_neg = self.val, self.occ_head, self.occ_pos, self.occ_neg
+        occ_all: list[list[int]] = [[]] * len(val)  # assigned atoms: never read
+        open_atoms = [a for a, v in enumerate(val) if v == UNDEF]
+        for a in open_atoms:
+            occ_all[a] = list(set(occ_head[a] + occ_pos[a] + occ_neg[a]))
+        open_atoms.sort(key=lambda a: len(occ_all[a]), reverse=True)
+        self.occ_all, self._by_occurrence = occ_all, open_atoms
+        self._indexed_at = len(self.trail)
 
     def _choose(self, start: int = 0) -> tuple[int, int]:
         """The undefined atom in the most unsatisfied rules (head not true, no
         body literal false), the lowest index on ties; and the position of
         the first undefined atom in ``_by_occurrence``.  Every atom before
         position ``start`` there must be assigned."""
+        if self._by_occurrence is None:
+            self._index_open_atoms()
         val, n_false, r_head, occ_all = self.val, self.n_false, self.r_head, self.occ_all
         order = self._by_occurrence
         end = len(order)

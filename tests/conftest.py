@@ -308,10 +308,44 @@ def gated_early_prunes(rng, p, samples):
         yield any(true <= m and not m & false for m in stable)
 
 
-class ReferenceGenerator(Solver):
+class WithoutRootInference(Solver):
+    """A solver as it was before set-up fixed false every atom whose rules
+    all have it in their negative body: at the root, facts true and atoms
+    that head no rule false.  For solvers built without assumptions (the
+    generators and testers of gnt)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._initial = [(a, v) for a, v in self._initial if v == TRUE or not self.occ_head[a]]
+
+
+class ReferenceTester(gnt._Tester):
+    """``gnt._Tester`` searching each tester without the root inference."""
+
+    def minimal(self, candidate):
+        if self.table is None:
+            self.table = gnt.test_program(self.p)
+        self.solver = WithoutRootInference(self.table.tester(self.table.numbers(candidate)))
+        search = self.solver.models()
+        self.model = next(search, None)
+        search.close()
+        return self.model is None
+
+
+class RootlessGenerator(WithoutRootInference, gnt._Generator):
+    """The generator of ``solve_disjunctive`` as it was before set-up fixed
+    self-blocking atoms false, in the generator and in every tester."""
+
+    def __init__(self, g, p, config):
+        super().__init__(g, p, config)
+        self.tester = ReferenceTester(p)
+
+
+class ReferenceGenerator(WithoutRootInference):
     """The generator of ``solve_disjunctive`` as it was before failed tests
     taught it unfounded sets: the minimality test on covered candidates and
-    the gated early test on positive branches, nothing learned."""
+    the gated early test on positive branches, nothing learned, and no root
+    inference in the generator or its testers."""
 
     def __init__(self, g, p, config):
         super().__init__(g)
@@ -325,7 +359,7 @@ class ReferenceGenerator(Solver):
         self.config = config
         self.gnt_stats = gnt.GntStats()
         self.tester_stats = SolverStats()
-        self.tester = gnt._Tester(p)
+        self.tester = ReferenceTester(p)
         self.was_covered = False
 
     def _minimal(self):
@@ -361,11 +395,13 @@ class ReferenceGenerator(Solver):
         return False
 
 
-def reference_solve_disjunctive(p, mode="gnt2", enumerate_all=False, config=None):
+def reference_solve_disjunctive(p, mode="gnt2", enumerate_all=False, config=None, learning=False):
     """``solve_disjunctive`` over ``ReferenceGenerator``: the reference for
     its models in every generator mode, and for the counts it had before
-    learning."""
-    generator = ReferenceGenerator(gnt._GENERATORS[mode](p), p, config or gnt.GntConfig())
+    learning and the root inference.  With ``learning``, over
+    ``RootlessGenerator``: the counts it had before the root inference."""
+    make = RootlessGenerator if learning else ReferenceGenerator
+    generator = make(gnt._GENERATORS[mode](p), p, config or gnt.GntConfig())
     seen, models = set(), []
     search = generator.models()
     for n in search:

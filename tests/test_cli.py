@@ -455,29 +455,29 @@ def _stats_lines(out):
 
 
 def test_query_partial_honours_early_test(write):
-    # Without learning, gnt2 on the first program's query translation pruned
-    # twice under early tests.  With it, the set learned from the first
-    # failed test prunes those two branches before an early test runs, under
-    # either setting.  On the second program an early test still prunes once.
-    text = "b | c :- a, b.\na | c.\na | b | c :- a.\n"
+    # Without learning, gnt2 on the query translation for a pruned once
+    # under early tests.  With it, the set learned from the first failed
+    # test prunes that branch before an early test runs, under either
+    # setting.  For c, an early test still prunes once.  (The programs this
+    # test used before pruned nothing once __f was false from the root.)
+    text = "a | b | c.\nc :- c.\na | c :- a.\nb.\n:- c.\n"
     f = write("e.lp", text)
-    g = write("g.lp", "c | d :- d.\nb | d.\nd :- b, c.\na | b | d :- not d.\nb | c.\n")
     augmented = query_constrained(
-        unfold_partiality(parse_program(text)), translate_query(QueryLiterals(frozenset([Literal(Atom("b"), True)])))
+        unfold_partiality(parse_program(text)), translate_query(QueryLiterals(frozenset([Literal(Atom("a"), True)])))
     )
     before, learned, prunes = {}, {}, {}
     for policy in ("on", "off"):
         r = reference_solve_disjunctive(augmented, config=GntConfig(early_test=policy))
         before[policy] = r.stats.early_prunes
-        code, out = run(["query", f, "--query", "b", "--early-test", policy, "--stats"])
+        code, out = run(["query", f, "--query", "a", "--early-test", policy, "--stats"])
         assert code == 20 and out.splitlines()[0] == "NO"
         stats = _stats_lines(out)
         learned[policy] = tuple(int(stats[k]) for k in ("prunes", "learned", "learned_prunes"))
-        code, out = run(["query", g, "--query", "d", "--early-test", policy, "--stats"])
-        assert code == 0 and out.splitlines()[0] == "YES"
+        code, out = run(["query", f, "--query", "c", "--early-test", policy, "--stats"])
+        assert code == 20 and out.splitlines()[0] == "NO"
         prunes[policy] = int(_stats_lines(out)["prunes"])
-    assert before == {"on": 2, "off": 0}
-    assert learned == {"on": (0, 1, 2), "off": (0, 1, 2)}
+    assert before == {"on": 1, "off": 0}
+    assert learned == {"on": (0, 1, 1), "off": (0, 1, 1)}
     assert prunes == {"on": 1, "off": 0}
 
 

@@ -16,6 +16,7 @@ from aspunfold.solver import Solver, SolverStats
 from aspunfold.syntax import Atom, F_ATOM, Program, Rule, complement, positions, support
 
 from conftest import (
+    RootlessGenerator,
     gated_early_prunes,
     random_disjunctive_program,
     random_normal_program,
@@ -93,15 +94,20 @@ def test_generator_reads_the_input_lifted_by_its_construction():
 
 def test_generator_starts_from_facts():
     # facts are set before the first choice, so a rule whose body is all
-    # facts costs the generator no more than the bare disjunction
-    def generator_counts(text):
+    # facts costs the generator no more than the bare disjunction.  With
+    # __f false from the root, the constraints propagate at once and one
+    # choice settles the disjunction; without that inference the generator
+    # branched on __f first.
+    def generator_counts(text, generator=_Generator):
         p = parse_program(text)
-        g = _Generator(gen_program(p), p, GntConfig())
+        g = generator(gen_program(p), p, GntConfig())
         list(g.models())
         return g.stats
 
     facts = generator_counts("a.\nb.\nc.\nd | e :- a, b, c.")
-    assert facts == generator_counts("d | e.") == SolverStats(4, 2, 9)
+    assert facts == generator_counts("d | e.") == SolverStats(1, 0, 3)
+    rootless = generator_counts("a.\nb.\nc.\nd | e :- a, b, c.", RootlessGenerator)
+    assert rootless == generator_counts("d | e.", RootlessGenerator) == SolverStats(4, 2, 9)
 
 
 def test_deep_disjunctive_search_is_not_recursive():
@@ -170,10 +176,13 @@ def test_was_covered_discipline():
     # After a covered candidate, an early test runs on every positive branch
     # where the condition holds, until one passes or the condition fails; it
     # never runs otherwise.  A branch that a learned set prunes runs no test
-    # and leaves the flag as it is.
+    # and leaves the flag as it is.  With __f false from the root, learned
+    # sets rarely fire on the random programs, so gw QBF translations join
+    # them.
+    programs = [random_disjunctive_program(seed) for seed in range(60)]
+    programs += [qbf_to_program(gen_random_qbf(8, "gw", seed)) for seed in range(1, 11)]
     tests = fails = learned = 0
-    for seed in range(60):
-        p = random_disjunctive_program(seed)
+    for p in programs:
         search = _RecordingGenerator(gen_program(p), p, GntConfig())
         for _ in search.models():
             pass

@@ -182,8 +182,14 @@ def test_parse_qbf_matches_reference():
 
 
 def test_qbf_roundtrip():
+    # parse_qbf builds its Qbf2E without re-running __post_init__: the
+    # result must still be the one the checked constructor builds.
     q = gen_random_qbf(8, "gw", 5)
-    assert parse_qbf(render_qbf(q)) == q
+    parsed = parse_qbf(render_qbf(q))
+    assert parsed == q and hash(parsed) == hash(q)
+    assert parsed == Qbf2E(parsed.x_vars, parsed.y_vars, parsed.terms)
+    assert type(parsed.x_vars) is type(parsed.terms) is tuple
+    assert all(type(term) is frozenset for term in parsed.terms)
 
 
 def test_negate_dnf():
