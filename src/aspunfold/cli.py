@@ -1,9 +1,15 @@
 """Command-line surface: solve, partial, transform, check, query, qbf, bench.
 
+Each reporting command returns its ``RunReport`` and text lines; ``main``
+times the call, emits the report and maps its outcome to an exit code
+through ``EXIT_CODES`` (0 models/yes, 20 none/no, 1 error).  ``transform``,
+``qbf translate`` and ``bench`` print program text or file names themselves.
+Programs are solved through ``gnt.solve``, the one place an engine is
+chosen; ``qbf solve`` always runs the driver.
+
 Output is deterministic byte-for-byte for fixed inputs and seeds: models are
 printed one per line with atoms sorted, stats as ``key=value`` lines, and
-wall-clock timing is only emitted under ``--timing``.  Exit codes follow
-solver practice: 0 models/yes, 20 none/no, 1 error.
+wall-clock timing is only emitted under ``--timing``.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Optional, Sequence
 
 from .bench import gen_d3sat_instance, gen_random_qbf
 from .gentest import gen_basic, gen_naive, gen_program, support_program, test_program
-from .gnt import MODES, GntConfig, GntStats, solve_disjunctive
+from .gnt import MODES, GntConfig, GntStats, solve, solve_disjunctive
 from .parser import ParseError, parse_atom_set, parse_literals, parse_program
 from .partiality import (
     QueryLiterals,
@@ -37,13 +43,14 @@ from .semantics import (
     check_total_stable,
     enumerate_stable_models,
     maximal_models,
+    require_in_base,
 )
-from .solver import Solver, SolverStats
+from .solver import SolverStats
 from .syntax import Atom, Program, render_program
 
-EXIT_MODELS = 0
-EXIT_NO_MODELS = 20
-EXIT_ERROR = 1
+# The exit code of each outcome; a command that prints a program or file
+# names itself and returns no report exits as models_found.
+EXIT_CODES = {"models_found": 0, "no_models": 20, "error": 1}
 
 REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -76,7 +83,6 @@ REPORT_SCHEMA = {
 @dataclass
 class RunReport:
     command: str
-    outcome: str = "no_models"
     models: list[list[str]] = field(default_factory=list)
     partial_models: list[dict] = field(default_factory=list)
     answer: Optional[str] = None
@@ -84,6 +90,14 @@ class RunReport:
     stats: dict[str, int] = field(default_factory=dict)
     elapsed: float = 0.0
     error: Optional[str] = None
+
+    @property
+    def outcome(self) -> str:
+        """models_found when the report holds a model, as every answer that
+        exits 0 does (ACCEPT, YES, VALID), no_models when it holds none."""
+        if self.error is not None:
+            return "error"
+        return "models_found" if self.models or self.partial_models else "no_models"
 
     def as_json(self, timing: bool) -> dict:
         doc: dict = {"command": self.command, "outcome": self.outcome}
@@ -102,6 +116,10 @@ class RunReport:
         if timing:
             doc["elapsed"] = self.elapsed
         return doc
+
+
+# A command's report and the text lines that stand for it without --json.
+Output = tuple[RunReport, list[str]]
 
 
 def _emit(report: RunReport, args, lines: list[str]) -> None:
@@ -139,7 +157,7 @@ def _gnt_config(args) -> GntConfig:
     return GntConfig(early_test=args.early_test)
 
 
-def _stats_dict(gnt=None, solver: Optional[SolverStats] = None) -> dict[str, int]:
+def _stats_dict(gnt: Optional[GntStats], solver: SolverStats) -> dict[str, int]:
     out: dict[str, int] = {}
     if gnt is not None:
         out["candidates"] = gnt.candidates_covered
@@ -147,10 +165,9 @@ def _stats_dict(gnt=None, solver: Optional[SolverStats] = None) -> dict[str, int
         out["prunes"] = gnt.early_prunes
         out["learned"] = gnt.learned_sets
         out["learned_prunes"] = gnt.learned_prunes
-    if solver is not None:
-        out["choices"] = solver.choices
-        out["conflicts"] = solver.conflicts
-        out["expansions"] = solver.expansions
+    out["choices"] = solver.choices
+    out["conflicts"] = solver.conflicts
+    out["expansions"] = solver.expansions
     return out
 
 
@@ -159,56 +176,35 @@ def _load_program(args) -> Program:
         return parse_program(fh.read(), allow_reserved=getattr(args, "allow_reserved", False))
 
 
-def _solve_program(p: Program, args, enumerate_all: bool) -> tuple[list[frozenset[Atom]], dict[str, int]]:
-    mode = getattr(args, "mode", "gnt2")
-    if p.is_normal and mode != "brute":
-        solver = Solver(p)
-        models = solver.all_models() if enumerate_all else [
-            m for m in [solver.next_stable_model()] if m is not None
-        ]
-        return models, _stats_dict(solver=solver.stats)
-    result = solve_disjunctive(
-        p, mode=mode, enumerate_all=enumerate_all, config=_gnt_config(args), cap=args.cap
-    )
-    # The oracle counts no gnt work: its statistics are the zero solver counts.
-    return result.models, _stats_dict(None if mode == "brute" else result.stats, result.solver_stats)
+def _solve(p: Program, args, enumerate_all: bool) -> tuple[list[frozenset[Atom]], dict[str, int]]:
+    """The models of p from ``gnt.solve``, and their statistics: the gnt
+    counters only when the driver ran."""
+    result = solve(p, args.mode, enumerate_all, _gnt_config(args), args.cap)
+    return result.models, _stats_dict(result.stats, result.solver_stats)
 
 
-def cmd_solve(args) -> int:
-    t0 = time.perf_counter()
+def cmd_solve(args) -> Output:
     report = RunReport("solve")
-    p = _load_program(args)
-    models, report.stats = _solve_program(p, args, args.all)
-    report.elapsed = time.perf_counter() - t0
-    if models:
-        report.outcome = "models_found"
-        report.models = [_texts(m) for m in models]
-        _emit(report, args, [_model_line(m) for m in models])
-        return EXIT_MODELS
-    _emit(report, args, ["NO STABLE MODELS"])
-    return EXIT_NO_MODELS
+    models, report.stats = _solve(_load_program(args), args, args.all)
+    if not models:
+        return report, ["NO STABLE MODELS"]
+    report.models = [_texts(m) for m in models]
+    return report, [_model_line(m) for m in models]
 
 
-def cmd_partial(args) -> int:
-    t0 = time.perf_counter()
+def cmd_partial(args) -> Output:
     report = RunReport("partial")
     p = _load_program(args)
-    trp = unfold_partiality(p)
-    enumerate_all = args.all or args.maximal
-    models, report.stats = _solve_program(trp, args, enumerate_all)
+    models, report.stats = _solve(unfold_partiality(p), args, args.all or args.maximal)
     psms = [project_sm(n, p.base) for n in models]
     if args.maximal:
         psms = maximal_models(psms, args.ordering)
     psms.sort(key=lambda m: (sorted(m.true_set), sorted(m.undef_set)))
-    report.elapsed = time.perf_counter() - t0
-    if psms:
-        report.outcome = "models_found"
-        report.models = [_texts(m.true_set) for m in psms]
-        report.partial_models = [_partial_record(m) for m in psms]
-        _emit(report, args, [_partial_line(m) for m in psms])
-        return EXIT_MODELS
-    _emit(report, args, ["NO PARTIAL STABLE MODELS"])
-    return EXIT_NO_MODELS
+    if not psms:
+        return report, ["NO PARTIAL STABLE MODELS"]
+    report.models = [_texts(m.true_set) for m in psms]
+    report.partial_models = [_partial_record(m) for m in psms]
+    return report, [_partial_line(m) for m in psms]
 
 
 _TRANSFORMS = {
@@ -221,28 +217,25 @@ _TRANSFORMS = {
 }
 
 
-def cmd_transform(args) -> int:
+def cmd_transform(args) -> None:
     p = _load_program(args)
     if args.kind == "test":
         if args.model is None:
             raise ParseError("transform --kind test requires --model")
         candidate = parse_atom_set(args.model, allow_reserved=args.allow_reserved)
+        require_in_base(candidate, p.base, "model")
         out = test_program(p).program(candidate)
     else:
         out = _TRANSFORMS[args.kind](p)
     sys.stdout.write(render_program(out))
-    return EXIT_MODELS
 
 
-def cmd_check(args) -> int:
-    t0 = time.perf_counter()
+def cmd_check(args) -> Output:
     report = RunReport("check")
     p = _load_program(args)
     if args.model is not None:
         atoms = parse_atom_set(args.model, allow_reserved=args.allow_reserved)
-        unknown = sorted(atoms - p.base)
-        if unknown:
-            raise ParseError(f"model atom {unknown[0].text} not in program base")
+        require_in_base(atoms, p.base, "model")
         claimed = PartialInterpretation.total(atoms, p.base)
         reason = check_total_stable(p, claimed, args.cap)
         if reason is None:
@@ -254,27 +247,20 @@ def cmd_check(args) -> int:
         left, right = spec.split("/", 1)
         t = parse_atom_set(left, allow_reserved=args.allow_reserved)
         f = parse_atom_set(right, allow_reserved=args.allow_reserved)
-        unknown = sorted((t | f) - p.base)
-        if unknown:
-            raise ParseError(f"model atom {unknown[0].text} not in program base")
+        require_in_base(t | f, p.base, "model")
         claimed = PartialInterpretation(t, f, p.base)
         reason = check_partial_stable(p, claimed, args.cap)
         if reason is None:
             report.partial_models = [_partial_record(claimed)]
-    report.elapsed = time.perf_counter() - t0
     if reason is None:
-        report.outcome = "models_found"
         report.answer = "ACCEPT"
-        _emit(report, args, ["ACCEPT"])
-        return EXIT_MODELS
+        return report, ["ACCEPT"]
     report.answer = "REJECT"
     report.reason = reason
-    _emit(report, args, [f"REJECT: {reason}"])
-    return EXIT_NO_MODELS
+    return report, [f"REJECT: {reason}"]
 
 
-def cmd_query(args) -> int:
-    t0 = time.perf_counter()
+def cmd_query(args) -> Output:
     report = RunReport("query")
     p = _load_program(args)
     literals = parse_literals(args.query, allow_reserved=args.allow_reserved) if args.query.strip() else ()
@@ -289,68 +275,54 @@ def cmd_query(args) -> int:
             ok, witness, result = possibility_query(
                 p, q, mode=args.mode, cap=args.cap, config=_gnt_config(args)
             )
-            report.stats = _stats_dict(result.stats, result.solver_stats)
-        if ok and witness is not None:
+            # Under partial semantics the gnt counters are always reported.
+            report.stats = _stats_dict(result.stats or GntStats(), result.solver_stats)
+        if ok:
             witness_lines = [_partial_line(witness)]
             report.partial_models = [_partial_record(witness)]
     else:
-        unknown = sorted(q.atoms - p.base)
-        if unknown:
-            raise ParseError(f"query atom {unknown[0].text} not in program base")
+        require_in_base(q.atoms, p.base, "query")
         if args.filter:
-            ok, model = False, None
-            for m in enumerate_stable_models(p, args.cap):
-                if all((l.atom in m) == l.positive for l in q.literals):
-                    ok, model = True, m
-                    break
-            report.stats = _stats_dict(solver=SolverStats())
+            stable = enumerate_stable_models(p, args.cap)
+            model = next((m for m in stable if all((l.atom in m) == l.positive for l in q.literals)), None)
+            report.stats = _stats_dict(None, SolverStats())
         else:
-            models, report.stats = _solve_program(query_constrained(p, q), args, enumerate_all=False)
-            ok = bool(models)
+            models, report.stats = _solve(query_constrained(p, q), args, enumerate_all=False)
             model = models[0] & p.base if models else None
-        if ok and model is not None:
+        ok = model is not None
+        if ok:
             witness_lines = [_model_line(model)]
             report.models = [_texts(model)]
-    report.elapsed = time.perf_counter() - t0
     report.answer = "YES" if ok else "NO"
-    report.outcome = "models_found" if ok else "no_models"
-    _emit(report, args, [report.answer] + witness_lines)
-    return EXIT_MODELS if ok else EXIT_NO_MODELS
+    return report, [report.answer] + witness_lines
 
 
-def cmd_qbf(args) -> int:
-    t0 = time.perf_counter()
+def cmd_qbf(args) -> Optional[Output]:
     with open(args.file, "r", encoding="utf-8") as fh:
         q = parse_qbf(fh.read())
     if args.action == "translate":
         sys.stdout.write(render_program(qbf_to_program(q)))
-        return EXIT_MODELS
+        return None
     report = RunReport("qbf")
     if args.action == "eval":
         witness = qbf_witness(q, DEFAULT_QBF_CAP if args.cap is None else args.cap)
-        valid = witness is not None
-        if valid:
-            # the model row is the witnessing existential assignment
-            report.models = [_texts(witness)]
+        # the model row is the witnessing existential assignment
+        report.models = [] if witness is None else [_texts(witness)]
     else:
+        # Always the driver (or the oracle), even on a normal translation.
         result = solve_disjunctive(
             qbf_to_program(q),
             mode=args.mode,
             config=_gnt_config(args),
             cap=DEFAULT_CAP if args.cap is None else args.cap,
         )
-        valid = bool(result.models)
-        if valid:
-            report.models = [_texts(result.models[0])]
+        report.models = [_texts(m) for m in result.models[:1]]
         report.stats = _stats_dict(result.stats, result.solver_stats)
-    report.elapsed = time.perf_counter() - t0
-    report.answer = "VALID" if valid else "INVALID"
-    report.outcome = "models_found" if valid else "no_models"
-    _emit(report, args, [report.answer])
-    return EXIT_MODELS if valid else EXIT_NO_MODELS
+    report.answer = "VALID" if report.models else "INVALID"
+    return report, [report.answer]
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> None:
     if args.count < 1:
         raise ParseError(f"--count must be at least 1, got {args.count}")
     if args.family == "d3sat" and args.specified is not None and not 0 <= args.specified <= args.atoms:
@@ -368,7 +340,7 @@ def cmd_bench(args) -> int:
         if args.count != 1:
             raise ParseError("--count > 1 requires --out-dir")
         sys.stdout.write(texts[0][1])
-        return EXIT_MODELS
+        return
     import os
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -376,7 +348,6 @@ def cmd_bench(args) -> int:
         with open(os.path.join(args.out_dir, name), "w", encoding="utf-8") as fh:
             fh.write(text)
         print(name)
-    return EXIT_MODELS
 
 
 def _add_input(sp, json_help: str = "emit a JSON report") -> None:
@@ -472,14 +443,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.fn(args)
+        output = args.fn(args)
     except (ParseError, QbfParseError, CapExceededError, ValueError, OSError) as exc:
         if getattr(args, "json", False):
-            report = RunReport(args.command, outcome="error", error=str(exc))
+            report = RunReport(args.command, error=str(exc))
             print(json.dumps(report.as_json(False), sort_keys=True))
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return EXIT_CODES["error"]
+    if output is None:
+        return EXIT_CODES["models_found"]
+    report, lines = output
+    report.elapsed = time.perf_counter() - t0
+    _emit(report, args, lines)
+    return EXIT_CODES[report.outcome]
 
 
 if __name__ == "__main__":

@@ -88,7 +88,7 @@ class GntConfig:
 @dataclass
 class SolveResult:
     models: list[frozenset[Atom]]
-    stats: GntStats
+    stats: Optional[GntStats]  # None when ``solve`` answered without the driver
     solver_stats: SolverStats
 
 
@@ -266,3 +266,26 @@ def solve_disjunctive(
     solver_stats.merge(generator.stats)
     solver_stats.merge(generator.tester_stats)
     return SolveResult(models, generator.gnt_stats, solver_stats)
+
+
+def solve(
+    p: Program,
+    mode: str = "gnt2",
+    enumerate_all: bool = False,
+    config: Optional[GntConfig] = None,
+    cap: int = 12,
+) -> SolveResult:
+    """Stable models of p from the one engine that fits it, the one place
+    an engine is chosen: a plain ``Solver`` when p is normal and `mode` names
+    a generator, otherwise ``solve_disjunctive``, which always runs the driver
+    (or the oracle under ``brute``).  ``stats`` is None unless the driver ran."""
+    if p.is_normal and mode in _GENERATORS:
+        solver = Solver(p)
+        models = solver.all_models() if enumerate_all else [
+            m for m in [solver.next_stable_model()] if m is not None
+        ]
+        return SolveResult(models, None, solver.stats)
+    result = solve_disjunctive(p, mode, enumerate_all, config, cap)
+    if mode == "brute":
+        result.stats = None  # the oracle counts no gnt work
+    return result

@@ -12,6 +12,12 @@ without building a ``Rule``: the marked atoms sort as one block, so an
 atom's number and its mark's are shifts of its number in the input.
 ``tr2_program`` and ``query_constrained`` extend a table by ``__f`` and
 append rules over it, so possibility queries build no ``Rule`` either.
+
+``possibility_query`` checks the query against the base and hands the
+translation, constrained by the marked query, to ``gnt.solve``, which picks
+the engine.  A constraint ``__f :- not __f, body`` is translated like any
+rule, so a partial model whose constraint body is not false keeps ``__f``
+undefined instead of being excluded.
 """
 
 from __future__ import annotations
@@ -19,16 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .gnt import GntConfig, GntStats, SolveResult, solve_disjunctive
+from .gnt import GntConfig, SolveResult, solve
 from .gentest import _Extension
 from .semantics import (
     PartialInterpretation,
     TruthValue,
-    UnknownAtomError,
     enumerate_partial_stable_models,
     eval_conj,
+    require_in_base,
 )
-from .solver import Solver
 from .syntax import (
     Atom,
     F_ATOM,
@@ -150,22 +155,16 @@ def possibility_query(
 ) -> tuple[bool, Optional[PartialInterpretation], SolveResult]:
     """Whether some partial stable model of p satisfies every literal of q.
 
-    Returns the verdict, the witnessing model, and the result of the search
-    that answered (zero gnt statistics when a plain ``Solver`` ran).  Atoms
-    used only in the query are rejected rather than silently added to the
-    base.  Mode ``brute`` asks the enumeration oracle, capped at `cap` atoms
-    of the translation, whatever the program's shape.
+    Returns the verdict, the witnessing model, and the result of the
+    ``gnt.solve`` call that answered on the constrained translation (its
+    ``stats`` None when no driver ran).  Atoms used only in the query are
+    rejected rather than silently added to the base.  Mode ``brute`` asks
+    the enumeration oracle, capped at `cap` atoms of the translation,
+    whatever the program's shape.
     """
-    unknown = sorted(q.atoms - p.base)
-    if unknown:
-        raise UnknownAtomError(f"query atom {unknown[0].text} not in program base")
+    require_in_base(q.atoms, p.base, "query")
     augmented = query_constrained(unfold_partiality(p), translate_query(q))
-    if augmented.is_normal and mode != "brute":
-        solver = Solver(augmented)
-        n = solver.next_stable_model()
-        result = SolveResult([] if n is None else [n], GntStats(), solver.stats)
-    else:
-        result = solve_disjunctive(augmented, mode=mode, cap=cap, config=config)
+    result = solve(augmented, mode=mode, cap=cap, config=config)
     if not result.models:
         return False, None, result
     return True, project_sm(result.models[0], p.base), result
@@ -175,9 +174,7 @@ def query_by_filter(
     p: Program, q: QueryLiterals, cap: int = 12
 ) -> tuple[bool, Optional[PartialInterpretation]]:
     """Oracle fallback: enumerate partial stable models and test the query directly."""
-    unknown = sorted(q.atoms - p.base)
-    if unknown:
-        raise UnknownAtomError(f"query atom {unknown[0].text} not in program base")
+    require_in_base(q.atoms, p.base, "query")
     for m in enumerate_partial_stable_models(p, cap):
         if eval_conj(m, q.literals) is TruthValue.TRUE:
             return True, m

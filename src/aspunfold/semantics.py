@@ -28,6 +28,14 @@ class UnknownAtomError(ValueError):
     pass
 
 
+def require_in_base(atoms: Iterable[Atom], base: frozenset[Atom], role: str) -> None:
+    """The check that every atom a user names (in a model or a query, the
+    `role`) is in the program base; the error names the least one outside."""
+    unknown = frozenset(atoms) - base
+    if unknown:
+        raise UnknownAtomError(f"{role} atom {min(unknown).text} not in program base")
+
+
 def _require_cap(n: int, cap: int, what: str) -> None:
     if n > cap:
         raise CapExceededError(f"{what}: {n} atoms exceeds enumeration cap {cap}")

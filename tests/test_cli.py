@@ -17,9 +17,10 @@ from aspunfold.gnt import GntConfig
 from aspunfold.parser import parse_program
 from aspunfold.partiality import QueryLiterals, query_constrained, translate_query, unfold_partiality
 from aspunfold.qbf import render_qbf
-from aspunfold.syntax import Atom, Literal
+from aspunfold.semantics import enumerate_stable_models
+from aspunfold.syntax import F_ATOM, Atom, Literal, render_program
 
-from conftest import reference_solve_disjunctive
+from conftest import random_disjunctive_program, random_normal_program, reference_solve_disjunctive
 
 EX1 = "a | b :- c, not a.\n"
 EX3 = "a | b :- not a.\n"
@@ -111,6 +112,20 @@ def test_partial_empty_program_over_declared_base(write):
     assert code == 0 and out == "T={} U={}\n"
 
 
+def test_partial_keeps_constraint_flag_undefined(write):
+    # A constraint is the rule __f :- not __f, body.  Under three-valued
+    # truth that rule holds with __f undefined, so a partial stable model
+    # whose constraint body is not false keeps __f undefined instead of
+    # being excluded.  Here c is true while the constraint :- c. stands.
+    f = write("f.lp", "a | b.\n:- a, b.\nc :- not d.\nd :- not c.\n:- c.\n")
+    code, out = run(["partial", f, "--all"])
+    assert code == 0 and "T={a c} U={__f}" in out.splitlines()
+    # The oracle agrees: with __f undefined, T={a c} F={b d} is partial stable.
+    assert run(["check", f, "--partial", "a c / b d"]) == (0, "ACCEPT\n")
+    # No stable model makes the constraint's body true.
+    assert run(["solve", f, "--all"]) == (0, "a d\nb d\n")
+
+
 def test_partial_maximal_orderings(write):
     f = write("p.lp", EX3)
     for ordering in ("truth", "knowledge"):
@@ -169,6 +184,46 @@ def test_query_unknown_atom(write):
     assert code == 1
 
 
+def test_unknown_atoms_name_the_least_one(write, capsys):
+    # Every command that reads atoms against the program base shares one
+    # check, whose error names the least atom outside the base.
+    f = write("p.lp", "a | b.\n")
+    for argv, role in (
+        (["transform", f, "--kind", "test", "--model", "zz a yy"], "model"),
+        (["check", f, "--model", "zz a yy"], "model"),
+        (["check", f, "--partial", "zz a / yy"], "model"),
+        (["query", f, "--query", "zz, a, not yy"], "query"),
+        (["query", f, "--query", "zz, a, not yy", "--filter"], "query"),
+        (["query", f, "--query", "zz, a, not yy", "--semantics", "total"], "query"),
+        (["query", f, "--query", "zz, a, not yy", "--semantics", "total", "--filter"], "query"),
+    ):
+        assert run(argv) == (1, ""), argv
+        assert capsys.readouterr().err == f"error: {role} atom yy not in program base\n", argv
+
+
+@pytest.mark.parametrize("mode", ["gnt1", "gnt2", "naive"])
+def test_total_query_matches_filter_oracle(mode, tmp_path):
+    # query --semantics total (one gnt.solve call on the constrained
+    # program) against --filter (oracle enumeration) on every single-literal
+    # query of seeded random normal and disjunctive programs.
+    for kind, generate in (("normal", random_normal_program), ("disj", random_disjunctive_program)):
+        for seed in range(15):
+            path = tmp_path / f"{kind}{seed}.lp"
+            path.write_text(render_program(generate(seed)), encoding="utf-8")
+            p = parse_program(path.read_text(encoding="utf-8"))
+            stable = {frozenset(a.text for a in m) for m in enumerate_stable_models(p)}
+            for atom in sorted(p.base - {F_ATOM}):
+                for positive, query in ((True, atom.text), (False, f"not {atom.text}")):
+                    argv = ["query", str(path), "--query", query, "--semantics", "total", "--json"]
+                    code, out = run([*argv, "--mode", mode])
+                    want_code, want = run([*argv, "--filter"])
+                    got, want = json.loads(out), json.loads(want)
+                    assert (code, got["answer"]) == (want_code, want["answer"]), (kind, seed, query)
+                    if got["answer"] == "YES":
+                        witness = frozenset(got["models"][0])
+                        assert witness in stable and (atom.text in witness) == positive, (kind, seed, query)
+
+
 def test_transform_roundtrips_through_solve(write, tmp_path):
     f = write("p.lp", EX5)
     _, text = run(["transform", f, "--kind", "tr"])
@@ -208,7 +263,7 @@ def test_transform_takes_no_cap_or_timing(write, capsys):
         (["transform", f, "--kind", "test", "--model", "c__a"], "invalid plain atom name: 'c__a'"),
         (
             ["transform", f, "--kind", "test", "--model", "c__a", "--allow-reserved"],
-            "candidate model must be a subset of the program base",
+            "model atom c__a not in program base",
         ),
     ):
         code, out = run(argv + ["--json"])
