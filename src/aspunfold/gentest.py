@@ -24,8 +24,9 @@ from __future__ import annotations
 
 from itertools import chain
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
+from .semantics import require_in_base
 from .syntax import (
     Atom,
     F_ATOM,
@@ -171,12 +172,13 @@ class TesterTable:
         # The numbers of the base's atoms.
         self.index = {x.atoms[b]: b for b in x.lift}
 
-    def numbers(self, m: Iterable[Atom]) -> frozenset[int]:
+    def numbers(self, m: Collection[Atom]) -> frozenset[int]:
         """The atom numbers of a candidate, which must lie in the base."""
         try:
             return frozenset(self.index[a] for a in m)
         except KeyError:
-            raise ValueError("candidate model must be a subset of the program base") from None
+            require_in_base(m, frozenset(self.index), "model")
+            raise
 
     def tester(self, m: frozenset[int]) -> RuleTable:
         """The tester for candidate m, given by atom numbers.  Each rule whose
@@ -200,7 +202,7 @@ class TesterTable:
         rules = dict.fromkeys(chain(choices, marks, constraints, normal))
         return RuleTable(x.atoms, [*rules, ((x.f,), tuple(sorted(m)), (x.f,))])
 
-    def program(self, m: Iterable[Atom]) -> Program:
+    def program(self, m: Collection[Atom]) -> Program:
         """The tester for candidate m as a program, a view of its table: its
         stable models are the models of the reduct P^m properly inside m."""
         return Program.of_table(self.tester(self.numbers(m)))

@@ -15,18 +15,12 @@ ordinary ``Solver``, closing the search after the first answer.  Nothing
 outlives the search.
 
 Early tests are gated by a per-search WasCovered flag: set when a candidate
-is covered, cleared by the next early test that passes or is skipped.  A
-failed test prunes the branch and leaves the flag set, so the test repeats at
-each backtracking level until one passes.  ``early_test="off"`` disables
-early testing entirely and never changes the result, only the statistics.
-
-An early test reads the current true atoms T as a candidate; a failed test
-means the reduct has a model N properly inside T.  It runs only when every
-input rule with a head atom in T either has its whole positive body in T or
-has a body that is already false (a positive atom false or a negative atom
-true).  Then, for every stable model M extending the assignment,
-N | (M - T) is a model of the reduct P^M properly inside M, so pruning
-loses no stable model.  When the condition fails the test is skipped.
+is covered, cleared by the next early test that does not prune.  An early
+test reads the current true atoms T as a candidate.  When it fails, it
+prunes the branch only if the set it teaches (below) fires at once, and
+leaves the flag set, so the test repeats at each backtracking level until
+one does not prune.  ``early_test="off"`` disables early testing entirely
+and never changes the result, only the statistics.
 
 Every failed test, final or early, on true atoms T with tester model N
 teaches the search the set U = T - N.  U is an unfounded set of the input
@@ -47,9 +41,9 @@ assignment is extended, so every rule of U's external support is blocked
 in S, and every other rule with a head atom in U has a positive body atom
 in U.  So U is unfounded with respect to S, and it meets S in the atom of
 U that the assignment makes true.  A stable model is unfounded-free, so no
-such S exists.  The argument needs neither the early-test condition nor
-the WasCovered flag, and a learned prune leaves the flag as it is, as a
-failed early test does.
+such S exists.  An early prune is the set just taught firing, so the same
+argument covers it, and the argument needs no WasCovered flag: a learned
+prune leaves the flag as it is, as an early prune does.
 """
 
 from __future__ import annotations
@@ -177,35 +171,24 @@ class _Generator(Solver):
         self.learned.append((tuple(atoms), outside))
         self.gnt_stats.learned_sets += 1
 
-    def _refuted(self) -> bool:
+    def _fires(self, atoms: tuple[int, ...], support: list[IntRule]) -> bool:
         """Whether a learned set fires: an atom of it is true and every rule
         of its external support is blocked."""
         val = self.val
-        for atoms, support in self.learned:
-            if any(val[a] == TRUE for a in atoms) and all(
-                any(val[h] == TRUE for h in head)
-                or any(val[b] == FALSE for b in pos)
-                or any(val[c] == TRUE for c in neg)
-                for head, pos, neg in support
-            ):
+        return any(val[a] == TRUE for a in atoms) and all(
+            any(val[h] == TRUE for h in head)
+            or any(val[b] == FALSE for b in pos)
+            or any(val[c] == TRUE for c in neg)
+            for head, pos, neg in support
+        )
+
+    def _refuted(self) -> bool:
+        """Whether a learned set fires on the current assignment."""
+        for learned in self.learned:
+            if self._fires(*learned):
                 self.gnt_stats.learned_prunes += 1
                 return True
         return False
-
-    def _early_test_sound(self) -> bool:
-        """The condition of the module docstring under which an early test
-        cannot prune a stable model."""
-        val = self.val
-        for head, pos, neg in self.rules:
-            if (
-                pos
-                and any(val[h] == TRUE for h in head)
-                and not all(val[b] == TRUE for b in pos)
-                and not any(val[b] == FALSE for b in pos)
-                and not any(val[c] == TRUE for c in neg)
-            ):
-                return False
-        return True
 
     def _accept(self) -> bool:
         self.was_covered = True
@@ -220,8 +203,8 @@ class _Generator(Solver):
         if (
             self.was_covered
             and self.config.early_test == "on"
-            and self._early_test_sound()
             and not self._minimal()
+            and self._fires(*self.learned[-1])
         ):
             self.gnt_stats.early_prunes += 1
             return True

@@ -77,7 +77,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
-from .syntax import Atom, Literal, Program, RuleTable
+from .syntax import Atom, Program, RuleTable
 
 TRUE = 1
 FALSE = 0
@@ -101,10 +101,9 @@ class SolverStats:
 
 class Solver:
     """Resumable enumeration of the stable models of one normal program, a
-    ``Program`` or a ``RuleTable``, consistent with an initial assignment.
-    Single-threaded while searching."""
+    ``Program`` or a ``RuleTable``.  Single-threaded while searching."""
 
-    def __init__(self, program: Program | RuleTable, assumptions: Iterable[Literal] = ()):
+    def __init__(self, program: Program | RuleTable):
         self.program = program
         table = program.table if isinstance(program, Program) else program
 
@@ -154,10 +153,6 @@ class Solver:
             for a, rules in enumerate(self.occ_head)
             if not rules or (a in r_neg[rules[0]] and all(a in r_neg[r] for r in rules))
         ]
-        for lit in assumptions:
-            if lit.atom not in self.index:
-                raise ValueError(f"assumption atom {lit.atom.text} not in program base")
-            self._initial.append((self.index[lit.atom], TRUE if lit.positive else FALSE))
         self._gen: Optional[Iterator[frozenset[Atom]]] = None
         # Built by _choose over the atoms it finds undefined, with the trail
         # length then (0 while unbuilt); undo_to below that length drops them.

@@ -286,12 +286,12 @@ def recursion_headroom(frames):
 
 def gated_early_prunes(rng, p, samples):
     """Expand `samples` random partial interpretations of p on its gnt2
-    generator.  For each one where the early-test soundness condition holds
-    and the early test fails, yield whether a stable model of p still extends
-    the assignment (its true atoms true, its false atoms false).  A sound
-    condition yields only False."""
+    generator.  For each one where the early test fails and the set it
+    teaches fires, so that the search prunes, yield whether a stable model of
+    p still extends the assignment (its true atoms true, its false atoms
+    false).  A sound gate yields only False."""
     from aspunfold.gentest import gen_program
-    from aspunfold.gnt import GntConfig, _Generator, minimal_test
+    from aspunfold.gnt import GntConfig, _Generator
     from aspunfold.semantics import enumerate_stable_models
     from aspunfold.solver import FALSE
 
@@ -301,7 +301,7 @@ def gated_early_prunes(rng, p, samples):
         g = _Generator(gen_program(p), p, GntConfig())
         if not g.assign_and_expand([(a, True) for a in i.true_set] + [(a, False) for a in i.false_set]):
             continue
-        if not g._early_test_sound() or minimal_test(p, g.true_atoms()):
+        if g._minimal() or not g._fires(*g.learned[-1]):
             continue
         true = g.true_atoms() & p.base
         false = {a for a in p.base if g.val[g.index[a]] == FALSE}
@@ -311,8 +311,7 @@ def gated_early_prunes(rng, p, samples):
 class WithoutRootInference(Solver):
     """A solver as it was before set-up fixed false every atom whose rules
     all have it in their negative body: at the root, facts true and atoms
-    that head no rule false.  For solvers built without assumptions (the
-    generators and testers of gnt)."""
+    that head no rule false.  For the generators and testers of gnt."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -816,11 +815,13 @@ class ExpandResult:
 def expand(program, literals=()):
     """Expand the assumed literals (with the program's facts) on a throwaway
     solver: every literal derived, and whether expansion hit a conflict."""
-    from aspunfold.solver import TRUE, UNDEF, Solver
+    from aspunfold.solver import FALSE, TRUE, UNDEF, Solver
 
-    s = Solver(program, assumptions=literals)
+    s = Solver(program)
     for a, v in s._initial:
         s._push(a, v)
+    for lit in literals:
+        s._push(s.index[lit.atom], TRUE if lit.positive else FALSE)
     ok = s._expand()
     lits = frozenset(
         Literal(s.atoms[a], s.val[a] == TRUE)

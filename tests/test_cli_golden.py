@@ -38,11 +38,16 @@ FILES = {
     "empty.lp": "",
     "r.lp": "p__x :- not b.\nb :- not p__x.\n",
     "p.lp": render_program(gen_d3sat_instance(8, 4.258, 2).program),
+    # aspunfold bench d3sat --atoms 12 --seed 2
+    "d.lp": render_program(gen_d3sat_instance(12, 4.258, 2).program),
     "valid.qbf": "e x\na y\nx y\nx -y\n",
     "invalid.qbf": "e x\na y\nx y\n-x -y\n",
     "g.qbf": render_qbf(gen_random_qbf(6, "gw", 3)),
+    # aspunfold bench qbf --vars 8 --seed 3
+    "q.qbf": render_qbf(gen_random_qbf(8, "gw", 3)),
     "e0.qbf": "e x\na y\n",
     "e1.qbf": "e x\na y\nz x -x\n",
+    "e2.qbf": "e x\na y\nz w y\n",
 }
 
 INVOCATIONS = """
@@ -62,6 +67,7 @@ solve empty.lp --stats
 solve empty.lp --all --json
 solve p.lp --all --stats
 solve p.lp --stats --mode gnt1 --json
+solve d.lp --all --stats
 solve s.lp --timing
 solve s.lp --json --timing
 solve r.lp
@@ -82,6 +88,7 @@ partial f.lp --all --json
 partial empty.lp --stats
 partial empty.lp --json
 partial p.lp --maximal --stats
+partial d.lp --all --json
 partial s.lp --timing --stats
 transform s.lp --kind tr
 transform s.lp --kind tr2
@@ -95,6 +102,7 @@ transform s.lp --kind test --model "a b c"
 transform s.lp --kind test --model zz
 transform s.lp --kind test --model zz --json
 transform s.lp --kind test
+transform d.lp --kind test --model "a10 a11 a12 a2"
 transform empty.lp --kind tr
 transform r.lp --kind tr --allow-reserved
 check s.lp --model "a c"
@@ -123,6 +131,8 @@ query s.lp --query c --semantics partial --stats --mode gnt1 --early-test off
 query s.lp --query c --semantics partial --filter --stats
 query s.lp --query c --semantics total --filter --stats
 query s.lp --query c --semantics total --filter --json
+query s.lp --query c --semantics partial --filter
+query s.lp --query c --semantics total --filter
 query n.lp --query "not c" --stats
 query n.lp --query a --semantics total --stats
 query n.lp --query a --semantics total --stats --mode naive
@@ -131,6 +141,10 @@ query u.lp --query "not a" --semantics total --stats
 query f.lp --query c --stats
 query p.lp --query "a2, not a5" --semantics partial --stats
 query p.lp --query "a2, not a5" --semantics total --stats
+query d.lp --query "a2, not a5" --semantics partial
+query d.lp --query "a2, not a5" --semantics total
+query d.lp --query "a1, not a1, a2, not a2" --semantics partial
+query d.lp --query "a1, not a1, a2, not a2" --semantics total
 query s.lp --query ""
 query s.lp --query "" --semantics total --json
 query empty.lp --query "" --semantics total --stats
@@ -152,12 +166,16 @@ qbf solve g.qbf --stats --mode gnt1
 qbf solve e0.qbf --stats
 qbf solve e0.qbf --stats --mode brute --json
 qbf solve e0.qbf --mode brute --cap 1
+qbf solve e0.qbf --mode brute --stats
 qbf eval valid.qbf --json
 qbf eval invalid.qbf --stats
 qbf eval e0.qbf
 qbf eval g.qbf --cap 3
 qbf solve e1.qbf
 qbf solve e1.qbf --json
+qbf solve e1.qbf --mode brute --stats
+qbf solve e2.qbf
+qbf solve q.qbf --stats
 qbf solve valid.qbf --timing
 bench d3sat --atoms 6 --seed 1
 bench d3sat --atoms 6 --seed 1 --specified 2

@@ -130,8 +130,11 @@ def test_test_program_nonminimal_candidate():
 def test_test_program_validates_candidate():
     # c__a is an atom of every tester of DISJ, but not of its base.
     for atom in (Atom("zz"), complement(A)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"model atom {atom.text} not in program base"):
             build_test_program(DISJ).program(frozenset([atom]))
+    # The error names the least atom outside the base, as the CLI's does.
+    with pytest.raises(ValueError, match="model atom y not in program base"):
+        build_test_program(DISJ).program(frozenset([A, Atom("zz"), Atom("y")]))
 
 
 def test_candidate_soundness():

@@ -16,10 +16,12 @@ from aspunfold.solver import Solver, SolverStats
 from aspunfold.syntax import Atom, F_ATOM, Program, Rule, complement, positions, support
 
 from conftest import (
+    ReferenceGenerator,
     RootlessGenerator,
     gated_early_prunes,
     random_disjunctive_program,
     random_normal_program,
+    random_partial_interpretation,
     recursion_headroom,
     reference_solve_disjunctive,
     reference_test_program,
@@ -146,64 +148,95 @@ def test_early_prunes_bounded_by_tests():
 
 class _RecordingGenerator(_Generator):
     """Logs "covered" for each covered candidate and, for each positive
-    branch, "learned" if a learned set pruned it, "pass" or "fail" if an
-    early test ran on it, else "sound" or "unsound" by the early-test
-    condition."""
+    branch, "learned" if a learned set pruned it, "pass", "fail-pruned" or
+    "fail-kept" if an early test ran on it, else "idle", each with the
+    WasCovered flag after the branch and whether the early-test condition
+    of ``ReferenceGenerator`` held before it."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.events = []
 
     def _accept(self):
-        self.events.append("covered")
+        self.events.append(("covered", True, None))
         return super()._accept()
 
     def _prune(self):
-        sound = self._early_test_sound()
+        sound = ReferenceGenerator._early_test_sound(self)
         tests, learned = self.gnt_stats.minimal_tests, self.gnt_stats.learned_prunes
         pruned = super()._prune()
         if self.gnt_stats.learned_prunes > learned:
             assert pruned and self.gnt_stats.minimal_tests == tests
-            self.events.append("learned")
+            event = "learned"
         elif self.gnt_stats.minimal_tests > tests:
-            self.events.append("fail" if pruned else "pass")
+            event = "fail-pruned" if pruned else "pass" if self.tester.model is None else "fail-kept"
         else:
-            self.events.append("sound" if sound else "unsound")
+            event = "idle"
+        self.events.append((event, self.was_covered, sound))
         return pruned
 
 
-def test_was_covered_discipline():
-    # After a covered candidate, an early test runs on every positive branch
-    # where the condition holds, until one passes or the condition fails; it
-    # never runs otherwise.  A branch that a learned set prunes runs no test
-    # and leaves the flag as it is.  With __f false from the root, learned
-    # sets rarely fire on the random programs, so gw QBF translations join
-    # them.
+def _recorded_searches():
+    # Every generator mode: gnt2's searches rarely keep a failed test's set
+    # without pruning.  With __f false from the root, learned sets rarely
+    # fire on the random programs, so gw QBF translations join them.
     programs = [random_disjunctive_program(seed) for seed in range(60)]
     programs += [qbf_to_program(gen_random_qbf(8, "gw", seed)) for seed in range(1, 11)]
-    tests = fails = learned = 0
-    for p in programs:
-        search = _RecordingGenerator(gen_program(p), p, GntConfig())
-        for _ in search.models():
-            pass
+    for make in _GENERATORS.values():
+        for p in programs:
+            search = _RecordingGenerator(make(p), p, GntConfig())
+            for _ in search.models():
+                pass
+            yield search
+
+
+def test_was_covered_discipline():
+    # After a covered candidate, an early test runs on every positive
+    # branch until one does not prune, and the flag stays set only while
+    # tests prune; no test runs otherwise.  A branch that a learned set
+    # prunes runs no test and leaves the flag as it is.
+    counts = dict.fromkeys(("pass", "fail-pruned", "fail-kept", "learned"), 0)
+    for search in _recorded_searches():
         armed = False
-        for event in search.events:
+        for event, flag, _ in search.events:
             if event == "covered":
                 armed = True
-            elif event in ("pass", "fail"):
+            elif event in ("pass", "fail-pruned", "fail-kept"):
                 assert armed
-                armed = event == "fail"
-            elif event == "sound":
+                armed = event == "fail-pruned"
+            elif event == "idle":
                 assert not armed
-            elif event == "unsound":
-                armed = False
-        assert search.events.count("covered") == search.gnt_stats.candidates_covered
-        tests += sum(e in ("pass", "fail") for e in search.events)
-        fails += search.events.count("fail")
-        learned += search.events.count("learned")
-    assert fails > 0 and tests > fails and learned > 0
+            assert flag == armed, event
+            if event in counts:
+                counts[event] += 1
+        assert sum(e == "covered" for e, _, _ in search.events) == search.gnt_stats.candidates_covered
+    assert all(counts.values()), counts
     with pytest.raises(ValueError):
         GntConfig(early_test="once")
+
+
+def test_failed_test_under_condition_fires():
+    # Wherever the early-test condition (``ReferenceGenerator``) holds and
+    # the test fails, the set the test teaches fires at once, so the search
+    # prunes every branch that the condition-gated search pruned: on search
+    # states and on random partial interpretations.
+    held = 0
+    for search in _recorded_searches():
+        for event, _, sound in search.events:
+            assert not (sound and event == "fail-kept")
+            held += bool(sound) and event == "fail-pruned"
+    rng = random.Random("early-test-lemma")
+    for seed in range(200):
+        p = random_disjunctive_program(seed, max_atoms=5, max_rules=6)
+        for _ in range(8):
+            i = random_partial_interpretation(rng, p.base)
+            g = _Generator(gen_program(p), p, GntConfig())
+            if not g.assign_and_expand([(a, True) for a in i.true_set] + [(a, False) for a in i.false_set]):
+                continue
+            if ReferenceGenerator._early_test_sound(g) and not g._minimal():
+                assert g._fires(*g.learned[-1]), (p, i)
+                held += 1
+    assert held >= 50
 
 
 def test_accepted_candidates_are_stable():
@@ -242,7 +275,8 @@ def test_brute_mode_equals_oracle():
         assert solve_disjunctive(p, mode="brute", enumerate_all=True).models == enumerate_stable_models(p)
 
 
-# Early tests without the soundness condition pruned a stable model of each.
+# Early tests that prune on every failure, without the firing check (or the
+# former soundness condition), prune a stable model of each.
 EARLY_TEST_COUNTEREXAMPLES = {
     "tr_normal": unfold_partiality(parse_program("c :- not d, not e.\ne :- c, not c.")),
     "disjunctive": parse_program(
@@ -267,12 +301,36 @@ def test_early_tests_keep_every_model(name):
             assert got == want, (mode, policy)
 
 
+class _UngatedGenerator(_Generator):
+    """The generator with a mutated early test: every failed test prunes,
+    whether or not the set it teaches fires."""
+
+    def _prune(self):
+        if self.learned and self._refuted():
+            return True
+        if self.was_covered and self.config.early_test == "on" and not self._minimal():
+            self.gnt_stats.early_prunes += 1
+            return True
+        self.was_covered = False
+        return False
+
+
+@pytest.mark.parametrize("name", sorted(EARLY_TEST_COUNTEREXAMPLES))
+def test_ungated_early_test_loses_a_model(name):
+    # The firing check is what keeps the models: without it, some generator
+    # mode loses a stable model of each counterexample.
+    p = EARLY_TEST_COUNTEREXAMPLES[name]
+    want = set(enumerate_stable_models(p))
+    searches = [_UngatedGenerator(make(p), p, GntConfig()) for make in _GENERATORS.values()]
+    assert any(want - {n & p.base for n in search.models()} for search in searches)
+
+
 def test_early_test_condition_is_sound():
-    # Whenever the condition holds and the test fails on the current true
-    # atoms, no stable model extends the generator's assignment.  Without the
-    # condition this is false: on the tr_normal counterexample, with c false,
-    # the test fails for {p__e}, which lies inside the stable model
-    # {p__c, p__e}.
+    # Whenever the early test fails on the current true atoms and the set it
+    # teaches fires, no stable model extends the generator's assignment.
+    # Without the firing check this is false: on the tr_normal
+    # counterexample, with c false, the test fails for {p__e}, which lies
+    # inside the stable model {p__c, p__e}.
     rng = random.Random("gated-early-test")
     extended = [
         e
