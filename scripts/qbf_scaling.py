@@ -21,7 +21,7 @@ def main():
     ap.add_argument("--sizes", type=int, nargs="+", default=[6, 8, 10])
     ap.add_argument("--count", type=int, default=20)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--mode", default="gnt2")
+    ap.add_argument("--mode", choices=("gnt1", "gnt2", "naive"), default="gnt2")
     ap.add_argument("--verify", action="store_true", help="cross-check with the exhaustive oracle")
     ap.add_argument("--json", action="store_true")
     args = ap.parse_args()

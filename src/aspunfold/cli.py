@@ -4,8 +4,10 @@ Each reporting command returns its ``RunReport`` and text lines; ``main``
 times the call, emits the report and maps its outcome to an exit code
 through ``EXIT_CODES`` (0 models/yes, 20 none/no, 1 error).  ``transform``,
 ``qbf translate`` and ``bench`` print program text or file names themselves.
-Programs are solved through ``gnt.solve``, the one place an engine is
-chosen; ``qbf solve`` always runs the driver.
+Every command that solves, ``qbf solve`` included, reaches an engine
+through ``gnt.solve``, the one place an engine is chosen.  ``--stats``
+reports the five gnt counters exactly when the generate-and-test driver
+ran, and the three solver counters always.
 
 Output is deterministic byte-for-byte for fixed inputs and seeds: models are
 printed one per line with atoms sorted, stats as ``key=value`` lines, and
@@ -23,7 +25,7 @@ from typing import Optional, Sequence
 
 from .bench import gen_d3sat_instance, gen_random_qbf
 from .gentest import gen_basic, gen_naive, gen_program, support_program, test_program
-from .gnt import MODES, GntConfig, GntStats, solve, solve_disjunctive
+from .gnt import MODES, GntConfig, GntStats, solve
 from .parser import ParseError, parse_atom_set, parse_literals, parse_program
 from .partiality import (
     QueryLiterals,
@@ -270,13 +272,12 @@ def cmd_query(args) -> Output:
     if args.semantics == "partial":
         if args.filter:
             ok, witness = query_by_filter(p, q, args.cap)
-            report.stats = _stats_dict(GntStats(), SolverStats())
+            report.stats = _stats_dict(None, SolverStats())
         else:
             ok, witness, result = possibility_query(
                 p, q, mode=args.mode, cap=args.cap, config=_gnt_config(args)
             )
-            # Under partial semantics the gnt counters are always reported.
-            report.stats = _stats_dict(result.stats or GntStats(), result.solver_stats)
+            report.stats = _stats_dict(result.stats, result.solver_stats)
         if ok:
             witness_lines = [_partial_line(witness)]
             report.partial_models = [_partial_record(witness)]
@@ -288,7 +289,7 @@ def cmd_query(args) -> Output:
             report.stats = _stats_dict(None, SolverStats())
         else:
             models, report.stats = _solve(query_constrained(p, q), args, enumerate_all=False)
-            model = models[0] & p.base if models else None
+            model = models[0] if models else None
         ok = model is not None
         if ok:
             witness_lines = [_model_line(model)]
@@ -304,20 +305,15 @@ def cmd_qbf(args) -> Optional[Output]:
         sys.stdout.write(render_program(qbf_to_program(q)))
         return None
     report = RunReport("qbf")
+    if args.cap is None:  # no --cap given: each action applies its own default
+        args.cap = DEFAULT_QBF_CAP if args.action == "eval" else DEFAULT_CAP
     if args.action == "eval":
-        witness = qbf_witness(q, DEFAULT_QBF_CAP if args.cap is None else args.cap)
+        witness = qbf_witness(q, args.cap)
         # the model row is the witnessing existential assignment
         report.models = [] if witness is None else [_texts(witness)]
     else:
-        # Always the driver (or the oracle), even on a normal translation.
-        result = solve_disjunctive(
-            qbf_to_program(q),
-            mode=args.mode,
-            config=_gnt_config(args),
-            cap=DEFAULT_CAP if args.cap is None else args.cap,
-        )
-        report.models = [_texts(m) for m in result.models[:1]]
-        report.stats = _stats_dict(result.stats, result.solver_stats)
+        models, report.stats = _solve(qbf_to_program(q), args, enumerate_all=False)
+        report.models = [_texts(m) for m in models]
     report.answer = "VALID" if report.models else "INVALID"
     return report, [report.answer]
 
@@ -423,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
         cap_help=f"enumeration cap: QBF variables for eval (default {DEFAULT_QBF_CAP}), "
         f"atoms of the translated program for solve --mode brute (default {DEFAULT_CAP})",
     )
-    # no --cap given: each action applies its own default
     sp.set_defaults(fn=cmd_qbf, cap=None)
 
     sp = sub.add_parser("bench", help="random benchmark instance generation")

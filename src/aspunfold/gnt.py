@@ -82,7 +82,7 @@ class GntConfig:
 @dataclass
 class SolveResult:
     models: list[frozenset[Atom]]
-    stats: Optional[GntStats]  # None when ``solve`` answered without the driver
+    stats: Optional[GntStats]  # None exactly when the driver did not run
     solver_stats: SolverStats
 
 
@@ -217,28 +217,23 @@ def solve_disjunctive(
     mode: str = "gnt2",
     enumerate_all: bool = False,
     config: Optional[GntConfig] = None,
-    cap: int = 12,
 ) -> SolveResult:
-    """Stable models of a disjunctive program via the selected generator
-    (or by the brute-force oracle); deduplicated and sorted."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    config = config or GntConfig()
-    if mode == "brute":
-        models = enumerate_stable_models(p, cap)
-        if not enumerate_all:
-            models = models[:1]
-        return SolveResult(models, GntStats(), SolverStats())
+    """Stable models of p from the generate-and-test driver over the
+    generator that `mode` names, sorted.
 
-    generator = _Generator(_GENERATORS[mode](p), p, config)
-    seen = set()
+    Distinct generator models project to distinct models of p, so the
+    driver yields no model twice.  Every atom a generator adds is defined by
+    input atoms alone: ``c__a`` by ``c__a :- not a``, ``s__a`` by rules whose
+    bodies hold input atoms only, and ``__f``, where p lacks it, is false in
+    every stable model, as each rule for it has ``not __f`` in its body.  So
+    a generator model is fixed by its input atoms."""
+    if mode not in _GENERATORS:
+        raise ValueError(f"unknown mode {mode!r}")
+    generator = _Generator(_GENERATORS[mode](p), p, config or GntConfig())
     models = []
     search = generator.models()
     for n in search:
-        m = n & p.base
-        if m not in seen:
-            seen.add(m)
-            models.append(m)
+        models.append(n & p.base)
         if not enumerate_all:
             break
     # A suspended search and its solver refer to each other; closing the
@@ -259,16 +254,17 @@ def solve(
     cap: int = 12,
 ) -> SolveResult:
     """Stable models of p from the one engine that fits it, the one place
-    an engine is chosen: a plain ``Solver`` when p is normal and `mode` names
-    a generator, otherwise ``solve_disjunctive``, which always runs the driver
-    (or the oracle under ``brute``).  ``stats`` is None unless the driver ran."""
+    an engine is chosen: the enumeration oracle under ``brute``, capped at
+    `cap` atoms, a plain ``Solver`` when p is normal, and otherwise
+    ``solve_disjunctive``, the driver.  ``stats`` is None exactly when the
+    driver did not run."""
+    if mode == "brute":
+        models = enumerate_stable_models(p, cap)
+        return SolveResult(models if enumerate_all else models[:1], None, SolverStats())
     if p.is_normal and mode in _GENERATORS:
         solver = Solver(p)
         models = solver.all_models() if enumerate_all else [
             m for m in [solver.next_stable_model()] if m is not None
         ]
         return SolveResult(models, None, solver.stats)
-    result = solve_disjunctive(p, mode, enumerate_all, config, cap)
-    if mode == "brute":
-        result.stats = None  # the oracle counts no gnt work
-    return result
+    return solve_disjunctive(p, mode, enumerate_all, config)

@@ -10,6 +10,7 @@ tests/test_cli_golden.py`` and review the diff."""
 
 import contextlib
 import io
+import json
 import os
 import re
 import shlex
@@ -239,6 +240,38 @@ def test_corpus_covers_every_command_and_option():
         assert flag in words, flag
     for value in ("brute", "gnt1", "naive", "partial", "total", "translate", "solve", "eval"):
         assert value in words, value
+
+
+SOLVER_KEYS = {"choices", "conflicts", "expansions"}
+GNT_KEYS = {"candidates", "tests", "prunes", "learned", "learned_prunes"}
+
+
+def _stats_blocks(text: str) -> list[set[str]]:
+    """The key set of each stats block in a rendered corpus: each run of
+    ``> key=value`` lines, and each JSON report's ``stats`` object."""
+    blocks: list[set[str]] = []
+    run: set[str] = set()
+    for line in text.split("\n"):
+        match = re.fullmatch(r"> (\w+)=\d+", line)
+        if match:
+            run.add(match.group(1))
+            continue
+        if run:
+            blocks.append(run)
+            run = set()
+        if line.startswith("> {"):
+            report = json.loads(line[2:])
+            if "stats" in report:
+                blocks.append(set(report["stats"]))
+    return blocks
+
+
+def test_pinned_stats_hold_the_solver_keys_or_all_eight():
+    # The gnt counters appear exactly when the driver ran, all five at once.
+    blocks = _stats_blocks(GOLDEN.read_text(encoding="utf-8"))
+    assert any(b == SOLVER_KEYS for b in blocks) and any(b == SOLVER_KEYS | GNT_KEYS for b in blocks)
+    for block in blocks:
+        assert block in (SOLVER_KEYS, SOLVER_KEYS | GNT_KEYS), sorted(block)
 
 
 if __name__ == "__main__":

@@ -65,13 +65,27 @@ def test_gnt_on_normal_program_matches_engine():
     assert solve_disjunctive(p, mode="gnt2").models == [Solver(p).next_stable_model()]
 
 
-def test_solve_disjunctive_modes_and_dedup():
+def test_solve_modes_agree_and_reject_unknown():
     for mode in ("gnt1", "gnt2", "naive", "brute"):
-        r = solve_disjunctive(DISJ, mode=mode, enumerate_all=True)
+        r = gnt.solve(DISJ, mode=mode, enumerate_all=True)
         assert r.models == [frozenset([A]), frozenset([B])]
     assert solve_disjunctive(EX6, mode="gnt2", enumerate_all=True).models == []
     with pytest.raises(ValueError):
         solve_disjunctive(DISJ, mode="magic")
+
+
+def test_solve_disjunctive_is_the_driver_alone():
+    # The oracle is reached through gnt.solve only.
+    with pytest.raises(ValueError):
+        solve_disjunctive(DISJ, "brute")
+
+
+def test_stats_are_none_exactly_without_the_driver():
+    normal = parse_program("a :- not b.\nb :- not a.")
+    for p in (DISJ, normal):
+        for mode in gnt.MODES:
+            r = gnt.solve(p, mode, enumerate_all=True)
+            assert r.models and (r.stats is None) == (mode == "brute" or p.is_normal), (p, mode)
 
 
 def test_solve_disjunctive_first_model_only():
@@ -272,7 +286,7 @@ def test_supportedness_prunes_subset_candidates():
 def test_brute_mode_equals_oracle():
     for seed in range(40):
         p = random_disjunctive_program(seed)
-        assert solve_disjunctive(p, mode="brute", enumerate_all=True).models == enumerate_stable_models(p)
+        assert gnt.solve(p, mode="brute", enumerate_all=True).models == enumerate_stable_models(p)
 
 
 # Early tests that prune on every failure, without the firing check (or the
