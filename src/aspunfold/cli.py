@@ -2,7 +2,8 @@
 
 Each reporting command returns its ``RunReport`` and text lines; ``main``
 times the call, emits the report and maps its outcome to an exit code
-through ``EXIT_CODES`` (0 models/yes, 20 none/no, 1 error).  ``transform``,
+through ``EXIT_CODES`` (0 models/yes, 20 none/no, 1 error, also when the
+reader closes stdout before the report is written).  ``transform``,
 ``qbf translate`` and ``bench`` print program text or file names themselves.
 Every command that solves, ``qbf solve`` included, reaches an engine
 through ``gnt.solve``, the one place an engine is chosen.  ``--stats``
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -323,6 +325,8 @@ def cmd_bench(args) -> None:
         raise ParseError(f"--count must be at least 1, got {args.count}")
     if args.family == "d3sat" and args.specified is not None and not 0 <= args.specified <= args.atoms:
         raise ParseError(f"--specified must lie between 0 and --atoms ({args.atoms}), got {args.specified}")
+    if args.out_dir is None and args.count != 1:
+        raise ParseError("--count > 1 requires --out-dir")
     texts = []
     for i in range(args.count):
         seed = args.seed + i
@@ -333,12 +337,8 @@ def cmd_bench(args) -> None:
             q = gen_random_qbf(args.vars, args.scheme, seed)
             texts.append((f"qbf_{args.scheme}_v{args.vars}_s{seed}.qbf", render_qbf(q)))
     if args.out_dir is None:
-        if args.count != 1:
-            raise ParseError("--count > 1 requires --out-dir")
         sys.stdout.write(texts[0][1])
         return
-    import os
-
     os.makedirs(args.out_dir, exist_ok=True)
     for name, text in texts:
         with open(os.path.join(args.out_dir, name), "w", encoding="utf-8") as fh:
@@ -451,7 +451,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CODES["models_found"]
     report, lines = output
     report.elapsed = time.perf_counter() - t0
-    _emit(report, args, lines)
+    try:
+        _emit(report, args, lines)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early, as ``| head`` does.  Point stdout
+        # at devnull so that the interpreter's exit flush does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CODES["error"]
     return EXIT_CODES[report.outcome]
 
 

@@ -49,16 +49,17 @@ prune leaves the flag as it is, as an early prune does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from itertools import islice
+from typing import Optional
 
 from .gentest import TesterTable, gen_basic, gen_naive, gen_program, test_program
-from .semantics import enumerate_stable_models
+from .semantics import DEFAULT_CAP, enumerate_stable_models
 from .solver import FALSE, TRUE, Solver, SolverStats
 from .syntax import Atom, IntRule, Program
 
-MODES = ("gnt1", "gnt2", "naive", "brute")
-
 _GENERATORS = {"gnt1": gen_basic, "gnt2": gen_program, "naive": gen_naive}
+
+MODES = (*_GENERATORS, "brute")
 
 
 @dataclass
@@ -109,22 +110,16 @@ class _Tester:
 
 
 def minimal_test(
-    p: Program,
-    assignment_true: Iterable[Atom],
-    stats: Optional[GntStats] = None,
-    solver_stats: Optional[SolverStats] = None,
-    tester: Optional[_Tester] = None,
+    tester: _Tester, candidate: frozenset[Atom], stats: GntStats, solver_stats: SolverStats
 ) -> bool:
-    """Read the true atoms as a total candidate (undefined taken false) and
-    check that its tester has no stable model.  ``tester`` is the tester of
-    p that a search keeps between its tests; without it, one is built for
-    this test alone."""
-    tester = tester or _Tester(p)
-    ok = tester.minimal(frozenset(assignment_true) & p.base)
-    if stats is not None:
-        stats.minimal_tests += 1
-    if solver_stats is not None:
-        solver_stats.merge(tester.solver.stats)
+    """Whether the candidate, the true atoms of an assignment restricted to
+    the input's base (undefined taken false), is minimal: its tester from
+    ``tester``, the tester a search keeps between its tests, has no stable
+    model.  Counts the test in stats and the tester's search in
+    solver_stats."""
+    ok = tester.minimal(candidate)
+    stats.minimal_tests += 1
+    solver_stats.merge(tester.solver.stats)
     return ok
 
 
@@ -150,7 +145,7 @@ class _Generator(Solver):
 
     def _minimal(self) -> bool:
         candidate = self.true_atoms() & self.p.base
-        if minimal_test(self.p, candidate, self.gnt_stats, self.tester_stats, self.tester):
+        if minimal_test(self.tester, candidate, self.gnt_stats, self.tester_stats):
             return True
         self._learn(candidate - self.tester.model)
         return False
@@ -212,6 +207,18 @@ class _Generator(Solver):
         return False
 
 
+def _drain(solver: Solver, base: frozenset[Atom], enumerate_all: bool) -> list[frozenset[Atom]]:
+    """The first model of the solver's search, or every model, each
+    restricted to base, sorted."""
+    search = solver.models()
+    models = [n & base for n in islice(search, None if enumerate_all else 1)]
+    # A suspended search and its solver refer to each other; closing the
+    # search frees both on return, not at the next cycle collection.
+    search.close()
+    models.sort(key=sorted)
+    return models
+
+
 def solve_disjunctive(
     p: Program,
     mode: str = "gnt2",
@@ -230,16 +237,7 @@ def solve_disjunctive(
     if mode not in _GENERATORS:
         raise ValueError(f"unknown mode {mode!r}")
     generator = _Generator(_GENERATORS[mode](p), p, config or GntConfig())
-    models = []
-    search = generator.models()
-    for n in search:
-        models.append(n & p.base)
-        if not enumerate_all:
-            break
-    # A suspended search and its solver refer to each other; closing the
-    # search frees both on return, not at the next cycle collection.
-    search.close()
-    models.sort(key=sorted)
+    models = _drain(generator, p.base, enumerate_all)
     solver_stats = SolverStats()
     solver_stats.merge(generator.stats)
     solver_stats.merge(generator.tester_stats)
@@ -251,20 +249,19 @@ def solve(
     mode: str = "gnt2",
     enumerate_all: bool = False,
     config: Optional[GntConfig] = None,
-    cap: int = 12,
+    cap: int = DEFAULT_CAP,
 ) -> SolveResult:
     """Stable models of p from the one engine that fits it, the one place
     an engine is chosen: the enumeration oracle under ``brute``, capped at
     `cap` atoms, a plain ``Solver`` when p is normal, and otherwise
-    ``solve_disjunctive``, the driver.  ``stats`` is None exactly when the
-    driver did not run."""
+    ``solve_disjunctive``, the driver.  The solver and the driver drain
+    their searches alike (``_drain``): the first model or every model,
+    restricted to p's base and sorted, and the search closed.  ``stats`` is
+    None exactly when the driver did not run."""
     if mode == "brute":
         models = enumerate_stable_models(p, cap)
         return SolveResult(models if enumerate_all else models[:1], None, SolverStats())
     if p.is_normal and mode in _GENERATORS:
         solver = Solver(p)
-        models = solver.all_models() if enumerate_all else [
-            m for m in [solver.next_stable_model()] if m is not None
-        ]
-        return SolveResult(models, None, solver.stats)
+        return SolveResult(_drain(solver, p.base, enumerate_all), None, solver.stats)
     return solve_disjunctive(p, mode, enumerate_all, config)

@@ -28,6 +28,7 @@ from typing import Iterable, Optional
 from .gnt import GntConfig, SolveResult, solve
 from .gentest import _Extension
 from .semantics import (
+    DEFAULT_CAP,
     PartialInterpretation,
     TruthValue,
     enumerate_partial_stable_models,
@@ -150,7 +151,7 @@ def possibility_query(
     p: Program,
     q: QueryLiterals,
     mode: str = "gnt2",
-    cap: int = 12,
+    cap: int = DEFAULT_CAP,
     config: Optional[GntConfig] = None,
 ) -> tuple[bool, Optional[PartialInterpretation], SolveResult]:
     """Whether some partial stable model of p satisfies every literal of q.
@@ -171,7 +172,7 @@ def possibility_query(
 
 
 def query_by_filter(
-    p: Program, q: QueryLiterals, cap: int = 12
+    p: Program, q: QueryLiterals, cap: int = DEFAULT_CAP
 ) -> tuple[bool, Optional[PartialInterpretation]]:
     """Oracle fallback: enumerate partial stable models and test the query directly."""
     require_in_base(q.atoms, p.base, "query")

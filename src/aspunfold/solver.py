@@ -523,9 +523,6 @@ class Solver:
     def next_stable_model(self) -> Optional[frozenset[Atom]]:
         return next(self.models(), None)
 
-    def all_models(self) -> list[frozenset[Atom]]:
-        return sorted(self.models(), key=sorted)
-
     # -- stepping by hand (tests; tracers wrap these by name) ---------------------
 
     def assign_and_expand(self, pairs: Iterable[tuple[Atom, bool]]) -> bool:

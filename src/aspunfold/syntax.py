@@ -19,7 +19,8 @@ table and the solver and the oracles read it.  The ``Rule`` objects of
 ``Program.rules`` are a view of it, built on first read and cached, for the
 edges: rendering, instance generation and the object-level semantics.
 ``Program(rules, base=...)`` keeps its rules and derives the table on first
-use.  The two conversions, ``_table_of`` and ``_rules_of``, live here.
+use, through ``RuleTable.numbered`` as the parser does; ``_rules_of``, the
+conversion back, lives here.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 # Mark prefixes; all three characters long, so ``text[3:]`` strips one.
@@ -256,24 +256,6 @@ def positions(sub: Sequence[Atom], atoms: Sequence[Atom]) -> list[int]:
     return out
 
 
-def _table_of(rules: tuple[Rule, ...], base: frozenset[Atom]) -> RuleTable:
-    """Rules to their table over ``base``, which holds every occurring atom."""
-    atoms = sorted(base, key=attrgetter("text"))
-    # Keyed by rendering, the atom's identity: a str hashes faster than an Atom.
-    index = {a.text: i for i, a in enumerate(atoms)}
-    return RuleTable(
-        atoms,
-        [
-            (
-                tuple(sorted([index[a.text] for a in r.head])),
-                tuple(sorted([index[a.text] for a in r.pos])),
-                tuple(sorted([index[a.text] for a in r.neg])),
-            )
-            for r in rules
-        ],
-    )
-
-
 def _rules_of(table: RuleTable) -> tuple[Rule, ...]:
     """A table's rules as ``Rule`` objects, in the table's order."""
     atoms = table.atoms
@@ -322,7 +304,12 @@ class Program:
     @property
     def table(self) -> RuleTable:
         if self._table is None:
-            self._table = _table_of(self._rules, self._base)
+            texts = [a.text for a in self._base]
+            # Keyed by rendering, the atom's identity: a str hashes faster than an Atom.
+            number = {t: i for i, t in enumerate(texts)}
+            self._table = RuleTable.numbered(
+                texts, [[[number[a.text] for a in part] for part in (r.head, r.pos, r.neg)] for r in self._rules]
+            )
         return self._table
 
     @property

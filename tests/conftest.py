@@ -1,6 +1,7 @@
 import random
 import sys
 from itertools import combinations
+from operator import attrgetter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -25,7 +26,7 @@ from aspunfold.semantics import (
     eval_conj,
 )
 from aspunfold.solver import FALSE, TRUE, Solver, SolverStats
-from aspunfold.syntax import _MARKS, Atom, F_ATOM, Literal, Program, Rule, _known, positions
+from aspunfold.syntax import _MARKS, Atom, F_ATOM, Literal, Program, Rule, RuleTable, _known, positions
 
 hypothesis.settings.register_profile("det", derandomize=True, max_examples=60)
 hypothesis.settings.load_profile("det")
@@ -362,7 +363,7 @@ class ReferenceGenerator(WithoutRootInference):
         self.was_covered = False
 
     def _minimal(self):
-        return gnt.minimal_test(self.p, self.true_atoms(), self.gnt_stats, self.tester_stats, self.tester)
+        return gnt.minimal_test(self.tester, self.true_atoms() & self.p.base, self.gnt_stats, self.tester_stats)
 
     def _early_test_sound(self):
         val = self.val
@@ -500,6 +501,25 @@ def reference_support_program(p):
 def reference_gen_program(p):
     rules = reference_gen_basic(p).rules + reference_support_program(p).rules
     return Program(tuple(dict.fromkeys(rules)), base=p.base)
+
+
+def reference_table_of(rules, base):
+    """The rule table of rules over base, which holds every occurring atom,
+    numbered here by sorting the base: independent of ``RuleTable.numbered``,
+    through which programs build their tables."""
+    atoms = sorted(base, key=attrgetter("text"))
+    index = {a: i for i, a in enumerate(atoms)}
+    return RuleTable(
+        atoms,
+        [
+            (
+                tuple(sorted([index[a] for a in r.head])),
+                tuple(sorted([index[a] for a in r.pos])),
+                tuple(sorted([index[a] for a in r.neg])),
+            )
+            for r in rules
+        ],
+    )
 
 
 def reference_parse_program(text, allow_reserved=False):

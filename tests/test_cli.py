@@ -382,6 +382,33 @@ def test_bench_rejects_nonpositive_ratio(capsys):
     assert code == 1
 
 
+def test_bench_checks_out_dir_before_generating(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("aspunfold.cli.gen_d3sat_instance", lambda *args: calls.append(args))
+    assert main(["bench", "d3sat", "--count", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err, calls) == ("", "error: --count > 1 requires --out-dir\n", [])
+
+
+@pytest.mark.parametrize("json_flag", [False, True])
+def test_closed_stdout_exits_1_without_traceback(write, json_flag):
+    # 12 independent pairs have 4,096 stable models, printed as far more
+    # text than a pipe holds, so the reader closes its end while the
+    # report is still being written.  A JSON report is one line, so the
+    # reader stops inside it.
+    path = write("pairs.lp", "".join(f"a{i} :- not b{i}.\nb{i} :- not a{i}.\n" for i in range(12)))
+    env = {**os.environ, "PYTHONPATH": str(Path(aspunfold.__file__).resolve().parents[1])}
+    argv = [sys.executable, "-m", "aspunfold", "solve", path, "--all"] + ["--json"] * json_flag
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.read(100) if json_flag else proc.stdout.readline()
+    proc.stdout.close()
+    code = proc.wait(timeout=120)
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert first and code == 1
+    assert err == b"", err.decode()
+
+
 def test_json_reports_validate_and_match_text(write):
     f = write("p.lp", "a | b.\n")
     _, text_out = run(["solve", f, "--all"])

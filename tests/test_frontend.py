@@ -26,6 +26,7 @@ from conftest import (
     random_disjunctive_program,
     random_normal_program,
     reference_parse_program,
+    reference_table_of,
     reference_unfold_partiality,
 )
 
@@ -59,8 +60,8 @@ def assert_same_program(new, ref):
     assert new.rules == ref.rules
     assert new.base == ref.base
     assert new == ref
-    # The table equals the one derived from the Rule view.
-    assert Program(new.rules, base=new.base).table == new.table
+    # The parser's table equals the one numbered independently from the Rule view.
+    assert reference_table_of(new.rules, new.base) == new.table
 
 
 def assert_same_parse(text, allow_reserved):

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -34,23 +36,27 @@ DISJ_NEG = parse_program("a | b :- not c.")
 EX6 = parse_program("a | b | c.\na :- not b.\nb :- not c.\nc :- not a.")
 
 
+def minimal_on(p, candidate, stats=None):
+    """``minimal_test`` on a candidate of p, with a fresh tester of p."""
+    return minimal_test(_Tester(p), candidate, stats or GntStats(), SolverStats())
+
+
 def test_minimal_test_paper_example():
     # generator model {b, s__b, c__a} projects to {b}, which is stable
-    assert minimal_test(DISJ_NEG, frozenset([B, support(B), complement(A)]))
-    assert not minimal_test(DISJ, frozenset([A, B]))
+    assert minimal_on(DISJ_NEG, frozenset([B, support(B), complement(A)]) & DISJ_NEG.base)
+    assert not minimal_on(DISJ, frozenset([A, B]))
 
 
 def test_minimal_test_stable_normal_models_pass():
     for seed in range(40):
         p = random_normal_program(seed, max_atoms=4, max_rules=6)
         for m in enumerate_stable_models(p):
-            assert minimal_test(p, m)
+            assert minimal_on(p, m)
 
 
 def test_minimal_test_counts():
     stats = GntStats()
-    solver_stats = SolverStats()
-    minimal_test(DISJ, frozenset([A]), stats=stats, solver_stats=solver_stats)
+    minimal_on(DISJ, frozenset([A]), stats)
     assert stats.minimal_tests == 1
 
 
@@ -586,6 +592,32 @@ def test_tester_is_compiled_once_per_search(monkeypatch):
         assert len(tests) == r.stats.minimal_tests
         # the k-th tester solver is built within the k-th test
         assert testers == [(Solver, k, 1) for k in range(1, len(tests) + 1)]
+
+
+def test_no_search_outlives_solve(monkeypatch):
+    # A suspended search and its solver refer to each other, so with the
+    # collector off a solver is freed on return only if its search was
+    # closed: the plain solver of a normal program, first model or all, and
+    # the testers of a disjunctive search.
+    built = []
+
+    class Recorded(Solver):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(gnt, "Solver", Recorded)
+    normal = parse_program("a :- not b.\nb :- not a.")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for p, enumerate_all in ((normal, False), (normal, True), (DISJ, False), (DISJ, True)):
+            built.clear()
+            gnt.solve(p, "gnt2", enumerate_all)
+            assert built and all(ref() is None for ref in built), (p.rules, enumerate_all)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class _LearningGenerator(_Generator):

@@ -191,7 +191,7 @@ def test_user_written_self_blocking_atom():
     s = Solver(p)
     assert [s.atoms[a].text for a in root_fixed_false(s)] == ["p"]
     assert lits(expand(p)) == {"not p", "not q", "r"}
-    assert s.all_models() == enumerate_stable_models(p) == [frozenset([Atom("r")])]
+    assert sorted(s.models(), key=sorted) == enumerate_stable_models(p) == [frozenset([Atom("r")])]
     assert s.stats.choices == 0
 
 
@@ -200,7 +200,7 @@ def test_atom_with_another_rule_is_not_fixed():
     p = parse_program("a :- not a, b.\na :- c.\nc.")
     s = Solver(p)
     assert root_fixed_false(s) == set()
-    assert s.all_models() == enumerate_stable_models(p) == [frozenset([A, Atom("c")])]
+    assert sorted(s.models(), key=sorted) == enumerate_stable_models(p) == [frozenset([A, Atom("c")])]
 
 
 def test_qbf_testers_never_branch_on_f(monkeypatch):
