@@ -102,10 +102,9 @@ class _Tester:
         if self.table is None:
             self.table = test_program(self.p)
         self.solver = Solver(self.table.tester(self.table.numbers(candidate)))
-        search = self.solver.models()
-        self.model = next(search, None)
+        self.model = next(self.solver.models(), None)
         # Closed at once, so a suspended search outlives no test.
-        search.close()
+        self.solver.close()
         return self.model is None
 
 
@@ -210,11 +209,10 @@ class _Generator(Solver):
 def _drain(solver: Solver, base: frozenset[Atom], enumerate_all: bool) -> list[frozenset[Atom]]:
     """The first model of the solver's search, or every model, each
     restricted to base, sorted."""
-    search = solver.models()
-    models = [n & base for n in islice(search, None if enumerate_all else 1)]
+    models = [n & base for n in islice(solver.models(), None if enumerate_all else 1)]
     # A suspended search and its solver refer to each other; closing the
     # search frees both on return, not at the next cycle collection.
-    search.close()
+    solver.close()
     models.sort(key=sorted)
     return models
 

@@ -13,7 +13,14 @@ every stable model of the program agreeing with the current assignment, so a
 covered conflict-free fixpoint is exactly a stable model.  Unit propagation
 is one loop, ``_unit_propagate``, over a stack of assignments: the value of
 each picks whether it advances or blocks the bodies in ``occ_pos`` and in
-``occ_neg``, and ``undo_to`` walks the same lists back.
+``occ_neg``, and ``undo_to`` walks the same lists back.  Each rule keeps two
+counters: ``n_false``, its false body literals, and ``n_left``, its body
+literals not yet true, which moves only while the rule is unblocked
+(``n_false`` zero).  A blocked rule can neither fire nor propagate
+backward, so its ``n_left`` is not read until it is unblocked again; an
+atom advances before it blocks and ``undo_to`` unblocks before it
+un-advances, and as backtracking is chronological, every rule is unblocked
+with the ``n_left`` it had when it was blocked.
 
 The search starts from the root assignment that set-up computes: facts
 true, and false every atom that heads no rule or has itself in the negative
@@ -49,17 +56,24 @@ undefined atom occurring in the most not-yet-satisfied rules (head not true,
 no body literal false), try ``not x`` before ``x``, and on finding a model
 emit it and backtrack as if conflicted.  Ties go to the lowest index, which
 is the lexicographically smallest rendering, since atoms are indexed in
-sorted order.  An atom's count is at most the number of rules it occurs in,
-so the scan visits atoms by decreasing occurrence count, then by index, and
-stops at the first undefined atom that could at best tie with a best of
-lower index.  The per-atom rule sets it counts and that order are built at
-the first choice, over the atoms undefined then, and never updated, so a
-solver that never branches never builds them.  The search never unassigns
-an atom assigned at its first choice, the root fixpoint, until it ends;
-``undo_to`` drops both once it does, so the next choice builds them again.
-The search keeps, with each choice, the scan position before
-which every atom is assigned, so the scan starts past the atoms assigned
-above it.
+sorted order.  An atom's count is at most the number of rules it occurs in
+that were not blocked at the first choice (below), so the scan visits atoms
+by decreasing occurrence count, then by index, and stops at the first
+undefined atom that could at best tie with a best of lower index.  The
+per-atom rule sets it counts and that order are built at the first choice,
+over the atoms undefined then, and never updated, so a solver that never
+branches never builds them.  The search never unassigns an atom assigned at
+its first choice, the root fixpoint, until it ends, so a rule blocked then
+stays blocked: no propagation, unfounded-set check or count reads it again,
+and none is a source, as the root expand has given new sources to the atoms
+whose sources it blocked.  The same step therefore drops such rules from the
+``occ_pos``, ``occ_neg``, ``occ_head`` and ``occ_int`` lists of the open
+atoms, and the search walks only rules that can still fire.  ``undo_to``
+drops the index and puts the full lists back once it unassigns an atom
+assigned before it, so the next choice builds them again, and ``close`` puts
+them back when a search is ended early.  The search keeps, with each choice,
+the scan position before which every atom is assigned, so the scan starts
+past the atoms assigned above it.
 Chronological backtracking, no learning.
 
 ``_search`` is the package's one stable-model search, a loop over an explicit
@@ -116,7 +130,6 @@ class Solver:
             raise ValueError("solver requires a normal program") from None
         self.r_pos: list[tuple[int, ...]] = [pos for _, pos, _ in table.rules]
         self.r_neg: list[tuple[int, ...]] = [neg for _, _, neg in table.rules]
-        self.r_size: list[int] = [len(pos) + len(neg) for _, pos, neg in table.rules]
         self.occ_pos: list[list[int]] = [[] for _ in range(n)]
         self.occ_neg: list[list[int]] = [[] for _ in range(n)]
         self.occ_head: list[list[int]] = [[] for _ in range(n)]
@@ -133,7 +146,7 @@ class Solver:
         self.stats = SolverStats()
         self.val = [UNDEF] * n
         self.trail: list[int] = []
-        self.n_true = [0] * len(self.r_head)
+        self.n_left = [len(pos) + len(neg) for _, pos, neg in table.rules]
         self.n_false = [0] * len(self.r_head)
         self.active = [len(occ) for occ in self.occ_head]
         self._queue: list[tuple[int, int]] = []
@@ -142,7 +155,7 @@ class Solver:
         self._lost = [a for a in range(n) if self._cyclic[a]]
 
         self._initial: list[tuple[int, int]] = [
-            (self.r_head[r], TRUE) for r, size in enumerate(self.r_size) if size == 0
+            (self.r_head[r], TRUE) for r, left in enumerate(self.n_left) if not left
         ]
         # False at the root: each atom whose every rule, if it has any, has
         # the atom in its negative body (see the module docstring).  Most
@@ -159,6 +172,8 @@ class Solver:
         self.occ_all: list[list[int]] = []
         self._by_occurrence: Optional[list[int]] = None
         self._indexed_at = 0
+        # (lists, atom, full list) for each list the index pruned
+        self._pruned: list[tuple[list[list[int]], int, list[int]]] = []
 
     @cached_property
     def index(self) -> dict[Atom, int]:
@@ -267,7 +282,7 @@ class Solver:
         derives from them; False on a conflict, with the queue emptied."""
         queue, val, trail = self._queue, self.val, self.trail
         occ_pos, occ_neg, occ_head = self.occ_pos, self.occ_neg, self.occ_head
-        n_true, n_false, r_size, r_head = self.n_true, self.n_false, self.r_size, self.r_head
+        n_left, n_false, r_head = self.n_left, self.n_false, self.r_head
         active, source, lost = self.active, self.source, self._lost
         while queue:
             a, v = queue.pop()
@@ -280,30 +295,32 @@ class Solver:
             val[a] = v
             trail.append(a)
             # A true atom advances the bodies it occurs in positively and
-            # blocks those it occurs in negatively, a false one the reverse;
-            # occ_pos goes first for either value, and so do its pushes.
-            for rules, advances in ((occ_pos[a], v == TRUE), (occ_neg[a], v == FALSE)):
-                if advances:
-                    for r in rules:
-                        n_true[r] += 1
-                        if not n_false[r]:
-                            left = r_size[r] - n_true[r]
-                            if not left:
-                                queue.append((r_head[r], TRUE))
-                            elif left == 1 and val[r_head[r]] == FALSE:
-                                self._falsify_last_literal(r)
-                else:
-                    for r in rules:
-                        n_false[r] += 1
-                        if n_false[r] == 1:
-                            h = r_head[r]
-                            if source[h] == r:
-                                lost.append(h)
-                            active[h] -= 1
-                            if not active[h]:
-                                queue.append((h, FALSE))
-                            elif active[h] == 1 and val[h] == TRUE:
-                                self._force_single_support(h)
+            # blocks those it occurs in negatively, a false one the reverse.
+            # It advances first: a rule it also blocks is advanced too, and
+            # undo_to, which unblocks first, un-advances it; the rule cannot
+            # fire, as the literal that blocks it is never true.
+            if v == TRUE:
+                advanced, blocked = occ_pos[a], occ_neg[a]
+            else:
+                advanced, blocked = occ_neg[a], occ_pos[a]
+            for r in advanced:
+                if not n_false[r]:
+                    left = n_left[r] = n_left[r] - 1
+                    if not left:
+                        queue.append((r_head[r], TRUE))
+                    elif left == 1 and val[r_head[r]] == FALSE:
+                        self._falsify_last_literal(r)
+            for r in blocked:
+                n_false[r] += 1
+                if n_false[r] == 1:
+                    h = r_head[r]
+                    if source[h] == r:
+                        lost.append(h)
+                    active[h] -= 1
+                    if not active[h]:
+                        queue.append((h, FALSE))
+                    elif active[h] == 1 and val[h] == TRUE:
+                        self._force_single_support(h)
             if v == TRUE:
                 if not active[a]:
                     queue.clear()
@@ -313,7 +330,7 @@ class Solver:
             else:
                 for r in occ_head[a]:
                     if not n_false[r]:
-                        left = r_size[r] - n_true[r]
+                        left = n_left[r]
                         if not left:
                             queue.clear()
                             return False
@@ -394,8 +411,15 @@ class Solver:
     # -- backtracking -----------------------------------------------------------
 
     def undo_to(self, mark: int) -> None:
+        """Unassign the trail above position ``mark``, last first.  Each atom
+        removes its blocks, then un-advances the rules it could have advanced
+        that are left unblocked: ``_unit_propagate`` advanced before it
+        blocked, so with chronological backtracking these are exactly the
+        rules it advanced, and a blocked rule's ``n_left`` stays as it was
+        when it became blocked.  Below the trail length at which the open
+        atoms were indexed, the index goes and the pruned lists come back."""
         trail, val, source, lost = self.trail, self.val, self.source, self._lost
-        occ_pos, occ_neg, n_true, n_false = self.occ_pos, self.occ_neg, self.n_true, self.n_false
+        occ_pos, occ_neg, n_left, n_false = self.occ_pos, self.occ_neg, self.n_left, self.n_false
         active, r_head = self.active, self.r_head
         for _ in range(len(trail) - mark):
             a = trail.pop()
@@ -406,30 +430,58 @@ class Solver:
             val[a] = UNDEF
             if source[a] == NO_SOURCE:
                 lost.append(a)  # no longer false: it needs a source again
-            for r in advanced:
-                n_true[r] -= 1
             for r in blocked:
                 n_false[r] -= 1
                 if not n_false[r]:
                     active[r_head[r]] += 1
+            for r in advanced:
+                if not n_false[r]:
+                    n_left[r] += 1
         self._queue.clear()
         if mark < self._indexed_at:
-            self._by_occurrence = None
-            self._indexed_at = 0
+            self._drop_index()
+
+    def _drop_index(self) -> None:
+        """Drop the index of open atoms and put back the lists it pruned."""
+        for lists, a, rules in self._pruned:
+            lists[a] = rules
+        self._pruned = []
+        self._by_occurrence = None
+        self._indexed_at = 0
+
+    def close(self) -> None:
+        """End the search early, after a model: close it and put back the
+        lists the index pruned.  The solver is not searched again."""
+        if self._gen is not None:
+            self._gen.close()
+        self._drop_index()
 
     # -- search -----------------------------------------------------------------
 
     def _index_open_atoms(self) -> None:
-        """Per undefined atom, the rules it occurs in (head or body), each
-        once, in no particular order: ``_choose`` only counts them; and the
-        undefined atoms by decreasing number of those rules, then by index
-        (a reversed sort keeps equal keys in their order).  They hold while
-        every atom assigned now stays assigned: ``undo_to`` drops them when
-        it unassigns one."""
-        val, occ_head, occ_pos, occ_neg = self.val, self.occ_head, self.occ_pos, self.occ_neg
+        """Drop the rules blocked now from the ``occ_pos``, ``occ_neg``,
+        ``occ_head`` and ``occ_int`` lists of the undefined atoms, saving
+        each list it changes.  Then, per undefined atom, the rules left
+        where it occurs (head or body), each once, in no particular order:
+        ``_choose`` only counts them; and the undefined atoms by decreasing
+        number of those rules, then by index (a reversed sort keeps equal
+        keys in their order).  All of it holds while every atom assigned now
+        stays assigned, and so every rule blocked now stays blocked; no
+        reader needs such a rule, and after a successful expand none is a
+        source.  ``undo_to`` drops the index and puts the lists back when it
+        unassigns one of those atoms, and so does ``close``."""
+        val, n_false, pruned = self.val, self.n_false, self._pruned
+        occ_head, occ_pos, occ_neg, occ_int = self.occ_head, self.occ_pos, self.occ_neg, self.occ_int
         occ_all: list[list[int]] = [[]] * len(val)  # assigned atoms: never read
         open_atoms = [a for a, v in enumerate(val) if v == UNDEF]
         for a in open_atoms:
+            for lists in (occ_head, occ_pos, occ_neg, occ_int):
+                rules = lists[a]
+                for r in rules:
+                    if n_false[r]:
+                        pruned.append((lists, a, rules))
+                        lists[a] = [q for q in rules if not n_false[q]]
+                        break
             occ_all[a] = list(set(occ_head[a] + occ_pos[a] + occ_neg[a]))
         open_atoms.sort(key=lambda a: len(occ_all[a]), reverse=True)
         self.occ_all, self._by_occurrence = occ_all, open_atoms

@@ -360,12 +360,20 @@ def test_choose_matches_full_count():
     assert walked > 2500 and searched > 150
 
 
+def occurrence_lists(s):
+    return s.occ_pos, s.occ_neg, s.occ_head, s.occ_int
+
+
 def test_sccs_match_reference(monkeypatch):
     # Set-up leaves out of Tarjan the atoms that lie on no positive cycle;
     # the cyclic atoms, r_int and occ_int must be those of one Tarjan over
     # every atom.  Tables: random looping programs and their tr, self-loops
     # by hand, and the generator and tester tables of d3sat and gw QBF
-    # instances.
+    # instances.  The testers are read after their searches, and the
+    # occurrence lists that indexing the open atoms pruned must be back as
+    # a fresh solver builds them, whether a search ran to its end or was
+    # closed at its first model: the testers' own, and those of generators
+    # and of plain solvers drained for one model and for all.
     from aspunfold import gnt
     from aspunfold.bench import gen_d3sat_instance, gen_random_qbf
     from aspunfold.qbf import qbf_to_program
@@ -377,17 +385,34 @@ def test_sccs_match_reference(monkeypatch):
         for text in ("a :- a.", "a :- a, not b.\nb :- not a.", "a :- b.\nb :- a.\nb :- b, c.\nc.", "a :- b, a.\nb.")
     ]
     testers = []
+    pruned = {"d3sat": 0, "gw": 0}  # testers whose index pruned a list
 
     class RecordingSolver(Solver):
         def __init__(self, program, *args, **kwargs):
             super().__init__(program, *args, **kwargs)
             testers.append(self)
 
+        def _index_open_atoms(self):
+            super()._index_open_atoms()
+            pruned[family] += bool(self._pruned)
+
     monkeypatch.setattr(gnt, "Solver", RecordingSolver)
+    drained = []
     for seed in range(8):
-        for p in (gen_d3sat_instance(30, 4.258, seed).program, qbf_to_program(gen_random_qbf(14, "gw", seed))):
+        instances = {
+            "d3sat": gen_d3sat_instance(30, 4.258, seed).program,
+            "gw": qbf_to_program(gen_random_qbf(14, "gw", seed)),
+        }
+        for family, p in instances.items():
             programs += [make(p) for make in gnt._GENERATORS.values()]
-            gnt.solve_disjunctive(p, "gnt2", enumerate_all=True)
+            for enumerate_all in (True, False):
+                g = gnt._Generator(gnt.gen_program(p), p, gnt.GntConfig())
+                gnt._drain(g, p.base, enumerate_all)
+                drained.append(g)
+    for seed, p in enumerate(programs[300:600]):
+        s = Solver(p)
+        gnt._drain(s, p.base, seed % 2 == 0)
+        drained.append(s)
     solvers = [Solver(p) for p in programs] + testers
     self_loops = 0
     for s in solvers:
@@ -395,22 +420,38 @@ def test_sccs_match_reference(monkeypatch):
         self_loops += any(h in pos for h, pos in zip(s.r_head, s.r_pos))
     assert len(testers) > 50 and self_loops > 100
     assert sum(any(s._cyclic) for s in testers) > 30
+    closed = 0
+    for s in testers + drained:
+        assert occurrence_lists(s) == occurrence_lists(Solver(s.program)), s.program
+        closed += s.covered
+    assert pruned["d3sat"] > 3 and closed > 100
 
 
 def assert_counters_match(s):
-    """The body counters, head counts and trail that propagation keeps, each
-    recomputed from the assignment alone."""
+    """The invariant propagation keeps, recomputed from the assignment alone:
+    a rule's ``n_false`` is nonzero exactly when a body literal is false;
+    an unblocked rule's ``n_left`` counts its body literals not yet true (a
+    blocked rule's stays as it was when it became blocked); ``active`` counts
+    each atom's unblocked rules; every list an index pruned still holds its
+    unblocked rules; and the trail holds exactly the assigned atoms."""
     val = s.val
-    n_true = [
-        sum(val[b] == TRUE for b in pos) + sum(val[c] == FALSE for c in neg)
+    blocked = [
+        any(val[b] == FALSE for b in pos) or any(val[c] == TRUE for c in neg)
         for pos, neg in zip(s.r_pos, s.r_neg)
     ]
-    n_false = [
-        sum(val[b] == FALSE for b in pos) + sum(val[c] == TRUE for c in neg)
-        for pos, neg in zip(s.r_pos, s.r_neg)
-    ]
-    active = [sum(1 for r in occ if not n_false[r]) for occ in s.occ_head]
-    assert (s.n_true, s.n_false, s.active) == (n_true, n_false, active), s.program
+    assert [f > 0 for f in s.n_false] == blocked, s.program
+    for r, (pos, neg) in enumerate(zip(s.r_pos, s.r_neg)):
+        if not blocked[r]:
+            left = sum(val[b] != TRUE for b in pos) + sum(val[c] != FALSE for c in neg)
+            assert s.n_left[r] == left, s.program
+    active = [0] * len(s.atoms)
+    for r, h in enumerate(s.r_head):
+        active[h] += not blocked[r]
+    assert s.active == active, s.program
+    members_of = ((s.occ_head, [(h,) for h in s.r_head]), (s.occ_pos, s.r_pos), (s.occ_neg, s.r_neg), (s.occ_int, s.r_int))
+    for lists, members in members_of:
+        for r, atoms in enumerate(members):
+            assert blocked[r] or all(r in lists[a] for a in atoms), s.program
     assert len(s.trail) == sum(v != UNDEF for v in val), s.program
     assert set(s.trail) == {a for a, v in enumerate(val) if v != UNDEF}
 
@@ -429,11 +470,50 @@ class CountedSolver(Solver):
         assert_counters_match(self)
 
 
-def test_counters_match_assignment():
-    # n_true, n_false and active follow val through propagation, conflicts
-    # and backtracking, and the trail holds exactly the assigned atoms.
-    expansions = conflicts = 0
-    for p, s, decisions, ok in decision_walks(range(600), random.Random(7), CountedSolver):
+class UnfrozenSolver(CountedSolver):
+    """A mutant whose undo_to also un-advances blocked rules: after it
+    unassigns each atom, it un-advances the rules of the atom's advancing
+    list that are still blocked.  The last call only checks the counters."""
+
+    def undo_to(self, mark):
+        while len(self.trail) > mark:
+            a = self.trail[-1]
+            advanced = self.occ_pos[a] if self.val[a] == TRUE else self.occ_neg[a]
+            super().undo_to(len(self.trail) - 1)
+            for r in advanced:
+                if self.n_false[r]:
+                    self.n_left[r] += 1
+        super().undo_to(mark)
+
+
+def walk_counted(solver):
+    """The 600 walks of ``test_counters_match_assignment`` by ``solver``,
+    which at about a third of the fixpoints without an index picks an atom,
+    and so indexes the open atoms there; the number of expansions, of
+    conflicts and of indexes that pruned a list."""
+    rng = random.Random(8)
+    expansions = conflicts = pruned = 0
+    for p, s, decisions, ok in decision_walks(range(600), random.Random(7), solver):
         expansions += 1
         conflicts += not ok
-    assert expansions > 4000 and conflicts > 2000
+        if ok and not s.covered and s._by_occurrence is None and rng.random() < 0.3:
+            s.pick_atom()
+            assert_counters_match(s)
+            pruned += bool(s._pruned)
+    return expansions, conflicts, pruned
+
+
+def test_counters_match_assignment():
+    # n_false, n_left and active follow val through propagation, conflicts,
+    # backtracking and the indexing of open atoms, which prunes blocked rules
+    # from their lists at whatever fixpoint it happens, and the trail holds
+    # exactly the assigned atoms.
+    expansions, conflicts, pruned = walk_counted(CountedSolver)
+    assert expansions > 4000 and conflicts > 2000 and pruned > 100
+
+
+def test_counter_check_catches_unfrozen_undo():
+    # Un-advancing a rule that is still blocked breaks its n_left once it is
+    # unblocked; the check must see it.
+    with pytest.raises(AssertionError):
+        walk_counted(UnfrozenSolver)
