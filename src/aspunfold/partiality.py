@@ -36,6 +36,7 @@ from .semantics import (
     require_in_base,
 )
 from .syntax import (
+    _POTENTIAL,
     Atom,
     F_ATOM,
     IntRule,
@@ -82,20 +83,18 @@ def expand_psm(m: PartialInterpretation) -> frozenset[Atom]:
 
 
 def project_sm(true_atoms: Iterable[Atom], plain_base: Iterable[Atom]) -> PartialInterpretation:
-    """Read a total model of the translation back as a partial interpretation."""
-    n = {a.text for a in true_atoms}
+    """Read a total model of the translation back as a partial interpretation:
+    the base atoms true in it are true, and those whose potential mark is
+    not true are false.  Marks are read by their text, with no marked atom
+    built."""
+    n = frozenset(true_atoms)
+    texts = {a.text for a in n}
     base = frozenset(plain_base)
-    t, f = [], []
-    for a in base:
-        in_n = a.text in n
-        mark_in_n = potential(a).text in n
-        if in_n and not mark_in_n:
-            raise ValueError(f"atom {a.text} true without its potential mark")
-        if in_n:
-            t.append(a)
-        elif not mark_in_n:
-            f.append(a)
-    return PartialInterpretation(frozenset(t), frozenset(f), base)
+    t = base & n
+    f = frozenset([a for a in base if _POTENTIAL + a.text not in texts])
+    if not t.isdisjoint(f):
+        raise ValueError(f"atom {min(t & f).text} true without its potential mark")
+    return PartialInterpretation(t, f, base)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ every stable model of the program agreeing with the current assignment, so a
 covered conflict-free fixpoint is exactly a stable model.  Unit propagation
 is one loop, ``_unit_propagate``, over a stack of assignments: the value of
 each picks whether it advances or blocks the bodies in ``occ_pos`` and in
-``occ_neg``, and ``undo_to`` walks the same lists back.  Each rule keeps two
+``occ_neg``, and ``undo_to`` walks the same lists back or, near the root,
+copies the counters back (below).  Each rule keeps two
 counters: ``n_false``, its false body literals, and ``n_left``, its body
 literals not yet true, which moves only while the rule is unblocked
 (``n_false`` zero).  A blocked rule can neither fire nor propagate
@@ -74,7 +75,25 @@ assigned before it, so the next choice builds them again, and ``close`` puts
 them back when a search is ended early.  The search keeps, with each choice,
 the scan position before which every atom is assigned, so the scan starts
 past the atoms assigned above it.
-Chronological backtracking, no learning.
+
+Backtracking is chronological, with no learning, and goes back one of two
+ways.  Walking back touches every list entry that propagation touched since
+the choice, so its cost grows with the branch below the choice; copying back
+costs two entries per rule and one per atom (``n_left``, ``n_false`` and
+``active``), whatever was assigned.  The negative branch of a choice near
+the root holds most of the search below it, so ``_search`` copies the three
+arrays at each choice before its negative branch, and ``undo_to`` copies
+them back when the positive branch starts and only resets the values of the
+atoms it unassigns.  A deep choice undoes a few atoms, and walking them back
+is cheaper than a copy.  So copies are taken only while the copies held by
+the pending choices fit in a budget: as many entries as the solver's own
+per-rule and per-atom lists hold (``_copy_budget``), so the copies at most
+double the list entries the solver holds, however deep the search.  The
+copies go to the shallowest pending choices, and every deeper choice and the
+final return to the root walk back.  On the benchmark's d3sat generators and
+partial translations the budget holds six copies, and their searches hold up
+to 10 and 13 pending choices.  Both ways leave every counter as it was at
+the choice, so the search is the same either way.
 
 ``_search`` is the package's one stable-model search, a loop over an explicit
 stack of pending positive branches, so its depth is bounded by memory rather
@@ -96,6 +115,9 @@ from .syntax import Atom, Program, RuleTable
 TRUE = 1
 FALSE = 0
 UNDEF = -1
+
+# n_left, n_false and active, as ``Solver._save`` copies them
+Counters = tuple[list[int], list[int], list[int]]
 
 NO_SOURCE = -1  # a cyclic atom without a source pointer
 ACYCLIC = -2  # an atom outside every cyclic SCC: unit propagation covers it
@@ -303,29 +325,37 @@ class Solver:
                 advanced, blocked = occ_pos[a], occ_neg[a]
             else:
                 advanced, blocked = occ_neg[a], occ_pos[a]
+            # A head that already has the value a rule gives it is not queued:
+            # popping it would change nothing.
             for r in advanced:
                 if not n_false[r]:
                     left = n_left[r] = n_left[r] - 1
                     if not left:
-                        queue.append((r_head[r], TRUE))
+                        h = r_head[r]
+                        if val[h] != TRUE:
+                            queue.append((h, TRUE))
                     elif left == 1 and val[r_head[r]] == FALSE:
                         self._falsify_last_literal(r)
             for r in blocked:
-                n_false[r] += 1
-                if n_false[r] == 1:
-                    h = r_head[r]
-                    if source[h] == r:
-                        lost.append(h)
-                    active[h] -= 1
-                    if not active[h]:
+                f = n_false[r]
+                n_false[r] = f + 1
+                if f:
+                    continue
+                h = r_head[r]
+                if source[h] == r:
+                    lost.append(h)
+                left = active[h] = active[h] - 1
+                if not left:
+                    if val[h] != FALSE:
                         queue.append((h, FALSE))
-                    elif active[h] == 1 and val[h] == TRUE:
-                        self._force_single_support(h)
+                elif left == 1 and val[h] == TRUE:
+                    self._force_single_support(h)
             if v == TRUE:
-                if not active[a]:
+                left = active[a]
+                if not left:
                     queue.clear()
                     return False
-                if active[a] == 1:
+                if left == 1:
                     self._force_single_support(a)
             else:
                 for r in occ_head[a]:
@@ -410,33 +440,48 @@ class Solver:
 
     # -- backtracking -----------------------------------------------------------
 
-    def undo_to(self, mark: int) -> None:
-        """Unassign the trail above position ``mark``, last first.  Each atom
-        removes its blocks, then un-advances the rules it could have advanced
-        that are left unblocked: ``_unit_propagate`` advanced before it
-        blocked, so with chronological backtracking these are exactly the
-        rules it advanced, and a blocked rule's ``n_left`` stays as it was
-        when it became blocked.  Below the trail length at which the open
-        atoms were indexed, the index goes and the pruned lists come back."""
+    def undo_to(self, mark: int, saved: Optional[Counters] = None) -> None:
+        """Unassign the trail above position ``mark``, last first, one of two
+        ways.  Given ``saved``, the ``n_left``, ``n_false`` and ``active``
+        that ``_save`` copied at that trail length, it copies them back and
+        only resets the values of the atoms it unassigns.  Otherwise it
+        walks back each atom's occurrence lists: the atom removes its
+        blocks, then un-advances the rules it could have advanced that are
+        left unblocked.  ``_unit_propagate`` advanced before it blocked, so
+        with chronological backtracking these are exactly the rules it
+        advanced, and a blocked rule's ``n_left`` stays as it was when it
+        became blocked.  Either way the counters end as they were at
+        ``mark``, every source is kept, and the atoms unassigned without a
+        source are recorded, last first, to be given one at the next check.
+        Below the trail length at which the open atoms were indexed, the
+        index goes and the pruned lists come back."""
         trail, val, source, lost = self.trail, self.val, self.source, self._lost
-        occ_pos, occ_neg, n_left, n_false = self.occ_pos, self.occ_neg, self.n_left, self.n_false
-        active, r_head = self.active, self.r_head
-        for _ in range(len(trail) - mark):
-            a = trail.pop()
-            if val[a] == TRUE:
-                advanced, blocked = occ_pos[a], occ_neg[a]
-            else:
-                advanced, blocked = occ_neg[a], occ_pos[a]
-            val[a] = UNDEF
-            if source[a] == NO_SOURCE:
-                lost.append(a)  # no longer false: it needs a source again
-            for r in blocked:
-                n_false[r] -= 1
-                if not n_false[r]:
-                    active[r_head[r]] += 1
-            for r in advanced:
-                if not n_false[r]:
-                    n_left[r] += 1
+        if saved is not None:
+            self.n_left[:], self.n_false[:], self.active[:] = saved
+            undone = trail[mark:]
+            del trail[mark:]
+            for a in undone:
+                val[a] = UNDEF
+            lost += [a for a in reversed(undone) if source[a] == NO_SOURCE]
+        else:
+            occ_pos, occ_neg, n_left, n_false = self.occ_pos, self.occ_neg, self.n_left, self.n_false
+            active, r_head = self.active, self.r_head
+            for _ in range(len(trail) - mark):
+                a = trail.pop()
+                if val[a] == TRUE:
+                    advanced, blocked = occ_pos[a], occ_neg[a]
+                else:
+                    advanced, blocked = occ_neg[a], occ_pos[a]
+                val[a] = UNDEF
+                if source[a] == NO_SOURCE:
+                    lost.append(a)  # no longer false: it needs a source again
+                for r in blocked:
+                    f = n_false[r] = n_false[r] - 1
+                    if not f:
+                        active[r_head[r]] += 1
+                for r in advanced:
+                    if not n_false[r]:
+                        n_left[r] += 1
         self._queue.clear()
         if mark < self._indexed_at:
             self._drop_index()
@@ -533,17 +578,37 @@ class Solver:
         that branch has expanded without conflict."""
         return False
 
+    def _save(self) -> Counters:
+        """A copy of the counters, for ``undo_to`` to restore."""
+        return self.n_left[:], self.n_false[:], self.active[:]
+
+    def _copy_budget(self) -> int:
+        """How many entries the counter copies of one branch may hold: as
+        many as the solver's own per-rule and per-atom lists, counting the
+        slots of each list and the entries of the tuples and lists in them.
+        That is, per rule, seven slots (``r_head``, ``r_pos``, ``r_neg``,
+        ``r_int``, ``n_left``, ``n_false`` and its place in ``occ_head``)
+        and each positive, negative and same-SCC body atom twice (``r_*``
+        and ``occ_*``), and per atom nine slots (``atoms``, ``val``,
+        ``active``, ``source``, ``_cyclic`` and the four ``occ_*`` lists)."""
+        body = sum(map(len, self.r_pos)) + sum(map(len, self.r_neg)) + sum(map(len, self.r_int))
+        return 7 * len(self.r_head) + 9 * len(self.atoms) + 2 * body
+
     def _search(self) -> Iterator[frozenset[Atom]]:
         # One entry per choice whose positive branch is still to come: the
-        # trail length before its negative branch, the chosen atom, and the
-        # scan position of _choose, before which every atom was assigned
-        # below that trail length.
-        stack: list[tuple[int, int, int]] = []
+        # trail length before its negative branch, the chosen atom, the scan
+        # position of _choose, before which every atom was assigned below
+        # that trail length, and the counters saved at that trail length, or
+        # None.  Counters are saved while the copies on the stack fit in the
+        # budget, so only the shallowest choices of a branch have them.
+        stack: list[tuple[int, int, int, Optional[Counters]]] = []
         root = len(self.trail)
         for a, v in self._initial:
             self._push(a, v)
         positive = False
         start = 0
+        size = 2 * len(self.r_head) + len(self.atoms)  # the entries of one copy
+        free = self._copy_budget()
         while True:
             if not self._expand():
                 self.stats.conflicts += 1
@@ -555,15 +620,21 @@ class Solver:
             else:
                 x, start = self._choose(start)
                 self.stats.choices += 1
-                stack.append((len(self.trail), x, start))
+                saved = None
+                if size <= free:
+                    saved = self._save()
+                    free -= size
+                stack.append((len(self.trail), x, start, saved))
                 self._push(x, FALSE)
                 positive = False
                 continue
             if not stack:
                 self.undo_to(root)
                 return
-            mark, x, start = stack.pop()
-            self.undo_to(mark)
+            mark, x, start, saved = stack.pop()
+            if saved is not None:
+                free += size
+            self.undo_to(mark, saved)
             self._push(x, TRUE)
             positive = True
 

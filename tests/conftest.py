@@ -309,6 +309,15 @@ def gated_early_prunes(rng, p, samples):
         yield any(true <= m and not m & false for m in stable)
 
 
+class WalkingSolver(Solver):
+    """A solver whose search never copies its counters: every backtrack
+    walks the occurrence lists back, as every backtrack did before choices
+    near the root kept a copy."""
+
+    def _copy_budget(self):
+        return 0
+
+
 class WithoutRootInference(Solver):
     """A solver as it was before set-up fixed false every atom whose rules
     all have it in their negative body: at the root, facts true and atoms

@@ -91,6 +91,9 @@ def test_project_sm():
     assert project_sm(t, frozenset([A, B])) == PartialInterpretation.total([A], [A, B])
     with pytest.raises(ValueError, match="without its potential mark"):
         project_sm(frozenset([A]), frozenset([A]))
+    # Of several such atoms, the least is named, whatever the set order.
+    with pytest.raises(ValueError, match="^atom a true"):
+        project_sm(frozenset([C, B, A, potential(B)]), frozenset([A, B, C]))
 
 
 def test_translation_worked_example5():

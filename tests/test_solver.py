@@ -1,9 +1,15 @@
 import random
+from functools import lru_cache
+from itertools import islice
 
 import pytest
 
+from aspunfold.bench import gen_d3sat_instance, gen_random_qbf
+from aspunfold.gentest import gen_program
+from aspunfold.gentest import test_program as build_test_program
 from aspunfold.parser import parse_program
 from aspunfold.partiality import unfold_partiality
+from aspunfold.qbf import qbf_to_program
 from aspunfold.semantics import enumerate_stable_models
 from aspunfold.solver import FALSE, TRUE, UNDEF, Solver
 from aspunfold.syntax import Atom, Literal, Program, Rule
@@ -16,6 +22,7 @@ from conftest import (
     reference_expand,
     reference_sccs,
     unfounded_atoms,
+    WalkingSolver,
 )
 
 A, B = Atom("a"), Atom("b")
@@ -465,8 +472,8 @@ class CountedSolver(Solver):
         assert_counters_match(self)
         return ok
 
-    def undo_to(self, mark):
-        super().undo_to(mark)
+    def undo_to(self, mark, saved=None):
+        super().undo_to(mark, saved)
         assert_counters_match(self)
 
 
@@ -517,3 +524,163 @@ def test_counter_check_catches_unfrozen_undo():
     # unblocked; the check must see it.
     with pytest.raises(AssertionError):
         walk_counted(UnfrozenSolver)
+
+
+# -- backtracking by copy -------------------------------------------------------
+
+
+def random_wide_program(seed, atoms=40, rules=80):
+    """A random normal program shaped like the benchmark's partial family:
+    each rule with a random head, 0-2 positive and 1-2 negative body atoms."""
+    rng = random.Random(("wide", seed).__repr__())
+    names = [f"a{i}" for i in range(atoms)]
+    lines = []
+    for _ in range(rules):
+        body = rng.sample(names, rng.randint(0, 2))
+        body += [f"not {x}" for x in rng.sample(names, rng.randint(1, 2))]
+        lines.append(f"{rng.choice(names)} :- {', '.join(body)}.")
+    return parse_program("\n".join(lines))
+
+
+def gw_testers():
+    """The testers of the first candidates of three gw QBF translations."""
+    for seed in range(1, 4):
+        p = qbf_to_program(gen_random_qbf(14, "gw", seed))
+        table = build_test_program(p)
+        for m in islice(Solver(gen_program(p)).models(), 8):
+            yield table.tester(table.numbers(m & p.base))
+
+
+@lru_cache(maxsize=None)
+def copy_corpus():
+    """Seeded normal programs and their tr translations, d3sat generators
+    (at n=50 and n=70 searches go past the copies of the default budget) and
+    gw testers."""
+    programs = [random_normal_program(seed) for seed in range(60)]
+    programs += [random_wide_program(seed) for seed in range(8)]
+    programs += [unfold_partiality(p) for p in programs]
+    programs += [gen_program(gen_d3sat_instance(n, 4.258, seed).program) for n in (20, 50, 70) for seed in range(4)]
+    return tuple(programs + list(gw_testers()))
+
+
+def search_states(s):
+    """Each model of s's search with n_left, n_false, active, val and source
+    when it is yielded, the same at the end of the search, and its counts."""
+
+    def state(m):
+        return m, s.n_left[:], s.n_false[:], s.active[:], s.val[:], s.source[:]
+
+    states = [state(m) for m in s.models()]
+    return states + [state(None)], s.stats
+
+
+def assert_searches_walk_alike(solver):
+    for i, p in enumerate(copy_corpus()):
+        assert search_states(solver(p)) == search_states(WalkingSolver(p)), i
+
+
+def copy_size(s):
+    return 2 * len(s.r_head) + len(s.atoms)
+
+
+class OneCopySolver(Solver):
+    """A solver whose copies on a branch hold at most one copy."""
+
+    def _copy_budget(self):
+        return copy_size(self)
+
+
+@pytest.mark.parametrize("solver", [Solver, OneCopySolver])
+def test_copy_restore_matches_walking_back(solver):
+    # Restoring the counters a choice copied leaves the search, its models,
+    # its counts and its counters as walking the lists back does, whether
+    # copies stop at the budget or after one.  Both ways back are taken
+    # inside the searches, not only the final walk to the root.
+    restored = walked = 0
+
+    class Counting(solver):
+        def undo_to(self, mark, saved=None):
+            nonlocal restored, walked
+            restored += saved is not None
+            walked += saved is None and mark > 0
+            super().undo_to(mark, saved)
+
+    assert_searches_walk_alike(Counting)
+    assert restored > 100 and walked > 30, (restored, walked)
+
+
+class ActiveKeptOnRestore(Solver):
+    """A mutant whose restore copies back n_left and n_false but leaves
+    active as it is."""
+
+    def undo_to(self, mark, saved=None):
+        if saved is not None:
+            saved = (saved[0], saved[1], self.active[:])
+        super().undo_to(mark, saved)
+
+
+class LateCopySolver(Solver):
+    """A mutant that copies the counters once the choice's negative branch
+    has expanded, not before its push."""
+
+    _late = None
+
+    def _save(self):
+        self._late = ([], [], [])
+        return self._late
+
+    def _expand(self):
+        ok = super()._expand()
+        if self._late is not None:
+            for copy, live in zip(self._late, (self.n_left, self.n_false, self.active)):
+                copy[:] = live
+            self._late = None
+        return ok
+
+
+@pytest.mark.parametrize("mutant", [ActiveKeptOnRestore, LateCopySolver])
+def test_copy_restore_check_catches_mutants(mutant):
+    with pytest.raises(AssertionError):
+        assert_searches_walk_alike(mutant)
+
+
+def list_entries(s):
+    """The entries of the solver's per-rule and per-atom lists: the slots of
+    each list and the entries of the tuples and lists in them."""
+    per_rule = (s.r_head, s.r_pos, s.r_neg, s.r_int, s.n_left, s.n_false)
+    per_atom = (s.atoms, s.val, s.active, s.source, s._cyclic, s.occ_head, s.occ_pos, s.occ_neg, s.occ_int)
+    nested = (s.r_pos, s.r_neg, s.r_int, s.occ_head, s.occ_pos, s.occ_neg, s.occ_int)
+    return sum(map(len, per_rule + per_atom)) + sum(len(x) for lists in nested for x in lists)
+
+
+class HeldCopies(Solver):
+    """Records the most entries its counter copies held at once."""
+
+    held = peak = 0
+
+    def _save(self):
+        self.held += copy_size(self)
+        self.peak = max(self.peak, self.held)
+        return super()._save()
+
+    def undo_to(self, mark, saved=None):
+        if saved is not None:
+            self.held -= copy_size(self)
+        super().undo_to(mark, saved)
+
+
+def test_copies_hold_at_most_the_solvers_own_lists():
+    # 2,000 independent pairs: the first model is 2,000 choices deep, and
+    # copies without a budget would hold 2,000 copies of 12,000 entries.
+    p = parse_program("\n".join(f"a{i} :- not b{i}.\nb{i} :- not a{i}." for i in range(2000)))
+    s = HeldCopies(p)
+    assert s._copy_budget() == list_entries(s)
+    assert len(s.next_stable_model()) == 2000
+    assert copy_size(s) <= s.peak <= list_entries(s)
+    s.close()
+    for p in copy_corpus():
+        s = HeldCopies(p)
+        entries = list_entries(s)
+        for _ in s.models():
+            assert s.held <= s.peak <= entries
+        assert s.held == 0 and s.peak <= entries
