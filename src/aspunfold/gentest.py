@@ -200,7 +200,7 @@ class TesterTable:
                     normal.append((head, pos, ()))
         marks = [((c,), (), (a,)) for a, c in x.complement.items()]
         rules = dict.fromkeys(chain(choices, marks, constraints, normal))
-        return RuleTable(x.atoms, [*rules, ((x.f,), tuple(sorted(m)), (x.f,))])
+        return RuleTable(x.atoms, [*rules, x.f_rule(tuple(sorted(m)), ())])
 
     def program(self, m: Collection[Atom]) -> Program:
         """The tester for candidate m as a program, a view of its table: its

@@ -36,7 +36,6 @@ from .semantics import (
     require_in_base,
 )
 from .syntax import (
-    _POTENTIAL,
     Atom,
     F_ATOM,
     IntRule,
@@ -46,6 +45,7 @@ from .syntax import (
     positions,
     potential,
     potential_block,
+    potential_text,
     reject_marked,
 )
 
@@ -91,7 +91,7 @@ def project_sm(true_atoms: Iterable[Atom], plain_base: Iterable[Atom]) -> Partia
     texts = {a.text for a in n}
     base = frozenset(plain_base)
     t = base & n
-    f = frozenset([a for a in base if _POTENTIAL + a.text not in texts])
+    f = frozenset([a for a in base if potential_text(a.text) not in texts])
     if not t.isdisjoint(f):
         raise ValueError(f"atom {min(t & f).text} true without its potential mark")
     return PartialInterpretation(t, f, base)

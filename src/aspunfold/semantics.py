@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .syntax import Atom, Literal, Program
@@ -232,16 +233,15 @@ def _weaker_interps(t: int, f: int, full: int) -> Iterator[tuple[int, int]]:
             options.append(((0, bit),))
         else:
             options.append(((0, bit), (0, 0)))
-
-    def rec(i: int, ct: int, cf: int) -> Iterator[tuple[int, int]]:
-        if i == len(options):
-            if (ct, cf) != (t, f):
-                yield ct, cf
-            return
-        for dt, df in options[i]:
-            yield from rec(i + 1, ct | dt, cf | df)
-
-    yield from rec(0, 0, 0)
+    # one option per atom, the first atom's varying slowest; no recursion,
+    # so the depth does not grow with the atoms
+    for choice in product(*options):
+        ct = cf = 0
+        for dt, df in choice:
+            ct |= dt
+            cf |= df
+        if (ct, cf) != (t, f):
+            yield ct, cf
 
 
 def _is_psm_masks(ms: _Masks, t: int, f: int) -> bool:

@@ -63,18 +63,17 @@ by decreasing occurrence count, then by index, and stops at the first
 undefined atom that could at best tie with a best of lower index.  The
 per-atom rule sets it counts and that order are built at the first choice,
 over the atoms undefined then, and never updated, so a solver that never
-branches never builds them.  The search never unassigns an atom assigned at
-its first choice, the root fixpoint, until it ends, so a rule blocked then
-stays blocked: no propagation, unfounded-set check or count reads it again,
-and none is a source, as the root expand has given new sources to the atoms
-whose sources it blocked.  The same step therefore drops such rules from the
-``occ_pos``, ``occ_neg``, ``occ_head`` and ``occ_int`` lists of the open
-atoms, and the search walks only rules that can still fire.  ``undo_to``
-drops the index and puts the full lists back once it unassigns an atom
-assigned before it, so the next choice builds them again, and ``close`` puts
-them back when a search is ended early.  The search keeps, with each choice,
-the scan position before which every atom is assigned, so the scan starts
-past the atoms assigned above it.
+branches never builds them.  A solver runs one search, and the search never
+unassigns an atom assigned at its first choice, the root fixpoint, so a rule
+blocked then stays blocked: no propagation, unfounded-set check or count
+reads it again, and none is a source, as the root expand has given new
+sources to the atoms whose sources it blocked.  So at that choice the search
+drops such rules from the ``occ_pos``, ``occ_neg``, ``occ_head`` and
+``occ_int`` lists of the open atoms for good, and walks only rules that can
+still fire.  Nothing is put back: the search keeps no copy of the lists, and
+when its last choice is done it returns without walking back to the root.
+The search keeps, with each choice, the scan position before which every
+atom is assigned, so the scan starts past the atoms assigned above it.
 
 Backtracking is chronological, with no learning, and goes back one of two
 ways.  Walking back touches every list entry that propagation touched since
@@ -89,11 +88,11 @@ is cheaper than a copy.  So copies are taken only while the copies held by
 the pending choices fit in a budget: as many entries as the solver's own
 per-rule and per-atom lists hold (``_copy_budget``), so the copies at most
 double the list entries the solver holds, however deep the search.  The
-copies go to the shallowest pending choices, and every deeper choice and the
-final return to the root walk back.  On the benchmark's d3sat generators and
-partial translations the budget holds six copies, and their searches hold up
-to 10 and 13 pending choices.  Both ways leave every counter as it was at
-the choice, so the search is the same either way.
+copies go to the shallowest pending choices, and every deeper choice walks
+back.  On the benchmark's d3sat generators and partial translations the
+budget holds six copies, and their searches hold up to 10 and 13 pending
+choices.  Both ways leave every counter as it was at the choice, so the
+search is the same either way.
 
 ``_search`` is the package's one stable-model search, a loop over an explicit
 stack of pending positive branches, so its depth is bounded by memory rather
@@ -137,7 +136,9 @@ class SolverStats:
 
 class Solver:
     """Resumable enumeration of the stable models of one normal program, a
-    ``Program`` or a ``RuleTable``.  Single-threaded while searching."""
+    ``Program`` or a ``RuleTable``.  Single-threaded while searching.  A
+    solver runs one search or is stepped by hand, not both: the search
+    prunes its occurrence lists for good and ends at its last branch."""
 
     def __init__(self, program: Program | RuleTable):
         self.program = program
@@ -189,13 +190,10 @@ class Solver:
             if not rules or (a in r_neg[rules[0]] and all(a in r_neg[r] for r in rules))
         ]
         self._gen: Optional[Iterator[frozenset[Atom]]] = None
-        # Built by _choose over the atoms it finds undefined, with the trail
-        # length then (0 while unbuilt); undo_to below that length drops them.
+        # Built over the atoms undefined at the search's first choice, or at
+        # each pick_atom.
         self.occ_all: list[list[int]] = []
         self._by_occurrence: Optional[list[int]] = None
-        self._indexed_at = 0
-        # (lists, atom, full list) for each list the index pruned
-        self._pruned: list[tuple[list[list[int]], int, list[int]]] = []
 
     @cached_property
     def index(self) -> dict[Atom, int]:
@@ -453,8 +451,8 @@ class Solver:
         became blocked.  Either way the counters end as they were at
         ``mark``, every source is kept, and the atoms unassigned without a
         source are recorded, last first, to be given one at the next check.
-        Below the trail length at which the open atoms were indexed, the
-        index goes and the pruned lists come back."""
+        The occurrence lists stay as they are: nothing puts back the rules
+        ``_search`` dropped at its first choice, below which it never undoes."""
         trail, val, source, lost = self.trail, self.val, self.source, self._lost
         if saved is not None:
             self.n_left[:], self.n_false[:], self.active[:] = saved
@@ -483,62 +481,45 @@ class Solver:
                     if not n_false[r]:
                         n_left[r] += 1
         self._queue.clear()
-        if mark < self._indexed_at:
-            self._drop_index()
-
-    def _drop_index(self) -> None:
-        """Drop the index of open atoms and put back the lists it pruned."""
-        for lists, a, rules in self._pruned:
-            lists[a] = rules
-        self._pruned = []
-        self._by_occurrence = None
-        self._indexed_at = 0
-
-    def close(self) -> None:
-        """End the search early, after a model: close it and put back the
-        lists the index pruned.  The solver is not searched again."""
-        if self._gen is not None:
-            self._gen.close()
-        self._drop_index()
 
     # -- search -----------------------------------------------------------------
 
+    def _prune_blocked(self) -> None:
+        """Drop the rules blocked now from the ``occ_head``, ``occ_pos``,
+        ``occ_neg`` and ``occ_int`` lists of the undefined atoms, for good:
+        ``_search`` calls it at its first choice, below which it never
+        undoes (see the module docstring)."""
+        val, n_false = self.val, self.n_false
+        occ_lists = (self.occ_head, self.occ_pos, self.occ_neg, self.occ_int)
+        for a, v in enumerate(val):
+            if v == UNDEF:
+                for lists in occ_lists:
+                    rules = lists[a]
+                    for r in rules:
+                        if n_false[r]:
+                            lists[a] = [q for q in rules if not n_false[q]]
+                            break
+
     def _index_open_atoms(self) -> None:
-        """Drop the rules blocked now from the ``occ_pos``, ``occ_neg``,
-        ``occ_head`` and ``occ_int`` lists of the undefined atoms, saving
-        each list it changes.  Then, per undefined atom, the rules left
-        where it occurs (head or body), each once, in no particular order:
-        ``_choose`` only counts them; and the undefined atoms by decreasing
-        number of those rules, then by index (a reversed sort keeps equal
-        keys in their order).  All of it holds while every atom assigned now
-        stays assigned, and so every rule blocked now stays blocked; no
-        reader needs such a rule, and after a successful expand none is a
-        source.  ``undo_to`` drops the index and puts the lists back when it
-        unassigns one of those atoms, and so does ``close``."""
-        val, n_false, pruned = self.val, self.n_false, self._pruned
-        occ_head, occ_pos, occ_neg, occ_int = self.occ_head, self.occ_pos, self.occ_neg, self.occ_int
-        occ_all: list[list[int]] = [[]] * len(val)  # assigned atoms: never read
-        open_atoms = [a for a, v in enumerate(val) if v == UNDEF]
+        """Per undefined atom, the rules where it occurs (head or body), each
+        once, in no particular order: ``_choose`` only counts them; and the
+        undefined atoms by decreasing number of those rules, then by index (a
+        reversed sort keeps equal keys in their order).  Both hold while
+        every atom assigned now stays assigned: ``_search`` builds them once,
+        at its first choice, and ``pick_atom`` at each call."""
+        occ_head, occ_pos, occ_neg = self.occ_head, self.occ_pos, self.occ_neg
+        occ_all: list[list[int]] = [[]] * len(self.val)  # assigned atoms: never read
+        open_atoms = [a for a, v in enumerate(self.val) if v == UNDEF]
         for a in open_atoms:
-            for lists in (occ_head, occ_pos, occ_neg, occ_int):
-                rules = lists[a]
-                for r in rules:
-                    if n_false[r]:
-                        pruned.append((lists, a, rules))
-                        lists[a] = [q for q in rules if not n_false[q]]
-                        break
             occ_all[a] = list(set(occ_head[a] + occ_pos[a] + occ_neg[a]))
         open_atoms.sort(key=lambda a: len(occ_all[a]), reverse=True)
         self.occ_all, self._by_occurrence = occ_all, open_atoms
-        self._indexed_at = len(self.trail)
 
     def _choose(self, start: int = 0) -> tuple[int, int]:
         """The undefined atom in the most unsatisfied rules (head not true, no
         body literal false), the lowest index on ties; and the position of
         the first undefined atom in ``_by_occurrence``.  Every atom before
         position ``start`` there must be assigned."""
-        if self._by_occurrence is None:
-            self._index_open_atoms()
         val, n_false, r_head, occ_all = self.val, self.n_false, self.r_head, self.occ_all
         order = self._by_occurrence
         end = len(order)
@@ -602,7 +583,6 @@ class Solver:
         # None.  Counters are saved while the copies on the stack fit in the
         # budget, so only the shallowest choices of a branch have them.
         stack: list[tuple[int, int, int, Optional[Counters]]] = []
-        root = len(self.trail)
         for a, v in self._initial:
             self._push(a, v)
         positive = False
@@ -618,6 +598,9 @@ class Solver:
                 if self._accept():
                     yield self.true_atoms()
             else:
+                if self._by_occurrence is None:  # the first choice
+                    self._prune_blocked()
+                    self._index_open_atoms()
                 x, start = self._choose(start)
                 self.stats.choices += 1
                 saved = None
@@ -629,7 +612,6 @@ class Solver:
                 positive = False
                 continue
             if not stack:
-                self.undo_to(root)
                 return
             mark, x, start, saved = stack.pop()
             if saved is not None:
@@ -657,6 +639,10 @@ class Solver:
     assign_and_extend = assign_and_expand
 
     def pick_atom(self) -> Atom:
+        """The atom ``_search`` would branch on now, over a branching order
+        built afresh; it prunes no list, so a search stepped by hand may
+        undo to any point."""
+        self._index_open_atoms()
         a, _ = self._choose()
         self.stats.choices += 1
         return self.atoms[a]

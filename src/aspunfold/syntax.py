@@ -81,7 +81,13 @@ def parse_atom_text(text: str) -> Atom:
 
 
 def potential(a: Atom) -> Atom:
-    return _known(_POTENTIAL + a.text)
+    return _known(potential_text(a.text))
+
+
+def potential_text(text: str) -> str:
+    """How the potential mark of the atom rendered ``text`` renders, for
+    readers that match marks by text and build no ``Atom``."""
+    return _POTENTIAL + text
 
 
 def potential_block(atoms: Sequence[Atom]) -> int:

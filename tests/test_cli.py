@@ -148,6 +148,16 @@ def test_check_reject_rule_unsatisfied(write):
     assert code == 20 and out == "REJECT: rule unsatisfied\n"
 
 
+def test_check_partial_past_the_recursion_limit(write):
+    # The weaker interpretations of 1,100 atoms, each a self-loop claimed
+    # true, are enumerated one option per atom; the oracle must reject the
+    # claim, not fail on the depth of Python's recursion.
+    atoms = [f"a{i}" for i in range(1100)]
+    f = write("loops.lp", "".join(f"{a} :- {a}.\n" for a in atoms))
+    code, out = run(["check", f, "--partial", " ".join(atoms) + " / ", "--cap", "2000"])
+    assert code == 20 and out == "REJECT: not minimal model of reduct\n"
+
+
 def test_check_unknown_atom(write):
     code, _ = run(["check", write("p.lp", "a.\n"), "--model", "zz"])
     assert code == 1
