@@ -287,7 +287,7 @@ def cmd_query(args) -> Output:
         require_in_base(q.atoms, p.base, "query")
         if args.filter:
             stable = enumerate_stable_models(p, args.cap)
-            model = next((m for m in stable if all((l.atom in m) == l.positive for l in q.literals)), None)
+            model = next((m for m in stable if q.holds(m, p.base - m)), None)
             report.stats = _stats_dict(None, SolverStats())
         else:
             models, report.stats = _solve(query_constrained(p, q), args, enumerate_all=False)

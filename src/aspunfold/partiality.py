@@ -30,9 +30,7 @@ from .gentest import _Extension
 from .semantics import (
     DEFAULT_CAP,
     PartialInterpretation,
-    TruthValue,
     enumerate_partial_stable_models,
-    eval_conj,
     require_in_base,
 )
 from .syntax import (
@@ -113,6 +111,12 @@ class QueryLiterals:
     def atoms(self) -> frozenset[Atom]:
         return frozenset(l.atom for l in self.literals)
 
+    def holds(self, true: frozenset[Atom], false: frozenset[Atom]) -> bool:
+        """Whether every literal is true where the atoms of ``true`` are true
+        and those of ``false`` false: its atom in ``true`` if positive, in
+        ``false`` if negative."""
+        return all(l.atom in (true if l.positive else false) for l in self.literals)
+
 
 def translate_query(q: QueryLiterals) -> QueryLiterals:
     marked = {Literal(potential(l.atom), l.positive) for l in q.literals}
@@ -176,6 +180,6 @@ def query_by_filter(
     """Oracle fallback: enumerate partial stable models and test the query directly."""
     require_in_base(q.atoms, p.base, "query")
     for m in enumerate_partial_stable_models(p, cap):
-        if eval_conj(m, q.literals) is TruthValue.TRUE:
+        if q.holds(m.true_set, m.false_set):
             return True, m
     return False, None

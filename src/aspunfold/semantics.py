@@ -5,18 +5,17 @@ the partial interpretations they read and return.
 Everything here is exact and enumerative, guarded by an atom cap (default 12);
 exceeding the cap raises instead of truncating.  Interpretations are compiled
 to bitmasks internally so the enumerations stay affordable at desk scale.  The
-object-level definitions these masks decide (reducts, unfounded sets) are kept
-in ``tests/conftest.py`` as test references.
+object-level definitions these masks decide (three-valued truth, reducts,
+unfounded sets) are kept in ``tests/conftest.py`` as test references.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .syntax import Atom, Literal, Program
+from .syntax import Atom, Program
 
 DEFAULT_CAP = 12
 
@@ -42,16 +41,6 @@ def _require_cap(n: int, cap: int, what: str) -> None:
         raise CapExceededError(f"{what}: {n} atoms exceeds enumeration cap {cap}")
 
 
-class TruthValue(enum.IntEnum):
-    FALSE = 0
-    UNDEF = 1
-    TRUE = 2
-
-    @property
-    def symbol(self) -> str:
-        return {0: "f", 1: "u", 2: "t"}[int(self)]
-
-
 @dataclass(frozen=True)
 class PartialInterpretation:
     """Disjoint true/false atom sets over a Herbrand base; the rest is undefined."""
@@ -75,10 +64,6 @@ class PartialInterpretation:
         b = frozenset(base)
         return cls(t, b - t, b)
 
-    @classmethod
-    def empty(cls, base: Iterable[Atom]) -> "PartialInterpretation":
-        return cls(frozenset(), frozenset(), frozenset(base))
-
     @property
     def undef_set(self) -> frozenset[Atom]:
         return self.base - self.true_set - self.false_set
@@ -86,37 +71,6 @@ class PartialInterpretation:
     @property
     def is_total(self) -> bool:
         return not self.undef_set
-
-    def value(self, atom: Atom) -> TruthValue:
-        if atom not in self.base:
-            raise UnknownAtomError(f"atom {atom.text} not in base")
-        if atom in self.true_set:
-            return TruthValue.TRUE
-        if atom in self.false_set:
-            return TruthValue.FALSE
-        return TruthValue.UNDEF
-
-    def literal_value(self, lit: Literal) -> TruthValue:
-        v = self.value(lit.atom)
-        return v if lit.positive else TruthValue(2 - int(v))
-
-    def leq_truth(self, other: "PartialInterpretation") -> bool:
-        """M1 <= M2 iff T1 <= T2 and F1 >= F2."""
-        return self.true_set <= other.true_set and self.false_set >= other.false_set
-
-    def lt_truth(self, other: "PartialInterpretation") -> bool:
-        return self.leq_truth(other) and self != other
-
-    def leq_knowledge(self, other: "PartialInterpretation") -> bool:
-        """Componentwise inclusion: T1 <= T2 and F1 <= F2."""
-        return self.true_set <= other.true_set and self.false_set <= other.false_set
-
-
-def eval_conj(i: PartialInterpretation, literals: Iterable[Literal]) -> TruthValue:
-    v = TruthValue.TRUE
-    for lit in literals:
-        v = min(v, i.literal_value(lit))
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -257,14 +211,6 @@ def _is_psm_masks(ms: _Masks, t: int, f: int) -> bool:
 # ---------------------------------------------------------------------------
 # Public oracle operations.
 
-def is_stable_model(p: Program, n: PartialInterpretation, cap: int = DEFAULT_CAP) -> bool:
-    if not n.is_total:
-        raise ValueError("stable-model check requires a total interpretation")
-    _require_cap(len(n.true_set), cap, "stable-model minimality check")
-    ms = _compile(p)
-    return _is_stable_masks(ms, _mask(ms, n.true_set))
-
-
 def enumerate_stable_models(p: Program, cap: int = DEFAULT_CAP) -> list[frozenset[Atom]]:
     _require_cap(len(p.base), cap, "stable-model enumeration")
     ms = _compile(p)
@@ -304,6 +250,10 @@ def check_total_stable(p: Program, n: PartialInterpretation, cap: int = DEFAULT_
     return None
 
 
+def is_stable_model(p: Program, n: PartialInterpretation, cap: int = DEFAULT_CAP) -> bool:
+    return check_total_stable(p, n, cap) is None
+
+
 def check_partial_stable(p: Program, m: PartialInterpretation, cap: int = DEFAULT_CAP) -> Optional[str]:
     """None if m is a partial stable model, otherwise the failed condition:
     m is no partial model of the three-valued reduct, or T is no minimal
@@ -325,12 +275,32 @@ def check_partial_stable(p: Program, m: PartialInterpretation, cap: int = DEFAUL
 def maximal_models(
     models: Sequence[PartialInterpretation], ordering: str = "truth"
 ) -> list[PartialInterpretation]:
-    """Filter to the maximal elements under the chosen ordering."""
-    if ordering == "truth":
-        dominated = lambda a, b: a.lt_truth(b)
-    elif ordering == "knowledge":
-        dominated = lambda a, b: a.leq_knowledge(b) and a != b
-    else:
-        raise ValueError(f"unknown ordering {ordering!r}")
-    return [m for m in models if not any(dominated(m, other) for other in models)]
+    """The maximal elements of ``models`` under the chosen ordering, in input
+    order.
 
+    Each model is one mask: its true atoms, and its false atoms under the
+    knowledge ordering (T and F grow) or its atoms not false under the truth
+    ordering (T grows, F shrinks).  A model lies below another exactly when
+    its mask is a subset of the other's, so one strictly below has fewer
+    bits.  The models are visited by decreasing bit count, and each is
+    compared only with the maxima kept so far: a dominated model lies below
+    some maximal one, which has more bits and was kept before it.  When
+    most models are maximal, as with independent choices under the truth
+    ordering, the filter stays quadratic."""
+    if ordering not in ("truth", "knowledge"):
+        raise ValueError(f"unknown ordering {ordering!r}")
+    atoms = sorted(frozenset().union(*(m.base for m in models)))
+    bit = {a: 1 << i for i, a in enumerate(atoms)}
+    full = (1 << len(atoms)) - 1
+    masks = []
+    for m in models:
+        t, f = sum(bit[a] for a in m.true_set), sum(bit[a] for a in m.false_set)
+        masks.append(t << len(atoms) | (f if ordering == "knowledge" else full ^ f))
+    kept: list[int] = []
+    keep = [False] * len(models)
+    for i in sorted(range(len(models)), key=lambda i: -masks[i].bit_count()):
+        v = masks[i]
+        if not any(v != w and v | w == w for w in kept):
+            kept.append(v)
+            keep[i] = True
+    return [m for m, k in zip(models, keep) if k]

@@ -17,10 +17,10 @@ and per rule a (head, positive body, negative body) triple of sorted atom
 numbers, the head possibly disjunctive.  Every translation builds such a
 table and the solver and the oracles read it.  The ``Rule`` objects of
 ``Program.rules`` are a view of it, built on first read and cached, for the
-edges: rendering, instance generation and the object-level semantics.
-``Program(rules, base=...)`` keeps its rules and derives the table on first
-use, through ``RuleTable.numbered`` as the parser does; ``_rules_of``, the
-conversion back, lives here.
+edges: rendering, instance generation and the test references of the
+object-level semantics.  ``Program(rules, base=...)`` keeps its rules and
+derives the table on first use, through ``RuleTable.numbered`` as the parser
+does; ``_rules_of``, the conversion back, lives here.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 # Mark prefixes; all three characters long, so ``text[3:]`` strips one.
 _POTENTIAL, _COMPLEMENT, _SUPPORT = "p__", "c__", "s__"
@@ -145,9 +145,6 @@ class Literal:
     def text(self) -> str:
         return self.atom.text if self.positive else f"not {self.atom.text}"
 
-    def negated(self) -> "Literal":
-        return Literal(self.atom, not self.positive)
-
 
 @dataclass(frozen=True)
 class Rule:
@@ -165,18 +162,8 @@ class Rule:
             raise ValueError("rule head must be nonempty")
 
     @property
-    def is_normal(self) -> bool:
-        return len(self.head) == 1
-
-    @property
     def atoms(self) -> frozenset[Atom]:
         return self.head | self.pos | self.neg
-
-    def body_literals(self) -> Iterator[Literal]:
-        for a in self.pos:
-            yield Literal(a, True)
-        for a in self.neg:
-            yield Literal(a, False)
 
     def render(self) -> str:
         """The rule as the parser reads it.  A constraint ``__f :- not __f,
@@ -344,10 +331,6 @@ class Program:
     @property
     def is_normal(self) -> bool:
         return all(len(head) == 1 for head, _, _ in self.table.rules)
-
-    @property
-    def is_positive(self) -> bool:
-        return all(not neg for _, _, neg in self.table.rules)
 
     def render(self) -> str:
         if not self.rules:

@@ -1,3 +1,4 @@
+import enum
 import random
 import sys
 from itertools import combinations
@@ -15,7 +16,6 @@ from aspunfold.qbf import Qbf2E
 from aspunfold.semantics import (
     DEFAULT_CAP,
     PartialInterpretation,
-    TruthValue,
     UnknownAtomError,
     _atoms_of,
     _compile,
@@ -23,7 +23,6 @@ from aspunfold.semantics import (
     _mask,
     _Masks,
     _require_cap,
-    eval_conj,
 )
 from aspunfold.solver import FALSE, TRUE, Solver, SolverStats
 from aspunfold.syntax import _MARKS, Atom, F_ATOM, Literal, Program, Rule, RuleTable, _known, positions
@@ -32,18 +31,87 @@ hypothesis.settings.register_profile("det", derandomize=True, max_examples=60)
 hypothesis.settings.load_profile("det")
 
 
-# The paper's definitions (reducts, unfounded sets, the negated QBF matrix), kept as test references.
+# The paper's definitions (three-valued truth, reducts, unfounded sets, the
+# negated QBF matrix), kept as test references.
+
+
+class TruthValue(enum.IntEnum):
+    FALSE = 0
+    UNDEF = 1
+    TRUE = 2
+
+
+def symbol(v: TruthValue) -> str:
+    return "fut"[v]
+
+
+def empty_interpretation(base: Iterable[Atom]) -> PartialInterpretation:
+    return PartialInterpretation(frozenset(), frozenset(), frozenset(base))
+
+
+def atom_value(i: PartialInterpretation, atom: Atom) -> TruthValue:
+    if atom not in i.base:
+        raise UnknownAtomError(f"atom {atom.text} not in base")
+    if atom in i.true_set:
+        return TruthValue.TRUE
+    if atom in i.false_set:
+        return TruthValue.FALSE
+    return TruthValue.UNDEF
+
+
+def literal_value(i: PartialInterpretation, lit: Literal) -> TruthValue:
+    v = atom_value(i, lit.atom)
+    return v if lit.positive else TruthValue(2 - v)
+
+
+def negated(lit: Literal) -> Literal:
+    return Literal(lit.atom, not lit.positive)
+
+
+def eval_conj(i: PartialInterpretation, literals: Iterable[Literal]) -> TruthValue:
+    v = TruthValue.TRUE
+    for lit in literals:
+        v = min(v, literal_value(i, lit))
+    return v
 
 
 def eval_disj(i: PartialInterpretation, atoms: Iterable[Atom]) -> TruthValue:
     v = TruthValue.FALSE
     for a in atoms:
-        v = max(v, i.value(a))
+        v = max(v, atom_value(i, a))
     return v
 
 
+def leq_truth(m1: PartialInterpretation, m2: PartialInterpretation) -> bool:
+    """M1 <= M2 iff T1 <= T2 and F1 >= F2."""
+    return m1.true_set <= m2.true_set and m1.false_set >= m2.false_set
+
+
+def leq_knowledge(m1: PartialInterpretation, m2: PartialInterpretation) -> bool:
+    """Componentwise inclusion: T1 <= T2 and F1 <= F2."""
+    return m1.true_set <= m2.true_set and m1.false_set <= m2.false_set
+
+
+def reference_maximal_models(models, ordering="truth"):
+    """``maximal_models`` as it was: every model compared with every other."""
+    leq = {"truth": leq_truth, "knowledge": leq_knowledge}[ordering]
+    return [m for m in models if not any(leq(m, other) and m != other for other in models)]
+
+
+def is_normal_rule(r: Rule) -> bool:
+    return len(r.head) == 1
+
+
+def is_positive(p: Program) -> bool:
+    return all(not r.neg for r in p.rules)
+
+
+def body_literals(r: Rule) -> list[Literal]:
+    return [Literal(a, True) for a in r.pos] + [Literal(a, False) for a in r.neg]
+
+
 def satisfies(i: PartialInterpretation, rule: Rule) -> bool:
-    return eval_disj(i, rule.head) >= eval_conj(i, rule.body_literals())
+    return eval_disj(i, rule.head) >= eval_conj(i, body_literals(rule))
 
 
 def is_partial_model(i: PartialInterpretation, p: Program) -> bool:
@@ -153,7 +221,7 @@ def remove_unfounded(
 ) -> PartialInterpretation:
     """Falsify an unfounded set inside a partial model of a positive program."""
     u = frozenset(u)
-    if not p.is_positive:
+    if not is_positive(p):
         raise ValueError("remove_unfounded requires a positive program")
     if not is_partial_model(m, p):
         raise ValueError("interpretation is not a partial model of the program")
@@ -433,7 +501,7 @@ def _constraint(pos, neg):
 
 def _heads(rules):
     """The head atoms of the disjunctive rules among ``rules``, sorted."""
-    return sorted({a for r in rules if not r.is_normal for a in r.head})
+    return sorted({a for r in rules if not is_normal_rule(r) for a in r.head})
 
 
 def reference_test_program(p, m):
@@ -442,7 +510,7 @@ def reference_test_program(p, m):
     rules and order."""
     from aspunfold.syntax import complement
 
-    live = [r for r in p.rules if not r.is_normal and not r.neg & m and r.pos <= m]
+    live = [r for r in p.rules if not is_normal_rule(r) and not r.neg & m and r.pos <= m]
     rules = []
     for r in live:
         for a in sorted(r.head & m):
@@ -452,7 +520,7 @@ def reference_test_program(p, m):
     for r in live:
         rules.append(_constraint(r.pos, r.head))
     for r in p.rules:
-        if r.is_normal and not r.neg & m and r.pos <= m and r.head <= m:
+        if is_normal_rule(r) and not r.neg & m and r.pos <= m and r.head <= m:
             rules.append(Rule(r.head, r.pos, frozenset()))
     rules.append(_constraint(m, []))
     return Program(tuple(dict.fromkeys(rules)))
@@ -480,7 +548,7 @@ def reference_gen_basic(p):
     from aspunfold.syntax import complement, reject_marked
 
     reject_marked(p.base, "complement/support", "gen_basic")
-    disjunctive = [r for r in p.rules if not r.is_normal]
+    disjunctive = [r for r in p.rules if not is_normal_rule(r)]
     rules = []
     for r in disjunctive:
         for a in sorted(r.head):
@@ -489,7 +557,7 @@ def reference_gen_basic(p):
         rules.append(Rule(frozenset([complement(a)]), frozenset(), frozenset([a])))
     for r in disjunctive:
         rules.append(_constraint(r.pos, r.head | r.neg))
-    rules += [r for r in p.rules if r.is_normal]
+    rules += [r for r in p.rules if is_normal_rule(r)]
     return Program(tuple(dict.fromkeys(rules)), base=p.base)
 
 
@@ -705,7 +773,7 @@ def reference_parse_qbf(text):
         for lit in term:
             if lit.atom not in xs and lit.atom not in ys:
                 raise QbfParseError(f"term variable {lit.atom.text} not quantified")
-            if lit.negated() in term:
+            if negated(lit) in term:
                 raise QbfParseError(f"term contains complementary pair on {lit.atom.text}")
     return Qbf2E(x_vars, y_vars, tuple(terms))
 

@@ -21,6 +21,7 @@ from conftest import (
     ReferenceGenerator,
     RootlessGenerator,
     gated_early_prunes,
+    is_normal_rule,
     random_disjunctive_program,
     random_normal_program,
     random_partial_interpretation,
@@ -491,7 +492,7 @@ def _reduct_has_smaller_model(p, m):
     rules = [
         (mask(r.head), mask(r.pos))
         for r in p.rules
-        if not r.neg & m and not (r.is_normal and not r.head & m)
+        if not r.neg & m and not (is_normal_rule(r) and not r.head & m)
     ]
     whole = mask(m)
     n = whole
@@ -508,7 +509,7 @@ def _shares_tester_rule(p, m):
     given = []
     for r in p.rules:
         if r.pos <= m and not r.neg & m:
-            if not r.is_normal:
+            if not is_normal_rule(r):
                 given += [("choice", a, r.pos) for a in r.head & m] + [("constraint", r.head, r.pos)]
             elif r.head <= m:
                 given.append(("normal", r.head, r.pos))

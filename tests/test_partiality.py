@@ -23,7 +23,9 @@ from aspunfold.semantics import (
 from aspunfold.syntax import Atom, F_ATOM, Literal, Program, Rule, potential
 
 from conftest import (
+    TruthValue,
     assert_same_program,
+    eval_conj,
     is_partial_model,
     is_total_model,
     random_disjunctive_program,
@@ -124,6 +126,16 @@ def test_query_literals_reject_complementary():
         QueryLiterals(frozenset(both))
 
 
+def test_query_holds_is_three_valued_truth():
+    # holds(T, F) is the query's conjunction evaluating to true
+    rng = random.Random(5)
+    for p in seeded_programs(40):
+        for _ in range(5):
+            i = random_partial_interpretation(rng, p.base)
+            q = random_query(rng, p.base)
+            assert q.holds(i.true_set, i.false_set) == (eval_conj(i, q.literals) is TruthValue.TRUE)
+
+
 def test_tr2():
     p = Program((), base=frozenset([A]))
     t2 = tr2_program(p)
@@ -202,7 +214,7 @@ def test_query_constrained_matches_reference():
 def test_maximality_makes_no_difference_for_possibility():
     # a query holds in some partial stable model iff it holds in some
     # maximal one, under either ordering
-    from aspunfold.semantics import TruthValue, eval_conj, maximal_models
+    from aspunfold.semantics import maximal_models
 
     rng = random.Random(21)
     for seed in range(60):
@@ -212,13 +224,11 @@ def test_maximality_makes_no_difference_for_possibility():
         if not psms or not atoms:
             continue
         lit = Literal(rng.choice(atoms), rng.random() < 0.5)
-        holds_somewhere = any(
-            eval_conj(m, [lit]) is TruthValue.TRUE for m in psms
-        )
+        q = QueryLiterals(frozenset([lit]))
+        holds_somewhere = any(q.holds(m.true_set, m.false_set) for m in psms)
         for ordering in ("truth", "knowledge"):
             held_maximally = any(
-                eval_conj(m, [lit]) is TruthValue.TRUE
-                for m in maximal_models(psms, ordering)
+                q.holds(m.true_set, m.false_set) for m in maximal_models(psms, ordering)
             )
             assert holds_somewhere == held_maximally
 
@@ -233,6 +243,38 @@ def test_possibility_matches_filter_oracle():
         a = rng.choice(atoms)
         q = QueryLiterals(frozenset([Literal(a, rng.random() < 0.5)]))
         assert possibility_query(p, q)[0] == query_by_filter(p, q)[0]
+
+
+def test_theorems_above_the_oracle_cap():
+    # d3sat n=20 has 21 atoms with __f, above the enumeration cap of 12, so
+    # the paper's theorems are checked against the driver's own stable
+    # models: the total partial stable models of tr(P) are exactly P's
+    # stable models under both generators and both early-test settings,
+    # which all find the same partial stable models, and a possibility query
+    # on each base atom, and on its negation, agrees with the enumeration.
+    from aspunfold.bench import gen_d3sat_instance
+    from aspunfold.gnt import GntConfig, solve
+
+    for seed in range(3):
+        p = gen_d3sat_instance(20, 4.258, seed).program
+        assert len(p.base) == 21 and F_ATOM in p.base
+        stable = solve(p, "gnt2", True).models
+        trp = unfold_partiality(p)
+        runs = []
+        for mode in ("gnt1", "gnt2"):
+            for early_test in ("on", "off"):
+                result = solve(trp, mode, True, GntConfig(early_test))
+                psms = [project_sm(n, p.base) for n in result.models]
+                assert sorted((m.true_set for m in psms if m.is_total), key=sorted) == stable, (seed, mode, early_test)
+                runs.append(psms)
+        assert all(run == psms for run in runs)
+        assert stable and len(psms) > len(stable)
+        for a in sorted(p.base):
+            for positive in (True, False):
+                q = QueryLiterals(frozenset([Literal(a, positive)]))
+                ok, witness, _ = possibility_query(p, q)
+                assert ok == any(q.holds(m.true_set, m.false_set) for m in psms), (seed, q)
+                assert witness is None or q.holds(witness.true_set, witness.false_set)
 
 
 def test_gl_reduct_of_translation_worked_example6():

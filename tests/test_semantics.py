@@ -8,19 +8,22 @@ from aspunfold.parser import parse_program
 from aspunfold.semantics import (
     CapExceededError,
     PartialInterpretation,
-    TruthValue,
     UnknownAtomError,
     check_partial_stable,
     check_total_stable,
     enumerate_partial_stable_models,
     enumerate_stable_models,
-    eval_conj,
     is_stable_model,
     maximal_models,
 )
 from aspunfold.syntax import Atom, Literal, Program, Rule
 
 from conftest import (
+    ATOM_POOL,
+    TruthValue,
+    atom_value,
+    empty_interpretation,
+    eval_conj,
     eval_disj,
     gl_reduct,
     greatest_unfounded_set,
@@ -30,15 +33,20 @@ from conftest import (
     is_total_model,
     is_unfounded_free,
     is_unfounded_set,
+    leq_truth,
+    literal_value,
     minimal_models_containing,
     random_disjunctive_program,
     random_normal_program,
+    random_partial_interpretation,
     reference_check_partial_stable,
     reference_check_total_stable,
+    reference_maximal_models,
     remove_unfounded,
     rule_as_clause,
     satisfiable,
     satisfies,
+    symbol,
     tv_reduct,
 )
 
@@ -57,7 +65,7 @@ def interp(true, false, base):
 
 def test_truth_value_order():
     assert TruthValue.FALSE < TruthValue.UNDEF < TruthValue.TRUE
-    assert [v.symbol for v in sorted(TruthValue)] == ["f", "u", "t"]
+    assert [symbol(v) for v in sorted(TruthValue)] == ["f", "u", "t"]
 
 
 def test_eval():
@@ -90,7 +98,7 @@ def test_gl_reduct():
 def test_tv_reduct_example5():
     m = interp([], [A], EX5.base)
     rr = tv_reduct(EX5, m)
-    assert [(sorted(a.text for a in r.head), r.const_body.symbol) for r in rr] == [
+    assert [(sorted(a.text for a in r.head), symbol(r.const_body)) for r in rr] == [
         (["a", "b"], "u"),
         (["b"], "u"),
         (["c"], "u"),
@@ -101,13 +109,13 @@ def test_tv_reduct_example5():
 def test_tv_reduct_example6():
     m = interp([A, B], [], EX6.base)
     rr = tv_reduct(EX6, m)
-    assert [r.const_body.symbol for r in rr] == ["t", "f", "u", "f"]
+    assert [symbol(r.const_body) for r in rr] == ["t", "f", "u", "f"]
     assert rr[1].is_inert and rr[3].is_inert
 
 
 def test_tv_reduct_positive_rule_unchanged():
     p = parse_program("a :- b.")
-    (rr,) = tv_reduct(p, PartialInterpretation.empty(p.base))
+    (rr,) = tv_reduct(p, empty_interpretation(p.base))
     assert rr.const_body is TruthValue.TRUE and rr.pos_body == frozenset([B])
 
 
@@ -179,7 +187,7 @@ def test_caps():
     with pytest.raises(CapExceededError):
         enumerate_partial_stable_models(p)
     with pytest.raises(CapExceededError):
-        greatest_unfounded_set(p, PartialInterpretation.empty(p.base))
+        greatest_unfounded_set(p, empty_interpretation(p.base))
     assert enumerate_stable_models(p, cap=13) == [frozenset(atoms)]
 
 
@@ -235,10 +243,31 @@ def test_maximal_models_orderings():
     models = enumerate_partial_stable_models(EX3)
     assert len(models) == 2
     # the two models are incomparable under both orderings
-    assert maximal_models(models, "truth") == models
-    assert maximal_models(models, "knowledge") == models
+    assert maximal_models(models, "truth") == models == reference_maximal_models(models, "truth")
+    assert maximal_models(models, "knowledge") == models == reference_maximal_models(models, "knowledge")
     with pytest.raises(ValueError):
         maximal_models(models, "nope")
+
+
+def test_maximal_models_match_pairwise_reference():
+    # The partial stable models of seeded programs, and shuffled lists of
+    # random interpretations with repeats, where more models dominate others:
+    # the kept-maxima filter returns the pairwise filter's list.
+    rng = random.Random(9)
+    lists = []
+    for seed in range(40):
+        lists.append(enumerate_partial_stable_models(random_disjunctive_program(seed)))
+        lists.append(enumerate_partial_stable_models(random_normal_program(seed)))
+        base = ATOM_POOL[: rng.randint(1, 5)]
+        ms = [random_partial_interpretation(rng, base) for _ in range(rng.randint(0, 30))]
+        lists.append(ms + rng.sample(ms, len(ms) // 3))
+    dropped = 0
+    for ms in lists:
+        for ordering in ("truth", "knowledge"):
+            got = maximal_models(ms, ordering)
+            assert got == reference_maximal_models(ms, ordering), (ms, ordering)
+            dropped += len(ms) - len(got)
+    assert dropped > 100
 
 
 def test_minimal_models_containing():
@@ -268,7 +297,7 @@ def test_rule_as_clause():
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import ATOM_POOL, interpretation_st
+from conftest import interpretation_st
 
 literal_st = st.builds(Literal, st.sampled_from(ATOM_POOL), st.booleans())
 
@@ -285,16 +314,16 @@ def test_eval_disj_splits_over_union(i, a1, a2):
 
 @given(interpretation_st(), st.sampled_from(ATOM_POOL))
 def test_negation_reflects_the_lattice(i, a):
-    assert int(i.literal_value(Literal(a, False))) == 2 - int(i.value(a))
+    assert int(literal_value(i, Literal(a, False))) == 2 - int(atom_value(i, a))
 
 
 @given(interpretation_st(), interpretation_st(), interpretation_st())
 def test_truth_ordering_is_a_partial_order(m1, m2, m3):
-    assert m1.leq_truth(m1)
-    if m1.leq_truth(m2) and m2.leq_truth(m1):
+    assert leq_truth(m1, m1)
+    if leq_truth(m1, m2) and leq_truth(m2, m1):
         assert m1 == m2
-    if m1.leq_truth(m2) and m2.leq_truth(m3):
-        assert m1.leq_truth(m3)
+    if leq_truth(m1, m2) and leq_truth(m2, m3):
+        assert leq_truth(m1, m3)
 
 
 @given(interpretation_st())

@@ -34,13 +34,52 @@ def test_benchmark_reads_only_exported_names():
     assert read and not read - set(aspunfold.__all__), sorted(read - set(aspunfold.__all__))
 
 
-def test_traced_solver_hooks_exist():
-    # The tracer patches each hook through Solver.__dict__, so an inherited
-    # or missing one breaks the traced run.
+def solver_search_hooks():
+    """The names of the ``Solver`` methods the tracer wraps."""
     tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
-    hooks = next(
+    return next(
         ast.literal_eval(node.value)
         for node in tree.body
         if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["SOLVER_SEARCH_HOOKS"]
     )
+
+
+def test_traced_solver_hooks_exist():
+    # The tracer patches each hook through Solver.__dict__, so an inherited
+    # or missing one breaks the traced run.
+    hooks = solver_search_hooks()
     assert hooks and not set(hooks) - set(vars(Solver)), sorted(set(hooks) - set(vars(Solver)))
+
+
+def test_every_public_member_is_read():
+    # Every public method or property of a package class is read by name
+    # somewhere else: in the package outside its own definition, in
+    # perfbench/ or scripts/, or as a solver hook the tracer wraps.  A member
+    # only the tests read belongs in tests/conftest.py as a function.
+    package = sorted((ROOT / "src" / "aspunfold").glob("*.py"))
+    users = sorted((ROOT / "perfbench").rglob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    trees = {f: ast.parse(f.read_text(encoding="utf-8")) for f in package + users}
+    reads = [
+        (f, node.lineno, node.attr)
+        for f, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    ]
+    hooks = set(solver_search_hooks())
+    members = [
+        (f, cls.name, fn)
+        for f in package
+        for cls in ast.walk(trees[f])
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+    ]
+    unread = [
+        f"{name}.{fn.name}"
+        for f, name, fn in members
+        if fn.name not in hooks
+        and not any(
+            attr == fn.name and not (g == f and fn.lineno <= line <= fn.end_lineno) for g, line, attr in reads
+        )
+    ]
+    assert members and not unread, unread
