@@ -140,7 +140,7 @@ def _emit(report: RunReport, args, lines: list[str]) -> None:
 
 
 def _texts(atoms: frozenset[Atom]) -> list[str]:
-    return [a.text for a in sorted(atoms)]
+    return sorted([a.text for a in atoms])
 
 
 def _model_line(model: frozenset[Atom]) -> str:
@@ -203,7 +203,7 @@ def cmd_partial(args) -> Output:
     psms = [project_sm(n, p.base) for n in models]
     if args.maximal:
         psms = maximal_models(psms, args.ordering)
-    psms.sort(key=lambda m: (sorted(m.true_set), sorted(m.undef_set)))
+    psms.sort(key=lambda m: (_texts(m.true_set), _texts(m.undef_set)))
     if not psms:
         return report, ["NO PARTIAL STABLE MODELS"]
     report.models = [_texts(m.true_set) for m in psms]

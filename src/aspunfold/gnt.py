@@ -215,7 +215,8 @@ def _drain(solver: Solver, base: frozenset[Atom], enumerate_all: bool) -> list[f
     # A suspended search and its solver refer to each other; closing the
     # search frees both on return, not at the next cycle collection.
     search.close()
-    models.sort(key=sorted)
+    # Renderings sort as their atoms do, without a Python call per comparison.
+    models.sort(key=lambda m: sorted([a.text for a in m]))
     return models
 
 

@@ -5,19 +5,25 @@ Constraints ``:- body.`` are desugared to ``__f :- not __f, body.`` so the
 solver never sees empty heads.  Reserved atom spellings are rejected unless
 ``allow_reserved`` is set (used to read back rendered transformation output).
 
-The parser reads straight into the program's rule table: each distinct
-token is checked once, at its first occurrence, and numbered, and no
-``Rule`` is built.
+The parser reads straight into the program's rule table, in three steps and
+without building a ``Rule``: it splits every line at whitespace once its
+punctuation is spaced out; it checks each distinct token once and numbers
+the atoms in rendering order; and it walks each line once, emitting the
+table's sorted, duplicate-free parts.  Only the walk raises errors, so the
+first faulty line is the one named, whatever order the tokens were checked
+in.  A line the walk rejects is tokenized again to place the error: an
+unexpected character anywhere in the line comes first, then the walk's.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .syntax import (
     Atom,
     F_ATOM,
+    IntRule,
     Literal,
     Program,
     RuleTable,
@@ -50,139 +56,119 @@ def _tokenize(text: str, lineno: int) -> Iterator[tuple[str, int]]:
         pos = m.end()
 
 
-def _tokens(line: str, lineno: int) -> list[str]:
-    """The tokens of a line; ParseError at its first unexpected character."""
-    toks = _TOKEN_RE.findall(line)
-    # findall skips what no token matches, so the tokens cover every
-    # non-blank character exactly when there is no unexpected one.
-    if len("".join(toks)) != len("".join(line.split())):
-        toks = [tok for tok, _ in _tokenize(line, lineno)]
-    return toks
-
-
-def _token_error(tok: str, allow_reserved: bool) -> Optional[str]:
-    """Why ``tok`` spells no atom, or None if it spells one."""
+def _atom(tok: str, allow_reserved: bool) -> Atom:
+    """The atom ``tok`` spells; a ValueError holding the parse error if none."""
     if tok == "not":
-        return "'not' is a keyword, not an atom"
+        raise ValueError("'not' is a keyword, not an atom")
     if not allow_reserved and has_reserved_prefix(tok):
-        return f"reserved prefix in atom {tok!r}"
+        raise ValueError(f"reserved prefix in atom {tok!r}")
     try:
-        parse_atom_text(tok) if allow_reserved else Atom(tok)
+        return parse_atom_text(tok) if allow_reserved else Atom(tok)
     except ValueError:
-        return f"invalid atom {tok!r}"
-    return None
+        raise ValueError(f"invalid atom {tok!r}") from None
 
 
 class _Error(Exception):
     """A parse error (message, token index) in one line; the index of its
-    end is the number of its tokens."""
+    end is the number of its tokens, and a message of None stands for the
+    error of the token at the index."""
 
 
-_NOT_HEAD_ATOM = frozenset(["", ".", ":-", "|", ","])
+_PUNCTUATION = (":-", "|", ",", ".")
+_NOT_HEAD_ATOM = frozenset(["", *_PUNCTUATION])
 _NOT_BODY_ATOM = _NOT_HEAD_ATOM | {"not"}
 
 
-class _Reader:
-    """Reads rules as atom numbers: each distinct token is checked and
-    numbered at its first occurrence, and ``texts`` holds the renderings in
-    that order."""
+def _part(numbers: list[int]) -> tuple[int, ...]:
+    return tuple(sorted(set(numbers))) if len(numbers) > 1 else tuple(numbers)
 
-    def __init__(self, allow_reserved: bool):
-        self.allow_reserved = allow_reserved
-        self.texts: list[str] = []
-        self.ids: dict[str, int] = {}
-        # The number of __f while it is known only from desugared
-        # constraints: read from input, that spelling must still be checked.
-        self.unchecked = -1
 
-    def atom(self, tok: str, i: int) -> int:
-        n = self.ids.get(tok)
-        if n is None or n == self.unchecked:
-            error = _token_error(tok, self.allow_reserved)
-            if error:
-                raise _Error(error, i)
+def _walk(toks: list[str], ids: dict[str, int], f: int) -> IntRule:
+    """The rule a line's tokens spell over the atom numbers ``ids``, ``f``
+    the number of __f."""
+    end = len(toks)
+    toks.append("")  # the end of the line
+    i = 0
+    head: list[int] = []
+    if toks[0] != ":-":
+        while True:
+            n = ids.get(toks[i])
             if n is None:
-                n = self.ids[tok] = len(self.texts)
-                self.texts.append(tok)
-            else:
-                self.unchecked = -1
-        return n
-
-    def f_atom(self) -> int:
-        n = self.ids.get(F_ATOM.text)
-        if n is None:
-            n = self.ids[F_ATOM.text] = self.unchecked = len(self.texts)
-            self.texts.append(F_ATOM.text)
-        return n
-
-    def rule(self, line: str, lineno: int) -> tuple[list[int], list[int], list[int]]:
-        toks = _tokens(line, lineno)
-        if not toks:
-            raise ParseError("empty rule", lineno, 1)
-        try:
-            return self._walk(toks)
-        except _Error as exc:
-            message, i = exc.args
-            cols = [col for _, col in _tokenize(line, lineno)]
-            # An error at the end of the rule points just past its last character.
-            col = cols[i] if i < len(cols) else len(line.rstrip()) + 1
-            raise ParseError(message, lineno, col) from None
-
-    def _walk(self, toks: list[str]) -> tuple[list[int], list[int], list[int]]:
-        end = len(toks)
-        toks.append("")  # the end of the line
-        i = 0
-        head: list[int] = []
-        if toks[0] != ":-":
-            while True:
-                if toks[i] in _NOT_HEAD_ATOM:
-                    raise _Error("expected atom", i)
-                head.append(self.atom(toks[i], i))
-                i += 1
-                if toks[i] != "|":
-                    break
-                i += 1
-
-        pos: list[int] = []
-        neg: list[int] = []
-        if toks[i] == ":-":
+                raise _Error("expected atom" if toks[i] in _NOT_HEAD_ATOM else None, i)
+            head.append(n)
             i += 1
-            while True:
-                negated = toks[i] == "not"
-                if negated:
-                    i += 1
-                if toks[i] in _NOT_BODY_ATOM:
-                    raise _Error("expected body literal", i)
-                (neg if negated else pos).append(self.atom(toks[i], i))
-                i += 1
-                if toks[i] != ",":
-                    break
-                i += 1
+            if toks[i] != "|":
+                break
+            i += 1
 
-        if toks[i] != ".":
-            raise _Error("expected '.'", i)
-        if i + 1 != end:
-            raise _Error("trailing input after '.'", i + 1)
+    pos: list[int] = []
+    neg: list[int] = []
+    if toks[i] == ":-":
+        i += 1
+        while True:
+            part = pos
+            if toks[i] == "not":
+                part = neg
+                i += 1
+            n = ids.get(toks[i])
+            if n is None:
+                raise _Error("expected body literal" if toks[i] in _NOT_BODY_ATOM else None, i)
+            part.append(n)
+            i += 1
+            if toks[i] != ",":
+                break
+            i += 1
 
-        if not head:
-            if not pos and not neg:
-                raise _Error("empty rule", 0)
-            f = self.f_atom()
-            head.append(f)
-            neg.append(f)
-        return head, pos, neg
+    if toks[i] != ".":
+        raise _Error("expected '.'", i)
+    if i + 1 != end:
+        raise _Error("trailing input after '.'", i + 1)
+    if not head:
+        head.append(f)
+        neg.append(f)
+    return _part(head), _part(pos), _part(neg)
 
 
 def parse_program(text: str, allow_reserved: bool = False) -> Program:
     """The program a text spells, read straight into its rule table."""
-    reader = _Reader(allow_reserved)
+    spaced = text
+    for p in _PUNCTUATION:
+        spaced = spaced.replace(p, f" {p} ")
+    # A piece that is no token is no atom either, so the walk rejects its line.
+    lines = [line.split("%", 1)[0].split() for line in spaced.splitlines()]
+    checked: dict[str, Atom] = {}
+    errors: dict[str, str] = {}
+    for tok in set().union(*lines).difference(_PUNCTUATION):
+        try:
+            checked[tok] = _atom(tok, allow_reserved)
+        except ValueError as exc:
+            errors[tok] = str(exc)
+    # Atoms are numbered in rendering order, with __f if a constraint occurs.
+    atoms = dict(checked)
+    if any(toks[0] == ":-" for toks in lines if toks):
+        atoms.setdefault(F_ATOM.text, F_ATOM)
+    texts = sorted(atoms)
+    ids = {t: n for n, t in enumerate(texts)}
+    f = ids.get(F_ATOM.text, -1)
+    if F_ATOM.text not in checked:
+        ids.pop(F_ATOM.text, None)  # the constraints' head, which the text may not spell
+
     rules = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("%", 1)[0]
-        if not line.strip():
+    for lineno, toks in enumerate(lines, 1):
+        if not toks:
             continue
-        rules.append(reader.rule(line, lineno))
-    return Program.of_table(RuleTable.numbered(reader.texts, rules))
+        try:
+            rules.append(_walk(toks, ids, f))
+        except _Error as exc:
+            message, i = exc.args
+            # Spacing out punctuation adds no line break: the text's lines match.
+            line = text.splitlines()[lineno - 1].split("%", 1)[0]
+            # Tokenizing the line raises at its first unexpected character.
+            cols = [col for _, col in _tokenize(line, lineno)]
+            # An error at the end of the rule points just past its last character.
+            col = cols[i] if i < len(cols) else len(line.rstrip()) + 1
+            raise ParseError(message or errors[toks[i]], lineno, col) from None
+    return Program.of_table(RuleTable([atoms[t] for t in texts], rules))
 
 
 def parse_literals(text: str, allow_reserved: bool = False) -> tuple[Literal, ...]:

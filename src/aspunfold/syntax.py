@@ -19,8 +19,9 @@ table and the solver and the oracles read it.  The ``Rule`` objects of
 ``Program.rules`` are a view of it, built on first read and cached, for the
 edges: rendering, instance generation and the test references of the
 object-level semantics.  ``Program(rules, base=...)`` keeps its rules and
-derives the table on first use, through ``RuleTable.numbered`` as the parser
-does; ``_rules_of``, the conversion back, lives here.
+derives the table on first use, through ``RuleTable.numbered``; the parser
+numbers its atoms in sorted order before it reads a rule, and needs no such
+pass.  ``_rules_of``, the conversion back, lives here.
 """
 
 from __future__ import annotations
@@ -271,11 +272,11 @@ class Program:
     A program is stored as its ``RuleTable``: the base is the table's atoms,
     and the rules are its rules, in order.  ``rules`` and ``base`` are views
     of the table, built on first read and cached; ``Program(rules, base=...)``
-    keeps the view it is given and derives the table on first use.  The
-    parser and every translation build tables directly, so the paths from
-    text through the solvers and the oracles build no ``Rule``.  Equality
-    and hashing are those of the table, which determines the rules and the
-    base and is determined by them.
+    keeps the view it is given and derives the table on first use, through
+    ``RuleTable.numbered``.  The parser and every translation build tables
+    directly, so the paths from text through the solvers and the oracles
+    build no ``Rule``.  Equality and hashing are those of the table, which
+    determines the rules and the base and is determined by them.
     """
 
     __slots__ = ("_rules", "_base", "_table")

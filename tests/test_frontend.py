@@ -131,6 +131,88 @@ def test_front_end_matches_reference_on_malformed_texts(seed):
         assert_same_parse(text, allow_reserved)
 
 
+@pytest.mark.parametrize("seed", range(60))
+def test_front_end_matches_reference_on_twice_edited_texts(seed):
+    """Two edits, often on two lines or twice in one: the first fault by
+    position is the one named, whatever order the distinct tokens are
+    checked in."""
+    rng = random.Random(f"twice-{seed}")
+    text = random_text(seed, reserved=seed % 2 == 0)
+    for _ in range(2):
+        if text:
+            i = rng.randrange(len(text))
+            text = text[:i] + rng.choice(["X", "__q", "not", ";", "\xe9", "1", ".", ":-", " , "]) + text[i:]
+    for allow_reserved in (False, True):
+        assert_same_parse(text, allow_reserved)
+
+
+# (text, message, line, col) read without reserved spellings; None for a
+# text that parses.
+TWO_FAULTS = [
+    ("a :- b.\nX :- c.\nc :- __d.\n", "invalid atom 'X'", 2, 1),
+    ("a :- b.\nc :- __d.\nX :- c.\n", "reserved prefix in atom '__d'", 2, 6),
+    ("a :- Zb, __c.\n", "invalid atom 'Zb'", 1, 6),
+    ("a :- __c, Zb.\n", "reserved prefix in atom '__c'", 1, 6),
+    ("a :- not, b;c.\n", "unexpected character ';'", 1, 12),
+    ("a;b :- c!.\n", "unexpected character ';'", 1, 2),
+    ("a :- .\nb;c.\n", "expected body literal", 1, 6),
+    ("b;c.\na :- .\n", "unexpected character ';'", 1, 2),
+    ("a :- not not b.\nQ.\n", "expected body literal", 1, 10),
+    ("not :- a.\n:- b.\n", "'not' is a keyword, not an atom", 1, 1),
+    (":- a.\n__f :- b.\n", "reserved prefix in atom '__f'", 2, 1),
+    ("a. b.\nc :- d", "trailing input after '.'", 1, 4),
+    ("a | :- b.\nc :- d", "expected atom", 1, 5),
+    ("a :- b\nc :- d.\n", "expected '.'", 1, 7),
+]
+
+
+@pytest.mark.parametrize("text, message, line, col", TWO_FAULTS)
+def test_first_fault_is_named(text, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_program(text)
+    assert (str(exc.value), exc.value.line, exc.value.col) == (f"line {line}, col {col}: {message}", line, col)
+    for allow_reserved in (False, True):
+        assert_same_parse(text, allow_reserved)
+
+
+# Whitespace and line breaks beyond space and newline, and letters beyond
+# ASCII: (text, the number of rules, or None for an error).
+SPACING = [
+    ("a\t:-\tb,\tnot c.\n\tb.", 2),
+    ("a :- b.\r\nb.\r\n", 2),
+    ("a.\x0bb :- a.\x0cc :- not b.", 3),
+    ("a.\x85b :- a.\u2028c.\u2029d.", 4),
+    ("a\xa0:-\xa0b,\u3000not\x1fc.", 1),
+    ("a.\x1cb.\x1dc.\x1e", 3),
+    ("\xe9 :- a.", None),
+    ("a\xe9 :- b.", None),
+    ("a :- b\xfc.", None),
+    ("a.\x0bB.", None),
+    ("a\t:- B.", None),
+    ("a :-\xa0not\xa0\u03a9.", None),
+    ("a.\u2028b\u200b :- a.", None),
+]
+
+
+@pytest.mark.parametrize("text, rules", SPACING)
+def test_spacing_and_letters_match_reference(text, rules):
+    for allow_reserved in (False, True):
+        p = assert_same_parse(text, allow_reserved)
+        assert (p and len(p.table.rules)) == rules
+
+
+def test_large_texts_match_reference():
+    """The 20,000-pairs text and instances of the benchmark's d3sat and
+    partial shapes: the same tables as the reference."""
+    texts = ["".join(f"a{i} :- not b{i}.\nb{i} :- not a{i}.\n" for i in range(20000))]
+    texts += [render_program(gen_d3sat_instance(50, 4.258, seed).program) for seed in range(3)]
+    texts += [random_normal_text(seed, atoms=200, rules=400) for seed in range(3)]
+    for text in texts:
+        for allow_reserved in (False, True):
+            p = assert_same_parse(text, allow_reserved)
+            assert p.table == reference_parse_program(text, allow_reserved).table
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_tr_matches_reference_over_declared_bases(seed):
     for p in (random_normal_program(seed), random_disjunctive_program(seed)):
