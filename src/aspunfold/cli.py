@@ -147,14 +147,18 @@ def _model_line(model: frozenset[Atom]) -> str:
     return " ".join(_texts(model))
 
 
-def _partial_record(m: PartialInterpretation) -> dict[str, list[str]]:
-    return {"true": _texts(m.true_set), "undef": _texts(m.undef_set)}
+def _rendered(m: PartialInterpretation) -> tuple[list[str], list[str]]:
+    """A partial model's true and undefined atoms, each sorted renderings:
+    what its record and its line are formatted from."""
+    return _texts(m.true_set), _texts(m.undef_set)
 
 
-def _partial_line(m: PartialInterpretation) -> str:
-    t = " ".join(_texts(m.true_set))
-    u = " ".join(_texts(m.undef_set))
-    return f"T={{{t}}} U={{{u}}}"
+def _partial_record(true: list[str], undef: list[str]) -> dict[str, list[str]]:
+    return {"true": true, "undef": undef}
+
+
+def _partial_line(true: list[str], undef: list[str]) -> str:
+    return f"T={{{' '.join(true)}}} U={{{' '.join(undef)}}}"
 
 
 def _gnt_config(args) -> GntConfig:
@@ -203,12 +207,13 @@ def cmd_partial(args) -> Output:
     psms = [project_sm(n, p.base) for n in models]
     if args.maximal:
         psms = maximal_models(psms, args.ordering)
-    psms.sort(key=lambda m: (_texts(m.true_set), _texts(m.undef_set)))
-    if not psms:
+    # Rendered once per model, and sorted by those renderings.
+    rendered = sorted([_rendered(m) for m in psms])
+    if not rendered:
         return report, ["NO PARTIAL STABLE MODELS"]
-    report.models = [_texts(m.true_set) for m in psms]
-    report.partial_models = [_partial_record(m) for m in psms]
-    return report, [_partial_line(m) for m in psms]
+    report.models = [true for true, _ in rendered]
+    report.partial_models = [_partial_record(*r) for r in rendered]
+    return report, [_partial_line(*r) for r in rendered]
 
 
 _TRANSFORMS = {
@@ -255,7 +260,7 @@ def cmd_check(args) -> Output:
         claimed = PartialInterpretation(t, f, p.base)
         reason = check_partial_stable(p, claimed, args.cap)
         if reason is None:
-            report.partial_models = [_partial_record(claimed)]
+            report.partial_models = [_partial_record(*_rendered(claimed))]
     if reason is None:
         report.answer = "ACCEPT"
         return report, ["ACCEPT"]
@@ -281,8 +286,9 @@ def cmd_query(args) -> Output:
             )
             report.stats = _stats_dict(result.stats, result.solver_stats)
         if ok:
-            witness_lines = [_partial_line(witness)]
-            report.partial_models = [_partial_record(witness)]
+            rendered = _rendered(witness)
+            witness_lines = [_partial_line(*rendered)]
+            report.partial_models = [_partial_record(*rendered)]
     else:
         require_in_base(q.atoms, p.base, "query")
         if args.filter:

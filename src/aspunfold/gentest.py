@@ -11,20 +11,28 @@ Every construction is a transform of the input's rule table and builds no
 ``Rule``.  Its atoms are the input's atoms, the complement and support marks
 it uses and ``__f``, sorted by rendering; the input's rules are renumbered
 into them by one merge (``_Extension``), and the construction's rules are
-built over the new numbers.  A construction's table keeps the lifted input
-rules (``GeneratorTable.inputs``), so the search over it needs no second
-lift.
+built over the new numbers.  A construction's table (``GeneratorTable``)
+keeps the lifted input rules and what a tester needs besides: the numbers of
+the input's atoms, of its disjunctive head atoms and of their complement
+marks, and the number of ``__f``.  So the search over a generator, and every
+tester of that search, needs no second lift.
 
-The tester of a candidate M is read off the reduct P^M: ``test_program``
-lifts the input once, and each candidate's tester is derived from the
-lifted rules in one pass over them.
+The tester of a candidate M is read off the reduct P^M, in one pass over the
+lifted input rules (``TesterTable.tester``).  ``test_program`` gives the
+testers of an input over its own lift, or over a generator's numbers from
+the generator's table.  There the testers' atoms are the generator's, in
+the same order, and the marks a tester does not use, such as ``s__a``, head
+no tester rule, so they are false from the root on and a tester's search is
+the one over the input's own lift.  A generator that lacks ``__f`` or a mark
+a tester needs is lifted once more, over its own numbers, to add them.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import chain
 from operator import attrgetter
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .semantics import require_in_base
 from .syntax import (
@@ -48,11 +56,18 @@ def _input(p: Program, what: str) -> tuple[RuleTable, list[int]]:
     return table, sorted({a for head, _, _ in table.rules if len(head) > 1 for a in head})
 
 
+def _f_rule(f: int, pos: tuple[int, ...], neg: Iterable[int]) -> IntRule:
+    """The constraint ``__f :- pos, not neg, not __f``, ``__f`` numbered f."""
+    return (f,), pos, tuple(sorted({*neg, f}))
+
+
 class _Extension:
     """The atoms of a construction over ``table``: its atoms, the complement
     marks of the atoms ``comps`` and the support marks of ``sups`` (input
     numbers, ascending), and ``__f`` if ``f``, deduplicated by rendering and
-    numbered in sorted order; and the input's rules over those numbers."""
+    numbered in sorted order; and the input's rules over those numbers.
+    ``f`` is the number of ``__f`` whenever the atoms hold it, added or the
+    input's own, and -1 otherwise."""
 
     def __init__(self, table: RuleTable, comps: Sequence[int] = (), sups: Sequence[int] = (), f: bool = True):
         marks = (
@@ -63,11 +78,11 @@ class _Extension:
         by_text = {a.text: a for a in chain(table.atoms, *marks)}
         self.atoms = tuple(sorted(by_text.values(), key=attrgetter("text")))
         self.lift = lift = positions(table.atoms, self.atoms)
-        c, s, fs = [positions(m, self.atoms) for m in marks]
+        c, s = [positions(m, self.atoms) for m in marks[:2]]
         # The mark of a lifted atom, by that atom's number.
         self.complement = dict(zip([lift[a] for a in comps], c))
         self.support = dict(zip([lift[a] for a in sups], s))
-        self.f = fs[0] if fs else -1
+        self.f = positions([F_ATOM], self.atoms)[0] if F_ATOM.text in by_text else -1
         # Atom numbers follow the atoms' order, so lifted parts stay sorted.
         self.rules = [
             (tuple([lift[a] for a in head]), tuple([lift[b] for b in pos]), tuple([lift[c] for c in neg]))
@@ -76,23 +91,32 @@ class _Extension:
 
     def f_rule(self, pos: tuple[int, ...], neg: Iterable[int]) -> IntRule:
         """The constraint ``__f :- pos, not neg, not __f``."""
-        return (self.f,), pos, tuple(sorted({*neg, self.f}))
+        return _f_rule(self.f, pos, neg)
 
-    def program(self, rules: Iterable[IntRule]) -> Program:
+    def program(self, rules: Iterable[IntRule], heads: Sequence[int]) -> Program:
         """The program of ``rules`` over these atoms, each rule once, stored
-        as a ``GeneratorTable`` that keeps the lifted input."""
-        return Program.of_table(GeneratorTable(self.atoms, dict.fromkeys(rules), self.rules))
+        as a ``GeneratorTable`` over the input's disjunctive head atoms
+        ``heads`` (input numbers, ascending)."""
+        return Program.of_table(GeneratorTable(self, dict.fromkeys(rules), heads))
 
 
 class GeneratorTable(RuleTable):
-    """A construction's rules, and the input's rules over the same numbers,
-    which the generate-and-test search reads."""
+    """A construction's rules, and what the generate-and-test search reads
+    besides, all over the construction's numbers: the input's rules
+    (``inputs``), the numbers of the input's atoms (``base``) and of its
+    disjunctive head atoms (``heads``), ascending, the complement marks of
+    those the construction has, by the numbers of the atoms they mark
+    (``complement``), and the number of ``__f``, -1 if it has none (``f``)."""
 
-    __slots__ = ("inputs",)
+    __slots__ = ("inputs", "base", "heads", "complement", "f")
 
-    def __init__(self, atoms: Sequence[Atom], rules: Sequence[IntRule], inputs: Sequence[IntRule]):
-        super().__init__(atoms, rules)
-        self.inputs = inputs
+    def __init__(self, x: _Extension, rules: Sequence[IntRule], heads: Sequence[int]):
+        super().__init__(x.atoms, rules)
+        self.inputs = x.rules
+        self.base = x.lift
+        self.heads = [x.lift[a] for a in heads]
+        self.complement = {a: x.complement[a] for a in self.heads if a in x.complement}
+        self.f = x.f
 
 
 def gen_naive(p: Program) -> Program:
@@ -101,14 +125,14 @@ def gen_naive(p: Program) -> Program:
     The reserved constraint atom gets no choice pair: giving it support would
     disarm every f-constraint, including desugared input constraints.
     """
-    table, _ = _input(p, "gen_naive")
+    table, heads = _input(p, "gen_naive")
     free = [a for a, atom in enumerate(table.atoms) if atom != F_ATOM]
     x = _Extension(table, comps=free, f=bool(table.rules))
     rules = []
     for a, c in x.complement.items():
         rules += [((a,), (), (c,)), ((c,), (), (a,))]
     rules += [x.f_rule(pos, head + neg) for head, pos, neg in x.rules]
-    return x.program(rules)
+    return x.program(rules, heads)
 
 
 def _basic_rules(x: _Extension) -> list[IntRule]:
@@ -143,7 +167,7 @@ def gen_basic(p: Program) -> Program:
     """Choice restricted to disjunctive heads; normal rules pass through."""
     table, heads = _input(p, "gen_basic")
     x = _Extension(table, comps=heads, f=bool(heads))
-    return x.program(_basic_rules(x))
+    return x.program(_basic_rules(x), heads)
 
 
 def support_program(p: Program) -> Program:
@@ -151,26 +175,47 @@ def support_program(p: Program) -> Program:
     true disjunctive-head atom must have a supporting rule."""
     table, heads = _input(p, "support_program")
     x = _Extension(table, sups=heads, f=bool(heads))
-    return x.program(_support_rules(x))
+    return x.program(_support_rules(x), heads)
 
 
 def gen_program(p: Program) -> Program:
     """The production generator: basic choice plus supportedness pruning."""
     table, heads = _input(p, "gen_program")
     x = _Extension(table, comps=heads, sups=heads, f=bool(heads))
-    return x.program(_basic_rules(x) + _support_rules(x))
+    return x.program(_basic_rules(x) + _support_rules(x), heads)
 
 
 class TesterTable:
-    """The testers of p, each derived from its candidate: p's atoms with the
-    complement marks of its disjunctive head atoms and ``__f``, and p's rules
-    over them (``rules``)."""
+    """The testers of an input P, each derived from its candidate: over
+    ``atoms``, which hold P's atoms, the complement marks of its disjunctive
+    head atoms and ``__f``, P's rules (``rules``), the marks by the numbers
+    of the atoms they mark (``complement``), the number of ``__f`` (``f``)
+    and the numbers of P's atoms, ascending (``base``).  ``lift`` maps the
+    numbers the testers were asked for, a generator's, to these, or is None
+    where they are these."""
 
-    def __init__(self, x: _Extension):
-        self.x = x
-        self.rules = x.rules
-        # The numbers of the base's atoms.
-        self.index = {x.atoms[b]: b for b in x.lift}
+    def __init__(
+        self,
+        atoms: Sequence[Atom],
+        rules: Sequence[IntRule],
+        complement: dict[int, int],
+        f: int,
+        base: Sequence[int],
+        lift: Optional[Sequence[int]] = None,
+    ):
+        self.atoms = atoms
+        self.rules = rules
+        self.complement = complement
+        self.f = f
+        self.base = base
+        self.lift = lift
+        # c__a :- not a, for every disjunctive head atom a
+        self.marks = [((c,), (), (a,)) for a, c in complement.items()]
+
+    @cached_property
+    def index(self) -> dict[Atom, int]:
+        """The numbers of P's atoms, for callers that name a candidate's atoms."""
+        return {self.atoms[b]: b for b in self.base}
 
     def numbers(self, m: Collection[Atom]) -> frozenset[int]:
         """The atom numbers of a candidate, which must lie in the base."""
@@ -180,7 +225,7 @@ class TesterTable:
             require_in_base(m, frozenset(self.index), "model")
             raise
 
-    def tester(self, m: frozenset[int]) -> RuleTable:
+    def tester(self, m: Collection[int]) -> RuleTable:
         """The tester for candidate m, given by atom numbers.  Each rule whose
         positive body lies in m and whose negative body misses m gives the
         reduct's rules for it: ``a :- pos, not c__a`` per disjunctive head
@@ -189,18 +234,18 @@ class TesterTable:
         the choices, then ``c__a :- not a`` for every disjunctive head atom
         a, then the constraints, then the normal rules, each rule once, and
         last the final constraint ``:- M.``"""
-        x = self.x
+        complement, f = self.complement, self.f
+        m = frozenset(m)
         choices, constraints, normal = [], [], []
         for head, pos, neg in self.rules:
             if m.issuperset(pos) and m.isdisjoint(neg):
                 if len(head) > 1:
-                    choices += [((a,), pos, (x.complement[a],)) for a in head if a in m]
-                    constraints.append(x.f_rule(pos, head))
+                    choices += [((a,), pos, (complement[a],)) for a in head if a in m]
+                    constraints.append(_f_rule(f, pos, head))
                 elif head[0] in m:
                     normal.append((head, pos, ()))
-        marks = [((c,), (), (a,)) for a, c in x.complement.items()]
-        rules = dict.fromkeys(chain(choices, marks, constraints, normal))
-        return RuleTable(x.atoms, [*rules, x.f_rule(tuple(sorted(m)), ())])
+        rules = dict.fromkeys(chain(choices, self.marks, constraints, normal))
+        return RuleTable(self.atoms, [*rules, _f_rule(f, tuple(sorted(m)), ())])
 
     def program(self, m: Collection[Atom]) -> Program:
         """The tester for candidate m as a program, a view of its table: its
@@ -208,9 +253,19 @@ class TesterTable:
         return Program.of_table(self.tester(self.numbers(m)))
 
 
-def test_program(p: Program) -> TesterTable:
+def test_program(p: Program | GeneratorTable) -> TesterTable:
     """The testers of p, each derived from its candidate M by
     ``TesterTable.tester``: their stable models are the models of the
-    reduct P^M properly inside M."""
+    reduct P^M properly inside M.  Given a program, the testers are over its
+    own lift.  Given the table of a generator of P, they are over the
+    generator's numbers, from what the table keeps; a generator without
+    ``__f`` or a complement mark they need is lifted to add it, and the
+    testers' ``lift`` maps its numbers to theirs."""
+    if isinstance(p, GeneratorTable):
+        if p.f >= 0 and all(a in p.complement for a in p.heads):
+            return TesterTable(p.atoms, p.inputs, p.complement, p.f, p.base)
+        x = _Extension(RuleTable(p.atoms, p.inputs), comps=p.heads)
+        return TesterTable(x.atoms, x.rules, x.complement, x.f, [x.lift[b] for b in p.base], x.lift)
     table, heads = _input(p, "test_program")
-    return TesterTable(_Extension(table, comps=heads))
+    x = _Extension(table, comps=heads)
+    return TesterTable(x.atoms, x.rules, x.complement, x.f, x.lift)

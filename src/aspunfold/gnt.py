@@ -4,15 +4,18 @@ certify each covered candidate by showing its tester has no stable model.
 The search mirrors the two-engine layout.  The generator is a ``Solver`` that
 runs the solver's own search and overrides its two hooks: ``_accept`` runs the
 minimality test on each covered candidate, and ``_prune`` runs the early test
-on each positive branch.  The generator reads the input's rules over its own
-atom numbers from its table (``GeneratorTable.inputs``), lifted once by the
-construction that built it.
+on each positive branch.  The whole loop runs on the generator's atom
+numbers: the construction that built the generator lifted the input's rules
+over them once, and its table (``GeneratorTable``) keeps them with the
+numbers of the input's atoms.  A candidate is read from the generator's
+assignment over those numbers.
 
-At the first minimality test of a search, ``test_program`` lifts the
-input's rules over the testers' atoms, once.  Each test derives the
-candidate's tester from them, as a rule table, and searches it with an
-ordinary ``Solver``, closing the search after the first answer.  Nothing
-outlives the search.
+At the first minimality test of a search, ``test_program`` takes the
+testers from the generator's table, over the generator's numbers.  Each
+test derives the candidate's tester from them, as a rule table, and
+searches it with an ordinary ``Solver``, closing the search after the first
+answer.  The tester model is read as the candidate's atoms true in the
+tester's assignment.  Nothing outlives the search.
 
 Early tests are gated by a per-search WasCovered flag: set when a candidate
 is covered, cleared by the next early test that does not prune.  An early
@@ -52,7 +55,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Optional
 
-from .gentest import TesterTable, gen_basic, gen_naive, gen_program, test_program
+from .gentest import GeneratorTable, TesterTable, gen_basic, gen_naive, gen_program, test_program
 from .semantics import DEFAULT_CAP, enumerate_stable_models
 from .solver import FALSE, TRUE, Solver, SolverStats
 from .syntax import Atom, IntRule, Program
@@ -88,35 +91,43 @@ class SolveResult:
 
 
 class _Tester:
-    """The minimality tester of one search over p: ``test_program(p)``,
-    built at the first test, and the solver and the tester model (None if
-    the test passed) of the latest test."""
+    """The minimality tester of one search: ``test_program`` of the
+    generator's table (or of a program), built at the first test, and the
+    solver and the tester model of the latest test."""
 
-    def __init__(self, p: Program):
-        self.p = p
+    def __init__(self, source: Program | GeneratorTable):
+        self.source = source
         self.table: Optional[TesterTable] = None
         self.solver: Optional[Solver] = None
-        self.model: Optional[frozenset[Atom]] = None
+        # The candidate's atoms true in the latest tester model, as the
+        # candidate numbers them; None if the test passed.
+        self.model: Optional[frozenset[int]] = None
 
-    def minimal(self, candidate: frozenset[Atom]) -> bool:
+    def minimal(self, candidate: list[int]) -> bool:
+        """Whether the candidate, atom numbers of the source, ascending, is
+        minimal: its tester has no stable model."""
         if self.table is None:
-            self.table = test_program(self.p)
-        self.solver = Solver(self.table.tester(self.table.numbers(candidate)))
-        search = self.solver.models()
-        self.model = next(search, None)
+            self.table = test_program(self.source)
+        lift = self.table.lift
+        m = candidate if lift is None else [lift[a] for a in candidate]
+        solver = self.solver = Solver(self.table.tester(m))
+        search = solver.models()
+        found = next(search, None) is not None
         # Closed at once, so a suspended search outlives no test.
         search.close()
-        return self.model is None
+        val = solver.val
+        self.model = frozenset([a for a, t in zip(candidate, m) if val[t] == TRUE]) if found else None
+        return not found
 
 
 def minimal_test(
-    tester: _Tester, candidate: frozenset[Atom], stats: GntStats, solver_stats: SolverStats
+    tester: _Tester, candidate: list[int], stats: GntStats, solver_stats: SolverStats
 ) -> bool:
     """Whether the candidate, the true atoms of an assignment restricted to
-    the input's base (undefined taken false), is minimal: its tester from
-    ``tester``, the tester a search keeps between its tests, has no stable
-    model.  Counts the test in stats and the tester's search in
-    solver_stats."""
+    the input's base (undefined taken false), as atom numbers ascending, is
+    minimal: its tester from ``tester``, the tester a search keeps between
+    its tests, has no stable model.  Counts the test in stats and the
+    tester's search in solver_stats."""
     ok = tester.minimal(candidate)
     stats.minimal_tests += 1
     solver_stats.merge(tester.solver.stats)
@@ -131,12 +142,15 @@ class _Generator(Solver):
     def __init__(self, g: Program, p: Program, config: GntConfig):
         super().__init__(g)
         self.p = p
-        # p's rules over g's numbers, lifted by the construction of g
-        self.rules = g.table.inputs
+        table = g.table
+        # p's rules over g's numbers, lifted by the construction of g, and
+        # the numbers of p's atoms
+        self.rules = table.inputs
+        self.base = table.base
         self.config = config
         self.gnt_stats = GntStats()
         self.tester_stats = SolverStats()
-        self.tester = _Tester(p)
+        self.tester = _Tester(table)
         self.was_covered = False
         # per learned set: its atoms, and its external support as
         # (head atoms outside the set, positive body, negative body)
@@ -144,26 +158,28 @@ class _Generator(Solver):
         self._heads: Optional[list[list[IntRule]]] = None  # rules by head atom, at the first failed test
 
     def _minimal(self) -> bool:
-        candidate = self.true_atoms() & self.p.base
+        val = self.val
+        candidate = [a for a in self.base if val[a] == TRUE]
         if minimal_test(self.tester, candidate, self.gnt_stats, self.tester_stats):
             return True
-        self._learn(candidate - self.tester.model)
+        model = self.tester.model
+        self._learn([a for a in candidate if a not in model])
         return False
 
-    def _learn(self, u: frozenset[Atom]) -> None:
-        """Keep the unfounded set u of a failed test with its external support."""
+    def _learn(self, u: list[int]) -> None:
+        """Keep the unfounded set u of a failed test, atom numbers ascending,
+        with its external support."""
         if self._heads is None:
             self._heads = [[] for _ in self.atoms]
             for rule in self.rules:
                 for h in rule[0]:
                     self._heads[h].append(rule)
-        atoms = sorted(self.index[a] for a in u)
-        inside = set(atoms)
+        inside = set(u)
         support = dict.fromkeys(
-            rule for a in atoms for rule in self._heads[a] if inside.isdisjoint(rule[1])
+            rule for a in u for rule in self._heads[a] if inside.isdisjoint(rule[1])
         )
         outside = [(tuple([h for h in head if h not in inside]), pos, neg) for head, pos, neg in support]
-        self.learned.append((tuple(atoms), outside))
+        self.learned.append((tuple(u), outside))
         self.gnt_stats.learned_sets += 1
 
     def _fires(self, atoms: tuple[int, ...], support: list[IntRule]) -> bool:

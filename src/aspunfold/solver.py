@@ -208,7 +208,7 @@ class Solver:
         cycle: it is its own acyclic SCC at once, and an iterative Tarjan
         splits the rest."""
         n = len(self.atoms)
-        r_head, r_pos, occ_head, occ_pos = self.r_head, self.r_pos, self.occ_head, self.occ_pos
+        r_head, r_pos, occ_pos = self.r_head, self.r_pos, self.occ_pos
         # Discovery index and SCC id (set once the atom's SCC is complete),
         # both -1 for the atoms left to Tarjan; the others are done, in SCC 0.
         order = [0] * n
@@ -224,7 +224,6 @@ class Solver:
                     out += pos
         low = [0] * n
         cyclic = [False] * n
-        cyclic_atoms: list[int] = []
         stack: list[int] = []
         count = n_comps = 1
         for root in succ:
@@ -257,19 +256,20 @@ class Solver:
                         for w in members:
                             comp[w] = n_comps
                             cyclic[w] = is_cyclic
-                        if is_cyclic:
-                            cyclic_atoms += members
                         n_comps += 1
         self._cyclic = cyclic
         # r_int[r]: the positive body atoms of r in its head's cyclic SCC;
-        # occ_int[a]: the rules that have a among them, ascending.
-        self.r_int: list[tuple[int, ...]] = [()] * len(r_head)
-        self.occ_int: list[list[int]] = [[] for _ in range(n)]
-        for r in sorted([r for h in cyclic_atoms for r in occ_head[h]]):
-            c = comp[r_head[r]]
-            internal = self.r_int[r] = tuple([b for b in r_pos[r] if comp[b] == c])
-            for b in internal:
-                self.occ_int[b].append(r)
+        # occ_int[a]: the rules that have a among them, ascending, as one
+        # pass over the rules in order fills them.
+        r_int: list[tuple[int, ...]] = [()] * len(r_head)
+        occ_int: list[list[int]] = [[] for _ in range(n)]
+        for r, h in enumerate(r_head):
+            if cyclic[h]:
+                c = comp[h]
+                internal = r_int[r] = tuple([b for b in r_pos[r] if comp[b] == c])
+                for b in internal:
+                    occ_int[b].append(r)
+        self.r_int, self.occ_int = r_int, occ_int
 
     # -- assignment and unit propagation -----------------------------------
 

@@ -61,6 +61,11 @@ class Atom:
     def __repr__(self) -> str:
         return f"Atom({self.text})"
 
+    # The hash of the rendering itself: the generated one hashes the tuple
+    # ``(self.text,)``, built anew on every call.
+    def __hash__(self) -> int:
+        return hash(self.text)
+
 
 def _known(text: str) -> Atom:
     """The atom rendering as ``text``, which the caller knows to be valid."""

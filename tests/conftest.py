@@ -401,12 +401,16 @@ class ReferenceTester(gnt._Tester):
 
     def minimal(self, candidate):
         if self.table is None:
-            self.table = gnt.test_program(self.p)
-        self.solver = WithoutRootInference(self.table.tester(self.table.numbers(candidate)))
+            self.table = gnt.test_program(self.source)
+        lift = self.table.lift
+        m = candidate if lift is None else [lift[a] for a in candidate]
+        self.solver = WithoutRootInference(self.table.tester(m))
         search = self.solver.models()
-        self.model = next(search, None)
+        found = next(search, None) is not None
         search.close()
-        return self.model is None
+        val = self.solver.val
+        self.model = frozenset(a for a, t in zip(candidate, m) if val[t] == TRUE) if found else None
+        return not found
 
 
 class RootlessGenerator(WithoutRootInference, gnt._Generator):
@@ -415,7 +419,7 @@ class RootlessGenerator(WithoutRootInference, gnt._Generator):
 
     def __init__(self, g, p, config):
         super().__init__(g, p, config)
-        self.tester = ReferenceTester(p)
+        self.tester = ReferenceTester(g.table)
 
 
 class ReferenceGenerator(WithoutRootInference):
@@ -433,14 +437,16 @@ class ReferenceGenerator(WithoutRootInference):
             for head, pos, neg in p.table.rules
             if pos
         ]
+        self.base = g.table.base
         self.config = config
         self.gnt_stats = gnt.GntStats()
         self.tester_stats = SolverStats()
-        self.tester = ReferenceTester(p)
+        self.tester = ReferenceTester(g.table)
         self.was_covered = False
 
     def _minimal(self):
-        return gnt.minimal_test(self.tester, self.true_atoms() & self.p.base, self.gnt_stats, self.tester_stats)
+        candidate = [a for a in self.base if self.val[a] == TRUE]
+        return gnt.minimal_test(self.tester, candidate, self.gnt_stats, self.tester_stats)
 
     def _early_test_sound(self):
         val = self.val

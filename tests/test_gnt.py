@@ -6,7 +6,7 @@ import pytest
 
 from aspunfold.bench import gen_d3sat_instance, gen_random_qbf
 from aspunfold import gnt
-from aspunfold.gentest import gen_program
+from aspunfold.gentest import GeneratorTable, gen_program
 from aspunfold.gentest import test_program as build_test_program
 from aspunfold.gnt import GntConfig, GntStats, minimal_test, solve_disjunctive
 from aspunfold.gnt import _GENERATORS, _Generator, _Tester
@@ -39,7 +39,8 @@ EX6 = parse_program("a | b | c.\na :- not b.\nb :- not c.\nc :- not a.")
 
 def minimal_on(p, candidate, stats=None):
     """``minimal_test`` on a candidate of p, with a fresh tester of p."""
-    return minimal_test(_Tester(p), candidate, stats or GntStats(), SolverStats())
+    numbers = sorted(build_test_program(p).numbers(candidate))
+    return minimal_test(_Tester(p), numbers, stats or GntStats(), SolverStats())
 
 
 def test_minimal_test_paper_example():
@@ -542,7 +543,7 @@ def test_compiled_tester_matches_fresh_testers():
             assert program.rules == reference_test_program(p, m).rules
             fresh = Solver(program)
             verdict = fresh.next_stable_model() is None
-            assert tester.minimal(m) == verdict, (p.rules, m)
+            assert tester.minimal(sorted(table.numbers(m))) == verdict, (p.rules, m)
             assert tester.solver.stats == fresh.stats, (p.rules, m)
             assert verdict == (not _reduct_has_smaller_model(p, m)), (p.rules, m)
             verdicts.add(verdict)
@@ -554,11 +555,56 @@ def test_compiled_tester_matches_fresh_testers():
     assert min(seen.values()) >= 5, seen
 
 
+def test_search_testers_match_test_program(monkeypatch):
+    # Each tester the driver searches, derived over its generator's numbers,
+    # renders as test_program(p)'s tester of the same candidate, read off
+    # its final constraint, in every mode: naive's generator marks every
+    # atom, but a tester marks the disjunctive head atoms only.  The
+    # tester's atoms hold test_program's in their order, and the others head
+    # no tester rule.  Covered: d3sat, gw and random disjunctive programs,
+    # sqrt QBFs with no disjunctive rule, whose __f comes from their
+    # constraints, tr of normal programs and normal programs without
+    # constraints, whose gnt1 and gnt2 generators lack __f.
+    tables = []
+
+    class Recording(Solver):
+        def __init__(self, program):
+            super().__init__(program)
+            tables.append(program)
+
+    monkeypatch.setattr(gnt, "Solver", Recording)
+    programs = [gen_d3sat_instance(12, 4.258, seed, 2).program for seed in range(4)]
+    programs += [qbf_to_program(gen_random_qbf(8, "gw", seed)) for seed in range(4)]
+    programs += [random_disjunctive_program(seed) for seed in range(20)]
+    programs += [qbf_to_program(gen_random_qbf(v, "sqrt", seed)) for v, seed in ((6, 1), (6, 4), (10, 20))]
+    programs += [unfold_partiality(random_normal_program(seed)) for seed in range(6)]
+    programs += [random_normal_program(seed, constraints=False) for seed in range(6)]
+    seen = {"tests": 0, "normal": 0, "without __f": 0}
+    for p in programs:
+        reference = build_test_program(p)
+        atoms = set(reference.atoms)
+        for mode in ("gnt1", "gnt2", "naive"):
+            # Only a generator without __f is lifted again for its testers.
+            g = _GENERATORS[mode](p)
+            assert (build_test_program(g.table).lift is None) == (F_ATOM in g.base), mode
+            tables.clear()
+            solve_disjunctive(p, mode=mode, enumerate_all=True)
+            for t in tables:
+                m = frozenset(t.atoms[a] for a in t.rules[-1][1])
+                assert Program.of_table(t).render() == reference.program(m).render(), (mode, p.rules, m)
+                assert [a for a in t.atoms if a in atoms] == list(reference.atoms), mode
+                assert all(t.atoms[h] in atoms for (h,), _, _ in t.rules), mode
+            seen["tests"] += len(tables)
+            seen["normal"] += p.is_normal and bool(tables)
+            seen["without __f"] += F_ATOM not in g.base and bool(tables)
+    assert seen["tests"] >= 400 and seen["normal"] >= 30 and seen["without __f"] >= 10, seen
+
+
 def test_tester_is_compiled_once_per_search(monkeypatch):
-    # A search calls test_program on p once, however many candidates it
-    # tests, and derives each candidate's tester from its result: one
-    # ordinary tester solver per test, built inside that test's call of
-    # minimal_test.
+    # A search calls test_program on its generator's table once, however
+    # many candidates it tests, and derives each candidate's tester from
+    # its result: one ordinary tester solver per test, built inside that
+    # test's call of minimal_test.
     compiled, tests, testers = [], [], []
     init, minimal, compile_ = Solver.__init__, gnt.minimal_test, gnt.test_program
 
@@ -589,7 +635,10 @@ def test_tester_is_compiled_once_per_search(monkeypatch):
         p = qbf_to_program(gen_random_qbf(v, "gw", seed))
         r = solve_disjunctive(p, mode="gnt2")
         assert r.stats.minimal_tests >= 3
-        assert compiled == [p]
+        # ... on the table of p's generator, which keeps p's lifted rules
+        assert [type(c) for c in compiled] == [GeneratorTable]
+        assert [compiled[0].atoms[b] for b in compiled[0].base] == list(p.table.atoms)
+        assert len(compiled[0].inputs) == len(p.table.rules)
         assert len(tests) == r.stats.minimal_tests
         # the k-th tester solver is built within the k-th test
         assert testers == [(Solver, k, 1) for k in range(1, len(tests) + 1)]
@@ -630,7 +679,7 @@ class _LearningGenerator(_Generator):
         self.lessons = []
 
     def _learn(self, u):
-        self.lessons.append((self.true_atoms() & self.p.base, u, self.covered))
+        self.lessons.append((self.true_atoms() & self.p.base, frozenset(self.atoms[a] for a in u), self.covered))
         super()._learn(u)
 
 
