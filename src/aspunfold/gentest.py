@@ -9,22 +9,26 @@ integrity constraints.
 
 Every construction is a transform of the input's rule table and builds no
 ``Rule``.  Its atoms are the input's atoms, the complement and support marks
-it uses and ``__f``, sorted by rendering; the input's rules are renumbered
-into them by one merge (``_Extension``), and the construction's rules are
-built over the new numbers.  A construction's table (``GeneratorTable``)
-keeps the lifted input rules and what a tester needs besides: the numbers of
-the input's atoms, of its disjunctive head atoms and of their complement
-marks, and the number of ``__f``.  So the search over a generator, and every
-tester of that search, needs no second lift.
+it uses and ``__f``, which every construction holds, sorted by rendering;
+the input's rules are renumbered into them by one merge (``_Extension``),
+and the construction's rules are built over the new numbers.  A
+construction's table (``GeneratorTable``) keeps the lifted input rules and
+what a tester needs besides: the numbers of the input's atoms, the
+complement marks of its disjunctive head atoms and the number of ``__f``.
 
 The tester of a candidate M is read off the reduct P^M, in one pass over the
-lifted input rules (``TesterTable.tester``).  ``test_program`` gives the
-testers of an input over its own lift, or over a generator's numbers from
-the generator's table.  There the testers' atoms are the generator's, in
-the same order, and the marks a tester does not use, such as ``s__a``, head
-no tester rule, so they are false from the root on and a tester's search is
-the one over the input's own lift.  A generator that lacks ``__f`` or a mark
-a tester needs is lifted once more, over its own numbers, to add them.
+lifted input rules (``TesterTable.tester``).  ``test_program`` builds the
+testers from a generator's table, over the generator's numbers, so the
+search over a generator and every tester of that search share one lift.
+The marks a tester does not use, such as ``s__a``, head no tester rule, so
+they are false from the root on.  Given a program, ``test_program`` first
+lifts it into a table with no rules of its own, which holds the complement
+marks of its disjunctive head atoms and ``__f``.
+
+The constructions use ``__f`` as their own constraint atom, so they reject
+an input with ``__f`` in a disjunctive head.  They are sound only on input
+in which ``__f`` is false in every stable model; an input rule that derives
+``__f`` otherwise is answered only by the enumeration oracle.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import chain
 from operator import attrgetter
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .semantics import require_in_base
 from .syntax import (
@@ -49,11 +53,15 @@ from .syntax import (
 
 
 def _input(p: Program, what: str) -> tuple[RuleTable, list[int]]:
-    """p's table, checked to hold no complement or support atom, and the
-    atoms of its disjunctive heads, ascending."""
+    """p's table, checked to hold no complement or support atom and no
+    ``__f`` in a disjunctive head, and the atoms of its disjunctive heads,
+    ascending."""
     table = p.table
     reject_marked(table.atoms, "complement/support", what)
-    return table, sorted({a for head, _, _ in table.rules if len(head) > 1 for a in head})
+    heads = sorted({a for head, _, _ in table.rules if len(head) > 1 for a in head})
+    if any(table.atoms[a].text == F_ATOM.text for a in heads):
+        raise ValueError(f"{what}: the reserved atom __f in a disjunctive head")
+    return table, heads
 
 
 def _f_rule(f: int, pos: tuple[int, ...], neg: Iterable[int]) -> IntRule:
@@ -64,25 +72,20 @@ def _f_rule(f: int, pos: tuple[int, ...], neg: Iterable[int]) -> IntRule:
 class _Extension:
     """The atoms of a construction over ``table``: its atoms, the complement
     marks of the atoms ``comps`` and the support marks of ``sups`` (input
-    numbers, ascending), and ``__f`` if ``f``, deduplicated by rendering and
-    numbered in sorted order; and the input's rules over those numbers.
-    ``f`` is the number of ``__f`` whenever the atoms hold it, added or the
-    input's own, and -1 otherwise."""
+    numbers, ascending), and ``__f``, deduplicated by rendering and numbered
+    in sorted order; and the input's rules over those numbers.  ``f`` is the
+    number of ``__f``, added or the input's own."""
 
-    def __init__(self, table: RuleTable, comps: Sequence[int] = (), sups: Sequence[int] = (), f: bool = True):
-        marks = (
-            [complement(table.atoms[a]) for a in comps],
-            [support(table.atoms[a]) for a in sups],
-            [F_ATOM] if f else [],
-        )
-        by_text = {a.text: a for a in chain(table.atoms, *marks)}
+    def __init__(self, table: RuleTable, comps: Sequence[int] = (), sups: Sequence[int] = ()):
+        marks = ([complement(table.atoms[a]) for a in comps], [support(table.atoms[a]) for a in sups])
+        by_text = {a.text: a for a in chain(table.atoms, *marks, [F_ATOM])}
         self.atoms = tuple(sorted(by_text.values(), key=attrgetter("text")))
         self.lift = lift = positions(table.atoms, self.atoms)
-        c, s = [positions(m, self.atoms) for m in marks[:2]]
+        c, s = [positions(m, self.atoms) for m in marks]
         # The mark of a lifted atom, by that atom's number.
         self.complement = dict(zip([lift[a] for a in comps], c))
         self.support = dict(zip([lift[a] for a in sups], s))
-        self.f = positions([F_ATOM], self.atoms)[0] if F_ATOM.text in by_text else -1
+        self.f = positions([F_ATOM], self.atoms)[0]
         # Atom numbers follow the atoms' order, so lifted parts stay sorted.
         self.rules = [
             (tuple([lift[a] for a in head]), tuple([lift[b] for b in pos]), tuple([lift[c] for c in neg]))
@@ -103,19 +106,21 @@ class _Extension:
 class GeneratorTable(RuleTable):
     """A construction's rules, and what the generate-and-test search reads
     besides, all over the construction's numbers: the input's rules
-    (``inputs``), the numbers of the input's atoms (``base``) and of its
-    disjunctive head atoms (``heads``), ascending, the complement marks of
-    those the construction has, by the numbers of the atoms they mark
-    (``complement``), and the number of ``__f``, -1 if it has none (``f``)."""
+    (``inputs``), the numbers of the input's atoms, ascending (``base``),
+    the complement marks of its disjunctive head atoms ``heads`` (input
+    numbers) that the construction has, by the numbers of the atoms they
+    mark (``complement``), and the number of ``__f`` (``f``).  Every
+    generator of a mode marks every disjunctive head atom; only
+    ``support_program`` marks none."""
 
-    __slots__ = ("inputs", "base", "heads", "complement", "f")
+    __slots__ = ("inputs", "base", "complement", "f")
 
     def __init__(self, x: _Extension, rules: Sequence[IntRule], heads: Sequence[int]):
         super().__init__(x.atoms, rules)
         self.inputs = x.rules
         self.base = x.lift
-        self.heads = [x.lift[a] for a in heads]
-        self.complement = {a: x.complement[a] for a in self.heads if a in x.complement}
+        lifted = [x.lift[a] for a in heads]
+        self.complement = {a: x.complement[a] for a in lifted if a in x.complement}
         self.f = x.f
 
 
@@ -127,7 +132,7 @@ def gen_naive(p: Program) -> Program:
     """
     table, heads = _input(p, "gen_naive")
     free = [a for a, atom in enumerate(table.atoms) if atom != F_ATOM]
-    x = _Extension(table, comps=free, f=bool(table.rules))
+    x = _Extension(table, comps=free)
     rules = []
     for a, c in x.complement.items():
         rules += [((a,), (), (c,)), ((c,), (), (a,))]
@@ -166,7 +171,7 @@ def _support_rules(x: _Extension) -> list[IntRule]:
 def gen_basic(p: Program) -> Program:
     """Choice restricted to disjunctive heads; normal rules pass through."""
     table, heads = _input(p, "gen_basic")
-    x = _Extension(table, comps=heads, f=bool(heads))
+    x = _Extension(table, comps=heads)
     return x.program(_basic_rules(x), heads)
 
 
@@ -174,43 +179,33 @@ def support_program(p: Program) -> Program:
     """Support rules: a rule supports exactly one of its head atoms, and every
     true disjunctive-head atom must have a supporting rule."""
     table, heads = _input(p, "support_program")
-    x = _Extension(table, sups=heads, f=bool(heads))
+    x = _Extension(table, sups=heads)
     return x.program(_support_rules(x), heads)
 
 
 def gen_program(p: Program) -> Program:
     """The production generator: basic choice plus supportedness pruning."""
     table, heads = _input(p, "gen_program")
-    x = _Extension(table, comps=heads, sups=heads, f=bool(heads))
+    x = _Extension(table, comps=heads, sups=heads)
     return x.program(_basic_rules(x) + _support_rules(x), heads)
 
 
 class TesterTable:
-    """The testers of an input P, each derived from its candidate: over
-    ``atoms``, which hold P's atoms, the complement marks of its disjunctive
-    head atoms and ``__f``, P's rules (``rules``), the marks by the numbers
-    of the atoms they mark (``complement``), the number of ``__f`` (``f``)
-    and the numbers of P's atoms, ascending (``base``).  ``lift`` maps the
-    numbers the testers were asked for, a generator's, to these, or is None
-    where they are these."""
+    """The testers of an input P, each derived from its candidate, read off
+    the table ``g`` of a construction over P: over g's atoms (``atoms``),
+    P's rules (``rules``), the complement marks of P's disjunctive head
+    atoms by the numbers of the atoms they mark (``complement``), the
+    number of ``__f`` (``f``) and the numbers of P's atoms, ascending
+    (``base``)."""
 
-    def __init__(
-        self,
-        atoms: Sequence[Atom],
-        rules: Sequence[IntRule],
-        complement: dict[int, int],
-        f: int,
-        base: Sequence[int],
-        lift: Optional[Sequence[int]] = None,
-    ):
-        self.atoms = atoms
-        self.rules = rules
-        self.complement = complement
-        self.f = f
-        self.base = base
-        self.lift = lift
+    def __init__(self, g: GeneratorTable):
+        self.atoms = g.atoms
+        self.rules = g.inputs
+        self.complement = g.complement
+        self.f = g.f
+        self.base = g.base
         # c__a :- not a, for every disjunctive head atom a
-        self.marks = [((c,), (), (a,)) for a, c in complement.items()]
+        self.marks = [((c,), (), (a,)) for a, c in g.complement.items()]
 
     @cached_property
     def index(self) -> dict[Atom, int]:
@@ -256,16 +251,11 @@ class TesterTable:
 def test_program(p: Program | GeneratorTable) -> TesterTable:
     """The testers of p, each derived from its candidate M by
     ``TesterTable.tester``: their stable models are the models of the
-    reduct P^M properly inside M.  Given a program, the testers are over its
-    own lift.  Given the table of a generator of P, they are over the
-    generator's numbers, from what the table keeps; a generator without
-    ``__f`` or a complement mark they need is lifted to add it, and the
-    testers' ``lift`` maps its numbers to theirs."""
-    if isinstance(p, GeneratorTable):
-        if p.f >= 0 and all(a in p.complement for a in p.heads):
-            return TesterTable(p.atoms, p.inputs, p.complement, p.f, p.base)
-        x = _Extension(RuleTable(p.atoms, p.inputs), comps=p.heads)
-        return TesterTable(x.atoms, x.rules, x.complement, x.f, [x.lift[b] for b in p.base], x.lift)
-    table, heads = _input(p, "test_program")
-    x = _Extension(table, comps=heads)
-    return TesterTable(x.atoms, x.rules, x.complement, x.f, x.lift)
+    reduct P^M properly inside M.  Given the table of a generator of P,
+    they are over the generator's numbers.  Given a program, they are over
+    a table with no rules of its own that lifts p with the complement
+    marks of its disjunctive head atoms and ``__f``."""
+    if not isinstance(p, GeneratorTable):
+        table, heads = _input(p, "test_program")
+        p = GeneratorTable(_Extension(table, comps=heads), (), heads)
+    return TesterTable(p)

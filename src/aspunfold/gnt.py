@@ -11,11 +11,13 @@ numbers of the input's atoms.  A candidate is read from the generator's
 assignment over those numbers.
 
 At the first minimality test of a search, ``test_program`` takes the
-testers from the generator's table, over the generator's numbers.  Each
-test derives the candidate's tester from them, as a rule table, and
-searches it with an ordinary ``Solver``, closing the search after the first
-answer.  The tester model is read as the candidate's atoms true in the
-tester's assignment.  Nothing outlives the search.
+testers from the generator's table, over the generator's numbers: every
+generator holds ``__f`` and the complement marks of the input's disjunctive
+head atoms, so there is one lift.  Each test derives the candidate's tester
+from them, as a rule table, and searches it with an ordinary ``Solver``,
+closing the search after the first answer.  The tester model is read as the
+candidate's atoms true in the tester's assignment, over the same numbers.
+Nothing outlives the search.
 
 Early tests are gated by a per-search WasCovered flag: set when a candidate
 is covered, cleared by the next early test that does not prune.  An early
@@ -99,8 +101,8 @@ class _Tester:
         self.source = source
         self.table: Optional[TesterTable] = None
         self.solver: Optional[Solver] = None
-        # The candidate's atoms true in the latest tester model, as the
-        # candidate numbers them; None if the test passed.
+        # The candidate's atoms true in the latest tester model; None if
+        # the test passed.
         self.model: Optional[frozenset[int]] = None
 
     def minimal(self, candidate: list[int]) -> bool:
@@ -108,15 +110,13 @@ class _Tester:
         minimal: its tester has no stable model."""
         if self.table is None:
             self.table = test_program(self.source)
-        lift = self.table.lift
-        m = candidate if lift is None else [lift[a] for a in candidate]
-        solver = self.solver = Solver(self.table.tester(m))
+        solver = self.solver = Solver(self.table.tester(candidate))
         search = solver.models()
         found = next(search, None) is not None
         # Closed at once, so a suspended search outlives no test.
         search.close()
         val = solver.val
-        self.model = frozenset([a for a, t in zip(candidate, m) if val[t] == TRUE]) if found else None
+        self.model = frozenset([a for a in candidate if val[a] == TRUE]) if found else None
         return not found
 
 
@@ -139,9 +139,8 @@ class _Generator(Solver):
     the gated early test on positive branches, and the sets learned from
     failed tests pruning both."""
 
-    def __init__(self, g: Program, p: Program, config: GntConfig):
+    def __init__(self, g: Program, config: GntConfig):
         super().__init__(g)
-        self.p = p
         table = g.table
         # p's rules over g's numbers, lifted by the construction of g, and
         # the numbers of p's atoms
@@ -253,7 +252,7 @@ def solve_disjunctive(
     a generator model is fixed by its input atoms."""
     if mode not in _GENERATORS:
         raise ValueError(f"unknown mode {mode!r}")
-    generator = _Generator(_GENERATORS[mode](p), p, config or GntConfig())
+    generator = _Generator(_GENERATORS[mode](p), config or GntConfig())
     models = _drain(generator, p.base, enumerate_all)
     solver_stats = SolverStats()
     solver_stats.merge(generator.stats)

@@ -367,7 +367,7 @@ def gated_early_prunes(rng, p, samples):
     stable = enumerate_stable_models(p)
     for _ in range(samples):
         i = random_partial_interpretation(rng, p.base)
-        g = _Generator(gen_program(p), p, GntConfig())
+        g = _Generator(gen_program(p), GntConfig())
         if not g.assign_and_expand([(a, True) for a in i.true_set] + [(a, False) for a in i.false_set]):
             continue
         if g._minimal() or not g._fires(*g.learned[-1]):
@@ -402,14 +402,12 @@ class ReferenceTester(gnt._Tester):
     def minimal(self, candidate):
         if self.table is None:
             self.table = gnt.test_program(self.source)
-        lift = self.table.lift
-        m = candidate if lift is None else [lift[a] for a in candidate]
-        self.solver = WithoutRootInference(self.table.tester(m))
+        self.solver = WithoutRootInference(self.table.tester(candidate))
         search = self.solver.models()
         found = next(search, None) is not None
         search.close()
         val = self.solver.val
-        self.model = frozenset(a for a, t in zip(candidate, m) if val[t] == TRUE) if found else None
+        self.model = frozenset(a for a in candidate if val[a] == TRUE) if found else None
         return not found
 
 
@@ -417,8 +415,8 @@ class RootlessGenerator(WithoutRootInference, gnt._Generator):
     """The generator of ``solve_disjunctive`` as it was before set-up fixed
     self-blocking atoms false, in the generator and in every tester."""
 
-    def __init__(self, g, p, config):
-        super().__init__(g, p, config)
+    def __init__(self, g, config):
+        super().__init__(g, config)
         self.tester = ReferenceTester(g.table)
 
 
@@ -483,8 +481,8 @@ def reference_solve_disjunctive(p, mode="gnt2", enumerate_all=False, config=None
     its models in every generator mode, and for the counts it had before
     learning and the root inference.  With ``learning``, over
     ``RootlessGenerator``: the counts it had before the root inference."""
-    make = RootlessGenerator if learning else ReferenceGenerator
-    generator = make(gnt._GENERATORS[mode](p), p, config or gnt.GntConfig())
+    g, config = gnt._GENERATORS[mode](p), config or gnt.GntConfig()
+    generator = RootlessGenerator(g, config) if learning else ReferenceGenerator(g, p, config)
     seen, models = set(), []
     search = generator.models()
     for n in search:
@@ -547,7 +545,7 @@ def reference_gen_naive(p):
         rules.append(Rule(frozenset([complement(a)]), frozenset(), frozenset([a])))
     for r in p.rules:
         rules.append(_constraint(r.pos, r.head | r.neg))
-    return Program(tuple(dict.fromkeys(rules)), base=p.base)
+    return Program(tuple(dict.fromkeys(rules)), base=p.base | {F_ATOM})
 
 
 def reference_gen_basic(p):
@@ -564,7 +562,7 @@ def reference_gen_basic(p):
     for r in disjunctive:
         rules.append(_constraint(r.pos, r.head | r.neg))
     rules += [r for r in p.rules if is_normal_rule(r)]
-    return Program(tuple(dict.fromkeys(rules)), base=p.base)
+    return Program(tuple(dict.fromkeys(rules)), base=p.base | {F_ATOM})
 
 
 def reference_support_program(p):
@@ -578,12 +576,12 @@ def reference_support_program(p):
             rules.append(Rule(frozenset([support(a)]), r.pos, (r.head - {a}) | r.neg))
     for a in heads:
         rules.append(_constraint([a], [support(a)]))
-    return Program(tuple(dict.fromkeys(rules)), base=p.base)
+    return Program(tuple(dict.fromkeys(rules)), base=p.base | {F_ATOM})
 
 
 def reference_gen_program(p):
     rules = reference_gen_basic(p).rules + reference_support_program(p).rules
-    return Program(tuple(dict.fromkeys(rules)), base=p.base)
+    return Program(tuple(dict.fromkeys(rules)), base=p.base | {F_ATOM})
 
 
 def reference_table_of(rules, base):

@@ -67,6 +67,18 @@ def test_solve_modes_agree(write):
         assert (code, out) == (0, "a\nb\n")
 
 
+def test_solve_rejects_f_in_a_disjunctive_head(write, capsys):
+    # Only the enumeration oracle answers a program with __f in a
+    # disjunctive head; every generate-and-test mode rejects it.
+    f = write("p.lp", "a | __f :- b.\nb.\n")
+    for mode in ("gnt1", "gnt2", "naive"):
+        code, out = run(["solve", f, "--all", "--allow-reserved", "--mode", mode])
+        assert (code, out) == (1, ""), mode
+        assert "the reserved atom __f in a disjunctive head" in capsys.readouterr().err
+    code, out = run(["solve", f, "--all", "--allow-reserved", "--mode", "brute"])
+    assert (code, out) == (0, "__f b\na b\n")
+
+
 def test_solve_stats_keys(write):
     _, out = run(["solve", write("p.lp", "a | b.\n"), "--all", "--stats"])
     for key in ("candidates=", "tests=", "learned=", "learned_prunes=", "choices=", "conflicts="):

@@ -107,6 +107,16 @@ def test_gen_rejects_marked_input():
         gen_basic(gen_program(DISJ))
 
 
+def test_constructions_reject_f_in_a_disjunctive_head():
+    # The constructions use __f as their own constraint atom, so an input
+    # that can make it true through a disjunctive head is an error, named
+    # by the construction, not a lost model.
+    p = parse_program("a | __f :- b.\nb.", allow_reserved=True)
+    for build in (gen_naive, gen_basic, support_program, gen_program, build_test_program):
+        with pytest.raises(ValueError, match=f"^{build.__name__}: the reserved atom __f in a disjunctive head$"):
+            build(p)
+
+
 def test_test_program_paper_example():
     tp = build_test_program(DISJ_NEG).program(frozenset([B]))
     assert set(tp.rules) == rules_of(

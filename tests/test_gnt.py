@@ -14,7 +14,7 @@ from aspunfold.parser import parse_program
 from aspunfold.partiality import unfold_partiality
 from aspunfold.qbf import qbf_to_program, qbf_valid_oracle
 from aspunfold.semantics import enumerate_stable_models, is_stable_model, PartialInterpretation
-from aspunfold.solver import Solver, SolverStats
+from aspunfold.solver import TRUE, Solver, SolverStats
 from aspunfold.syntax import Atom, F_ATOM, Program, Rule, complement, positions, support
 
 from conftest import (
@@ -108,7 +108,7 @@ def test_generator_reads_the_input_lifted_by_its_construction():
         p = random_disjunctive_program(seed)
         for mode, build in _GENERATORS.items():
             g = build(p)
-            search = _Generator(g, p, GntConfig())
+            search = _Generator(g, GntConfig())
             assert search.rules is g.table.inputs
             lift = positions(p.table.atoms, g.table.atoms)
             assert search.rules == [
@@ -124,7 +124,7 @@ def test_generator_starts_from_facts():
     # branched on __f first.
     def generator_counts(text, generator=_Generator):
         p = parse_program(text)
-        g = generator(gen_program(p), p, GntConfig())
+        g = generator(gen_program(p), GntConfig())
         list(g.models())
         return g.stats
 
@@ -206,7 +206,7 @@ def _recorded_searches():
     programs += [qbf_to_program(gen_random_qbf(8, "gw", seed)) for seed in range(1, 11)]
     for make in _GENERATORS.values():
         for p in programs:
-            search = _RecordingGenerator(make(p), p, GntConfig())
+            search = _RecordingGenerator(make(p), GntConfig())
             for _ in search.models():
                 pass
             yield search
@@ -252,7 +252,7 @@ def test_failed_test_under_condition_fires():
         p = random_disjunctive_program(seed, max_atoms=5, max_rules=6)
         for _ in range(8):
             i = random_partial_interpretation(rng, p.base)
-            g = _Generator(gen_program(p), p, GntConfig())
+            g = _Generator(gen_program(p), GntConfig())
             if not g.assign_and_expand([(a, True) for a in i.true_set] + [(a, False) for a in i.false_set]):
                 continue
             if ReferenceGenerator._early_test_sound(g) and not g._minimal():
@@ -343,7 +343,7 @@ def test_ungated_early_test_loses_a_model(name):
     # mode loses a stable model of each counterexample.
     p = EARLY_TEST_COUNTEREXAMPLES[name]
     want = set(enumerate_stable_models(p))
-    searches = [_UngatedGenerator(make(p), p, GntConfig()) for make in _GENERATORS.values()]
+    searches = [_UngatedGenerator(make(p), GntConfig()) for make in _GENERATORS.values()]
     assert any(want - {n & p.base for n in search.models()} for search in searches)
 
 
@@ -547,7 +547,7 @@ def test_compiled_tester_matches_fresh_testers():
             assert tester.solver.stats == fresh.stats, (p.rules, m)
             assert verdict == (not _reduct_has_smaller_model(p, m)), (p.rules, m)
             verdicts.add(verdict)
-        seen["normal"] += kind == "normal" and F_ATOM not in gen_program(p).base
+        seen["normal"] += kind == "normal" and F_ATOM not in p.base
         seen["loop"] += kind == "loop"
         seen["constraints"] += any(r.head == {F_ATOM} for r in p.rules)
         seen["shared"] += any(_shares_tester_rule(p, m) for m in candidates)
@@ -564,7 +564,7 @@ def test_search_testers_match_test_program(monkeypatch):
     # no tester rule.  Covered: d3sat, gw and random disjunctive programs,
     # sqrt QBFs with no disjunctive rule, whose __f comes from their
     # constraints, tr of normal programs and normal programs without
-    # constraints, whose gnt1 and gnt2 generators lack __f.
+    # constraints, whose __f only the generators add.
     tables = []
 
     class Recording(Solver):
@@ -584,9 +584,9 @@ def test_search_testers_match_test_program(monkeypatch):
         reference = build_test_program(p)
         atoms = set(reference.atoms)
         for mode in ("gnt1", "gnt2", "naive"):
-            # Only a generator without __f is lifted again for its testers.
+            # Every generator holds __f, and its testers are over its atoms.
             g = _GENERATORS[mode](p)
-            assert (build_test_program(g.table).lift is None) == (F_ATOM in g.base), mode
+            assert F_ATOM in g.base and build_test_program(g.table).atoms == g.table.atoms, mode
             tables.clear()
             solve_disjunctive(p, mode=mode, enumerate_all=True)
             for t in tables:
@@ -596,7 +596,7 @@ def test_search_testers_match_test_program(monkeypatch):
                 assert all(t.atoms[h] in atoms for (h,), _, _ in t.rules), mode
             seen["tests"] += len(tables)
             seen["normal"] += p.is_normal and bool(tables)
-            seen["without __f"] += F_ATOM not in g.base and bool(tables)
+            seen["without __f"] += F_ATOM not in p.base and bool(tables)
     assert seen["tests"] >= 400 and seen["normal"] >= 30 and seen["without __f"] >= 10, seen
 
 
@@ -679,7 +679,8 @@ class _LearningGenerator(_Generator):
         self.lessons = []
 
     def _learn(self, u):
-        self.lessons.append((self.true_atoms() & self.p.base, frozenset(self.atoms[a] for a in u), self.covered))
+        true = frozenset(self.atoms[a] for a in self.base if self.val[a] == TRUE)
+        self.lessons.append((true, frozenset(self.atoms[a] for a in u), self.covered))
         super()._learn(u)
 
 
@@ -700,7 +701,7 @@ def test_learned_sets_are_unfounded():
     final = early = 0
     for p in _learning_programs():
         for mode in ("gnt1", "gnt2", "naive"):
-            g = _LearningGenerator(_GENERATORS[mode](p), p, GntConfig())
+            g = _LearningGenerator(_GENERATORS[mode](p), GntConfig())
             for _ in g.models():
                 pass
             assert len(g.lessons) == g.gnt_stats.learned_sets

@@ -397,7 +397,7 @@ def test_sccs_match_reference(monkeypatch):
     for seed in range(8):
         for p in (gen_d3sat_instance(30, 4.258, seed).program, qbf_to_program(gen_random_qbf(14, "gw", seed))):
             programs += [make(p) for make in gnt._GENERATORS.values()]
-            g = gnt._Generator(gnt.gen_program(p), p, gnt.GntConfig())
+            g = gnt._Generator(gnt.gen_program(p), gnt.GntConfig())
             gnt._drain(g, p.base, True)
     testers = [Solver(t) for t in tester_tables]
     self_loops = 0
