@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .qbf import Qbf2E
-from .syntax import Atom, F_ATOM, Literal, Program, Rule
+from .syntax import Atom, Literal, Program, Rule
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,9 @@ def mm_encode(clauses: Iterable[Clause], specified: Iterable[Atom]) -> Program:
         if c.pos:
             rules.append(Rule(c.pos, c.neg, frozenset()))
         else:
-            rules.append(Rule(frozenset([F_ATOM]), c.neg, frozenset([F_ATOM])))
+            rules.append(Rule(frozenset(), c.neg))
     for a in sorted(specified):
-        rules.append(Rule(frozenset([F_ATOM]), frozenset(), frozenset([F_ATOM, a])))
+        rules.append(Rule(frozenset(), frozenset(), frozenset([a])))
     return Program(tuple(rules))
 
 

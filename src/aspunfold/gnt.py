@@ -12,10 +12,10 @@ assignment over those numbers.
 
 At the first minimality test of a search, ``test_program`` takes the
 testers from the generator's table, over the generator's numbers: every
-generator holds ``__f`` and the complement marks of the input's disjunctive
-head atoms, so there is one lift.  Each test derives the candidate's tester
-from them, as a rule table, and searches it with an ordinary ``Solver``,
-closing the search after the first answer.  The tester model is read as the
+generator holds the complement marks of the input's disjunctive head atoms,
+so there is one lift.  Each test derives the candidate's tester from them,
+as a rule table, and searches it with an ordinary ``Solver``, closing the
+search after the first answer.  The tester model is read as the
 candidate's atoms true in the tester's assignment, over the same numbers.
 Nothing outlives the search.
 
@@ -246,10 +246,9 @@ def solve_disjunctive(
 
     Distinct generator models project to distinct models of p, so the
     driver yields no model twice.  Every atom a generator adds is defined by
-    input atoms alone: ``c__a`` by ``c__a :- not a``, ``s__a`` by rules whose
-    bodies hold input atoms only, and ``__f``, where p lacks it, is false in
-    every stable model, as each rule for it has ``not __f`` in its body.  So
-    a generator model is fixed by its input atoms."""
+    input atoms alone: ``c__a`` by ``c__a :- not a`` and ``s__a`` by rules
+    whose bodies hold input atoms only.  So a generator model is fixed by
+    its input atoms."""
     if mode not in _GENERATORS:
         raise ValueError(f"unknown mode {mode!r}")
     generator = _Generator(_GENERATORS[mode](p), config or GntConfig())

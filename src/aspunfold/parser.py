@@ -1,9 +1,10 @@
 """Text format for ground programs: one rule per line, ``|`` heads, ``:-``,
 comma-separated body, ``not`` for default negation, ``%`` comments.
 
-Constraints ``:- body.`` are desugared to ``__f :- not __f, body.`` so the
-solver never sees empty heads.  Reserved atom spellings are rejected unless
-``allow_reserved`` is set (used to read back rendered transformation output).
+A constraint ``:- body.`` is a rule with an empty head, and ``:- .``, with
+nothing on either side, the constraint without a body, which no model
+satisfies.  Reserved atom spellings are rejected unless ``allow_reserved``
+is set (used to read back rendered transformation output).
 
 The parser reads straight into the program's rule table, in three steps and
 without building a ``Rule``: it splits every line at whitespace once its
@@ -22,7 +23,6 @@ from typing import Iterator
 
 from .syntax import (
     Atom,
-    F_ATOM,
     IntRule,
     Literal,
     Program,
@@ -83,9 +83,8 @@ def _part(numbers: list[int]) -> tuple[int, ...]:
     return tuple(sorted(set(numbers))) if len(numbers) > 1 else tuple(numbers)
 
 
-def _walk(toks: list[str], ids: dict[str, int], f: int) -> IntRule:
-    """The rule a line's tokens spell over the atom numbers ``ids``, ``f``
-    the number of __f."""
+def _walk(toks: list[str], ids: dict[str, int]) -> IntRule:
+    """The rule a line's tokens spell over the atom numbers ``ids``."""
     end = len(toks)
     toks.append("")  # the end of the line
     i = 0
@@ -103,7 +102,9 @@ def _walk(toks: list[str], ids: dict[str, int], f: int) -> IntRule:
 
     pos: list[int] = []
     neg: list[int] = []
-    if toks[i] == ":-":
+    if toks[i] == ":-" and not head and toks[i + 1] == ".":
+        i += 1  # ``:- .``, the constraint without a body
+    elif toks[i] == ":-":
         i += 1
         while True:
             part = pos
@@ -123,9 +124,6 @@ def _walk(toks: list[str], ids: dict[str, int], f: int) -> IntRule:
         raise _Error("expected '.'", i)
     if i + 1 != end:
         raise _Error("trailing input after '.'", i + 1)
-    if not head:
-        head.append(f)
-        neg.append(f)
     return _part(head), _part(pos), _part(neg)
 
 
@@ -143,22 +141,16 @@ def parse_program(text: str, allow_reserved: bool = False) -> Program:
             checked[tok] = _atom(tok, allow_reserved)
         except ValueError as exc:
             errors[tok] = str(exc)
-    # Atoms are numbered in rendering order, with __f if a constraint occurs.
-    atoms = dict(checked)
-    if any(toks[0] == ":-" for toks in lines if toks):
-        atoms.setdefault(F_ATOM.text, F_ATOM)
-    texts = sorted(atoms)
+    # Atoms are numbered in rendering order.
+    texts = sorted(checked)
     ids = {t: n for n, t in enumerate(texts)}
-    f = ids.get(F_ATOM.text, -1)
-    if F_ATOM.text not in checked:
-        ids.pop(F_ATOM.text, None)  # the constraints' head, which the text may not spell
 
     rules = []
     for lineno, toks in enumerate(lines, 1):
         if not toks:
             continue
         try:
-            rules.append(_walk(toks, ids, f))
+            rules.append(_walk(toks, ids))
         except _Error as exc:
             message, i = exc.args
             # Spacing out punctuation adds no line break: the text's lines match.
@@ -168,7 +160,7 @@ def parse_program(text: str, allow_reserved: bool = False) -> Program:
             # An error at the end of the rule points just past its last character.
             col = cols[i] if i < len(cols) else len(line.rstrip()) + 1
             raise ParseError(message or errors[toks[i]], lineno, col) from None
-    return Program.of_table(RuleTable([atoms[t] for t in texts], rules))
+    return Program.of_table(RuleTable([checked[t] for t in texts], rules))
 
 
 def parse_literals(text: str, allow_reserved: bool = False) -> tuple[Literal, ...]:

@@ -10,14 +10,15 @@ with atom true is ruled out by the consistency rules.
 ``unfold_partiality`` maps the input's rule table to the translation's
 without building a ``Rule``: the marked atoms sort as one block, so an
 atom's number and its mark's are shifts of its number in the input.
-``tr2_program`` and ``query_constrained`` extend a table by ``__f`` and
-append rules over it, so possibility queries build no ``Rule`` either.
+``query_constrained`` appends constraints to a table, so possibility
+queries build no ``Rule`` either.
 
 ``possibility_query`` checks the query against the base and hands the
 translation, constrained by the marked query, to ``gnt.solve``, which picks
-the engine.  A constraint ``__f :- not __f, body`` is translated like any
-rule, so a partial model whose constraint body is not false keeps ``__f``
-undefined instead of being excluded.
+the engine.  A constraint ``:- pos, not neg`` is translated like any rule,
+into ``:- pos, not p__neg`` and ``:- p__pos, not neg``.  The second rules
+out every partial model in which the body is not false, as three-valued
+truth asks of a rule whose head is false.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .gnt import GntConfig, SolveResult, solve
-from .gentest import _Extension
 from .semantics import (
     DEFAULT_CAP,
     PartialInterpretation,
@@ -128,26 +128,23 @@ def tr2_program(p: Program) -> Program:
     tr(p), then ``__f :- p__a, not a`` per base atom a in sorted order."""
     if F_ATOM in p.base:
         raise ValueError("tr2 requires the reserved atom __f to be fresh")
-    atoms = p.table.atoms
-    x = _Extension(unfold_partiality(p).table)
-    plain = positions(atoms, x.atoms)
-    marked = positions([potential(a) for a in atoms], x.atoms)
-    rules = x.rules + [((x.f,), (m,), (a,)) for a, m in zip(plain, marked)]
-    return Program.of_table(RuleTable(x.atoms, rules))
+    atoms, trp = p.table.atoms, unfold_partiality(p).table
+    f = len(trp.atoms)
+    plain = positions(atoms, trp.atoms)
+    marked = positions([potential(a) for a in atoms], trp.atoms)
+    rules = [*trp.rules, *[((f,), (m,), (a,)) for a, m in zip(plain, marked)]]
+    return Program.of_table(RuleTable.numbered([a.text for a in (*trp.atoms, F_ATOM)], rules))
 
 
 def query_constrained(p: Program, q: QueryLiterals) -> Program:
     """p's rules, then a constraint per literal of q in sorted order that
     forces it true in every stable model: ``:- not a.`` for a, ``:- a.`` for
-    not a.  The base is p's plus ``__f``; q's atoms must lie in p's base."""
-    x = _Extension(p.table)
+    not a.  The base is p's; q's atoms must lie in it."""
+    table = p.table
     literals = sorted(q.literals)
-    numbers = positions([l.atom for l in literals], x.atoms)
-    rules = x.rules + [
-        x.f_rule((), (a,)) if l.positive else x.f_rule((a,), ())
-        for l, a in zip(literals, numbers)
-    ]
-    return Program.of_table(RuleTable(x.atoms, rules))
+    numbers = positions([l.atom for l in literals], table.atoms)
+    rules = [((), (), (a,)) if l.positive else ((), (a,), ()) for l, a in zip(literals, numbers)]
+    return Program.of_table(RuleTable(table.atoms, [*table.rules, *rules]))
 
 
 def possibility_query(

@@ -4,7 +4,7 @@ disjunctive programs.
 A formula exists-X forall-Y phi with phi in DNF is valid iff some X-assignment
 leaves the clause set of not-phi unsatisfiable over Y.  The translation
 chooses per clause whether it stays active (``cl__i``/``ncl__i``), explains
-the choice against the X-literals through f-constraints, and runs the
+the choice against the X-literals through constraints, and runs the
 unsatisfiability check over Y with the saturation atom ``__u``.
 ``qbf_to_program`` builds the program's rule table directly, without a
 ``Rule``: every atom of the translation is known from the formula, so it
@@ -25,7 +25,6 @@ from typing import Optional
 from .semantics import CapExceededError
 from .syntax import (
     Atom,
-    F_ATOM,
     Literal,
     Program,
     RuleTable,
@@ -149,27 +148,25 @@ def render_qbf(q: Qbf2E) -> str:
 def qbf_to_program(q: Qbf2E) -> Program:
     """The translation as a rule table.  Per clause i of not-phi: the
     activity choice ``cl__i :- not ncl__i.`` and ``ncl__i :- not cl__i.``;
-    the explanation, an f-constraint per X1-atom, ``x :- not ncl__i.`` per
-    X2-atom and ``:- X2, not X1, not cl__i.``; the unsatisfiability check,
+    the explanation, ``:- x, not ncl__i.`` per X1-atom, ``x :- not ncl__i.``
+    per X2-atom and ``:- X2, not X1, not cl__i.``; the unsatisfiability check,
     ``y :- __u.`` per Y-atom and ``Y1 | __u :- Y2, not ncl__i.``.  Then
     ``__u :- not __u.``  Duplicates are dropped, the first kept, and the base
     is the atoms the rules use."""
     xs = {a.text for a in q.x_vars}
     # Every atom is known up front, so the rules are built over the final
     # numbers: the variables of the terms, __u, and per term (clause of
-    # not-phi) __f, cl__i and ncl__i.
+    # not-phi) cl__i and ncl__i.
     atoms = {lit.atom.text: lit.atom for term in q.terms for lit in term}
     atoms[U_ATOM.text] = U_ATOM
     clauses = [(clause_atom(i), clause_negation_atom(i)) for i in range(1, len(q.terms) + 1)]
-    if clauses:
-        atoms[F_ATOM.text] = F_ATOM
     for c, nc in clauses:
         atoms[c.text], atoms[nc.text] = c, nc
     texts = sorted(atoms)
     num = {t: i for i, t in enumerate(texts)}
-    # '_' sorts before every letter, so __f (when present) is atom 0 and __u
-    # the next: they lead every part they are in.
-    u, f = num[U_ATOM.text], 0
+    # '_' sorts before every letter, so __u is atom 0: it leads every part
+    # it is in.
+    u = num[U_ATOM.text]
     rules = []
     for term, (c, nc) in zip(q.terms, clauses):
         ci, nci = num[c.text], num[nc.text]
@@ -184,9 +181,9 @@ def qbf_to_program(q: Qbf2E) -> Program:
         for part in (xp, xn, yp, yn):
             part.sort()
         rules += [((ci,), (), (nci,)), ((nci,), (), (ci,))]
-        rules += [((f,), (x,), (f, nci)) for x in xp]
+        rules += [((), (x,), (nci,)) for x in xp]
         rules += [((x,), (), (nci,)) for x in xn]
-        rules.append(((f,), tuple(xn), (f, *sorted([*xp, ci]))))
+        rules.append(((), tuple(xn), tuple(sorted([*xp, ci]))))
         rules += [((y,), (u,), ()) for y in sorted(yp + yn)]
         rules.append(((u, *yp), tuple(yn), (nci,)))
     rules.append(((u,), (), (u,)))

@@ -2,10 +2,10 @@
 
 The solver reads a program as an integer rule table (``RuleTable``): atoms
 numbered in sorted order, rules as (head, positive body, negative body)
-triples of numbers, every head one atom.  Given a ``Program``, it reads the
-table the program is stored as, and builds no ``Rule``.  A solver searches
-the one program it is built over; ``gnt`` builds one for its generator and
-one for each minimality test.
+triples of numbers, every head one atom or none.  Given a ``Program``, it
+reads the table the program is stored as, and builds no ``Rule``.  A
+solver searches the one program it is built over; ``gnt`` builds one for
+its generator and one for each minimality test.
 
 Propagation combines forward/backward unit rules over body counters with
 falsification of unfounded atoms.  Every literal added by expand holds in
@@ -23,15 +23,20 @@ atom advances before it blocks and ``undo_to`` unblocks before it
 un-advances, and as backtracking is chronological, every rule is unblocked
 with the ``n_left`` it had when it was blocked.
 
+The solver is the one place that knows what a constraint is.  It reads
+each rule with an empty head, ``:- body``, as ``⊥ :- body, not ⊥``, over
+one private atom ⊥ numbered after the program's atoms, as smodels compiles
+constraints into rules for one reserved atom that its compute statement
+fixes false.  ⊥ is never reported and never branched on.
+
 The search starts from the root assignment that set-up computes: facts
 true, and false every atom that heads no rule or has itself in the negative
-body of every rule it heads, such as the constraint atom ``__f`` of
-``:- body`` (``__f :- body, not __f``).  Such an atom is false in every
+body of every rule it heads, such as ⊥.  Such an atom is false in every
 stable model: were it true, every rule that could derive it would be
 blocked.  Set-up finds them in one pass over the rules each atom heads
 (``occ_head``), which for most atoms stops at the first rule.  So
 constraints propagate backward from the root, as smodels' lookahead lets
-them, instead of once a choice has set ``__f``.
+them, instead of once a choice has set ⊥.
 
 Unfounded atoms are found with source pointers, as in smodels.  At set-up
 the positive dependency graph (head to positive body atoms) is split into
@@ -145,14 +150,21 @@ class Solver:
         table = program.table if isinstance(program, Program) else program
 
         self.atoms: list[Atom] = list(table.atoms)
-        n = len(self.atoms)
-
-        try:
-            self.r_head: list[int] = [h for (h,), _, _ in table.rules]
-        except ValueError:  # a head of more than one atom
-            raise ValueError("solver requires a normal program") from None
-        self.r_pos: list[tuple[int, ...]] = [pos for _, pos, _ in table.rules]
-        self.r_neg: list[tuple[int, ...]] = [neg for _, _, neg in table.rules]
+        # A constraint ``:- body`` is read as ``⊥ :- body, not ⊥``, over a
+        # private atom ⊥ numbered after the program's atoms, which exists
+        # only if the program has a constraint.
+        n = bottom = len(self.atoms)
+        self.r_head: list[int] = []
+        self.r_pos: list[tuple[int, ...]] = []
+        self.r_neg: list[tuple[int, ...]] = []
+        for head, pos, neg in table.rules:
+            if len(head) != 1:
+                if head:
+                    raise ValueError("solver requires a normal program")
+                head, neg, n = (bottom,), (*neg, bottom), bottom + 1
+            self.r_head.append(head[0])
+            self.r_pos.append(pos)
+            self.r_neg.append(neg)
         self.occ_pos: list[list[int]] = [[] for _ in range(n)]
         self.occ_neg: list[list[int]] = [[] for _ in range(n)]
         self.occ_head: list[list[int]] = [[] for _ in range(n)]
@@ -169,7 +181,7 @@ class Solver:
         self.stats = SolverStats()
         self.val = [UNDEF] * n
         self.trail: list[int] = []
-        self.n_left = [len(pos) + len(neg) for _, pos, neg in table.rules]
+        self.n_left = [len(pos) + len(neg) for pos, neg in zip(self.r_pos, self.r_neg)]
         self.n_false = [0] * len(self.r_head)
         self.active = [len(occ) for occ in self.occ_head]
         self._queue: list[tuple[int, int]] = []
@@ -207,7 +219,7 @@ class Solver:
         body, or with no head rule that has a positive body, lies on no
         cycle: it is its own acyclic SCC at once, and an iterative Tarjan
         splits the rest."""
-        n = len(self.atoms)
+        n = len(self.occ_head)
         r_head, r_pos, occ_pos = self.r_head, self.r_pos, self.occ_pos
         # Discovery index and SCC id (set once the atom's SCC is complete),
         # both -1 for the atoms left to Tarjan; the others are done, in SCC 0.
@@ -508,8 +520,10 @@ class Solver:
         every atom assigned now stays assigned: ``_search`` builds them once,
         at its first choice, and ``pick_atom`` at each call."""
         occ_head, occ_pos, occ_neg = self.occ_head, self.occ_pos, self.occ_neg
-        occ_all: list[list[int]] = [[]] * len(self.val)  # assigned atoms: never read
-        open_atoms = [a for a, v in enumerate(self.val) if v == UNDEF]
+        val = self.val
+        occ_all: list[list[int]] = [[]] * len(val)  # assigned atoms: never read
+        # ⊥ is never branched on.
+        open_atoms = [a for a in range(len(self.atoms)) if val[a] == UNDEF]
         for a in open_atoms:
             occ_all[a] = list(set(occ_head[a] + occ_pos[a] + occ_neg[a]))
         open_atoms.sort(key=lambda a: len(occ_all[a]), reverse=True)
@@ -545,7 +559,7 @@ class Solver:
 
     @property
     def covered(self) -> bool:
-        return len(self.trail) == len(self.atoms)
+        return len(self.trail) == len(self.val)
 
     def true_atoms(self) -> frozenset[Atom]:
         return frozenset([a for a, v in zip(self.atoms, self.val) if v == TRUE])
@@ -573,7 +587,7 @@ class Solver:
         and ``occ_*``), and per atom nine slots (``atoms``, ``val``,
         ``active``, ``source``, ``_cyclic`` and the four ``occ_*`` lists)."""
         body = sum(map(len, self.r_pos)) + sum(map(len, self.r_neg)) + sum(map(len, self.r_int))
-        return 7 * len(self.r_head) + 9 * len(self.atoms) + 2 * body
+        return 7 * len(self.r_head) + 9 * len(self.val) + 2 * body
 
     def _search(self) -> Iterator[frozenset[Atom]]:
         # One entry per choice whose positive branch is still to come: the
@@ -587,7 +601,7 @@ class Solver:
             self._push(a, v)
         positive = False
         start = 0
-        size = 2 * len(self.r_head) + len(self.atoms)  # the entries of one copy
+        size = 2 * len(self.r_head) + len(self.val)  # the entries of one copy
         free = self._copy_budget()
         while True:
             if not self._expand():

@@ -14,7 +14,8 @@ branching choice.  Only this module knows how a mark is spelled.
 
 A ``Program`` is stored as a ``RuleTable``: its atoms sorted by rendering,
 and per rule a (head, positive body, negative body) triple of sorted atom
-numbers, the head possibly disjunctive.  Every translation builds such a
+numbers, the head possibly disjunctive or empty: a constraint ``:- body``
+is a rule with an empty head.  Every translation builds such a
 table and the solver and the oracles read it.  The ``Rule`` objects of
 ``Program.rules`` are a view of it, built on first read and cached, for the
 edges: rendering, instance generation and the test references of the
@@ -131,7 +132,6 @@ def reject_marked(atoms: Iterable[Atom], kind: str, what: str) -> None:
 
 F_ATOM = _known("__f")
 U_ATOM = _known("__u")
-_F_HEAD = frozenset([F_ATOM])  # the head of a desugared constraint
 
 
 def clause_atom(i: int) -> Atom:
@@ -154,7 +154,8 @@ class Literal:
 
 @dataclass(frozen=True)
 class Rule:
-    """Disjunctive rule ``head <- pos, not neg`` with duplicate-free parts."""
+    """Disjunctive rule ``head <- pos, not neg`` with duplicate-free parts; a
+    constraint has an empty head."""
 
     head: frozenset[Atom]
     pos: frozenset[Atom] = frozenset()
@@ -164,24 +165,18 @@ class Rule:
         object.__setattr__(self, "head", frozenset(self.head))
         object.__setattr__(self, "pos", frozenset(self.pos))
         object.__setattr__(self, "neg", frozenset(self.neg))
-        if not self.head:
-            raise ValueError("rule head must be nonempty")
 
     @property
     def atoms(self) -> frozenset[Atom]:
         return self.head | self.pos | self.neg
 
     def render(self) -> str:
-        """The rule as the parser reads it.  A constraint ``__f :- not __f,
-        body`` with a nonempty body renders as ``:- body.``, the text the
-        parser desugars to it."""
+        """The rule as the parser reads it; a constraint without a body
+        renders as ``:- .``"""
         head = " | ".join(a.text for a in sorted(self.head))
-        neg = self.neg
-        if self.head == _F_HEAD and F_ATOM in neg and (self.pos or len(neg) > 1):
-            head, neg = "", neg - _F_HEAD
         body = [a.text for a in sorted(self.pos)]
-        body += [f"not {a.text}" for a in sorted(neg)]
-        if not body:
+        body += [f"not {a.text}" for a in sorted(self.neg)]
+        if not body and head:
             return f"{head}."
         return f"{head} :- {', '.join(body)}." if head else f":- {', '.join(body)}."
 
@@ -336,7 +331,8 @@ class Program:
 
     @property
     def is_normal(self) -> bool:
-        return all(len(head) == 1 for head, _, _ in self.table.rules)
+        """Whether every head has at most one atom: constraints are normal."""
+        return all(len(head) <= 1 for head, _, _ in self.table.rules)
 
     def render(self) -> str:
         if not self.rules:

@@ -99,7 +99,7 @@ def reference_maximal_models(models, ordering="truth"):
 
 
 def is_normal_rule(r: Rule) -> bool:
-    return len(r.head) == 1
+    return len(r.head) <= 1
 
 
 def is_positive(p: Program) -> bool:
@@ -283,12 +283,12 @@ def random_normal_program(seed, max_atoms=6, max_rules=10, constraints=True):
     rules = []
     for _ in range(rng.randint(0, max_rules)):
         if constraints and rng.random() < 0.15:
-            head, extra = F_ATOM, frozenset([F_ATOM])
+            head = frozenset()
         else:
-            head, extra = rng.choice(atoms), frozenset()
+            head = frozenset([rng.choice(atoms)])
         pos = frozenset(rng.sample(atoms, rng.randint(0, min(2, len(atoms)))))
-        neg = frozenset(rng.sample(atoms, rng.randint(0, min(2, len(atoms))))) | extra
-        rules.append(Rule(frozenset([head]), pos, neg))
+        neg = frozenset(rng.sample(atoms, rng.randint(0, min(2, len(atoms)))))
+        rules.append(Rule(head, pos, neg))
     return Program(tuple(rules), base=frozenset(atoms))
 
 
@@ -298,13 +298,12 @@ def random_disjunctive_program(seed, max_atoms=6, max_rules=8, constraints=True)
     rules = []
     for k in range(rng.randint(1, max_rules)):
         if constraints and k > 0 and rng.random() < 0.12:
-            head, extra = frozenset([F_ATOM]), frozenset([F_ATOM])
+            head = frozenset()
         else:
             size = rng.randint(2, 3) if k == 0 else rng.randint(1, 3)
             head = frozenset(rng.sample(atoms, min(size, len(atoms))))
-            extra = frozenset()
         pos = frozenset(rng.sample(atoms, rng.randint(0, 2)))
-        neg = frozenset(rng.sample(atoms, rng.randint(0, 2))) | extra
+        neg = frozenset(rng.sample(atoms, rng.randint(0, 2)))
         rules.append(Rule(head, pos, neg))
     if all(len(r.head) < 2 for r in rules):
         rules[0] = Rule(frozenset(atoms[:2]), rules[0].pos, rules[0].neg)
@@ -386,13 +385,41 @@ class WalkingSolver(Solver):
         return 0
 
 
+def with_f(table):
+    """``table`` with each constraint ``:- body`` written ``__f :- body, not
+    __f``, as constructions held them before the solver read empty heads.
+    ``__f`` sorts before every other atom: unless the table holds it, it is
+    added as atom 0 and every other number moves up by one, in a
+    generator's lift and complement map too."""
+    from aspunfold.gentest import GeneratorTable
+
+    shift = 0 if table.atoms and table.atoms[0] == F_ATOM else 1
+
+    def up(xs):
+        return tuple([x + shift for x in xs])
+
+    rules = [
+        (up(head), up(pos), up(neg)) if head else ((0,), up(pos), tuple(sorted({0, *up(neg)})))
+        for head, pos, neg in table.rules
+    ]
+    out = GeneratorTable.__new__(GeneratorTable) if isinstance(table, GeneratorTable) else RuleTable.__new__(RuleTable)
+    RuleTable.__init__(out, (F_ATOM,) * shift + table.atoms, rules)
+    if isinstance(table, GeneratorTable):
+        out.inputs = [(up(head), up(pos), up(neg)) for head, pos, neg in table.inputs]
+        out.base = up(table.base)
+        out.complement = {a + shift: c + shift for a, c in table.complement.items()}
+    return out
+
+
 class WithoutRootInference(Solver):
     """A solver as it was before set-up fixed false every atom whose rules
     all have it in their negative body: at the root, facts true and atoms
-    that head no rule false.  For the generators and testers of gnt."""
+    that head no rule false.  For the generators and testers of gnt, which
+    held ``__f`` then: the program is searched as ``with_f`` writes it."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, program, *args):
+        table = program.table if isinstance(program, Program) else program
+        super().__init__(Program.of_table(with_f(table)), *args)
         self._initial = [(a, v) for a, v in self._initial if v == TRUE or not self.occ_head[a]]
 
 
@@ -417,7 +444,7 @@ class RootlessGenerator(WithoutRootInference, gnt._Generator):
 
     def __init__(self, g, config):
         super().__init__(g, config)
-        self.tester = ReferenceTester(g.table)
+        self.tester = ReferenceTester(self.program.table)
 
 
 class ReferenceGenerator(WithoutRootInference):
@@ -435,11 +462,11 @@ class ReferenceGenerator(WithoutRootInference):
             for head, pos, neg in p.table.rules
             if pos
         ]
-        self.base = g.table.base
+        self.base = self.program.table.base
         self.config = config
         self.gnt_stats = gnt.GntStats()
         self.tester_stats = SolverStats()
-        self.tester = ReferenceTester(g.table)
+        self.tester = ReferenceTester(self.program.table)
         self.was_covered = False
 
     def _minimal(self):
@@ -500,7 +527,7 @@ def reference_solve_disjunctive(p, mode="gnt2", enumerate_all=False, config=None
 
 
 def _constraint(pos, neg):
-    return Rule(frozenset([F_ATOM]), frozenset(pos), frozenset(neg) | {F_ATOM})
+    return Rule(frozenset(), frozenset(pos), frozenset(neg))
 
 
 def _heads(rules):
@@ -524,7 +551,7 @@ def reference_test_program(p, m):
     for r in live:
         rules.append(_constraint(r.pos, r.head))
     for r in p.rules:
-        if is_normal_rule(r) and not r.neg & m and r.pos <= m and r.head <= m:
+        if r.head and is_normal_rule(r) and not r.neg & m and r.pos <= m and r.head <= m:
             rules.append(Rule(r.head, r.pos, frozenset()))
     rules.append(_constraint(m, []))
     return Program(tuple(dict.fromkeys(rules)))
@@ -540,12 +567,12 @@ def reference_gen_naive(p):
 
     reject_marked(p.base, "complement/support", "gen_naive")
     rules = []
-    for a in sorted(p.base - {F_ATOM}):
+    for a in sorted(p.base):
         rules.append(Rule(frozenset([a]), frozenset(), frozenset([complement(a)])))
         rules.append(Rule(frozenset([complement(a)]), frozenset(), frozenset([a])))
     for r in p.rules:
         rules.append(_constraint(r.pos, r.head | r.neg))
-    return Program(tuple(dict.fromkeys(rules)), base=p.base | {F_ATOM})
+    return Program(tuple(dict.fromkeys(rules)), base=p.base)
 
 
 def reference_gen_basic(p):
@@ -562,7 +589,7 @@ def reference_gen_basic(p):
     for r in disjunctive:
         rules.append(_constraint(r.pos, r.head | r.neg))
     rules += [r for r in p.rules if is_normal_rule(r)]
-    return Program(tuple(dict.fromkeys(rules)), base=p.base | {F_ATOM})
+    return Program(tuple(dict.fromkeys(rules)), base=p.base)
 
 
 def reference_support_program(p):
@@ -576,12 +603,12 @@ def reference_support_program(p):
             rules.append(Rule(frozenset([support(a)]), r.pos, (r.head - {a}) | r.neg))
     for a in heads:
         rules.append(_constraint([a], [support(a)]))
-    return Program(tuple(dict.fromkeys(rules)), base=p.base | {F_ATOM})
+    return Program(tuple(dict.fromkeys(rules)), base=p.base)
 
 
 def reference_gen_program(p):
     rules = reference_gen_basic(p).rules + reference_support_program(p).rules
-    return Program(tuple(dict.fromkeys(rules)), base=p.base | {F_ATOM})
+    return Program(tuple(dict.fromkeys(rules)), base=p.base)
 
 
 def reference_table_of(rules, base):
@@ -640,7 +667,9 @@ def reference_parse_program(text, allow_reserved=False):
                     break
                 i += 1
         pos, neg = [], []
-        if peek() == ":-":
+        if peek() == ":-" and not head and i + 1 < len(toks) and toks[i + 1][0] == ".":
+            i += 1  # the constraint without a body
+        elif peek() == ":-":
             i += 1
             while True:
                 negated = peek() == "not"
@@ -659,9 +688,6 @@ def reference_parse_program(text, allow_reserved=False):
         i += 1
         if i != len(toks):
             raise ParseError("trailing input after '.'", lineno, toks[i][1])
-        if not head:
-            head = [F_ATOM]
-            neg.append(F_ATOM)
         return Rule(frozenset(head), frozenset(pos), frozenset(neg))
 
     rules = []
@@ -714,11 +740,10 @@ def reference_clause_translation(c, i):
         Rule(frozenset([nci]), frozenset(), frozenset([ci])),
     )
     tr_e = tuple(
-        Rule(frozenset([F_ATOM]), frozenset([x]), frozenset([nci, F_ATOM]))
-        for x in sorted(c.x_pos)
+        Rule(frozenset(), frozenset([x]), frozenset([nci])) for x in sorted(c.x_pos)
     ) + tuple(
         Rule(frozenset([x]), frozenset(), frozenset([nci])) for x in sorted(c.x_neg)
-    ) + (Rule(frozenset([F_ATOM]), c.x_neg, c.x_pos | {ci, F_ATOM}),)
+    ) + (Rule(frozenset(), c.x_neg, c.x_pos | {ci}),)
     tr_u = tuple(
         Rule(frozenset([y]), frozenset([U_ATOM]), frozenset())
         for y in sorted(c.y_pos | c.y_neg)
@@ -802,15 +827,15 @@ def reference_query_constraint_rules(q):
     rules = []
     for lit in sorted(q.literals):
         if lit.positive:
-            rules.append(Rule(frozenset([F_ATOM]), frozenset(), frozenset([F_ATOM, lit.atom])))
+            rules.append(Rule(frozenset(), frozenset(), frozenset([lit.atom])))
         else:
-            rules.append(Rule(frozenset([F_ATOM]), frozenset([lit.atom]), frozenset([F_ATOM])))
+            rules.append(Rule(frozenset(), frozenset([lit.atom])))
     return tuple(rules)
 
 
 def reference_query_constrained(p, q):
     """The reference for ``query_constrained``: rules, order and base."""
-    return Program(p.rules + reference_query_constraint_rules(q), base=p.base | {F_ATOM})
+    return Program(p.rules + reference_query_constraint_rules(q), base=p.base)
 
 
 def reference_check_total_stable(p, n, cap=12):
@@ -939,7 +964,7 @@ def unfounded_atoms(s):
     head once its positive body atoms are derived."""
     from aspunfold.solver import FALSE, TRUE
 
-    derived = [False] * len(s.atoms)
+    derived = [False] * len(s.val)
     missing = [len(pos) for pos in s.r_pos]
     blocked = [
         any(s.val[b] == FALSE for b in s.r_pos[r]) or any(s.val[c] == TRUE for c in s.r_neg[r])
@@ -956,14 +981,14 @@ def unfounded_atoms(s):
                 missing[r] -= 1
                 if missing[r] == 0:
                     stack.append(r)
-    return {a for a in range(len(s.atoms)) if not derived[a]}
+    return {a for a in range(len(s.val)) if not derived[a]}
 
 
 def reference_sccs(s):
     """A solver's cyclic atoms, ``r_int`` and ``occ_int`` as set-up computed
     them before it left the atoms on no positive cycle out of Tarjan: one
     iterative Tarjan over every atom of the positive dependency graph."""
-    n = len(s.atoms)
+    n = len(s.val)
     succ = [[b for r in s.occ_head[a] for b in s.r_pos[r]] for a in range(n)]
     order, low, comp = [-1] * n, [0] * n, [-1] * n
     cyclic = [False] * n
@@ -1015,7 +1040,7 @@ def reference_choose(s):
     whose body has no false literal, the lowest index on ties."""
     from aspunfold.solver import FALSE, TRUE, UNDEF
 
-    counts = [0] * len(s.atoms)
+    counts = [0] * len(s.val)
     for r, h in enumerate(s.r_head):
         blocked = any(s.val[b] == FALSE for b in s.r_pos[r]) or any(s.val[c] == TRUE for c in s.r_neg[r])
         if s.val[h] == TRUE or blocked:

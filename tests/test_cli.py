@@ -18,7 +18,7 @@ from aspunfold.parser import parse_program
 from aspunfold.partiality import QueryLiterals, query_constrained, translate_query, unfold_partiality
 from aspunfold.qbf import render_qbf
 from aspunfold.semantics import enumerate_stable_models
-from aspunfold.syntax import F_ATOM, Atom, Literal, render_program
+from aspunfold.syntax import Atom, Literal, render_program
 
 from conftest import random_disjunctive_program, random_normal_program, reference_solve_disjunctive
 
@@ -67,16 +67,28 @@ def test_solve_modes_agree(write):
         assert (code, out) == (0, "a\nb\n")
 
 
-def test_solve_rejects_f_in_a_disjunctive_head(write, capsys):
-    # Only the enumeration oracle answers a program with __f in a
-    # disjunctive head; every generate-and-test mode rejects it.
-    f = write("p.lp", "a | __f :- b.\nb.\n")
-    for mode in ("gnt1", "gnt2", "naive"):
-        code, out = run(["solve", f, "--all", "--allow-reserved", "--mode", mode])
-        assert (code, out) == (1, ""), mode
-        assert "the reserved atom __f in a disjunctive head" in capsys.readouterr().err
-    code, out = run(["solve", f, "--all", "--allow-reserved", "--mode", "brute"])
-    assert (code, out) == (0, "__f b\na b\n")
+def test_gnt_modes_answer_reserved_f_as_brute(write):
+    # __f is an ordinary atom of the input: the constructions and the solver
+    # write constraints as empty heads, so a rule may derive __f, in a
+    # disjunctive head or not, and every mode finds the oracle's models.
+    tr2 = write("t.lp", "a | b.\nc :- not d.\nd :- not c.\n")
+    code, text = run(["transform", tr2, "--kind", "tr2"])
+    assert code == 0
+    cases = [
+        (write("p.lp", "a | __f :- b.\nb.\n"), "__f b\na b\n"),
+        (write("q.lp", "__f :- b.\nb.\na | c.\n"), "__f a b\n__f b c\n"),
+        (write("t2.lp", text), None),
+    ]
+    for f, want in cases:
+        code, brute = run(["solve", f, "--all", "--allow-reserved", "--mode", "brute"])
+        assert code == 0 and (want is None or brute == want)
+        for mode in ("gnt1", "gnt2", "naive"):
+            for policy in ("on", "off"):
+                args = ["solve", f, "--all", "--allow-reserved", "--mode", mode, "--early-test", policy]
+                assert run(args) == (0, brute), (f, mode, policy)
+    # tr2 of the program: four total models, and two, with a or b true, in
+    # which c and d are undefined and the flag __f is true.
+    assert len(brute.splitlines()) == 6
 
 
 def test_solve_stats_keys(write):
@@ -124,16 +136,15 @@ def test_partial_empty_program_over_declared_base(write):
     assert code == 0 and out == "T={} U={}\n"
 
 
-def test_partial_keeps_constraint_flag_undefined(write):
-    # A constraint is the rule __f :- not __f, body.  Under three-valued
-    # truth that rule holds with __f undefined, so a partial stable model
-    # whose constraint body is not false keeps __f undefined instead of
-    # being excluded.  Here c is true while the constraint :- c. stands.
+def test_partial_makes_constraint_bodies_false(write):
+    # A constraint :- body. is a rule with an empty, so false, head: under
+    # three-valued truth it holds only where its body is false, so every
+    # partial stable model makes every constraint body false.  Here :- c.
+    # rules out each model in which c is true or undefined.
     f = write("f.lp", "a | b.\n:- a, b.\nc :- not d.\nd :- not c.\n:- c.\n")
-    code, out = run(["partial", f, "--all"])
-    assert code == 0 and "T={a c} U={__f}" in out.splitlines()
-    # The oracle agrees: with __f undefined, T={a c} F={b d} is partial stable.
-    assert run(["check", f, "--partial", "a c / b d"]) == (0, "ACCEPT\n")
+    assert run(["partial", f, "--all"]) == (0, "T={a d} U={}\nT={b d} U={}\n")
+    # The oracle agrees: T={a c} F={b d} makes the body of :- c. true.
+    assert run(["check", f, "--partial", "a c / b d"]) == (20, "REJECT: rule unsatisfied\n")
     # No stable model makes the constraint's body true.
     assert run(["solve", f, "--all"]) == (0, "a d\nb d\n")
 
@@ -234,7 +245,7 @@ def test_total_query_matches_filter_oracle(mode, tmp_path):
             path.write_text(render_program(generate(seed)), encoding="utf-8")
             p = parse_program(path.read_text(encoding="utf-8"))
             stable = {frozenset(a.text for a in m) for m in enumerate_stable_models(p)}
-            for atom in sorted(p.base - {F_ATOM}):
+            for atom in sorted(p.base):
                 for positive, query in ((True, atom.text), (False, f"not {atom.text}")):
                     argv = ["query", str(path), "--query", query, "--semantics", "total", "--json"]
                     code, out = run([*argv, "--mode", mode])
@@ -345,14 +356,15 @@ def test_qbf_eval_cap_counts_variables(write, capsys):
 
 
 def test_qbf_solve_brute_honours_cap(write, capsys):
-    # translations of 13 and 14 atoms: above solve's default cap of 12 atoms
+    # translations of 12 and 13 atoms: the second above solve's default cap
+    # of 12 atoms
     valid = write("v.qbf", "e x1 x2\na y1 y2 y3\nx1 -y1\nx2 y1\n-y2 y3\n")
     invalid = write("i.qbf", "e x1 x2 x3\na y1 y2 y3\nx1 y1 -y2\n-x2 y2 y3\nx3 -y1 -y3\n")
     for q, verdict in ((valid, (0, "VALID\n")), (invalid, (20, "INVALID\n"))):
         assert run(["qbf", "eval", q]) == verdict
         assert run(["qbf", "solve", q, "--mode", "brute", "--cap", "14"]) == verdict
     code, _ = run(["qbf", "solve", invalid, "--mode", "brute"])
-    assert code == 1 and "14 atoms exceeds enumeration cap 12" in capsys.readouterr().err
+    assert code == 1 and "13 atoms exceeds enumeration cap 12" in capsys.readouterr().err
 
 
 def test_bench_stdout_and_files(write, tmp_path):
@@ -559,13 +571,13 @@ def _stats_lines(out):
 
 
 def test_query_partial_honours_early_test(write):
-    # Without learning, gnt2 on the query translation for a pruned once
+    # Without learning, gnt2 on the query translation for a prunes twice
     # under early tests.  With it, the set learned from the first failed
     # test prunes that branch before an early test runs, under either
-    # setting.  For c, an early test still prunes once.  (The programs this
-    # test used before pruned nothing once __f was false from the root.)
-    text = "a | b | c.\nc :- c.\na | c :- a.\nb.\n:- c.\n"
+    # setting.  For a on a second program, an early test still prunes once.
+    text = "a | b | c.\nc :- c.\na | c :- a.\nb.\n"
     f = write("e.lp", text)
+    g = write("g.lp", "a | b | c.\nc :- a, b, not a.\na :- a, b.\nb :- not c.\nc :- b, c, not c.\n")
     augmented = query_constrained(
         unfold_partiality(parse_program(text)), translate_query(QueryLiterals(frozenset([Literal(Atom("a"), True)])))
     )
@@ -577,10 +589,10 @@ def test_query_partial_honours_early_test(write):
         assert code == 20 and out.splitlines()[0] == "NO"
         stats = _stats_lines(out)
         learned[policy] = tuple(int(stats[k]) for k in ("prunes", "learned", "learned_prunes"))
-        code, out = run(["query", f, "--query", "c", "--early-test", policy, "--stats"])
+        code, out = run(["query", g, "--query", "a", "--early-test", policy, "--stats"])
         assert code == 20 and out.splitlines()[0] == "NO"
         prunes[policy] = int(_stats_lines(out)["prunes"])
-    assert before == {"on": 1, "off": 0}
+    assert before == {"on": 2, "off": 0}
     assert learned == {"on": (0, 1, 1), "off": (0, 1, 1)}
     assert prunes == {"on": 1, "off": 0}
 

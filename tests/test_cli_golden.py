@@ -34,7 +34,7 @@ FILES = {
     "n.lp": "a :- not b.\nb :- not a.\nc :- a.\nc :- not c.\n",
     # no stable model; one partial stable model with a undefined
     "u.lp": "a :- not a.\n",
-    # a constraint whose body is not false keeps __f undefined in a partial model
+    # a partial stable model makes every constraint body false: two total models
     "f.lp": "a | b.\n:- a, b.\nc :- not d.\nd :- not c.\n:- c.\n",
     "empty.lp": "",
     "r.lp": "p__x :- not b.\nb :- not p__x.\n",

@@ -107,14 +107,27 @@ def test_gen_rejects_marked_input():
         gen_basic(gen_program(DISJ))
 
 
-def test_constructions_reject_f_in_a_disjunctive_head():
-    # The constructions use __f as their own constraint atom, so an input
-    # that can make it true through a disjunctive head is an error, named
-    # by the construction, not a lost model.
-    p = parse_program("a | __f :- b.\nb.", allow_reserved=True)
-    for build in (gen_naive, gen_basic, support_program, gen_program, build_test_program):
-        with pytest.raises(ValueError, match=f"^{build.__name__}: the reserved atom __f in a disjunctive head$"):
-            build(p)
+def test_constructions_treat_f_as_an_ordinary_atom():
+    # Constraints are rules with an empty head, so __f is free for the
+    # input: in a disjunctive head or derived by a normal rule, every mode
+    # finds the oracle's stable models, with early tests on or off.
+    from aspunfold.gnt import GntConfig, solve_disjunctive
+    from aspunfold.partiality import tr2_program
+
+    cases = [
+        ("a | __f :- b.\nb.", [{"__f", "b"}, {"a", "b"}]),
+        ("__f :- b.\nb.\na | c.", [{"__f", "a", "b"}, {"__f", "b", "c"}]),
+    ]
+    programs = [(parse_program(text, allow_reserved=True), want) for text, want in cases]
+    programs.append((tr2_program(parse_program("a | b.\nc :- not d.\nd :- not c.")), None))
+    for p, want in programs:
+        oracle = enumerate_stable_models(p)
+        assert want is None or [{a.text for a in m} for m in oracle] == want
+        for mode in ("gnt1", "gnt2", "naive"):
+            for policy in ("on", "off"):
+                got = solve_disjunctive(p, mode, enumerate_all=True, config=GntConfig(early_test=policy))
+                assert got.models == oracle, (p.render(), mode, policy)
+    assert len(oracle) == 6
 
 
 def test_test_program_paper_example():
@@ -128,7 +141,11 @@ def test_test_program_paper_example():
 
 def test_test_program_empty_candidate():
     tp = build_test_program(DISJ).program(frozenset())
-    assert Rule(frozenset([F_ATOM]), frozenset(), frozenset([F_ATOM])) in set(tp.rules)
+    # The final constraint :- M. has no body: it renders as ":- ." and reads
+    # back to the same table.
+    assert tp.table.rules[-1] == ((), (), ())
+    assert tp.render().endswith("\n:- .\n")
+    assert parse_program(tp.render(), allow_reserved=True).table == tp.table
     assert Solver(tp).next_stable_model() is None
 
 
@@ -184,9 +201,9 @@ def assert_generators_match_reference(p):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_generators_match_reference_on_seeded_programs(seed):
-    # Declared bases wider than the rules, desugared input constraints,
-    # normal and positive programs, and each program read back from its
-    # rendering, which may hold reserved atoms.
+    # Declared bases wider than the rules, input constraints, __f as an
+    # ordinary atom, normal and positive programs, and each program read
+    # back from its rendering, which may hold reserved atoms.
     rng = random.Random(f"extra-{seed}")
     extra = frozenset([Atom("zz"), potential(Atom("a")), U_ATOM, F_ATOM][: rng.randint(0, 4)])
     disjunctive = random_disjunctive_program(seed)

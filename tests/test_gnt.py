@@ -15,7 +15,7 @@ from aspunfold.partiality import unfold_partiality
 from aspunfold.qbf import qbf_to_program, qbf_valid_oracle
 from aspunfold.semantics import enumerate_stable_models, is_stable_model, PartialInterpretation
 from aspunfold.solver import TRUE, Solver, SolverStats
-from aspunfold.syntax import Atom, F_ATOM, Program, Rule, complement, positions, support
+from aspunfold.syntax import Atom, Program, Rule, complement, positions, support
 
 from conftest import (
     ReferenceGenerator,
@@ -119,9 +119,9 @@ def test_generator_reads_the_input_lifted_by_its_construction():
 def test_generator_starts_from_facts():
     # facts are set before the first choice, so a rule whose body is all
     # facts costs the generator no more than the bare disjunction.  With
-    # __f false from the root, the constraints propagate at once and one
-    # choice settles the disjunction; without that inference the generator
-    # branched on __f first.
+    # the constraints' atom false from the root, the constraints propagate
+    # at once and one choice settles the disjunction; without that
+    # inference the generator branched on it first.
     def generator_counts(text, generator=_Generator):
         p = parse_program(text)
         g = generator(gen_program(p), GntConfig())
@@ -200,8 +200,9 @@ class _RecordingGenerator(_Generator):
 
 def _recorded_searches():
     # Every generator mode: gnt2's searches rarely keep a failed test's set
-    # without pruning.  With __f false from the root, learned sets rarely
-    # fire on the random programs, so gw QBF translations join them.
+    # without pruning.  With the constraints' atom false from the root,
+    # learned sets rarely fire on the random programs, so gw QBF
+    # translations join them.
     programs = [random_disjunctive_program(seed) for seed in range(60)]
     programs += [qbf_to_program(gen_random_qbf(8, "gw", seed)) for seed in range(1, 11)]
     for make in _GENERATORS.values():
@@ -451,8 +452,8 @@ def test_qbf_verdicts_agree_with_oracle_above_cap():
 
 
 def _tester_program(rng, kind):
-    """A seeded program over at most 7 plain atoms, plus ``__f`` when it has
-    constraints.  ``normal``: normal rules only, no constraints.
+    """A seeded program over at most 7 plain atoms.  ``normal``: normal
+    rules only, no constraints.
     ``disjunctive``: disjunctive and normal rules and input constraints, some
     with a twin that differs only in its negative body, so both give the
     same tester rules.  ``loop``: as ``disjunctive``, plus a positive
@@ -466,15 +467,15 @@ def _tester_program(rng, kind):
     for _ in range(rng.randint(1, 7)):
         roll = rng.random()
         if kind == "normal" or roll < 0.35:
-            head, extra = frozenset([rng.choice(atoms)]), frozenset()
+            head = frozenset([rng.choice(atoms)])
         elif roll < 0.5:
-            head, extra = frozenset([F_ATOM]), frozenset([F_ATOM])
+            head = frozenset()
         else:
-            head, extra = frozenset(rng.sample(atoms, rng.randint(2, 3))), frozenset()
+            head = frozenset(rng.sample(atoms, rng.randint(2, 3)))
         pos = body(2)
-        rules.append(Rule(head, pos, body(2) | extra))
+        rules.append(Rule(head, pos, body(2)))
         if rng.random() < 0.3:
-            rules.append(Rule(head, pos, body(2) | extra))
+            rules.append(Rule(head, pos, body(2)))
     if kind == "loop":
         x, y, z = rng.sample(atoms, 3)
         rules += [Rule(frozenset([x, y]), frozenset([z])), Rule(frozenset([z]), frozenset([x]))]
@@ -512,7 +513,7 @@ def _shares_tester_rule(p, m):
         if r.pos <= m and not r.neg & m:
             if not is_normal_rule(r):
                 given += [("choice", a, r.pos) for a in r.head & m] + [("constraint", r.head, r.pos)]
-            elif r.head <= m:
+            elif r.head and r.head <= m:
                 given.append(("normal", r.head, r.pos))
     return len(set(given)) < len(given)
 
@@ -547,9 +548,9 @@ def test_compiled_tester_matches_fresh_testers():
             assert tester.solver.stats == fresh.stats, (p.rules, m)
             assert verdict == (not _reduct_has_smaller_model(p, m)), (p.rules, m)
             verdicts.add(verdict)
-        seen["normal"] += kind == "normal" and F_ATOM not in p.base
+        seen["normal"] += kind == "normal"
         seen["loop"] += kind == "loop"
-        seen["constraints"] += any(r.head == {F_ATOM} for r in p.rules)
+        seen["constraints"] += any(not r.head for r in p.rules)
         seen["shared"] += any(_shares_tester_rule(p, m) for m in candidates)
     assert verdicts == {True, False}
     assert min(seen.values()) >= 5, seen
@@ -562,9 +563,8 @@ def test_search_testers_match_test_program(monkeypatch):
     # atom, but a tester marks the disjunctive head atoms only.  The
     # tester's atoms hold test_program's in their order, and the others head
     # no tester rule.  Covered: d3sat, gw and random disjunctive programs,
-    # sqrt QBFs with no disjunctive rule, whose __f comes from their
-    # constraints, tr of normal programs and normal programs without
-    # constraints, whose __f only the generators add.
+    # sqrt QBFs with no disjunctive rule, tr of normal programs and normal
+    # programs without constraints.
     tables = []
 
     class Recording(Solver):
@@ -579,25 +579,25 @@ def test_search_testers_match_test_program(monkeypatch):
     programs += [qbf_to_program(gen_random_qbf(v, "sqrt", seed)) for v, seed in ((6, 1), (6, 4), (10, 20))]
     programs += [unfold_partiality(random_normal_program(seed)) for seed in range(6)]
     programs += [random_normal_program(seed, constraints=False) for seed in range(6)]
-    seen = {"tests": 0, "normal": 0, "without __f": 0}
+    seen = {"tests": 0, "normal": 0, "without constraints": 0}
     for p in programs:
         reference = build_test_program(p)
         atoms = set(reference.atoms)
         for mode in ("gnt1", "gnt2", "naive"):
-            # Every generator holds __f, and its testers are over its atoms.
+            # Every generator's testers are over its atoms.
             g = _GENERATORS[mode](p)
-            assert F_ATOM in g.base and build_test_program(g.table).atoms == g.table.atoms, mode
+            assert build_test_program(g.table).atoms == g.table.atoms, mode
             tables.clear()
             solve_disjunctive(p, mode=mode, enumerate_all=True)
             for t in tables:
                 m = frozenset(t.atoms[a] for a in t.rules[-1][1])
                 assert Program.of_table(t).render() == reference.program(m).render(), (mode, p.rules, m)
                 assert [a for a in t.atoms if a in atoms] == list(reference.atoms), mode
-                assert all(t.atoms[h] in atoms for (h,), _, _ in t.rules), mode
+                assert all(t.atoms[h] in atoms for head, _, _ in t.rules for h in head), mode
             seen["tests"] += len(tables)
             seen["normal"] += p.is_normal and bool(tables)
-            seen["without __f"] += F_ATOM not in p.base and bool(tables)
-    assert seen["tests"] >= 400 and seen["normal"] >= 30 and seen["without __f"] >= 10, seen
+            seen["without constraints"] += all(head for head, _, _ in p.table.rules) and bool(tables)
+    assert seen["tests"] >= 400 and seen["normal"] >= 30 and seen["without constraints"] >= 10, seen
 
 
 def test_tester_is_compiled_once_per_search(monkeypatch):

@@ -142,8 +142,11 @@ def test_tr2():
     assert Rule(frozenset([F_ATOM]), frozenset([potential(A)]), frozenset([A])) in set(t2.rules)
     q = QueryLiterals(frozenset([Literal(B)]))
     assert {l.text for l in tr2_query(q).literals} == {"b", "not __f"}
+    # A constraint holds no __f, so tr2 applies; a program that holds it
+    # does not leave the flag fresh.
+    assert tr2_program(parse_program(":- a.")).render().endswith("__f :- p__a, not a.\n")
     with pytest.raises(ValueError, match="__f"):
-        tr2_program(parse_program(":- a."))
+        tr2_program(parse_program("a :- __f.", allow_reserved=True))
 
 
 def test_tr2_detects_undefinedness_example5():
@@ -171,8 +174,8 @@ def test_query_constraint_rules():
     q = QueryLiterals(frozenset([Literal(B, False), Literal(A)]))
     assert query_constrained(Program(p.rules, base=[A, B, C]), q).rules == (
         Rule(frozenset([C]), frozenset(), frozenset([A])),
-        Rule(frozenset([F_ATOM]), frozenset(), frozenset([F_ATOM, A])),
-        Rule(frozenset([F_ATOM]), frozenset([B]), frozenset([F_ATOM])),
+        Rule(frozenset(), frozenset(), frozenset([A])),
+        Rule(frozenset(), frozenset([B])),
     )
 
 
@@ -194,8 +197,8 @@ def test_tr2_matches_reference():
 
 
 def random_query(rng, base):
-    """Literals over a random subset of ``base``, ``__f`` included, each
-    positive or negative; sometimes empty."""
+    """Literals over a random subset of ``base``, each positive or
+    negative; sometimes empty."""
     atoms = rng.sample(sorted(base), rng.randint(0, len(base)))
     return QueryLiterals(frozenset(Literal(a, rng.random() < 0.5) for a in atoms))
 
@@ -220,7 +223,7 @@ def test_maximality_makes_no_difference_for_possibility():
     for seed in range(60):
         p = random_disjunctive_program(seed, max_atoms=4, max_rules=5)
         psms = enumerate_partial_stable_models(p)
-        atoms = sorted(p.base - {F_ATOM})
+        atoms = sorted(p.base)
         if not psms or not atoms:
             continue
         lit = Literal(rng.choice(atoms), rng.random() < 0.5)
@@ -237,7 +240,7 @@ def test_possibility_matches_filter_oracle():
     rng = random.Random(7)
     for seed in range(60):
         p = random_disjunctive_program(seed, max_atoms=4, max_rules=5)
-        atoms = sorted(p.base - {F_ATOM})
+        atoms = sorted(p.base)
         if not atoms:
             continue
         a = rng.choice(atoms)
@@ -246,18 +249,23 @@ def test_possibility_matches_filter_oracle():
 
 
 def test_theorems_above_the_oracle_cap():
-    # d3sat n=20 has 21 atoms with __f, above the enumeration cap of 12, so
-    # the paper's theorems are checked against the driver's own stable
-    # models: the total partial stable models of tr(P) are exactly P's
-    # stable models under both generators and both early-test settings,
-    # which all find the same partial stable models, and a possibility query
-    # on each base atom, and on its negation, agrees with the enumeration.
+    # d3sat n=20 has 20 atoms, above the enumeration cap of 12, so the
+    # paper's theorems are checked against the driver's own stable models.
+    # A d3sat program's partial stable models are all total, so three rules
+    # over three more atoms add some that are not: u is undefined where b
+    # is true, and b, c and u may all be undefined.
+    # the total partial stable models of tr(P) are exactly P's stable
+    # models under both generators and both early-test settings, which all
+    # find the same partial stable models; the flag __f of tr2(P) is true
+    # exactly in those that are not total; and a possibility query on each
+    # base atom, and on its negation, agrees with the enumeration.
     from aspunfold.bench import gen_d3sat_instance
     from aspunfold.gnt import GntConfig, solve
 
+    extra = parse_program("b :- not c.\nc :- not b.\nu :- b, not u.").rules
     for seed in range(3):
-        p = gen_d3sat_instance(20, 4.258, seed).program
-        assert len(p.base) == 21 and F_ATOM in p.base
+        p = Program(gen_d3sat_instance(20, 4.258, seed).program.rules + extra)
+        assert len(p.base) == 23 and F_ATOM not in p.base
         stable = solve(p, "gnt2", True).models
         trp = unfold_partiality(p)
         runs = []
@@ -269,6 +277,9 @@ def test_theorems_above_the_oracle_cap():
                 runs.append(psms)
         assert all(run == psms for run in runs)
         assert stable and len(psms) > len(stable)
+        flagged = solve(tr2_program(p), "gnt2", True).models
+        assert {project_sm(n, p.base) for n in flagged} == set(psms) and len(flagged) == len(psms)
+        assert all((F_ATOM in n) == (not project_sm(n, p.base).is_total) for n in flagged), seed
         for a in sorted(p.base):
             for positive in (True, False):
                 q = QueryLiterals(frozenset([Literal(a, positive)]))

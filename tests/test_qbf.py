@@ -22,7 +22,6 @@ from aspunfold.qbf import (
 from aspunfold.semantics import CapExceededError, PartialInterpretation
 from aspunfold.syntax import (
     Atom,
-    F_ATOM,
     Literal,
     Program,
     Rule,
@@ -327,24 +326,24 @@ def test_reduct_structure_lemma():
             assert (Rule(frozenset([ci]), frozenset(), frozenset()) in red_v) == (ci in m)
             assert (Rule(frozenset([nci]), frozenset(), frozenset()) in red_v) == (nci in m)
             for x in c.x_pos:
-                # R3: membership implies x false and f false; exact
-                # membership is clause-active and f false
-                present = Rule(frozenset([F_ATOM]), frozenset([x]), frozenset()) in red_e
+                # R3: membership implies x false; exact membership is
+                # clause-active
+                present = Rule(frozenset(), frozenset([x]), frozenset()) in red_e
                 if present:
-                    assert x not in m and F_ATOM not in m
-                assert present == (ci in m and F_ATOM not in m)
+                    assert x not in m
+                assert present == (ci in m)
             for x in c.x_neg:
                 # R4: membership implies x true; exact membership is clause-active
                 present = Rule(frozenset([x]), frozenset(), frozenset()) in red_e
                 if present:
                     assert x in m
                 assert present == (ci in m)
-            # R5: membership implies X2 not under m and f false; exactly,
-            # every not-X1 literal must also hold
-            present = Rule(frozenset([F_ATOM]), c.x_neg, frozenset()) in red_e
+            # R5: membership implies X2 not under m; exactly, every not-X1
+            # literal must also hold
+            present = Rule(frozenset(), c.x_neg, frozenset()) in red_e
             if present:
-                assert not (c.x_neg <= m) and F_ATOM not in m
-            assert present == (not c.x_pos & m and ci not in m and F_ATOM not in m)
+                assert not (c.x_neg <= m)
+            assert present == (not c.x_pos & m and ci not in m)
             # R6: unconditional
             for y in c.y_pos | c.y_neg:
                 assert Rule(frozenset([y]), frozenset([U_ATOM]), frozenset()) in red_u
@@ -385,9 +384,9 @@ def test_d3sat_all_negative_clause_becomes_constraint():
     a1, a2, a3 = Atom("a1"), Atom("a2"), Atom("a3")
     p = mm_encode([Clause(frozenset(), frozenset([a1, a2, a3]))], [])
     (r,) = p.rules
-    assert r.head == frozenset([F_ATOM])
+    assert r.head == frozenset()
     assert r.pos == frozenset([a1, a2, a3])
-    assert r.neg == frozenset([F_ATOM])
+    assert r.neg == frozenset()
 
 
 def test_d3sat_rendering_reads_back_as_user_input():

@@ -205,7 +205,7 @@ def test_check_reasons():
 
 def test_checks_match_reference():
     # Every (T, F) over the base of seeded programs with at most 5 atoms,
-    # __f included: the mask-only checks give the former verdicts and
+    # constraints included: the mask-only checks give the former verdicts and
     # reasons, and between them every reason occurs.
     reasons = set()
     for seed in range(30):

@@ -155,7 +155,7 @@ def test_expand_inside_wellfounded_bound():
 
 def root_fixed_false(s):
     """The atoms that set-up fixes false though they head a rule: those whose
-    every rule has them in its negative body."""
+    every rule has them in its negative body, the constraints' ⊥ included."""
     return {a for a, v in s._initial if v == FALSE and s.occ_head[a]}
 
 
@@ -182,9 +182,10 @@ def test_root_false_atoms_are_false_in_every_stable_model():
         if len(p.base) > 12:
             continue
         s = Solver(p)
-        fixed = {s.atoms[a] for a in root_fixed_false(s)}
+        fixed = root_fixed_false(s)
+        atoms = {s.atoms[a] for a in fixed if a < len(s.atoms)}
         for m in enumerate_stable_models(p):
-            assert fixed.isdisjoint(m), p
+            assert atoms.isdisjoint(m), p
         fixed_in += bool(fixed)
         checked += 1
     assert checked > 1000 and fixed_in > 800
@@ -211,19 +212,21 @@ def test_atom_with_another_rule_is_not_fixed():
 
 
 def test_qbf_testers_never_branch_on_f(monkeypatch):
-    # __f heads only rules with not __f in their body in every tester, so
-    # set-up fixes it false and no tester of a gw QBF translation branches
-    # on it.  Without that inference these testers did.
+    # ⊥, the atom of the paper's f-rules, which the solver reads each
+    # constraint's head as, heads only rules with not ⊥ in their body, so
+    # set-up fixes it false, and no tester of a gw QBF translation branches
+    # on it, nor on any atom outside the program's.  Without that inference
+    # these testers did.
     from aspunfold import gnt
     from aspunfold.bench import gen_random_qbf
     from aspunfold.qbf import qbf_to_program
-    from aspunfold.syntax import F_ATOM
 
     chosen = []
 
     class RecordingSolver(Solver):
         def _choose(self, start=0):
             a, start = super()._choose(start)
+            assert a < len(self.atoms)
             chosen.append(self.atoms[a])
             return a, start
 
@@ -233,7 +236,6 @@ def test_qbf_testers_never_branch_on_f(monkeypatch):
         r = gnt.solve_disjunctive(qbf_to_program(gen_random_qbf(14, "gw", seed)))
         tests += r.stats.minimal_tests
     assert tests > 10 and len(chosen) > 20
-    assert F_ATOM not in chosen
 
 
 def test_deep_search_is_not_recursive():
@@ -425,7 +427,7 @@ def assert_counters_match(s):
         if not blocked[r]:
             left = sum(val[b] != TRUE for b in pos) + sum(val[c] != FALSE for c in neg)
             assert s.n_left[r] == left, s.program
-    active = [0] * len(s.atoms)
+    active = [0] * len(s.val)
     for r, h in enumerate(s.r_head):
         active[h] += not blocked[r]
     assert s.active == active, s.program
@@ -589,7 +591,7 @@ def assert_searches_walk_alike(solver):
 
 
 def copy_size(s):
-    return 2 * len(s.r_head) + len(s.atoms)
+    return 2 * len(s.r_head) + len(s.val)
 
 
 class OneCopySolver(Solver):

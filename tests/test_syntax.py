@@ -82,9 +82,11 @@ def test_invalid_atom_names():
             parse_atom_text(bad)
 
 
-def test_rule_requires_head():
-    with pytest.raises(ValueError):
-        Rule(frozenset())
+def test_rule_with_empty_head_is_a_constraint():
+    # A constraint is a rule with an empty head; without a body it renders
+    # as ":- .", which no model satisfies.
+    assert Rule(frozenset(), frozenset([Atom("a")]), frozenset([Atom("b")])).render() == ":- a, not b."
+    assert Rule(frozenset()).render() == ":- ."
 
 
 def test_parse_basic_rule():
@@ -96,11 +98,16 @@ def test_parse_basic_rule():
 
 
 def test_parse_constraint_desugaring():
+    # A constraint is read as a rule with an empty head, and numbers no
+    # atom of its own; ":- ." is the constraint without a body.
     p = parse_program(":- b1, b2.")
     (r,) = p.rules
-    assert r.head == frozenset([F_ATOM])
+    assert r.head == frozenset()
     assert r.pos == frozenset([Atom("b1"), Atom("b2")])
-    assert r.neg == frozenset([F_ATOM])
+    assert r.neg == frozenset()
+    assert p.base == frozenset([Atom("b1"), Atom("b2")])
+    empty = parse_program(":- .")
+    assert empty.table.rules == (((), (), ()),) and empty.render() == ":- .\n"
 
 
 def test_parse_rejects_reserved_prefix():
@@ -116,7 +123,7 @@ def test_parse_errors_report_position():
     with pytest.raises(ParseError) as exc:
         parse_program("a :- b\nc.")
     assert exc.value.line == 1
-    for bad in (".", ":- .", "a | :- b.", "a :- not.", "a", "a. b."):
+    for bad in (".", "a :- .", "a | :- b.", "a :- not.", "a", "a. b."):
         with pytest.raises(ParseError):
             parse_program(bad)
 
@@ -129,7 +136,7 @@ def test_parse_errors_report_position():
         ("a :- b   % c", "expected '.'", 7),
         ("a | ", "expected atom", 4),
         ("a :- b, not", "expected body literal", 12),
-        (":- .", "expected body literal", 4),
+        ("a :- .", "expected body literal", 6),
         ("a :- not .", "expected body literal", 10),
         ("a. b.", "trailing input after '.'", 4),
         ("a :- b,, c.", "expected body literal", 8),
@@ -149,7 +156,7 @@ def test_parse_error_message_line_and_column(text, message, col):
 
 
 def test_parse_checks_reserved_atom_after_constraint():
-    """A constraint's __f does not let the spelling __f through later."""
+    """A constraint does not let the spelling __f through."""
     with pytest.raises(ParseError, match=r"^line 2, col 6: reserved prefix in atom '__f'$"):
         parse_program(":- a.\nb :- __f.")
     p = parse_program(":- a.\nb :- __f.", allow_reserved=True)
