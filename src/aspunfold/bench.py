@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Optional
 
 from .qbf import Qbf2E
-from .syntax import Atom, Literal, Program, Rule
+from .syntax import Atom, Literal, Program
 
 
 @dataclass(frozen=True)
@@ -43,16 +44,18 @@ class D3SatInstance:
 
 def mm_encode(clauses: Iterable[Clause], specified: Iterable[Atom]) -> Program:
     """Minimal-model encoding: clauses become disjunctive rules, all-negative
-    clauses become constraints, each specified atom must be true."""
-    rules = []
-    for c in clauses:
-        if c.pos:
-            rules.append(Rule(c.pos, c.neg, frozenset()))
-        else:
-            rules.append(Rule(frozenset(), c.neg))
-    for a in sorted(specified):
-        rules.append(Rule(frozenset(), frozenset(), frozenset([a])))
-    return Program(tuple(rules))
+    clauses become constraints, each specified atom must be true.  Built as
+    the program's rule table over the atoms that occur, in sorted order."""
+    clauses, specified = list(clauses), sorted(specified)
+    atoms = sorted({a for c in clauses for a in c.atoms}.union(specified), key=attrgetter("text"))
+    number = {a: i for i, a in enumerate(atoms)}
+
+    def part(xs: frozenset[Atom]) -> tuple[int, ...]:
+        return tuple(sorted([number[a] for a in xs]))
+
+    rules = [(part(c.pos), part(c.neg), ()) for c in clauses]
+    rules += [((), (), (number[a],)) for a in specified]
+    return Program.of_table(atoms, rules)
 
 
 def gen_random_3sat_clauses(n: int, ratio: float, rng: random.Random) -> list[Clause]:

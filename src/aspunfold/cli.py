@@ -233,7 +233,8 @@ def cmd_transform(args) -> None:
             raise ParseError("transform --kind test requires --model")
         candidate = parse_atom_set(args.model, allow_reserved=args.allow_reserved)
         require_in_base(candidate, p.base, "model")
-        out = test_program(p).program(candidate)
+        testers = test_program(p)
+        out = testers.tester(testers.numbers(candidate))
     else:
         out = _TRANSFORMS[args.kind](p)
     sys.stdout.write(render_program(out))

@@ -6,15 +6,15 @@ runs the solver's own search and overrides its two hooks: ``_accept`` runs the
 minimality test on each covered candidate, and ``_prune`` runs the early test
 on each positive branch.  The whole loop runs on the generator's atom
 numbers: the construction that built the generator lifted the input's rules
-over them once, and its table (``GeneratorTable``) keeps them with the
-numbers of the input's atoms.  A candidate is read from the generator's
-assignment over those numbers.
+over them once, and the generator (a ``GeneratorTable``) keeps them with
+the numbers of the input's atoms.  A candidate is read from the
+generator's assignment over those numbers.
 
 At the first minimality test of a search, ``test_program`` takes the
-testers from the generator's table, over the generator's numbers: every
+testers from the generator, over the generator's numbers: every
 generator holds the complement marks of the input's disjunctive head atoms,
 so there is one lift.  Each test derives the candidate's tester from them,
-as a rule table, and searches it with an ordinary ``Solver``, closing the
+as a program, and searches it with an ordinary ``Solver``, closing the
 search after the first answer.  The tester model is read as the
 candidate's atoms true in the tester's assignment, over the same numbers.
 Nothing outlives the search.
@@ -94,12 +94,12 @@ class SolveResult:
 
 class _Tester:
     """The minimality tester of one search: ``test_program`` of the
-    generator's table (or of a program), built at the first test, and the
+    generator (or of any program), built at the first test, and the
     solver and the tester model of the latest test."""
 
-    def __init__(self, source: Program | GeneratorTable):
+    def __init__(self, source: Program):
         self.source = source
-        self.table: Optional[TesterTable] = None
+        self.testers: Optional[TesterTable] = None
         self.solver: Optional[Solver] = None
         # The candidate's atoms true in the latest tester model; None if
         # the test passed.
@@ -108,9 +108,9 @@ class _Tester:
     def minimal(self, candidate: list[int]) -> bool:
         """Whether the candidate, atom numbers of the source, ascending, is
         minimal: its tester has no stable model."""
-        if self.table is None:
-            self.table = test_program(self.source)
-        solver = self.solver = Solver(self.table.tester(candidate))
+        if self.testers is None:
+            self.testers = test_program(self.source)
+        solver = self.solver = Solver(self.testers.tester(candidate))
         search = solver.models()
         found = next(search, None) is not None
         # Closed at once, so a suspended search outlives no test.
@@ -139,17 +139,16 @@ class _Generator(Solver):
     the gated early test on positive branches, and the sets learned from
     failed tests pruning both."""
 
-    def __init__(self, g: Program, config: GntConfig):
+    def __init__(self, g: GeneratorTable, config: GntConfig):
         super().__init__(g)
-        table = g.table
         # p's rules over g's numbers, lifted by the construction of g, and
         # the numbers of p's atoms
-        self.rules = table.inputs
-        self.base = table.base
+        self.rules = g.inputs
+        self.lift = g.lift
         self.config = config
         self.gnt_stats = GntStats()
         self.tester_stats = SolverStats()
-        self.tester = _Tester(table)
+        self.tester = _Tester(g)
         self.was_covered = False
         # per learned set: its atoms, and its external support as
         # (head atoms outside the set, positive body, negative body)
@@ -158,7 +157,7 @@ class _Generator(Solver):
 
     def _minimal(self) -> bool:
         val = self.val
-        candidate = [a for a in self.base if val[a] == TRUE]
+        candidate = [a for a in self.lift if val[a] == TRUE]
         if minimal_test(self.tester, candidate, self.gnt_stats, self.tester_stats):
             return True
         model = self.tester.model

@@ -26,7 +26,6 @@ from .syntax import (
     IntRule,
     Literal,
     Program,
-    RuleTable,
     has_reserved_prefix,
     parse_atom_text,
 )
@@ -160,7 +159,7 @@ def parse_program(text: str, allow_reserved: bool = False) -> Program:
             # An error at the end of the rule points just past its last character.
             col = cols[i] if i < len(cols) else len(line.rstrip()) + 1
             raise ParseError(message or errors[toks[i]], lineno, col) from None
-    return Program.of_table(RuleTable([checked[t] for t in texts], rules))
+    return Program.of_table([checked[t] for t in texts], rules)
 
 
 def parse_literals(text: str, allow_reserved: bool = False) -> tuple[Literal, ...]:

@@ -7,11 +7,11 @@ atom.  Truth of the pair (a, p__a) codes three-valued truth of a: both true
 is true, both false is false, only the mark true is undefined; mark false
 with atom true is ruled out by the consistency rules.
 
-``unfold_partiality`` maps the input's rule table to the translation's
-without building a ``Rule``: the marked atoms sort as one block, so an
-atom's number and its mark's are shifts of its number in the input.
-``query_constrained`` appends constraints to a table, so possibility
-queries build no ``Rule`` either.
+``unfold_partiality`` maps the input's rule table to the translation's:
+the marked atoms sort as one block, so an atom's number and its mark's are
+shifts of its number in the input.  ``tr2_program`` numbers its flag
+``__f`` first and shifts the rest by one, and ``query_constrained``
+appends constraints to a table, so no translation here builds a ``Rule``.
 
 ``possibility_query`` checks the query against the base and hands the
 translation, constrained by the marked query, to ``gnt.solve``, which picks
@@ -39,7 +39,6 @@ from .syntax import (
     IntRule,
     Literal,
     Program,
-    RuleTable,
     positions,
     potential,
     potential_block,
@@ -52,8 +51,7 @@ def unfold_partiality(p: Program) -> Program:
     """The translation, as a transform of p's rule table: for each rule the
     original and then the marked copy, followed by ``p__a :- a`` for each
     base atom in sorted order."""
-    table = p.table
-    atoms = table.atoms
+    atoms = p.atoms
     reject_marked(atoms, "potential-marked", "unfold_partiality")
     n = len(atoms)
     k = potential_block(atoms)
@@ -67,12 +65,12 @@ def unfold_partiality(p: Program) -> Program:
         return tuple([x + k for x in xs])
 
     rules: list[IntRule] = []
-    for head, pos, neg in table.rules:
+    for head, pos, neg in p.rows:
         rules.append((lift(head), lift(pos), mark(neg)))
         rules.append((mark(head), mark(pos), lift(neg)))
     rules += [((k + i,), lift((i,)), ()) for i in range(n)]
     marked = [potential(a) for a in atoms]
-    return Program.of_table(RuleTable((*atoms[:k], *marked, *atoms[k:]), rules))
+    return Program.of_table((*atoms[:k], *marked, *atoms[k:]), rules)
 
 
 def expand_psm(m: PartialInterpretation) -> frozenset[Atom]:
@@ -125,26 +123,32 @@ def translate_query(q: QueryLiterals) -> QueryLiterals:
 
 def tr2_program(p: Program) -> Program:
     """Translation variant whose flag atom detects leftover undefined atoms:
-    tr(p), then ``__f :- p__a, not a`` per base atom a in sorted order."""
+    tr(p), then ``__f :- p__a, not a`` per base atom a in sorted order.
+    ``__f`` sorts before every other atom, which starts with a lowercase
+    letter or is ``__u``: it is atom 0, and every atom of tr(p) moves up by
+    one."""
     if F_ATOM in p.base:
         raise ValueError("tr2 requires the reserved atom __f to be fresh")
-    atoms, trp = p.table.atoms, unfold_partiality(p).table
-    f = len(trp.atoms)
-    plain = positions(atoms, trp.atoms)
-    marked = positions([potential(a) for a in atoms], trp.atoms)
-    rules = [*trp.rules, *[((f,), (m,), (a,)) for a, m in zip(plain, marked)]]
-    return Program.of_table(RuleTable.numbered([a.text for a in (*trp.atoms, F_ATOM)], rules))
+    trp = unfold_partiality(p)
+
+    def up(xs: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple([x + 1 for x in xs])
+
+    plain = positions(p.atoms, trp.atoms)
+    marked = positions([potential(a) for a in p.atoms], trp.atoms)
+    rules = [(up(head), up(pos), up(neg)) for head, pos, neg in trp.rows]
+    rules += [((0,), (m + 1,), (a + 1,)) for a, m in zip(plain, marked)]
+    return Program.of_table((F_ATOM, *trp.atoms), rules)
 
 
 def query_constrained(p: Program, q: QueryLiterals) -> Program:
     """p's rules, then a constraint per literal of q in sorted order that
     forces it true in every stable model: ``:- not a.`` for a, ``:- a.`` for
     not a.  The base is p's; q's atoms must lie in it."""
-    table = p.table
     literals = sorted(q.literals)
-    numbers = positions([l.atom for l in literals], table.atoms)
+    numbers = positions([l.atom for l in literals], p.atoms)
     rules = [((), (), (a,)) if l.positive else ((), (a,), ()) for l, a in zip(literals, numbers)]
-    return Program.of_table(RuleTable(table.atoms, [*table.rules, *rules]))
+    return Program.of_table(p.atoms, [*p.rows, *rules])
 
 
 def possibility_query(

@@ -27,7 +27,6 @@ from .syntax import (
     Atom,
     Literal,
     Program,
-    RuleTable,
     U_ATOM,
     clause_atom,
     clause_negation_atom,
@@ -187,7 +186,7 @@ def qbf_to_program(q: Qbf2E) -> Program:
         rules += [((y,), (u,), ()) for y in sorted(yp + yn)]
         rules.append(((u, *yp), tuple(yn), (nci,)))
     rules.append(((u,), (), (u,)))
-    return Program.of_table(RuleTable([atoms[t] for t in texts], dict.fromkeys(rules)))
+    return Program.of_table([atoms[t] for t in texts], dict.fromkeys(rules))
 
 
 def qbf_witness(q: Qbf2E, cap: int = DEFAULT_QBF_CAP) -> Optional[frozenset[Atom]]:

@@ -86,12 +86,11 @@ class _Masks:
 
 
 def _compile(p: Program) -> _Masks:
-    """p's table as masks: bit i is the table's atom i."""
-    table = p.table
-    atoms = list(table.atoms)
+    """p's table as masks: bit i is p's atom i."""
+    atoms = list(p.atoms)
     rules = [
         (sum(1 << a for a in head), sum(1 << b for b in pos), sum(1 << c for c in neg))
-        for head, pos, neg in table.rules
+        for head, pos, neg in p.rows
     ]
     return _Masks(atoms, {a: i for i, a in enumerate(atoms)}, rules, (1 << len(atoms)) - 1)
 

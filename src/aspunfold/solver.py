@@ -1,11 +1,10 @@
 """Backtracking stable-model search for normal programs.
 
-The solver reads a program as an integer rule table (``RuleTable``): atoms
+The solver reads a ``Program`` as the integer rule table it is: atoms
 numbered in sorted order, rules as (head, positive body, negative body)
-triples of numbers, every head one atom or none.  Given a ``Program``, it
-reads the table the program is stored as, and builds no ``Rule``.  A
-solver searches the one program it is built over; ``gnt`` builds one for
-its generator and one for each minimality test.
+triples of numbers, every head one atom or none.  A solver searches the
+one program it is built over; ``gnt`` builds one for its generator and one
+for each minimality test.
 
 Propagation combines forward/backward unit rules over body counters with
 falsification of unfounded atoms.  Every literal added by expand holds in
@@ -114,7 +113,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
-from .syntax import Atom, Program, RuleTable
+from .syntax import Atom, Program
 
 TRUE = 1
 FALSE = 0
@@ -140,16 +139,15 @@ class SolverStats:
 
 
 class Solver:
-    """Resumable enumeration of the stable models of one normal program, a
-    ``Program`` or a ``RuleTable``.  Single-threaded while searching.  A
-    solver runs one search or is stepped by hand, not both: the search
-    prunes its occurrence lists for good and ends at its last branch."""
+    """Resumable enumeration of the stable models of one normal program.
+    Single-threaded while searching.  A solver runs one search or is
+    stepped by hand, not both: the search prunes its occurrence lists for
+    good and ends at its last branch."""
 
-    def __init__(self, program: Program | RuleTable):
+    def __init__(self, program: Program):
         self.program = program
-        table = program.table if isinstance(program, Program) else program
 
-        self.atoms: list[Atom] = list(table.atoms)
+        self.atoms: list[Atom] = list(program.atoms)
         # A constraint ``:- body`` is read as ``⊥ :- body, not ⊥``, over a
         # private atom ⊥ numbered after the program's atoms, which exists
         # only if the program has a constraint.
@@ -157,7 +155,7 @@ class Solver:
         self.r_head: list[int] = []
         self.r_pos: list[tuple[int, ...]] = []
         self.r_neg: list[tuple[int, ...]] = []
-        for head, pos, neg in table.rules:
+        for head, pos, neg in program.rows:
             if len(head) != 1:
                 if head:
                     raise ValueError("solver requires a normal program")

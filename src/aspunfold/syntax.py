@@ -12,17 +12,14 @@ equality, hashing and ordering are those of that string.  Sorting atoms by
 rendering fixes the solver's atom indices, and with them the ties of its
 branching choice.  Only this module knows how a mark is spelled.
 
-A ``Program`` is stored as a ``RuleTable``: its atoms sorted by rendering,
-and per rule a (head, positive body, negative body) triple of sorted atom
-numbers, the head possibly disjunctive or empty: a constraint ``:- body``
-is a rule with an empty head.  Every translation builds such a
-table and the solver and the oracles read it.  The ``Rule`` objects of
-``Program.rules`` are a view of it, built on first read and cached, for the
-edges: rendering, instance generation and the test references of the
-object-level semantics.  ``Program(rules, base=...)`` keeps its rules and
-derives the table on first use, through ``RuleTable.numbered``; the parser
-numbers its atoms in sorted order before it reads a rule, and needs no such
-pass.  ``_rules_of``, the conversion back, lives here.
+A ``Program`` is its rule table, the one program type: its atoms sorted by
+rendering, and per rule a (head, positive body, negative body) triple of
+sorted atom numbers, the head possibly disjunctive or empty: a constraint
+``:- body`` is a rule with an empty head.  The parser and every
+translation build such a table, and the solver and the oracles read it.
+``Rule`` objects live only at the edges: they go in through
+``Program(rules, base=...)``, which numbers them at once, and come out
+through the ``Program.rules`` view.  Rendering reads the table.
 """
 
 from __future__ import annotations
@@ -30,6 +27,8 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 # Mark prefixes; all three characters long, so ``text[3:]`` strips one.
@@ -155,7 +154,9 @@ class Literal:
 @dataclass(frozen=True)
 class Rule:
     """Disjunctive rule ``head <- pos, not neg`` with duplicate-free parts; a
-    constraint has an empty head."""
+    constraint has an empty head.  The form in which a program's rules go
+    in, through ``Program(rules, base)``, and come out, through
+    ``Program.rules``."""
 
     head: frozenset[Atom]
     pos: frozenset[Atom] = frozenset()
@@ -166,77 +167,10 @@ class Rule:
         object.__setattr__(self, "pos", frozenset(self.pos))
         object.__setattr__(self, "neg", frozenset(self.neg))
 
-    @property
-    def atoms(self) -> frozenset[Atom]:
-        return self.head | self.pos | self.neg
-
-    def render(self) -> str:
-        """The rule as the parser reads it; a constraint without a body
-        renders as ``:- .``"""
-        head = " | ".join(a.text for a in sorted(self.head))
-        body = [a.text for a in sorted(self.pos)]
-        body += [f"not {a.text}" for a in sorted(self.neg)]
-        if not body and head:
-            return f"{head}."
-        return f"{head} :- {', '.join(body)}." if head else f":- {', '.join(body)}."
-
-
-def occurring_atoms(rules: Iterable[Rule]) -> frozenset[Atom]:
-    out: set[Atom] = set()
-    for r in rules:
-        out |= r.atoms
-    return frozenset(out)
-
 
 # A rule over atom numbers: (head, positive body, negative body), each part a
 # sorted tuple without duplicates.
 IntRule = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-
-
-class RuleTable:
-    """Rules over integer atoms: atom i is ``atoms[i]``, with the atoms
-    sorted by rendering, and each rule is an ``IntRule``.  Numbers follow the
-    atoms' order, so sorting numbers sorts atoms."""
-
-    __slots__ = ("atoms", "rules")
-
-    def __init__(self, atoms: Sequence[Atom], rules: Sequence[IntRule]):
-        self.atoms = tuple(atoms)
-        self.rules = tuple(rules)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RuleTable):
-            return NotImplemented
-        return self.atoms == other.atoms and self.rules == other.rules
-
-    def __hash__(self) -> int:
-        return hash((self.atoms, self.rules))
-
-    @classmethod
-    def numbered(
-        cls,
-        texts: Sequence[str],
-        rules: Iterable[tuple[Iterable[int], Iterable[int], Iterable[int]]],
-    ) -> "RuleTable":
-        """The table of ``rules`` whose atoms are numbered by position in
-        ``texts``, distinct valid renderings: renumbered so that the atoms
-        sort by rendering, each part sorted, duplicates dropped."""
-        order = sorted(range(len(texts)), key=texts.__getitem__)
-        rank = [0] * len(texts)
-        for new, old in enumerate(order):
-            rank[old] = new
-        get = rank.__getitem__
-        return cls(
-            [_known(texts[old]) for old in order],
-            [
-                (
-                    tuple(sorted(set(map(get, head)))),
-                    tuple(sorted(set(map(get, pos)))),
-                    tuple(sorted(set(map(get, neg)))),
-                )
-                for head, pos, neg in rules
-            ],
-        )
 
 
 def positions(sub: Sequence[Atom], atoms: Sequence[Atom]) -> list[int]:
@@ -250,81 +184,68 @@ def positions(sub: Sequence[Atom], atoms: Sequence[Atom]) -> list[int]:
     return out
 
 
-def _rules_of(table: RuleTable) -> tuple[Rule, ...]:
-    """A table's rules as ``Rule`` objects, in the table's order."""
-    atoms = table.atoms
-    return tuple(
-        Rule(
-            frozenset([atoms[a] for a in head]),
-            frozenset([atoms[b] for b in pos]),
-            frozenset([atoms[c] for c in neg]),
-        )
-        for head, pos, neg in table.rules
-    )
-
-
 class Program:
-    """Ordered rule list over a Herbrand base.
+    """Ordered rule list over a Herbrand base, stored as its rule table.
 
-    The base always contains every occurring atom; a larger base may be
-    declared for programs whose interpretations range over extra atoms.
+    Atom i is ``atoms[i]``, the atoms sorted by rendering, and each rule of
+    ``rows`` is an ``IntRule`` over those numbers.  Numbers follow the
+    atoms' order, so sorting numbers sorts atoms.  The base, every atom of
+    ``atoms``, holds every occurring atom; a larger base may be declared for
+    programs whose interpretations range over extra atoms.
 
-    A program is stored as its ``RuleTable``: the base is the table's atoms,
-    and the rules are its rules, in order.  ``rules`` and ``base`` are views
-    of the table, built on first read and cached; ``Program(rules, base=...)``
-    keeps the view it is given and derives the table on first use, through
-    ``RuleTable.numbered``.  The parser and every translation build tables
-    directly, so the paths from text through the solvers and the oracles
-    build no ``Rule``.  Equality and hashing are those of the table, which
-    determines the rules and the base and is determined by them.
+    ``Program(rules, base=...)`` numbers the atoms of its ``Rule``s and of
+    the base at once, with one sort of their renderings; the parser and
+    every translation build the table directly, through ``of_table``.
+    ``rules`` and ``base`` are views of the table for the edges, built on
+    first read and cached.  Equality and hashing are those of the table.
     """
 
-    __slots__ = ("_rules", "_base", "_table")
+    atoms: tuple[Atom, ...]
+    rows: tuple[IntRule, ...]
 
     def __init__(self, rules: Iterable[Rule], base: Optional[Iterable[Atom]] = None):
-        self._rules: Optional[tuple[Rule, ...]] = tuple(rules)
-        declared = frozenset(base) if base is not None else frozenset()
-        self._base: Optional[frozenset[Atom]] = occurring_atoms(self._rules) | declared
-        self._table: Optional[RuleTable] = None
+        rules = tuple(rules)
+        atoms = set(base) if base is not None else set()
+        for r in rules:
+            atoms.update(r.head, r.pos, r.neg)
+        self.atoms = tuple(sorted(atoms, key=attrgetter("text")))
+        number = {a: i for i, a in enumerate(self.atoms)}
+        self.rows = tuple(
+            tuple(tuple(sorted([number[a] for a in part])) for part in (r.head, r.pos, r.neg)) for r in rules
+        )
 
     @classmethod
-    def of_table(cls, table: RuleTable) -> "Program":
-        """The program stored as ``table``; its views are built when read."""
+    def of_table(cls, atoms: Iterable[Atom], rows: Iterable[IntRule]) -> "Program":
+        """The program of ``rows`` over ``atoms``, distinct atoms sorted by
+        rendering, each rule's parts sorted and duplicate-free."""
         p = cls.__new__(cls)
-        p._rules = p._base = None
-        p._table = table
+        p.atoms = tuple(atoms)
+        p.rows = tuple(rows)
         return p
 
-    @property
-    def table(self) -> RuleTable:
-        if self._table is None:
-            texts = [a.text for a in self._base]
-            # Keyed by rendering, the atom's identity: a str hashes faster than an Atom.
-            number = {t: i for i, t in enumerate(texts)}
-            self._table = RuleTable.numbered(
-                texts, [[[number[a.text] for a in part] for part in (r.head, r.pos, r.neg)] for r in self._rules]
-            )
-        return self._table
-
-    @property
+    @cached_property
     def rules(self) -> tuple[Rule, ...]:
-        if self._rules is None:
-            self._rules = _rules_of(self._table)
-        return self._rules
+        atoms = self.atoms
+        return tuple(
+            Rule(
+                frozenset([atoms[a] for a in head]),
+                frozenset([atoms[b] for b in pos]),
+                frozenset([atoms[c] for c in neg]),
+            )
+            for head, pos, neg in self.rows
+        )
 
-    @property
+    @cached_property
     def base(self) -> frozenset[Atom]:
-        if self._base is None:
-            self._base = frozenset(self._table.atoms)
-        return self._base
+        return frozenset(self.atoms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Program):
             return NotImplemented
-        return self.table == other.table
+        return self.atoms == other.atoms and self.rows == other.rows
 
     def __hash__(self) -> int:
-        return hash(self.table)
+        return hash((self.atoms, self.rows))
 
     def __repr__(self) -> str:
         return f"Program(rules={self.rules!r}, base={self.base!r})"
@@ -332,12 +253,21 @@ class Program:
     @property
     def is_normal(self) -> bool:
         """Whether every head has at most one atom: constraints are normal."""
-        return all(len(head) <= 1 for head, _, _ in self.table.rules)
+        return all(len(head) <= 1 for head, _, _ in self.rows)
 
     def render(self) -> str:
-        if not self.rules:
-            return ""
-        return "\n".join(r.render() for r in self.rules) + "\n"
+        """One line per rule, as the parser reads it; a constraint without a
+        body renders as ``:- .``"""
+        texts = [a.text for a in self.atoms]
+        lines = []
+        for head, pos, neg in self.rows:
+            h = " | ".join([texts[a] for a in head])
+            body = ", ".join([*[texts[b] for b in pos], *[f"not {texts[c]}" for c in neg]])
+            if not h:
+                lines.append(f":- {body}.")
+            else:
+                lines.append(f"{h} :- {body}." if body else f"{h}.")
+        return "".join(f"{line}\n" for line in lines)
 
 
 def render_program(p: Program) -> str:

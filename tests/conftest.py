@@ -25,7 +25,7 @@ from aspunfold.semantics import (
     _require_cap,
 )
 from aspunfold.solver import FALSE, TRUE, Solver, SolverStats
-from aspunfold.syntax import _MARKS, Atom, F_ATOM, Literal, Program, Rule, RuleTable, _known, positions
+from aspunfold.syntax import _MARKS, Atom, F_ATOM, Literal, Program, Rule, _known, positions
 
 hypothesis.settings.register_profile("det", derandomize=True, max_examples=60)
 hypothesis.settings.load_profile("det")
@@ -274,12 +274,16 @@ def tr2_query(q: QueryLiterals) -> QueryLiterals:
     return QueryLiterals(q.literals | {Literal(F_ATOM, False)})
 
 
-ATOM_POOL = tuple(Atom(ch) for ch in "abcdef")
+# The random programs take their atoms from the front of PROGRAM_POOL, up to
+# 20 atoms.  Its first six are ATOM_POOL, so the draws at the default sizes
+# are those of the six-atom pool.
+PROGRAM_POOL = tuple(Atom(ch) for ch in "abcdefghijklmnopqrst")
+ATOM_POOL = PROGRAM_POOL[:6]
 
 
-def random_normal_program(seed, max_atoms=6, max_rules=10, constraints=True):
+def random_normal_program(seed, max_atoms=6, max_rules=10, constraints=True, min_atoms=1):
     rng = random.Random(("normal", seed).__repr__())
-    atoms = list(ATOM_POOL[: rng.randint(1, max_atoms)])
+    atoms = list(PROGRAM_POOL[: rng.randint(min_atoms, max_atoms)])
     rules = []
     for _ in range(rng.randint(0, max_rules)):
         if constraints and rng.random() < 0.15:
@@ -292,9 +296,9 @@ def random_normal_program(seed, max_atoms=6, max_rules=10, constraints=True):
     return Program(tuple(rules), base=frozenset(atoms))
 
 
-def random_disjunctive_program(seed, max_atoms=6, max_rules=8, constraints=True):
+def random_disjunctive_program(seed, max_atoms=6, max_rules=8, constraints=True, min_atoms=2):
     rng = random.Random(("disj", seed).__repr__())
-    atoms = list(ATOM_POOL[: rng.randint(2, max_atoms)])
+    atoms = list(PROGRAM_POOL[: rng.randint(min_atoms, max_atoms)])
     rules = []
     for k in range(rng.randint(1, max_rules)):
         if constraints and k > 0 and rng.random() < 0.12:
@@ -312,7 +316,7 @@ def random_disjunctive_program(seed, max_atoms=6, max_rules=8, constraints=True)
 
 def random_positive_program(seed, max_atoms=5, max_rules=6):
     rng = random.Random(("pos", seed).__repr__())
-    atoms = list(ATOM_POOL[: rng.randint(1, max_atoms)])
+    atoms = list(PROGRAM_POOL[: rng.randint(1, max_atoms)])
     rules = []
     for _ in range(rng.randint(1, max_rules)):
         head = frozenset(rng.sample(atoms, rng.randint(1, min(3, len(atoms)))))
@@ -385,29 +389,28 @@ class WalkingSolver(Solver):
         return 0
 
 
-def with_f(table):
-    """``table`` with each constraint ``:- body`` written ``__f :- body, not
+def with_f(p):
+    """``p`` with each constraint ``:- body`` written ``__f :- body, not
     __f``, as constructions held them before the solver read empty heads.
-    ``__f`` sorts before every other atom: unless the table holds it, it is
-    added as atom 0 and every other number moves up by one, in a
-    generator's lift and complement map too."""
+    ``__f`` sorts before every other atom: unless p holds it, it is added
+    as atom 0 and every other number moves up by one, in a generator's
+    lift and complement map too."""
     from aspunfold.gentest import GeneratorTable
 
-    shift = 0 if table.atoms and table.atoms[0] == F_ATOM else 1
+    shift = 0 if p.atoms and p.atoms[0] == F_ATOM else 1
 
     def up(xs):
         return tuple([x + shift for x in xs])
 
     rules = [
         (up(head), up(pos), up(neg)) if head else ((0,), up(pos), tuple(sorted({0, *up(neg)})))
-        for head, pos, neg in table.rules
+        for head, pos, neg in p.rows
     ]
-    out = GeneratorTable.__new__(GeneratorTable) if isinstance(table, GeneratorTable) else RuleTable.__new__(RuleTable)
-    RuleTable.__init__(out, (F_ATOM,) * shift + table.atoms, rules)
-    if isinstance(table, GeneratorTable):
-        out.inputs = [(up(head), up(pos), up(neg)) for head, pos, neg in table.inputs]
-        out.base = up(table.base)
-        out.complement = {a + shift: c + shift for a, c in table.complement.items()}
+    out = type(p).of_table((F_ATOM,) * shift + p.atoms, rules)
+    if isinstance(p, GeneratorTable):
+        out.inputs = [(up(head), up(pos), up(neg)) for head, pos, neg in p.inputs]
+        out.lift = up(p.lift)
+        out.complement = {a + shift: c + shift for a, c in p.complement.items()}
     return out
 
 
@@ -418,8 +421,7 @@ class WithoutRootInference(Solver):
     held ``__f`` then: the program is searched as ``with_f`` writes it."""
 
     def __init__(self, program, *args):
-        table = program.table if isinstance(program, Program) else program
-        super().__init__(Program.of_table(with_f(table)), *args)
+        super().__init__(with_f(program), *args)
         self._initial = [(a, v) for a, v in self._initial if v == TRUE or not self.occ_head[a]]
 
 
@@ -427,9 +429,9 @@ class ReferenceTester(gnt._Tester):
     """``gnt._Tester`` searching each tester without the root inference."""
 
     def minimal(self, candidate):
-        if self.table is None:
-            self.table = gnt.test_program(self.source)
-        self.solver = WithoutRootInference(self.table.tester(candidate))
+        if self.testers is None:
+            self.testers = gnt.test_program(self.source)
+        self.solver = WithoutRootInference(self.testers.tester(candidate))
         search = self.solver.models()
         found = next(search, None) is not None
         search.close()
@@ -444,7 +446,7 @@ class RootlessGenerator(WithoutRootInference, gnt._Generator):
 
     def __init__(self, g, config):
         super().__init__(g, config)
-        self.tester = ReferenceTester(self.program.table)
+        self.tester = ReferenceTester(self.program)
 
 
 class ReferenceGenerator(WithoutRootInference):
@@ -456,21 +458,21 @@ class ReferenceGenerator(WithoutRootInference):
     def __init__(self, g, p, config):
         super().__init__(g)
         self.p = p
-        lift = positions(p.table.atoms, self.atoms).__getitem__
+        lift = positions(p.atoms, self.atoms).__getitem__
         self.rules = [
             (tuple(map(lift, head)), tuple(map(lift, pos)), tuple(map(lift, neg)))
-            for head, pos, neg in p.table.rules
+            for head, pos, neg in p.rows
             if pos
         ]
-        self.base = self.program.table.base
+        self.lift = self.program.lift
         self.config = config
         self.gnt_stats = gnt.GntStats()
         self.tester_stats = SolverStats()
-        self.tester = ReferenceTester(self.program.table)
+        self.tester = ReferenceTester(self.program)
         self.was_covered = False
 
     def _minimal(self):
-        candidate = [a for a in self.base if self.val[a] == TRUE]
+        candidate = [a for a in self.lift if self.val[a] == TRUE]
         return gnt.minimal_test(self.tester, candidate, self.gnt_stats, self.tester_stats)
 
     def _early_test_sound(self):
@@ -535,9 +537,15 @@ def _heads(rules):
     return sorted({a for r in rules if not is_normal_rule(r) for a in r.head})
 
 
+def candidate_tester(p, m):
+    """``test_program(p)``'s tester of the candidate m, named by its atoms."""
+    testers = gnt.test_program(p)
+    return testers.tester(testers.numbers(m))
+
+
 def reference_test_program(p, m):
     """The tester of candidate m built rule by rule from p, as it was before
-    testers were compiled: the reference for ``test_program(p).program(m)``,
+    testers were compiled: the reference for ``test_program(p)``'s tester of m,
     rules and order."""
     from aspunfold.syntax import complement
 
@@ -612,12 +620,12 @@ def reference_gen_program(p):
 
 
 def reference_table_of(rules, base):
-    """The rule table of rules over base, which holds every occurring atom,
-    numbered here by sorting the base: independent of ``RuleTable.numbered``,
-    through which programs build their tables."""
+    """The program of rules over base, which holds every occurring atom, as a
+    table numbered here by sorting the base: independent of the numbering
+    ``Program(rules, base)`` does and of the parser's."""
     atoms = sorted(base, key=attrgetter("text"))
     index = {a: i for i, a in enumerate(atoms)}
-    return RuleTable(
+    return Program.of_table(
         atoms,
         [
             (
@@ -724,7 +732,7 @@ def assert_same_program(got, want):
     rendering."""
     assert got.rules == want.rules
     assert got.base == want.base
-    assert got.table == want.table
+    assert (got.atoms, got.rows) == (want.atoms, want.rows)
     assert got.render() == want.render()
 
 

@@ -13,7 +13,6 @@ from contextlib import redirect_stdout
 
 from aspunfold.bench import Clause, gen_d3sat_instance, gen_random_3sat_clauses, gen_random_qbf, mm_encode
 from aspunfold.gentest import gen_program
-from aspunfold.gentest import test_program as build_test_program
 from aspunfold.gnt import solve_disjunctive
 from aspunfold.parser import parse_program
 from aspunfold.partiality import expand_psm, project_sm, unfold_partiality
@@ -45,6 +44,7 @@ from conftest import (
     remove_unfounded,
     rule_as_clause,
     satisfiable,
+    candidate_tester,
     unfounded_sets,
 )
 
@@ -139,7 +139,7 @@ def test_criterion_4_worked_examples():
     checks.append(solve_disjunctive(ex6, mode="gnt2", enumerate_all=True).models == [])
     disj = parse_program("a | b.")
     checks.append(len(list(Solver(gen_program(disj)).models())) == 2)
-    tester = build_test_program(parse_program("a | b :- not c.")).program(frozenset([B]))
+    tester = candidate_tester(parse_program("a | b :- not c."), frozenset([B]))
     checks.append(Solver(tester).next_stable_model() is None)
     ex1 = parse_program("a | b :- c, not a.")
     checks.append(enumerate_stable_models(ex1) == [frozenset()])
@@ -346,7 +346,7 @@ def _suite_prop3_minimality_test(n=200):
                 models.append(cand)
         for cand in models[:10]:
             checks += 1
-            no_tester_model = Solver(build_test_program(p).program(cand.true_set)).next_stable_model() is None
+            no_tester_model = Solver(candidate_tester(p, cand.true_set)).next_stable_model() is None
             if is_stable_model(p, cand) != no_tester_model:
                 fails += 1
     return checks, fails
@@ -378,7 +378,7 @@ def _suite_minimality_as_unsatisfiability(n=200):
             if not is_total_model(m, p):
                 continue
             checks += 1
-            no_tester_model = Solver(build_test_program(p).program(m.true_set)).next_stable_model() is None
+            no_tester_model = Solver(candidate_tester(p, m.true_set)).next_stable_model() is None
             clauses = [rule_as_clause(r) for r in gl_reduct(p, m).rules]
             clauses += [Clause(frozenset(), frozenset([a])) for a in sorted(p.base - m.true_set)]
             clauses += [Clause(frozenset(), m.true_set)]

@@ -61,7 +61,7 @@ def assert_same_program(new, ref):
     assert new.base == ref.base
     assert new == ref
     # The parser's table equals the one numbered independently from the Rule view.
-    assert reference_table_of(new.rules, new.base) == new.table
+    assert reference_table_of(new.rules, new.base) == new
 
 
 def assert_same_parse(text, allow_reserved):
@@ -198,7 +198,7 @@ SPACING = [
 def test_spacing_and_letters_match_reference(text, rules):
     for allow_reserved in (False, True):
         p = assert_same_parse(text, allow_reserved)
-        assert (p and len(p.table.rules)) == rules
+        assert (p and len(p.rows)) == rules
 
 
 def test_large_texts_match_reference():
@@ -210,7 +210,7 @@ def test_large_texts_match_reference():
     for text in texts:
         for allow_reserved in (False, True):
             p = assert_same_parse(text, allow_reserved)
-            assert p.table == reference_parse_program(text, allow_reserved).table
+            assert p == reference_parse_program(text, allow_reserved)
 
 
 @pytest.mark.parametrize("seed", range(40))

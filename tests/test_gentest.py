@@ -4,7 +4,6 @@ import pytest
 
 from aspunfold.bench import gen_d3sat_instance, gen_random_qbf
 from aspunfold.gentest import gen_basic, gen_naive, gen_program, support_program
-from aspunfold.gentest import test_program as build_test_program
 from aspunfold.parser import parse_program
 from aspunfold.qbf import qbf_to_program
 from aspunfold.semantics import enumerate_stable_models, PartialInterpretation
@@ -20,6 +19,7 @@ from conftest import (
     reference_gen_naive,
     reference_gen_program,
     reference_support_program,
+    candidate_tester,
 )
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
@@ -131,7 +131,7 @@ def test_constructions_treat_f_as_an_ordinary_atom():
 
 
 def test_test_program_paper_example():
-    tp = build_test_program(DISJ_NEG).program(frozenset([B]))
+    tp = candidate_tester(DISJ_NEG, frozenset([B]))
     assert set(tp.rules) == rules_of(
         "b :- not c__b.\nc__a :- not a.\nc__b :- not b.\n"
         ":- not a, not b.\n:- b.\n"
@@ -140,17 +140,17 @@ def test_test_program_paper_example():
 
 
 def test_test_program_empty_candidate():
-    tp = build_test_program(DISJ).program(frozenset())
+    tp = candidate_tester(DISJ, frozenset())
     # The final constraint :- M. has no body: it renders as ":- ." and reads
     # back to the same table.
-    assert tp.table.rules[-1] == ((), (), ())
+    assert tp.rows[-1] == ((), (), ())
     assert tp.render().endswith("\n:- .\n")
-    assert parse_program(tp.render(), allow_reserved=True).table == tp.table
+    assert parse_program(tp.render(), allow_reserved=True) == tp
     assert Solver(tp).next_stable_model() is None
 
 
 def test_test_program_nonminimal_candidate():
-    tp = build_test_program(DISJ).program(frozenset([A, B]))
+    tp = candidate_tester(DISJ, frozenset([A, B]))
     assert Solver(tp).next_stable_model() is not None
 
 
@@ -158,10 +158,10 @@ def test_test_program_validates_candidate():
     # c__a is an atom of every tester of DISJ, but not of its base.
     for atom in (Atom("zz"), complement(A)):
         with pytest.raises(ValueError, match=f"model atom {atom.text} not in program base"):
-            build_test_program(DISJ).program(frozenset([atom]))
+            candidate_tester(DISJ, frozenset([atom]))
     # The error names the least atom outside the base, as the CLI's does.
     with pytest.raises(ValueError, match="model atom y not in program base"):
-        build_test_program(DISJ).program(frozenset([A, Atom("zz"), Atom("y")]))
+        candidate_tester(DISJ, frozenset([A, Atom("zz"), Atom("y")]))
 
 
 def test_candidate_soundness():
@@ -196,7 +196,7 @@ def assert_generators_match_reference(p):
         assert got.rules == ref.rules, (gen.__name__, p.rules)
         assert got.base == ref.base, (gen.__name__, p.rules)
         # The table built directly equals the one derived from the rules.
-        assert got.table == ref.table, (gen.__name__, p.rules)
+        assert (got.atoms, got.rows) == (ref.atoms, ref.rows), (gen.__name__, p.rules)
 
 
 @pytest.mark.parametrize("seed", range(40))

@@ -109,10 +109,10 @@ def test_generator_reads_the_input_lifted_by_its_construction():
         for mode, build in _GENERATORS.items():
             g = build(p)
             search = _Generator(g, GntConfig())
-            assert search.rules is g.table.inputs
-            lift = positions(p.table.atoms, g.table.atoms)
+            assert search.rules is g.inputs
+            lift = positions(p.atoms, g.atoms)
             assert search.rules == [
-                tuple(tuple(lift[a] for a in part) for part in rule) for rule in p.table.rules
+                tuple(tuple(lift[a] for a in part) for part in rule) for rule in p.rows
             ], mode
 
 
@@ -539,8 +539,7 @@ def test_compiled_tester_matches_fresh_testers():
         ]
         rng.shuffle(candidates)
         for m in candidates:
-            program = table.program(m)
-            assert program.table == table.tester(table.numbers(m))
+            program = table.tester(table.numbers(m))
             assert program.rules == reference_test_program(p, m).rules
             fresh = Solver(program)
             verdict = fresh.next_stable_model() is None
@@ -586,17 +585,17 @@ def test_search_testers_match_test_program(monkeypatch):
         for mode in ("gnt1", "gnt2", "naive"):
             # Every generator's testers are over its atoms.
             g = _GENERATORS[mode](p)
-            assert build_test_program(g.table).atoms == g.table.atoms, mode
+            assert build_test_program(g).atoms == g.atoms, mode
             tables.clear()
             solve_disjunctive(p, mode=mode, enumerate_all=True)
             for t in tables:
-                m = frozenset(t.atoms[a] for a in t.rules[-1][1])
-                assert Program.of_table(t).render() == reference.program(m).render(), (mode, p.rules, m)
+                m = frozenset(t.atoms[a] for a in t.rows[-1][1])
+                assert t.render() == reference.tester(reference.numbers(m)).render(), (mode, p.rules, m)
                 assert [a for a in t.atoms if a in atoms] == list(reference.atoms), mode
-                assert all(t.atoms[h] in atoms for head, _, _ in t.rules for h in head), mode
+                assert all(t.atoms[h] in atoms for head, _, _ in t.rows for h in head), mode
             seen["tests"] += len(tables)
             seen["normal"] += p.is_normal and bool(tables)
-            seen["without constraints"] += all(head for head, _, _ in p.table.rules) and bool(tables)
+            seen["without constraints"] += all(head for head, _, _ in p.rows) and bool(tables)
     assert seen["tests"] >= 400 and seen["normal"] >= 30 and seen["without constraints"] >= 10, seen
 
 
@@ -637,8 +636,8 @@ def test_tester_is_compiled_once_per_search(monkeypatch):
         assert r.stats.minimal_tests >= 3
         # ... on the table of p's generator, which keeps p's lifted rules
         assert [type(c) for c in compiled] == [GeneratorTable]
-        assert [compiled[0].atoms[b] for b in compiled[0].base] == list(p.table.atoms)
-        assert len(compiled[0].inputs) == len(p.table.rules)
+        assert [compiled[0].atoms[b] for b in compiled[0].lift] == list(p.atoms)
+        assert len(compiled[0].inputs) == len(p.rows)
         assert len(tests) == r.stats.minimal_tests
         # the k-th tester solver is built within the k-th test
         assert testers == [(Solver, k, 1) for k in range(1, len(tests) + 1)]
@@ -679,7 +678,7 @@ class _LearningGenerator(_Generator):
         self.lessons = []
 
     def _learn(self, u):
-        true = frozenset(self.atoms[a] for a in self.base if self.val[a] == TRUE)
+        true = frozenset(self.atoms[a] for a in self.lift if self.val[a] == TRUE)
         self.lessons.append((true, frozenset(self.atoms[a] for a in u), self.covered))
         super()._learn(u)
 

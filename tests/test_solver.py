@@ -176,7 +176,7 @@ def test_root_false_atoms_are_false_in_every_stable_model():
         base = sorted(p.base)
         for _ in range(3):
             m = testers.numbers(a for a in base if rng.random() < 0.5)
-            programs.append(Program.of_table(testers.tester(m)))
+            programs.append(testers.tester(m))
     fixed_in = checked = 0
     for p in programs:
         if len(p.base) > 12:

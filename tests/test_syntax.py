@@ -85,8 +85,8 @@ def test_invalid_atom_names():
 def test_rule_with_empty_head_is_a_constraint():
     # A constraint is a rule with an empty head; without a body it renders
     # as ":- .", which no model satisfies.
-    assert Rule(frozenset(), frozenset([Atom("a")]), frozenset([Atom("b")])).render() == ":- a, not b."
-    assert Rule(frozenset()).render() == ":- ."
+    assert Program([Rule(frozenset(), frozenset([Atom("a")]), frozenset([Atom("b")]))]).render() == ":- a, not b.\n"
+    assert Program([Rule(frozenset())]).render() == ":- .\n"
 
 
 def test_parse_basic_rule():
@@ -107,7 +107,7 @@ def test_parse_constraint_desugaring():
     assert r.neg == frozenset()
     assert p.base == frozenset([Atom("b1"), Atom("b2")])
     empty = parse_program(":- .")
-    assert empty.table.rules == (((), (), ()),) and empty.render() == ":- .\n"
+    assert empty.rows == (((), (), ()),) and empty.render() == ":- .\n"
 
 
 def test_parse_rejects_reserved_prefix():
@@ -177,8 +177,8 @@ def test_comments_and_blank_lines():
 def test_render_examples():
     assert render_program(Program(())) == ""
     r = Rule(frozenset([Atom("a"), Atom("b")]), frozenset([Atom("c")]), frozenset([Atom("a")]))
-    assert r.render() == "a | b :- c, not a."
-    assert Rule(frozenset([Atom("a")])).render() == "a."
+    assert Program([r]).render() == "a | b :- c, not a.\n"
+    assert Program([Rule(frozenset([Atom("a")]))]).render() == "a.\n"
 
 
 def test_parse_literals():
