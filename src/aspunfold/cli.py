@@ -232,7 +232,6 @@ def cmd_transform(args) -> None:
         if args.model is None:
             raise ParseError("transform --kind test requires --model")
         candidate = parse_atom_set(args.model, allow_reserved=args.allow_reserved)
-        require_in_base(candidate, p.base, "model")
         testers = test_program(p)
         out = testers.tester(testers.numbers(candidate))
     else:

@@ -12,18 +12,18 @@ Every construction is a transform of the input's rule table and builds no
 it uses, sorted by rendering; the input's rules are renumbered into them
 by one merge (``_Extension``), and the construction's rules are built over
 the new numbers.  A construction is a ``GeneratorTable``: a program that
-keeps, besides its own rules, the lifted input rules and what a tester
-needs: the numbers of the input's atoms (its ``lift``) and the complement
-marks of its disjunctive head atoms.
+keeps, besides its own rules, the lifted input rules, the numbers of the
+input's atoms (its ``lift``) and the complement marks of its disjunctive
+head atoms, and derives from them the tester of each candidate.
 
 The tester of a candidate M is read off the reduct P^M, in one pass over the
-lifted input rules (``TesterTable.tester``).  ``test_program`` builds the
-testers from a generator, over the generator's numbers, so the search over
-a generator and every tester of that search share one lift.  The marks a
-tester does not use, such as ``s__a``, head no tester rule, so they are
-false from the root on.  Given any other program, ``test_program`` first
-lifts it into a construction with no rules of its own, which holds the
-complement marks of its disjunctive head atoms.
+lifted input rules (``GeneratorTable.tester``), over the generator's
+numbers, so the search over a generator and every tester of that search
+share one lift.  The marks a tester does not use, such as ``s__a``, head no
+tester rule, so they are false from the root on.  ``test_program`` returns
+a generator as it is; given any other program, it lifts it into a
+construction with no rules of its own, which holds the complement marks of
+its disjunctive head atoms.
 """
 
 from __future__ import annotations
@@ -89,17 +89,56 @@ class _Extension:
 
 
 class GeneratorTable(Program):
-    """A construction: its program, and what the generate-and-test search
-    reads besides, all over the construction's numbers: the input's rules
-    (``inputs``), the numbers of the input's atoms, ascending (``lift``),
-    the complement marks of its disjunctive head atoms that the
+    """A construction over an input P: its program, and what the
+    generate-and-test search reads besides, all over the construction's
+    numbers: P's rules (``inputs``), the numbers of P's atoms, ascending
+    (``lift``), the complement marks of P's disjunctive head atoms that the
     construction has, by the numbers of the atoms they mark
-    (``complement``).  Every generator of a mode marks every disjunctive
-    head atom; only ``support_program`` marks none."""
+    (``complement``), and the tester of each candidate (``tester``).  Every
+    generator of a mode marks every disjunctive head atom; only
+    ``support_program`` marks none."""
 
     inputs: list[IntRule]
     lift: list[int]
     complement: dict[int, int]
+
+    @cached_property
+    def index(self) -> dict[Atom, int]:
+        """The numbers of P's atoms, for callers that name a candidate's atoms."""
+        return {self.atoms[b]: b for b in self.lift}
+
+    def numbers(self, m: Collection[Atom]) -> frozenset[int]:
+        """The atom numbers of a candidate, which must lie in P's base."""
+        try:
+            return frozenset(self.index[a] for a in m)
+        except KeyError:
+            require_in_base(m, frozenset(self.index), "model")
+            raise
+
+    def tester(self, m: Collection[int]) -> Program:
+        """The tester for candidate m, given by atom numbers.  Each rule of P
+        whose positive body lies in m and whose negative body misses m gives
+        the reduct's rules for it: ``a :- pos, not c__a`` per disjunctive
+        head atom a in m, the constraint ``:- pos, not head`` for a
+        disjunctive rule, ``h :- pos`` for a normal rule with h in m; an
+        input constraint gives none, as m satisfies it.  The tester lists
+        the choices, then ``c__a :- not a`` for every disjunctive head atom
+        a, then the constraints, then the normal rules, each rule once, and
+        last the final constraint ``:- M.``  Its stable models are the
+        models of the reduct P^m properly inside m."""
+        complement = self.complement
+        m = frozenset(m)
+        choices, constraints, normal = [], [], []
+        for head, pos, neg in self.inputs:
+            if m.issuperset(pos) and m.isdisjoint(neg):
+                if len(head) > 1:
+                    choices += [((a,), pos, (complement[a],)) for a in head if a in m]
+                    constraints.append(((), pos, head))
+                elif head and head[0] in m:
+                    normal.append((head, pos, ()))
+        marks = [((c,), (), (a,)) for a, c in complement.items()]
+        rules = dict.fromkeys(chain(choices, marks, constraints, normal))
+        return Program.of_table(self.atoms, [*rules, ((), tuple(sorted(m)), ())])
 
 
 def gen_naive(p: Program) -> GeneratorTable:
@@ -163,67 +202,14 @@ def gen_program(p: Program) -> GeneratorTable:
     return x.program(_basic_rules(x) + _support_rules(x), heads)
 
 
-class TesterTable:
-    """The testers of an input P, each derived from its candidate, read off
-    the construction ``g`` over P: over g's atoms (``atoms``), P's rules
-    (``rules``), the complement marks of P's disjunctive head atoms by the
-    numbers of the atoms they mark (``complement``) and the numbers of P's
-    atoms, ascending (``lift``)."""
-
-    def __init__(self, g: GeneratorTable):
-        self.atoms = g.atoms
-        self.rules = g.inputs
-        self.complement = g.complement
-        self.lift = g.lift
-        # c__a :- not a, for every disjunctive head atom a
-        self.marks = [((c,), (), (a,)) for a, c in g.complement.items()]
-
-    @cached_property
-    def index(self) -> dict[Atom, int]:
-        """The numbers of P's atoms, for callers that name a candidate's atoms."""
-        return {self.atoms[b]: b for b in self.lift}
-
-    def numbers(self, m: Collection[Atom]) -> frozenset[int]:
-        """The atom numbers of a candidate, which must lie in the base."""
-        try:
-            return frozenset(self.index[a] for a in m)
-        except KeyError:
-            require_in_base(m, frozenset(self.index), "model")
-            raise
-
-    def tester(self, m: Collection[int]) -> Program:
-        """The tester for candidate m, given by atom numbers.  Each rule whose
-        positive body lies in m and whose negative body misses m gives the
-        reduct's rules for it: ``a :- pos, not c__a`` per disjunctive head
-        atom a in m, the constraint ``:- pos, not head`` for a disjunctive
-        rule, ``h :- pos`` for a normal rule with h in m; an input
-        constraint gives none, as m satisfies it.  The tester lists
-        the choices, then ``c__a :- not a`` for every disjunctive head atom
-        a, then the constraints, then the normal rules, each rule once, and
-        last the final constraint ``:- M.``  Its stable models are the
-        models of the reduct P^m properly inside m."""
-        complement = self.complement
-        m = frozenset(m)
-        choices, constraints, normal = [], [], []
-        for head, pos, neg in self.rules:
-            if m.issuperset(pos) and m.isdisjoint(neg):
-                if len(head) > 1:
-                    choices += [((a,), pos, (complement[a],)) for a in head if a in m]
-                    constraints.append(((), pos, head))
-                elif head and head[0] in m:
-                    normal.append((head, pos, ()))
-        rules = dict.fromkeys(chain(choices, self.marks, constraints, normal))
-        return Program.of_table(self.atoms, [*rules, ((), tuple(sorted(m)), ())])
-
-
-def test_program(p: Program) -> TesterTable:
+def test_program(p: Program) -> GeneratorTable:
     """The testers of p, each derived from its candidate M by
-    ``TesterTable.tester``: their stable models are the models of the
-    reduct P^M properly inside M.  Given a generator of P, they are over
-    the generator's numbers.  Given any other program, they are over a
-    construction with no rules of its own that lifts p with the
+    ``GeneratorTable.tester``: their stable models are the models of the
+    reduct P^M properly inside M.  A generator of P is its own tester
+    table, over the generator's numbers.  Any other program is lifted
+    into a construction with no rules of its own that holds the
     complement marks of its disjunctive head atoms."""
-    if not isinstance(p, GeneratorTable):
-        heads = _heads(p, "test_program")
-        p = _Extension(p, comps=heads).program((), heads)
-    return TesterTable(p)
+    if isinstance(p, GeneratorTable):
+        return p
+    heads = _heads(p, "test_program")
+    return _Extension(p, comps=heads).program((), heads)

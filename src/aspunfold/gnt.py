@@ -10,14 +10,13 @@ over them once, and the generator (a ``GeneratorTable``) keeps them with
 the numbers of the input's atoms.  A candidate is read from the
 generator's assignment over those numbers.
 
-At the first minimality test of a search, ``test_program`` takes the
-testers from the generator, over the generator's numbers: every
-generator holds the complement marks of the input's disjunctive head atoms,
-so there is one lift.  Each test derives the candidate's tester from them,
-as a program, and searches it with an ordinary ``Solver``, closing the
-search after the first answer.  The tester model is read as the
-candidate's atoms true in the tester's assignment, over the same numbers.
-Nothing outlives the search.
+The generator derives its own testers: ``test_program`` returns it as it
+is, once, when the search is set up.  Every generator holds the complement
+marks of the input's disjunctive head atoms, so there is one lift.  Each
+test derives the candidate's tester from the generator, as a program, and
+searches it with an ordinary ``Solver``, closing the search after the first
+answer.  The tester model is read as the candidate's atoms true in the
+tester's assignment, over the same numbers.  Nothing outlives the search.
 
 Early tests are gated by a per-search WasCovered flag: set when a candidate
 is covered, cleared by the next early test that does not prune.  An early
@@ -57,7 +56,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Optional
 
-from .gentest import GeneratorTable, TesterTable, gen_basic, gen_naive, gen_program, test_program
+from .gentest import GeneratorTable, gen_basic, gen_naive, gen_program, test_program
 from .semantics import DEFAULT_CAP, enumerate_stable_models
 from .solver import FALSE, TRUE, Solver, SolverStats
 from .syntax import Atom, IntRule, Program
@@ -94,12 +93,11 @@ class SolveResult:
 
 class _Tester:
     """The minimality tester of one search: ``test_program`` of the
-    generator (or of any program), built at the first test, and the
+    generator (or of any program), taken when the tester is built, and the
     solver and the tester model of the latest test."""
 
     def __init__(self, source: Program):
-        self.source = source
-        self.testers: Optional[TesterTable] = None
+        self.testers = test_program(source)
         self.solver: Optional[Solver] = None
         # The candidate's atoms true in the latest tester model; None if
         # the test passed.
@@ -108,8 +106,6 @@ class _Tester:
     def minimal(self, candidate: list[int]) -> bool:
         """Whether the candidate, atom numbers of the source, ascending, is
         minimal: its tester has no stable model."""
-        if self.testers is None:
-            self.testers = test_program(self.source)
         solver = self.solver = Solver(self.testers.tester(candidate))
         search = solver.models()
         found = next(search, None) is not None
@@ -125,9 +121,9 @@ def minimal_test(
 ) -> bool:
     """Whether the candidate, the true atoms of an assignment restricted to
     the input's base (undefined taken false), as atom numbers ascending, is
-    minimal: its tester from ``tester``, the tester a search keeps between
-    its tests, has no stable model.  Counts the test in stats and the
-    tester's search in solver_stats."""
+    minimal: its tester, derived by the generator that ``tester`` holds for
+    the whole search, has no stable model.  Counts the test in stats and
+    the tester's search in solver_stats."""
     ok = tester.minimal(candidate)
     stats.minimal_tests += 1
     solver_stats.merge(tester.solver.stats)
@@ -141,10 +137,6 @@ class _Generator(Solver):
 
     def __init__(self, g: GeneratorTable, config: GntConfig):
         super().__init__(g)
-        # p's rules over g's numbers, lifted by the construction of g, and
-        # the numbers of p's atoms
-        self.rules = g.inputs
-        self.lift = g.lift
         self.config = config
         self.gnt_stats = GntStats()
         self.tester_stats = SolverStats()
@@ -157,7 +149,7 @@ class _Generator(Solver):
 
     def _minimal(self) -> bool:
         val = self.val
-        candidate = [a for a in self.lift if val[a] == TRUE]
+        candidate = [a for a in self.program.lift if val[a] == TRUE]
         if minimal_test(self.tester, candidate, self.gnt_stats, self.tester_stats):
             return True
         model = self.tester.model
@@ -169,7 +161,7 @@ class _Generator(Solver):
         with its external support."""
         if self._heads is None:
             self._heads = [[] for _ in self.atoms]
-            for rule in self.rules:
+            for rule in self.program.inputs:
                 for h in rule[0]:
                     self._heads[h].append(rule)
         inside = set(u)

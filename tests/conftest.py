@@ -25,7 +25,7 @@ from aspunfold.semantics import (
     _require_cap,
 )
 from aspunfold.solver import FALSE, TRUE, Solver, SolverStats
-from aspunfold.syntax import _MARKS, Atom, F_ATOM, Literal, Program, Rule, _known, positions
+from aspunfold.syntax import _MARKS, Atom, F_ATOM, Literal, Program, Rule, _known
 
 hypothesis.settings.register_profile("det", derandomize=True, max_examples=60)
 hypothesis.settings.load_profile("det")
@@ -429,8 +429,6 @@ class ReferenceTester(gnt._Tester):
     """``gnt._Tester`` searching each tester without the root inference."""
 
     def minimal(self, candidate):
-        if self.testers is None:
-            self.testers = gnt.test_program(self.source)
         self.solver = WithoutRootInference(self.testers.tester(candidate))
         search = self.solver.models()
         found = next(search, None) is not None
@@ -458,12 +456,6 @@ class ReferenceGenerator(WithoutRootInference):
     def __init__(self, g, p, config):
         super().__init__(g)
         self.p = p
-        lift = positions(p.atoms, self.atoms).__getitem__
-        self.rules = [
-            (tuple(map(lift, head)), tuple(map(lift, pos)), tuple(map(lift, neg)))
-            for head, pos, neg in p.rows
-            if pos
-        ]
         self.lift = self.program.lift
         self.config = config
         self.gnt_stats = gnt.GntStats()
@@ -477,7 +469,7 @@ class ReferenceGenerator(WithoutRootInference):
 
     def _early_test_sound(self):
         val = self.val
-        for head, pos, neg in self.rules:
+        for head, pos, neg in self.program.inputs:
             if (
                 any(val[h] == TRUE for h in head)
                 and not all(val[b] == TRUE for b in pos)

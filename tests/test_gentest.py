@@ -4,6 +4,7 @@ import pytest
 
 from aspunfold.bench import gen_d3sat_instance, gen_random_qbf
 from aspunfold.gentest import gen_basic, gen_naive, gen_program, support_program
+from aspunfold.gentest import test_program as build_test_program
 from aspunfold.parser import parse_program
 from aspunfold.qbf import qbf_to_program
 from aspunfold.semantics import enumerate_stable_models, PartialInterpretation
@@ -162,6 +163,23 @@ def test_test_program_validates_candidate():
     # The error names the least atom outside the base, as the CLI's does.
     with pytest.raises(ValueError, match="model atom y not in program base"):
         candidate_tester(DISJ, frozenset([A, Atom("zz"), Atom("y")]))
+
+
+def test_generators_are_their_own_testers():
+    # Every construction derives its own testers: test_program returns it as
+    # it is.  A plain program's testers are those of its gen_basic
+    # generator, atoms and rows, for every candidate.
+    for seed in range(30):
+        for p in (random_disjunctive_program(seed), random_normal_program(seed)):
+            for gen in (gen_naive, gen_basic, support_program, gen_program):
+                g = gen(p)
+                assert build_test_program(g) is g, (gen.__name__, p.rules)
+            got, want = build_test_program(p), gen_basic(p)
+            assert got.atoms == want.atoms, p.rules
+            base = sorted(p.base)
+            for bits in range(1 << len(base)):
+                m = frozenset(a for i, a in enumerate(base) if bits >> i & 1)
+                assert got.tester(got.numbers(m)).rows == want.tester(want.numbers(m)).rows, (p.rules, m)
 
 
 def test_candidate_soundness():

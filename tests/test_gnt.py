@@ -109,9 +109,9 @@ def test_generator_reads_the_input_lifted_by_its_construction():
         for mode, build in _GENERATORS.items():
             g = build(p)
             search = _Generator(g, GntConfig())
-            assert search.rules is g.inputs
+            assert search.program is g
             lift = positions(p.atoms, g.atoms)
-            assert search.rules == [
+            assert search.program.inputs == [
                 tuple(tuple(lift[a] for a in part) for part in rule) for rule in p.rows
             ], mode
 
@@ -678,7 +678,7 @@ class _LearningGenerator(_Generator):
         self.lessons = []
 
     def _learn(self, u):
-        true = frozenset(self.atoms[a] for a in self.lift if self.val[a] == TRUE)
+        true = frozenset(self.atoms[a] for a in self.program.lift if self.val[a] == TRUE)
         self.lessons.append((true, frozenset(self.atoms[a] for a in u), self.covered))
         super()._learn(u)
 
