@@ -9,16 +9,26 @@ for each minimality test.
 Propagation combines forward/backward unit rules over body counters with
 falsification of unfounded atoms.  Every literal added by expand holds in
 every stable model of the program agreeing with the current assignment, so a
-covered conflict-free fixpoint is exactly a stable model.  Unit propagation
-is one loop, ``_unit_propagate``, over a stack of assignments: the value of
+covered conflict-free fixpoint is exactly a stable model.  The trail is the
+propagation queue, as in smodels and MiniSat: a decision and every
+inference assign an undefined atom the moment it is derived and append it
+to the trail, and a derived literal that contradicts the assignment is a
+conflict at once.  Unit propagation is one loop, ``_unit_propagate``, over
+the trail from ``_head``, the first atom not yet propagated: the value of
 each picks whether it advances or blocks the bodies in ``occ_pos`` and in
 ``occ_neg``, and ``undo_to`` walks the same lists back or, near the root,
-copies the counters back (below).  Each rule keeps two
-counters: ``n_false``, its false body literals, and ``n_left``, its body
-literals not yet true, which moves only while the rule is unblocked
-(``n_false`` zero).  A blocked rule can neither fire nor propagate
-backward, so its ``n_left`` is not read until it is unblocked again; an
-atom advances before it blocks and ``undo_to`` unblocks before it
+copies the counters back (below).  A conflict ends the expand: the atom
+being propagated finishes its lists, and the atoms after it, assigned but
+not yet propagated, are unassigned.  So after every expand, whatever its
+outcome, every atom on the trail has been propagated and the counters match
+the assignment.  Every inference is monotone in the assignment, so an
+expand's outcome and its fixpoint do not depend on the order in which
+literals are propagated; only the source pointers it leaves may.  Each
+rule keeps two counters: ``n_false``, its false body literals, and
+``n_left``, its body literals not yet true, which moves only while the rule
+is unblocked (``n_false`` zero).  A blocked rule can neither fire nor
+propagate backward, so its ``n_left`` is not read until it is unblocked
+again; an atom advances before it blocks and ``undo_to`` unblocks before it
 un-advances, and as backtracking is chronological, every rule is unblocked
 with the ``n_left`` it had when it was blocked.
 
@@ -53,8 +63,9 @@ of their component whose sources depend on them, finds new sources by a
 local least fixpoint, and falsifies the atoms left without one, which form
 an unfounded set.  Backtracking only unblocks rules, so every source stays
 valid and undo_to keeps them all; it only records the atoms it unassigns
-that have no source, to be given one at the next check.  Expand reaches the
-same fixpoint as falsifying the greatest unfounded set of the whole program.
+that have no source, to be given one at the next check, as a conflict does
+for the atoms it unassigns.  Expand reaches the same fixpoint as falsifying
+the greatest unfounded set of the whole program.
 
 Branching follows the negative-phase-first skeleton of smodels: pick the
 undefined atom occurring in the most not-yet-satisfied rules (head not true,
@@ -80,23 +91,24 @@ The search keeps, with each choice, the scan position before which every
 atom is assigned, so the scan starts past the atoms assigned above it.
 
 Backtracking is chronological, with no learning, and goes back one of two
-ways.  Walking back touches every list entry that propagation touched since
-the choice, so its cost grows with the branch below the choice; copying back
-costs two entries per rule and one per atom (``n_left``, ``n_false`` and
-``active``), whatever was assigned.  The negative branch of a choice near
-the root holds most of the search below it, so ``_search`` copies the three
-arrays at each choice before its negative branch, and ``undo_to`` copies
-them back when the positive branch starts and only resets the values of the
-atoms it unassigns.  A deep choice undoes a few atoms, and walking them back
-is cheaper than a copy.  So copies are taken only while the copies held by
-the pending choices fit in a budget: as many entries as the solver's own
-per-rule and per-atom lists hold (``_copy_budget``), so the copies at most
-double the list entries the solver holds, however deep the search.  The
-copies go to the shallowest pending choices, and every deeper choice walks
-back.  On the benchmark's d3sat generators and partial translations the
-budget holds six copies, and their searches hold up to 10 and 13 pending
-choices.  Both ways leave every counter as it was at the choice, so the
-search is the same either way.
+ways, to a trail length at which every atom had been propagated, so
+``_head`` goes back with it.  Walking back touches every list entry that
+propagation touched since the choice, so its cost grows with the branch
+below the choice; copying back costs two entries per rule and one per atom
+(``n_left``, ``n_false`` and ``active``), whatever was assigned.  The
+negative branch of a choice near the root holds most of the search below
+it, so ``_search`` copies the three arrays at each choice before its
+negative branch, and ``undo_to`` copies them back when the positive branch
+starts and only resets the values of the atoms it unassigns.  A deep choice
+undoes a few atoms, and walking them back is cheaper than a copy.  So
+copies are taken only while the copies held by the pending choices fit in a
+budget: as many entries as the solver's own per-rule and per-atom lists
+hold (``_copy_budget``), so the copies at most double the list entries the
+solver holds, however deep the search.  The copies go to the shallowest
+pending choices, and every deeper choice walks back.  On the benchmark's
+d3sat generators and partial translations the budget holds six copies, and
+their searches hold up to 10 and 13 pending choices.  Both ways leave every
+counter as it was at the choice, so the search is the same either way.
 
 ``_search`` is the package's one stable-model search, a loop over an explicit
 stack of pending positive branches, so its depth is bounded by memory rather
@@ -182,7 +194,10 @@ class Solver:
         self.n_left = [len(pos) + len(neg) for pos, neg in zip(self.r_pos, self.r_neg)]
         self.n_false = [0] * len(self.r_head)
         self.active = [len(occ) for occ in self.occ_head]
-        self._queue: list[tuple[int, int]] = []
+        # trail[:_head] is propagated; _conflict is set by an assignment
+        # that contradicts the one made, until _unit_propagate reports it.
+        self._head = 0
+        self._conflict = False
         self.source = [NO_SOURCE if c else ACYCLIC for c in self._cyclic]
         # Cyclic atoms to re-examine at the next check; every one starts sourceless.
         self._lost = [a for a in range(n) if self._cyclic[a]]
@@ -284,64 +299,82 @@ class Solver:
     # -- assignment and unit propagation -----------------------------------
 
     def _push(self, a: int, v: int) -> None:
-        self._queue.append((a, v))
+        """Assign ``a`` the value ``v`` at once, appending it to the trail for
+        ``_unit_propagate``; if ``a`` already holds the other value, record a
+        conflict, which the next ``_unit_propagate`` reports."""
+        cur = self.val[a]
+        if cur == UNDEF:
+            self.val[a] = v
+            self.trail.append(a)
+        elif cur != v:
+            self._conflict = True
 
     def _force_single_support(self, a: int) -> None:
+        """Make the body of the one unblocked rule of the true atom ``a``
+        true; a body literal the assignment already makes false is a
+        conflict."""
+        val = self.val
         for r in self.occ_head[a]:
             if self.n_false[r] == 0:
                 for b in self.r_pos[r]:
-                    if self.val[b] == UNDEF:
-                        self._queue.append((b, TRUE))
+                    if val[b] != TRUE:
+                        self._push(b, TRUE)
                 for c in self.r_neg[r]:
-                    if self.val[c] == UNDEF:
-                        self._queue.append((c, FALSE))
+                    if val[c] != FALSE:
+                        self._push(c, FALSE)
                 return
 
     def _falsify_last_literal(self, r: int) -> None:
+        """Make false the one body literal of the unblocked rule ``r``, whose
+        head is false, that is not yet true as propagated; if the assignment
+        already makes it true, the body holds, a conflict."""
+        val = self.val
         for b in self.r_pos[r]:
-            if self.val[b] == UNDEF:
-                self._queue.append((b, FALSE))
+            if val[b] != TRUE:
+                self._push(b, FALSE)
                 return
         for c in self.r_neg[r]:
-            if self.val[c] == UNDEF:
-                self._queue.append((c, TRUE))
+            if val[c] != FALSE:
+                self._push(c, TRUE)
                 return
+        self._conflict = True
 
     def _unit_propagate(self) -> bool:
-        """Apply the queued assignments and everything unit propagation
-        derives from them; False on a conflict, with the queue emptied."""
-        queue, val, trail = self._queue, self.val, self.trail
+        """Propagate the trail from ``_head`` on, in order, each atom
+        advancing and blocking the rules of its lists; the atoms this derives
+        are assigned at once and appended to the trail.  False on a
+        conflict: the atom being propagated finishes its lists, and the atoms
+        after it, not yet propagated, are unassigned."""
+        val, trail = self.val, self.trail
+        append = trail.append
         occ_pos, occ_neg, occ_head = self.occ_pos, self.occ_neg, self.occ_head
         n_left, n_false, r_head = self.n_left, self.n_false, self.r_head
         active, source, lost = self.active, self.source, self._lost
-        while queue:
-            a, v = queue.pop()
-            cur = val[a]
-            if cur != UNDEF:
-                if cur == v:
-                    continue
-                queue.clear()
-                return False
-            val[a] = v
-            trail.append(a)
+        i = self._head
+        while i < len(trail) and not self._conflict:
+            a = trail[i]
+            i += 1
             # A true atom advances the bodies it occurs in positively and
             # blocks those it occurs in negatively, a false one the reverse.
             # It advances first: a rule it also blocks is advanced too, and
             # undo_to, which unblocks first, un-advances it; the rule cannot
             # fire, as the literal that blocks it is never true.
+            v = val[a]
             if v == TRUE:
                 advanced, blocked = occ_pos[a], occ_neg[a]
             else:
                 advanced, blocked = occ_neg[a], occ_pos[a]
-            # A head that already has the value a rule gives it is not queued:
-            # popping it would change nothing.
             for r in advanced:
                 if not n_false[r]:
                     left = n_left[r] = n_left[r] - 1
                     if not left:
                         h = r_head[r]
-                        if val[h] != TRUE:
-                            queue.append((h, TRUE))
+                        cur = val[h]
+                        if cur == UNDEF:
+                            val[h] = TRUE
+                            append(h)
+                        elif cur == FALSE:
+                            self._conflict = True
                     elif left == 1 and val[r_head[r]] == FALSE:
                         self._falsify_last_literal(r)
             for r in blocked:
@@ -354,34 +387,52 @@ class Solver:
                     lost.append(h)
                 left = active[h] = active[h] - 1
                 if not left:
-                    if val[h] != FALSE:
-                        queue.append((h, FALSE))
+                    cur = val[h]
+                    if cur == UNDEF:
+                        val[h] = FALSE
+                        append(h)
+                    elif cur == TRUE:
+                        self._conflict = True
                 elif left == 1 and val[h] == TRUE:
                     self._force_single_support(h)
             if v == TRUE:
                 left = active[a]
                 if not left:
-                    queue.clear()
-                    return False
-                if left == 1:
+                    self._conflict = True
+                elif left == 1:
                     self._force_single_support(a)
             else:
                 for r in occ_head[a]:
                     if not n_false[r]:
                         left = n_left[r]
                         if not left:
-                            queue.clear()
-                            return False
+                            self._conflict = True
+                            break
                         if left == 1:
                             self._falsify_last_literal(r)
+        self._head = i
+        if self._conflict:
+            self._conflict = False
+            self._unassign(i)
+            return False
         return True
+
+    def _unassign(self, mark: int) -> None:
+        """Unassign the trail above position ``mark`` without touching the
+        counters, recording the atoms left without a source, last first."""
+        trail, val, source = self.trail, self.val, self.source
+        undone = trail[mark:]
+        del trail[mark:]
+        for a in undone:
+            val[a] = UNDEF
+        self._lost += [a for a in reversed(undone) if source[a] == NO_SOURCE]
 
     # -- unfounded-set check --------------------------------------------------
 
     def _unfounded_check(self) -> None:
         """Re-source the atoms recorded in ``_lost``, with the atoms of their
-        SCCs whose sources depend on them, and push false those left without
-        a source: they form an unfounded set."""
+        SCCs whose sources depend on them, and assign false those left
+        without a source: they form an unfounded set."""
         source, n_false, val = self.source, self.n_false, self.val
         occ_int, r_int, r_head = self.occ_int, self.r_int, self.r_head
         stack = []
@@ -432,9 +483,10 @@ class Solver:
         for a in unsourced:
             if source[a] == NO_SOURCE and val[a] != FALSE:
                 self._push(a, FALSE)
-                # Recorded again until set: a conflict may come first, and
-                # undo_to records only the sourceless atoms it unassigns.
-                self._lost.append(a)
+                if val[a] == TRUE:
+                    # A conflict.  Recorded again: backtracking may leave a
+                    # true, and undo_to records only the atoms it unassigns.
+                    self._lost.append(a)
 
     # -- expand ---------------------------------------------------------------
 
@@ -461,17 +513,16 @@ class Solver:
         became blocked.  Either way the counters end as they were at
         ``mark``, every source is kept, and the atoms unassigned without a
         source are recorded, last first, to be given one at the next check.
-        The occurrence lists stay as they are: nothing puts back the rules
-        ``_search`` dropped at its first choice, below which it never undoes."""
-        trail, val, source, lost = self.trail, self.val, self.source, self._lost
+        It is called between expands, when every atom on the trail has been
+        propagated, and sets ``_head`` to ``mark``.  The occurrence lists
+        stay as they are: nothing puts back the rules ``_search`` dropped at
+        its first choice, below which it never undoes."""
+        self._head = mark
         if saved is not None:
             self.n_left[:], self.n_false[:], self.active[:] = saved
-            undone = trail[mark:]
-            del trail[mark:]
-            for a in undone:
-                val[a] = UNDEF
-            lost += [a for a in reversed(undone) if source[a] == NO_SOURCE]
+            self._unassign(mark)
         else:
+            trail, val, source, lost = self.trail, self.val, self.source, self._lost
             occ_pos, occ_neg, n_left, n_false = self.occ_pos, self.occ_neg, self.n_left, self.n_false
             active, r_head = self.active, self.r_head
             for _ in range(len(trail) - mark):
@@ -490,7 +541,6 @@ class Solver:
                 for r in advanced:
                     if not n_false[r]:
                         n_left[r] += 1
-        self._queue.clear()
 
     # -- search -----------------------------------------------------------------
 

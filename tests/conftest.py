@@ -957,17 +957,19 @@ def expand(program, literals=()):
     return ExpandResult(lits, not ok)
 
 
-def unfounded_atoms(s):
-    """The greatest unfounded set of a solver's current assignment, computed
-    over the whole program: the complement of the least fixpoint of "can
-    still be derived", where a rule with no false body literal derives its
-    head once its positive body atoms are derived."""
+def unfounded_atoms(s, val=None):
+    """The greatest unfounded set of an assignment to a solver's atoms, its
+    current one by default, computed over the whole program: the complement
+    of the least fixpoint of "can still be derived", where a rule with no
+    false body literal derives its head once its positive body atoms are
+    derived."""
     from aspunfold.solver import FALSE, TRUE
 
-    derived = [False] * len(s.val)
+    val = s.val if val is None else val
+    derived = [False] * len(val)
     missing = [len(pos) for pos in s.r_pos]
     blocked = [
-        any(s.val[b] == FALSE for b in s.r_pos[r]) or any(s.val[c] == TRUE for c in s.r_neg[r])
+        any(val[b] == FALSE for b in s.r_pos[r]) or any(val[c] == TRUE for c in s.r_neg[r])
         for r in range(len(s.r_head))
     ]
     stack = [r for r in range(len(s.r_head)) if not blocked[r] and not missing[r]]
@@ -981,7 +983,7 @@ def unfounded_atoms(s):
                 missing[r] -= 1
                 if missing[r] == 0:
                     stack.append(r)
-    return {a for a in range(len(s.val)) if not derived[a]}
+    return {a for a in range(len(val)) if not derived[a]}
 
 
 def reference_sccs(s):
@@ -1051,18 +1053,66 @@ def reference_choose(s):
     return min(undefined, key=lambda a: (-counts[a], a))
 
 
-def reference_expand(s):
-    """Expand by unit propagation and falsification of the whole greatest
-    unfounded set, until neither changes anything; False on a conflict."""
-    from aspunfold.solver import FALSE
+class _Contradiction(Exception):
+    pass
 
-    while s._unit_propagate():
-        new = [a for a in sorted(unfounded_atoms(s)) if s.val[a] != FALSE]
-        if not new:
+
+def reference_expand(s, literals):
+    """The fixpoint of the solver's inference rules over its rule table, from
+    the given (atom number, value) pairs, with no counters and no trail:
+    every rule is scanned until a whole pass changes nothing.  A rule whose
+    body is true fires; an atom with no unblocked rule (no body literal
+    false) is false; a true atom with one unblocked rule makes that rule's
+    body true; an unblocked rule with a false head and one open body literal
+    makes it false; and every atom of the greatest unfounded set is false.
+    The values, or None once some atom is derived both true and false."""
+    from aspunfold.solver import FALSE, TRUE, UNDEF
+
+    val = [UNDEF] * len(s.val)
+
+    def assign(a, v):
+        """Whether this assigns a."""
+        if val[a] == UNDEF:
+            val[a] = v
             return True
-        for a in new:
-            s._push(a, FALSE)
-    return False
+        if val[a] != v:
+            raise _Contradiction
+        return False
+
+    # Each rule as its head and its body literals, (atom, value that makes
+    # the literal true).
+    rules = [
+        (h, [(b, TRUE) for b in pos] + [(c, FALSE) for c in neg])
+        for h, pos, neg in zip(s.r_head, s.r_pos, s.r_neg)
+    ]
+    try:
+        for a, v in literals:
+            assign(a, v)
+        changed = True
+        while changed:
+            changed = False
+            unblocked = [[] for _ in val]
+            for h, body in rules:
+                if any(val[b] not in (UNDEF, v) for b, v in body):
+                    continue
+                unblocked[h].append(body)
+                open_literals = [(b, v) for b, v in body if val[b] == UNDEF]
+                if not open_literals:
+                    changed |= assign(h, TRUE)
+                elif len(open_literals) == 1 and val[h] == FALSE:
+                    b, v = open_literals[0]
+                    changed |= assign(b, FALSE if v == TRUE else TRUE)
+            for a, bodies in enumerate(unblocked):
+                if not bodies:
+                    changed |= assign(a, FALSE)
+                elif len(bodies) == 1 and val[a] == TRUE:
+                    for b, v in bodies[0]:
+                        changed |= assign(b, v)
+            for a in unfounded_atoms(s, val):
+                changed |= assign(a, FALSE)
+    except _Contradiction:
+        return None
+    return val
 
 
 # hypothesis strategies over the same shapes

@@ -11,7 +11,10 @@ stay pinned on the search without learning, so the rest of the search is
 still held to them.  So were the gnt cases that fixing self-blocking atoms
 such as ``__f`` false at set-up changed: their former values stay pinned on
 the search whose generator and testers lack that inference.  The partial
-cases have no such atom, and kept their values.
+cases have no such atom, and kept their values.  The ``d3sat_100`` cases,
+at twice the benchmark's size, were recorded from the solver whose
+propagation still queued each derived literal and checked it only when
+popped.
 """
 
 import random
@@ -105,6 +108,11 @@ GOLDEN = {
     ("partial_bench", 1): (16, 14, 33, 0, 0, 0, 3),
     ("partial_bench", 2): (1, 1, 3, 0, 0, 0, 1),
     ("partial_bench", 3): (83, 83, 167, 0, 0, 0, 1),
+    ("d3sat_100", 0): (138, 139, 277, 0, 0, 0, 0),
+    ("d3sat_100", 1): (575, 576, 1151, 0, 0, 0, 0),
+    ("d3sat_100", 2): (792, 793, 1585, 0, 0, 0, 0),
+    ("d3sat_100", 3): (985, 986, 1971, 0, 0, 0, 0),
+    ("d3sat_100", 4): (29, 16, 46, 1, 1, 0, 1),
 }
 
 
@@ -168,6 +176,8 @@ def _counts(family, seed, solve=solve_disjunctive):
         return _gnt_counts(qbf_to_program(gen_random_qbf(10, "gw", seed)), solve)
     if family == "d3sat_bench":
         return _gnt_counts(gen_d3sat_instance(50, 4.258, seed).program, solve)
+    if family == "d3sat_100":
+        return _gnt_counts(gen_d3sat_instance(100, 4.258, seed).program, solve)
     if family == "qbf_gw_bench":
         return _gnt_counts(qbf_to_program(gen_random_qbf(14, "gw", seed)), solve)
     if family == "partial_bench":

@@ -310,20 +310,21 @@ def decision_walks(seeds, rng, solver=Solver):
 
 
 def test_unfounded_check_is_complete_after_backtracking():
-    # Each expand must reach the fixpoint that the whole-program
-    # unfounded-set pass reaches from the same decisions, and leave no atom
-    # of the greatest unfounded set non-false.
+    # Each expand must reach the fixpoint that scanning every rule with the
+    # solver's inference rules reaches from the same decisions, the
+    # whole-program unfounded-set pass among them, and conflict exactly
+    # when that scan derives an atom both ways.  The scan keeps no counters
+    # and no trail, so this also checks that propagating the trail in its
+    # order, and ending at the first contradiction, decides nothing that
+    # another order would decide otherwise.
     fixpoints = 0
     for p, s, decisions, ok in decision_walks(range(2000), random.Random(5)):
-        ref = Solver(p)
-        for b, v in ref._initial:
-            ref._push(b, v)
-        for lit in decisions:
-            ref._push(ref.index[lit.atom], TRUE if lit.positive else FALSE)
-        assert ok == reference_expand(ref), (p, decisions)
+        assumed = [(s.index[lit.atom], TRUE if lit.positive else FALSE) for lit in decisions]
+        ref = reference_expand(s, s._initial + assumed)
+        assert ok == (ref is not None), (p, decisions)
         if not ok:
             continue
-        assert s.val == ref.val, (p, decisions)
+        assert s.val == ref, (p, decisions)
         assert all(s.val[b] == FALSE for b in unfounded_atoms(s)), (p, decisions)
         fixpoints += 1
     assert fixpoints > 4000
@@ -514,6 +515,32 @@ def test_counter_check_catches_unfrozen_undo():
     # unblocked; the check must see it.
     with pytest.raises(AssertionError):
         walk_counted(UnfrozenSolver)
+
+
+def test_contradiction_ends_the_expand_at_once():
+    # x false fires y, c1 and z, in rule order, and advances the constraint
+    # :- y, not x to its last literal.  y is assigned at once, so the
+    # constraint's body holds: a conflict while x is still being propagated.
+    # The expand ends there: y, c1 and z, assigned but not yet propagated,
+    # are unassigned, and the chain c2 :- c1 ... c50 :- c49 is never walked.
+    # A propagation that checks each derived literal only when it takes it
+    # from a stack walks the whole chain first and leaves 54 atoms on the
+    # trail; one that leaves the unpropagated atoms assigned leaves 5, and
+    # its counters no longer match the assignment.
+    lines = ["y :- not x.", ":- y, not x.", "c1 :- not x."]
+    lines += [f"c{i} :- c{i - 1}." for i in range(2, 51)]
+    lines += ["x :- not z.", "z :- not x."]
+    s = Solver(parse_program("\n".join(lines)))
+    for a, v in s._initial:
+        s._push(a, v)
+    assert s._expand()
+    root = s.trail[:]
+    assert root == [len(s.atoms)]  # ⊥, fixed false at the root
+    x = s.index[Atom("x")]
+    s._push(x, FALSE)
+    assert not s._expand()
+    assert s.trail == root + [x]
+    assert_counters_match(s)
 
 
 class PruneAtEveryChoice(CountedSolver):
