@@ -3,21 +3,16 @@
 minimal-model 3-SAT programs: candidates covered, minimality tests, early
 prunes, learned sets and their prunes, and decision outcomes per instance
 family.
-
-Instances run independently; --jobs parallelizes across them while keeping
-output deterministic (results are ordered by seed before printing).
 """
 
 import argparse
 import json
-from concurrent.futures import ProcessPoolExecutor
 
 from aspunfold.bench import gen_d3sat_instance
 from aspunfold.gnt import GntConfig, solve_disjunctive
 
 
-def run_instance(task):
-    atoms, ratio, seed, mode, early_test = task
+def run_instance(atoms, ratio, seed, mode, early_test):
     inst = gen_d3sat_instance(atoms, ratio, seed)
     result = solve_disjunctive(
         inst.program, mode=mode, config=GntConfig(early_test=early_test)
@@ -42,21 +37,14 @@ def main():
     ap.add_argument("--count", type=int, default=100)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--early-test", choices=("on", "off"), default="on")
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--json", action="store_true")
     args = ap.parse_args()
 
-    tasks = [
-        (args.atoms, args.ratio, args.seed + i, mode, args.early_test)
+    rows = [
+        run_instance(args.atoms, args.ratio, args.seed + i, mode, args.early_test)
         for mode in ("gnt1", "gnt2")
         for i in range(args.count)
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(run_instance, tasks))
-    else:
-        rows = [run_instance(t) for t in tasks]
-    rows.sort(key=lambda r: (r["mode"], r["seed"]))
 
     if args.json:
         print(json.dumps(rows))

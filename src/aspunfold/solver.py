@@ -24,13 +24,13 @@ outcome, every atom on the trail has been propagated and the counters match
 the assignment.  Every inference is monotone in the assignment, so an
 expand's outcome and its fixpoint do not depend on the order in which
 literals are propagated; only the source pointers it leaves may.  Each
-rule keeps two counters: ``n_false``, its false body literals, and
-``n_left``, its body literals not yet true, which moves only while the rule
-is unblocked (``n_false`` zero).  A blocked rule can neither fire nor
-propagate backward, so its ``n_left`` is not read until it is unblocked
-again; an atom advances before it blocks and ``undo_to`` unblocks before it
-un-advances, and as backtracking is chronological, every rule is unblocked
-with the ``n_left`` it had when it was blocked.
+rule keeps two counters: ``n_false``, its body literals false as
+propagated, and ``n_left``, its body literals not yet true as propagated,
+blocked (``n_false`` nonzero) or not; only an unblocked rule fires or
+propagates backward.  So both are sums over the propagated atoms, and
+``active``, an atom's head rules with ``n_false`` zero, follows from
+``n_false``: un-counting commutes, and ``undo_to`` may walk the atoms it
+unassigns in any order.
 
 The solver is the one place that knows what a constraint is.  It reads
 each rule with an empty head, ``:- body``, as ``⊥ :- body, not ⊥``, over
@@ -99,12 +99,13 @@ below the choice; copying back costs two entries per rule and one per atom
 negative branch of a choice near the root holds most of the search below
 it, so ``_search`` copies the three arrays at each choice before its
 negative branch, and ``undo_to`` copies them back when the positive branch
-starts and only resets the values of the atoms it unassigns.  A deep choice
-undoes a few atoms, and walking them back is cheaper than a copy.  So
-copies are taken only while the copies held by the pending choices fit in a
-budget: as many entries as the solver's own per-rule and per-atom lists
-hold (``_copy_budget``), so the copies at most double the list entries the
-solver holds, however deep the search.  The copies go to the shallowest
+starts.  Either way ``_unassign`` then resets the values of the atoms
+unassigned, as after a conflict.  A deep choice undoes a few atoms, and
+walking them back is cheaper than a copy.  So copies are taken only while
+the copies held by the pending choices fit in a budget: as many entries as
+the solver's own per-rule and per-atom lists hold (``_copy_budget``), so
+the copies at most double the list entries the solver holds, however deep
+the search.  The copies go to the shallowest
 pending choices, and every deeper choice walks back.  On the benchmark's
 d3sat generators and partial translations the budget holds six copies, and
 their searches hold up to 10 and 13 pending choices.  Both ways leave every
@@ -325,9 +326,10 @@ class Solver:
                 return
 
     def _falsify_last_literal(self, r: int) -> None:
-        """Make false the one body literal of the unblocked rule ``r``, whose
-        head is false, that is not yet true as propagated; if the assignment
-        already makes it true, the body holds, a conflict."""
+        """Make false the one body literal that ``n_left`` counts for the
+        unblocked rule ``r``, whose head is false: the one not yet true as
+        propagated.  If the assignment already makes it true, the body
+        holds, a conflict."""
         val = self.val
         for b in self.r_pos[r]:
             if val[b] != TRUE:
@@ -356,17 +358,16 @@ class Solver:
             i += 1
             # A true atom advances the bodies it occurs in positively and
             # blocks those it occurs in negatively, a false one the reverse.
-            # It advances first: a rule it also blocks is advanced too, and
-            # undo_to, which unblocks first, un-advances it; the rule cannot
-            # fire, as the literal that blocks it is never true.
+            # It advances every rule, blocked or not; only an unblocked one
+            # fires or propagates backward.
             v = val[a]
             if v == TRUE:
                 advanced, blocked = occ_pos[a], occ_neg[a]
             else:
                 advanced, blocked = occ_neg[a], occ_pos[a]
             for r in advanced:
+                left = n_left[r] = n_left[r] - 1
                 if not n_false[r]:
-                    left = n_left[r] = n_left[r] - 1
                     if not left:
                         h = r_head[r]
                         cur = val[h]
@@ -501,46 +502,37 @@ class Solver:
     # -- backtracking -----------------------------------------------------------
 
     def undo_to(self, mark: int, saved: Optional[Counters] = None) -> None:
-        """Unassign the trail above position ``mark``, last first, one of two
-        ways.  Given ``saved``, the ``n_left``, ``n_false`` and ``active``
-        that ``_save`` copied at that trail length, it copies them back and
-        only resets the values of the atoms it unassigns.  Otherwise it
-        walks back each atom's occurrence lists: the atom removes its
-        blocks, then un-advances the rules it could have advanced that are
-        left unblocked.  ``_unit_propagate`` advanced before it blocked, so
-        with chronological backtracking these are exactly the rules it
-        advanced, and a blocked rule's ``n_left`` stays as it was when it
-        became blocked.  Either way the counters end as they were at
-        ``mark``, every source is kept, and the atoms unassigned without a
-        source are recorded, last first, to be given one at the next check.
-        It is called between expands, when every atom on the trail has been
-        propagated, and sets ``_head`` to ``mark``.  The occurrence lists
-        stay as they are: nothing puts back the rules ``_search`` dropped at
-        its first choice, below which it never undoes."""
+        """Unassign the trail above position ``mark``, one of two ways.
+        Given ``saved``, the ``n_left``, ``n_false`` and ``active`` that
+        ``_save`` copied at that trail length, it copies them back.
+        Otherwise it walks the atoms above ``mark``, in any order, since
+        every counter is a sum over the propagated atoms: each atom
+        un-advances every rule of its advancing list and removes its
+        blocks.  Either way the counters end as they were at ``mark``, and
+        ``_unassign`` then resets the values, keeping every source and
+        recording the unassigned atoms that have none.  It is called between
+        expands, when every atom on the trail has been propagated, and sets
+        ``_head`` to ``mark``.  The occurrence lists stay as they are: nothing puts
+        back the rules ``_search`` dropped at its first choice, below which
+        it never undoes."""
         self._head = mark
         if saved is not None:
             self.n_left[:], self.n_false[:], self.active[:] = saved
-            self._unassign(mark)
         else:
-            trail, val, source, lost = self.trail, self.val, self.source, self._lost
-            occ_pos, occ_neg, n_left, n_false = self.occ_pos, self.occ_neg, self.n_left, self.n_false
-            active, r_head = self.active, self.r_head
-            for _ in range(len(trail) - mark):
-                a = trail.pop()
+            val, occ_pos, occ_neg = self.val, self.occ_pos, self.occ_neg
+            n_left, n_false, active, r_head = self.n_left, self.n_false, self.active, self.r_head
+            for a in self.trail[mark:]:
                 if val[a] == TRUE:
                     advanced, blocked = occ_pos[a], occ_neg[a]
                 else:
                     advanced, blocked = occ_neg[a], occ_pos[a]
-                val[a] = UNDEF
-                if source[a] == NO_SOURCE:
-                    lost.append(a)  # no longer false: it needs a source again
+                for r in advanced:
+                    n_left[r] += 1
                 for r in blocked:
                     f = n_false[r] = n_false[r] - 1
                     if not f:
                         active[r_head[r]] += 1
-                for r in advanced:
-                    if not n_false[r]:
-                        n_left[r] += 1
+        self._unassign(mark)
 
     # -- search -----------------------------------------------------------------
 

@@ -414,10 +414,11 @@ def test_sccs_match_reference(monkeypatch):
 def assert_counters_match(s):
     """The invariant propagation keeps, recomputed from the assignment alone:
     a rule's ``n_false`` is nonzero exactly when a body literal is false;
-    an unblocked rule's ``n_left`` counts its body literals not yet true (a
-    blocked rule's stays as it was when it became blocked); ``active`` counts
-    each atom's unblocked rules; every occurrence list, pruned or not, still
-    holds its unblocked rules; and the trail holds exactly the assigned atoms."""
+    a rule's ``n_left`` counts its body literals not yet true, blocked or
+    not, unless the search dropped it from a body atom's list at its first
+    choice; ``active`` counts each atom's unblocked rules; every occurrence
+    list, pruned or not, still holds its unblocked rules; and the trail
+    holds exactly the assigned atoms."""
     val = s.val
     blocked = [
         any(val[b] == FALSE for b in pos) or any(val[c] == TRUE for c in neg)
@@ -425,7 +426,7 @@ def assert_counters_match(s):
     ]
     assert [f > 0 for f in s.n_false] == blocked, s.program
     for r, (pos, neg) in enumerate(zip(s.r_pos, s.r_neg)):
-        if not blocked[r]:
+        if all(r in s.occ_pos[b] for b in pos) and all(r in s.occ_neg[c] for c in neg):
             left = sum(val[b] != TRUE for b in pos) + sum(val[c] != FALSE for c in neg)
             assert s.n_left[r] == left, s.program
     active = [0] * len(s.val)
@@ -454,20 +455,29 @@ class CountedSolver(Solver):
         assert_counters_match(self)
 
 
-class UnfrozenSolver(CountedSolver):
-    """A mutant whose undo_to also un-advances blocked rules: after it
-    unassigns each atom, it un-advances the rules of the atom's advancing
-    list that are still blocked.  The last call only checks the counters."""
+class FrozenSolver(CountedSolver):
+    """A mutant that walks back with blocked rules' ``n_left`` frozen: each
+    atom, last first, removes its blocks and then un-advances only the
+    rules left unblocked.  Propagation counts blocked rules too, so their
+    ``n_left`` stays one short."""
 
-    def undo_to(self, mark):
-        while len(self.trail) > mark:
-            a = self.trail[-1]
-            advanced = self.occ_pos[a] if self.val[a] == TRUE else self.occ_neg[a]
-            super().undo_to(len(self.trail) - 1)
-            for r in advanced:
-                if self.n_false[r]:
-                    self.n_left[r] += 1
-        super().undo_to(mark)
+    def undo_to(self, mark, saved=None):
+        if saved is None:
+            n_left, n_false = self.n_left, self.n_false
+            for a in reversed(self.trail[mark:]):
+                if self.val[a] == TRUE:
+                    advanced, blocked = self.occ_pos[a], self.occ_neg[a]
+                else:
+                    advanced, blocked = self.occ_neg[a], self.occ_pos[a]
+                for r in blocked:
+                    n_false[r] -= 1
+                    if not n_false[r]:
+                        self.active[self.r_head[r]] += 1
+                for r in advanced:
+                    if not n_false[r]:
+                        n_left[r] += 1
+            saved = self._save()
+        super().undo_to(mark, saved)
 
 
 def walk_counted(solver):
@@ -510,11 +520,11 @@ def test_counters_match_assignment():
     assert pruned > 100, pruned
 
 
-def test_counter_check_catches_unfrozen_undo():
-    # Un-advancing a rule that is still blocked breaks its n_left once it is
-    # unblocked; the check must see it.
+def test_counter_check_catches_frozen_undo():
+    # Skipping the blocked rules when un-advancing leaves their n_left one
+    # short; the check must see it.
     with pytest.raises(AssertionError):
-        walk_counted(UnfrozenSolver)
+        walk_counted(FrozenSolver)
 
 
 def test_contradiction_ends_the_expand_at_once():
@@ -628,12 +638,34 @@ class OneCopySolver(Solver):
         return copy_size(self)
 
 
-@pytest.mark.parametrize("solver", [Solver, OneCopySolver])
+class ShuffledWalkSolver(Solver):
+    """A solver whose walks back visit the atoms they unassign in a seeded
+    random order; ``_unassign`` still sees them in trail order."""
+
+    _in_order = None
+
+    def undo_to(self, mark, saved=None):
+        if saved is None:
+            self._in_order = self.trail[mark:]
+            shuffled = self._in_order[:]
+            random.Random(mark).shuffle(shuffled)
+            self.trail[mark:] = shuffled
+        super().undo_to(mark, saved)
+
+    def _unassign(self, mark):
+        if self._in_order is not None:
+            self.trail[mark:], self._in_order = self._in_order, None
+        super()._unassign(mark)
+
+
+@pytest.mark.parametrize("solver", [Solver, OneCopySolver, ShuffledWalkSolver])
 def test_copy_restore_matches_walking_back(solver):
     # Restoring the counters a choice copied leaves the search, its models,
     # its counts and its counters as walking the lists back does, whether
-    # copies stop at the budget or after one.  Both ways back are taken
-    # inside the searches, not only the final walk to the root.
+    # copies stop at the budget or after one, and whether the walks visit
+    # the atoms in trail order or shuffled: every counter is a sum over the
+    # propagated atoms.  Both ways back are taken inside the searches, not
+    # only the final walk to the root.
     restored = walked = 0
 
     class Counting(solver):
