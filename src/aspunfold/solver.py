@@ -634,15 +634,17 @@ class Solver:
         # trail length before its negative branch, the chosen atom, the scan
         # position of _choose, before which every atom was assigned below
         # that trail length, and the counters saved at that trail length, or
-        # None.  Counters are saved while the copies on the stack fit in the
-        # budget, so only the shallowest choices of a branch have them.
+        # None.  The choices holding copies are a prefix of the stack, so a
+        # choice takes one exactly while fewer choices are pending than the
+        # budget holds copies: only the shallowest choices of a branch have
+        # them.
         stack: list[tuple[int, int, int, Optional[Counters]]] = []
         for a, v in self._initial:
             self._push(a, v)
         positive = False
         start = 0
-        size = 2 * len(self.r_head) + len(self.val)  # the entries of one copy
-        free = self._copy_budget()
+        # A copy holds two entries per rule and one per atom, none in an empty program.
+        copies = self._copy_budget() // max(1, 2 * len(self.r_head) + len(self.val))
         while True:
             if not self._expand():
                 self.stats.conflicts += 1
@@ -657,10 +659,7 @@ class Solver:
                     self._index_open_atoms()
                 x, start = self._choose(start)
                 self.stats.choices += 1
-                saved = None
-                if size <= free:
-                    saved = self._save()
-                    free -= size
+                saved = self._save() if len(stack) < copies else None
                 stack.append((len(self.trail), x, start, saved))
                 self._push(x, FALSE)
                 positive = False
@@ -668,8 +667,6 @@ class Solver:
             if not stack:
                 return
             mark, x, start, saved = stack.pop()
-            if saved is not None:
-                free += size
             self.undo_to(mark, saved)
             self._push(x, TRUE)
             positive = True

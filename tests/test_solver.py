@@ -753,3 +753,45 @@ def test_copies_hold_at_most_the_solvers_own_lists():
         for _ in s.models():
             assert s.held <= s.peak <= entries
         assert s.held == 0 and s.peak <= entries
+
+
+class PendingCopies(Solver):
+    """Checks, at each choice, that the pending choices holding copies are
+    the shallowest ones, as many as the budget has room for."""
+
+    def __init__(self, p):
+        super().__init__(p)
+        self.pending = []  # per pending choice, whether it holds a copy
+        self.fit = self._copy_budget() // copy_size(self)
+        self.most = 0
+
+    def _choose(self, start=0):
+        k = min(len(self.pending), self.fit)
+        assert self.pending == [True] * k + [False] * (len(self.pending) - k)
+        self.most = max(self.most, k)
+        self.pending.append(False)
+        return super()._choose(start)
+
+    def _save(self):
+        self.pending[-1] = True
+        return super()._save()
+
+    def undo_to(self, mark, saved=None):
+        assert self.pending.pop() == (saved is not None)
+        super().undo_to(mark, saved)
+
+
+def test_copies_go_to_the_shallowest_pending_choices():
+    assert Solver(parse_program("")).next_stable_model() == frozenset()
+    p = parse_program("\n".join(f"a{i} :- not b{i}.\nb{i} :- not a{i}." for i in range(2000)))
+    s = PendingCopies(p)
+    assert len(s.next_stable_model()) == 2000
+    assert len(s.pending) == 2000 and s.most == s.fit == 6
+    filled = 0
+    for p in copy_corpus():
+        s = PendingCopies(p)
+        for _ in s.models():
+            pass
+        assert s.pending == []
+        filled += s.most == s.fit
+    assert filled > 0
