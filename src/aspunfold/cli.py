@@ -233,7 +233,7 @@ def cmd_transform(args) -> None:
             raise ParseError("transform --kind test requires --model")
         candidate = parse_atom_set(args.model, allow_reserved=args.allow_reserved)
         testers = test_program(p)
-        out = testers.tester(testers.numbers(candidate))
+        out, _ = testers.tester(testers.numbers(candidate))
     else:
         out = _TRANSFORMS[args.kind](p)
     sys.stdout.write(render_program(out))

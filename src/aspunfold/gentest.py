@@ -17,13 +17,16 @@ input's atoms (its ``lift``) and the complement marks of its disjunctive
 head atoms, and derives from them the tester of each candidate.
 
 The tester of a candidate M is read off the reduct P^M, in one pass over the
-lifted input rules (``GeneratorTable.tester``), over the generator's
-numbers, so the search over a generator and every tester of that search
-share one lift.  The marks a tester does not use, such as ``s__a``, head no
-tester rule, so they are false from the root on.  ``test_program`` returns
-a generator as it is; given any other program, it lifts it into a
-construction with no rules of its own, which holds the complement marks of
-its disjunctive head atoms.
+lifted input rules (``GeneratorTable.tester``), so the search over a
+generator and every tester of that search share one lift.  A tester holds
+only what M leaves open: the atoms of M that no fact of P^M derives, and
+the complement marks of those that are disjunctive head atoms, numbered in
+the generator's order; it comes with the generator's numbers of its atoms.
+An atom outside M is false in every tester model and a fixed atom, one
+that a fact derives, true, so neither is an atom of the tester.
+``test_program`` returns a generator as it is; given any other program, it
+lifts it into a construction with no rules of its own, which holds the
+complement marks of its disjunctive head atoms.
 """
 
 from __future__ import annotations
@@ -115,30 +118,65 @@ class GeneratorTable(Program):
             require_in_base(m, frozenset(self.index), "model")
             raise
 
-    def tester(self, m: Collection[int]) -> Program:
-        """The tester for candidate m, given by atom numbers.  Each rule of P
-        whose positive body lies in m and whose negative body misses m gives
-        the reduct's rules for it: ``a :- pos, not c__a`` per disjunctive
-        head atom a in m, the constraint ``:- pos, not head`` for a
-        disjunctive rule, ``h :- pos`` for a normal rule with h in m; an
-        input constraint gives none, as m satisfies it.  The tester lists
-        the choices, then ``c__a :- not a`` for every disjunctive head atom
-        a, then the constraints, then the normal rules, each rule once, and
-        last the final constraint ``:- M.``  Its stable models are the
-        models of the reduct P^m properly inside m."""
+    @cached_property
+    def _facts(self) -> tuple[list[tuple[int, tuple[int, ...]]], list[IntRule]]:
+        """P's rules split once: the normal rules ``h :- not neg`` with no
+        positive body, as (h, neg), whose reduct is the fact ``h.`` wherever
+        neg misses the candidate, and the other rules."""
+        facts, rest = [], []
+        for rule in self.inputs:
+            head, pos, neg = rule
+            if len(head) == 1 and not pos:
+                facts.append((head[0], neg))
+            else:
+                rest.append(rule)
+        return facts, rest
+
+    def tester(self, m: Collection[int]) -> tuple[Program, list[int]]:
+        """The tester for candidate m, given by atom numbers, and the numbers
+        of its atoms here.  An atom of m that a fact of the reduct P^m
+        derives is fixed: it is true in every tester model, as every atom
+        outside m is false, and neither is an atom of the tester.  Its
+        atoms are the open atoms of m, the others, and the complement marks
+        of the open disjunctive head atoms, in this table's order.  Each
+        rule of P whose positive body lies in m and whose negative body
+        misses m gives the reduct's rules for it, its positive body without
+        the fixed atoms: ``a :- pos, not c__a`` per open disjunctive head
+        atom a, the constraint ``:- pos, not head`` over the open head
+        atoms for a disjunctive rule with no fixed head atom, ``h :- pos``
+        for a normal rule with h open; a fact and an input constraint give
+        none.  The tester lists the choices, then ``c__a :- not a`` for
+        every open disjunctive head atom a, then the constraints, then the
+        normal rules, each rule once, and last the final constraint over
+        the open atoms, which repeats a constraint when m misses every head
+        atom of a rule whose body it holds, as an early test's m may.  Its
+        stable models, with the fixed atoms added, are the models of the
+        reduct P^m properly inside m."""
         complement = self.complement
         m = frozenset(m)
+        facts, rest = self._facts
+        fixed = {h for h, neg in facts if h in m and m.isdisjoint(neg)}
+        opened = sorted(m.difference(fixed))
+        marked = [a for a in opened if a in complement]
+        numbers = sorted([*opened, *[complement[a] for a in marked]])
+        # The tester's number of each of its atoms; the input atoms among
+        # them are exactly the open ones.
+        index = {a: i for i, a in enumerate(numbers)}
         choices, constraints, normal = [], [], []
-        for head, pos, neg in self.inputs:
+        for head, pos, neg in rest:
             if m.issuperset(pos) and m.isdisjoint(neg):
+                pos = tuple([index[b] for b in pos if b in index])
                 if len(head) > 1:
-                    choices += [((a,), pos, (complement[a],)) for a in head if a in m]
-                    constraints.append(((), pos, head))
-                elif head and head[0] in m:
-                    normal.append((head, pos, ()))
-        marks = [((c,), (), (a,)) for a, c in complement.items()]
+                    choices += [((index[a],), pos, (index[complement[a]],)) for a in head if a in index]
+                    if fixed.isdisjoint(head):
+                        constraints.append(((), pos, tuple([index[a] for a in head if a in index])))
+                elif head and head[0] in index:
+                    normal.append(((index[head[0]],), pos, ()))
+        marks = [((index[complement[a]],), (), (index[a],)) for a in marked]
         rules = dict.fromkeys(chain(choices, marks, constraints, normal))
-        return Program.of_table(self.atoms, [*rules, ((), tuple(sorted(m)), ())])
+        final = ((), tuple([index[a] for a in opened]), ())
+        atoms = self.atoms
+        return Program.of_table([atoms[a] for a in numbers], [*rules, final]), numbers
 
 
 def gen_naive(p: Program) -> GeneratorTable:

@@ -13,10 +13,13 @@ generator's assignment over those numbers.
 The generator derives its own testers: ``test_program`` returns it as it
 is, once, when the search is set up.  Every generator holds the complement
 marks of the input's disjunctive head atoms, so there is one lift.  Each
-test derives the candidate's tester from the generator, as a program, and
-searches it with an ordinary ``Solver``, closing the search after the first
-answer.  The tester model is read as the candidate's atoms true in the
-tester's assignment, over the same numbers.  Nothing outlives the search.
+test derives the candidate's tester from the generator: a program over the
+atoms the candidate leaves open, with the generator's numbers of its atoms.
+An ordinary ``Solver`` searches it, and the search is closed after the
+first answer.  The tester model is read through those numbers as the
+candidate's atoms that the tester's assignment does not make false: the
+atoms a fact of the reduct fixes are true in it.  Nothing outlives the
+search.
 
 Early tests are gated by a per-search WasCovered flag: set when a candidate
 is covered, cleared by the next early test that does not prune.  An early
@@ -106,13 +109,18 @@ class _Tester:
     def minimal(self, candidate: list[int]) -> bool:
         """Whether the candidate, atom numbers of the source, ascending, is
         minimal: its tester has no stable model."""
-        solver = self.solver = Solver(self.testers.tester(candidate))
+        program, numbers = self.testers.tester(candidate)
+        solver = self.solver = Solver(program)
         search = solver.models()
         found = next(search, None) is not None
         # Closed at once, so a suspended search outlives no test.
         search.close()
-        val = solver.val
-        self.model = frozenset([a for a in candidate if val[a] == TRUE]) if found else None
+        self.model = None
+        if found:
+            # The tester's atoms false in its model; the candidate's others,
+            # the fixed atoms among them, are true.
+            false = {a for a, v in zip(numbers, solver.val) if v == FALSE}
+            self.model = frozenset([a for a in candidate if a not in false])
         return not found
 
 

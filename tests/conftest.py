@@ -429,12 +429,17 @@ class ReferenceTester(gnt._Tester):
     """``gnt._Tester`` searching each tester without the root inference."""
 
     def minimal(self, candidate):
-        self.solver = WithoutRootInference(self.testers.tester(candidate))
+        program, numbers = self.testers.tester(candidate)
+        self.solver = WithoutRootInference(program)
         search = self.solver.models()
         found = next(search, None) is not None
         search.close()
-        val = self.solver.val
-        self.model = frozenset(a for a in candidate if val[a] == TRUE) if found else None
+        self.model = None
+        if found:
+            # with_f may number __f first: the tester's atoms are the last.
+            val = self.solver.val[len(self.solver.atoms) - len(numbers) :]
+            false = {a for a, v in zip(numbers, val) if v == FALSE}
+            self.model = frozenset(a for a in candidate if a not in false)
         return not found
 
 
@@ -532,29 +537,38 @@ def _heads(rules):
 def candidate_tester(p, m):
     """``test_program(p)``'s tester of the candidate m, named by its atoms."""
     testers = gnt.test_program(p)
-    return testers.tester(testers.numbers(m))
+    return testers.tester(testers.numbers(m))[0]
 
 
 def reference_test_program(p, m):
-    """The tester of candidate m built rule by rule from p, as it was before
-    testers were compiled: the reference for ``test_program(p)``'s tester of m,
-    rules and order."""
+    """The tester of candidate m built rule by rule from p: the reference for
+    ``test_program(p)``'s tester of m, atoms, rules and order.  An atom of m
+    is fixed when a rule ``h :- not neg`` of p with neg missing m makes it
+    a fact of the reduct P^m.  The tester holds the other atoms of m, the
+    open ones, and the complement marks of the open disjunctive head atoms;
+    each rule loses the fixed atoms of its positive body, and a disjunctive
+    rule with a fixed head atom gives no constraint."""
     from aspunfold.syntax import complement
 
-    live = [r for r in p.rules if not is_normal_rule(r) and not r.neg & m and r.pos <= m]
+    reduct = [r for r in p.rules if not r.neg & m and r.pos <= m]
+    fixed = {a for r in reduct if len(r.head) == 1 and not r.pos for a in r.head & m}
+    opened = m - fixed
+    marked = [a for a in _heads(p.rules) if a in opened]
+    live = [r for r in reduct if not is_normal_rule(r)]
     rules = []
     for r in live:
-        for a in sorted(r.head & m):
-            rules.append(Rule(frozenset([a]), r.pos, frozenset([complement(a)])))
-    for a in _heads(p.rules):
+        for a in sorted(r.head & opened):
+            rules.append(Rule(frozenset([a]), r.pos - fixed, frozenset([complement(a)])))
+    for a in marked:
         rules.append(Rule(frozenset([complement(a)]), frozenset(), frozenset([a])))
     for r in live:
-        rules.append(_constraint(r.pos, r.head))
-    for r in p.rules:
-        if r.head and is_normal_rule(r) and not r.neg & m and r.pos <= m and r.head <= m:
-            rules.append(Rule(r.head, r.pos, frozenset()))
-    rules.append(_constraint(m, []))
-    return Program(tuple(dict.fromkeys(rules)))
+        if not r.head & fixed:
+            rules.append(_constraint(r.pos - fixed, r.head & opened))
+    for r in reduct:
+        if r.head and is_normal_rule(r) and r.head <= opened:
+            rules.append(Rule(r.head, r.pos - fixed, frozenset()))
+    rules = [*dict.fromkeys(rules), _constraint(opened, [])]
+    return Program(rules, base=opened | {complement(a) for a in marked})
 
 
 # The generators built rule by rule, as they were before they became

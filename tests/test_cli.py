@@ -315,23 +315,23 @@ def test_transform_takes_no_cap_or_timing(write, capsys):
 def test_transform_test_lists_rules_by_first_enabled_input(write):
     # The first rule is off (d is in the model), so the head rule of a comes
     # from the third rule: after those of the second, not at a's place in a
-    # table ordered by first occurrence.
+    # table ordered by first occurrence.  c is a fact of the reduct, so it is
+    # fixed: it leaves the tester, every body and the final constraint.
     f = write("p.lp", "a | b :- c, not d.\nb | x :- c, not f.\na | y :- c, not g.\nc.\n")
     code, text = run(["transform", f, "--kind", "test", "--model", "a b c d x y"])
     assert code == 0
     assert text == (
-        "b :- c, not c__b.\n"
-        "x :- c, not c__x.\n"
-        "a :- c, not c__a.\n"
-        "y :- c, not c__y.\n"
+        "b :- not c__b.\n"
+        "x :- not c__x.\n"
+        "a :- not c__a.\n"
+        "y :- not c__y.\n"
         "c__a :- not a.\n"
         "c__b :- not b.\n"
         "c__x :- not x.\n"
         "c__y :- not y.\n"
-        ":- c, not b, not x.\n"
-        ":- c, not a, not y.\n"
-        "c.\n"
-        ":- a, b, c, d, x, y.\n"
+        ":- not b, not x.\n"
+        ":- not a, not y.\n"
+        ":- a, b, d, x, y.\n"
     )
 
 

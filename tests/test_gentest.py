@@ -21,6 +21,7 @@ from conftest import (
     reference_gen_program,
     reference_support_program,
     candidate_tester,
+    reference_test_program,
 )
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
@@ -132,12 +133,37 @@ def test_constructions_treat_f_as_an_ordinary_atom():
 
 
 def test_test_program_paper_example():
+    # a is outside M, so neither a nor its mark is an atom of the tester, and
+    # the rule's constraint keeps only the head atom b.
     tp = candidate_tester(DISJ_NEG, frozenset([B]))
-    assert set(tp.rules) == rules_of(
-        "b :- not c__b.\nc__a :- not a.\nc__b :- not b.\n"
-        ":- not a, not b.\n:- b.\n"
-    )
+    assert tp.render() == "b :- not c__b.\nc__b :- not b.\n:- not b.\n:- b.\n"
+    assert tp.atoms == (B, complement(B))
     assert Solver(tp).next_stable_model() is None
+
+
+def test_tester_of_reduct_facts_is_the_empty_constraint():
+    # Every atom of M is a fact of the reduct P^M: nothing is left open, so
+    # the tester is the constraint without a body, and M passes.
+    p = parse_program("a | b.\na :- not c.\nb :- not c.")
+    testers = build_test_program(p)
+    tp, numbers = testers.tester(testers.numbers(frozenset([A, B])))
+    assert tp.render() == ":- .\n"
+    assert tp.atoms == () and numbers == []
+    assert Solver(tp).next_stable_model() is None
+
+
+def test_tester_fact_in_disjunctive_head_keeps_choices_drops_constraint():
+    # a is a fact of the reduct and a head atom of a | b :- d, and so is d,
+    # its body: the rule keeps b's choice rule, without d, and gives no
+    # constraint, since a blocks it.  M = {a, b, d} is not minimal.
+    p = parse_program("a | b :- d.\nd.\na :- not c.")
+    testers = build_test_program(p)
+    m = frozenset([A, B, Atom("d")])
+    tp, numbers = testers.tester(testers.numbers(m))
+    assert tp.render() == "b :- not c__b.\nc__b :- not b.\n:- b.\n"
+    assert [testers.atoms[a] for a in numbers] == [B, complement(B)]
+    assert tp == reference_test_program(p, m)
+    assert Solver(tp).next_stable_model() is not None
 
 
 def test_test_program_empty_candidate():
@@ -179,7 +205,10 @@ def test_generators_are_their_own_testers():
             base = sorted(p.base)
             for bits in range(1 << len(base)):
                 m = frozenset(a for i, a in enumerate(base) if bits >> i & 1)
-                assert got.tester(got.numbers(m)).rows == want.tester(want.numbers(m)).rows, (p.rules, m)
+                got_tester, got_numbers = got.tester(got.numbers(m))
+                want_tester, want_numbers = want.tester(want.numbers(m))
+                assert got_tester == want_tester, (p.rules, m)
+                assert got_numbers == want_numbers, (p.rules, m)
 
 
 def test_candidate_soundness():

@@ -49,6 +49,17 @@ def test_minimal_test_paper_example():
     assert not minimal_on(DISJ, frozenset([A, B]))
 
 
+def test_fact_whose_negative_body_meets_the_candidate_is_not_fixed():
+    # h :- not c gives no fact in the reduct of {c, h}: c | h and c :- h
+    # then have the model {c} inside it.  A tester that fixed h anyway would
+    # pass {c, h} too.
+    p = parse_program("c | h.\nh :- not c.\nc :- h.")
+    for mode in ("gnt1", "gnt2", "naive"):
+        for policy in ("on", "off"):
+            got = solve_disjunctive(p, mode, enumerate_all=True, config=GntConfig(early_test=policy))
+            assert got.models == [frozenset([C])], (mode, policy)
+
+
 def test_minimal_test_stable_normal_models_pass():
     for seed in range(40):
         p = random_normal_program(seed, max_atoms=4, max_rules=6)
@@ -505,16 +516,26 @@ def _reduct_has_smaller_model(p, m):
     return False
 
 
+def _open_atoms(p, m):
+    """The atoms of candidate m that no fact of the reduct P^m derives:
+    those of no rule ``h :- not neg`` of p with neg missing m."""
+    return m - {a for r in p.rules if len(r.head) == 1 and not r.pos and not r.neg & m for a in r.head}
+
+
 def _shares_tester_rule(p, m):
     """Whether two input rules whose bodies hold in candidate m give the
     same tester rule, which the tester must then list once."""
+    opened = _open_atoms(p, m)
     given = []
     for r in p.rules:
         if r.pos <= m and not r.neg & m:
+            pos = r.pos & opened
             if not is_normal_rule(r):
-                given += [("choice", a, r.pos) for a in r.head & m] + [("constraint", r.head, r.pos)]
-            elif r.head and r.head <= m:
-                given.append(("normal", r.head, r.pos))
+                given += [("choice", a, pos) for a in r.head & opened]
+                if r.head & m <= opened:
+                    given.append(("constraint", r.head & m, pos))
+            elif r.head and r.head <= opened:
+                given.append(("normal", r.head, pos))
     return len(set(given)) < len(given)
 
 
@@ -539,8 +560,8 @@ def test_compiled_tester_matches_fresh_testers():
         ]
         rng.shuffle(candidates)
         for m in candidates:
-            program = table.tester(table.numbers(m))
-            assert program.rules == reference_test_program(p, m).rules
+            program, _ = table.tester(table.numbers(m))
+            assert program == reference_test_program(p, m)
             fresh = Solver(program)
             verdict = fresh.next_stable_model() is None
             assert tester.minimal(sorted(table.numbers(m))) == verdict, (p.rules, m)
@@ -557,46 +578,54 @@ def test_compiled_tester_matches_fresh_testers():
 
 def test_search_testers_match_test_program(monkeypatch):
     # Each tester the driver searches, derived over its generator's numbers,
-    # renders as test_program(p)'s tester of the same candidate, read off
-    # its final constraint, in every mode: naive's generator marks every
-    # atom, but a tester marks the disjunctive head atoms only.  The
-    # tester's atoms hold test_program's in their order, and the others head
-    # no tester rule.  Covered: d3sat, gw and random disjunctive programs,
+    # renders as test_program(p)'s tester of the same candidate, in every
+    # mode: naive's generator marks every atom, but a tester marks the
+    # disjunctive head atoms only.  The tester's atoms are M's open atoms
+    # and their marks.  Covered: d3sat, gw and random disjunctive programs,
     # sqrt QBFs with no disjunctive rule, tr of normal programs and normal
     # programs without constraints.
-    tables = []
+    tables, candidates = [], []
 
     class Recording(Solver):
         def __init__(self, program):
             super().__init__(program)
             tables.append(program)
 
+    def recording_minimal_test(tester, candidate, *args):
+        candidates.append(frozenset(tester.testers.atoms[a] for a in candidate))
+        return minimal_test(tester, candidate, *args)
+
     monkeypatch.setattr(gnt, "Solver", Recording)
+    monkeypatch.setattr(gnt, "minimal_test", recording_minimal_test)
     programs = [gen_d3sat_instance(12, 4.258, seed, 2).program for seed in range(4)]
     programs += [qbf_to_program(gen_random_qbf(8, "gw", seed)) for seed in range(4)]
     programs += [random_disjunctive_program(seed) for seed in range(20)]
     programs += [qbf_to_program(gen_random_qbf(v, "sqrt", seed)) for v, seed in ((6, 1), (6, 4), (10, 20))]
     programs += [unfold_partiality(random_normal_program(seed)) for seed in range(6)]
     programs += [random_normal_program(seed, constraints=False) for seed in range(6)]
-    seen = {"tests": 0, "normal": 0, "without constraints": 0}
+    seen = {"tests": 0, "normal": 0, "without constraints": 0, "fixed": 0}
     for p in programs:
         reference = build_test_program(p)
-        atoms = set(reference.atoms)
+        heads = {a for r in p.rules if not is_normal_rule(r) for a in r.head}
         for mode in ("gnt1", "gnt2", "naive"):
             # Every generator's testers are over its atoms.
             g = _GENERATORS[mode](p)
             assert build_test_program(g).atoms == g.atoms, mode
-            tables.clear()
+            tables.clear(), candidates.clear()
             solve_disjunctive(p, mode=mode, enumerate_all=True)
-            for t in tables:
-                m = frozenset(t.atoms[a] for a in t.rows[-1][1])
-                assert t.render() == reference.tester(reference.numbers(m)).render(), (mode, p.rules, m)
-                assert [a for a in t.atoms if a in atoms] == list(reference.atoms), mode
-                assert all(t.atoms[h] in atoms for head, _, _ in t.rows for h in head), mode
+            assert len(tables) == len(candidates), mode
+            for t, m in zip(tables, candidates):
+                want, _ = reference.tester(reference.numbers(m))
+                assert t.render() == want.render(), (mode, p.rules, m)
+                opened = _open_atoms(p, m)
+                marks = {complement(a) for a in opened & heads}
+                assert t.atoms == tuple(sorted(opened | marks)), (mode, p.rules, m)
+                seen["fixed"] += opened < m
             seen["tests"] += len(tables)
             seen["normal"] += p.is_normal and bool(tables)
             seen["without constraints"] += all(head for head, _, _ in p.rows) and bool(tables)
     assert seen["tests"] >= 400 and seen["normal"] >= 30 and seen["without constraints"] >= 10, seen
+    assert seen["fixed"] >= 100, seen
 
 
 def test_tester_is_compiled_once_per_search(monkeypatch):

@@ -176,7 +176,7 @@ def test_root_false_atoms_are_false_in_every_stable_model():
         base = sorted(p.base)
         for _ in range(3):
             m = testers.numbers(a for a in base if rng.random() < 0.5)
-            programs.append(testers.tester(m))
+            programs.append(testers.tester(m)[0])
     fixed_in = checked = 0
     for p in programs:
         if len(p.base) > 12:
@@ -596,7 +596,7 @@ def gw_testers():
         p = qbf_to_program(gen_random_qbf(14, "gw", seed))
         table = build_test_program(p)
         for m in islice(Solver(gen_program(p)).models(), 8):
-            yield table.tester(table.numbers(m & p.base))
+            yield table.tester(table.numbers(m & p.base))[0]
 
 
 @lru_cache(maxsize=None)
