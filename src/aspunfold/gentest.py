@@ -8,13 +8,16 @@ supports a, and rules with an empty head, ``:- body``, are the
 constructions' integrity constraints (the paper's f-rules).
 
 Every construction is a transform of the input's rule table and builds no
-``Rule``.  Its atoms are the input's atoms, the complement and support marks
-it uses, sorted by rendering; the input's rules are renumbered into them
-by one merge (``_Extension``), and the construction's rules are built over
-the new numbers.  A construction is a ``GeneratorTable``: a program that
-keeps, besides its own rules, the lifted input rules, the numbers of the
-input's atoms (its ``lift``) and the complement marks of its disjunctive
-head atoms, and derives from them the tester of each candidate.
+``Rule``.  Its atoms are the input's atoms and the complement and support
+marks it uses, sorted by rendering.  The marks of one kind sort as one
+block, so each number is found by arithmetic, with no sort or search
+(``_Extension``): an input atom's is its own, shifted past the blocks that
+sort before it, and the input's rules are used as they are when no atom
+moves.  The construction's rules are built over these numbers.  A
+construction is a ``GeneratorTable``: a program that keeps, besides its own
+rules, the lifted input rules, the numbers of the input's atoms (its
+``lift``) and the complement marks of its disjunctive head atoms, and
+derives from them the tester of each candidate.
 
 The tester of a candidate M is read off the reduct P^M, in one pass over the
 lifted input rules (``GeneratorTable.tester``), so the search over a
@@ -33,7 +36,6 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain
-from operator import attrgetter
 from typing import Collection, Iterable, Sequence
 
 from .semantics import require_in_base
@@ -42,9 +44,10 @@ from .syntax import (
     IntRule,
     Program,
     complement,
-    positions,
+    complement_block,
     reject_marked,
     support,
+    support_block,
 )
 
 
@@ -55,30 +58,46 @@ def _heads(p: Program, what: str) -> list[int]:
     return sorted({a for head, _, _ in p.rows if len(head) > 1 for a in head})
 
 
-def _constraint(pos: tuple[int, ...], neg: Iterable[int]) -> IntRule:
-    """The constraint ``:- pos, not neg``."""
-    return (), pos, tuple(sorted(set(neg)))
+def _constraint(head: tuple[int, ...], pos: tuple[int, ...], neg: tuple[int, ...]) -> IntRule:
+    """The constraint ``:- pos, not head, not neg`` of a rule: its head is
+    already sorted and duplicate-free, so only a negative body asks for a
+    merge."""
+    return (), pos, tuple(sorted({*head, *neg})) if neg else head
 
 
 class _Extension:
     """The atoms of a construction over the program ``p``: its atoms, the
     complement marks of the atoms ``comps`` and the support marks of
     ``sups`` (input numbers, ascending), numbered in sorted order; and the
-    input's rules over those numbers."""
+    input's rules over those numbers.  The marks of one kind share a prefix
+    that no input atom carries, so they sort as one block, in the order of
+    the atoms they mark: the complement marks after the first ``kc`` input
+    atoms, the support marks after the first ``ks``.  So input atom i is
+    lifted to i, shifted past the blocks that sort before it, and the input's
+    rows are reused as they are when no atom moves."""
 
     def __init__(self, p: Program, comps: Sequence[int] = (), sups: Sequence[int] = ()):
-        marks = ([complement(p.atoms[a]) for a in comps], [support(p.atoms[a]) for a in sups])
-        self.atoms = tuple(sorted(chain(p.atoms, *marks), key=attrgetter("text")))
-        self.lift = lift = positions(p.atoms, self.atoms)
-        c, s = [positions(m, self.atoms) for m in marks]
+        atoms, n, nc, ns = p.atoms, len(p.atoms), len(comps), len(sups)
+        kc, ks = complement_block(atoms), support_block(atoms)
+        self.atoms = (
+            *atoms[:kc],
+            *[complement(atoms[a]) for a in comps],
+            *atoms[kc:ks],
+            *[support(atoms[a]) for a in sups],
+            *atoms[ks:],
+        )
+        self.lift = lift = [*range(kc), *range(kc + nc, ks + nc), *range(ks + nc + ns, n + nc + ns)]
         # The mark of a lifted atom, by that atom's number.
-        self.complement = dict(zip([lift[a] for a in comps], c))
-        self.support = dict(zip([lift[a] for a in sups], s))
+        self.complement = {lift[a]: kc + j for j, a in enumerate(comps)}
+        self.support = {lift[a]: ks + nc + j for j, a in enumerate(sups)}
         # Atom numbers follow the atoms' order, so lifted parts stay sorted.
-        self.rules = [
-            (tuple([lift[a] for a in head]), tuple([lift[b] for b in pos]), tuple([lift[c] for c in neg]))
-            for head, pos, neg in p.rows
-        ]
+        if not n or lift[-1] == n - 1:
+            self.rules = list(p.rows)
+        else:
+            self.rules = [
+                (tuple([lift[a] for a in head]), tuple([lift[b] for b in pos]), tuple([lift[c] for c in neg]))
+                for head, pos, neg in p.rows
+            ]
 
     def program(self, rules: Iterable[IntRule], heads: Sequence[int]) -> GeneratorTable:
         """The program of ``rules`` over these atoms, each rule once, with
@@ -122,13 +141,14 @@ class GeneratorTable(Program):
     def _facts(self) -> tuple[list[tuple[int, tuple[int, ...]]], list[IntRule]]:
         """P's rules split once: the normal rules ``h :- not neg`` with no
         positive body, as (h, neg), whose reduct is the fact ``h.`` wherever
-        neg misses the candidate, and the other rules."""
+        neg misses the candidate, and the other rules but the constraints,
+        which give a tester no rule."""
         facts, rest = [], []
         for rule in self.inputs:
             head, pos, neg = rule
             if len(head) == 1 and not pos:
                 facts.append((head[0], neg))
-            else:
+            elif head:
                 rest.append(rule)
         return facts, rest
 
@@ -170,7 +190,7 @@ class GeneratorTable(Program):
                     choices += [((index[a],), pos, (index[complement[a]],)) for a in head if a in index]
                     if fixed.isdisjoint(head):
                         constraints.append(((), pos, tuple([index[a] for a in head if a in index])))
-                elif head and head[0] in index:
+                elif head[0] in index:
                     normal.append(((index[head[0]],), pos, ()))
         marks = [((index[complement[a]],), (), (index[a],)) for a in marked]
         rules = dict.fromkeys(chain(choices, marks, constraints, normal))
@@ -186,7 +206,7 @@ def gen_naive(p: Program) -> GeneratorTable:
     rules = []
     for a, c in x.complement.items():
         rules += [((a,), (), (c,)), ((c,), (), (a,))]
-    rules += [_constraint(pos, head + neg) for head, pos, neg in x.rules]
+    rules += [_constraint(*r) for r in x.rules]
     return x.program(rules, heads)
 
 
@@ -194,13 +214,14 @@ def _basic_rules(x: _Extension) -> list[IntRule]:
     """gen_basic's rules: a choice per disjunctive head atom, a constraint
     per disjunctive rule, and the normal rules and constraints as they are."""
     disjunctive = [r for r in x.rules if len(r[0]) > 1]
+    complement = x.complement
     rules = [
-        ((a,), pos, tuple(sorted((*neg, x.complement[a]))))
+        ((a,), pos, tuple(sorted((*neg, complement[a]))) if neg else (complement[a],))
         for head, pos, neg in disjunctive
         for a in head
     ]
-    rules += [((c,), (), (a,)) for a, c in x.complement.items()]
-    rules += [_constraint(pos, head + neg) for head, pos, neg in disjunctive]
+    rules += [((c,), (), (a,)) for a, c in complement.items()]
+    rules += [_constraint(*r) for r in disjunctive]
     rules += [r for r in x.rules if len(r[0]) <= 1]
     return rules
 
@@ -208,13 +229,13 @@ def _basic_rules(x: _Extension) -> list[IntRule]:
 def _support_rules(x: _Extension) -> list[IntRule]:
     """support_program's rules: per rule, one for each of its head atoms
     that is a disjunctive head atom, and a constraint per such atom."""
-    rules = [
-        ((x.support[a],), pos, tuple(sorted({b for b in head if b != a}.union(neg))))
-        for head, pos, neg in x.rules
-        for a in head
-        if a in x.support
-    ]
-    rules += [((), (a,), (s,)) for a, s in x.support.items()]
+    support, rules = x.support, []
+    for head, pos, neg in x.rules:
+        for i, a in enumerate(head):
+            if a in support:
+                others = head[:i] + head[i + 1 :]
+                rules.append(((support[a],), pos, tuple(sorted({*others, *neg})) if neg else others))
+    rules += [((), (a,), (s,)) for a, s in support.items()]
     return rules
 
 

@@ -134,10 +134,11 @@ def tr2_program(p: Program) -> Program:
     def up(xs: tuple[int, ...]) -> tuple[int, ...]:
         return tuple([x + 1 for x in xs])
 
-    plain = positions(p.atoms, trp.atoms)
-    marked = positions([potential(a) for a in p.atoms], trp.atoms)
+    # tr(p) numbers input atom i as i before its marks' block and i + n
+    # after it, and i's mark as k + i.
+    n, k = len(p.atoms), potential_block(p.atoms)
     rules = [(up(head), up(pos), up(neg)) for head, pos, neg in trp.rows]
-    rules += [((0,), (m + 1,), (a + 1,)) for a, m in zip(plain, marked)]
+    rules += [((0,), (k + i + 1,), ((i if i < k else i + n) + 1,)) for i in range(n)]
     return Program.of_table((F_ATOM, *trp.atoms), rules)
 
 

@@ -344,7 +344,10 @@ class Solver:
     def _unit_propagate(self) -> bool:
         """Propagate the trail from ``_head`` on, in order, each atom
         advancing and blocking the rules of its lists; the atoms this derives
-        are assigned at once and appended to the trail.  False on a
+        are assigned at once and appended to the trail.  Backward, a true
+        atom needs an unblocked head rule, and a false one needs a false
+        body literal in each of its unblocked head rules, so a false atom
+        with none (``active`` zero) skips its head rules.  False on a
         conflict: the atom being propagated finishes its lists, and the atoms
         after it, not yet propagated, are unassigned."""
         val, trail = self.val, self.trail
@@ -402,7 +405,7 @@ class Solver:
                     self._conflict = True
                 elif left == 1:
                     self._force_single_support(a)
-            else:
+            elif active[a]:
                 for r in occ_head[a]:
                     if not n_false[r]:
                         left = n_left[r]
@@ -542,6 +545,8 @@ class Solver:
         ``_search`` calls it at its first choice, below which it never
         undoes (see the module docstring)."""
         val, n_false = self.val, self.n_false
+        if not any(n_false):
+            return
         occ_lists = (self.occ_head, self.occ_pos, self.occ_neg, self.occ_int)
         for a, v in enumerate(val):
             if v == UNDEF:

@@ -36,6 +36,7 @@ _POTENTIAL, _COMPLEMENT, _SUPPORT = "p__", "c__", "s__"
 _MARKS = (_POTENTIAL, _COMPLEMENT, _SUPPORT)
 _PLAIN_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 _RESERVED_RE = re.compile(r"(?:__f|__u|cl__[0-9]+|ncl__[0-9]+)\Z")
+_text = attrgetter("text")
 # Prefixes a user-written atom may not start with.
 RESERVED_PREFIXES = (*_MARKS, "cl__", "ncl__", "__")
 
@@ -101,7 +102,17 @@ def potential_block(atoms: Sequence[Atom]) -> int:
     of them potential-marked, sort among them: the marks all start with one
     prefix, so they form one block, in the order of the atoms they mark,
     after the first k atoms and before the rest."""
-    return bisect_left([a.text for a in atoms], _POTENTIAL)
+    return bisect_left(atoms, _POTENTIAL, key=_text)
+
+
+def complement_block(atoms: Sequence[Atom]) -> int:
+    """As ``potential_block``, for complement marks."""
+    return bisect_left(atoms, _COMPLEMENT, key=_text)
+
+
+def support_block(atoms: Sequence[Atom]) -> int:
+    """As ``potential_block``, for support marks."""
+    return bisect_left(atoms, _SUPPORT, key=_text)
 
 
 def complement(a: Atom) -> Atom:
@@ -208,7 +219,7 @@ class Program:
         atoms = set(base) if base is not None else set()
         for r in rules:
             atoms.update(r.head, r.pos, r.neg)
-        self.atoms = tuple(sorted(atoms, key=attrgetter("text")))
+        self.atoms = tuple(sorted(atoms, key=_text))
         number = {a: i for i, a in enumerate(self.atoms)}
         self.rows = tuple(
             tuple(tuple(sorted([number[a] for a in part])) for part in (r.head, r.pos, r.neg)) for r in rules

@@ -41,6 +41,8 @@ FILES = {
     "p.lp": render_program(gen_d3sat_instance(8, 4.258, 2).program),
     # aspunfold bench d3sat --atoms 12 --seed 2
     "d.lp": render_program(gen_d3sat_instance(12, 4.258, 2).program),
+    # atoms on both sides and at the edges of the c__ and s__ mark blocks
+    "m.lp": "c | s_a | r.\ncZ | s0 :- not z.\nc0 | c_a :- s, not t.\ns | t.\nz :- c, not c0.\ns_a :- r.\n:- r, t.\n",
     "valid.qbf": "e x\na y\nx y\nx -y\n",
     "invalid.qbf": "e x\na y\nx y\n-x -y\n",
     "g.qbf": render_qbf(gen_random_qbf(6, "gw", 3)),
@@ -69,6 +71,8 @@ solve empty.lp --all --json
 solve p.lp --all --stats
 solve p.lp --stats --mode gnt1 --json
 solve d.lp --all --stats
+solve m.lp --all --stats
+solve m.lp --all --stats --mode naive
 solve s.lp --timing
 solve s.lp --json --timing
 solve r.lp
@@ -104,6 +108,13 @@ transform s.lp --kind test --model zz
 transform s.lp --kind test --model zz --json
 transform s.lp --kind test
 transform d.lp --kind test --model "a10 a11 a12 a2"
+transform m.lp --kind tr2
+transform m.lp --kind gen0
+transform m.lp --kind gen1
+transform m.lp --kind supp
+transform m.lp --kind gen
+transform m.lp --kind test --model "c c0 cZ s"
+transform m.lp --kind test --model "c c0 cZ s s0 t z"
 transform empty.lp --kind tr
 transform r.lp --kind tr --allow-reserved
 check s.lp --model "a c"

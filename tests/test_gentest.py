@@ -273,6 +273,40 @@ def test_generators_match_reference_on_benchmark_families(seed):
     assert_generators_match_reference(qbf_to_program(gen_random_qbf(8, "gw", seed)))
 
 
+# Atoms on both sides of the c__ and s__ mark blocks and at their edges:
+# c, c0 and cZ sort before c__, c_a and r between the blocks, s and s0
+# before s__, s_a, t and z after it; rules with and without a negative body.
+EDGES = parse_program(
+    "c | s_a | r.\ncZ | s0 :- not z.\nc0 | c_a :- s, not t.\ns | t :- not c, not s.\n"
+    "z :- c, not c0.\ns_a :- r.\n:- r, t.\n:- not cZ.\n"
+)
+
+
+def test_generators_match_reference_around_the_mark_blocks():
+    assert_generators_match_reference(EDGES)
+    assert_generators_match_reference(parse_program("c_a | s_a :- not s.\nc | s.\n"))
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_constructions_lift_the_input_by_its_atoms(seed):
+    # The lift, the lifted input rules and the complement map, read off the
+    # construction's atoms by name.
+    for p in (
+        EDGES,
+        random_disjunctive_program(seed),
+        gen_d3sat_instance(12, 4.258, seed, 2).program,
+        qbf_to_program(gen_random_qbf(8, "gw", seed)),
+    ):
+        heads = sorted({p.atoms[a] for head, _, _ in p.rows if len(head) > 1 for a in head})
+        for gen in (gen_naive, gen_basic, support_program, gen_program, build_test_program):
+            g = gen(p)
+            number = {a: i for i, a in enumerate(g.atoms)}
+            assert g.lift == [number[a] for a in p.atoms], gen.__name__
+            assert g.inputs == [tuple(tuple(g.lift[a] for a in part) for part in rule) for rule in p.rows]
+            marked = () if gen is support_program else heads
+            assert g.complement == {number[a]: number[complement(a)] for a in marked}, gen.__name__
+
+
 def test_generators_reject_marked_input_as_reference():
     for text in ("a | c__b.", "s__a :- b.", "a :- not c__b, s__c."):
         p = parse_program(text, allow_reserved=True)
