@@ -10,10 +10,13 @@ The parser reads straight into the program's rule table, in three steps and
 without building a ``Rule``: it splits every line at whitespace once its
 punctuation is spaced out; it checks each distinct token once and numbers
 the atoms in rendering order; and it walks each line once, emitting the
-table's sorted, duplicate-free parts.  Only the walk raises errors, so the
-first faulty line is the one named, whatever order the tokens were checked
-in.  A line the walk rejects is tokenized again to place the error: an
-unexpected character anywhere in the line comes first, then the walk's.
+table's sorted, duplicate-free parts.  A part of one atom is kept as read,
+and a part of two is ordered by one comparison, or is one atom when both
+are the same; only longer parts go through a set and a sort.  Only the walk
+raises errors, so the first faulty line is the one named, whatever order
+the tokens were checked in.  A line the walk rejects is tokenized again to
+place the error: an unexpected character anywhere in the line comes first,
+then the walk's.
 """
 
 from __future__ import annotations
@@ -79,6 +82,9 @@ _NOT_BODY_ATOM = _NOT_HEAD_ATOM | {"not"}
 
 
 def _part(numbers: list[int]) -> tuple[int, ...]:
+    if len(numbers) == 2:
+        a, b = numbers
+        return (a, b) if a < b else (b, a) if b < a else (a,)
     return tuple(sorted(set(numbers))) if len(numbers) > 1 else tuple(numbers)
 
 

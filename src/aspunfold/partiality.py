@@ -9,9 +9,14 @@ with atom true is ruled out by the consistency rules.
 
 ``unfold_partiality`` maps the input's rule table to the translation's:
 the marked atoms sort as one block, so an atom's number and its mark's are
-shifts of its number in the input.  ``tr2_program`` numbers its flag
-``__f`` first and shifts the rest by one, and ``query_constrained``
-appends constraints to a table, so no translation here builds a ``Rule``.
+shifts of its number in the input.  Two per-atom tables, built once per
+translation, hold each input atom's one-atom part lifted and marked: every
+one-atom part of the translation is read from them, and each ``p__a :- a``
+is a marked and a lifted entry, so only longer parts are built.  When no
+input atom sorts after ``p__``, none moves, and the lifted parts are the
+input's own.  ``tr2_program`` numbers its flag ``__f`` first and shifts
+the rest by one, and ``query_constrained`` appends constraints to a table,
+so no translation here builds a ``Rule``.
 
 ``possibility_query`` checks the query against the base and hands the
 translation, constrained by the marked query, to ``gnt.solve``, which picks
@@ -55,22 +60,29 @@ def unfold_partiality(p: Program) -> Program:
     reject_marked(atoms, "potential-marked", "unfold_partiality")
     n = len(atoms)
     k = potential_block(atoms)
+    # The one-atom parts of each input atom, lifted and marked.
+    lifted = [(i,) for i in range(k)] + [(i + n,) for i in range(k, n)]
+    marked = [(k + i,) for i in range(n)]
     if k == n:
         lift = tuple  # every atom sorts before p__ and keeps its number
     else:
         def lift(xs: tuple[int, ...]) -> tuple[int, ...]:
+            if len(xs) == 1:
+                return lifted[xs[0]]
             return tuple([x if x < k else x + n for x in xs])
 
     def mark(xs: tuple[int, ...]) -> tuple[int, ...]:
+        if len(xs) == 1:
+            return marked[xs[0]]
         return tuple([x + k for x in xs])
 
     rules: list[IntRule] = []
     for head, pos, neg in p.rows:
         rules.append((lift(head), lift(pos), mark(neg)))
         rules.append((mark(head), mark(pos), lift(neg)))
-    rules += [((k + i,), lift((i,)), ()) for i in range(n)]
-    marked = [potential(a) for a in atoms]
-    return Program.of_table((*atoms[:k], *marked, *atoms[k:]), rules)
+    rules += zip(marked, lifted, [()] * n)
+    marks = [potential(a) for a in atoms]
+    return Program.of_table((*atoms[:k], *marks, *atoms[k:]), rules)
 
 
 def expand_psm(m: PartialInterpretation) -> frozenset[Atom]:

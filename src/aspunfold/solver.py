@@ -75,20 +75,35 @@ is the lexicographically smallest rendering, since atoms are indexed in
 sorted order.  An atom's count is at most the number of rules it occurs in
 that were not blocked at the first choice (below), so the scan visits atoms
 by decreasing occurrence count, then by index, and stops at the first
-undefined atom that could at best tie with a best of lower index.  The
-per-atom rule sets it counts and that order are built at the first choice,
-over the atoms undefined then, and never updated, so a solver that never
-branches never builds them.  A solver runs one search, and the search never
-unassigns an atom assigned at its first choice, the root fixpoint, so a rule
-blocked then stays blocked: no propagation, unfounded-set check or count
-reads it again, and none is a source, as the root expand has given new
-sources to the atoms whose sources it blocked.  So at that choice the search
-drops such rules from the ``occ_pos``, ``occ_neg``, ``occ_head`` and
-``occ_int`` lists of the open atoms for good, and walks only rules that can
-still fire.  Nothing is put back: the search keeps no copy of the lists, and
-when its last choice is done it returns without walking back to the root.
-The search keeps, with each choice, the scan position before which every
-atom is assigned, so the scan starts past the atoms assigned above it.
+undefined atom that could at best tie with a best of lower index.
+
+Counts only fall as an assignment grows, since a rule once blocked or with
+its head true stays so: an atom's count taken at a choice bounds its count
+everywhere below that choice, in both branches.  The scan keeps each open
+atom's last exact count as its bound (``_bound``, at first its occurrence
+count) and skips, uncounted, an atom whose bound cannot beat the best so
+far.  Its count could not either, so the choice and its ties are those of
+a full recount.  A bound holds only below the choice where it was taken,
+so ``_choose`` notes each bound it lowers in a journal, and every
+backtrack, by copy or by walk (below), puts back the bounds noted since the
+choice it returns to before that choice's positive branch starts.  So the
+journal holds only falls of a bound along the current branch, no more
+entries than the atoms' occurrence counts sum to.
+
+The scan's per-atom rule sets, its order and the bounds are built at the
+first choice, over the atoms undefined then, and only the bounds change
+after that, so a solver that never branches builds none of them.
+A solver runs one search, and the search never unassigns an atom assigned
+at its first choice, the root fixpoint, so a rule blocked then stays
+blocked: no propagation, unfounded-set check or count reads it again, and
+none is a source, as the root expand has given new sources to the atoms
+whose sources it blocked.  So at that choice the search drops such rules
+from the ``occ_pos``, ``occ_neg``, ``occ_head`` and ``occ_int`` lists of
+the open atoms for good, and walks only rules that can still fire.
+Nothing is put back: the search keeps no copy of the lists, and when its
+last choice is done it returns without walking back to the root.  The
+search keeps, with each choice, the scan position before which every atom
+is assigned, so the scan starts past the atoms assigned above it.
 
 Backtracking is chronological, with no learning, and goes back one of two
 ways, to a trail length at which every atom had been propagated, so
@@ -220,6 +235,8 @@ class Solver:
         # each pick_atom.
         self.occ_all: list[list[int]] = []
         self._by_occurrence: Optional[list[int]] = None
+        self._bound: list[int] = []
+        self._journal: list[tuple[int, int]] = []
 
     @cached_property
     def index(self) -> dict[Atom, int]:
@@ -284,15 +301,18 @@ class Solver:
                             cyclic[w] = is_cyclic
                         n_comps += 1
         self._cyclic = cyclic
-        # r_int[r]: the positive body atoms of r in its head's cyclic SCC;
-        # occ_int[a]: the rules that have a among them, ascending, as one
-        # pass over the rules in order fills them.
+        # r_int[r]: the positive body atoms of r in its head's cyclic SCC,
+        # r_pos[r] itself when they all are; occ_int[a]: the rules that have
+        # a among them, ascending, as one pass over the rules in order fills
+        # them.
         r_int: list[tuple[int, ...]] = [()] * len(r_head)
         occ_int: list[list[int]] = [[] for _ in range(n)]
         for r, h in enumerate(r_head):
-            if cyclic[h]:
+            if cyclic[h] and r_pos[r]:
                 c = comp[h]
-                internal = r_int[r] = tuple([b for b in r_pos[r] if comp[b] == c])
+                pos = r_pos[r]
+                internal = [b for b in pos if comp[b] == c]
+                r_int[r] = pos if len(internal) == len(pos) else tuple(internal)
                 for b in internal:
                     occ_int[b].append(r)
         self.r_int, self.occ_int = r_int, occ_int
@@ -563,23 +583,34 @@ class Solver:
         undefined atoms by decreasing number of those rules, then by index (a
         reversed sort keeps equal keys in their order).  Both hold while
         every atom assigned now stays assigned: ``_search`` builds them once,
-        at its first choice, and ``pick_atom`` at each call."""
+        at its first choice, and ``pick_atom`` at each call.  Each atom's
+        bound starts as its number of rules, with an empty journal."""
         occ_head, occ_pos, occ_neg = self.occ_head, self.occ_pos, self.occ_neg
         val = self.val
         occ_all: list[list[int]] = [[]] * len(val)  # assigned atoms: never read
+        bound = [0] * len(val)
         # ⊥ is never branched on.
         open_atoms = [a for a in range(len(self.atoms)) if val[a] == UNDEF]
         for a in open_atoms:
-            occ_all[a] = list(set(occ_head[a] + occ_pos[a] + occ_neg[a]))
-        open_atoms.sort(key=lambda a: len(occ_all[a]), reverse=True)
+            occ = occ_all[a] = list(set(occ_head[a] + occ_pos[a] + occ_neg[a]))
+            bound[a] = len(occ)
+        open_atoms.sort(key=bound.__getitem__, reverse=True)
         self.occ_all, self._by_occurrence = occ_all, open_atoms
+        self._bound, self._journal = bound, []
 
     def _choose(self, start: int = 0) -> tuple[int, int]:
         """The undefined atom in the most unsatisfied rules (head not true, no
         body literal false), the lowest index on ties; and the position of
         the first undefined atom in ``_by_occurrence``.  Every atom before
-        position ``start`` there must be assigned."""
+        position ``start`` there must be assigned.  An atom whose bound, a
+        count taken at this choice or above it, is below the best count so
+        far, or equals it with a higher index, is skipped uncounted: counts
+        only fall as the assignment grows, so it would lose all the same.
+        Each atom counted below its bound gets the count as its bound, and
+        the old one goes to the journal, for ``_restore_bounds`` to put back
+        when the search backtracks past this choice."""
         val, n_false, r_head, occ_all = self.val, self.n_false, self.r_head, self.occ_all
+        bound, journal = self._bound, self._journal
         order = self._by_occurrence
         end = len(order)
         while start < end and val[order[start]] != UNDEF:
@@ -592,10 +623,16 @@ class Solver:
             occ = occ_all[a]
             if len(occ) < best_count or (len(occ) == best_count and a > best):
                 break
+            most = bound[a]
+            if most < best_count or (most == best_count and a > best):
+                continue
             count = 0
             for r in occ:
                 if not n_false[r] and val[r_head[r]] != TRUE:
                     count += 1
+            if count < most:
+                journal.append((a, most))
+                bound[a] = count
             if count > best_count or (count == best_count and a < best):
                 best, best_count = a, count
         if best < 0:
@@ -618,6 +655,14 @@ class Solver:
         that branch has expanded without conflict."""
         return False
 
+    def _restore_bounds(self, noted: int) -> None:
+        """Put back the bounds ``_choose`` lowered since its journal held
+        ``noted`` entries, newest first, so each is as it was then."""
+        journal, bound = self._journal, self._bound
+        for a, most in reversed(journal[noted:]):
+            bound[a] = most
+        del journal[noted:]
+
     def _save(self) -> Counters:
         """A copy of the counters, for ``undo_to`` to restore."""
         return self.n_left[:], self.n_false[:], self.active[:]
@@ -638,12 +683,13 @@ class Solver:
         # One entry per choice whose positive branch is still to come: the
         # trail length before its negative branch, the chosen atom, the scan
         # position of _choose, before which every atom was assigned below
-        # that trail length, and the counters saved at that trail length, or
-        # None.  The choices holding copies are a prefix of the stack, so a
-        # choice takes one exactly while fewer choices are pending than the
-        # budget holds copies: only the shallowest choices of a branch have
-        # them.
-        stack: list[tuple[int, int, int, Optional[Counters]]] = []
+        # that trail length, the counters saved at that trail length, or
+        # None, and the journal's length once _choose has taken its counts,
+        # whose bounds hold in both branches.  The choices holding copies
+        # are a prefix of the stack, so a choice takes one exactly while
+        # fewer choices are pending than the budget holds copies: only the
+        # shallowest choices of a branch have them.
+        stack: list[tuple[int, int, int, Optional[Counters], int]] = []
         for a, v in self._initial:
             self._push(a, v)
         positive = False
@@ -665,14 +711,16 @@ class Solver:
                 x, start = self._choose(start)
                 self.stats.choices += 1
                 saved = self._save() if len(stack) < copies else None
-                stack.append((len(self.trail), x, start, saved))
+                stack.append((len(self.trail), x, start, saved, len(self._journal)))
                 self._push(x, FALSE)
                 positive = False
                 continue
             if not stack:
                 return
-            mark, x, start, saved = stack.pop()
+            mark, x, start, saved, noted = stack.pop()
             self.undo_to(mark, saved)
+            if len(self._journal) > noted:
+                self._restore_bounds(noted)
             self._push(x, TRUE)
             positive = True
 

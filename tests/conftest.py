@@ -1051,9 +1051,10 @@ def reference_sccs(s):
 
 
 def reference_choose(s):
-    """The branching rule counted in full over every rule: the undefined atom
-    occurring (in head or body) in the most rules whose head is not true and
-    whose body has no false literal, the lowest index on ties."""
+    """The branching rule recounted in full at every call, over every rule
+    and every undefined atom, with no bound and no early stop: the undefined
+    atom occurring (in head or body) in the most rules whose head is not true
+    and whose body has no false literal, the lowest index on ties."""
     from aspunfold.solver import FALSE, TRUE, UNDEF
 
     counts = [0] * len(s.val)

@@ -1,12 +1,15 @@
 import random
+from collections import Counter
 from functools import lru_cache
 from itertools import islice
 
 import pytest
 
+from aspunfold import gnt
 from aspunfold.bench import gen_d3sat_instance, gen_random_qbf
 from aspunfold.gentest import gen_program
 from aspunfold.gentest import test_program as build_test_program
+from aspunfold.gnt import solve_disjunctive
 from aspunfold.parser import parse_program
 from aspunfold.partiality import unfold_partiality
 from aspunfold.qbf import qbf_to_program
@@ -367,6 +370,74 @@ def test_choose_matches_full_count():
         list(s.models())
         searched += s.stats.choices
     assert walked > 2500 and searched > 150
+
+
+def check_bench_sized_choices(monkeypatch):
+    """Run searches at the benchmark's sizes with every choice checked
+    against the full count: tr of random normal programs of 200 atoms and
+    400 rules, read from their text, and gnt2 on d3sat n=50 and gw v=14
+    instances, generator and tester searches alike.  The choices checked,
+    by kind of search."""
+    choose = Solver._choose
+    checked = Counter()
+    kind = "partial"
+
+    def checked_choose(self, start=0):
+        a, start = choose(self, start)
+        assert a == reference_choose(self), (kind, self.program)
+        checked["generator" if isinstance(self, gnt._Generator) else kind] += 1
+        return a, start
+
+    monkeypatch.setattr(Solver, "_choose", checked_choose)
+    for seed in range(6):
+        list(Solver(unfold_partiality(random_wide_program(seed, 200, 400))).models())
+    kind = "tester"
+    for seed in range(1, 21):
+        solve_disjunctive(gen_d3sat_instance(50, 4.258, seed).program)
+        solve_disjunctive(qbf_to_program(gen_random_qbf(14, "gw", seed)))
+    return checked
+
+
+def test_bounded_choices_match_full_count(monkeypatch):
+    # _choose skips an atom whose count, taken at a choice above, cannot
+    # beat the best so far; every backtrack must put back the bounds taken
+    # below the choice it returns to, whether it copies the counters back
+    # or walks back.
+    checked = check_bench_sized_choices(monkeypatch)
+    assert checked["partial"] > 200 and checked["generator"] > 700 and checked["tester"] > 200, checked
+
+
+RESTORE_BOUNDS = Solver._restore_bounds
+
+
+def bounds_kept_once(self, noted):
+    """A mutant: the bound lowered last below a choice is not put back."""
+    if len(self._journal) > noted:
+        self._journal.pop()
+    RESTORE_BOUNDS(self, noted)
+
+
+def bounds_kept_on_walk_back(self, noted):
+    """A mutant: a backtrack that walks the counters back keeps the bounds
+    taken below the choice it returns to."""
+    if self._walked:
+        del self._journal[noted:]
+    else:
+        RESTORE_BOUNDS(self, noted)
+
+
+@pytest.mark.parametrize("mutant", [bounds_kept_once, bounds_kept_on_walk_back])
+def test_bounded_choice_check_catches_mutants(monkeypatch, mutant):
+    undo_to = Solver.undo_to
+
+    def recorded_undo_to(self, mark, saved=None):
+        self._walked = saved is None
+        undo_to(self, mark, saved)
+
+    monkeypatch.setattr(Solver, "undo_to", recorded_undo_to)
+    monkeypatch.setattr(Solver, "_restore_bounds", mutant)
+    with pytest.raises(AssertionError):
+        check_bench_sized_choices(monkeypatch)
 
 
 def occurrence_lists(s):
