@@ -181,7 +181,7 @@ def _stats_dict(gnt: Optional[GntStats], solver: SolverStats) -> dict[str, int]:
 
 def _load_program(args) -> Program:
     with open(args.file, "r", encoding="utf-8") as fh:
-        return parse_program(fh.read(), allow_reserved=getattr(args, "allow_reserved", False))
+        return parse_program(fh.read(), allow_reserved=args.allow_reserved)
 
 
 def _solve(p: Program, args, enumerate_all: bool) -> tuple[list[frozenset[Atom]], dict[str, int]]:
@@ -352,15 +352,14 @@ def cmd_bench(args) -> None:
         print(name)
 
 
-def _add_input(sp, json_help: str = "emit a JSON report") -> None:
-    sp.add_argument("--json", action="store_true", help=json_help)
+def _add_reserved(sp) -> None:
     sp.add_argument("--allow-reserved", action="store_true", help="accept reserved atom spellings in input")
 
 
 def _add_common(
     sp, stats: bool = True, cap_help: str = f"atom cap for enumerative oracles (default {DEFAULT_CAP})"
 ) -> None:
-    _add_input(sp)
+    sp.add_argument("--json", action="store_true", help="emit a JSON report")
     sp.add_argument("--timing", action="store_true", help="include wall-clock time in output")
     sp.add_argument("--cap", type=int, default=DEFAULT_CAP, help=cap_help)
     if stats:
@@ -381,6 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--all", action="store_true", help="enumerate all models")
     _add_solving(sp)
     _add_common(sp)
+    _add_reserved(sp)
     sp.set_defaults(fn=cmd_solve)
 
     sp = sub.add_parser("partial", help="partial stable models via the partiality unfolding")
@@ -390,13 +390,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ordering", choices=("truth", "knowledge"), default="truth")
     _add_solving(sp)
     _add_common(sp)
+    _add_reserved(sp)
     sp.set_defaults(fn=cmd_partial)
 
     sp = sub.add_parser("transform", help="print a program transformation")
     sp.add_argument("file")
     sp.add_argument("--kind", choices=("tr", "tr2", "gen0", "gen1", "supp", "gen", "test"), required=True)
     sp.add_argument("--model", help="candidate model for --kind test, e.g. 'a b'")
-    _add_input(sp, json_help="report errors as JSON; the program is printed as text")
+    sp.add_argument("--json", action="store_true", help="report errors as JSON; the program is printed as text")
+    _add_reserved(sp)
     sp.set_defaults(fn=cmd_transform)
 
     sp = sub.add_parser("check", help="oracle verification of a claimed model")
@@ -405,6 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--model", help="total model as 'a b'")
     group.add_argument("--partial", help="partial interpretation as 'TRUE / FALSE'")
     _add_common(sp, stats=False)
+    _add_reserved(sp)
     sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("query", help="possibility inference")
@@ -414,6 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--filter", action="store_true", help="answer by oracle enumeration instead of one solver call")
     _add_solving(sp)
     _add_common(sp)
+    _add_reserved(sp)
     sp.set_defaults(fn=cmd_query)
 
     sp = sub.add_parser("qbf", help="2,exists-QBF translation, solving, and oracle evaluation")

@@ -12,14 +12,16 @@ generator's assignment over those numbers.
 
 The generator derives its own testers: ``test_program`` returns it as it
 is, once, when the search is set up.  Every generator holds the complement
-marks of the input's disjunctive head atoms, so there is one lift.  Each
-test derives the candidate's tester from the generator: a program over the
-atoms the candidate leaves open, with the generator's numbers of its atoms.
-An ordinary ``Solver`` searches it, and the search is closed after the
-first answer.  The tester model is read through those numbers as the
-candidate's atoms that the tester's assignment does not make false: the
-atoms a fact of the reduct fixes are true in it.  Nothing outlives the
-search.
+marks of the input's disjunctive head atoms, so there is one lift.  One
+function, ``minimal_test``, runs each test whole.  It derives the
+candidate's tester from the generator: a program over the atoms the
+candidate leaves open, with the generator's numbers of its atoms.  An
+ordinary ``Solver`` searches it, and the search is closed after the first
+answer.  The test and the tester's search are counted, and a failed test
+teaches the generator at once the candidate's atoms that the tester model
+makes false, read through those numbers: the set U below.  The atoms a
+fact of the reduct fixes are true in every tester model.  Nothing
+outlives the test.
 
 Early tests are gated by a per-search WasCovered flag: set when a candidate
 is covered, cleared by the next early test that does not prune.  An early
@@ -30,17 +32,17 @@ one does not prune.  ``early_test="off"`` disables early testing entirely
 and never changes the result, only the statistics.
 
 Every failed test, final or early, on true atoms T with tester model N
-teaches the search the set U = T - N.  U is an unfounded set of the input
-with respect to T (Leone, Rullo and Scarcello 1997): every input rule with
-a head atom in U has a positive body atom in U, a body false in T, or a
-head atom outside U true in T.  The search keeps U with its external
-support: the input rules with a head atom in U and no positive body atom
-in U, each as its head atoms outside U and its body.  Such a rule is
-blocked when a positive body atom is false, a negative body atom is true,
-or a head atom outside U is true.  U fires on an assignment that makes an
-atom of U true and blocks every rule of its external support.  A fired U
-prunes the branch in ``_prune``, before the early test, and rejects a
-covered candidate in ``_accept``, without a test.
+teaches the search the set U = T - N, the atoms of T that N makes false.  U
+is an unfounded set of the input with respect to T (Leone, Rullo and
+Scarcello 1997): every input rule with a head atom in U has a positive body
+atom in U, a body false in T, or a head atom outside U true in T.  The
+search keeps U with its external support: the input rules with a head atom
+in U and no positive body atom in U, each as its head atoms outside U and
+its body.  Such a rule is blocked when a positive body atom is false, a
+negative body atom is true, or a head atom outside U is true.  U fires on an
+assignment that makes an atom of U true and blocks every rule of its
+external support.  A fired U prunes the branch in ``_prune``, before the
+early test, and rejects a covered candidate in ``_accept``, without a test.
 
 This loses no stable model, whatever U is and at whatever node it fires.
 Let a stable model S extend the assignment.  Blocking only grows as an
@@ -94,61 +96,43 @@ class SolveResult:
     solver_stats: SolverStats
 
 
-class _Tester:
-    """The minimality tester of one search: ``test_program`` of the
-    generator (or of any program), taken when the tester is built, and the
-    solver and the tester model of the latest test."""
-
-    def __init__(self, source: Program):
-        self.testers = test_program(source)
-        self.solver: Optional[Solver] = None
-        # The candidate's atoms true in the latest tester model; None if
-        # the test passed.
-        self.model: Optional[frozenset[int]] = None
-
-    def minimal(self, candidate: list[int]) -> bool:
-        """Whether the candidate, atom numbers of the source, ascending, is
-        minimal: its tester has no stable model."""
-        program, numbers = self.testers.tester(candidate)
-        solver = self.solver = Solver(program)
-        search = solver.models()
-        found = next(search, None) is not None
-        # Closed at once, so a suspended search outlives no test.
-        search.close()
-        self.model = None
-        if found:
-            # The tester's atoms false in its model; the candidate's others,
-            # the fixed atoms among them, are true.
-            false = {a for a, v in zip(numbers, solver.val) if v == FALSE}
-            self.model = frozenset([a for a in candidate if a not in false])
-        return not found
-
-
-def minimal_test(
-    tester: _Tester, candidate: list[int], stats: GntStats, solver_stats: SolverStats
-) -> bool:
+def minimal_test(generator: _Generator, candidate: list[int]) -> bool:
     """Whether the candidate, the true atoms of an assignment restricted to
     the input's base (undefined taken false), as atom numbers ascending, is
-    minimal: its tester, derived by the generator that ``tester`` holds for
-    the whole search, has no stable model.  Counts the test in stats and
-    the tester's search in solver_stats."""
-    ok = tester.minimal(candidate)
-    stats.minimal_tests += 1
-    solver_stats.merge(tester.solver.stats)
-    return ok
+    minimal: its tester, derived from the generator's testers, has no
+    stable model.  Counts the test and the tester's search in the
+    generator's statistics; a failed test teaches the generator the
+    candidate's atoms that the tester model makes false."""
+    program, numbers = generator.testers.tester(candidate)
+    solver = Solver(program)
+    search = solver.models()
+    found = next(search, None) is not None
+    # Closed at once, so a suspended search outlives no test.
+    search.close()
+    generator.gnt_stats.minimal_tests += 1
+    generator.tester_stats.merge(solver.stats)
+    if found:
+        # The tester's atoms false in its model; the candidate's others,
+        # the fixed atoms among them, are true.
+        false = {a for a, v in zip(numbers, solver.val) if v == FALSE}
+        generator._learn([a for a in candidate if a in false])
+    return not found
 
 
 class _Generator(Solver):
     """The generator's search, with the minimality test on covered candidates,
     the gated early test on positive branches, and the sets learned from
-    failed tests pruning both."""
+    failed tests pruning both.  It holds what ``minimal_test`` reads and
+    writes: its testers, ``test_program`` of its table taken once, the
+    counts of the tests and of the testers' searches, and the learned
+    sets."""
 
     def __init__(self, g: GeneratorTable, config: GntConfig):
         super().__init__(g)
         self.config = config
         self.gnt_stats = GntStats()
         self.tester_stats = SolverStats()
-        self.tester = _Tester(g)
+        self.testers = test_program(g)
         self.was_covered = False
         # per learned set: its atoms, and its external support as
         # (head atoms outside the set, positive body, negative body)
@@ -157,12 +141,7 @@ class _Generator(Solver):
 
     def _minimal(self) -> bool:
         val = self.val
-        candidate = [a for a in self.program.lift if val[a] == TRUE]
-        if minimal_test(self.tester, candidate, self.gnt_stats, self.tester_stats):
-            return True
-        model = self.tester.model
-        self._learn([a for a in candidate if a not in model])
-        return False
+        return minimal_test(self, [a for a in self.program.lift if val[a] == TRUE])
 
     def _learn(self, u: list[int]) -> None:
         """Keep the unfounded set u of a failed test, atom numbers ascending,

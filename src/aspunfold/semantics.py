@@ -109,10 +109,10 @@ def _atoms_of(ms: _Masks, mask: int) -> frozenset[Atom]:
     return frozenset(a for i, a in enumerate(ms.atoms) if mask >> i & 1)
 
 
-def _conj_value(pos: int, neg: int, t: int, f: int) -> int:
-    if pos & f or neg & t:
+def _conj_value(pos: int, t: int, f: int) -> int:
+    if pos & f:
         return 0
-    if pos & t == pos and neg & f == neg:
+    if pos & t == pos:
         return 2
     return 1
 
@@ -168,7 +168,7 @@ def _reduced_rules_masks(ms: _Masks, t: int, f: int) -> list[tuple[int, int, int
 
 def _partial_model_of_reduct(rrs: list[tuple[int, int, int]], t: int, f: int) -> bool:
     for h, b, const in rrs:
-        body = min(_conj_value(b, 0, t, f), const)
+        body = min(_conj_value(b, t, f), const)
         if _disj_value(h, t, f) < body:
             return False
     return True

@@ -425,8 +425,18 @@ class WithoutRootInference(Solver):
         self._initial = [(a, v) for a, v in self._initial if v == TRUE or not self.occ_head[a]]
 
 
-class ReferenceTester(gnt._Tester):
-    """``gnt._Tester`` searching each tester without the root inference."""
+class ReferenceTester:
+    """The minimality tester of one search as it was before set-up fixed
+    self-blocking atoms false: ``test_program`` of the source, taken once,
+    each tester searched without the root inference, and the solver and
+    the tester model of the latest test."""
+
+    def __init__(self, source):
+        self.testers = gnt.test_program(source)
+        self.solver = None
+        # The candidate's atoms true in the latest tester model; None if
+        # the test passed.
+        self.model = None
 
     def minimal(self, candidate):
         program, numbers = self.testers.tester(candidate)
@@ -443,13 +453,31 @@ class ReferenceTester(gnt._Tester):
         return not found
 
 
+def reference_minimal_test(generator, candidate):
+    """``gnt.minimal_test`` as it was, over the generator's
+    ``ReferenceTester``: the test and the tester's search counted in the
+    generator's statistics, and nothing learned."""
+    ok = generator.tester.minimal(candidate)
+    generator.gnt_stats.minimal_tests += 1
+    generator.tester_stats.merge(generator.tester.solver.stats)
+    return ok
+
+
 class RootlessGenerator(WithoutRootInference, gnt._Generator):
     """The generator of ``solve_disjunctive`` as it was before set-up fixed
-    self-blocking atoms false, in the generator and in every tester."""
+    self-blocking atoms false, in the generator and in every tester: a
+    failed test teaches it T - N, the candidate less its tester model."""
 
     def __init__(self, g, config):
         super().__init__(g, config)
         self.tester = ReferenceTester(self.program)
+
+    def _minimal(self):
+        candidate = [a for a in self.program.lift if self.val[a] == TRUE]
+        if reference_minimal_test(self, candidate):
+            return True
+        self._learn([a for a in candidate if a not in self.tester.model])
+        return False
 
 
 class ReferenceGenerator(WithoutRootInference):
@@ -469,8 +497,7 @@ class ReferenceGenerator(WithoutRootInference):
         self.was_covered = False
 
     def _minimal(self):
-        candidate = [a for a in self.lift if self.val[a] == TRUE]
-        return gnt.minimal_test(self.tester, candidate, self.gnt_stats, self.tester_stats)
+        return reference_minimal_test(self, [a for a in self.lift if self.val[a] == TRUE])
 
     def _early_test_sound(self):
         val = self.val

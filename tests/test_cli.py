@@ -312,6 +312,19 @@ def test_transform_takes_no_cap_or_timing(write, capsys):
     assert "--json report errors as JSON; the program is printed as text" in " ".join(transform.format_help().split())
 
 
+def test_qbf_takes_no_allow_reserved(write, capsys):
+    # qbf reads no program text, and QBF variables are plain atoms, so it
+    # has no --allow-reserved; its other flags still work.
+    f = write("q.qbf", "e x\na y\nx y\nx -y\n")
+    for action in ("translate", "solve", "eval"):
+        with pytest.raises(SystemExit) as exc:
+            main(["qbf", action, f, "--allow-reserved"])
+        assert exc.value.code == 2, action
+        assert "unrecognized arguments: --allow-reserved" in capsys.readouterr().err
+    code, out = run(["qbf", "solve", f, "--json", "--timing", "--stats", "--cap", "20"])
+    assert code == 0 and json.loads(out)["answer"] == "VALID"
+
+
 def test_transform_test_lists_rules_by_first_enabled_input(write):
     # The first rule is off (d is in the model), so the head rule of a comes
     # from the third rule: after those of the second, not at a's place in a

@@ -8,8 +8,8 @@ from aspunfold.bench import gen_d3sat_instance, gen_random_qbf
 from aspunfold import gnt
 from aspunfold.gentest import GeneratorTable, gen_program
 from aspunfold.gentest import test_program as build_test_program
-from aspunfold.gnt import GntConfig, GntStats, minimal_test, solve_disjunctive
-from aspunfold.gnt import _GENERATORS, _Generator, _Tester
+from aspunfold.gnt import GntConfig, minimal_test, solve_disjunctive
+from aspunfold.gnt import _GENERATORS, _Generator
 from aspunfold.parser import parse_program
 from aspunfold.partiality import unfold_partiality
 from aspunfold.qbf import qbf_to_program, qbf_valid_oracle
@@ -37,10 +37,11 @@ DISJ_NEG = parse_program("a | b :- not c.")
 EX6 = parse_program("a | b | c.\na :- not b.\nb :- not c.\nc :- not a.")
 
 
-def minimal_on(p, candidate, stats=None):
-    """``minimal_test`` on a candidate of p, with a fresh tester of p."""
-    numbers = sorted(build_test_program(p).numbers(candidate))
-    return minimal_test(_Tester(p), numbers, stats or GntStats(), SolverStats())
+def minimal_on(p, candidate, generator=None):
+    """``minimal_test`` on a candidate of p, by the given generator over
+    ``test_program(p)`` or a fresh one."""
+    generator = generator or _Generator(build_test_program(p), GntConfig())
+    return minimal_test(generator, sorted(generator.testers.numbers(candidate)))
 
 
 def test_minimal_test_paper_example():
@@ -68,9 +69,16 @@ def test_minimal_test_stable_normal_models_pass():
 
 
 def test_minimal_test_counts():
-    stats = GntStats()
-    minimal_on(DISJ, frozenset([A]), stats)
-    assert stats.minimal_tests == 1
+    # Each test counts itself and its tester's search in the generator; a
+    # failed one also teaches it the candidate's atoms false in the tester
+    # model, one of a and b here.
+    generator = _Generator(build_test_program(DISJ), GntConfig())
+    assert minimal_on(DISJ, frozenset([A]), generator)
+    assert (generator.gnt_stats.minimal_tests, generator.gnt_stats.learned_sets) == (1, 0)
+    assert not minimal_on(DISJ, frozenset([A, B]), generator)
+    assert (generator.gnt_stats.minimal_tests, generator.gnt_stats.learned_sets) == (2, 1)
+    assert [generator.atoms[a] for a in generator.learned[0][0]] in ([A], [B])
+    assert generator.tester_stats.expansions > 0
 
 
 def test_gnt_search_returns_restricted_candidate():
@@ -196,13 +204,14 @@ class _RecordingGenerator(_Generator):
 
     def _prune(self):
         sound = ReferenceGenerator._early_test_sound(self)
-        tests, learned = self.gnt_stats.minimal_tests, self.gnt_stats.learned_prunes
+        stats = self.gnt_stats
+        tests, learned, sets = stats.minimal_tests, stats.learned_prunes, stats.learned_sets
         pruned = super()._prune()
-        if self.gnt_stats.learned_prunes > learned:
-            assert pruned and self.gnt_stats.minimal_tests == tests
+        if stats.learned_prunes > learned:
+            assert pruned and stats.minimal_tests == tests
             event = "learned"
-        elif self.gnt_stats.minimal_tests > tests:
-            event = "fail-pruned" if pruned else "pass" if self.tester.model is None else "fail-kept"
+        elif stats.minimal_tests > tests:
+            event = "fail-pruned" if pruned else "fail-kept" if stats.learned_sets > sets else "pass"
         else:
             event = "idle"
         self.events.append((event, self.was_covered, sound))
@@ -544,7 +553,8 @@ def test_compiled_tester_matches_fresh_testers():
     # shuffled order.  The tester program of a candidate is a view of the
     # table its test searches and equals the rule-by-rule reference
     # construction, duplicates dropped; a search over it gives the test's
-    # verdict and counts.
+    # verdict and counts, and a failed test teaches the generator the
+    # candidate's atoms that this search's model makes false.
     rng = random.Random("compiled tester")
     seen = {"normal": 0, "loop": 0, "constraints": 0, "shared": 0}
     verdicts = set()
@@ -552,7 +562,7 @@ def test_compiled_tester_matches_fresh_testers():
         kind = ("normal", "disjunctive", "loop")[k % 3]
         p = _tester_program(rng, kind)
         table = build_test_program(p)
-        tester = _Tester(p)
+        generator, searched = _Generator(table, GntConfig()), SolverStats()
         base = sorted(p.base)
         assert len(base) <= 8
         candidates = [
@@ -563,9 +573,19 @@ def test_compiled_tester_matches_fresh_testers():
             program, _ = table.tester(table.numbers(m))
             assert program == reference_test_program(p, m)
             fresh = Solver(program)
-            verdict = fresh.next_stable_model() is None
-            assert tester.minimal(sorted(table.numbers(m))) == verdict, (p.rules, m)
-            assert tester.solver.stats == fresh.stats, (p.rules, m)
+            model = fresh.next_stable_model()
+            verdict = model is None
+            searched.merge(fresh.stats)
+            learned = len(generator.learned)
+            assert minimal_on(p, m, generator) == verdict, (p.rules, m)
+            assert generator.tester_stats == searched, (p.rules, m)
+            # A failed test teaches the atoms of m false in the model: the
+            # atoms of m outside the tester, the fixed ones, are true in it.
+            want = []
+            if not verdict:
+                false = [a for a in m if a in program.atoms and a not in model]
+                want.append(tuple(sorted(table.numbers(false))))
+            assert [u for u, _ in generator.learned[learned:]] == want, (p.rules, m)
             assert verdict == (not _reduct_has_smaller_model(p, m)), (p.rules, m)
             verdicts.add(verdict)
         seen["normal"] += kind == "normal"
@@ -591,9 +611,9 @@ def test_search_testers_match_test_program(monkeypatch):
             super().__init__(program)
             tables.append(program)
 
-    def recording_minimal_test(tester, candidate, *args):
-        candidates.append(frozenset(tester.testers.atoms[a] for a in candidate))
-        return minimal_test(tester, candidate, *args)
+    def recording_minimal_test(generator, candidate):
+        candidates.append(frozenset(generator.testers.atoms[a] for a in candidate))
+        return minimal_test(generator, candidate)
 
     monkeypatch.setattr(gnt, "Solver", Recording)
     monkeypatch.setattr(gnt, "minimal_test", recording_minimal_test)
