@@ -137,7 +137,9 @@ class _Generator(Solver):
         # per learned set: its atoms, and its external support as
         # (head atoms outside the set, positive body, negative body)
         self.learned: list[tuple[tuple[int, ...], list[IntRule]]] = []
-        self._heads: Optional[list[list[IntRule]]] = None  # rules by head atom, at the first failed test
+        # the input rules by head atom, keyed by the input's atoms, at the
+        # first failed test
+        self._heads: Optional[dict[int, list[IntRule]]] = None
 
     def _minimal(self) -> bool:
         val = self.val
@@ -147,7 +149,7 @@ class _Generator(Solver):
         """Keep the unfounded set u of a failed test, atom numbers ascending,
         with its external support."""
         if self._heads is None:
-            self._heads = [[] for _ in self.atoms]
+            self._heads = {a: [] for a in self.program.lift}
             for rule in self.program.inputs:
                 for h in rule[0]:
                     self._heads[h].append(rule)

@@ -72,27 +72,32 @@ undefined atom occurring in the most not-yet-satisfied rules (head not true,
 no body literal false), try ``not x`` before ``x``, and on finding a model
 emit it and backtrack as if conflicted.  Ties go to the lowest index, which
 is the lexicographically smallest rendering, since atoms are indexed in
-sorted order.  An atom's count is at most the number of rules it occurs in
-that were not blocked at the first choice (below), so the scan visits atoms
-by decreasing occurrence count, then by index, and stops at the first
-undefined atom that could at best tie with a best of lower index.
+sorted order.  An atom's count is at most its key: its places, as head,
+positive or negative body atom, in the rules not blocked at the first
+choice (below), which counts a rule twice only where the atom occurs twice
+in it.  So the scan visits atoms by decreasing key, then by index, and
+stops at the first undefined atom whose key could at best tie with a best
+of lower index.
 
 Counts only fall as an assignment grows, since a rule once blocked or with
 its head true stays so: an atom's count taken at a choice bounds its count
 everywhere below that choice, in both branches.  The scan keeps each open
-atom's last exact count as its bound (``_bound``, at first its occurrence
-count) and skips, uncounted, an atom whose bound cannot beat the best so
-far.  Its count could not either, so the choice and its ties are those of
-a full recount.  A bound holds only below the choice where it was taken,
+atom's last exact count as its bound (``_bound``, at first its key) and
+skips, uncounted, an atom whose bound cannot beat the best so far.  Its
+count could not either, so the choice and its ties are those of a full
+recount.  A bound holds only below the choice where it was taken,
 so ``_choose`` notes each bound it lowers in a journal, and every
 backtrack, by copy or by walk (below), puts back the bounds noted since the
 choice it returns to before that choice's positive branch starts.  So the
 journal holds only falls of a bound along the current branch, no more
-entries than the atoms' occurrence counts sum to.
+entries than the atoms' keys sum to.
 
-The scan's per-atom rule sets, its order and the bounds are built at the
-first choice, over the atoms undefined then, and only the bounds change
-after that, so a solver that never branches builds none of them.
+The scan's order, the keys and the bounds are built at the first choice,
+over the atoms undefined then, and only the bounds change after that, so a
+solver that never branches builds none of them.  The first choice builds
+no rule list: an atom's rules, each once, are gathered (``occ_all``) the
+first time the scan counts it, and most atoms are never counted in a
+whole search.
 A solver runs one search, and the search never unassigns an atom assigned
 at its first choice, the root fixpoint, so a rule blocked then stays
 blocked: no propagation, unfounded-set check or count reads it again, and
@@ -232,9 +237,10 @@ class Solver:
         ]
         self._gen: Optional[Iterator[frozenset[Atom]]] = None
         # Built over the atoms undefined at the search's first choice, or at
-        # each pick_atom.
-        self.occ_all: list[list[int]] = []
+        # each pick_atom; an atom's rule list only once _choose counts it.
+        self.occ_all: list[Optional[list[int]]] = []
         self._by_occurrence: Optional[list[int]] = None
+        self._key: list[int] = []
         self._bound: list[int] = []
         self._journal: list[tuple[int, int]] = []
 
@@ -304,9 +310,10 @@ class Solver:
         # r_int[r]: the positive body atoms of r in its head's cyclic SCC,
         # r_pos[r] itself when they all are; occ_int[a]: the rules that have
         # a among them, ascending, as one pass over the rules in order fills
-        # them.
+        # them.  Only a cyclic atom can be among them, so every acyclic atom
+        # has the one empty tuple instead of a list of its own.
         r_int: list[tuple[int, ...]] = [()] * len(r_head)
-        occ_int: list[list[int]] = [[] for _ in range(n)]
+        occ_int: list[list[int] | tuple[()]] = [[] if c else () for c in cyclic]
         for r, h in enumerate(r_head):
             if cyclic[h] and r_pos[r]:
                 c = comp[h]
@@ -578,39 +585,45 @@ class Solver:
                             break
 
     def _index_open_atoms(self) -> None:
-        """Per undefined atom, the rules where it occurs (head or body), each
-        once, in no particular order: ``_choose`` only counts them; and the
-        undefined atoms by decreasing number of those rules, then by index (a
-        reversed sort keeps equal keys in their order).  Both hold while
-        every atom assigned now stays assigned: ``_search`` builds them once,
-        at its first choice, and ``pick_atom`` at each call.  Each atom's
-        bound starts as its number of rules, with an empty journal."""
+        """Per undefined atom, its order key: the lengths of its ``occ_head``,
+        ``occ_pos`` and ``occ_neg`` lists summed, an upper bound of its
+        count, which counts a rule twice only where the atom occurs twice in
+        it.  The undefined atoms in order of decreasing key, then of index (a
+        reversed sort keeps equal keys in their order), and each atom's bound
+        starting at its key, with an empty journal.  No rule list is built
+        here: ``_choose`` builds an atom's ``occ_all`` the first time it
+        counts it.  All of this holds while every atom assigned now stays
+        assigned: ``_search`` builds it once, at its first choice, after
+        ``_prune_blocked``, and ``pick_atom`` at each call."""
         occ_head, occ_pos, occ_neg = self.occ_head, self.occ_pos, self.occ_neg
         val = self.val
-        occ_all: list[list[int]] = [[]] * len(val)  # assigned atoms: never read
-        bound = [0] * len(val)
+        key = [0] * len(val)
         # ⊥ is never branched on.
         open_atoms = [a for a in range(len(self.atoms)) if val[a] == UNDEF]
         for a in open_atoms:
-            occ = occ_all[a] = list(set(occ_head[a] + occ_pos[a] + occ_neg[a]))
-            bound[a] = len(occ)
-        open_atoms.sort(key=bound.__getitem__, reverse=True)
-        self.occ_all, self._by_occurrence = occ_all, open_atoms
-        self._bound, self._journal = bound, []
+            key[a] = len(occ_head[a]) + len(occ_pos[a]) + len(occ_neg[a])
+        open_atoms.sort(key=key.__getitem__, reverse=True)
+        self.occ_all = [None] * len(val)
+        self._by_occurrence, self._key = open_atoms, key
+        self._bound, self._journal = key[:], []
 
     def _choose(self, start: int = 0) -> tuple[int, int]:
         """The undefined atom in the most unsatisfied rules (head not true, no
         body literal false), the lowest index on ties; and the position of
         the first undefined atom in ``_by_occurrence``.  Every atom before
-        position ``start`` there must be assigned.  An atom whose bound, a
-        count taken at this choice or above it, is below the best count so
-        far, or equals it with a higher index, is skipped uncounted: counts
-        only fall as the assignment grows, so it would lose all the same.
-        Each atom counted below its bound gets the count as its bound, and
-        the old one goes to the journal, for ``_restore_bounds`` to put back
-        when the search backtracks past this choice."""
+        position ``start`` there must be assigned.  The scan stops at the
+        first atom whose order key is below the best count so far, or equals
+        it with a higher index: so is every later atom's key, and a key
+        bounds the count.  An atom whose bound, a count taken at this choice
+        or above it, loses in the same way is skipped uncounted: counts only
+        fall as the assignment grows, so it would lose all the same.  The
+        first count of an atom builds its ``occ_all``, the rules of its
+        three lists, each once, in no particular order.  Each atom counted
+        below its bound gets the count as its bound, and the old one goes to
+        the journal, for ``_restore_bounds`` to put back when the search
+        backtracks past this choice."""
         val, n_false, r_head, occ_all = self.val, self.n_false, self.r_head, self.occ_all
-        bound, journal = self._bound, self._journal
+        key, bound, journal = self._key, self._bound, self._journal
         order = self._by_occurrence
         end = len(order)
         while start < end and val[order[start]] != UNDEF:
@@ -620,12 +633,15 @@ class Solver:
             a = order[i]
             if val[a] != UNDEF:
                 continue
-            occ = occ_all[a]
-            if len(occ) < best_count or (len(occ) == best_count and a > best):
+            most = key[a]
+            if most < best_count or (most == best_count and a > best):
                 break
             most = bound[a]
             if most < best_count or (most == best_count and a > best):
                 continue
+            occ = occ_all[a]
+            if occ is None:
+                occ = occ_all[a] = list(set(self.occ_head[a] + self.occ_pos[a] + self.occ_neg[a]))
             count = 0
             for r in occ:
                 if not n_false[r] and val[r_head[r]] != TRUE:

@@ -1068,7 +1068,8 @@ def reference_sccs(s):
                         cyclic[w] = len(members) > 1 or v in succ[v]
                     n_comps += 1
     r_int = [()] * len(s.r_head)
-    occ_int = [[] for _ in range(n)]
+    # An acyclic atom is in no rule's internal body: its occ_int is ().
+    occ_int = [[] if c else () for c in cyclic]
     for r, h in enumerate(s.r_head):
         if cyclic[h]:
             r_int[r] = tuple([b for b in s.r_pos[r] if comp[b] == comp[h]])

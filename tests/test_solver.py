@@ -440,6 +440,43 @@ def test_bounded_choice_check_catches_mutants(monkeypatch, mutant):
         check_bench_sized_choices(monkeypatch)
 
 
+def test_rule_lists_built_only_where_counted(monkeypatch):
+    # The first choice builds no rule list: _choose gathers an atom's rules
+    # the first time it counts the atom, and every acyclic atom has the one
+    # empty occ_int.  Over whole searches at the benchmark's sizes (tr of
+    # 200-atom, 400-rule programs, gnt2 on d3sat n=50 and gw v=14, generator
+    # and tester searches), every list built must be the atom's pruned
+    # rules, each once, most searches must leave some open atom's list
+    # unbuilt, and occ_int must be the empty tuple exactly for the acyclic
+    # atoms.
+    models = Solver.models
+    searched = []
+
+    def recorded_models(self):
+        searched.append(self)
+        return models(self)
+
+    monkeypatch.setattr(Solver, "models", recorded_models)
+    for seed in range(3):
+        list(Solver(unfold_partiality(random_wide_program(seed, 200, 400))).models())
+    for seed in range(1, 6):
+        solve_disjunctive(gen_d3sat_instance(50, 4.258, seed).program)
+        solve_disjunctive(qbf_to_program(gen_random_qbf(14, "gw", seed)))
+    branched = unbuilt = 0
+    for s in searched:
+        assert [occ == () for occ in s.occ_int] == [not c for c in s._cyclic], s.program
+        if s._by_occurrence is None:
+            continue
+        branched += 1
+        open_atoms = set(s._by_occurrence)
+        for a, occ in enumerate(s.occ_all):
+            if occ is not None:
+                assert a in open_atoms, s.program
+                assert sorted(occ) == sorted(set(s.occ_head[a] + s.occ_pos[a] + s.occ_neg[a])), s.program
+        unbuilt += any(s.occ_all[a] is None for a in open_atoms)
+    assert branched > 20 and unbuilt > branched / 2, (branched, unbuilt)
+
+
 def occurrence_lists(s):
     return s.occ_pos, s.occ_neg, s.occ_head, s.occ_int
 
