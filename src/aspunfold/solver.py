@@ -57,15 +57,22 @@ runs Tarjan's algorithm only over the remaining atoms.
 Each such atom that is not false keeps a source: an unblocked rule (no body
 literal false) whose positive body atoms in the same component have sources
 themselves, the pointers forming no cycle, so the atom can still be derived.
-When a rule that is a source becomes blocked, its head is recorded; the
-check inside expand drops the sources of the recorded atoms and of the atoms
-of their component whose sources depend on them, finds new sources by a
-local least fixpoint, and falsifies the atoms left without one, which form
-an unfounded set.  Backtracking only unblocks rules, so every source stays
-valid and undo_to keeps them all; it only records the atoms it unassigns
-that have no source, to be given one at the next check, as a conflict does
-for the atoms it unassigns.  Expand reaches the same fixpoint as falsifying
-the greatest unfounded set of the whole program.
+A false atom needs no source, as in smodels: it keeps whatever pointer it
+has, blocked or not, and the check passes over it.  When a rule that is a
+source becomes blocked, propagation records its head only if the head is
+not false and still has an unblocked rule; were it the head's last one,
+propagation makes the head false, or finds a conflict, at once.  The check
+inside expand drops the sources of the recorded atoms and of the atoms not
+false of their component whose sources depend on them, finds new sources
+by a local least fixpoint, and falsifies the atoms left without one, which
+form an unfounded set.  While an atom is false, every rule with it in the
+positive body is blocked and becomes no source, so the pointers that false
+atoms keep close no cycle.  Backtracking only unblocks rules, and undo_to
+keeps every pointer; it only records the atoms it unassigns that have no
+source, to be given one at the next check, as a conflict does for the
+atoms it unassigns (``_unassign`` says why that is enough).  Expand
+reaches the same fixpoint as falsifying the greatest unfounded set of the
+whole program.
 
 Branching follows the negative-phase-first skeleton of smodels: pick the
 undefined atom occurring in the most not-yet-satisfied rules (head not true,
@@ -101,10 +108,11 @@ whole search.
 A solver runs one search, and the search never unassigns an atom assigned
 at its first choice, the root fixpoint, so a rule blocked then stays
 blocked: no propagation, unfounded-set check or count reads it again, and
-none is a source, as the root expand has given new sources to the atoms
-whose sources it blocked.  So at that choice the search drops such rules
-from the ``occ_pos``, ``occ_neg``, ``occ_head`` and ``occ_int`` lists of
-the open atoms for good, and walks only rules that can still fire.
+none is the source of an open atom, as the root expand has given new
+sources to the open atoms whose sources it blocked (a false atom may keep
+one as its pointer, and stays false).  So at that choice the search drops
+such rules from the ``occ_pos``, ``occ_neg``, ``occ_head`` and ``occ_int``
+lists of the open atoms for good, and walks only rules that can still fire.
 Nothing is put back: the search keeps no copy of the lists, and when its
 last choice is done it returns without walking back to the root.  The
 search keeps, with each choice, the scan position before which every atom
@@ -315,12 +323,15 @@ class Solver:
         r_int: list[tuple[int, ...]] = [()] * len(r_head)
         occ_int: list[list[int] | tuple[()]] = [[] if c else () for c in cyclic]
         for r, h in enumerate(r_head):
-            if cyclic[h] and r_pos[r]:
+            if cyclic[h]:
                 c = comp[h]
                 pos = r_pos[r]
-                internal = [b for b in pos if comp[b] == c]
-                r_int[r] = pos if len(internal) == len(pos) else tuple(internal)
-                for b in internal:
+                for b in pos:
+                    if comp[b] != c:
+                        pos = tuple([b for b in pos if comp[b] == c])
+                        break
+                r_int[r] = pos
+                for b in pos:
                     occ_int[b].append(r)
         self.r_int, self.occ_int = r_int, occ_int
 
@@ -374,9 +385,13 @@ class Solver:
         are assigned at once and appended to the trail.  Backward, a true
         atom needs an unblocked head rule, and a false one needs a false
         body literal in each of its unblocked head rules, so a false atom
-        with none (``active`` zero) skips its head rules.  False on a
-        conflict: the atom being propagated finishes its lists, and the atoms
-        after it, not yet propagated, are unassigned."""
+        with none (``active`` zero) skips its head rules.  A rule that
+        becomes blocked while it is its head's source records the head in
+        ``_lost`` only if the head is not false and keeps an unblocked rule:
+        a false atom needs no source, and a head left with none is made
+        false here, or is a conflict.  False on a conflict: the atom being
+        propagated finishes its lists, and the atoms after it, not yet
+        propagated, are unassigned."""
         val, trail = self.val, self.trail
         append = trail.append
         occ_pos, occ_neg, occ_head = self.occ_pos, self.occ_neg, self.occ_head
@@ -414,18 +429,19 @@ class Solver:
                 if f:
                     continue
                 h = r_head[r]
-                if source[h] == r:
-                    lost.append(h)
                 left = active[h] = active[h] - 1
+                cur = val[h]
                 if not left:
-                    cur = val[h]
                     if cur == UNDEF:
                         val[h] = FALSE
                         append(h)
                     elif cur == TRUE:
                         self._conflict = True
-                elif left == 1 and val[h] == TRUE:
-                    self._force_single_support(h)
+                else:
+                    if source[h] == r and cur != FALSE:
+                        lost.append(h)
+                    if left == 1 and cur == TRUE:
+                        self._force_single_support(h)
             if v == TRUE:
                 left = active[a]
                 if not left:
@@ -450,7 +466,25 @@ class Solver:
 
     def _unassign(self, mark: int) -> None:
         """Unassign the trail above position ``mark`` without touching the
-        counters, recording the atoms left without a source, last first."""
+        counters, recording the atoms left without a source, last first.
+
+        Every other atom keeps its pointer, blocked or not, and that is
+        enough once ``undo_to`` has put the counters back to ``mark``:
+
+        - every trail length that ``undo_to`` returns to ends a completed
+          expand, and each atom above it was open there, so its source was
+          unblocked then;
+        - any pointer set later was unblocked when it was set, and blocking
+          only grows along a branch, so once the counters are back at the
+          mark, every pointer an unassigned atom kept is unblocked again;
+        - while an atom is false, no rule with it in the positive body can
+          become a source, so kept pointers form no cycle;
+        - a same-SCC positive body atom of a kept pointer that has no source
+          is in ``_lost``, and the check's drop reaches the kept pointer
+          through ``occ_int``.
+
+        A conflict inside an expand also calls this, above a trail length
+        that ends no expand; the search then undoes to a mark all the same."""
         trail, val, source = self.trail, self.val, self.source
         undone = trail[mark:]
         del trail[mark:]
@@ -463,56 +497,62 @@ class Solver:
     def _unfounded_check(self) -> None:
         """Re-source the atoms recorded in ``_lost``, with the atoms of their
         SCCs whose sources depend on them, and assign false those left
-        without a source: they form an unfounded set."""
+        without a source: they form an unfounded set.  A false atom needs no
+        source: the check passes over the false atoms in ``_lost`` and over
+        false atoms whose sources depend on a dropped one, and each keeps its
+        pointer.  The atoms dropped are kept in a list, in the order they
+        are dropped, and the passes that re-source and falsify walk it."""
         source, n_false, val = self.source, self.n_false, self.val
-        occ_int, r_int, r_head = self.occ_int, self.r_int, self.r_head
+        occ_int, r_int, r_head, occ_head = self.occ_int, self.r_int, self.r_head, self.occ_head
         stack = []
         for a in self._lost:
-            # Skip a source that backtracking has unblocked again, and a false
-            # atom without one: it needs none until undo_to unassigns it.
-            r = source[a]
-            if r == NO_SOURCE:
-                if val[a] != FALSE:
+            # Skip a false atom, and a source that backtracking has unblocked
+            # again.
+            if val[a] != FALSE:
+                r = source[a]
+                if r == NO_SOURCE or n_false[r]:
                     stack.append(a)
-            elif n_false[r]:
-                stack.append(a)
         self._lost.clear()
         # Drop the sources of these atoms and, in the same SCC, of every atom
-        # whose source has one of them in its positive body.
-        unsourced: set[int] = set()
+        # not false whose source has one of them in its positive body.
+        dropped: list[int] = []
+        seen: set[int] = set()
         while stack:
             a = stack.pop()
-            if a in unsourced:
+            if a in seen:
                 continue
-            unsourced.add(a)
+            seen.add(a)
+            dropped.append(a)
             source[a] = NO_SOURCE
             for r in occ_int[a]:
-                if source[r_head[r]] == r:
-                    stack.append(r_head[r])
-        # Local least fixpoint: a non-false atom gets as source an unblocked
+                h = r_head[r]
+                if source[h] == r and val[h] != FALSE:
+                    stack.append(h)
+        # Local least fixpoint: a dropped atom gets as source an unblocked
         # rule whose same-SCC positive body atoms all have sources.
-        for a in unsourced:
-            if val[a] == FALSE:
-                continue
-            for r in self.occ_head[a]:
-                if n_false[r] == 0 and all(source[b] != NO_SOURCE for b in r_int[r]):
-                    source[a] = r
-                    stack.append(a)
-                    break
+        for a in dropped:
+            for r in occ_head[a]:
+                if not n_false[r]:
+                    for b in r_int[r]:
+                        if source[b] == NO_SOURCE:
+                            break
+                    else:
+                        source[a] = r
+                        stack.append(a)
+                        break
         while stack:
             b = stack.pop()
             for r in occ_int[b]:
                 h = r_head[r]
-                if (
-                    source[h] == NO_SOURCE
-                    and val[h] != FALSE
-                    and n_false[r] == 0
-                    and all(source[c] != NO_SOURCE for c in r_int[r])
-                ):
-                    source[h] = r
-                    stack.append(h)
-        for a in unsourced:
-            if source[a] == NO_SOURCE and val[a] != FALSE:
+                if source[h] == NO_SOURCE and val[h] != FALSE and not n_false[r]:
+                    for c in r_int[r]:
+                        if source[c] == NO_SOURCE:
+                            break
+                    else:
+                        source[h] = r
+                        stack.append(h)
+        for a in dropped:
+            if source[a] == NO_SOURCE:
                 self._push(a, FALSE)
                 if val[a] == TRUE:
                     # A conflict.  Recorded again: backtracking may leave a

@@ -14,7 +14,7 @@ from aspunfold.parser import parse_program
 from aspunfold.partiality import unfold_partiality
 from aspunfold.qbf import qbf_to_program
 from aspunfold.semantics import enumerate_stable_models
-from aspunfold.solver import FALSE, TRUE, UNDEF, Solver
+from aspunfold.solver import FALSE, NO_SOURCE, TRUE, UNDEF, Solver
 from aspunfold.syntax import Atom, Literal, Program, Rule
 
 from conftest import (
@@ -312,6 +312,34 @@ def decision_walks(seeds, rng, solver=Solver):
             marks.append((len(s.trail), len(decisions)))
 
 
+def assert_sources_hold(s):
+    """The source-pointer invariant at a conflict-free fixpoint, read off the
+    assignment: nothing is left in ``_lost``; every cyclic atom that is not
+    false has as source a rule it heads with no false body literal, whose
+    same-SCC positive body atoms all have sources; and over the atoms that
+    are not false the pointers form no cycle.  A false atom may keep any
+    pointer, blocked or not."""
+    val, source = s.val, s.source
+    assert not s._lost, s.program
+    after: dict[int, set[int]] = {}
+    for a, cyclic in enumerate(s._cyclic):
+        if not cyclic or val[a] == FALSE:
+            continue
+        r = source[a]
+        assert r != NO_SOURCE and s.r_head[r] == a, s.program
+        assert all(val[b] != FALSE for b in s.r_pos[r]), s.program
+        assert all(val[c] != TRUE for c in s.r_neg[r]), s.program
+        assert all(source[b] != NO_SOURCE for b in s.r_int[r]), s.program
+        after[a] = set(s.r_int[r])
+    # Peel off, round by round, the atoms whose pointers lead only to atoms
+    # already peeled; a cycle is what is left.
+    while after:
+        ready = [a for a, succ in after.items() if succ.isdisjoint(after)]
+        assert ready, s.program
+        for a in ready:
+            del after[a]
+
+
 def test_unfounded_check_is_complete_after_backtracking():
     # Each expand must reach the fixpoint that scanning every rule with the
     # solver's inference rules reaches from the same decisions, the
@@ -319,7 +347,8 @@ def test_unfounded_check_is_complete_after_backtracking():
     # when that scan derives an atom both ways.  The scan keeps no counters
     # and no trail, so this also checks that propagating the trail in its
     # order, and ending at the first contradiction, decides nothing that
-    # another order would decide otherwise.
+    # another order would decide otherwise.  At each fixpoint the source
+    # pointers must also hold, though false atoms keep theirs.
     fixpoints = 0
     for p, s, decisions, ok in decision_walks(range(2000), random.Random(5)):
         assumed = [(s.index[lit.atom], TRUE if lit.positive else FALSE) for lit in decisions]
@@ -329,8 +358,45 @@ def test_unfounded_check_is_complete_after_backtracking():
             continue
         assert s.val == ref, (p, decisions)
         assert all(s.val[b] == FALSE for b in unfounded_atoms(s)), (p, decisions)
+        assert_sources_hold(s)
         fixpoints += 1
     assert fixpoints > 4000
+
+
+class SourceCheckedSolver(Solver):
+    """A solver that checks its source pointers after every conflict-free
+    expand of its search."""
+
+    fixpoints = 0
+
+    def _expand(self):
+        ok = super()._expand()
+        if ok:
+            assert_sources_hold(self)
+            self.fixpoints += 1
+        return ok
+
+
+def test_source_pointers_hold_in_whole_searches():
+    # A false atom keeps whatever pointer it has, and propagation records a
+    # blocked source's head only when the head is not false and keeps an
+    # unblocked rule; undo_to records only the atoms it unassigns that have
+    # no source.  So at every conflict-free fixpoint of a whole search, which
+    # also copies the counters back and prunes its lists at the first
+    # choice, every atom that is not false must still have a source that
+    # can derive it, with no cycle, as at the fixpoints of the random walks
+    # above: over the random looping programs and their tr, and tr of
+    # random programs of the partial benchmark's size (200 atoms, 400 rules).
+    programs = [random_looping_program(seed) for seed in range(300)]
+    programs = [unfold_partiality(p) if seed % 2 else p for seed, p in enumerate(programs)]
+    programs += [unfold_partiality(random_wide_program(seed, 200, 400)) for seed in range(6)]
+    searched = 0
+    for p in programs:
+        s = SourceCheckedSolver(p)
+        for _ in s.models():
+            pass
+        searched += s.fixpoints
+    assert searched > 700, searched
 
 
 class CheckedSolver(Solver):
