@@ -24,13 +24,17 @@ outcome, every atom on the trail has been propagated and the counters match
 the assignment.  Every inference is monotone in the assignment, so an
 expand's outcome and its fixpoint do not depend on the order in which
 literals are propagated; only the source pointers it leaves may.  Each
-rule keeps two counters: ``n_false``, its body literals false as
-propagated, and ``n_left``, its body literals not yet true as propagated,
-blocked (``n_false`` nonzero) or not; only an unblocked rule fires or
-propagates backward.  So both are sums over the propagated atoms, and
-``active``, an atom's head rules with ``n_false`` zero, follows from
-``n_false``: un-counting commutes, and ``undo_to`` may walk the atoms it
-unassigns in any order.
+rule keeps one counter, ``left``: its body literals not yet true as
+propagated, blocked or not, plus ``block`` times its body literals false
+as propagated, where ``block``, set up once, is one more than the longest
+body, ⊥ included.  So ``left % block`` and ``left // block`` are the two
+counts, an advance subtracts one, a block adds ``block``, and a rule is
+blocked exactly when ``left >= block``; only an unblocked rule fires or
+propagates backward.  A false body literal is also not yet true, so a
+blocked rule's counter is above ``block``, and a rule whose counter is 0
+or 1 is unblocked.  The counter is a sum over the propagated atoms, and
+``active``, an atom's unblocked head rules, follows from it: un-counting
+commutes, and ``undo_to`` may walk the atoms it unassigns in any order.
 
 The solver is the one place that knows what a constraint is.  It reads
 each rule with an empty head, ``:- body``, as ``⊥ :- body, not ⊥``, over
@@ -122,22 +126,23 @@ Backtracking is chronological, with no learning, and goes back one of two
 ways, to a trail length at which every atom had been propagated, so
 ``_head`` goes back with it.  Walking back touches every list entry that
 propagation touched since the choice, so its cost grows with the branch
-below the choice; copying back costs two entries per rule and one per atom
-(``n_left``, ``n_false`` and ``active``), whatever was assigned.  The
-negative branch of a choice near the root holds most of the search below
-it, so ``_search`` copies the three arrays at each choice before its
-negative branch, and ``undo_to`` copies them back when the positive branch
-starts.  Either way ``_unassign`` then resets the values of the atoms
-unassigned, as after a conflict.  A deep choice undoes a few atoms, and
-walking them back is cheaper than a copy.  So copies are taken only while
-the copies held by the pending choices fit in a budget: as many entries as
-the solver's own per-rule and per-atom lists hold (``_copy_budget``), so
-the copies at most double the list entries the solver holds, however deep
-the search.  The copies go to the shallowest
-pending choices, and every deeper choice walks back.  On the benchmark's
-d3sat generators and partial translations the budget holds six copies, and
-their searches hold up to 10 and 13 pending choices.  Both ways leave every
-counter as it was at the choice, so the search is the same either way.
+below the choice; copying back costs one entry per rule and one per atom
+(``left`` and ``active``), whatever was assigned.  The negative branch of
+a choice near the root holds most of the search below it, so ``_search``
+copies the two arrays at each choice before its negative branch, and
+``undo_to`` copies them back when the positive branch starts.  Either way
+``_unassign`` then resets the values of the atoms unassigned, as after a
+conflict.  A deep choice undoes a few atoms, and walking them back is
+cheaper than a copy.  So copies are taken only while the copies held by
+the pending choices fit in a budget: as many entries as the solver's own
+per-rule and per-atom lists hold (``_copy_budget``), so the copies at most
+double the list entries the solver holds, however deep the search.  The
+copies go to the shallowest pending choices, and every deeper choice walks
+back.  On the benchmark's d3sat generators the budget holds 11 copies, and
+on its partial translations 10 or 11; their searches hold up to 10 and 13
+pending choices, so on the seed-1 samples every d3sat backtrack and all
+but 8 of partial's 5,079 copy back.  Both ways leave every counter as it
+was at the choice, so the search is the same either way.
 
 ``_search`` is the package's one stable-model search, a loop over an explicit
 stack of pending positive branches, so its depth is bounded by memory rather
@@ -160,8 +165,8 @@ TRUE = 1
 FALSE = 0
 UNDEF = -1
 
-# n_left, n_false and active, as ``Solver._save`` copies them
-Counters = tuple[list[int], list[int], list[int]]
+# left and active, as ``Solver._save`` copies them
+Counters = tuple[list[int], list[int]]
 
 NO_SOURCE = -1  # a cyclic atom without a source pointer
 ACYCLIC = -2  # an atom outside every cyclic SCC: unit propagation covers it
@@ -220,8 +225,11 @@ class Solver:
         self.stats = SolverStats()
         self.val = [UNDEF] * n
         self.trail: list[int] = []
-        self.n_left = [len(pos) + len(neg) for pos, neg in zip(self.r_pos, self.r_neg)]
-        self.n_false = [0] * len(self.r_head)
+        # left[r]: r's body literals not yet true, plus block times its body
+        # literals false; block exceeds every body's length, ⊥ included, so
+        # r is unblocked exactly when left[r] < block.
+        self.left = [len(pos) + len(neg) for pos, neg in zip(self.r_pos, self.r_neg)]
+        self.block = 1 + max(self.left, default=0)
         self.active = [len(occ) for occ in self.occ_head]
         # trail[:_head] is propagated; _conflict is set by an assignment
         # that contradicts the one made, until _unit_propagate reports it.
@@ -232,7 +240,7 @@ class Solver:
         self._lost = [a for a in range(n) if self._cyclic[a]]
 
         self._initial: list[tuple[int, int]] = [
-            (self.r_head[r], TRUE) for r, left in enumerate(self.n_left) if not left
+            (self.r_head[r], TRUE) for r, left in enumerate(self.left) if not left
         ]
         # False at the root: each atom whose every rule, if it has any, has
         # the atom in its negative body (see the module docstring).  Most
@@ -352,9 +360,9 @@ class Solver:
         """Make the body of the one unblocked rule of the true atom ``a``
         true; a body literal the assignment already makes false is a
         conflict."""
-        val = self.val
+        val, left, block = self.val, self.left, self.block
         for r in self.occ_head[a]:
-            if self.n_false[r] == 0:
+            if left[r] < block:
                 for b in self.r_pos[r]:
                     if val[b] != TRUE:
                         self._push(b, TRUE)
@@ -364,7 +372,7 @@ class Solver:
                 return
 
     def _falsify_last_literal(self, r: int) -> None:
-        """Make false the one body literal that ``n_left`` counts for the
+        """Make false the one body literal that ``left`` counts for the
         unblocked rule ``r``, whose head is false: the one not yet true as
         propagated.  If the assignment already makes it true, the body
         holds, a conflict."""
@@ -390,13 +398,15 @@ class Solver:
         ``_lost`` only if the head is not false and keeps an unblocked rule:
         a false atom needs no source, and a head left with none is made
         false here, or is a conflict.  False on a conflict: the atom being
-        propagated finishes its lists, and the atoms after it, not yet
-        propagated, are unassigned."""
+        propagated finishes its lists, the records this call made in
+        ``_lost`` are dropped, and the atoms after it, not yet propagated,
+        are unassigned."""
         val, trail = self.val, self.trail
         append = trail.append
         occ_pos, occ_neg, occ_head = self.occ_pos, self.occ_neg, self.occ_head
-        n_left, n_false, r_head = self.n_left, self.n_false, self.r_head
+        left, block, r_head = self.left, self.block, self.r_head
         active, source, lost = self.active, self.source, self._lost
+        kept = len(lost)
         i = self._head
         while i < len(trail) and not self._conflict:
             a = trail[i]
@@ -404,34 +414,35 @@ class Solver:
             # A true atom advances the bodies it occurs in positively and
             # blocks those it occurs in negatively, a false one the reverse.
             # It advances every rule, blocked or not; only an unblocked one
-            # fires or propagates backward.
+            # fires or propagates backward.  A false body literal is also
+            # not yet true, so a blocked rule's counter is above block: one
+            # at 0 or 1 is unblocked.
             v = val[a]
             if v == TRUE:
                 advanced, blocked = occ_pos[a], occ_neg[a]
             else:
                 advanced, blocked = occ_neg[a], occ_pos[a]
             for r in advanced:
-                left = n_left[r] = n_left[r] - 1
-                if not n_false[r]:
-                    if not left:
-                        h = r_head[r]
-                        cur = val[h]
-                        if cur == UNDEF:
-                            val[h] = TRUE
-                            append(h)
-                        elif cur == FALSE:
-                            self._conflict = True
-                    elif left == 1 and val[r_head[r]] == FALSE:
-                        self._falsify_last_literal(r)
+                k = left[r] = left[r] - 1
+                if not k:
+                    h = r_head[r]
+                    cur = val[h]
+                    if cur == UNDEF:
+                        val[h] = TRUE
+                        append(h)
+                    elif cur == FALSE:
+                        self._conflict = True
+                elif k == 1 and val[r_head[r]] == FALSE:
+                    self._falsify_last_literal(r)
             for r in blocked:
-                f = n_false[r]
-                n_false[r] = f + 1
-                if f:
+                k = left[r]
+                left[r] = k + block
+                if k >= block:
                     continue
                 h = r_head[r]
-                left = active[h] = active[h] - 1
+                k = active[h] = active[h] - 1
                 cur = val[h]
-                if not left:
+                if not k:
                     if cur == UNDEF:
                         val[h] = FALSE
                         append(h)
@@ -440,26 +451,28 @@ class Solver:
                 else:
                     if source[h] == r and cur != FALSE:
                         lost.append(h)
-                    if left == 1 and cur == TRUE:
+                    if k == 1 and cur == TRUE:
                         self._force_single_support(h)
             if v == TRUE:
-                left = active[a]
-                if not left:
+                k = active[a]
+                if not k:
                     self._conflict = True
-                elif left == 1:
+                elif k == 1:
                     self._force_single_support(a)
             elif active[a]:
                 for r in occ_head[a]:
-                    if not n_false[r]:
-                        left = n_left[r]
-                        if not left:
-                            self._conflict = True
-                            break
-                        if left == 1:
-                            self._falsify_last_literal(r)
+                    k = left[r]
+                    if not k:
+                        self._conflict = True
+                        break
+                    if k == 1:
+                        self._falsify_last_literal(r)
         self._head = i
         if self._conflict:
             self._conflict = False
+            # The search backtracks past this expand, which unblocks the
+            # sources recorded here again (see _unassign).
+            del lost[kept:]
             self._unassign(i)
             return False
         return True
@@ -484,7 +497,16 @@ class Solver:
           through ``occ_int``.
 
         A conflict inside an expand also calls this, above a trail length
-        that ends no expand; the search then undoes to a mark all the same."""
+        that ends no expand; the search then undoes to a mark all the same.
+        So the conflict's ``_unit_propagate`` first drops the records it
+        made itself, the heads of sources it blocked, and keeps those made
+        before it and those this call adds:
+
+        - every backtrack after a conflict returns to a trail length no
+          deeper than the start of that expand;
+        - a pointer set since then was unblocked when it was set;
+        - so every dropped record names an atom whose source is unblocked
+          again once the counters are back at that length."""
         trail, val, source = self.trail, self.val, self.source
         undone = trail[mark:]
         del trail[mark:]
@@ -502,7 +524,7 @@ class Solver:
         false atoms whose sources depend on a dropped one, and each keeps its
         pointer.  The atoms dropped are kept in a list, in the order they
         are dropped, and the passes that re-source and falsify walk it."""
-        source, n_false, val = self.source, self.n_false, self.val
+        source, left, block, val = self.source, self.left, self.block, self.val
         occ_int, r_int, r_head, occ_head = self.occ_int, self.r_int, self.r_head, self.occ_head
         stack = []
         for a in self._lost:
@@ -510,7 +532,7 @@ class Solver:
             # again.
             if val[a] != FALSE:
                 r = source[a]
-                if r == NO_SOURCE or n_false[r]:
+                if r == NO_SOURCE or left[r] >= block:
                     stack.append(a)
         self._lost.clear()
         # Drop the sources of these atoms and, in the same SCC, of every atom
@@ -532,7 +554,7 @@ class Solver:
         # rule whose same-SCC positive body atoms all have sources.
         for a in dropped:
             for r in occ_head[a]:
-                if not n_false[r]:
+                if left[r] < block:
                     for b in r_int[r]:
                         if source[b] == NO_SOURCE:
                             break
@@ -544,7 +566,7 @@ class Solver:
             b = stack.pop()
             for r in occ_int[b]:
                 h = r_head[r]
-                if source[h] == NO_SOURCE and val[h] != FALSE and not n_false[r]:
+                if source[h] == NO_SOURCE and val[h] != FALSE and left[r] < block:
                     for c in r_int[r]:
                         if source[c] == NO_SOURCE:
                             break
@@ -573,8 +595,8 @@ class Solver:
 
     def undo_to(self, mark: int, saved: Optional[Counters] = None) -> None:
         """Unassign the trail above position ``mark``, one of two ways.
-        Given ``saved``, the ``n_left``, ``n_false`` and ``active`` that
-        ``_save`` copied at that trail length, it copies them back.
+        Given ``saved``, the ``left`` and ``active`` that ``_save`` copied
+        at that trail length, it copies them back.
         Otherwise it walks the atoms above ``mark``, in any order, since
         every counter is a sum over the propagated atoms: each atom
         un-advances every rule of its advancing list and removes its
@@ -587,20 +609,20 @@ class Solver:
         it never undoes."""
         self._head = mark
         if saved is not None:
-            self.n_left[:], self.n_false[:], self.active[:] = saved
+            self.left[:], self.active[:] = saved
         else:
             val, occ_pos, occ_neg = self.val, self.occ_pos, self.occ_neg
-            n_left, n_false, active, r_head = self.n_left, self.n_false, self.active, self.r_head
+            left, block, active, r_head = self.left, self.block, self.active, self.r_head
             for a in self.trail[mark:]:
                 if val[a] == TRUE:
                     advanced, blocked = occ_pos[a], occ_neg[a]
                 else:
                     advanced, blocked = occ_neg[a], occ_pos[a]
                 for r in advanced:
-                    n_left[r] += 1
+                    left[r] += 1
                 for r in blocked:
-                    f = n_false[r] = n_false[r] - 1
-                    if not f:
+                    k = left[r] = left[r] - block
+                    if k < block:
                         active[r_head[r]] += 1
         self._unassign(mark)
 
@@ -611,8 +633,8 @@ class Solver:
         ``occ_neg`` and ``occ_int`` lists of the undefined atoms, for good:
         ``_search`` calls it at its first choice, below which it never
         undoes (see the module docstring)."""
-        val, n_false = self.val, self.n_false
-        if not any(n_false):
+        val, left, block = self.val, self.left, self.block
+        if max(left, default=0) < block:
             return
         occ_lists = (self.occ_head, self.occ_pos, self.occ_neg, self.occ_int)
         for a, v in enumerate(val):
@@ -620,8 +642,8 @@ class Solver:
                 for lists in occ_lists:
                     rules = lists[a]
                     for r in rules:
-                        if n_false[r]:
-                            lists[a] = [q for q in rules if not n_false[q]]
+                        if left[r] >= block:
+                            lists[a] = [q for q in rules if left[q] < block]
                             break
 
     def _index_open_atoms(self) -> None:
@@ -662,7 +684,7 @@ class Solver:
         below its bound gets the count as its bound, and the old one goes to
         the journal, for ``_restore_bounds`` to put back when the search
         backtracks past this choice."""
-        val, n_false, r_head, occ_all = self.val, self.n_false, self.r_head, self.occ_all
+        val, left, block, r_head, occ_all = self.val, self.left, self.block, self.r_head, self.occ_all
         key, bound, journal = self._key, self._bound, self._journal
         order = self._by_occurrence
         end = len(order)
@@ -684,7 +706,7 @@ class Solver:
                 occ = occ_all[a] = list(set(self.occ_head[a] + self.occ_pos[a] + self.occ_neg[a]))
             count = 0
             for r in occ:
-                if not n_false[r] and val[r_head[r]] != TRUE:
+                if left[r] < block and val[r_head[r]] != TRUE:
                     count += 1
             if count < most:
                 journal.append((a, most))
@@ -721,19 +743,21 @@ class Solver:
 
     def _save(self) -> Counters:
         """A copy of the counters, for ``undo_to`` to restore."""
-        return self.n_left[:], self.n_false[:], self.active[:]
+        return self.left[:], self.active[:]
 
     def _copy_budget(self) -> int:
         """How many entries the counter copies of one branch may hold: as
         many as the solver's own per-rule and per-atom lists, counting the
         slots of each list and the entries of the tuples and lists in them.
-        That is, per rule, seven slots (``r_head``, ``r_pos``, ``r_neg``,
-        ``r_int``, ``n_left``, ``n_false`` and its place in ``occ_head``)
-        and each positive, negative and same-SCC body atom twice (``r_*``
-        and ``occ_*``), and per atom nine slots (``atoms``, ``val``,
-        ``active``, ``source``, ``_cyclic`` and the four ``occ_*`` lists)."""
+        That is, per rule, six slots (``r_head``, ``r_pos``, ``r_neg``,
+        ``r_int``, ``left`` and its place in ``occ_head``) and each
+        positive, negative and same-SCC body atom twice (``r_*`` and
+        ``occ_*``), and per atom nine slots (``atoms``, ``val``,
+        ``active``, ``source``, ``_cyclic`` and the four ``occ_*`` lists).
+        A copy holds one entry per rule and one per atom, so a budget fits
+        at least six copies."""
         body = sum(map(len, self.r_pos)) + sum(map(len, self.r_neg)) + sum(map(len, self.r_int))
-        return 7 * len(self.r_head) + 9 * len(self.val) + 2 * body
+        return 6 * len(self.r_head) + 9 * len(self.val) + 2 * body
 
     def _search(self) -> Iterator[frozenset[Atom]]:
         # One entry per choice whose positive branch is still to come: the
@@ -750,8 +774,8 @@ class Solver:
             self._push(a, v)
         positive = False
         start = 0
-        # A copy holds two entries per rule and one per atom, none in an empty program.
-        copies = self._copy_budget() // max(1, 2 * len(self.r_head) + len(self.val))
+        # A copy holds one entry per rule and one per atom, none in an empty program.
+        copies = self._copy_budget() // max(1, len(self.r_head) + len(self.val))
         while True:
             if not self._expand():
                 self.stats.conflicts += 1

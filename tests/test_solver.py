@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice
 
 import pytest
 
@@ -272,14 +272,15 @@ def random_looping_program(seed):
     return Program(tuple(rules), base=frozenset(atoms))
 
 
-def decision_walks(seeds, rng, solver=Solver):
+def decision_walks(seeds, rng, solver=Solver, make=random_looping_program):
     """Random walks of assign, expand and undo_to (back to earlier fixpoints,
-    as the search does), one per random looping program, every other program
-    through unfold_partiality, each walked by a new ``solver``.  Yields
-    (p, s, decisions, ok) after each expand, the first one from the facts
-    alone; after a conflict the walk goes back to the last fixpoint."""
+    as the search does), one per program ``make`` builds from a seed (a
+    random looping program), every other program through unfold_partiality,
+    each walked by a new ``solver``.  Yields (p, s, decisions, ok) after
+    each expand, the first one from the facts alone; after a conflict the
+    walk goes back to the last fixpoint."""
     for seed in seeds:
-        p = random_looping_program(seed)
+        p = make(seed)
         if seed % 2:
             p = unfold_partiality(p)
         s = solver(p)
@@ -364,17 +365,35 @@ def test_unfounded_check_is_complete_after_backtracking():
 
 
 class SourceCheckedSolver(Solver):
-    """A solver that checks its source pointers after every conflict-free
-    expand of its search."""
+    """A solver that checks, at the start of every expand of its search,
+    that each atom recorded in ``_lost`` has no source, and its source
+    pointers after every conflict-free expand."""
 
     fixpoints = 0
 
     def _expand(self):
+        assert all(self.source[a] == NO_SOURCE for a in self._lost), self.program
         ok = super()._expand()
         if ok:
             assert_sources_hold(self)
             self.fixpoints += 1
         return ok
+
+
+def source_searches(solver):
+    """Whole searches by ``solver`` over the random looping programs and
+    their tr, and tr of random programs of the partial benchmark's size (200
+    atoms, 400 rules); the conflict-free fixpoints they reach."""
+    programs = [random_looping_program(seed) for seed in range(300)]
+    programs = [unfold_partiality(p) if seed % 2 else p for seed, p in enumerate(programs)]
+    programs += [unfold_partiality(random_wide_program(seed, 200, 400)) for seed in range(6)]
+    searched = 0
+    for p in programs:
+        s = solver(p)
+        for _ in s.models():
+            pass
+        searched += s.fixpoints
+    return searched
 
 
 def test_source_pointers_hold_in_whole_searches():
@@ -385,18 +404,29 @@ def test_source_pointers_hold_in_whole_searches():
     # also copies the counters back and prunes its lists at the first
     # choice, every atom that is not false must still have a source that
     # can derive it, with no cycle, as at the fixpoints of the random walks
-    # above: over the random looping programs and their tr, and tr of
-    # random programs of the partial benchmark's size (200 atoms, 400 rules).
-    programs = [random_looping_program(seed) for seed in range(300)]
-    programs = [unfold_partiality(p) if seed % 2 else p for seed, p in enumerate(programs)]
-    programs += [unfold_partiality(random_wide_program(seed, 200, 400)) for seed in range(6)]
-    searched = 0
-    for p in programs:
-        s = SourceCheckedSolver(p)
-        for _ in s.models():
-            pass
-        searched += s.fixpoints
+    # above.  An expand that ends in a conflict drops the records its
+    # propagation made, whose sources the backtrack unblocks again, so
+    # every atom in _lost at the start of an expand has no source.
+    searched = source_searches(SourceCheckedSolver)
     assert searched > 700, searched
+
+
+class LostDroppedOnConflict(SourceCheckedSolver):
+    """A mutant whose conflicts drop every record in ``_lost``, those of the
+    atoms that ``_unassign`` leaves without a source among them."""
+
+    def _unit_propagate(self):
+        ok = super()._unit_propagate()
+        if not ok:
+            self._lost.clear()
+        return ok
+
+
+def test_source_check_catches_records_dropped_on_conflict():
+    # Only propagation's own records may go: an atom unassigned without a
+    # source must be given one at the next check.
+    with pytest.raises(AssertionError):
+        source_searches(LostDroppedOnConflict)
 
 
 class CheckedSolver(Solver):
@@ -442,8 +472,10 @@ def check_bench_sized_choices(monkeypatch):
     """Run searches at the benchmark's sizes with every choice checked
     against the full count: tr of random normal programs of 200 atoms and
     400 rules, read from their text, and gnt2 on d3sat n=50 and gw v=14
-    instances, generator and tester searches alike.  The choices checked,
-    by kind of search."""
+    instances, generator and tester searches alike; and the same tr
+    searches with a budget of one copy, which walk back from every choice
+    below the first, as searches with more copies seldom do.  The choices
+    checked, by kind of search."""
     choose = Solver._choose
     checked = Counter()
     kind = "partial"
@@ -461,6 +493,9 @@ def check_bench_sized_choices(monkeypatch):
     for seed in range(1, 21):
         solve_disjunctive(gen_d3sat_instance(50, 4.258, seed).program)
         solve_disjunctive(qbf_to_program(gen_random_qbf(14, "gw", seed)))
+    kind = "one copy"
+    for seed in range(6):
+        list(OneCopySolver(unfold_partiality(random_wide_program(seed, 200, 400))).models())
     return checked
 
 
@@ -471,6 +506,7 @@ def test_bounded_choices_match_full_count(monkeypatch):
     # or walks back.
     checked = check_bench_sized_choices(monkeypatch)
     assert checked["partial"] > 200 and checked["generator"] > 700 and checked["tester"] > 200, checked
+    assert checked["one copy"] == checked["partial"], checked
 
 
 RESTORE_BOUNDS = Solver._restore_bounds
@@ -587,22 +623,26 @@ def test_sccs_match_reference(monkeypatch):
 
 def assert_counters_match(s):
     """The invariant propagation keeps, recomputed from the assignment alone:
-    a rule's ``n_false`` is nonzero exactly when a body literal is false;
-    a rule's ``n_left`` counts its body literals not yet true, blocked or
-    not, unless the search dropped it from a body atom's list at its first
-    choice; ``active`` counts each atom's unblocked rules; every occurrence
-    list, pruned or not, still holds its unblocked rules; and the trail
-    holds exactly the assigned atoms."""
-    val = s.val
+    ``block`` is one more than the longest body; a rule's ``left`` is at
+    least ``block`` exactly when a body literal is false; unless the search
+    dropped the rule from a body atom's list at its first choice, ``left %
+    block`` counts its body literals not yet true, blocked or not, and
+    ``left // block`` its body literals false; ``active`` counts each
+    atom's unblocked rules; every occurrence list, pruned or not, still
+    holds its unblocked rules; and the trail holds exactly the assigned
+    atoms."""
+    val, block = s.val, s.block
+    assert block == 1 + max([len(pos) + len(neg) for pos, neg in zip(s.r_pos, s.r_neg)], default=0)
     blocked = [
         any(val[b] == FALSE for b in pos) or any(val[c] == TRUE for c in neg)
         for pos, neg in zip(s.r_pos, s.r_neg)
     ]
-    assert [f > 0 for f in s.n_false] == blocked, s.program
+    assert [k >= block for k in s.left] == blocked, s.program
     for r, (pos, neg) in enumerate(zip(s.r_pos, s.r_neg)):
         if all(r in s.occ_pos[b] for b in pos) and all(r in s.occ_neg[c] for c in neg):
             left = sum(val[b] != TRUE for b in pos) + sum(val[c] != FALSE for c in neg)
-            assert s.n_left[r] == left, s.program
+            false = sum(val[b] == FALSE for b in pos) + sum(val[c] == TRUE for c in neg)
+            assert (s.left[r] % block, s.left[r] // block) == (left, false), s.program
     active = [0] * len(s.val)
     for r, h in enumerate(s.r_head):
         active[h] += not blocked[r]
@@ -630,38 +670,60 @@ class CountedSolver(Solver):
 
 
 class FrozenSolver(CountedSolver):
-    """A mutant that walks back with blocked rules' ``n_left`` frozen: each
-    atom, last first, removes its blocks and then un-advances only the
-    rules left unblocked.  Propagation counts blocked rules too, so their
-    ``n_left`` stays one short."""
+    """A mutant that walks back with blocked rules' body literals not yet
+    true frozen: each atom, last first, removes its blocks and then
+    un-advances only the rules left unblocked.  Propagation counts blocked
+    rules too, so their ``left % block`` stays one short."""
 
     def undo_to(self, mark, saved=None):
         if saved is None:
-            n_left, n_false = self.n_left, self.n_false
+            left, block = self.left, self.block
             for a in reversed(self.trail[mark:]):
                 if self.val[a] == TRUE:
                     advanced, blocked = self.occ_pos[a], self.occ_neg[a]
                 else:
                     advanced, blocked = self.occ_neg[a], self.occ_pos[a]
                 for r in blocked:
-                    n_false[r] -= 1
-                    if not n_false[r]:
+                    left[r] -= block
+                    if left[r] < block:
                         self.active[self.r_head[r]] += 1
                 for r in advanced:
-                    if not n_false[r]:
-                        n_left[r] += 1
+                    if left[r] < block:
+                        left[r] += 1
             saved = self._save()
         super().undo_to(mark, saved)
 
 
+def long_body_program(seed):
+    """A few choices, 10-20 atoms each derived from one of them, and a rule,
+    on a positive loop or, for every third seed, a constraint, whose body
+    has 20-40 literals over the derived atoms: with a dozen of them false,
+    its counter passes 256, past the integers Python keeps cached.  At most
+    16 stable models, so whole searches of its tr stay small."""
+    rng = random.Random(("long", seed).__repr__())
+    m, n = rng.randint(2, 4), rng.randint(10, 20)
+    lines = [f"x{j} :- not y{j}.\ny{j} :- not x{j}." for j in range(m)]
+    lines += [f"c{i} :- {rng.choice(['', 'not '])}x{rng.randrange(m)}." for i in range(n)]
+    names = [f"c{i}" for i in range(n)]
+    body = rng.sample(names + [f"not {c}" for c in names], rng.randint(20, 2 * n))
+    lines += ["g :- h, not x0.", "h :- g.", f"{'' if seed % 3 == 0 else 'h'} :- {', '.join(body)}."]
+    return parse_program("\n".join(lines))
+
+
 def walk_counted(solver):
-    """The 600 walks of ``test_counters_match_assignment`` by ``solver``; the
-    number of expansions and of conflicts."""
-    expansions = conflicts = 0
-    for p, s, decisions, ok in decision_walks(range(600), random.Random(7), solver):
+    """The walks of ``test_counters_match_assignment`` by ``solver``, 600
+    over random looping programs and 100 over long-body programs; the
+    number of expansions and of conflicts, and the largest counter seen."""
+    expansions = conflicts = largest = 0
+    walks = chain(
+        decision_walks(range(600), random.Random(7), solver),
+        decision_walks(range(100), random.Random(8), solver, long_body_program),
+    )
+    for p, s, decisions, ok in walks:
         expansions += 1
         conflicts += not ok
-    return expansions, conflicts
+        largest = max(largest, max(s.left, default=0))
+    return expansions, conflicts, largest
 
 
 class PruneCountedSolver(CountedSolver):
@@ -678,12 +740,13 @@ class PruneCountedSolver(CountedSolver):
 
 
 def test_counters_match_assignment():
-    # n_false, n_left and active follow val through propagation, conflicts
-    # and backtracking, and the trail holds exactly the assigned atoms: in
-    # random walks, and in whole searches, whose first choice prunes the
-    # rules blocked then from the lists of the open atoms for good.
-    expansions, conflicts = walk_counted(CountedSolver)
-    assert expansions > 4000 and conflicts > 2000
+    # left and active follow val through propagation, conflicts and
+    # backtracking, and the trail holds exactly the assigned atoms: in
+    # random walks, long-body rules' counters past 256 among them, and in
+    # whole searches, whose first choice prunes the rules blocked then from
+    # the lists of the open atoms for good.
+    expansions, conflicts, largest = walk_counted(CountedSolver)
+    assert expansions > 4000 and conflicts > 2000 and largest > 256, (expansions, conflicts, largest)
     pruned = 0
     for seed in range(600):
         p = random_looping_program(seed)
@@ -695,7 +758,7 @@ def test_counters_match_assignment():
 
 
 def test_counter_check_catches_frozen_undo():
-    # Skipping the blocked rules when un-advancing leaves their n_left one
+    # Skipping the blocked rules when un-advancing leaves their left one
     # short; the check must see it.
     with pytest.raises(AssertionError):
         walk_counted(FrozenSolver)
@@ -775,22 +838,23 @@ def gw_testers():
 
 @lru_cache(maxsize=None)
 def copy_corpus():
-    """Seeded normal programs and their tr translations, d3sat generators
-    (at n=50 and n=70 searches go past the copies of the default budget) and
-    gw testers."""
+    """Seeded normal programs, long-body programs among them, and their tr
+    translations, d3sat generators (at n=100 searches go past the copies of
+    the default budget) and gw testers."""
     programs = [random_normal_program(seed) for seed in range(60)]
     programs += [random_wide_program(seed) for seed in range(8)]
+    programs += [long_body_program(seed) for seed in range(6)]
     programs += [unfold_partiality(p) for p in programs]
-    programs += [gen_program(gen_d3sat_instance(n, 4.258, seed).program) for n in (20, 50, 70) for seed in range(4)]
+    programs += [gen_program(gen_d3sat_instance(n, 4.258, seed).program) for n in (20, 50, 70, 100) for seed in range(4)]
     return tuple(programs + list(gw_testers()))
 
 
 def search_states(s):
-    """Each model of s's search with n_left, n_false, active, val and source
-    when it is yielded, the same at the end of the search, and its counts."""
+    """Each model of s's search with left, active, val and source when it is
+    yielded, the same at the end of the search, and its counts."""
 
     def state(m):
-        return m, s.n_left[:], s.n_false[:], s.active[:], s.val[:], s.source[:]
+        return m, s.left[:], s.active[:], s.val[:], s.source[:]
 
     states = [state(m) for m in s.models()]
     return states + [state(None)], s.stats
@@ -802,7 +866,7 @@ def assert_searches_walk_alike(solver):
 
 
 def copy_size(s):
-    return 2 * len(s.r_head) + len(s.val)
+    return len(s.r_head) + len(s.val)
 
 
 class OneCopySolver(Solver):
@@ -854,12 +918,11 @@ def test_copy_restore_matches_walking_back(solver):
 
 
 class ActiveKeptOnRestore(Solver):
-    """A mutant whose restore copies back n_left and n_false but leaves
-    active as it is."""
+    """A mutant whose restore copies back left but leaves active as it is."""
 
     def undo_to(self, mark, saved=None):
         if saved is not None:
-            saved = (saved[0], saved[1], self.active[:])
+            saved = (saved[0], self.active[:])
         super().undo_to(mark, saved)
 
 
@@ -870,13 +933,13 @@ class LateCopySolver(Solver):
     _late = None
 
     def _save(self):
-        self._late = ([], [], [])
+        self._late = ([], [])
         return self._late
 
     def _expand(self):
         ok = super()._expand()
         if self._late is not None:
-            for copy, live in zip(self._late, (self.n_left, self.n_false, self.active)):
+            for copy, live in zip(self._late, (self.left, self.active)):
                 copy[:] = live
             self._late = None
         return ok
@@ -891,7 +954,7 @@ def test_copy_restore_check_catches_mutants(mutant):
 def list_entries(s):
     """The entries of the solver's per-rule and per-atom lists: the slots of
     each list and the entries of the tuples and lists in them."""
-    per_rule = (s.r_head, s.r_pos, s.r_neg, s.r_int, s.n_left, s.n_false)
+    per_rule = (s.r_head, s.r_pos, s.r_neg, s.r_int, s.left)
     per_atom = (s.atoms, s.val, s.active, s.source, s._cyclic, s.occ_head, s.occ_pos, s.occ_neg, s.occ_int)
     nested = (s.r_pos, s.r_neg, s.r_int, s.occ_head, s.occ_pos, s.occ_neg, s.occ_int)
     return sum(map(len, per_rule + per_atom)) + sum(len(x) for lists in nested for x in lists)
@@ -915,7 +978,7 @@ class HeldCopies(Solver):
 
 def test_copies_hold_at_most_the_solvers_own_lists():
     # 2,000 independent pairs: the first model is 2,000 choices deep, and
-    # copies without a budget would hold 2,000 copies of 12,000 entries.
+    # copies without a budget would hold 2,000 copies of 8,000 entries.
     p = parse_program("\n".join(f"a{i} :- not b{i}.\nb{i} :- not a{i}." for i in range(2000)))
     s = HeldCopies(p)
     assert s._copy_budget() == list_entries(s)
@@ -960,7 +1023,10 @@ def test_copies_go_to_the_shallowest_pending_choices():
     p = parse_program("\n".join(f"a{i} :- not b{i}.\nb{i} :- not a{i}." for i in range(2000)))
     s = PendingCopies(p)
     assert len(s.next_stable_model()) == 2000
-    assert len(s.pending) == 2000 and s.most == s.fit == 6
+    # 4,000 rules and 4,000 atoms: six slots per rule, nine per atom and two
+    # per negative body atom make a budget of 68,000 entries, and a copy
+    # holds one entry per rule and one per atom, 8,000, so 8 copies fit.
+    assert len(s.pending) == 2000 and s.most == s.fit == 8
     filled = 0
     for p in copy_corpus():
         s = PendingCopies(p)
