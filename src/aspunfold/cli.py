@@ -45,7 +45,6 @@ from .semantics import (
     PartialInterpretation,
     check_partial_stable,
     check_total_stable,
-    enumerate_stable_models,
     maximal_models,
     require_in_base,
 )
@@ -291,13 +290,11 @@ def cmd_query(args) -> Output:
             report.partial_models = [_partial_record(*rendered)]
     else:
         require_in_base(q.atoms, p.base, "query")
-        if args.filter:
-            stable = enumerate_stable_models(p, args.cap)
-            model = next((m for m in stable if q.holds(m, p.base - m)), None)
-            report.stats = _stats_dict(None, SolverStats())
-        else:
-            models, report.stats = _solve(query_constrained(p, q), args, enumerate_all=False)
-            model = models[0] if models else None
+        # --filter asks the enumeration oracle, as --mode brute does.
+        mode = "brute" if args.filter else args.mode
+        result = solve(query_constrained(p, q), mode, False, _gnt_config(args), args.cap)
+        model = result.models[0] if result.models else None
+        report.stats = _stats_dict(result.stats, result.solver_stats)
         ok = model is not None
         if ok:
             witness_lines = [_model_line(model)]

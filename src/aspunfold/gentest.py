@@ -14,10 +14,12 @@ block, so each number is found by arithmetic, with no sort or search
 (``_Extension``): an input atom's is its own, shifted past the blocks that
 sort before it, and the input's rules are used as they are when no atom
 moves.  The construction's rules are built over these numbers.  A
-construction is a ``GeneratorTable``: a program that keeps, besides its own
+generator is a ``GeneratorTable``: a program that keeps, besides its own
 rules, the lifted input rules, the numbers of the input's atoms (its
 ``lift``) and the complement marks of its disjunctive head atoms, and
-derives from them the tester of each candidate.
+derives from them the tester of each candidate.  Every ``GeneratorTable``
+marks every disjunctive head atom.  ``support_program`` adds support marks
+alone, so it is a plain ``Program``.
 
 The tester of a candidate M is read off the reduct P^M, in one pass over the
 lifted input rules (``GeneratorTable.tester``), so the search over a
@@ -27,9 +29,8 @@ the complement marks of those that are disjunctive head atoms, numbered in
 the generator's order; it comes with the generator's numbers of its atoms.
 An atom outside M is false in every tester model and a fixed atom, one
 that a fact derives, true, so neither is an atom of the tester.
-``test_program`` returns a generator as it is; given any other program, it
-lifts it into a construction with no rules of its own, which holds the
-complement marks of its disjunctive head atoms.
+``test_program`` returns a generator as it is, and for any other program
+its ``gen_basic`` generator.
 """
 
 from __future__ import annotations
@@ -105,8 +106,7 @@ class _Extension:
         (input numbers, ascending)."""
         g = GeneratorTable.of_table(self.atoms, dict.fromkeys(rules))
         g.inputs, g.lift = self.rules, self.lift
-        lifted = [self.lift[a] for a in heads]
-        g.complement = {a: self.complement[a] for a in lifted if a in self.complement}
+        g.complement = {b: self.complement[b] for b in [self.lift[a] for a in heads]}
         return g
 
 
@@ -114,11 +114,11 @@ class GeneratorTable(Program):
     """A construction over an input P: its program, and what the
     generate-and-test search reads besides, all over the construction's
     numbers: P's rules (``inputs``), the numbers of P's atoms, ascending
-    (``lift``), the complement marks of P's disjunctive head atoms that the
-    construction has, by the numbers of the atoms they mark
-    (``complement``), and the tester of each candidate (``tester``).  Every
-    generator of a mode marks every disjunctive head atom; only
-    ``support_program`` marks none."""
+    (``lift``), the complement marks of P's disjunctive head atoms, by the
+    numbers of the atoms they mark (``complement``), and the tester of each
+    candidate (``tester``).  Every ``GeneratorTable`` marks every
+    disjunctive head atom of P, so ``tester`` finds the mark of each one it
+    meets."""
 
     inputs: list[IntRule]
     lift: list[int]
@@ -246,12 +246,12 @@ def gen_basic(p: Program) -> GeneratorTable:
     return x.program(_basic_rules(x), heads)
 
 
-def support_program(p: Program) -> GeneratorTable:
+def support_program(p: Program) -> Program:
     """Support rules: a rule supports exactly one of its head atoms, and every
-    true disjunctive-head atom must have a supporting rule."""
-    heads = _heads(p, "support_program")
-    x = _Extension(p, sups=heads)
-    return x.program(_support_rules(x), heads)
+    true disjunctive-head atom must have a supporting rule.  It marks no
+    complement, so it is a plain program, not a ``GeneratorTable``."""
+    x = _Extension(p, sups=_heads(p, "support_program"))
+    return Program.of_table(x.atoms, dict.fromkeys(_support_rules(x)))
 
 
 def gen_program(p: Program) -> GeneratorTable:
@@ -265,10 +265,9 @@ def test_program(p: Program) -> GeneratorTable:
     """The testers of p, each derived from its candidate M by
     ``GeneratorTable.tester``: their stable models are the models of the
     reduct P^M properly inside M.  A generator of P is its own tester
-    table, over the generator's numbers.  Any other program is lifted
-    into a construction with no rules of its own that holds the
-    complement marks of its disjunctive head atoms."""
+    table, over the generator's numbers; any other program's is its
+    ``gen_basic`` generator, whose testers every generator of it shares."""
     if isinstance(p, GeneratorTable):
         return p
-    heads = _heads(p, "test_program")
-    return _Extension(p, comps=heads).program((), heads)
+    reject_marked(p.atoms, "complement/support", "test_program")
+    return gen_basic(p)

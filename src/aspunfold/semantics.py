@@ -12,7 +12,6 @@ unfounded sets) are kept in ``tests/conftest.py`` as test references.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .syntax import Atom, Program
@@ -96,13 +95,8 @@ def _compile(p: Program) -> _Masks:
 
 
 def _mask(ms: _Masks, atoms: Iterable[Atom]) -> int:
-    m = 0
-    for a in atoms:
-        try:
-            m |= 1 << ms.index[a]
-        except KeyError:
-            raise UnknownAtomError(f"atom {a.text} not in base")
-    return m
+    """The mask of ``atoms``, which the caller has checked lie in the base."""
+    return sum(1 << ms.index[a] for a in atoms)
 
 
 def _atoms_of(ms: _Masks, mask: int) -> frozenset[Atom]:
@@ -175,36 +169,20 @@ def _partial_model_of_reduct(rrs: list[tuple[int, int, int]], t: int, f: int) ->
 
 
 def _weaker_interps(t: int, f: int, full: int) -> Iterator[tuple[int, int]]:
-    """All (t', f') strictly below (t, f) in the truth ordering."""
-    bits = [1 << i for i in range(full.bit_length()) if full >> i & 1]
-    # per-atom options as (t-bit, f-bit) contributions
-    options = []
-    for bit in bits:
-        if bit & t:
-            options.append(((bit, 0), (0, bit), (0, 0)))
-        elif bit & f:
-            options.append(((0, bit),))
-        else:
-            options.append(((0, bit), (0, 0)))
-    # one option per atom, the first atom's varying slowest; no recursion,
-    # so the depth does not grow with the atoms
-    for choice in product(*options):
-        ct = cf = 0
-        for dt, df in choice:
-            ct |= dt
-            cf |= df
-        if (ct, cf) != (t, f):
-            yield ct, cf
+    """All (t', f') strictly below (t, f) in the truth ordering: t' a subset
+    of t, and f' the atoms of f plus any subset of the atoms outside both."""
+    for t2 in _submasks(t):
+        for extra in _submasks(full & ~t2 & ~f):
+            if (t2, extra) != (t, 0):
+                yield t2, f | extra
 
 
-def _is_psm_masks(ms: _Masks, t: int, f: int) -> bool:
-    rrs = _reduced_rules_masks(ms, t, f)
+def _is_psm_masks(rrs: list[tuple[int, int, int]], t: int, f: int, full: int) -> bool:
+    """Whether (t, f) is a partial stable model, given its three-valued
+    reduct ``rrs``: a partial model of it with no weaker one."""
     if not _partial_model_of_reduct(rrs, t, f):
         return False
-    for t2, f2 in _weaker_interps(t, f, ms.full):
-        if _partial_model_of_reduct(rrs, t2, f2):
-            return False
-    return True
+    return not any(_partial_model_of_reduct(rrs, t2, f2) for t2, f2 in _weaker_interps(t, f, full))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +205,7 @@ def enumerate_partial_stable_models(p: Program, cap: int = DEFAULT_CAP) -> list[
     for t in range(ms.full + 1):
         rest = ms.full & ~t
         for f in _submasks(rest):
-            if _is_psm_masks(ms, t, f):
+            if _is_psm_masks(_reduced_rules_masks(ms, t, f), t, f, ms.full):
                 out.append(
                     PartialInterpretation(_atoms_of(ms, t), _atoms_of(ms, f), p.base)
                 )
@@ -238,6 +216,7 @@ def check_total_stable(p: Program, n: PartialInterpretation, cap: int = DEFAULT_
     """None if n is a stable model, otherwise the failed condition."""
     if not n.is_total:
         raise ValueError("expected a total interpretation")
+    require_in_base(n.true_set, p.base, "model")
     ms = _compile(p)
     t = _mask(ms, n.true_set)
     reduct = [(h, b) for h, b, c in ms.rules if not c & t]
@@ -260,11 +239,13 @@ def check_partial_stable(p: Program, m: PartialInterpretation, cap: int = DEFAUL
     negation dropped), or else some weaker interpretation models the
     three-valued reduct."""
     _require_cap(len(p.base), cap, "partial-stable-model check")
+    require_in_base(m.true_set | m.false_set, p.base, "model")
     ms = _compile(p)
     t, f = _mask(ms, m.true_set), _mask(ms, m.false_set)
-    if not _partial_model_of_reduct(_reduced_rules_masks(ms, t, f), t, f):
+    rrs = _reduced_rules_masks(ms, t, f)
+    if not _partial_model_of_reduct(rrs, t, f):
         return "rule unsatisfied"
-    if _is_psm_masks(ms, t, f):
+    if _is_psm_masks(rrs, t, f, ms.full):
         return None
     if not _minimal_model([(h, b) for h, b, c in ms.rules if c & f == c], t):
         return "not minimal model of reduct"

@@ -22,6 +22,7 @@ from aspunfold.semantics import (
     _is_psm_masks,
     _mask,
     _Masks,
+    _reduced_rules_masks,
     _require_cap,
 )
 from aspunfold.solver import FALSE, TRUE, Solver, SolverStats
@@ -173,7 +174,8 @@ def _unfounded_masks(ms: _Masks, t: int, f: int, u: int) -> bool:
 def is_partial_stable_model(p: Program, m: PartialInterpretation, cap: int = DEFAULT_CAP) -> bool:
     _require_cap(len(p.base), cap, "partial-stable-model check")
     ms = _compile(p)
-    return _is_psm_masks(ms, _mask(ms, m.true_set), _mask(ms, m.false_set))
+    t, f = _mask(ms, m.true_set), _mask(ms, m.false_set)
+    return _is_psm_masks(_reduced_rules_masks(ms, t, f), t, f, ms.full)
 
 
 def is_unfounded_set(p: Program, i: PartialInterpretation, u: Iterable[Atom]) -> bool:

@@ -191,15 +191,26 @@ def test_test_program_validates_candidate():
         candidate_tester(DISJ, frozenset([A, Atom("zz"), Atom("y")]))
 
 
+def test_support_program_has_no_testers():
+    # support_program's atoms hold support marks, which a tester's input may
+    # not hold: test_program rejects them as it does in any input, so no
+    # tester meets a disjunctive head atom with no complement mark.
+    with pytest.raises(ValueError, match=r"^test_program: complement/support atoms present \(s__a, \.\.\.\)$"):
+        testers = build_test_program(support_program(DISJ))
+        testers.tester(testers.numbers([A]))
+
+
 def test_generators_are_their_own_testers():
-    # Every construction derives its own testers: test_program returns it as
-    # it is.  A plain program's testers are those of its gen_basic
-    # generator, atoms and rows, for every candidate.
+    # Every generator derives its own testers: test_program returns it as it
+    # is.  A plain program's testers are those of its gen_basic generator,
+    # atoms and rows, for every candidate.  support_program marks no
+    # complement, so it is a plain program, not a generator.
     for seed in range(30):
         for p in (random_disjunctive_program(seed), random_normal_program(seed)):
-            for gen in (gen_naive, gen_basic, support_program, gen_program):
+            for gen in (gen_naive, gen_basic, gen_program):
                 g = gen(p)
                 assert build_test_program(g) is g, (gen.__name__, p.rules)
+            assert type(support_program(p)) is Program, p.rules
             got, want = build_test_program(p), gen_basic(p)
             assert got.atoms == want.atoms, p.rules
             base = sorted(p.base)
@@ -298,13 +309,16 @@ def test_constructions_lift_the_input_by_its_atoms(seed):
         qbf_to_program(gen_random_qbf(8, "gw", seed)),
     ):
         heads = sorted({p.atoms[a] for head, _, _ in p.rows if len(head) > 1 for a in head})
-        for gen in (gen_naive, gen_basic, support_program, gen_program, build_test_program):
+        for gen in (gen_naive, gen_basic, gen_program, build_test_program):
             g = gen(p)
             number = {a: i for i, a in enumerate(g.atoms)}
             assert g.lift == [number[a] for a in p.atoms], gen.__name__
             assert g.inputs == [tuple(tuple(g.lift[a] for a in part) for part in rule) for rule in p.rows]
-            marked = () if gen is support_program else heads
-            assert g.complement == {number[a]: number[complement(a)] for a in marked}, gen.__name__
+            assert g.complement == {number[a]: number[complement(a)] for a in heads}, gen.__name__
+        # support_program's atoms are gen_program's without the complement
+        # marks: the input's atoms and the support marks of its heads.
+        marks = {complement(a) for a in heads}
+        assert support_program(p).atoms == tuple(a for a in gen_program(p).atoms if a not in marks)
 
 
 def test_generators_reject_marked_input_as_reference():

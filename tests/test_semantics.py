@@ -203,6 +203,21 @@ def test_check_reasons():
     assert check_partial_stable(p, interp([], [A], p.base)) == "rule unsatisfied"
 
 
+def test_checks_name_the_least_atom_outside_the_base():
+    # An interpretation over atoms the program lacks: both checks reject it
+    # with the CLI's wording, naming the least such atom, not whichever one
+    # a set yields first.
+    p = parse_program("a :- not b.")
+    outside = [Atom(t) for t in ("zz", "yy", "xx", "ww", "vv")]
+    message = "^model atom vv not in program base$"
+    with pytest.raises(UnknownAtomError, match=message):
+        check_total_stable(p, PartialInterpretation.total(outside, outside))
+    with pytest.raises(UnknownAtomError, match=message):
+        check_partial_stable(p, interp(outside[:2], outside[2:], outside))
+    with pytest.raises(UnknownAtomError, match=message):
+        check_partial_stable(p, interp(outside[2:], outside[:2], outside))
+
+
 def test_checks_match_reference():
     # Every (T, F) over the base of seeded programs with at most 5 atoms,
     # constraints included: the mask-only checks give the former verdicts and
