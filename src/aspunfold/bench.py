@@ -61,8 +61,8 @@ def mm_encode(clauses: Iterable[Clause], specified: Iterable[Atom]) -> Program:
 def gen_random_3sat_clauses(n: int, ratio: float, rng: random.Random) -> list[Clause]:
     if n < 3:
         raise ValueError("need at least 3 atoms for 3-SAT clauses")
-    if ratio <= 0:
-        raise ValueError("ratio must be positive")
+    if not 0 < ratio < math.inf:
+        raise ValueError(f"ratio must be positive and finite, got {ratio}")
     atoms = [Atom(f"a{i}") for i in range(1, n + 1)]
     clauses = []
     for _ in range(math.floor(ratio * n)):
@@ -108,13 +108,13 @@ def gen_random_qbf(v: int, scheme: str, seed: int) -> Qbf2E:
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
 
+    # An even v of at least 6 under gw leaves Y at least 3 variables, enough
+    # for the 2 universal literals each term needs.
     nx = (v + 1) // 2
     x_vars = tuple(Atom(f"x{i}") for i in range(1, nx + 1))
     y_vars = tuple(Atom(f"y{i}") for i in range(1, v - nx + 1))
     universe = list(x_vars + y_vars)
     y_set = set(y_vars)
-    if need_universal > len(y_vars):
-        raise ValueError("too few universal variables for the gw scheme")
 
     terms = []
     for _ in range(d):

@@ -22,7 +22,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 from .bench import gen_d3sat_instance, gen_random_qbf
@@ -103,21 +103,13 @@ class RunReport:
         return "models_found" if self.models or self.partial_models else "no_models"
 
     def as_json(self, timing: bool) -> dict:
-        doc: dict = {"command": self.command, "outcome": self.outcome}
-        if self.models:
-            doc["models"] = self.models
-        if self.partial_models:
-            doc["partial_models"] = self.partial_models
-        if self.answer is not None:
-            doc["answer"] = self.answer
-        if self.reason is not None:
-            doc["reason"] = self.reason
-        if self.stats:
-            doc["stats"] = self.stats
-        if self.error is not None:
-            doc["error"] = self.error
-        if timing:
-            doc["elapsed"] = self.elapsed
+        """The report's fields but those that are None or empty, and
+        ``elapsed`` only under ``timing``, with the outcome."""
+        doc: dict = {"outcome": self.outcome}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value not in (None, [], {}) and (timing or f.name != "elapsed"):
+                doc[f.name] = value
         return doc
 
 

@@ -131,11 +131,9 @@ class GeneratorTable(Program):
 
     def numbers(self, m: Collection[Atom]) -> frozenset[int]:
         """The atom numbers of a candidate, which must lie in P's base."""
-        try:
-            return frozenset(self.index[a] for a in m)
-        except KeyError:
-            require_in_base(m, frozenset(self.index), "model")
-            raise
+        m = frozenset(m)
+        require_in_base(m, frozenset(self.index), "model")
+        return frozenset([self.index[a] for a in m])
 
     @cached_property
     def _facts(self) -> tuple[list[tuple[int, tuple[int, ...]]], list[IntRule]]:

@@ -4,7 +4,8 @@ comma-separated body, ``not`` for default negation, ``%`` comments.
 A constraint ``:- body.`` is a rule with an empty head, and ``:- .``, with
 nothing on either side, the constraint without a body, which no model
 satisfies.  Reserved atom spellings are rejected unless ``allow_reserved``
-is set (used to read back rendered transformation output).
+is set (used to read back rendered transformation output).  Every atom is
+read by ``syntax.read_atom``, as model, query and QBF text are.
 
 The parser reads straight into the program's rule table, in three steps and
 without building a ``Rule``: it splits every line at whitespace once its
@@ -29,8 +30,7 @@ from .syntax import (
     IntRule,
     Literal,
     Program,
-    has_reserved_prefix,
-    parse_atom_text,
+    read_atom,
 )
 
 
@@ -56,18 +56,6 @@ def _tokenize(text: str, lineno: int) -> Iterator[tuple[str, int]]:
             raise ParseError(f"unexpected character {stripped[0]!r}", lineno, col)
         yield m.group(1), m.start(1) + 1
         pos = m.end()
-
-
-def _atom(tok: str, allow_reserved: bool) -> Atom:
-    """The atom ``tok`` spells; a ValueError holding the parse error if none."""
-    if tok == "not":
-        raise ValueError("'not' is a keyword, not an atom")
-    if not allow_reserved and has_reserved_prefix(tok):
-        raise ValueError(f"reserved prefix in atom {tok!r}")
-    try:
-        return parse_atom_text(tok) if allow_reserved else Atom(tok)
-    except ValueError:
-        raise ValueError(f"invalid atom {tok!r}") from None
 
 
 class _Error(Exception):
@@ -143,7 +131,7 @@ def parse_program(text: str, allow_reserved: bool = False) -> Program:
     errors: dict[str, str] = {}
     for tok in set().union(*lines).difference(_PUNCTUATION):
         try:
-            checked[tok] = _atom(tok, allow_reserved)
+            checked[tok] = read_atom(tok, allow_reserved)
         except ValueError as exc:
             errors[tok] = str(exc)
     # Atoms are numbered in rendering order.
@@ -182,10 +170,9 @@ def parse_literals(text: str, allow_reserved: bool = False) -> tuple[Literal, ..
             if not part:
                 raise ParseError(f"missing atom after 'not' in {text!r}")
         try:
-            atom = parse_atom_text(part) if allow_reserved else Atom(part)
+            out.append(Literal(read_atom(part, allow_reserved), not negated))
         except ValueError as exc:
             raise ParseError(str(exc))
-        out.append(Literal(atom, not negated))
     return tuple(out)
 
 
@@ -194,7 +181,7 @@ def parse_atom_set(text: str, allow_reserved: bool = False) -> frozenset[Atom]:
     atoms = set()
     for tok in text.split():
         try:
-            atoms.add(parse_atom_text(tok) if allow_reserved else Atom(tok))
+            atoms.add(read_atom(tok, allow_reserved))
         except ValueError as exc:
             raise ParseError(str(exc))
     return frozenset(atoms)

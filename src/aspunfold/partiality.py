@@ -14,9 +14,10 @@ translation, hold each input atom's one-atom part lifted and marked: every
 one-atom part of the translation is read from them, and each ``p__a :- a``
 is a marked and a lifted entry, so only longer parts are built.  When no
 input atom sorts after ``p__``, none moves, and the lifted parts are the
-input's own.  ``tr2_program`` numbers its flag ``__f`` first and shifts
-the rest by one, and ``query_constrained`` appends constraints to a table,
-so no translation here builds a ``Rule``.
+input's own.  ``tr2_program`` numbers its flag ``__f`` first, shifts the
+rest by one and reads each flag rule off a consistency rule of tr(p), and
+``query_constrained`` appends constraints to a table, so no translation
+here builds a ``Rule``.
 
 ``possibility_query`` checks the query against the base and hands the
 translation, constrained by the marked query, to ``gnt.solve``, which picks
@@ -146,11 +147,11 @@ def tr2_program(p: Program) -> Program:
     def up(xs: tuple[int, ...]) -> tuple[int, ...]:
         return tuple([x + 1 for x in xs])
 
-    # tr(p) numbers input atom i as i before its marks' block and i + n
-    # after it, and i's mark as k + i.
-    n, k = len(p.atoms), potential_block(p.atoms)
     rules = [(up(head), up(pos), up(neg)) for head, pos, neg in trp.rows]
-    rules += [((0,), (k + i + 1,), ((i if i < k else i + n) + 1,)) for i in range(n)]
+    # After two rules per rule of p, tr(p) holds ``p__a :- a`` per base atom
+    # in sorted order; ``__f :- p__a, not a`` moves its head to the positive
+    # body and its body to the negative body.
+    rules += [((0,), up(head), up(pos)) for head, pos, _ in trp.rows[2 * len(p.rows) :]]
     return Program.of_table((F_ATOM, *trp.atoms), rules)
 
 

@@ -11,10 +11,11 @@ unsatisfiability check over Y with the saturation atom ``__u``.
 numbers them once in sorted order and builds each rule over those final
 numbers.
 
-``parse_qbf`` checks each distinct token once, and each term line as it
-reads it, so an error names the first bad token of its line; it then builds
-its ``Qbf2E`` without checking the terms again.  A ``Qbf2E`` built directly
-checks its own terms and names the least bad variable of its first bad term.
+``parse_qbf`` checks each distinct token once, reading variables as the
+program reader reads atoms, and each term line as it reads it, so an error
+names the first bad token of its line; it then builds its ``Qbf2E``
+without checking the terms again.  A ``Qbf2E`` built directly checks its
+own terms and names the least bad variable of its first bad term.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .syntax import (
     U_ATOM,
     clause_atom,
     clause_negation_atom,
+    read_atom,
 )
 
 DEFAULT_QBF_CAP = 20
@@ -97,7 +99,7 @@ def parse_qbf(text: str) -> Qbf2E:
         a = atoms.get(name)
         if a is None:
             try:
-                a = atoms[name] = Atom(name)
+                a = atoms[name] = read_atom(name)
             except ValueError as exc:
                 raise QbfParseError(str(exc), lineno)
         return a

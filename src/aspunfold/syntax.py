@@ -5,7 +5,9 @@ identifiers; the transformations introduce marked atoms that render with a
 fixed prefix (``p__`` potential, ``c__`` complement, ``s__`` support) plus a
 handful of reserved names (``__f``, ``__u``, ``cl__<i>``, ``ncl__<i>``).  The
 parser rejects reserved spellings in user input, so marked atoms are fresh by
-construction and every atom has a unique rendering.
+construction and every atom has a unique rendering.  ``read_atom`` reads
+every atom of program, model, query and QBF text, and ``not`` is a keyword,
+never an atom.
 
 An atom is therefore its rendering: ``Atom`` holds one string, ``text``, and
 equality, hashing and ordering are those of that string.  Sorting atoms by
@@ -34,7 +36,8 @@ from typing import Iterable, Optional, Sequence
 # Mark prefixes; all three characters long, so ``text[3:]`` strips one.
 _POTENTIAL, _COMPLEMENT, _SUPPORT = "p__", "c__", "s__"
 _MARKS = (_POTENTIAL, _COMPLEMENT, _SUPPORT)
-_PLAIN_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
+# ``not`` is a keyword, never an atom.
+_PLAIN_RE = re.compile(r"(?!not\Z)[a-z][A-Za-z0-9_]*\Z")
 _RESERVED_RE = re.compile(r"(?:__f|__u|cl__[0-9]+|ncl__[0-9]+)\Z")
 _text = attrgetter("text")
 # Prefixes a user-written atom may not start with.
@@ -85,6 +88,20 @@ def parse_atom_text(text: str) -> Atom:
     ):
         return _known(text)
     raise ValueError(f"not a valid atom rendering: {text!r}")
+
+
+def read_atom(text: str, allow_reserved: bool = False) -> Atom:
+    """The atom ``text`` spells in program, model, query or QBF text, where
+    reserved spellings are read only under ``allow_reserved``; a
+    ValueError in the parser's words if none."""
+    if text == "not":
+        raise ValueError("'not' is a keyword, not an atom")
+    if not allow_reserved and has_reserved_prefix(text):
+        raise ValueError(f"reserved prefix in atom {text!r}")
+    try:
+        return parse_atom_text(text) if allow_reserved else Atom(text)
+    except ValueError:
+        raise ValueError(f"invalid atom {text!r}") from None
 
 
 def potential(a: Atom) -> Atom:
@@ -281,5 +298,4 @@ class Program:
         return "".join(f"{line}\n" for line in lines)
 
 
-def render_program(p: Program) -> str:
-    return p.render()
+render_program = Program.render

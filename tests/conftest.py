@@ -316,6 +316,16 @@ def random_disjunctive_program(seed, max_atoms=6, max_rules=8, constraints=True,
     return Program(tuple(rules), base=frozenset(atoms))
 
 
+def wide_programs(seed):
+    """A normal and a disjunctive program over 17 to 20 atoms of ``a`` to
+    ``t``: the atoms from ``q`` on sort after the ``p__`` block, so tr(p)
+    numbers them after their marks."""
+    return [
+        random_normal_program(seed, max_atoms=20, max_rules=12, min_atoms=17),
+        random_disjunctive_program(seed, max_atoms=20, max_rules=12, min_atoms=17),
+    ]
+
+
 def random_positive_program(seed, max_atoms=5, max_rules=6):
     rng = random.Random(("pos", seed).__repr__())
     atoms = list(PROGRAM_POOL[: rng.randint(1, max_atoms)])
@@ -808,10 +818,12 @@ def reference_qbf_to_program(q):
 
 def reference_parse_qbf(text):
     """``parse_qbf`` as it was before it checked term lines as it read them:
-    every token of every line is read first, then the terms are checked in
-    the order a frozenset walks them, and such an error has no line.  The
-    reference for the parser on texts whose terms have at most one fault."""
+    every token of every line is read first, by the program reader's atom
+    rule spelt out here, then the terms are checked in the order a
+    frozenset walks them, and such an error has no line.  The reference for
+    the parser on texts whose terms have at most one fault."""
     from aspunfold.qbf import Qbf2E, QbfParseError
+    from aspunfold.syntax import has_reserved_prefix
 
     lines = text.splitlines()
     if not lines or not (lines[0] == "e" or lines[0].startswith("e ")):
@@ -820,10 +832,14 @@ def reference_parse_qbf(text):
         raise QbfParseError("expected universal block 'a ...'", 2)
 
     def var(tok, lineno):
+        if tok == "not":
+            raise QbfParseError("'not' is a keyword, not an atom", lineno)
+        if has_reserved_prefix(tok):
+            raise QbfParseError(f"reserved prefix in atom {tok!r}", lineno)
         try:
             return Atom(tok)
-        except ValueError as exc:
-            raise QbfParseError(str(exc), lineno)
+        except ValueError:
+            raise QbfParseError(f"invalid atom {tok!r}", lineno)
 
     x_vars = tuple(var(t, 1) for t in lines[0][1:].split())
     y_vars = tuple(var(t, 2) for t in lines[1][1:].split())

@@ -234,6 +234,31 @@ def test_unknown_atoms_name_the_least_one(write, capsys):
         assert capsys.readouterr().err == f"error: {role} atom yy not in program base\n", argv
 
 
+def test_model_query_and_qbf_atoms_read_as_program_atoms(write, capsys):
+    # Model, query and QBF text read atoms by the program reader's rule and
+    # in its words: not is a keyword there too, never an atom.
+    f = write("p.lp", "a | b.\n")
+    q = write("q.qbf", "e not\na y\nnot y\nnot -y\n")
+    keyword = "'not' is a keyword, not an atom"
+    for argv, message in (
+        (["check", f, "--model", "not"], keyword),
+        (["check", f, "--partial", "a / not"], keyword),
+        (["transform", f, "--kind", "test", "--model", "a not"], keyword),
+        (["query", f, "--query", "not not"], keyword),
+        (["query", f, "--query", "a, W"], "invalid atom 'W'"),
+        (["query", f, "--query", "c__a", "--semantics", "total"], "reserved prefix in atom 'c__a'"),
+        (["check", f, "--model", "a W"], "invalid atom 'W'"),
+        (["qbf", "translate", q], f"line 1: {keyword}"),
+    ):
+        assert run(argv) == (1, ""), argv
+        assert capsys.readouterr().err == f"error: {message}\n", argv
+
+
+def test_check_partial_rejects_an_atom_both_true_and_false(write, capsys):
+    assert run(["check", write("p.lp", "a | b.\n"), "--partial", "a / a b"]) == (1, "")
+    assert capsys.readouterr().err == "error: true_set and false_set must be disjoint\n"
+
+
 @pytest.mark.parametrize("mode", ["gnt1", "gnt2", "naive"])
 def test_total_query_matches_filter_oracle(mode, tmp_path):
     # query --semantics total (one gnt.solve call on the constrained
@@ -293,7 +318,7 @@ def test_transform_takes_no_cap_or_timing(write, capsys):
     for argv, error in (
         (["transform", r, "--kind", "tr"], "line 1, col 1: reserved prefix in atom 'p__x'"),
         (["transform", f, "--kind", "test"], "transform --kind test requires --model"),
-        (["transform", f, "--kind", "test", "--model", "c__a"], "invalid plain atom name: 'c__a'"),
+        (["transform", f, "--kind", "test", "--model", "c__a"], "reserved prefix in atom 'c__a'"),
         (
             ["transform", f, "--kind", "test", "--model", "c__a", "--allow-reserved"],
             "model atom c__a not in program base",
@@ -427,6 +452,15 @@ def test_bench_rejects_nonpositive_ratio(capsys):
     assert out == "" and "ratio must be positive" in err
     code, _ = run(["bench", "d3sat", "--atoms", "10", "--ratio", "0"])
     assert code == 1
+
+
+@pytest.mark.parametrize("ratio", ["inf", "nan"])
+def test_bench_rejects_nonfinite_ratio(capsys, ratio):
+    # No instance has infinitely many clauses: the ratio is rejected before
+    # the clause count is computed, as a nonpositive one is.
+    assert main(["bench", "d3sat", "--atoms", "10", f"--ratio={ratio}"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: ratio must be positive and finite, got {float(ratio)}\n"
 
 
 def test_bench_checks_out_dir_before_generating(capsys, monkeypatch):

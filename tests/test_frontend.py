@@ -28,6 +28,7 @@ from conftest import (
     reference_parse_program,
     reference_table_of,
     reference_unfold_partiality,
+    wide_programs,
 )
 
 PLAIN = ["a", "b", "c", "d", "zz", "a1", "b_2", "note"]
@@ -255,7 +256,7 @@ def test_large_texts_match_reference():
 
 @pytest.mark.parametrize("seed", range(40))
 def test_tr_matches_reference_over_declared_bases(seed):
-    for p in (random_normal_program(seed), random_disjunctive_program(seed)):
+    for p in (random_normal_program(seed), random_disjunctive_program(seed), *wide_programs(seed)):
         assert_same_tr(p)
         assert_same_tr(parse_program(render_program(p), allow_reserved=True))
 

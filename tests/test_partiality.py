@@ -21,7 +21,7 @@ from aspunfold.semantics import (
     enumerate_partial_stable_models,
     enumerate_stable_models,
 )
-from aspunfold.syntax import Atom, F_ATOM, Literal, Program, Rule, potential
+from aspunfold.syntax import Atom, F_ATOM, Literal, Program, Rule, potential, potential_block
 
 from conftest import (
     TruthValue,
@@ -35,6 +35,7 @@ from conftest import (
     reference_query_constrained,
     reference_tr2_program,
     tr2_query,
+    wide_programs,
 )
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
@@ -189,7 +190,10 @@ def seeded_programs(count):
 
 
 def test_tr2_matches_reference():
-    for p in [*seeded_programs(40), Program((), base=[A]), Program(())]:
+    wide = [p for seed in range(20) for p in wide_programs(seed)]
+    assert all(potential_block(p.atoms) < len(p.atoms) for p in wide)
+    programs = [*seeded_programs(40), *wide, Program((), base=[A]), Program(())]
+    for p in programs:
         if F_ATOM in p.base:
             with pytest.raises(ValueError, match="__f"):
                 tr2_program(p)

@@ -66,7 +66,7 @@ def test_parse_qbf_errors():
         "e x\na x\nx\n": "a variable cannot be both existential and universal",
         "e x\na y\nx -x\n": "line 3: term contains complementary pair on x",
         "e x\na y\nz\n": "line 3: term variable z not quantified",
-        "e x\na y\nx\n-y -W\n": "line 4: invalid plain atom name: 'W'",
+        "e x\na y\nx\n-y -W\n": "line 4: invalid atom 'W'",
         # Two faults in one term line: the first bad token, in reading order,
         # names the error, whatever order the term's set is walked in.
         "e x\na y\nz x -x\n": "line 3: term variable z not quantified",
@@ -86,10 +86,32 @@ def test_qbf_term_errors_name_the_least_bad_variable():
         (frozenset([lit(z), lit(X), lit(X, False)]), "term contains complementary pair on x"),
         (frozenset([lit(z), lit(w), lit(Y)]), "term variable w not quantified"),
         (frozenset([lit(z), lit(z, False)]), "term variable z not quantified"),
+        (frozenset(), "empty term"),
     ]
     for term, message in cases:
         with pytest.raises(ValueError, match=f"^{message}$"):
             Qbf2E((X,), (Y,), (frozenset([lit(X)]), term))
+
+
+def test_qbf_variables_read_as_program_atoms():
+    # QBF variables are read by the program reader's rule, so no translation
+    # holds an atom its rendering cannot read back: not is a keyword.
+    cases = {
+        "e not\na y\nnot y\nnot -y\n": "line 1: 'not' is a keyword, not an atom",
+        "e x\na c__y\nx\n": "line 2: reserved prefix in atom 'c__y'",
+        "e x\na y\nx -not\n": "line 3: 'not' is a keyword, not an atom",
+    }
+    for text, message in cases.items():
+        with pytest.raises(QbfParseError, match=f"^{message}$"):
+            parse_qbf(text)
+    q = parse_qbf("e nota\na y\nnota y\nnota -y\n")
+    p = qbf_to_program(q)
+    assert parse_program(p.render(), allow_reserved=True) == p
+
+
+def test_qbf2e_rejects_a_variable_in_both_blocks():
+    with pytest.raises(ValueError, match="^a variable cannot be both existential and universal$"):
+        Qbf2E((X, Y), (Y,), (frozenset([lit(X)]),))
 
 
 # Replacement tokens for the parser's differential test: variables, fresh
@@ -100,7 +122,9 @@ QBF_TOKENS = ("x1", "-x1", "x2", "y1", "-y1", "-y2", "w", "-w", "X", "-", "--x1"
 QBF_ERRORS = (
     "expected existential block",
     "expected universal block",
-    "invalid plain atom name",
+    "invalid atom",
+    "'not' is a keyword",
+    "reserved prefix",
     "both existential and universal",
     "empty term line",
     "not quantified",

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given
 
-from aspunfold.parser import ParseError, parse_literals, parse_program
+from aspunfold.parser import ParseError, parse_atom_set, parse_literals, parse_program
 from aspunfold.syntax import (
     Atom,
     F_ATOM,
@@ -13,6 +13,7 @@ from aspunfold.syntax import (
     complement,
     parse_atom_text,
     potential,
+    read_atom,
     reject_marked,
     render_program,
     support,
@@ -80,6 +81,37 @@ def test_invalid_atom_names():
     for bad in ("", "p__", "p__A", "c__p__", "p__cl__", "cl__x", "__z", "s__not a"):
         with pytest.raises(ValueError):
             parse_atom_text(bad)
+
+
+def test_not_is_never_an_atom():
+    # ``not`` is a keyword in every text, so neither constructor builds it,
+    # nor a mark of it, and every reader names the keyword.
+    with pytest.raises(ValueError):
+        Atom("not")
+    for bad in ("not", "p__not", "c__s__not"):
+        with pytest.raises(ValueError):
+            parse_atom_text(bad)
+    for allow_reserved in (False, True):
+        for read in (lambda t: read_atom(t, allow_reserved), lambda t: parse_atom_set(t, allow_reserved)):
+            with pytest.raises(ValueError, match="^'not' is a keyword, not an atom$"):
+                read("not")
+        with pytest.raises(ParseError, match="^'not' is a keyword, not an atom$"):
+            parse_literals("a, not not", allow_reserved)
+    assert Atom("nota").text == "nota" and parse_atom_text("p__nota") == potential(Atom("nota"))
+
+
+def test_read_atom_speaks_the_parsers_words():
+    # Program, model, query and QBF text share one atom reader.
+    for text, message in (("W", "invalid atom 'W'"), ("c__a", "reserved prefix in atom 'c__a'")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read_atom(text)
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse_literals(f"a, {text}")
+        with pytest.raises(ParseError, match=f"^line 1, col 1: {message}$"):
+            parse_program(f"{text}.")
+    assert read_atom("c__a", allow_reserved=True) == complement(Atom("a"))
+    with pytest.raises(ValueError, match="^invalid atom 'c__A'$"):
+        read_atom("c__A", allow_reserved=True)
 
 
 def test_rule_with_empty_head_is_a_constraint():
