@@ -33,7 +33,6 @@ from .partiality import (
     QueryLiterals,
     possibility_query,
     project_sm,
-    query_by_filter,
     query_constrained,
     tr2_program,
     unfold_partiality,
@@ -45,8 +44,8 @@ from .semantics import (
     PartialInterpretation,
     check_partial_stable,
     check_total_stable,
+    enumerate_partial_stable_models,
     maximal_models,
-    require_in_base,
 )
 from .solver import SolverStats
 from .syntax import Atom, Program, render_program
@@ -235,7 +234,6 @@ def cmd_check(args) -> Output:
     p = _load_program(args)
     if args.model is not None:
         atoms = parse_atom_set(args.model, allow_reserved=args.allow_reserved)
-        require_in_base(atoms, p.base, "model")
         claimed = PartialInterpretation.total(atoms, p.base)
         reason = check_total_stable(p, claimed, args.cap)
         if reason is None:
@@ -247,7 +245,6 @@ def cmd_check(args) -> Output:
         left, right = spec.split("/", 1)
         t = parse_atom_set(left, allow_reserved=args.allow_reserved)
         f = parse_atom_set(right, allow_reserved=args.allow_reserved)
-        require_in_base(t | f, p.base, "model")
         claimed = PartialInterpretation(t, f, p.base)
         reason = check_partial_stable(p, claimed, args.cap)
         if reason is None:
@@ -269,19 +266,22 @@ def cmd_query(args) -> Output:
     witness_lines: list[str] = []
     if args.semantics == "partial":
         if args.filter:
-            ok, witness = query_by_filter(p, q, args.cap)
+            # The partial stable models of p under the query's constraints
+            # are those of p that satisfy the query.
+            psms = enumerate_partial_stable_models(query_constrained(p, q), args.cap)
+            witness = psms[0] if psms else None
             report.stats = _stats_dict(None, SolverStats())
         else:
-            ok, witness, result = possibility_query(
+            _, witness, result = possibility_query(
                 p, q, mode=args.mode, cap=args.cap, config=_gnt_config(args)
             )
             report.stats = _stats_dict(result.stats, result.solver_stats)
+        ok = witness is not None
         if ok:
             rendered = _rendered(witness)
             witness_lines = [_partial_line(*rendered)]
             report.partial_models = [_partial_record(*rendered)]
     else:
-        require_in_base(q.atoms, p.base, "query")
         # --filter asks the enumeration oracle, as --mode brute does.
         mode = "brute" if args.filter else args.mode
         result = solve(query_constrained(p, q), mode, False, _gnt_config(args), args.cap)

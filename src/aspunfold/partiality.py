@@ -19,12 +19,14 @@ rest by one and reads each flag rule off a consistency rule of tr(p), and
 ``query_constrained`` appends constraints to a table, so no translation
 here builds a ``Rule``.
 
-``possibility_query`` checks the query against the base and hands the
-translation, constrained by the marked query, to ``gnt.solve``, which picks
-the engine.  A constraint ``:- pos, not neg`` is translated like any rule,
-into ``:- pos, not p__neg`` and ``:- p__pos, not neg``.  The second rules
-out every partial model in which the body is not false, as three-valued
-truth asks of a rule whose head is false.
+A query is constraints on the program: ``query_constrained`` appends
+``:- not a`` per query literal a and ``:- a`` per literal not a.  tr is
+linear and modular, so ``possibility_query`` hands tr of the constrained
+program to ``gnt.solve``, which picks the engine, and tr translates each
+query constraint like any rule: ``:- pos, not neg`` into
+``:- pos, not p__neg`` and ``:- p__pos, not neg``.  The second rules out
+every partial model in which the body is not false, as three-valued truth
+asks of a rule whose head is false.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .gnt import GntConfig, SolveResult, solve
 from .semantics import (
     DEFAULT_CAP,
     PartialInterpretation,
-    enumerate_partial_stable_models,
     require_in_base,
 )
 from .syntax import (
@@ -122,17 +123,6 @@ class QueryLiterals:
     def atoms(self) -> frozenset[Atom]:
         return frozenset(l.atom for l in self.literals)
 
-    def holds(self, true: frozenset[Atom], false: frozenset[Atom]) -> bool:
-        """Whether every literal is true where the atoms of ``true`` are true
-        and those of ``false`` false: its atom in ``true`` if positive, in
-        ``false`` if negative."""
-        return all(l.atom in (true if l.positive else false) for l in self.literals)
-
-
-def translate_query(q: QueryLiterals) -> QueryLiterals:
-    marked = {Literal(potential(l.atom), l.positive) for l in q.literals}
-    return QueryLiterals(q.literals | marked)
-
 
 def tr2_program(p: Program) -> Program:
     """Translation variant whose flag atom detects leftover undefined atoms:
@@ -158,7 +148,8 @@ def tr2_program(p: Program) -> Program:
 def query_constrained(p: Program, q: QueryLiterals) -> Program:
     """p's rules, then a constraint per literal of q in sorted order that
     forces it true in every stable model: ``:- not a.`` for a, ``:- a.`` for
-    not a.  The base is p's; q's atoms must lie in it."""
+    not a.  The base is p's; an atom of q outside it is rejected."""
+    require_in_base(q.atoms, p.base, "query")
     literals = sorted(q.literals)
     numbers = positions([l.atom for l in literals], p.atoms)
     rules = [((), (), (a,)) if l.positive else ((), (a,), ()) for l, a in zip(literals, numbers)]
@@ -181,20 +172,8 @@ def possibility_query(
     the enumeration oracle, capped at `cap` atoms of the translation,
     whatever the program's shape.
     """
-    require_in_base(q.atoms, p.base, "query")
-    augmented = query_constrained(unfold_partiality(p), translate_query(q))
-    result = solve(augmented, mode=mode, cap=cap, config=config)
+    result = solve(unfold_partiality(query_constrained(p, q)), mode=mode, cap=cap, config=config)
     if not result.models:
         return False, None, result
     return True, project_sm(result.models[0], p.base), result
 
-
-def query_by_filter(
-    p: Program, q: QueryLiterals, cap: int = DEFAULT_CAP
-) -> tuple[bool, Optional[PartialInterpretation]]:
-    """Oracle fallback: enumerate partial stable models and test the query directly."""
-    require_in_base(q.atoms, p.base, "query")
-    for m in enumerate_partial_stable_models(p, cap):
-        if q.holds(m.true_set, m.false_set):
-            return True, m
-    return False, None

@@ -52,10 +52,10 @@ class PartialInterpretation:
         object.__setattr__(self, "true_set", frozenset(self.true_set))
         object.__setattr__(self, "false_set", frozenset(self.false_set))
         object.__setattr__(self, "base", frozenset(self.base))
-        if self.true_set & self.false_set:
-            raise ValueError("true_set and false_set must be disjoint")
-        if not (self.true_set | self.false_set) <= self.base:
-            raise ValueError("true_set and false_set must be subsets of the base")
+        require_in_base(self.true_set | self.false_set, self.base, "model")
+        both = self.true_set & self.false_set
+        if both:
+            raise ValueError(f"atom {min(both).text} is both true and false")
 
     @classmethod
     def total(cls, true_atoms: Iterable[Atom], base: Iterable[Atom]) -> "PartialInterpretation":

@@ -26,7 +26,7 @@ from aspunfold.semantics import (
     _require_cap,
 )
 from aspunfold.solver import FALSE, TRUE, Solver, SolverStats
-from aspunfold.syntax import _MARKS, Atom, F_ATOM, Literal, Program, Rule, _known
+from aspunfold.syntax import _MARKS, Atom, F_ATOM, Literal, Program, Rule, _known, potential
 
 hypothesis.settings.register_profile("det", derandomize=True, max_examples=60)
 hypothesis.settings.load_profile("det")
@@ -270,6 +270,12 @@ def base_atom(a: Atom) -> Atom:
     if a.text.startswith(_MARKS):
         return _known(a.text[3:])
     return a
+
+
+def tr_query(q: QueryLiterals) -> QueryLiterals:
+    """q and the marked copy of each of its literals: constraining tr(p) by
+    it adds the rows that tr adds for the constraints of q."""
+    return QueryLiterals(q.literals | {Literal(potential(l.atom), l.positive) for l in q.literals})
 
 
 def tr2_query(q: QueryLiterals) -> QueryLiterals:

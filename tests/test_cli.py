@@ -15,12 +15,18 @@ from aspunfold.bench import gen_random_qbf
 from aspunfold.cli import REPORT_SCHEMA, build_parser, main
 from aspunfold.gnt import GntConfig
 from aspunfold.parser import parse_program
-from aspunfold.partiality import QueryLiterals, query_constrained, translate_query, unfold_partiality
+from aspunfold.partiality import QueryLiterals, unfold_partiality
 from aspunfold.qbf import render_qbf
 from aspunfold.semantics import enumerate_stable_models
 from aspunfold.syntax import Atom, Literal, render_program
 
-from conftest import random_disjunctive_program, random_normal_program, reference_solve_disjunctive
+from conftest import (
+    random_disjunctive_program,
+    random_normal_program,
+    reference_query_constrained,
+    reference_solve_disjunctive,
+    tr_query,
+)
 
 EX1 = "a | b :- c, not a.\n"
 EX3 = "a | b :- not a.\n"
@@ -255,8 +261,17 @@ def test_model_query_and_qbf_atoms_read_as_program_atoms(write, capsys):
 
 
 def test_check_partial_rejects_an_atom_both_true_and_false(write, capsys):
-    assert run(["check", write("p.lp", "a | b.\n"), "--partial", "a / a b"]) == (1, "")
-    assert capsys.readouterr().err == "error: true_set and false_set must be disjoint\n"
+    # The least atom on both sides is named; an atom outside the base is
+    # named before it.
+    f = write("p.lp", "a | b.\n")
+    for spec, message in (
+        ("a / a b", "atom a is both true and false"),
+        ("a b / b", "atom b is both true and false"),
+        ("b a / a b", "atom a is both true and false"),
+        ("a zz / a", "model atom zz not in program base"),
+    ):
+        assert run(["check", f, "--partial", spec]) == (1, ""), spec
+        assert capsys.readouterr().err == f"error: {message}\n", spec
 
 
 @pytest.mark.parametrize("mode", ["gnt1", "gnt2", "naive"])
@@ -625,8 +640,8 @@ def test_query_partial_honours_early_test(write):
     text = "a | b | c.\nc :- c.\na | c :- a.\nb.\n"
     f = write("e.lp", text)
     g = write("g.lp", "a | b | c.\nc :- a, b, not a.\na :- a, b.\nb :- not c.\nc :- b, c, not c.\n")
-    augmented = query_constrained(
-        unfold_partiality(parse_program(text)), translate_query(QueryLiterals(frozenset([Literal(Atom("a"), True)])))
+    augmented = reference_query_constrained(
+        unfold_partiality(parse_program(text)), tr_query(QueryLiterals(frozenset([Literal(Atom("a"), True)])))
     )
     before, learned, prunes = {}, {}, {}
     for policy in ("on", "off"):

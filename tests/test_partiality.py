@@ -9,10 +9,8 @@ from aspunfold.partiality import (
     expand_psm,
     possibility_query,
     project_sm,
-    query_by_filter,
     query_constrained,
     tr2_program,
-    translate_query,
     unfold_partiality,
 )
 from aspunfold.semantics import (
@@ -35,6 +33,7 @@ from conftest import (
     reference_query_constrained,
     reference_tr2_program,
     tr2_query,
+    tr_query,
     wide_programs,
 )
 
@@ -110,13 +109,18 @@ def test_translation_worked_example5():
     assert project_sm(sms[0], EX5.base) == psms[0]
 
 
-def test_translate_query():
-    q = QueryLiterals(frozenset([Literal(A)]))
-    assert {l.text for l in translate_query(q).literals} == {"a", "p__a"}
-    qn = QueryLiterals(frozenset([Literal(A, False)]))
-    assert {l.text for l in translate_query(qn).literals} == {"not a", "not p__a"}
-    q2 = QueryLiterals(frozenset([Literal(A), Literal(B, False)]))
-    assert {l.text for l in translate_query(q2).literals} == {"a", "p__a", "not b", "not p__b"}
+def test_tr_of_query_constraints():
+    # tr translates a query's constraints like any rule: ``:- not a`` into
+    # ``:- not p__a`` and ``:- not a``, and ``:- a`` into ``:- a`` and
+    # ``:- p__a``, before the consistency rules.
+    p = Program((), base=[A, B])
+    for literals, want in (
+        ([Literal(A)], [":- not p__a.", ":- not a."]),
+        ([Literal(A, False)], [":- a.", ":- p__a."]),
+        ([Literal(A), Literal(B, False)], [":- not p__a.", ":- not a.", ":- b.", ":- p__b."]),
+    ):
+        trq = unfold_partiality(query_constrained(p, QueryLiterals(frozenset(literals))))
+        assert trq.render().splitlines() == [*want, "p__a :- a.", "p__b :- b."]
 
 
 def test_query_literals_reject_complementary():
@@ -126,16 +130,6 @@ def test_query_literals_reject_complementary():
     both = [Literal(x, positive) for x in (B, A) for positive in (True, False)]
     with pytest.raises(ValueError, match="^query contains complementary pair on a$"):
         QueryLiterals(frozenset(both))
-
-
-def test_query_holds_is_three_valued_truth():
-    # holds(T, F) is the query's conjunction evaluating to true
-    rng = random.Random(5)
-    for p in seeded_programs(40):
-        for _ in range(5):
-            i = random_partial_interpretation(rng, p.base)
-            q = random_query(rng, p.base)
-            assert q.holds(i.true_set, i.false_set) == (eval_conj(i, q.literals) is TruthValue.TRUE)
 
 
 def test_tr2():
@@ -169,6 +163,13 @@ def test_possibility_queries():
     assert ok and wit == enumerate_partial_stable_models(EX5)[0]
     with pytest.raises(UnknownAtomError):
         possibility_query(EX3, QueryLiterals(frozenset([Literal(Atom("zz"))])))
+
+
+def test_query_constrained_rejects_atoms_outside_the_base():
+    # The one check of a query's atoms names the least one outside the base.
+    q = QueryLiterals(frozenset([Literal(Atom("zz")), Literal(Atom("yy"), False), Literal(A)]))
+    with pytest.raises(UnknownAtomError, match="^query atom yy not in program base$"):
+        query_constrained(EX3, q)
 
 
 def test_query_constraint_rules():
@@ -208,15 +209,46 @@ def random_query(rng, base):
     return QueryLiterals(frozenset(Literal(a, rng.random() < 0.5) for a in atoms))
 
 
+def satisfies(m, q):
+    """Whether every literal of the query q is true in the partial
+    interpretation m, by the object-level three-valued truth."""
+    return eval_conj(m, q.literals) is TruthValue.TRUE
+
+
 def test_query_constrained_matches_reference():
-    # Total: constraints on p itself; partial: on tr(p), with the
-    # translated query, as possibility_query builds it.
+    # On p itself, and on tr(p) with the query and its marked copy.
     rng = random.Random(12)
     for p in seeded_programs(40):
         q = random_query(rng, p.base)
         assert_same_program(query_constrained(p, q), reference_query_constrained(p, q))
-        trp, tq = unfold_partiality(p), translate_query(q)
+        trp, tq = unfold_partiality(p), tr_query(q)
         assert_same_program(query_constrained(trp, tq), reference_query_constrained(trp, tq))
+
+
+def test_tr_of_the_constrained_program_constrains_tr_by_the_marked_query():
+    # tr is modular: tr of p under q's constraints holds the rows of tr(p)
+    # under the constraints of q and of its marked copy, in another order.
+    rng = random.Random(12)
+    wide = [p for seed in range(10) for p in wide_programs(seed)]
+    for p in [*seeded_programs(40), *wide]:
+        q = random_query(rng, p.base)
+        got = unfold_partiality(query_constrained(p, q))
+        want = reference_query_constrained(unfold_partiality(p), tr_query(q))
+        assert got.atoms == want.atoms
+        assert sorted(got.rows) == sorted(want.rows), (p.render(), q)
+
+
+def test_constraints_keep_the_partial_stable_models_that_satisfy_the_query():
+    # In the reduct of a partial stable model that makes every query literal
+    # true, each query constraint also holds in every weaker interpretation,
+    # so the constraints keep exactly the models that satisfy the query.
+    rng = random.Random(13)
+    for p in seeded_programs(40):
+        psms = enumerate_partial_stable_models(p)
+        for _ in range(3):
+            q = random_query(rng, p.base)
+            want = [m for m in psms if satisfies(m, q)]
+            assert enumerate_partial_stable_models(query_constrained(p, q)) == want, (p.render(), q)
 
 
 def test_maximality_makes_no_difference_for_possibility():
@@ -233,11 +265,9 @@ def test_maximality_makes_no_difference_for_possibility():
             continue
         lit = Literal(rng.choice(atoms), rng.random() < 0.5)
         q = QueryLiterals(frozenset([lit]))
-        holds_somewhere = any(q.holds(m.true_set, m.false_set) for m in psms)
+        holds_somewhere = any(satisfies(m, q) for m in psms)
         for ordering in ("truth", "knowledge"):
-            held_maximally = any(
-                q.holds(m.true_set, m.false_set) for m in maximal_models(psms, ordering)
-            )
+            held_maximally = any(satisfies(m, q) for m in maximal_models(psms, ordering))
             assert holds_somewhere == held_maximally
 
 
@@ -250,7 +280,9 @@ def test_possibility_matches_filter_oracle():
             continue
         a = rng.choice(atoms)
         q = QueryLiterals(frozenset([Literal(a, rng.random() < 0.5)]))
-        assert possibility_query(p, q)[0] == query_by_filter(p, q)[0]
+        ok, witness, _ = possibility_query(p, q)
+        assert ok == any(satisfies(m, q) for m in enumerate_partial_stable_models(p))
+        assert witness is None or satisfies(witness, q)
 
 
 def test_theorems_above_the_oracle_cap():
@@ -291,8 +323,8 @@ def test_theorems_above_the_oracle_cap():
             for positive in (True, False):
                 q = QueryLiterals(frozenset([Literal(a, positive)]))
                 ok, witness, _ = possibility_query(p, q)
-                assert ok == any(q.holds(m.true_set, m.false_set) for m in psms), (size, seed, q)
-                assert witness is None or q.holds(witness.true_set, witness.false_set)
+                assert ok == any(satisfies(m, q) for m in psms), (size, seed, q)
+                assert witness is None or satisfies(witness, q)
 
 
 def test_gl_reduct_of_translation_worked_example6():

@@ -203,6 +203,17 @@ def test_check_reasons():
     assert check_partial_stable(p, interp([], [A], p.base)) == "rule unsatisfied"
 
 
+def test_interpretation_names_the_least_bad_atom():
+    # The base is checked first, in the words of the CLI's base check; then
+    # the least atom that is both true and false is named.
+    with pytest.raises(UnknownAtomError, match="^model atom yy not in program base$"):
+        interp([A, Atom("zz")], [A, Atom("yy")], [A])
+    with pytest.raises(ValueError, match="^atom a is both true and false$"):
+        interp([B, A], [A, B], [A, B])
+    with pytest.raises(ValueError, match="^atom b is both true and false$"):
+        interp([A, B], [B], [A, B])
+
+
 def test_checks_name_the_least_atom_outside_the_base():
     # An interpretation over atoms the program lacks: both checks reject it
     # with the CLI's wording, naming the least such atom, not whichever one
