@@ -6,9 +6,12 @@ through ``EXIT_CODES`` (0 models/yes, 20 none/no, 1 error, also when the
 reader closes stdout before the report is written).  ``transform``,
 ``qbf translate`` and ``bench`` print program text or file names themselves.
 Every command that solves, ``qbf solve`` included, reaches an engine
-through ``gnt.solve``, the one place an engine is chosen.  ``--stats``
-reports the five gnt counters exactly when the generate-and-test driver
-ran, and the three solver counters always.
+through ``gnt.solve``, the one place an engine is chosen, but for a
+partial question under ``--mode brute``: ``partiality.partial_stable_models``
+answers it from the partial-stable-model oracle on the program itself,
+and hands tr of the program to ``gnt.solve`` under every other mode.
+``--stats`` reports the five gnt counters exactly when the
+generate-and-test driver ran, and the three solver counters always.
 
 Output is deterministic byte-for-byte for fixed inputs and seeds: models are
 printed one per line with atoms sorted, stats as ``key=value`` lines, and
@@ -31,20 +34,19 @@ from .gnt import MODES, GntConfig, GntStats, solve
 from .parser import ParseError, parse_atom_set, parse_literals, parse_program
 from .partiality import (
     QueryLiterals,
+    partial_stable_models,
     possibility_query,
-    project_sm,
     query_constrained,
     tr2_program,
     unfold_partiality,
 )
-from .qbf import DEFAULT_QBF_CAP, QbfParseError, parse_qbf, qbf_to_program, qbf_witness, render_qbf
+from .qbf import DEFAULT_QBF_CAP, parse_qbf, qbf_to_program, qbf_witness, render_qbf
 from .semantics import (
     CapExceededError,
     DEFAULT_CAP,
     PartialInterpretation,
     check_partial_stable,
     check_total_stable,
-    enumerate_partial_stable_models,
     maximal_models,
 )
 from .solver import SolverStats
@@ -60,7 +62,7 @@ REPORT_SCHEMA = {
     "required": ["command", "outcome"],
     "properties": {
         "command": {"type": "string"},
-        "outcome": {"enum": ["models_found", "no_models", "error"]},
+        "outcome": {"enum": list(EXIT_CODES)},
         "models": {"type": "array", "items": {"type": "array", "items": {"type": "string"}}},
         "partial_models": {
             "type": "array",
@@ -133,10 +135,6 @@ def _texts(atoms: frozenset[Atom]) -> list[str]:
     return sorted([a.text for a in atoms])
 
 
-def _model_line(model: frozenset[Atom]) -> str:
-    return " ".join(_texts(model))
-
-
 def _rendered(m: PartialInterpretation) -> tuple[list[str], list[str]]:
     """A partial model's true and undefined atoms, each sorted renderings:
     what its record and its line are formatted from."""
@@ -187,14 +185,14 @@ def cmd_solve(args) -> Output:
     if not models:
         return report, ["NO STABLE MODELS"]
     report.models = [_texts(m) for m in models]
-    return report, [_model_line(m) for m in models]
+    return report, [" ".join(texts) for texts in report.models]
 
 
 def cmd_partial(args) -> Output:
     report = RunReport("partial")
     p = _load_program(args)
-    models, report.stats = _solve(unfold_partiality(p), args, args.all or args.maximal)
-    psms = [project_sm(n, p.base) for n in models]
+    psms, result = partial_stable_models(p, args.mode, args.all or args.maximal, _gnt_config(args), args.cap)
+    report.stats = _stats_dict(result.stats, result.solver_stats)
     if args.maximal:
         psms = maximal_models(psms, args.ordering)
     # Rendered once per model, and sorted by those renderings.
@@ -265,32 +263,18 @@ def cmd_query(args) -> Output:
 
     witness_lines: list[str] = []
     if args.semantics == "partial":
-        if args.filter:
-            # The partial stable models of p under the query's constraints
-            # are those of p that satisfy the query.
-            psms = enumerate_partial_stable_models(query_constrained(p, q), args.cap)
-            witness = psms[0] if psms else None
-            report.stats = _stats_dict(None, SolverStats())
-        else:
-            _, witness, result = possibility_query(
-                p, q, mode=args.mode, cap=args.cap, config=_gnt_config(args)
-            )
-            report.stats = _stats_dict(result.stats, result.solver_stats)
-        ok = witness is not None
+        ok, witness, result = possibility_query(p, q, mode=args.mode, cap=args.cap, config=_gnt_config(args))
         if ok:
             rendered = _rendered(witness)
             witness_lines = [_partial_line(*rendered)]
             report.partial_models = [_partial_record(*rendered)]
     else:
-        # --filter asks the enumeration oracle, as --mode brute does.
-        mode = "brute" if args.filter else args.mode
-        result = solve(query_constrained(p, q), mode, False, _gnt_config(args), args.cap)
-        model = result.models[0] if result.models else None
-        report.stats = _stats_dict(result.stats, result.solver_stats)
-        ok = model is not None
+        result = solve(query_constrained(p, q), args.mode, False, _gnt_config(args), args.cap)
+        ok = bool(result.models)
         if ok:
-            witness_lines = [_model_line(model)]
-            report.models = [_texts(model)]
+            report.models = [_texts(result.models[0])]
+            witness_lines = [" ".join(report.models[0])]
+    report.stats = _stats_dict(result.stats, result.solver_stats)
     report.answer = "YES" if ok else "NO"
     return report, [report.answer] + witness_lines
 
@@ -403,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("--query", required=True, help="comma-separated literals, e.g. 'a, not b'")
     sp.add_argument("--semantics", choices=("partial", "total"), default="partial")
-    sp.add_argument("--filter", action="store_true", help="answer by oracle enumeration instead of one solver call")
     _add_solving(sp)
     _add_common(sp)
     _add_reserved(sp)
@@ -440,7 +423,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     t0 = time.perf_counter()
     try:
         output = args.fn(args)
-    except (ParseError, QbfParseError, CapExceededError, ValueError, OSError) as exc:
+    except (ValueError, CapExceededError, OSError) as exc:
         if getattr(args, "json", False):
             report = RunReport(args.command, error=str(exc))
             print(json.dumps(report.as_json(False), sort_keys=True))

@@ -124,15 +124,10 @@ class GeneratorTable(Program):
     lift: list[int]
     complement: dict[int, int]
 
-    @cached_property
-    def index(self) -> dict[Atom, int]:
-        """The numbers of P's atoms, for callers that name a candidate's atoms."""
-        return {self.atoms[b]: b for b in self.lift}
-
     def numbers(self, m: Collection[Atom]) -> frozenset[int]:
         """The atom numbers of a candidate, which must lie in P's base."""
         m = frozenset(m)
-        require_in_base(m, frozenset(self.index), "model")
+        require_in_base(m, frozenset([self.atoms[b] for b in self.lift]), "model")
         return frozenset([self.index[a] for a in m])
 
     @cached_property

@@ -19,14 +19,20 @@ rest by one and reads each flag rule off a consistency rule of tr(p), and
 ``query_constrained`` appends constraints to a table, so no translation
 here builds a ``Rule``.
 
+``partial_stable_models`` is the one place partial stable models are
+computed.  Under ``brute`` the enumeration oracle reads them off p itself
+and builds no tr, so its answers do not rest on the translation they
+check; otherwise ``gnt.solve``, which picks the engine, solves tr(p), and
+each model is projected back.
+
 A query is constraints on the program: ``query_constrained`` appends
-``:- not a`` per query literal a and ``:- a`` per literal not a.  tr is
-linear and modular, so ``possibility_query`` hands tr of the constrained
-program to ``gnt.solve``, which picks the engine, and tr translates each
-query constraint like any rule: ``:- pos, not neg`` into
-``:- pos, not p__neg`` and ``:- p__pos, not neg``.  The second rules out
-every partial model in which the body is not false, as three-valued truth
-asks of a rule whose head is false.
+``:- not a`` per query literal a and ``:- a`` per literal not a, and
+``possibility_query`` asks for a partial stable model of the constrained
+program.  tr is linear and modular, and translates each query constraint
+like any rule: ``:- pos, not neg`` into ``:- pos, not p__neg`` and
+``:- p__pos, not neg``.  The second rules out every partial model in
+which the body is not false, as three-valued truth asks of a rule whose
+head is false.
 """
 
 from __future__ import annotations
@@ -38,15 +44,16 @@ from .gnt import GntConfig, SolveResult, solve
 from .semantics import (
     DEFAULT_CAP,
     PartialInterpretation,
+    enumerate_partial_stable_models,
     require_in_base,
 )
+from .solver import SolverStats
 from .syntax import (
     Atom,
     F_ATOM,
     IntRule,
     Literal,
     Program,
-    positions,
     potential,
     potential_block,
     potential_text,
@@ -151,9 +158,26 @@ def query_constrained(p: Program, q: QueryLiterals) -> Program:
     not a.  The base is p's; an atom of q outside it is rejected."""
     require_in_base(q.atoms, p.base, "query")
     literals = sorted(q.literals)
-    numbers = positions([l.atom for l in literals], p.atoms)
+    numbers = [p.index[l.atom] for l in literals]
     rules = [((), (), (a,)) if l.positive else ((), (a,), ()) for l, a in zip(literals, numbers)]
     return Program.of_table(p.atoms, [*p.rows, *rules])
+
+
+def partial_stable_models(
+    p: Program, mode: str, enumerate_all: bool, config: Optional[GntConfig], cap: int
+) -> tuple[list[PartialInterpretation], SolveResult]:
+    """The first partial stable model of p, or every one, and the result
+    they were read from, whose ``models`` are the stable models of tr(p)
+    that code them.  Under ``brute`` they come from the enumeration oracle
+    on p, capped at `cap` atoms of p, and no tr is built; otherwise from
+    ``gnt.solve`` on tr(p), projected back."""
+    if mode == "brute":
+        psms = enumerate_partial_stable_models(p, cap)
+        if not enumerate_all:
+            psms = psms[:1]
+        return psms, SolveResult([expand_psm(m) for m in psms], None, SolverStats())
+    result = solve(unfold_partiality(p), mode, enumerate_all, config, cap)
+    return [project_sm(n, p.base) for n in result.models], result
 
 
 def possibility_query(
@@ -165,15 +189,15 @@ def possibility_query(
 ) -> tuple[bool, Optional[PartialInterpretation], SolveResult]:
     """Whether some partial stable model of p satisfies every literal of q.
 
-    Returns the verdict, the witnessing model, and the result of the
-    ``gnt.solve`` call that answered on the constrained translation (its
+    Returns the verdict, the witnessing model, and the result that
+    ``partial_stable_models`` answered with on the constrained program (its
     ``stats`` None when no driver ran).  Atoms used only in the query are
     rejected rather than silently added to the base.  Mode ``brute`` asks
-    the enumeration oracle, capped at `cap` atoms of the translation,
+    the partial-stable-model oracle, capped at `cap` atoms of the program,
     whatever the program's shape.
     """
-    result = solve(unfold_partiality(query_constrained(p, q)), mode=mode, cap=cap, config=config)
-    if not result.models:
+    psms, result = partial_stable_models(query_constrained(p, q), mode, False, config, cap)
+    if not psms:
         return False, None, result
-    return True, project_sm(result.models[0], p.base), result
+    return True, psms[0], result
 

@@ -20,6 +20,7 @@ own terms and names the least bad variable of its first bad term.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -56,6 +57,9 @@ class Qbf2E:
         object.__setattr__(self, "y_vars", tuple(self.y_vars))
         object.__setattr__(self, "terms", tuple(frozenset(t) for t in self.terms))
         xs, ys = {a.text for a in self.x_vars}, {a.text for a in self.y_vars}
+        for names, block in ((xs, self.x_vars), (ys, self.y_vars)):
+            if len(names) < len(block):
+                raise ValueError(_repeated([a.text for a in block]))
         if not xs.isdisjoint(ys):
             raise ValueError("a variable cannot be both existential and universal")
         quantified = xs | ys
@@ -80,6 +84,12 @@ def _unquantified(name: str) -> str:
 
 def _complementary(name: str) -> str:
     return f"term contains complementary pair on {name}"
+
+
+def _repeated(names: list[str]) -> str:
+    """The error for a quantifier block that lists a variable twice, naming
+    the least such variable."""
+    return f"quantifier block repeats variable {min(n for n, k in Counter(names).items() if k > 1)}"
 
 
 def parse_qbf(text: str) -> Qbf2E:
@@ -107,7 +117,11 @@ def parse_qbf(text: str) -> Qbf2E:
     x_toks, y_toks = lines[0][1:].split(), lines[1][1:].split()
     x_vars = tuple([var(t, 1) for t in x_toks])
     y_vars = tuple([var(t, 2) for t in y_toks])
-    if len(atoms) < len(set(x_toks)) + len(set(y_toks)):
+    for lineno, toks in ((1, x_toks), (2, y_toks)):
+        if len(set(toks)) < len(toks):
+            raise QbfParseError(_repeated(toks), lineno)
+    # No block repeats a variable, so a shared one leaves fewer atoms than tokens.
+    if len(atoms) < len(x_toks) + len(y_toks):
         raise QbfParseError("a variable cannot be both existential and universal")
     literals: dict[str, Literal] = {}  # by signed token
     terms = []

@@ -1,6 +1,6 @@
 """Enumerative semantics: the stable and partial stable model checks and
-enumerations behind ``--mode brute``, ``check`` and ``query --filter``, and
-the partial interpretations they read and return.
+enumerations behind ``--mode brute`` and ``check``, and the partial
+interpretations they read and return.
 
 Everything here is exact and enumerative, guarded by an atom cap (default 12);
 exceeding the cap raises instead of truncating.  Interpretations are compiled
@@ -78,29 +78,26 @@ class PartialInterpretation:
 
 @dataclass
 class _Masks:
-    atoms: list[Atom]
-    index: dict[Atom, int]
     rules: list[tuple[int, int, int]]  # (head, pos, neg) masks
     full: int
 
 
 def _compile(p: Program) -> _Masks:
     """p's table as masks: bit i is p's atom i."""
-    atoms = list(p.atoms)
     rules = [
         (sum(1 << a for a in head), sum(1 << b for b in pos), sum(1 << c for c in neg))
         for head, pos, neg in p.rows
     ]
-    return _Masks(atoms, {a: i for i, a in enumerate(atoms)}, rules, (1 << len(atoms)) - 1)
+    return _Masks(rules, (1 << len(p.atoms)) - 1)
 
 
-def _mask(ms: _Masks, atoms: Iterable[Atom]) -> int:
-    """The mask of ``atoms``, which the caller has checked lie in the base."""
-    return sum(1 << ms.index[a] for a in atoms)
+def _mask(p: Program, atoms: Iterable[Atom]) -> int:
+    """The mask of ``atoms``, which the caller has checked lie in p's base."""
+    return sum(1 << p.index[a] for a in atoms)
 
 
-def _atoms_of(ms: _Masks, mask: int) -> frozenset[Atom]:
-    return frozenset(a for i, a in enumerate(ms.atoms) if mask >> i & 1)
+def _atoms_of(p: Program, mask: int) -> frozenset[Atom]:
+    return frozenset(a for i, a in enumerate(p.atoms) if mask >> i & 1)
 
 
 def _conj_value(pos: int, t: int, f: int) -> int:
@@ -194,7 +191,7 @@ def enumerate_stable_models(p: Program, cap: int = DEFAULT_CAP) -> list[frozense
     out = []
     for t in range(ms.full + 1):
         if _is_stable_masks(ms, t):
-            out.append(_atoms_of(ms, t))
+            out.append(_atoms_of(p, t))
     return sorted(out, key=sorted)
 
 
@@ -207,7 +204,7 @@ def enumerate_partial_stable_models(p: Program, cap: int = DEFAULT_CAP) -> list[
         for f in _submasks(rest):
             if _is_psm_masks(_reduced_rules_masks(ms, t, f), t, f, ms.full):
                 out.append(
-                    PartialInterpretation(_atoms_of(ms, t), _atoms_of(ms, f), p.base)
+                    PartialInterpretation(_atoms_of(p, t), _atoms_of(p, f), p.base)
                 )
     return sorted(out, key=lambda m: (sorted(m.true_set), sorted(m.false_set)))
 
@@ -218,7 +215,7 @@ def check_total_stable(p: Program, n: PartialInterpretation, cap: int = DEFAULT_
         raise ValueError("expected a total interpretation")
     require_in_base(n.true_set, p.base, "model")
     ms = _compile(p)
-    t = _mask(ms, n.true_set)
+    t = _mask(p, n.true_set)
     reduct = [(h, b) for h, b, c in ms.rules if not c & t]
     if not _total_model_of(reduct, t):
         return "rule unsatisfied"
@@ -241,7 +238,7 @@ def check_partial_stable(p: Program, m: PartialInterpretation, cap: int = DEFAUL
     _require_cap(len(p.base), cap, "partial-stable-model check")
     require_in_base(m.true_set | m.false_set, p.base, "model")
     ms = _compile(p)
-    t, f = _mask(ms, m.true_set), _mask(ms, m.false_set)
+    t, f = _mask(p, m.true_set), _mask(p, m.false_set)
     rrs = _reduced_rules_masks(ms, t, f)
     if not _partial_model_of_reduct(rrs, t, f):
         return "rule unsatisfied"

@@ -156,7 +156,6 @@ everything and prune nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 from .syntax import Atom, Program
@@ -259,11 +258,6 @@ class Solver:
         self._key: list[int] = []
         self._bound: list[int] = []
         self._journal: list[tuple[int, int]] = []
-
-    @cached_property
-    def index(self) -> dict[Atom, int]:
-        """Atom to number, for callers that name atoms."""
-        return {a: i for i, a in enumerate(self.atoms)}
 
     def _init_sccs(self) -> None:
         """Split the positive dependency graph (head to positive body atoms)
@@ -816,7 +810,7 @@ class Solver:
 
     def assign_and_expand(self, pairs: Iterable[tuple[Atom, bool]]) -> bool:
         for atom, value in pairs:
-            self._push(self.index[atom], TRUE if value else FALSE)
+            self._push(self.program.index[atom], TRUE if value else FALSE)
         return self._expand()
 
     # The former name, kept for tracers that wrap the search hooks by name.

@@ -201,17 +201,6 @@ class Rule:
 IntRule = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
-def positions(sub: Sequence[Atom], atoms: Sequence[Atom]) -> list[int]:
-    """The numbers in ``atoms`` of the atoms of ``sub``, both sorted by
-    rendering and sub a subset of atoms: one merge, no hashing."""
-    out, j = [], 0
-    for a in sub:
-        while atoms[j].text != a.text:
-            j += 1
-        out.append(j)
-    return out
-
-
 class Program:
     """Ordered rule list over a Herbrand base, stored as its rule table.
 
@@ -224,8 +213,8 @@ class Program:
     ``Program(rules, base=...)`` numbers the atoms of its ``Rule``s and of
     the base at once, with one sort of their renderings; the parser and
     every translation build the table directly, through ``of_table``.
-    ``rules`` and ``base`` are views of the table for the edges, built on
-    first read and cached.  Equality and hashing are those of the table.
+    ``rules``, ``base`` and ``index`` (atom to number) are views of the
+    table for the edges, built on first read and cached.  Equality and hashing are those of the table.
     """
 
     atoms: tuple[Atom, ...]
@@ -266,6 +255,11 @@ class Program:
     @cached_property
     def base(self) -> frozenset[Atom]:
         return frozenset(self.atoms)
+
+    @cached_property
+    def index(self) -> dict[Atom, int]:
+        """Atom to number, for callers that name atoms."""
+        return {a: i for i, a in enumerate(self.atoms)}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Program):

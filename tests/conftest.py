@@ -174,7 +174,7 @@ def _unfounded_masks(ms: _Masks, t: int, f: int, u: int) -> bool:
 def is_partial_stable_model(p: Program, m: PartialInterpretation, cap: int = DEFAULT_CAP) -> bool:
     _require_cap(len(p.base), cap, "partial-stable-model check")
     ms = _compile(p)
-    t, f = _mask(ms, m.true_set), _mask(ms, m.false_set)
+    t, f = _mask(p, m.true_set), _mask(p, m.false_set)
     return _is_psm_masks(_reduced_rules_masks(ms, t, f), t, f, ms.full)
 
 
@@ -183,7 +183,7 @@ def is_unfounded_set(p: Program, i: PartialInterpretation, u: Iterable[Atom]) ->
     if not u <= p.base:
         raise UnknownAtomError("unfounded-set candidate contains atoms outside the base")
     ms = _compile(p)
-    return _unfounded_masks(ms, _mask(ms, i.true_set), _mask(ms, i.false_set), _mask(ms, u))
+    return _unfounded_masks(ms, _mask(p, i.true_set), _mask(p, i.false_set), _mask(p, u))
 
 
 def is_consistent_unfounded(u: Iterable[Atom], i: PartialInterpretation) -> bool:
@@ -196,13 +196,13 @@ def greatest_unfounded_set(
     """Union of all unfounded sets if that union is itself unfounded, else None."""
     _require_cap(len(p.base), cap, "greatest-unfounded-set search")
     ms = _compile(p)
-    t, f = _mask(ms, i.true_set), _mask(ms, i.false_set)
+    t, f = _mask(p, i.true_set), _mask(p, i.false_set)
     union = 0
     for u in range(ms.full + 1):
         if u & ~union and _unfounded_masks(ms, t, f, u):
             union |= u
     if _unfounded_masks(ms, t, f, union):
-        return _atoms_of(ms, union)
+        return _atoms_of(p, union)
     return None
 
 
@@ -211,7 +211,7 @@ def is_unfounded_free(p: Program, n: PartialInterpretation, cap: int = DEFAULT_C
         raise ValueError("unfounded-freeness is defined for total interpretations")
     _require_cap(len(p.base), cap, "unfounded-freeness check")
     ms = _compile(p)
-    t, f = _mask(ms, n.true_set), _mask(ms, n.false_set)
+    t, f = _mask(p, n.true_set), _mask(p, n.false_set)
     for u in range(1, ms.full + 1):
         if u & t and _unfounded_masks(ms, t, f, u):
             return False
@@ -394,7 +394,7 @@ def gated_early_prunes(rng, p, samples):
         if g._minimal() or not g._fires(*g.learned[-1]):
             continue
         true = g.true_atoms() & p.base
-        false = {a for a in p.base if g.val[g.index[a]] == FALSE}
+        false = {a for a in p.base if g.val[g.program.index[a]] == FALSE}
         yield any(true <= m and not m & false for m in stable)
 
 
@@ -826,8 +826,10 @@ def reference_parse_qbf(text):
     """``parse_qbf`` as it was before it checked term lines as it read them:
     every token of every line is read first, by the program reader's atom
     rule spelt out here, then the terms are checked in the order a
-    frozenset walks them, and such an error has no line.  The reference for
-    the parser on texts whose terms have at most one fault."""
+    frozenset walks them, and such an error has no line.  A quantifier
+    block that repeats a variable is rejected on its line, naming the least
+    repeated one.  The reference for the parser on texts whose terms have
+    at most one fault."""
     from aspunfold.qbf import Qbf2E, QbfParseError
     from aspunfold.syntax import has_reserved_prefix
 
@@ -849,6 +851,10 @@ def reference_parse_qbf(text):
 
     x_vars = tuple(var(t, 1) for t in lines[0][1:].split())
     y_vars = tuple(var(t, 2) for t in lines[1][1:].split())
+    for lineno, block in ((1, x_vars), (2, y_vars)):
+        repeated = sorted(a for a in set(block) if block.count(a) > 1)
+        if repeated:
+            raise QbfParseError(f"quantifier block repeats variable {repeated[0].text}", lineno)
     terms = []
     for lineno, raw in enumerate(lines[2:], 3):
         toks = raw.split()
@@ -943,10 +949,10 @@ def unfounded_sets(p, i, cap=12):
     """All unfounded sets w.r.t. i, the empty set included."""
     _require_cap(len(p.base), cap, "unfounded-set enumeration")
     ms = _compile(p)
-    t, f = _mask(ms, i.true_set), _mask(ms, i.false_set)
+    t, f = _mask(p, i.true_set), _mask(p, i.false_set)
     for u in range(ms.full + 1):
         if _unfounded_masks(ms, t, f, u):
-            yield _atoms_of(ms, u)
+            yield _atoms_of(p, u)
 
 
 def rule_as_clause(rule):
@@ -1012,7 +1018,7 @@ def expand(program, literals=()):
     for a, v in s._initial:
         s._push(a, v)
     for lit in literals:
-        s._push(s.index[lit.atom], TRUE if lit.positive else FALSE)
+        s._push(s.program.index[lit.atom], TRUE if lit.positive else FALSE)
     ok = s._expand()
     lits = frozenset(
         Literal(s.atoms[a], s.val[a] == TRUE)

@@ -211,10 +211,12 @@ def test_query_total_semantics(write):
 
 
 def test_query_filter_agrees(write):
+    # The oracle, which enumerates the partial stable models and keeps those
+    # that satisfy the query, agrees with the default engine.
     f = write("p.lp", EX5)
     for query in ("a", "b", "not a"):
         fast = run(["query", f, "--query", query])
-        slow = run(["query", f, "--query", query, "--filter"])
+        slow = run(["query", f, "--query", query, "--mode", "brute"])
         assert fast[0] == slow[0]
 
 
@@ -232,9 +234,9 @@ def test_unknown_atoms_name_the_least_one(write, capsys):
         (["check", f, "--model", "zz a yy"], "model"),
         (["check", f, "--partial", "zz a / yy"], "model"),
         (["query", f, "--query", "zz, a, not yy"], "query"),
-        (["query", f, "--query", "zz, a, not yy", "--filter"], "query"),
+        (["query", f, "--query", "zz, a, not yy", "--mode", "brute"], "query"),
         (["query", f, "--query", "zz, a, not yy", "--semantics", "total"], "query"),
-        (["query", f, "--query", "zz, a, not yy", "--semantics", "total", "--filter"], "query"),
+        (["query", f, "--query", "zz, a, not yy", "--semantics", "total", "--mode", "brute"], "query"),
     ):
         assert run(argv) == (1, ""), argv
         assert capsys.readouterr().err == f"error: {role} atom yy not in program base\n", argv
@@ -277,8 +279,8 @@ def test_check_partial_rejects_an_atom_both_true_and_false(write, capsys):
 @pytest.mark.parametrize("mode", ["gnt1", "gnt2", "naive"])
 def test_total_query_matches_filter_oracle(mode, tmp_path):
     # query --semantics total (one gnt.solve call on the constrained
-    # program) against --filter (oracle enumeration) on every single-literal
-    # query of seeded random normal and disjunctive programs.
+    # program) against --mode brute (oracle enumeration) on every
+    # single-literal query of seeded random normal and disjunctive programs.
     for kind, generate in (("normal", random_normal_program), ("disj", random_disjunctive_program)):
         for seed in range(15):
             path = tmp_path / f"{kind}{seed}.lp"
@@ -289,7 +291,7 @@ def test_total_query_matches_filter_oracle(mode, tmp_path):
                 for positive, query in ((True, atom.text), (False, f"not {atom.text}")):
                     argv = ["query", str(path), "--query", query, "--semantics", "total", "--json"]
                     code, out = run([*argv, "--mode", mode])
-                    want_code, want = run([*argv, "--filter"])
+                    want_code, want = run([*argv, "--mode", "brute"])
                     got, want = json.loads(out), json.loads(want)
                     assert (code, got["answer"]) == (want_code, want["answer"]), (kind, seed, query)
                     if got["answer"] == "YES":
@@ -406,6 +408,11 @@ def test_qbf_eval_cap_counts_variables(write, capsys):
     code, _ = run(["qbf", "eval", q, "--cap", "12"])
     assert code == 1 and "14 QBF variables exceeds enumeration cap 12" in capsys.readouterr().err
     assert run(["qbf", "eval", q]) == (20, "INVALID\n")
+    # A block that repeats a variable is rejected: counted as variables,
+    # its 21 entries would exceed the default cap of 20 with 2 variables.
+    r = write("r.qbf", "e " + " ".join(["x"] * 20) + "\na y\nx y\nx -y\n")
+    assert run(["qbf", "eval", r]) == (1, "")
+    assert capsys.readouterr().err == "error: line 1: quantifier block repeats variable x\n"
 
 
 def test_qbf_solve_brute_honours_cap(write, capsys):
@@ -602,15 +609,39 @@ def test_cap_exceeded_is_a_clean_error(write, capsys):
 
 
 def test_partial_query_brute_uses_oracle_and_cap(write, capsys):
-    # tr of a 7-atom program has 15 atoms with the query's flag atom
+    # The partial-stable-model oracle reads the 7-atom program itself, not
+    # its 14-atom translation, so the default cap of 12 admits it.
     disj = write("d7.lp", "a | b.\nc | d :- a.\ne :- not f.\nf :- g.\ng :- not e.\n")
-    code, out = run(["query", disj, "--query", "c, not e", "--mode", "brute", "--cap", "20"])
+    code, out = run(["query", disj, "--query", "c, not e", "--mode", "brute"])
     assert code == 0 and out == run(["query", disj, "--query", "c, not e"])[1]
-    code, _ = run(["query", disj, "--query", "c, not e", "--mode", "brute"])
-    assert code == 1 and "cap 12" in capsys.readouterr().err
+    code, _ = run(["query", disj, "--query", "c, not e", "--mode", "brute", "--cap", "6"])
+    err = capsys.readouterr().err
+    assert code == 1 and err == "error: partial-stable-model enumeration: 7 atoms exceeds enumeration cap 6\n"
     # a normal program is answered by the oracle too, so its cap applies
     code, _ = run(["query", write("n.lp", "a :- not b.\n"), "--query", "a", "--mode", "brute", "--cap", "1"])
     assert code == 1 and "cap 1" in capsys.readouterr().err
+
+
+def test_partial_brute_matches_gnt2_on_programs_above_the_translation_cap(tmp_path):
+    # tr of a program of 7 to 10 atoms has 14 to 20, above the default cap,
+    # so every brute answer here is the partial-stable-model oracle's on the
+    # program itself; it prints what gnt2 on tr prints.
+    sizes = set()
+    for kind, generate in (("normal", random_normal_program), ("disj", random_disjunctive_program)):
+        kept, seed = 0, 0
+        while kept < 8:
+            text = render_program(generate(seed, max_atoms=10, max_rules=14, min_atoms=7))
+            seed += 1
+            n = len(parse_program(text).base)
+            if not 7 <= n <= 10:
+                continue
+            kept += 1
+            sizes.add(n)
+            path = tmp_path / f"{kind}{seed}.lp"
+            path.write_text(text, encoding="utf-8")
+            argv = ["partial", str(path), "--all"]
+            assert run([*argv, "--mode", "brute"]) == run(argv), (kind, seed - 1)
+    assert sizes == {7, 8, 9, 10}
 
 
 def test_query_empty_is_psm_existence(write):
@@ -663,12 +694,12 @@ def test_query_stats(write):
     f = write("d7.lp", "a | b.\nc | d :- a.\ne :- not f.\nf :- g.\ng :- not e.\n")
     n = write("n.lp", "a :- not b.\nb :- not a.\nc :- a.\n")
     for path in (f, n):
-        for extra in ([], ["--semantics", "total"], ["--filter"], ["--semantics", "total", "--filter"]):
+        for extra in ([], ["--semantics", "total"], ["--mode", "brute"], ["--semantics", "total", "--mode", "brute"]):
             argv = ["query", path, "--query", "c", "--stats", *extra]
             _, out = run(argv)
             stats = _stats_lines(out)
             assert {"choices", "conflicts", "expansions"} <= set(stats), argv
-            if "--filter" in extra:
+            if "brute" in extra:
                 assert set(stats.values()) == {"0"}, argv
             doc = json.loads(run(argv + ["--json"])[1])
             jsonschema.validate(doc, REPORT_SCHEMA)

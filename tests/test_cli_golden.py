@@ -140,11 +140,6 @@ query s.lp --query c --semantics total --stats --json
 query s.lp --query c --semantics total --stats --mode brute
 query s.lp --query c --semantics partial --stats --mode brute
 query s.lp --query c --semantics partial --stats --mode gnt1 --early-test off
-query s.lp --query c --semantics partial --filter --stats
-query s.lp --query c --semantics total --filter --stats
-query s.lp --query c --semantics total --filter --json
-query s.lp --query c --semantics partial --filter
-query s.lp --query c --semantics total --filter
 query n.lp --query "not c" --stats
 query n.lp --query a --semantics total --stats
 query n.lp --query a --semantics total --stats --mode naive
@@ -164,8 +159,6 @@ query s.lp --query "a, not a"
 query s.lp --query "a1, not a1, b, not b" --semantics total --json
 query s.lp --query zz
 query s.lp --query zz --semantics total
-query s.lp --query zz --filter --json
-query s.lp --query zz --semantics total --filter
 query s.lp --query c --timing
 qbf translate valid.qbf
 qbf translate e0.qbf
@@ -247,7 +240,7 @@ def test_corpus_covers_every_command_and_option():
     words = {w for line in INVOCATIONS for w in shlex.split(line)}
     commands = {shlex.split(line)[0] for line in INVOCATIONS}
     assert commands == {"solve", "partial", "transform", "check", "query", "qbf", "bench"}
-    for flag in ("--stats", "--json", "--timing", "--filter", "--all", "--maximal", "--cap", "--allow-reserved"):
+    for flag in ("--stats", "--json", "--timing", "--all", "--maximal", "--cap", "--allow-reserved"):
         assert flag in words, flag
     for value in ("brute", "gnt1", "naive", "partial", "total", "translate", "solve", "eval"):
         assert value in words, value

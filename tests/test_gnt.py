@@ -15,7 +15,7 @@ from aspunfold.partiality import unfold_partiality
 from aspunfold.qbf import qbf_to_program, qbf_valid_oracle
 from aspunfold.semantics import enumerate_stable_models, is_stable_model, PartialInterpretation
 from aspunfold.solver import TRUE, Solver, SolverStats
-from aspunfold.syntax import Atom, Program, Rule, complement, positions, support
+from aspunfold.syntax import Atom, Program, Rule, complement, support
 
 from conftest import (
     ReferenceGenerator,
@@ -129,7 +129,7 @@ def test_generator_reads_the_input_lifted_by_its_construction():
             g = build(p)
             search = _Generator(g, GntConfig())
             assert search.program is g
-            lift = positions(p.atoms, g.atoms)
+            lift = [g.index[a] for a in p.atoms]
             assert search.program.inputs == [
                 tuple(tuple(lift[a] for a in part) for part in rule) for rule in p.rows
             ], mode

@@ -64,6 +64,10 @@ def test_parse_qbf_errors():
         "e x\nx y\n": "line 2: expected universal block 'a ...'",
         "e x\na y\n\nx y\n": "line 3: empty term line",
         "e x\na x\nx\n": "a variable cannot be both existential and universal",
+        "e x w x w\na y\nx\n": "line 1: quantifier block repeats variable w",
+        "e x\na y z y\nx\n": "line 2: quantifier block repeats variable y",
+        # A repeat is reported before a variable in both blocks.
+        "e x x\na x\nx\n": "line 1: quantifier block repeats variable x",
         "e x\na y\nx -x\n": "line 3: term contains complementary pair on x",
         "e x\na y\nz\n": "line 3: term variable z not quantified",
         "e x\na y\nx\n-y -W\n": "line 4: invalid atom 'W'",
@@ -114,6 +118,18 @@ def test_qbf2e_rejects_a_variable_in_both_blocks():
         Qbf2E((X, Y), (Y,), (frozenset([lit(X)]),))
 
 
+def test_qbf2e_rejects_a_block_that_repeats_a_variable():
+    z, w = Atom("z"), Atom("w")
+    cases = [
+        (((z, X, z, X), (Y,)), "x"),
+        (((X,), (Y, w, Y, w)), "w"),
+        (((X, Y, X), (Y,)), "x"),
+    ]
+    for (x_vars, y_vars), name in cases:
+        with pytest.raises(ValueError, match=f"^quantifier block repeats variable {name}$"):
+            Qbf2E(x_vars, y_vars, (frozenset([lit(X)]),))
+
+
 # Replacement tokens for the parser's differential test: variables, fresh
 # and misspelt names, reserved names, and the block letters.
 QBF_TOKENS = ("x1", "-x1", "x2", "y1", "-y1", "-y2", "w", "-w", "X", "-", "--x1", "not", "__u", "cl__1", "e", "a")
@@ -126,6 +142,7 @@ QBF_ERRORS = (
     "'not' is a keyword",
     "reserved prefix",
     "both existential and universal",
+    "repeats variable",
     "empty term line",
     "not quantified",
     "complementary pair",

@@ -352,7 +352,7 @@ def test_unfounded_check_is_complete_after_backtracking():
     # pointers must also hold, though false atoms keep theirs.
     fixpoints = 0
     for p, s, decisions, ok in decision_walks(range(2000), random.Random(5)):
-        assumed = [(s.index[lit.atom], TRUE if lit.positive else FALSE) for lit in decisions]
+        assumed = [(s.program.index[lit.atom], TRUE if lit.positive else FALSE) for lit in decisions]
         ref = reference_expand(s, s._initial + assumed)
         assert ok == (ref is not None), (p, decisions)
         if not ok:
@@ -783,7 +783,7 @@ def test_contradiction_ends_the_expand_at_once():
     assert s._expand()
     root = s.trail[:]
     assert root == [len(s.atoms)]  # ⊥, fixed false at the root
-    x = s.index[Atom("x")]
+    x = s.program.index[Atom("x")]
     s._push(x, FALSE)
     assert not s._expand()
     assert s.trail == root + [x]
